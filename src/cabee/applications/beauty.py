@@ -15,8 +15,9 @@ from itertools import combinations
 
 import numpy as np
 
+from ..clustering import L2, _batched_dispersions
 from ..env import GameEnvironment, make_environment
-from ..partitions import Partition, partition_list
+from ..partitions import Partition, label_array
 
 LOCAL_SLACK = 1e-12
 
@@ -253,10 +254,10 @@ def contiguity_is_sufficient(spec: BeautyContestSpec, n_classes: int, tie_tol: f
     beats the best contiguous one on the induced data of any contiguous
     candidate."""
     w = np.asarray(spec.weights)
+    labels = label_array(spec.n, n_classes)
     for part in contiguous_partitions(spec.n, n_classes):
         actions = abee_actions(spec, part)
         best_contig = best_contiguous_dispersion(actions, w, n_classes)
-        for q in partition_list(spec.n, n_classes):
-            if _weighted_sq_dispersion(actions, w, q) < best_contig - tie_tol:
-                return False
+        if _batched_dispersions(actions[:, None], w, labels, L2).min() < best_contig - tie_tol:
+            return False
     return True

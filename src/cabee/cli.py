@@ -541,7 +541,7 @@ def _run_learning(doc, kind_spec, env, mode, d, out_dir, seed):
     return results, {"all_ok": True, "details": []}, False
 
 
-def _run_cluster(doc, d, seed, threads=1):
+def _run_cluster(doc, d, seed):
     params = doc["params"]
     data = np.asarray(params["data"], dtype=float)
     prior = np.asarray(params.get("prior", [1.0 / len(data)] * len(data)))
@@ -555,7 +555,7 @@ def _run_cluster(doc, d, seed, threads=1):
         results["dispersion"] = rep.dispersion
         results["locally_clustered"] = bool(rep.locally_clustered)
     else:
-        winners, best = global_cluster(data, prior, k, d, threads=max(1, threads))
+        winners, best = global_cluster(data, prior, k, d)
         results["minimizers"] = [_partition_to_json(p) for p in winners]
         results["dispersion"] = best
     return results, {"all_ok": True, "details": []}, False
@@ -575,9 +575,7 @@ def run_scenario(doc: dict, out_dir: Path, overrides: dict | None = None) -> tup
     t0 = time.perf_counter()
     solver = doc["solver"]
     if solver == "cluster":
-        results, verification, exhausted = _run_cluster(
-            doc, d, seed, overrides.get("threads") or 1
-        )
+        results, verification, exhausted = _run_cluster(doc, d, seed)
     elif solver in ("learn1", "learn2"):
         results, verification, exhausted = _run_learning(
             doc, kind_spec, env, mode, d, out_dir, seed
@@ -691,12 +689,6 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--budget-ms", type=int, dest="budget_ms")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("CABEE_THREADS", "1")),
-        help="worker threads for exhaustive sweeps (CABEE_THREADS)",
-    )
 
 
 def main(argv=None) -> int:
@@ -751,7 +743,6 @@ def main(argv=None) -> int:
         "divergence": args.divergence,
         "seed": args.seed,
         "budget_ms": args.budget_ms,
-        "threads": args.threads,
     }
     try:
         result_doc, exhausted = run_scenario(doc, out_dir, overrides)

@@ -10,12 +10,11 @@ partitions with at most K classes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partitions import DEFAULT_ENUMERATION_CAP, Partition, partition_list
+from .partitions import DEFAULT_ENUMERATION_CAP, Partition, label_array
 
 TIE_TOL = 1e-10  # dispersion comparison tolerance for minimizer sets
 LOCAL_TOL = 1e-12  # slack absorbed by the weak local-clustering inequality
@@ -127,42 +126,55 @@ def is_locally_clustered(
     return True, None
 
 
-def _batched_dispersions(
-    data: np.ndarray, prior: np.ndarray, parts: list[Partition], d: Divergence
-) -> np.ndarray:
-    """Dispersion of every partition at once.
+def _plogp(x: np.ndarray) -> np.ndarray:
+    """Elementwise x*ln(x) with 0*ln(0) = 0."""
+    return np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), 0.0)
 
-    Uses the Bregman identities: for squared Euclidean the within-class sum
-    is sum p*|x|^2 - sum_c w_c*|proto_c|^2, and for KL it is the analogous
-    entropy difference.  Falls back to the direct definition otherwise.
+
+def _batched_dispersions(
+    data: np.ndarray, prior: np.ndarray, labels: np.ndarray, d: Divergence
+) -> np.ndarray:
+    """Dispersion of every partition of a (P, n_games) label array at once.
+
+    Uses the Bregman identity (point term minus class term): for squared
+    Euclidean the within-class sum is sum p*|x|^2 - sum_c |S_c|^2/W_c, for
+    KL it is sum p*H(x) - sum_c W_c*H(S_c/W_c) with H(x) = sum x*ln(x),
+    where S_c and W_c are the prior-weighted class sum and class mass.
     """
     data = np.asarray(data, dtype=float)
     prior = np.asarray(prior, dtype=float)
     if d.kind == SQUARED_MEAN_DIFFERENCE:
-        v = np.asarray(d.action_values, dtype=float)
-        data = (data @ v)[:, None]
-        d = L2
-    if d.kind == KULLBACK_LEIBLER:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(data > 0, data * np.log(np.where(data > 0, data, 1.0)), 0.0)
-        point_term = float(prior @ plogp.sum(axis=1))
+        data = (data @ np.asarray(d.action_values, dtype=float))[:, None]
+    kl = d.kind == KULLBACK_LEIBLER
+    point_term = prior @ (_plogp(data) if kl else data**2).sum(axis=1)
+    n_parts, n_games = labels.shape
+    n_classes = int(labels.max()) + 1
+    rows = np.arange(n_parts)
+    weighted = prior[:, None] * data
+    sums = np.zeros((n_parts, n_classes, data.shape[1]))
+    mass = np.zeros((n_parts, n_classes))
+    for g in range(n_games):
+        # one label per row, so the (row, label) indices are distinct and += is exact
+        sums[rows, labels[:, g]] += weighted[g]
+        mass[rows, labels[:, g]] += prior[g]
+    safe = np.where(mass > 0, mass, 1.0)  # empty classes have zero sums
+    if kl:
+        class_term = (mass * _plogp(sums / safe[:, :, None]).sum(axis=2)).sum(axis=1)
     else:
-        point_term = float(prior @ (data**2).sum(axis=1))
-    out = np.empty(len(parts))
-    for i, part in enumerate(parts):
-        class_term = 0.0
-        for cls in part.classes:
-            idx = list(cls)
-            w = prior[idx].sum()
-            proto = prior[idx] @ data[idx] / w
-            if d.kind == KULLBACK_LEIBLER:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    plp = np.where(proto > 0, proto * np.log(np.where(proto > 0, proto, 1.0)), 0.0)
-                class_term += w * plp.sum()
-            else:
-                class_term += w * float(proto @ proto)
-        out[i] = point_term - class_term
-    return np.maximum(out, 0.0)
+        class_term = ((sums**2).sum(axis=2) / safe).sum(axis=1)
+    return np.maximum(point_term - class_term, 0.0)
+
+
+# winners of global_cluster, keyed by (n_games, max_classes, label row)
+_WINNERS: dict[tuple[int, int, int], Partition] = {}
+
+
+def _winner(labels: np.ndarray, max_classes: int, row: int) -> Partition:
+    key = (labels.shape[1], max_classes, row)
+    part = _WINNERS.get(key)
+    if part is None:
+        part = _WINNERS[key] = Partition.from_assignment(labels[row].tolist())
+    return part
 
 
 def global_cluster(
@@ -172,27 +184,19 @@ def global_cluster(
     d: Divergence,
     tie_tol: float = TIE_TOL,
     enumeration_cap: int | None = None,
-    threads: int = 1,
 ) -> tuple[list[Partition], float]:
     """All partitions attaining the minimal dispersion, and that minimum.
 
-    Exhaustive over partitions with at most `max_classes` classes; ties are
-    reported within `tie_tol`.  Size errors from the enumeration propagate.
+    Exhaustive over partitions with at most `max_classes` classes, in the
+    order of `partition_list`; ties are reported within `tie_tol`.  Size
+    errors from the enumeration propagate.
     """
     n = np.asarray(data).shape[0]
     cap = DEFAULT_ENUMERATION_CAP if enumeration_cap is None else enumeration_cap
-    parts = list(partition_list(n, max_classes, cap))
-    if threads > 1:
-        chunks = [parts[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: _batched_dispersions(data, prior, c, d), chunks))
-        disp = np.empty(len(parts))
-        for k, chunk in enumerate(chunks):
-            disp[k :: threads] = results[k]
-    else:
-        disp = _batched_dispersions(data, prior, parts, d)
+    labels = label_array(n, max_classes, cap)
+    disp = _batched_dispersions(data, prior, labels, d)
     best = float(disp.min())
-    winners = [p for p, v in zip(parts, disp) if v <= best + tie_tol]
+    winners = [_winner(labels, max_classes, int(r)) for r in np.flatnonzero(disp <= best + tie_tol)]
     return winners, best
 
 

@@ -142,20 +142,6 @@ def pure_payoffs_against(env: GameEnvironment, player: int, game: int, other: np
     return env.payoff_slice(player, game) @ np.asarray(other, dtype=float)
 
 
-def best_reply_set(
-    env: GameEnvironment, player: int, game: int, expectation: np.ndarray, tol: float = SOLVER_TOL
-) -> tuple[tuple[int, ...], bool]:
-    """Pure best replies against a class expectation, plus indifference flag.
-
-    Returns every action within `tol` of the maximal payoff; the flag is set
-    when two or more actions attain it.
-    """
-    pays = pure_payoffs_against(env, player, game, expectation)
-    best = float(pays.max())
-    replies = tuple(int(a) for a in np.flatnonzero(pays >= best - tol))
-    return replies, len(replies) >= 2
-
-
 def nash_solve_2x2(env: GameEnvironment, game: int) -> tuple[np.ndarray, np.ndarray]:
     """A Nash equilibrium of one 2x2 game.
 

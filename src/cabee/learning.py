@@ -31,7 +31,7 @@ from .clustering import (
 )
 from .env import GameEnvironment, pure_payoffs_against
 from .equilibrium import GLOBAL, LOCAL, EquilibriumCandidate, cd_abee_verify
-from .partitions import Partition, partition_list
+from .partitions import Partition, assignment_rows, partition_list
 
 STATE_TOL = 1e-9
 
@@ -302,10 +302,7 @@ def model1_step(
         parts = partition_list(env.n_games, capacities[player])
         if clustering == "lloyd":
             assign = _lloyd_assignments(s, env.prior, capacities[player], d, rng)
-            canon = {p.assignment(): pi for pi, p in enumerate(parts)}
-            choice = np.array(
-                [canon[Partition.from_assignment(a).assignment()] for a in assign]
-            )
+            choice = assignment_rows(assign, capacities[player])
         else:
             disp = _dispersion_matrix(s, env.prior, parts, d)
             choice = disp.argmin(axis=1)

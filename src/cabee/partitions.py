@@ -1,15 +1,18 @@
 """Set partitions of game indices and their enumeration.
 
 Analogy partitions are partitions of the game set {0, ..., n-1} into at
-most K nonempty classes.  Enumeration walks restricted-growth strings in
-lexicographic order, which gives a deterministic canonical ordering that
-the solvers and the search rely on for reproducibility.
+most K nonempty classes.  Enumeration builds all restricted-growth strings
+at once as an integer label array in lexicographic order, which gives a
+deterministic canonical ordering that the solvers and the search rely on
+for reproducibility.  `Partition` objects are built from its rows on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 # Beyond this many games exhaustive enumeration is refused (B_14 ~ 1.9e8).
 DEFAULT_ENUMERATION_CAP = 14
@@ -91,30 +94,58 @@ class Partition:
         return "{" + ", ".join("{" + ",".join(map(str, c)) + "}" for c in self.classes) + "}"
 
 
-def restricted_growth_strings(n: int, max_classes: int) -> Iterator[tuple[int, ...]]:
-    """Yield restricted-growth strings of length n with <= max_classes labels.
+_LABEL_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
-    Lexicographic order; the first string is all zeros (coarsest partition).
+
+def label_array(n_games: int, max_classes: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """Restricted-growth strings of all partitions, one read-only int8 row each.
+
+    Row p holds the canonical class label of every game under partition p.
+    Rows are in lexicographic order, so the first row is all zeros (the
+    coarsest partition).  Cached; refuses instances with more than `cap`
+    games before allocating anything.
     """
-    if n < 1:
+    if n_games > cap:
+        raise PartitionSizeError(
+            f"{n_games} games exceeds the enumeration cap of {cap}; "
+            "use the iterative clustering path instead"
+        )
+    if n_games < 1:
         raise ValueError("need at least one game")
     if max_classes < 1:
         raise ValueError("need at least one class")
-    labels = [0] * n
-    while True:
-        yield tuple(labels)
-        # find rightmost position that can be incremented
-        i = n - 1
-        while i > 0:
-            prefix_max = max(labels[:i])
-            if labels[i] < min(prefix_max + 1, max_classes - 1):
-                break
-            i -= 1
-        if i == 0:
-            return
-        labels[i] += 1
-        for j in range(i + 1, n):
-            labels[j] = 0
+    key = (n_games, min(max_classes, n_games))
+    if key not in _LABEL_CACHE:
+        labels = np.zeros((1, 1), dtype=np.int8)
+        top = np.zeros(1, dtype=np.int64)  # largest label of each prefix
+        for _ in range(1, n_games):
+            # each prefix extends by labels 0..min(top + 1, K - 1), in order
+            reps = np.minimum(top + 2, key[1])
+            parent = np.repeat(np.arange(len(labels)), reps)
+            nxt = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
+            labels = np.concatenate([labels[parent], nxt[:, None].astype(np.int8)], axis=1)
+            top = np.maximum(top[parent], nxt)
+        labels.setflags(write=False)
+        _LABEL_CACHE[key] = labels
+    return _LABEL_CACHE[key]
+
+
+def assignment_rows(assign, max_classes: int) -> np.ndarray:
+    """Row of `label_array` holding the partition of each assignment row.
+
+    `assign` is an (N, n_games) array of arbitrary labels in [0, max_classes);
+    each row is relabeled by first occurrence and looked up by its base-K code.
+    """
+    assign = np.asarray(assign)
+    n_games = assign.shape[1]
+    present = assign[:, :, None] == np.arange(max_classes)
+    first = np.where(present.any(axis=1), present.argmax(axis=1), n_games)
+    rank = first.argsort(axis=1).argsort(axis=1)
+    canon = np.take_along_axis(rank, assign, axis=1)
+    powers = max_classes ** np.arange(n_games - 1, -1, -1, dtype=np.int64)
+    # lexicographic rows have increasing codes, so the codes are sorted
+    codes = label_array(n_games, max_classes) @ powers
+    return np.searchsorted(codes, canon @ powers)
 
 
 def enumerate_partitions(
@@ -125,13 +156,7 @@ def enumerate_partitions(
     Deterministic canonical order (lexicographic restricted-growth strings).
     Refuses instances with more than `cap` games.
     """
-    if n_games > cap:
-        raise PartitionSizeError(
-            f"{n_games} games exceeds the enumeration cap of {cap}; "
-            "use the iterative clustering path instead"
-        )
-    for labels in restricted_growth_strings(n_games, max_classes):
-        yield Partition.from_assignment(labels)
+    return iter(partition_list(n_games, max_classes, cap))
 
 
 _PARTITION_CACHE: dict[tuple[int, int, int], tuple[Partition, ...]] = {}
@@ -140,10 +165,11 @@ _PARTITION_CACHE: dict[tuple[int, int, int], tuple[Partition, ...]] = {}
 def partition_list(
     n_games: int, max_classes: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[Partition, ...]:
-    """Cached tuple of enumerate_partitions output (same canonical order)."""
+    """Cached tuple of the partitions of `label_array`, in its row order."""
     key = (n_games, max_classes, cap)
     if key not in _PARTITION_CACHE:
-        _PARTITION_CACHE[key] = tuple(enumerate_partitions(n_games, max_classes, cap))
+        rows = label_array(n_games, max_classes, cap).tolist()
+        _PARTITION_CACHE[key] = tuple(Partition.from_assignment(r) for r in rows)
     return _PARTITION_CACHE[key]
 
 

@@ -6,6 +6,7 @@ import pytest
 from cabee.clustering import (
     KL,
     L2,
+    TIE_TOL,
     Divergence,
     _batched_dispersions,
     dispersion,
@@ -16,7 +17,7 @@ from cabee.clustering import (
     mean_divergence,
     prototype,
 )
-from cabee.partitions import Partition, enumerate_partitions
+from cabee.partitions import Partition, enumerate_partitions, label_array, partition_list
 from conftest import random_distributions
 
 MEAN1 = mean_divergence([1.0])  # scalar data carried as 1-vectors
@@ -112,8 +113,8 @@ def test_batched_dispersion_matches_definition(rng):
     for d in (L2, KL, mean_divergence([0.0, 0.5, 1.0])):
         data = random_distributions(rng, 6, 3)
         prior = rng.dirichlet(np.ones(6))
-        parts = list(enumerate_partitions(6, 3))
-        fast = _batched_dispersions(data, prior, parts, d)
+        parts = partition_list(6, 3)
+        fast = _batched_dispersions(data, prior, label_array(6, 3), d)
         slow = np.array([dispersion(data, p, prior, d) for p in parts])
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
@@ -157,13 +158,19 @@ def test_global_cluster_degenerate_all_tie():
     assert len(winners) == len(list(enumerate_partitions(3, 2)))
 
 
-def test_global_cluster_threaded_matches_sequential(rng):
-    data = random_distributions(rng, 7, 3)
-    prior = rng.dirichlet(np.ones(7))
-    w1, b1 = global_cluster(data, prior, 3, L2, threads=1)
-    w2, b2 = global_cluster(data, prior, 3, L2, threads=3)
-    assert [p.key() for p in w1] == [p.key() for p in w2]
-    assert b1 == pytest.approx(b2, abs=1e-15)
+def test_global_cluster_is_the_argmin_set_of_dispersion(rng):
+    """Winners are the definition's minimizers, in partition_list order."""
+    for trial in range(45):
+        n = int(rng.integers(1, 8))
+        max_classes = int(rng.integers(1, 5))
+        data = random_distributions(rng, n, 3)
+        prior = rng.dirichlet(np.ones(n))
+        d = (L2, KL, mean_divergence([0.0, 0.5, 1.0]))[trial % 3]
+        winners, best = global_cluster(data, prior, max_classes, d)
+        parts = partition_list(n, max_classes)
+        disp = np.array([dispersion(data, p, prior, d) for p in parts])
+        assert best == pytest.approx(disp.min(), abs=1e-12)
+        assert winners == [p for p, v in zip(parts, disp) if v <= disp.min() + TIE_TOL]
 
 
 def test_global_implies_local_randomized(rng):

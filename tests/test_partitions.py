@@ -1,25 +1,31 @@
+import functools
 import itertools
 
+import numpy as np
 import pytest
 
 from cabee.partitions import (
     Partition,
     PartitionSizeError,
+    assignment_rows,
     bell_number,
     count_partitions,
     enumerate_partitions,
+    label_array,
     partition_list,
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _all_partition_keys(n):
+    return frozenset(
+        Partition.from_assignment(labels).key() for labels in itertools.product(range(n), repeat=n)
+    )
+
+
 def brute_force_partitions(n, max_classes):
     """Independent oracle: filter label assignments to canonical ones."""
-    seen = set()
-    for labels in itertools.product(range(n), repeat=n):
-        part = Partition.from_assignment(labels)
-        if part.n_classes <= max_classes:
-            seen.add(part.key())
-    return seen
+    return {key for key in _all_partition_keys(n) if len(key) <= max_classes}
 
 
 def test_three_games_two_classes():
@@ -72,6 +78,40 @@ def test_size_cap():
     # configurable
     with pytest.raises(PartitionSizeError):
         list(enumerate_partitions(5, 2, cap=4))
+
+
+def test_label_array_order_count_and_keys():
+    for n in range(1, 8):
+        for k in range(1, n + 2):
+            labels = label_array(n, k)
+            rows = [tuple(r) for r in labels.tolist()]
+            assert all(a < b for a, b in zip(rows, rows[1:])), (n, k)
+            assert len(rows) == count_partitions(n, k)
+            keys = [Partition.from_assignment(r).key() for r in rows]
+            assert set(keys) == brute_force_partitions(n, k)
+
+
+def test_label_array_size_cap():
+    with pytest.raises(PartitionSizeError):
+        label_array(15, 2)
+
+
+def test_partition_list_is_a_view_of_label_array():
+    for n, k in [(6, 3), (7, 4), (5, 5), (1, 3), (4, 1)]:
+        labels = label_array(n, k)
+        assert [p.assignment() for p in partition_list(n, k)] == [tuple(r) for r in labels.tolist()]
+        assert list(enumerate_partitions(n, k)) == list(partition_list(n, k))
+
+
+def test_assignment_rows_match_per_subject_relabeling():
+    """The vectorized lookup equals relabeling each row through Partition."""
+    rng = np.random.default_rng(11)
+    for n, k in [(3, 2), (3, 3), (4, 5), (5, 3), (7, 4)]:
+        assign = rng.integers(0, min(n, k), size=(500, n))
+        parts = partition_list(n, k)
+        canon = {p.assignment(): pi for pi, p in enumerate(parts)}
+        old = np.array([canon[Partition.from_assignment(a).assignment()] for a in assign])
+        np.testing.assert_array_equal(assignment_rows(assign, k), old)
 
 
 def test_partition_validation():
