@@ -123,6 +123,23 @@ def analogy_best_response(
     return replies, len(replies) >= 2
 
 
+def expected_payoffs(env: GameEnvironment, player: int, expectations: np.ndarray) -> np.ndarray:
+    """Payoff of each own pure action in each game, (..., n_games, n_actions),
+    against per-game opponent mixtures (..., n_games, n_opponent_actions)."""
+    return np.einsum("abg,...gb->...ga", env.payoffs[player], expectations)
+
+
+def best_replies(pays: np.ndarray, tol: float, incumbent: np.ndarray | None = None) -> np.ndarray:
+    """Per game, the uniform mix over the actions within `tol` of the best; a
+    game keeps its `incumbent` row if that row puts at most `tol` off them."""
+    replies = pays >= pays.max(axis=-1, keepdims=True) - tol
+    mix = replies / replies.sum(axis=-1, keepdims=True)
+    if incumbent is None:
+        return mix
+    keep = np.where(replies, 0.0, incumbent).sum(axis=-1) <= tol
+    return np.where(keep[..., None], incumbent, mix)
+
+
 def dist_abee_verify(
     env: GameEnvironment,
     lams: tuple[PartitionDistribution, PartitionDistribution],
@@ -133,7 +150,7 @@ def dist_abee_verify(
 
     Recomputes consistent expectations from the aggregates and reports the
     worst payoff gain any player can get by deviating in any game under any
-    support partition, with a witness (player, partition, game).
+    support partition, with a witness (player, partition, first such game).
     """
     aggs = aggregate(profile, lams)
     worst = 0.0
@@ -142,14 +159,13 @@ def dist_abee_verify(
         opp = aggs[1 - player]
         for part in lams[player].support:
             beta = consistent_expectation(env, part, opp)
-            strat = profile.plays[player][part]
-            for ci, cls in enumerate(part.classes):
-                for g in cls:
-                    pays = pure_payoffs_against(env, player, g, beta[ci])
-                    gain = float(pays.max() - strat[g] @ pays)
-                    if gain > worst:
-                        worst = gain
-                        witness = (player, part, g)
+            pays = expected_payoffs(env, player, beta[list(part.assignment())])
+            order = list(itertools.chain.from_iterable(part.classes))
+            gains = (pays.max(axis=1) - (profile.plays[player][part] * pays).sum(axis=1))[order]
+            top = int(gains.argmax())
+            if gains[top] > worst:
+                worst = float(gains[top])
+                witness = (player, part, order[top])
     return worst <= tol, worst, witness
 
 
@@ -559,15 +575,9 @@ def _damped_iteration(
                 opp = aggs[1 - player]
                 for part in lams[player].support:
                     beta = consistent_expectation(env, part, opp)
+                    pays = expected_payoffs(env, player, beta[list(part.assignment())])
                     old = profile.plays[player][part]
-                    new = np.empty_like(old)
-                    for ci, cls in enumerate(part.classes):
-                        for g in cls:
-                            pays = pure_payoffs_against(env, player, g, beta[ci])
-                            best = pays.max()
-                            target = (pays >= best - 1e-12).astype(float)
-                            target /= target.sum()
-                            new[g] = (1 - config.damping) * old[g] + config.damping * target
+                    new = (1 - config.damping) * old + config.damping * best_replies(pays, 1e-12)
                     delta = max(delta, float(np.abs(new - old).max()))
                     new_plays[player][part] = new
             profile = StrategyProfile(plays=new_plays)

@@ -11,7 +11,7 @@ Under a common partition of the fundamental grid the equilibrium action is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -185,16 +185,6 @@ def contiguous_partitions(n: int, n_classes: int):
         )
 
 
-def _weighted_sq_dispersion(values: np.ndarray, weights: np.ndarray, partition: Partition) -> float:
-    total = 0.0
-    for cls in partition.classes:
-        idx = list(cls)
-        w = weights[idx]
-        proto = w @ values[idx] / w.sum()
-        total += float(w @ (values[idx] - proto) ** 2)
-    return total
-
-
 def best_contiguous_dispersion(values: np.ndarray, weights: np.ndarray, n_classes: int) -> float:
     """Minimal squared-dispersion over interval partitions, by dynamic
     programming on prefix sums."""
@@ -231,12 +221,17 @@ def self_consistent_contiguous(
     themselves induce through the equilibrium map."""
     w = np.asarray(spec.weights)
     out = []
-    for part in contiguous_partitions(spec.n, n_classes):
-        actions = abee_actions(spec, part)
-        own = _weighted_sq_dispersion(actions, w, part)
-        best = best_contiguous_dispersion(actions, w, n_classes)
-        if own <= best + tie_tol:
-            out.append(part)
+    parts = contiguous_partitions(spec.n, n_classes)
+    # scored in chunks, which keeps the batch small next to the O(n^2) DP
+    while chunk := list(islice(parts, 256)):
+        actions = np.stack([abee_actions(spec, part) for part in chunk])
+        labels = np.array([part.assignment() for part in chunk])
+        own = _batched_dispersions(actions[:, :, None], w, labels, L2)
+        out += [
+            part
+            for part, acts, disp in zip(chunk, actions, own)
+            if disp <= best_contiguous_dispersion(acts, w, n_classes) + tie_tol
+        ]
     return out
 
 

@@ -136,26 +136,28 @@ def _batched_dispersions(
 ) -> np.ndarray:
     """Dispersion of every partition of a (P, n_games) label array at once.
 
-    Uses the Bregman identity (point term minus class term): for squared
-    Euclidean the within-class sum is sum p*|x|^2 - sum_c |S_c|^2/W_c, for
-    KL it is sum p*H(x) - sum_c W_c*H(S_c/W_c) with H(x) = sum x*ln(x),
-    where S_c and W_c are the prior-weighted class sum and class mass.
+    data is one (n_games, dim) data set shared by every row, or a
+    (P, n_games, dim) batch with one data set per row.  Uses the Bregman
+    identity (point term minus class term): for squared Euclidean the
+    within-class sum is sum p*|x|^2 - sum_c |S_c|^2/W_c, for KL it is
+    sum p*H(x) - sum_c W_c*H(S_c/W_c) with H(x) = sum x*ln(x), where S_c
+    and W_c are the prior-weighted class sum and class mass.
     """
     data = np.asarray(data, dtype=float)
     prior = np.asarray(prior, dtype=float)
     if d.kind == SQUARED_MEAN_DIFFERENCE:
-        data = (data @ np.asarray(d.action_values, dtype=float))[:, None]
+        data = (data @ np.asarray(d.action_values, dtype=float))[..., None]
     kl = d.kind == KULLBACK_LEIBLER
-    point_term = prior @ (_plogp(data) if kl else data**2).sum(axis=1)
+    point_term = (_plogp(data) if kl else data**2).sum(axis=-1) @ prior
     n_parts, n_games = labels.shape
     n_classes = int(labels.max()) + 1
     rows = np.arange(n_parts)
     weighted = prior[:, None] * data
-    sums = np.zeros((n_parts, n_classes, data.shape[1]))
+    sums = np.zeros((n_parts, n_classes, data.shape[-1]))
     mass = np.zeros((n_parts, n_classes))
     for g in range(n_games):
         # one label per row, so the (row, label) indices are distinct and += is exact
-        sums[rows, labels[:, g]] += weighted[g]
+        sums[rows, labels[:, g]] += weighted[..., g, :]
         mass[rows, labels[:, g]] += prior[g]
     safe = np.where(mass > 0, mass, 1.0)  # empty classes have zero sums
     if kl:

@@ -24,14 +24,15 @@ from .abee import (
     StrategyProfile,
     abee_solve,
     aggregate,
-    analogy_best_response,
+    best_replies,
     consistent_expectation,
     degenerate_pair,
     dist_abee_solve_detailed,
     dist_abee_verify,
+    expected_payoffs,
 )
 from .clustering import Divergence, dispersion, global_cluster, is_locally_clustered
-from .env import GameEnvironment
+from .env import SOLVER_TOL, GameEnvironment
 from .partitions import Partition, partition_list
 
 LOCAL = "local"
@@ -146,6 +147,14 @@ class GrandMapImage:
     truncated: bool = False
 
 
+def _reply_mask(env: GameEnvironment, player: int, part: Partition, opponent_aggregate) -> np.ndarray:
+    """(n_games, n_actions) mask of the best replies to the consistent
+    expectations of one support partition."""
+    beta = consistent_expectation(env, part, opponent_aggregate)
+    pays = expected_payoffs(env, player, beta[list(part.assignment())])
+    return best_replies(pays, SOLVER_TOL) > 0
+
+
 def grand_map(
     env: GameEnvironment,
     candidate: EquilibriumCandidate,
@@ -165,12 +174,10 @@ def grand_map(
     layout = []
     for player in (0, 1):
         for part in lams[player].support:
-            beta = consistent_expectation(env, part, aggs[1 - player])
-            for ci, cls in enumerate(part.classes):
-                for g in cls:
-                    replies, _ = analogy_best_response(env, player, g, beta[ci])
-                    choice_sets.append(replies)
-                    layout.append((player, part, g))
+            replies = _reply_mask(env, player, part, aggs[1 - player])
+            for g in itertools.chain.from_iterable(part.classes):
+                choice_sets.append(tuple(int(a) for a in np.flatnonzero(replies[g])))
+                layout.append((player, part, g))
     total = 1
     truncated = False
     for s in choice_sets:
@@ -214,14 +221,9 @@ def grand_map_contains(
         for part in lams[player].support:
             if part.key() not in admissible:
                 return False
-            beta = consistent_expectation(env, part, aggs[1 - player])
             strat = candidate.profile.plays[player][part]
-            for ci, cls in enumerate(part.classes):
-                for g in cls:
-                    replies, _ = analogy_best_response(env, player, g, beta[ci])
-                    off_support = [a for a in range(env.n_actions(player)) if a not in replies]
-                    if any(strat[g, a] > tol for a in off_support):
-                        return False
+            if (strat[~_reply_mask(env, player, part, aggs[1 - player])] > tol).any():
+                return False
     return True
 
 
@@ -297,29 +299,33 @@ def _quadratic_roots(f, lo: float, hi: float) -> list[float] | None:
     """Roots in [lo, hi] of a function known to be quadratic in t.
 
     Returns None when the residual vanishes identically (the caller should
-    then sample the whole family instead of isolated roots).
+    then sample the whole family instead of isolated roots).  An extremum
+    that misses zero by at most 1e-12 (relative to the samples, at least 1)
+    is a double (tangent) root: rounding gives its discriminant either sign.
     """
     mid = (lo + hi) / 2
     y0, y1, y2 = f(lo), f(mid), f(hi)
-    # Lagrange coefficients on (lo, mid, hi)
     h = hi - lo
     if h <= 0:
         return []
+    # Lagrange coefficients in s = t - mid, which keeps them well conditioned
     a = 2 * (y0 - 2 * y1 + y2) / h**2
-    b = (y2 - y0) / h - a * (lo + hi)
-    c = y0 - a * lo**2 - b * lo
+    b = (y2 - y0) / h
+    c = y1
     scale = max(abs(y0), abs(y1), abs(y2), 1e-30)
     if abs(a) < 1e-12 * scale / max(h, 1e-12) ** 2 and abs(b) < 1e-12 * scale / max(h, 1e-12):
         # residual constant: identically zero ties everywhere, else no root
         return None if abs(c) <= 1e-11 * max(scale, 1.0) else []
-    if abs(a) < 1e-14:
+    if abs(a) < 1e-14 and b != 0:
         roots = [-c / b]
     else:
-        disc = b * b - 4 * a * c
-        if disc < 0:
+        disc = b * b - 4 * a * c  # the extremum value is -disc / (4a)
+        if abs(disc) <= 4 * abs(a) * 1e-12 * max(scale, 1.0):
+            disc = 0.0
+        elif disc < 0:
             return []
         roots = [(-b - np.sqrt(disc)) / (2 * a), (-b + np.sqrt(disc)) / (2 * a)]
-    return [float(r) for r in roots if lo - 1e-12 <= r <= hi + 1e-12]
+    return [float(mid + r) for r in roots if lo - 1e-12 <= mid + r <= hi + 1e-12]
 
 
 def _bracket_roots(f, lo: float, hi: float, samples: int = 17, iters: int = 80) -> list[float]:

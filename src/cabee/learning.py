@@ -21,7 +21,14 @@ from typing import Callable
 
 import numpy as np
 
-from .abee import PartitionDistribution, StrategyProfile, aggregate, consistent_expectation
+from .abee import (
+    PartitionDistribution,
+    StrategyProfile,
+    aggregate,
+    best_replies,
+    consistent_expectation,
+    expected_payoffs,
+)
 from .clustering import (
     KULLBACK_LEIBLER,
     SQUARED_MEAN_DIFFERENCE,
@@ -29,7 +36,7 @@ from .clustering import (
     divergence_eval,
     global_cluster,
 )
-from .env import GameEnvironment, pure_payoffs_against
+from .env import GameEnvironment
 from .equilibrium import GLOBAL, LOCAL, EquilibriumCandidate, cd_abee_verify
 from .partitions import Partition, assignment_rows, partition_list
 
@@ -160,22 +167,9 @@ def _exact_model1_step(
             new_lam = PartitionDistribution(tuple(winners), (w,) * len(winners))
         for part in new_lam.support:
             beta = consistent_expectation(env, part, data)
-            old = state.profile.plays[player].get(part)
-            strat = np.zeros((env.n_games, env.n_actions(player)))
-            for ci, cls in enumerate(part.classes):
-                for g in cls:
-                    pays = pure_payoffs_against(env, player, g, beta[ci])
-                    best = pays.max()
-                    replies = np.flatnonzero(pays >= best - STATE_TOL)
-                    if (
-                        tie_break == "incumbent"
-                        and old is not None
-                        and old[g][np.setdiff1d(np.arange(len(pays)), replies)].sum() <= STATE_TOL
-                    ):
-                        strat[g] = old[g]
-                    else:
-                        strat[g, replies] = 1.0 / len(replies)
-            new_plays[player][part] = strat
+            pays = expected_payoffs(env, player, beta[list(part.assignment())])
+            incumbent = state.profile.plays[player].get(part) if tie_break == "incumbent" else None
+            new_plays[player][part] = best_replies(pays, STATE_TOL, incumbent)
         new_lams.append(new_lam)
     profile = StrategyProfile(plays=new_plays)
     lams = (new_lams[0], new_lams[1])
@@ -237,7 +231,8 @@ def _lloyd_assignments(
         values = np.asarray(d.action_values)
         work = (s @ values)[:, :, None]
         d = Divergence("squared-euclidean")
-    seeds = np.stack([rng.choice(n_games, size=min(k, n_games), replace=False) for _ in range(n_sub)])
+    # a uniformly random ordered k-subset of the games per subject
+    seeds = rng.random((n_sub, n_games)).argsort(axis=1)[:, : min(k, n_games)]
     protos = np.take_along_axis(work, seeds[:, :, None], axis=1)  # (N, k, n_act')
     assign = np.zeros((n_sub, n_games), dtype=int)
     for _ in range(rounds):
@@ -319,7 +314,7 @@ def model1_step(
                 for g in idx:
                     proto_by_game[members, g, :] = proto
         rho = perturbation.draw_payoff(rng, (n_subjects, env.n_games, n_act_own))
-        utils = np.einsum("abg,ngb->nga", env.payoffs[player], proto_by_game) + eps * rho
+        utils = expected_payoffs(env, player, proto_by_game) + eps * rho
         actions = utils.argmax(axis=2)  # (N, n_games)
         onehot = np.eye(n_act_own)[actions]  # (N, n_games, n_act_own)
         new_aggs.append(onehot.mean(axis=0))
@@ -408,17 +403,8 @@ def model2_step(
     stage1: tuple[list, list] = ([], [])
     for player in (0, 1):
         for rec in state.dynasties[player]:
-            strat = np.zeros_like(rec.strategy)
-            for ci, cls in enumerate(rec.partition.classes):
-                for g in cls:
-                    pays = pure_payoffs_against(env, player, g, rec.prototypes[ci])
-                    best = pays.max()
-                    replies = np.flatnonzero(pays >= best - STATE_TOL)
-                    off = np.setdiff1d(np.arange(len(pays)), replies)
-                    if rec.strategy[g][off].sum() <= STATE_TOL:
-                        strat[g] = rec.strategy[g]
-                    else:
-                        strat[g, replies] = 1.0 / len(replies)
+            pays = expected_payoffs(env, player, rec.prototypes[list(rec.partition.assignment())])
+            strat = best_replies(pays, STATE_TOL, rec.strategy)
             stage1[player].append(strat)
     aggs = tuple(
         sum(rec.share * strat for rec, strat in zip(state.dynasties[pl], stage1[pl]))

@@ -8,12 +8,14 @@ from cabee.abee import (
     abee_verify,
     aggregate,
     analogy_best_response,
+    best_replies,
     consistent_expectation,
     degenerate_pair,
     dist_abee_solve,
     dist_abee_verify,
+    expected_payoffs,
 )
-from cabee.env import make_environment, nash_solve_2x2
+from cabee.env import make_environment, nash_solve_2x2, pure_payoffs_against
 from cabee.partitions import Partition
 from conftest import dominant_env, matching_pennies_env
 
@@ -129,6 +131,87 @@ def test_best_response_dominant():
     env = dominant_env()
     replies, indiff = analogy_best_response(env, 0, 0, [0.5, 0.5])
     assert replies == (0,) and not indiff
+
+
+def random_kernel_cases(rng, count=40):
+    """Random environments (2-4 actions per player, some payoff ties), a
+    random partition and random class expectations of the opponent."""
+    for _ in range(count):
+        n_games = int(rng.integers(1, 6))
+        n0, n1 = (int(k) for k in rng.integers(2, 5, size=2))
+        # small integer payoffs against pure or uniform expectations tie often
+        if rng.random() < 0.5:
+            draw = rng.integers(0, 3, size=(n0, n1, n_games))
+        else:
+            draw = rng.normal(size=(n0, n1, n_games))
+        env = make_environment(np.full(n_games, 1 / n_games), draw, rng.normal(size=(n1, n0, n_games)))
+        part = Partition.from_assignment(rng.integers(0, 3, size=n_games))
+        kind = rng.integers(3)
+        if kind == 0:
+            beta = rng.dirichlet(np.ones(n1), size=part.n_classes)
+        elif kind == 1:
+            beta = np.eye(n1)[rng.integers(0, n1, size=part.n_classes)]
+        else:
+            beta = np.full((part.n_classes, n1), 1 / n1)
+        yield env, part, beta
+
+
+def test_expected_payoffs_match_pure_payoffs_against(rng):
+    for env, part, beta in random_kernel_cases(rng):
+        per_game = beta[list(part.assignment())]
+        ref = np.stack(
+            [pure_payoffs_against(env, 0, g, beta[part.class_of(g)]) for g in range(env.n_games)]
+        )
+        np.testing.assert_allclose(expected_payoffs(env, 0, per_game), ref, atol=1e-12)
+        # a leading batch axis evaluates each expectation set on its own
+        batch = np.stack([per_game, per_game[::-1], np.roll(per_game, 1, axis=1)])
+        batched = expected_payoffs(env, 0, batch)
+        for b in range(len(batch)):
+            np.testing.assert_allclose(batched[b], expected_payoffs(env, 0, batch[b]), atol=1e-12)
+
+
+def test_best_replies_support_is_analogy_best_response(rng):
+    ties = 0
+    for env, part, beta in random_kernel_cases(rng):
+        mix = best_replies(expected_payoffs(env, 0, beta[list(part.assignment())]), 1e-9)
+        for g in range(env.n_games):
+            replies, indiff = analogy_best_response(env, 0, g, beta[part.class_of(g)], tol=1e-9)
+            assert tuple(np.flatnonzero(mix[g] > 0)) == replies
+            np.testing.assert_allclose(mix[g, list(replies)], 1 / len(replies))
+            ties += indiff
+    assert ties >= 5  # the tie handling is exercised, not only strict replies
+
+
+def test_best_replies_keep_the_incumbent_exactly_within_tol(rng):
+    pays = np.array([[1.0, 1.0, 0.0], [2.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    incumbent = np.array([[0.0, 1.0, 0.0], [0.75, 0.25, 0.0], [0.5, 0.5, 0.0]])
+    out = best_replies(pays, 0.25, incumbent)
+    np.testing.assert_array_equal(out[0], incumbent[0])  # all mass on replies
+    np.testing.assert_array_equal(out[1], incumbent[1])  # off-reply mass 0.25 = tol
+    np.testing.assert_array_equal(out[2], [1.0, 0.0, 0.0])  # 0.5 > tol: best reply
+    for _ in range(50):
+        pays = rng.integers(0, 3, size=(5, 3)).astype(float)
+        incumbent = rng.dirichlet(np.full(3, 0.3), size=5)
+        tol = float(rng.choice([1e-9, 0.1, 0.4]))
+        out = best_replies(pays, tol, incumbent)
+        fresh = best_replies(pays, tol)
+        for g in range(5):
+            off = incumbent[g][fresh[g] == 0].sum()
+            np.testing.assert_array_equal(out[g], incumbent[g] if off <= tol else fresh[g])
+
+
+def test_dist_verify_witness_is_first_in_class_major_order():
+    # games 1 and 2 are identical and tie for the worst gain (1); under
+    # {0,2 | 1} the class-major order is 0, 2, 1, so game 2 is reported
+    own = np.zeros((2, 2, 3))
+    own[0] = 1.0  # action 0 strictly dominant in every game
+    env = make_environment([0.2, 0.3, 0.5], own, np.zeros((2, 2, 3)))
+    part = Partition.from_classes(3, [(0, 2), (1,)])
+    fin = Partition.finest(3)
+    prof = StrategyProfile(plays=({part: pure(0, 1, 1)}, {fin: pure(0, 0, 0)}))
+    ok, gain, witness = dist_abee_verify(env, degenerate_pair(part, fin), prof)
+    assert not ok and gain == 1.0
+    assert witness == (0, part, 2)
 
 
 # ---------------------------------------------------------------------------

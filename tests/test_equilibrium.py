@@ -9,6 +9,7 @@ from cabee.equilibrium import (
     LOCAL,
     EquilibriumCandidate,
     SearchConfig,
+    _quadratic_roots,
     cabee_verify,
     cd_abee_search,
     cd_abee_verify,
@@ -216,3 +217,33 @@ def test_search_finds_monitoring_candidate():
             if zeta == pytest.approx(0.5, abs=1e-7):
                 hits.append(cand)
     assert hits
+
+
+def test_quadratic_roots_keep_tangent_double_roots(rng):
+    # a perfect-square residual touches zero once; rounding in the fitted
+    # coefficients gives its discriminant either sign, and the root must stay
+    cases = ((0.5, 0.0, 1.0), (0.3, 0.1, 0.9), (1 / 3, 0.0, 1.0), (0.1, 0.1, 0.9), (0.9, 0.1, 0.9))
+    for r, lo, hi in cases:
+        roots = _quadratic_roots(lambda t: 2.5 * (t - r) ** 2, lo, hi)
+        assert roots and max(abs(t - r) for t in roots) <= 1e-6, (r, lo, hi, roots)
+    for _ in range(500):
+        lo = rng.uniform(-2, 2)
+        hi = lo + 10 ** rng.uniform(-3, 0.5)
+        k = 10 ** rng.uniform(-3, 2)
+        for r in (rng.uniform(lo, hi), lo, hi):  # interior and both endpoints
+            roots = _quadratic_roots(lambda t: k * (t - r) ** 2, lo, hi)
+            assert roots and max(abs(t - r) for t in roots) <= 1e-6, (r, lo, hi, k, roots)
+            # lifted clear of the tolerance it has no root; negated it is the same tangent
+            lift = 1e-8 * max(1.0, k * (hi - lo) ** 2)
+            assert _quadratic_roots(lambda t: k * (t - r) ** 2 + lift, lo, hi) == []
+            assert _quadratic_roots(lambda t: -k * (t - r) ** 2, lo, hi)
+
+
+def test_quadratic_roots_distinct_linear_and_constant():
+    assert _quadratic_roots(lambda t: (t - 0.2) * (t - 0.7), 0.0, 1.0) == pytest.approx([0.2, 0.7])
+    assert _quadratic_roots(lambda t: (t - 0.2) * (t - 1.7), 0.0, 1.0) == pytest.approx([0.2])
+    assert _quadratic_roots(lambda t: 0.3 * t - 0.1, 0.0, 1.0) == pytest.approx([1 / 3])
+    assert _quadratic_roots(lambda t: 0.0 * t, 0.0, 1.0) is None
+    # tiny and symmetric: neither constant nor linear, and no division by zero
+    assert _quadratic_roots(lambda t: 4e-20 * (t - 0.5) ** 2, 0.0, 1.0) == pytest.approx([0.5, 0.5])
+    assert _quadratic_roots(lambda t: 0.0 * t + 1.0, 0.0, 1.0) == []
