@@ -187,31 +187,21 @@ def contiguous_partitions(n: int, n_classes: int):
 
 def best_contiguous_dispersion(values: np.ndarray, weights: np.ndarray, n_classes: int) -> float:
     """Minimal squared-dispersion over interval partitions, by dynamic
-    programming on prefix sums."""
-    n = len(values)
+    programming on prefix sums (Fisher 1958), vectorized over the split
+    point.  Segments of nonpositive mass cost inf."""
     w = np.concatenate([[0.0], np.cumsum(weights)])
     wv = np.concatenate([[0.0], np.cumsum(weights * values)])
     wv2 = np.concatenate([[0.0], np.cumsum(weights * values**2)])
-
-    def seg_cost(i, j):  # points i..j-1
-        mass = w[j] - w[i]
-        if mass <= 0:
-            return np.inf
-        s, s2 = wv[j] - wv[i], wv2[j] - wv2[i]
-        return s2 - s * s / mass
-
-    inf = np.inf
-    dp = np.full((n_classes + 1, n + 1), inf)
-    dp[0, 0] = 0.0
-    for k in range(1, n_classes + 1):
-        for j in range(k, n + 1):
-            best = inf
-            for i in range(k - 1, j):
-                v = dp[k - 1, i] + seg_cost(i, j)
-                if v < best:
-                    best = v
-            dp[k, j] = best
-    return float(dp[n_classes, n])
+    # cost[i, j] is the dispersion of points i..j-1
+    mass = w[None, :] - w[:, None]
+    s, s2 = wv[None, :] - wv[:, None], wv2[None, :] - wv2[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = np.where(mass > 0, s2 - s * s / mass, np.inf)
+    dp = np.full(len(values) + 1, np.inf)
+    dp[0] = 0.0
+    for _ in range(n_classes):
+        dp = (dp[:, None] + cost).min(axis=0)
+    return float(dp[-1])
 
 
 def self_consistent_contiguous(
@@ -222,7 +212,9 @@ def self_consistent_contiguous(
     w = np.asarray(spec.weights)
     out = []
     parts = contiguous_partitions(spec.n, n_classes)
-    # scored in chunks, which keeps the batch small next to the O(n^2) DP
+    # scored in chunks, which bounds the memory of the action and label
+    # batches; the DP stays per candidate, because its (n+1, n+1) cost
+    # matrix batched over a chunk would add megabytes per temporary
     while chunk := list(islice(parts, 256)):
         actions = np.stack([abee_actions(spec, part) for part in chunk])
         labels = np.array([part.assignment() for part in chunk])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -116,6 +117,10 @@ def validate_scenario(doc: dict) -> dict:
     )
     if uses_randomness and "seed" not in doc:
         raise ScenarioError("seed: required whenever the solver draws randomness")
+    if "time_budget_s" in doc:
+        budget = doc["time_budget_s"]
+        if type(budget) not in (int, float) or not (math.isfinite(budget) and budget > 0):
+            raise ScenarioError(f"time_budget_s: expected a finite positive number, got {budget!r}")
     _build_inputs(doc)  # validates kind-specific parameters
     return doc
 
@@ -138,6 +143,26 @@ def _parse_custom_env(params: dict) -> GameEnvironment:
     if violations:
         raise ScenarioError("params: " + "; ".join(violations))
     return env
+
+
+def _capacities(doc: dict, env: GameEnvironment) -> tuple[int, int]:
+    """Class capacities of the players in a scenario's finite game.
+
+    A custom environment declares them as `params.capacities` (default: one
+    class per game); the matching-pennies and monitoring families use (2, 3).
+    """
+    if doc["kind"] != "custom-env":
+        return (2, 3)
+    caps = doc.get("params", {}).get("capacities", [env.n_games, env.n_games])
+    if not (
+        isinstance(caps, (list, tuple))
+        and len(caps) == 2
+        and all(type(c) is int and 1 <= c <= env.n_games for c in caps)
+    ):
+        raise ScenarioError(
+            f"params.capacities: expected two integers in [1, {env.n_games}], got {caps!r}"
+        )
+    return tuple(caps)
 
 
 def _build_inputs(doc: dict):
@@ -172,7 +197,9 @@ def _build_inputs(doc: dict):
                 if "data" not in params or "K" not in params:
                     raise ScenarioError("params.data and params.K: required for cluster")
                 return None, None
-            return None, _parse_custom_env(params)
+            env = _parse_custom_env(params)
+            _capacities(doc, env)  # validates params.capacities
+            return None, env
     except ScenarioError:
         raise
     except KeyError as exc:
@@ -347,7 +374,7 @@ def _run_matching_pennies(doc, spec, env, mode, d, out_dir, budget_ms):
             )
             if budget_ms:
                 cfg.layer2_budget_s = min(cfg.layer2_budget_s, budget_ms / 1000)
-            found = cd_abee_search(env, (2, 3), mode, d, cfg)
+            found = cd_abee_search(env, _capacities(doc, env), mode, d, cfg)
             target = np.sort(np.asarray(results["column_mix"]))
             results["search_recovered"] = any(
                 np.allclose(np.sort(c.aggregates()[1][:, 0]), target, atol=1e-7)
@@ -357,7 +384,7 @@ def _run_matching_pennies(doc, spec, env, mode, d, out_dir, budget_ms):
             # budget exhaustion only counts against the run when the search
             # also failed to recover the closed-form candidate
             exhausted = not results["search_layers_completed"] and not results["search_recovered"]
-        return results, _candidate_verification(env, [cand], (2, 3)), exhausted
+        return results, _candidate_verification(env, [cand], _capacities(doc, env)), exhausted
     if solver == "abee":
         part = _partition_from_json(3, params["partitions"][0])
         profiles = abee_solve(env, (part, Partition.finest(3)))
@@ -384,7 +411,7 @@ def _run_monitoring(doc, spec, env, mode, d, out_dir, budget_ms):
     if params.get("nu_sweep"):
         sweep = monitoring.nu_star_sweep(spec, int(params["nu_sweep"]))
         results["nu_sweep"] = [[nu, lam, z] for nu, lam, z in sweep]
-    return results, _candidate_verification(env, sol.candidates, (2, 3)), False
+    return results, _candidate_verification(env, sol.candidates, _capacities(doc, env)), False
 
 
 def _run_beauty(doc, spec, mode, d, out_dir):
@@ -499,12 +526,11 @@ def _run_learning(doc, kind_spec, env, mode, d, out_dir, seed):
         raise ScenarioError("learning solvers need a finite environment kind")
     if doc["kind"] == "matching-pennies":
         cand = matching_pennies.solve_matching_pennies_cdabee(kind_spec)
-        capacities = (2, 3)
     elif doc["kind"] == "monitoring":
         cand = monitoring.solve_monitoring_cdabee(kind_spec, GLOBAL, d).candidates[0]
-        capacities = (2, 3)
     else:
         raise ScenarioError("learning scenarios support matching-pennies and monitoring kinds")
+    capacities = _capacities(doc, env)
     state = state_from_candidate(env, cand)
     results: dict = {}
     steady, info = steady_state_check(env, state, mode, d, capacities)
@@ -605,7 +631,7 @@ def run_scenario(doc: dict, out_dir: Path, overrides: dict | None = None) -> tup
             }
             verification, exhausted = {"all_ok": bool(profiles), "details": []}, False
         elif solver == "cdabee":
-            caps = tuple(doc["params"].get("capacities", [env.n_games, env.n_games]))
+            caps = _capacities(doc, env)
             cfg = SearchConfig()
             if budget_ms:
                 cfg.layer1_budget_s = budget_ms / 3000
@@ -648,10 +674,11 @@ def verify_result(path) -> tuple[bool, list[str]]:
     kind_spec, env = _build_inputs(scenario)
     if env is None:
         return True, ["kind carries no finite environment; nothing to re-verify"]
+    capacities = _capacities(scenario, env)
     ok = True
     for i, cj in enumerate(cands_json):
         cand = _candidate_from_json(env.n_games, cj)
-        rep = cd_abee_verify(env, cand, (2, 3) if scenario["kind"] in ("matching-pennies", "monitoring") else None)
+        rep = cd_abee_verify(env, cand, capacities)
         if not rep.ok:
             ok = False
             witness = rep.br_witness or (rep.clustering_failures and rep.clustering_failures[0])

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from cabee.abee import abee_solve, abee_verify
+from cabee.clustering import L2, _batched_dispersions
 from cabee.partitions import Partition
 from cabee.applications.beauty import (
     BeautyContestSpec,
     abee_actions,
     beauty_cabee_check,
+    best_contiguous_dispersion,
     best_reply,
     class_means,
     contiguity_is_sufficient,
@@ -147,6 +149,60 @@ def test_weak_coordination_selects_equal_split():
 def test_contiguity_restriction_validated_small():
     assert contiguity_is_sufficient(uniform_spec(0.01, 8, 2), 2)
     assert contiguity_is_sufficient(uniform_spec(0.3, 8, 3), 3)
+
+
+def _loop_contiguous_dispersion(values, weights, n_classes):
+    """Reference: the O(K n^2) loop over split points, with the same float
+    operations as the vectorized DP."""
+    n = len(values)
+    w = np.concatenate([[0.0], np.cumsum(weights)])
+    wv = np.concatenate([[0.0], np.cumsum(weights * values)])
+    wv2 = np.concatenate([[0.0], np.cumsum(weights * values**2)])
+
+    def seg_cost(i, j):  # points i..j-1
+        mass = w[j] - w[i]
+        if mass <= 0:
+            return np.inf
+        s, s2 = wv[j] - wv[i], wv2[j] - wv2[i]
+        return s2 - s * s / mass
+
+    dp = np.full((n_classes + 1, n + 1), np.inf)
+    dp[0, 0] = 0.0
+    for k in range(1, n_classes + 1):
+        for j in range(k, n + 1):
+            best = np.inf
+            for i in range(k - 1, j):
+                v = dp[k - 1, i] + seg_cost(i, j)
+                if v < best:
+                    best = v
+            dp[k, j] = best
+    return float(dp[n_classes, n])
+
+
+def test_contiguous_dispersion_matches_loop_and_brute_force(rng):
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        values = rng.normal(size=n)
+        weights = rng.uniform(0.05, 1.0, size=n)
+        weights /= weights.sum()
+        for k in range(1, n + 2):
+            best = best_contiguous_dispersion(values, weights, k)
+            assert best == _loop_contiguous_dispersion(values, weights, k)
+            if k <= n:
+                labels = np.array([p.assignment() for p in contiguous_partitions(n, k)])
+                brute = _batched_dispersions(values[:, None], weights, labels, L2).min()
+                assert best == pytest.approx(brute, abs=1e-12)
+
+
+def test_contiguous_dispersion_edge_cases(rng):
+    n = 9
+    values = rng.normal(size=n)
+    weights = rng.uniform(0.05, 1.0, size=n)
+    weights /= weights.sum()
+    total = weights @ (values - weights @ values) ** 2
+    assert best_contiguous_dispersion(values, weights, 1) == pytest.approx(total, abs=1e-12)
+    assert best_contiguous_dispersion(values, weights, n) == pytest.approx(0.0, abs=1e-12)
+    assert best_contiguous_dispersion(values, weights, n + 1) == np.inf
 
 
 def test_contiguous_partition_count():

@@ -185,3 +185,60 @@ def test_every_bundled_scenario_within_declared_budget(tmp_path):
         assert elapsed < doc["time_budget_s"], (name, elapsed)
         assert not exhausted, name
         assert result["verification"]["all_ok"], name
+
+
+def _dominance_scenario(capacities):
+    """Three games in which the row player's dominant action differs across
+    games, so the coarsest categorization does not minimize the column
+    player's dispersion once three classes are allowed."""
+    return {
+        "version": 1,
+        "kind": "custom-env",
+        "solver": "cdabee",
+        "mode": "global",
+        "params": {
+            "games": ["g0", "g1", "g2"],
+            "prior": [0.25, 0.25, 0.5],
+            "actions": {"i": ["U", "D"], "j": ["L", "R"]},
+            "payoffs": {
+                "i": [[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]],
+                "j": [[[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]],
+            },
+            "capacities": capacities,
+        },
+    }
+
+
+def test_verify_uses_declared_custom_env_capacities(tmp_path, capsys):
+    path = tmp_path / "dominance.json"
+    path.write_text(json.dumps(_dominance_scenario([1, 1])))
+    assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == EXIT_OK
+    result = tmp_path / "dominance.result.json"
+    doc = json.loads(result.read_text())
+    assert doc["results"]["candidates"] and doc["verification"]["all_ok"]
+    assert run_cli("verify", str(result)) == EXIT_OK
+    doc["scenario"]["params"]["capacities"] = [3, 3]
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(result)) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "FAILS" in out and "not a dispersion minimizer" in out
+
+
+@pytest.mark.parametrize("capacities", [[0, 1], [1, 4], [1], [1.0, 1], [True, 1], "2"])
+def test_custom_env_capacities_validated(capacities):
+    with pytest.raises(ScenarioError, match="capacities"):
+        validate_scenario(_dominance_scenario(capacities))
+
+
+@pytest.mark.parametrize("budget", [None, -1, 0, float("nan"), float("inf"), "10", True])
+def test_time_budget_validated(budget):
+    doc = dict(bundled_scenarios()["prop5_monitoring"], time_budget_s=budget)
+    with pytest.raises(ScenarioError, match="time_budget_s"):
+        validate_scenario(doc)
+
+
+def test_time_budget_optional():
+    doc = dict(bundled_scenarios()["prop5_monitoring"])
+    doc.pop("time_budget_s", None)
+    assert validate_scenario(doc) is doc
