@@ -3,18 +3,23 @@
 Consistency ties a player's per-class expectation to the prior-weighted
 aggregate of the opponent's play; best responses treat the class expectation
 as the opponent's strategy in every game of the class.  The solver for
-binary-action games enumerates, per analogy class, where the class
+binary-action games enumerates regimes: per analogy class, where the class
 expectation sits relative to the games' indifference thresholds ("pinned at
-a threshold" or "strictly between two"), solves the induced linear system in
-the mixing weights, and keeps every profile that verifies.  A damped
-best-reply iteration with multi-start is the fallback for larger action
-sets.
+a threshold" or "strictly between two").  A player's regime fixes which of
+its mixing weights are unknown, and so an affine map from them to the
+opponent's class expectations, built once per regime.  The opponent's pins
+and intervals are then checked against these maps as arrays, and the regime
+pairs left are solved in one batched Gauss-Jordan elimination; it keeps
+every profile that verifies and every one-parameter solution family.  A
+damped best-reply iteration with multi-start is the fallback for larger
+action sets.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,7 +207,6 @@ class Continuum:
     direction: np.ndarray
     t_lo: float
     t_hi: float
-    variables: list
     _builder: object
 
     def build(self, t: float) -> StrategyProfile:
@@ -284,167 +288,205 @@ def _class_positions(env: GameEnvironment, player: int, cls: tuple[int, ...]):
     return positions
 
 
-def _gauss_solve(rows: list[list[float]], rhs: list[float], n_vars: int):
-    """Row-reduce an (m x n) system; return (particular, free_cols, ok).
+@dataclass(frozen=True)
+class _Regimes:
+    """Every regime of one player: a position for each class of each support
+    partition, in `itertools.product` order.
 
-    Free variables are set to 0.5 in the particular solution.  ok is False
-    when the system is inconsistent.
+    Own variables are the action-0 masses x[pi * n_games + g]; slots are the
+    (support partition, class) pairs in support and class order.
     """
-    m = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(n_vars):
-        piv = None
-        best = 1e-11
-        for i in range(r, m):
-            if abs(a[i][c]) > best:
-                best = abs(a[i][c])
-                piv = i
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        scale = a[r][c]
-        a[r] = [v / scale for v in a[r]]
-        for i in range(m):
-            if i != r and abs(a[i][c]) > 1e-14:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if abs(a[i][n_vars]) > EQ_TOL:
-            return None, None, False
-    free_cols = [c for c in range(n_vars) if c not in piv_cols]
-    x = [0.5] * n_vars
-    for i, c in enumerate(piv_cols):
-        x[c] = a[i][n_vars] - sum(a[i][j] * x[j] for j in free_cols)
-    return x, (free_cols, [a[i] for i in range(len(piv_cols))], piv_cols), True
+
+    fixed: np.ndarray  # (R, V) mass of the strict variables, 0 at unknowns
+    unknown: np.ndarray  # (R, V) bool: the indifferent (mixing) variables
+    pinned: np.ndarray  # (R, S) bool: the class expectation sits at a threshold
+    lo: np.ndarray  # (R, S) bounds on the class expectation, lo == hi at a pin
+    hi: np.ndarray
+    slot_classes: tuple[tuple[int, ...], ...]
 
 
-def _side_combos(env: GameEnvironment, lams, player: int):
-    """Enumerate position choices for one player's support partitions.
-
-    Each combo fixes the strict/indifferent status of this player's own
-    mixing variables and carries the pin equations and interval constraints
-    this player's classes impose on the opponent's variables.  Entries:
-    (fixed: {(pi, g): mass}, unknowns: tuple[(pi, g)], pins: tuple[(pi, cls, t)],
-    intervals: tuple[(pi, cls, lo, hi)]).
-    """
-    slots = []
-    for pi, part in enumerate(lams[player].support):
+def _side_regimes(env: GameEnvironment, support: tuple[Partition, ...], player: int) -> _Regimes:
+    n_games = env.n_games
+    n_vars = len(support) * n_games
+    slot_classes, tables = [], []
+    for pi, part in enumerate(support):
         for cls in part.classes:
-            slots.append((pi, cls, _class_positions(env, player, cls)))
-    combos = []
-    for choice in itertools.product(*(positions for _, _, positions in slots)):
-        fixed: dict[tuple[int, int], float] = {}
-        unknowns: list[tuple[int, int]] = []
-        pins = []
-        intervals = []
-        for (pi, cls, _), position in zip(slots, choice):
-            kind, lo, hi, acts, indiff = position
-            for g, act in acts.items():
-                fixed[(pi, g)] = 1.0 if act == 0 else 0.0
-            for g in indiff:
-                unknowns.append((pi, g))
-            if kind == "pin":
-                pins.append((pi, cls, lo))
-            else:
-                intervals.append((pi, cls, lo, hi))
-        unknowns_t = tuple(sorted(unknowns))
-        combos.append(
-            {
-                "fixed": fixed,
-                "unknowns": unknowns_t,
-                "pins": tuple(pins),
-                "intervals": tuple(intervals),
-                # precomputed memo keys: own variable pattern / own constraints
-                "pattern_sig": (tuple(sorted(fixed.items())), unknowns_t),
-                "constraint_sig": (tuple(pins), tuple(intervals)),
-            }
-        )
-    return combos
+            positions = _class_positions(env, player, cls)
+            fixed = np.zeros((len(positions), n_vars))
+            unknown = np.zeros((len(positions), n_vars), dtype=bool)
+            for k, (_, _, _, acts, indiff) in enumerate(positions):
+                for g, act in acts.items():
+                    fixed[k, pi * n_games + g] = 1.0 if act == 0 else 0.0
+                unknown[k, [pi * n_games + g for g in indiff]] = True
+            bounds = np.array([(kind == "pin", lo, hi) for kind, lo, hi, _, _ in positions])
+            slot_classes.append(cls)
+            tables.append((fixed, unknown, bounds))
+    # row-major indices run through the product with the last slot fastest
+    choice = np.indices([len(t[0]) for t in tables]).reshape(len(tables), -1)
+    bounds = np.stack([t[2][c] for t, c in zip(tables, choice)], axis=1)
+    return _Regimes(
+        fixed=sum(t[0][c] for t, c in zip(tables, choice)),  # each variable has one slot
+        unknown=np.logical_or.reduce([t[1][c] for t, c in zip(tables, choice)]),
+        pinned=bounds[..., 0] > 0,
+        lo=bounds[..., 1],
+        hi=bounds[..., 2],
+        slot_classes=tuple(slot_classes),
+    )
 
 
-_COMBO_CACHE: dict[tuple, tuple] = {}
+_REGIME_CACHE: dict[tuple, _Regimes] = {}
 
 
-def _side_combos_cached(env: GameEnvironment, lams, player: int):
+def _side_regimes_cached(env: GameEnvironment, lams, player: int) -> _Regimes:
     key = (env.fingerprint(), player, lams[player].support)
-    if key not in _COMBO_CACHE:
-        if len(_COMBO_CACHE) > 4096:
-            _COMBO_CACHE.clear()
-        _COMBO_CACHE[key] = tuple(_side_combos(env, lams, player))
-    return _COMBO_CACHE[key]
+    if key not in _REGIME_CACHE:
+        if len(_REGIME_CACHE) > 4096:
+            _REGIME_CACHE.clear()
+        _REGIME_CACHE[key] = _side_regimes(env, lams[player].support, player)
+    return _REGIME_CACHE[key]
 
 
-def _solve_block(env, lams, block_player, pattern, pins, intervals):
-    """Solve for one player's mixing variables given the opponent's
-    pin equations and interval constraints on them.
+def _sum_left(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis from the left, starting at 0.0, which rounds as
+    a scalar accumulation loop does; `ndarray.sum` promises no order."""
+    total = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        total = total + terms[..., j]
+    return total
 
-    pattern = (fixed, unknowns) describes the block player's variables.
-    Returns None when inconsistent, else a dict with the representative
-    values, feasibility of the representative, and nullspace data.
-    """
-    prior = env.prior
-    fixed, unknowns = pattern
-    lam_w = lams[block_player].weights
-    u_pos = {v: k for k, v in enumerate(unknowns)}
 
-    def q_terms(cls):
-        # expectation of an opponent class over this block's aggregate
-        pcls = sum(prior[g] for g in cls)
-        const = 0.0
-        row = [0.0] * len(unknowns)
+class _AffineMaps(NamedTuple):
+    """Per regime of the block player, the map q = a @ x_u + b from its
+    unknowns to the opponent's class expectations, one row per opponent slot."""
+
+    a: np.ndarray  # (R, S, width)
+    b: np.ndarray  # (R, S)
+    columns: np.ndarray  # (R, width) variable of each unknown column, V for padding
+    valid: np.ndarray  # (R, width) bool: the column is one of the regime's unknowns
+
+
+def _affine_maps(env: GameEnvironment, weights, own: _Regimes, slot_classes) -> _AffineMaps:
+    """Column u of a belongs to the regime's u-th unknown in variable order;
+    regimes with fewer unknowns get zero columns.  b adds the strict
+    variables' terms from the left, in (game, support partition) order."""
+    n_games = env.n_games
+    n_regimes, n_vars = own.unknown.shape
+    coef = np.zeros((len(slot_classes), n_vars + 1))
+    order = np.full((len(slot_classes), n_games * len(weights)), n_vars)
+    for s, cls in enumerate(slot_classes):
+        pcls = sum(env.prior[g] for g in cls)
+        terms = [pi * n_games + g for g in cls for pi in range(len(weights))]
+        order[s, : len(terms)] = terms
         for g in cls:
-            for pi in range(len(lam_w)):
-                c = prior[g] * lam_w[pi] / pcls
-                key = (pi, g)
-                if key in u_pos:
-                    row[u_pos[key]] += c
-                else:
-                    const += c * fixed[key]
-        return row, const
+            for pi, w in enumerate(weights):
+                coef[s, pi * n_games + g] = env.prior[g] * w / pcls
+    fixed = np.concatenate([own.fixed, np.zeros((n_regimes, 1))], axis=1)
+    b = _sum_left(np.take_along_axis(coef, order, axis=1) * fixed[:, order])
+    n_unknowns = own.unknown.sum(axis=1)
+    width = int(n_unknowns.max())
+    columns = np.argsort(~own.unknown, axis=1, kind="stable")[:, :width]
+    valid = np.arange(width) < n_unknowns[:, None]
+    columns[~valid] = n_vars
+    return _AffineMaps(coef[:, columns].transpose(1, 0, 2), b, columns, valid)
 
-    rows, rhs = [], []
-    for _, cls, t in pins:
-        row, const = q_terms(cls)
-        if any(abs(v) > 1e-14 for v in row):
-            rows.append(row)
-            rhs.append(t - const)
-        elif abs(const - t) > 1e-9:
-            return None
-    if unknowns:
-        x_u, null_info, solvable = _gauss_solve(rows, rhs, len(unknowns))
-        if not solvable:
-            return None
-    else:
-        x_u, null_info = [], ([], [], [])
-    feasible = not unknowns or (min(x_u) >= -1e-9 and max(x_u) <= 1 + 1e-9)
-    for _, cls, lo, hi in intervals:
-        row, const = q_terms(cls)
-        q = const + sum(r * v for r, v in zip(row, x_u))
-        if q < lo - 1e-9 or q > hi + 1e-9:
-            if not null_info[0]:
-                return None
-            feasible = False
-    free_cols, reduced, piv_cols = null_info
-    directions = []
-    if len(free_cols) == 1:
-        fc = free_cols[0]
-        dir_u = [0.0] * len(unknowns)
-        dir_u[fc] = 1.0
-        for i, c in enumerate(piv_cols):
-            dir_u[c] = -reduced[i][fc]
-        directions.append(dir_u)
-    return {
-        "x": x_u,
-        "feasible": feasible,
-        "n_free": len(free_cols),
-        "directions": directions,
-    }
+
+def _eliminate(aug: np.ndarray, n_cols: int) -> np.ndarray:
+    """Gauss-Jordan elimination, in place, of augmented systems (B, m, n_cols + 1).
+
+    Each column pivots on the first row (in swapped order, kept as an index)
+    of largest magnitude above 1e-11 among the rows not yet pivoted, then
+    clears the rows whose entry exceeds 1e-14: the scalar routine's steps, so
+    results are bit-identical to it.  Rows that take no part must be all zero
+    and come last.  Returns each column's pivot row, -1 where it is free.
+    """
+    batch, m = aug.shape[:2]
+    at = np.arange(batch)
+    rows = np.arange(m)
+    order = np.repeat(rows[None], batch, axis=0)  # swapped position -> row
+    used = np.zeros(batch, dtype=np.intp)
+    pivot_row = np.full((batch, n_cols), -1)
+    for c in range(n_cols):
+        col = aug[:, :, c]
+        mag = np.where(rows >= used[:, None], np.abs(col[at[:, None], order]), 0.0)
+        pick = mag.argmax(axis=1)
+        has = mag[at, pick] > 1e-11
+        r = np.minimum(used, m - 1)
+        pick = np.where(has, pick, r)
+        order[at, r], order[at, pick] = order[at, pick], order[at, r]
+        row = order[at, r]
+        prow = aug[at, row] / np.where(has, col[at, row], 1.0)[:, None]
+        aug[at, row] = prow
+        hit = has[:, None] & (rows != row[:, None]) & (np.abs(col) > 1e-14)
+        np.subtract(aug, col[:, :, None] * prow[:, None, :], out=aug, where=hit[..., None])
+        pivot_row[has, c] = row[has]
+        used += has
+    return pivot_row
+
+
+_PAIR_CHUNK = 1 << 14  # regime pairs solved per batch, which bounds the memory
+
+
+def _outside(q, pinned, lo, hi) -> np.ndarray:
+    """Whether any unpinned class expectation leaves its interval."""
+    return (~pinned & ((q < lo - 1e-9) | (q > hi + 1e-9))).any(axis=-1)
+
+
+def _solve_pairs(maps: _AffineMaps, opp: _Regimes, own_idx, opp_idx):
+    """One player's unknowns solved against the opponent regime of each pair.
+
+    The equations are the opponent's pins on classes the unknowns move, in
+    slot order.  Returns per pair (ok, feasible, n_free, x, direction): ok
+    fails on inconsistent equations, or on a failed interval with no free
+    unknown; free unknowns sit at 0.5 in x; direction spans the null space
+    where exactly one is free; feasible adds that x is a mix within every
+    interval.
+    """
+    a_map, b, valid = maps.a, maps.b, maps.valid
+    n, width = len(own_idx), a_map.shape[2]
+    ok = np.ones(n, dtype=bool)
+    feasible = np.zeros(n, dtype=bool)
+    n_free = valid[own_idx].sum(axis=1)
+    x = np.full((n, width), 0.5)
+    direction = np.zeros((n, width))
+    for start in range(0, n, _PAIR_CHUNK):
+        part = slice(start, start + _PAIR_CHUNK)
+        a_part, b_part, k = a_map[own_idx[part]], b[own_idx[part]], opp_idx[part]
+        mix = np.flatnonzero(n_free[part] > 0) + start
+        if len(mix):
+            a_mix, at = a_map[own_idx[mix]], np.arange(len(mix))[:, None]
+            active = opp.pinned[opp_idx[mix]] & (np.abs(a_mix) > 1e-14).any(axis=2)
+            order = np.argsort(~active, axis=1, kind="stable")
+            rhs = opp.lo[opp_idx[mix]] - b[own_idx[mix]]
+            aug = np.concatenate([a_mix[at, order], rhs[at, order][..., None]], axis=2)
+            aug[~active[at, order]] = 0.0
+            pivot_row = _eliminate(aug, width)
+            pivoted = pivot_row >= 0
+            is_pivot = (pivot_row[:, None, :] == np.arange(aug.shape[1])[:, None]).any(axis=2)
+            free = ~pivoted & valid[own_idx[mix]]
+            free_terms = np.where(free[:, None], aug[:, :, :width] * 0.5, 0.0)
+            back = aug[:, :, width] - _sum_left(free_terms)
+            fc = free.argmax(axis=1)
+            line = np.where(pivoted, -aug[at, np.maximum(pivot_row, 0), fc[:, None]], 0.0)
+            line[at[:, 0], fc] = 1.0
+            line[free.sum(axis=1) != 1] = 0.0
+            ok[mix] = ~(~is_pivot & (np.abs(aug[:, :, width]) > EQ_TOL)).any(axis=1)
+            n_free[mix] = free.sum(axis=1)
+            x[mix] = np.where(pivoted, back[at, np.maximum(pivot_row, 0)], 0.5)
+            direction[mix] = line
+        q = b_part + _sum_left(a_part * x[part, None, :])
+        outside = _outside(q, opp.pinned[k], opp.lo[k], opp.hi[k])
+        inside = (((x[part] >= -1e-9) & (x[part] <= 1 + 1e-9)) | ~valid[own_idx[part]]).all(axis=1)
+        ok[part] &= ~(outside & (n_free[part] == 0))
+        feasible[part] = inside & ~outside
+    return ok, feasible, n_free, x, direction
+
+
+def _place(base: np.ndarray, columns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Rows of base with values written at columns; the dummy column
+    base.shape[1] absorbs padding."""
+    out = np.concatenate([base, np.zeros((len(base), 1))], axis=1)
+    out[np.arange(len(base))[:, None], columns] = values
+    return out[:, :-1]
 
 
 def _binary_support_enumeration(
@@ -452,94 +494,74 @@ def _binary_support_enumeration(
     lams: tuple[PartitionDistribution, PartitionDistribution],
     config: SolveConfig,
 ) -> SolveResult:
-    n_games = env.n_games
     result = SolveResult()
-    combos = (_side_combos_cached(env, lams, 0), _side_combos_cached(env, lams, 1))
-    if len(combos[0]) * len(combos[1]) > config.max_regimes:
+    sides = (_side_regimes_cached(env, lams, 0), _side_regimes_cached(env, lams, 1))
+    if len(sides[0].lo) * len(sides[1].lo) > config.max_regimes:
         result.exhausted = True
         return result
-
-    variables: list[tuple[int, Partition, int]] = []
-    var_index: dict[tuple[int, int, int], int] = {}
-    for player in (0, 1):
-        for pi, part in enumerate(lams[player].support):
-            for g in range(n_games):
-                var_index[(player, pi, g)] = len(variables)
-                variables.append((player, part, g))
-    n_vars = len(variables)
+    # the pins of one side constrain only the other side's variables, so
+    # each half solves on its own.  Checks on the affine maps alone come
+    # first: a pin on a class that no unknown moves, and every interval of
+    # a regime without unknowns; only the pairs passing both halves solve.
+    maps, direct = [], []
+    for p in (0, 1):
+        own, opp = sides[p], sides[1 - p]
+        m = _affine_maps(env, lams[p].weights, own, opp.slot_classes)
+        unmoved = ~(np.abs(m.a) > 1e-14).any(axis=2)
+        bad_pin = opp.pinned & unmoved[:, None] & (np.abs(m.b[:, None] - opp.lo) > 1e-9)
+        rigid = ~m.valid.any(axis=1)[:, None]
+        bad_interval = rigid & _outside(m.b[:, None], opp.pinned, opp.lo, opp.hi)
+        maps.append(m)
+        direct.append(~bad_pin.any(axis=2) & ~bad_interval)
+    c0, c1 = np.nonzero(direct[0] & direct[1].T)  # c0-major
+    pairs = ((c0, c1), (c1, c0))
+    sols = [_solve_pairs(maps[p], sides[1 - p], *pairs[p]) for p in (0, 1)]
+    keep = sols[0][0] & sols[1][0]
+    own = [pairs[p][0][keep] for p in (0, 1)]
+    feasible, n_free, xs, directions = ([sol[i][keep] for sol in sols] for i in range(1, 5))
+    x = np.concatenate(
+        [_place(sides[p].fixed[own[p]], maps[p].columns[own[p]], xs[p]) for p in (0, 1)], axis=1
+    )
+    supports, n0 = (lams[0].support, lams[1].support), len(lams[0].support)
 
     def build_profile(x) -> StrategyProfile:
-        plays: tuple[dict, dict] = ({}, {})
-        for idx, (player, part, g) in enumerate(variables):
-            arr = plays[player].setdefault(part, np.zeros((n_games, 2)))
-            m = min(max(float(x[idx]), 0.0), 1.0)
-            arr[g, 0] = m
-            arr[g, 1] = 1.0 - m
+        mixes = np.empty((len(x), 2))
+        mixes[:, 0] = np.clip(x, 0.0, 1.0)
+        mixes[:, 1] = 1.0 - mixes[:, 0]
+        mixes = mixes.reshape(-1, env.n_games, 2)
+        plays = (dict(zip(supports[0], mixes[:n0])), dict(zip(supports[1], mixes[n0:])))
         return StrategyProfile(plays=plays)
 
-    # memoized block solves: the pins of one side constrain only the other
-    # side's variables, so each half solves independently
-    cache: dict[tuple, dict | None] = {}
+    seen = set()
+    for i in np.flatnonzero(feasible[0] & feasible[1]):
+        profile = build_profile(x[i])
+        okv, _, _ = dist_abee_verify(env, lams, profile)
+        if okv:
+            key_r = tuple(np.round(x[i] / config.dedup_tol).astype(np.int64))
+            if key_r not in seen:
+                seen.add(key_r)
+                result.profiles.append(profile)
 
-    def solve_for(block_player, own_combo, opp_combo):
-        key = (block_player, own_combo["pattern_sig"], opp_combo["constraint_sig"])
-        if key not in cache:
-            cache[key] = _solve_block(
-                env,
-                lams,
-                block_player,
-                (own_combo["fixed"], own_combo["unknowns"]),
-                opp_combo["pins"],
-                opp_combo["intervals"],
-            )
-        return cache[key]
-
-    seen = {}
-    for c0 in combos[0]:
-        for c1 in combos[1]:
-            sol0 = solve_for(0, c0, c1)
-            if sol0 is None:
-                continue
-            sol1 = solve_for(1, c1, c0)
-            if sol1 is None:
-                continue
-            x = np.zeros(n_vars)
-            for player, combo, sol in ((0, c0, sol0), (1, c1, sol1)):
-                for (pi, g), val in combo["fixed"].items():
-                    x[var_index[(player, pi, g)]] = val
-                for (pi, g), val in zip(combo["unknowns"], sol["x"]):
-                    x[var_index[(player, pi, g)]] = val
-            if sol0["feasible"] and sol1["feasible"]:
-                profile = build_profile(x)
-                okv, _, _ = dist_abee_verify(env, lams, profile)
-                if okv:
-                    key_r = tuple(np.round(x / config.dedup_tol).astype(np.int64))
-                    if key_r not in seen:
-                        seen[key_r] = True
-                        result.profiles.append(profile)
-            n_free = sol0["n_free"] + sol1["n_free"]
-            if n_free == 1:
-                player, combo, sol = (0, c0, sol0) if sol0["n_free"] == 1 else (1, c1, sol1)
-                other = sol1 if player == 0 else sol0
-                if not other["feasible"]:
-                    # the rigid side is already violated; no parameter fixes it
-                    continue
-                direction = np.zeros(n_vars)
-                for (pi, g), dv in zip(combo["unknowns"], sol["directions"][0]):
-                    direction[var_index[(player, pi, g)]] = dv
-                t_lo, t_hi = -np.inf, np.inf
-                for vi in np.flatnonzero(np.abs(direction) > 1e-14):
-                    dv = direction[vi]
-                    b0, b1 = (0.0 - x[vi]) / dv, (1.0 - x[vi]) / dv
-                    t_lo = max(t_lo, min(b0, b1))
-                    t_hi = min(t_hi, max(b0, b1))
-                if t_lo < t_hi - 1e-12:
-                    result.continua.append(
-                        Continuum(
-                            x.copy(), direction, float(t_lo), float(t_hi),
-                            list(variables), build_profile,
-                        )
-                    )
+    # one free unknown in all, and the rigid side feasible: a one-parameter
+    # family x + t * direction, cut to [0, 1] in every variable it moves
+    line = (n_free[0] + n_free[1] == 1) & np.where(n_free[0] == 1, feasible[1], feasible[0])
+    base = x[line]
+    direction = np.concatenate(
+        [
+            _place(np.zeros((len(base), sides[p].fixed.shape[1])), maps[p].columns[rows], d[line])
+            for p, (rows, d) in enumerate(zip((own[0][line], own[1][line]), directions))
+        ],
+        axis=1,
+    )
+    moves = np.abs(direction) > 1e-14
+    step = np.where(moves, direction, 1.0)
+    b0, b1 = (0.0 - base) / step, (1.0 - base) / step
+    t_lo = np.where(moves, np.where(b1 < b0, b1, b0), -np.inf).max(axis=1, initial=-np.inf)
+    t_hi = np.where(moves, np.where(b1 > b0, b1, b0), np.inf).min(axis=1, initial=np.inf)
+    for i in np.flatnonzero(t_lo < t_hi - 1e-12):
+        result.continua.append(
+            Continuum(base[i], direction[i], float(t_lo[i]), float(t_hi[i]), build_profile)
+        )
     return result
 
 

@@ -92,16 +92,10 @@ def clustered_partition_set(
     return out
 
 
-def cd_abee_verify(
-    env: GameEnvironment,
-    candidate: EquilibriumCandidate,
-    capacities: tuple[int, int] | None = None,
-) -> VerifyReport:
-    """Distributional equilibrium check plus the clustering check of every
-    support partition against the opponent aggregate."""
+def _clustering_failures(env: GameEnvironment, candidate: EquilibriumCandidate, caps) -> list:
+    """(player, partition, reason) for every support partition that is not
+    clustered against the opponent aggregate."""
     lams = candidate.lams
-    caps = capacities or infer_capacities(lams)
-    ok_br, gain, wit = dist_abee_verify(env, lams, candidate.profile)
     failures: list = []
     aggs = aggregate(candidate.profile, lams)
     for player in (0, 1):
@@ -119,7 +113,27 @@ def cd_abee_verify(
                     failures.append(
                         (player, part, f"game {witc[0]} is closer to class {witc[1]}")
                     )
+    return failures
+
+
+def cd_abee_verify(
+    env: GameEnvironment,
+    candidate: EquilibriumCandidate,
+    capacities: tuple[int, int] | None = None,
+) -> VerifyReport:
+    """Distributional equilibrium check plus the clustering check of every
+    support partition against the opponent aggregate."""
+    caps = capacities or infer_capacities(candidate.lams)
+    ok_br, gain, wit = dist_abee_verify(env, candidate.lams, candidate.profile)
+    failures = _clustering_failures(env, candidate, caps)
     return VerifyReport(ok_br and not failures, gain, wit, failures)
+
+
+def _admitted(env: GameEnvironment, candidate: EquilibriumCandidate, capacities) -> bool:
+    """`cd_abee_verify(...).ok`, clustering only once the best replies hold."""
+    if not dist_abee_verify(env, candidate.lams, candidate.profile)[0]:
+        return False
+    return not _clustering_failures(env, candidate, capacities)
 
 
 def cabee_verify(
@@ -368,7 +382,7 @@ def _refine_continuum(
     Global mode with a two-partition support: roots of the dispersion-tie
     residual between the two support partitions (quadratic for the
     squared divergences, bracketing for KL).  Local mode: a sample sweep.
-    Every returned candidate has passed cd_abee_verify.
+    Every returned candidate passes cd_abee_verify.
     """
     mix_player = None
     for player in (0, 1):
@@ -385,8 +399,7 @@ def _refine_continuum(
         seen.add(point_key)
         profile = cont.build(t)
         cand = EquilibriumCandidate(lams, profile, mode, d)
-        report = cd_abee_verify(env, cand, capacities)
-        return cand if report.ok else None
+        return cand if _admitted(env, cand, capacities) else None
 
     lo = cont.t_lo + 1e-12
     hi = cont.t_hi - 1e-12
@@ -462,7 +475,7 @@ def cd_abee_search(
         evaluations += 1
         for profile in abee_solve(env, (an0, an1), config.solve):
             cand = EquilibriumCandidate(degenerate_pair(an0, an1), profile, mode, d)
-            if cd_abee_verify(env, cand, capacities).ok and collect(cand):
+            if _admitted(env, cand, capacities) and collect(cand):
                 found += 1
     result.layers.append(LayerReport("degenerate", completed, evaluations, found))
 
@@ -500,7 +513,7 @@ def cd_abee_search(
             point_seen: set = set()
             for profile in res.profiles:
                 cand = EquilibriumCandidate(lams, profile, mode, d)
-                if cd_abee_verify(env, cand, capacities).ok and collect(cand):
+                if _admitted(env, cand, capacities) and collect(cand):
                     found += 1
             for cont in res.continua:
                 for cand in _refine_continuum(

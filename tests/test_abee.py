@@ -1,9 +1,21 @@
+import functools
+import itertools
+import operator
+
 import numpy as np
 import pytest
 
 from cabee.abee import (
+    EQ_TOL,
+    Continuum,
     PartitionDistribution,
+    SolveConfig,
+    SolveResult,
     StrategyProfile,
+    _binary_support_enumeration,
+    _class_positions,
+    _sum_left,
+    _threshold_info,
     abee_solve,
     abee_verify,
     aggregate,
@@ -362,3 +374,311 @@ def test_dist_verify_flags_deviation(mp_env, finest3):
     )
     ok, gain, _ = dist_abee_verify(mp_env, lams, bad)
     assert not ok and gain > 0
+
+
+# ---------------------------------------------------------------------------
+# support enumeration against the per-pair scalar reference
+# ---------------------------------------------------------------------------
+#
+# The scalar enumeration below is the solver's previous form: one Gaussian
+# elimination per (own regime, opponent regime) pair, in a c0 x c1 loop.
+# The array enumeration must reproduce it bit for bit.
+
+
+def _loop_gauss_solve(rows, rhs, n_vars):
+    m = len(rows)
+    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    piv_cols = []
+    r = 0
+    for c in range(n_vars):
+        piv = None
+        best = 1e-11
+        for i in range(r, m):
+            if abs(a[i][c]) > best:
+                best = abs(a[i][c])
+                piv = i
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        scale = a[r][c]
+        a[r] = [v / scale for v in a[r]]
+        for i in range(m):
+            if i != r and abs(a[i][c]) > 1e-14:
+                f = a[i][c]
+                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if abs(a[i][n_vars]) > EQ_TOL:
+            return None, None, False
+    free_cols = [c for c in range(n_vars) if c not in piv_cols]
+    x = [0.5] * n_vars
+    for i, c in enumerate(piv_cols):
+        x[c] = a[i][n_vars] - sum(a[i][j] * x[j] for j in free_cols)
+    return x, (free_cols, [a[i] for i in range(len(piv_cols))], piv_cols), True
+
+
+def _loop_side_combos(env, lams, player):
+    slots = []
+    for pi, part in enumerate(lams[player].support):
+        for cls in part.classes:
+            slots.append((pi, cls, _class_positions(env, player, cls)))
+    combos = []
+    for choice in itertools.product(*(positions for _, _, positions in slots)):
+        fixed, unknowns, pins, intervals = {}, [], [], []
+        for (pi, cls, _), (kind, lo, hi, acts, indiff) in zip(slots, choice):
+            for g, act in acts.items():
+                fixed[(pi, g)] = 1.0 if act == 0 else 0.0
+            unknowns.extend((pi, g) for g in indiff)
+            if kind == "pin":
+                pins.append((pi, cls, lo))
+            else:
+                intervals.append((pi, cls, lo, hi))
+        combos.append((fixed, tuple(sorted(unknowns)), tuple(pins), tuple(intervals)))
+    return combos
+
+
+def _loop_solve_block(env, lams, block_player, fixed, unknowns, pins, intervals):
+    prior = env.prior
+    lam_w = lams[block_player].weights
+    u_pos = {v: k for k, v in enumerate(unknowns)}
+
+    def q_terms(cls):
+        pcls = sum(prior[g] for g in cls)
+        const = 0.0
+        row = [0.0] * len(unknowns)
+        for g in cls:
+            for pi in range(len(lam_w)):
+                c = prior[g] * lam_w[pi] / pcls
+                if (pi, g) in u_pos:
+                    row[u_pos[(pi, g)]] += c
+                else:
+                    const += c * fixed[(pi, g)]
+        return row, const
+
+    rows, rhs = [], []
+    for _, cls, t in pins:
+        row, const = q_terms(cls)
+        if any(abs(v) > 1e-14 for v in row):
+            rows.append(row)
+            rhs.append(t - const)
+        elif abs(const - t) > 1e-9:
+            return None
+    if unknowns:
+        x_u, null_info, solvable = _loop_gauss_solve(rows, rhs, len(unknowns))
+        if not solvable:
+            return None
+    else:
+        x_u, null_info = [], ([], [], [])
+    feasible = not unknowns or (min(x_u) >= -1e-9 and max(x_u) <= 1 + 1e-9)
+    for _, cls, lo, hi in intervals:
+        row, const = q_terms(cls)
+        q = const + sum(r * v for r, v in zip(row, x_u))
+        if q < lo - 1e-9 or q > hi + 1e-9:
+            if not null_info[0]:
+                return None
+            feasible = False
+    free_cols, reduced, piv_cols = null_info
+    directions = []
+    if len(free_cols) == 1:
+        fc = free_cols[0]
+        dir_u = [0.0] * len(unknowns)
+        dir_u[fc] = 1.0
+        for i, c in enumerate(piv_cols):
+            dir_u[c] = -reduced[i][fc]
+        directions.append(dir_u)
+    return {"x": x_u, "feasible": feasible, "n_free": len(free_cols), "directions": directions}
+
+
+def _loop_support_enumeration(env, lams, config):
+    n_games = env.n_games
+    result = SolveResult()
+    combos = (_loop_side_combos(env, lams, 0), _loop_side_combos(env, lams, 1))
+    if len(combos[0]) * len(combos[1]) > config.max_regimes:
+        result.exhausted = True
+        return result
+    variables, var_index = [], {}
+    for player in (0, 1):
+        for pi, part in enumerate(lams[player].support):
+            for g in range(n_games):
+                var_index[(player, pi, g)] = len(variables)
+                variables.append((player, part, g))
+    n_vars = len(variables)
+
+    def build_profile(x):
+        plays = ({}, {})
+        for idx, (player, part, g) in enumerate(variables):
+            arr = plays[player].setdefault(part, np.zeros((n_games, 2)))
+            m = min(max(float(x[idx]), 0.0), 1.0)
+            arr[g, 0] = m
+            arr[g, 1] = 1.0 - m
+        return StrategyProfile(plays=plays)
+
+    seen = set()
+    for c0 in combos[0]:
+        for c1 in combos[1]:
+            sol0 = _loop_solve_block(env, lams, 0, c0[0], c0[1], c1[2], c1[3])
+            if sol0 is None:
+                continue
+            sol1 = _loop_solve_block(env, lams, 1, c1[0], c1[1], c0[2], c0[3])
+            if sol1 is None:
+                continue
+            x = np.zeros(n_vars)
+            for player, combo, sol in ((0, c0, sol0), (1, c1, sol1)):
+                for (pi, g), val in combo[0].items():
+                    x[var_index[(player, pi, g)]] = val
+                for (pi, g), val in zip(combo[1], sol["x"]):
+                    x[var_index[(player, pi, g)]] = val
+            if sol0["feasible"] and sol1["feasible"]:
+                profile = build_profile(x)
+                if dist_abee_verify(env, lams, profile)[0]:
+                    key = tuple(np.round(x / config.dedup_tol).astype(np.int64))
+                    if key not in seen:
+                        seen.add(key)
+                        result.profiles.append(profile)
+            if sol0["n_free"] + sol1["n_free"] == 1:
+                player, combo, sol = (0, c0, sol0) if sol0["n_free"] == 1 else (1, c1, sol1)
+                other = sol1 if player == 0 else sol0
+                if not other["feasible"]:
+                    continue
+                direction = np.zeros(n_vars)
+                for (pi, g), dv in zip(combo[1], sol["directions"][0]):
+                    direction[var_index[(player, pi, g)]] = dv
+                t_lo, t_hi = -np.inf, np.inf
+                for vi in np.flatnonzero(np.abs(direction) > 1e-14):
+                    dv = direction[vi]
+                    b0, b1 = (0.0 - x[vi]) / dv, (1.0 - x[vi]) / dv
+                    t_lo = max(t_lo, min(b0, b1))
+                    t_hi = min(t_hi, max(b0, b1))
+                if t_lo < t_hi - 1e-12:
+                    result.continua.append(
+                        Continuum(x.copy(), direction, float(t_lo), float(t_hi), build_profile)
+                    )
+    return result
+
+
+def _game_kinds(rng, n_games):
+    """Per-game 2x2 payoffs of one player, each game drawn as 'free',
+    'constant', a threshold at 0 or at 1, small integers or normal."""
+    out = np.zeros((2, 2, n_games))
+    for g in range(n_games):
+        a, b, d = (float(v) for v in rng.integers(-2, 3, size=3))
+        kind = rng.integers(6)
+        if kind == 0:  # free: indifferent at every expectation
+            out[:, :, g] = [[a, b], [a, b]]
+        elif kind == 1:  # constant: one action strictly better everywhere
+            out[:, :, g] = [[a + (d or 1), b + (d or 1)], [a, b]]
+        elif kind == 2:  # threshold at q = 0
+            out[:, :, g] = [[a + (d or 1), b], [a, b]]
+        elif kind == 3:  # threshold at q = 1
+            out[:, :, g] = [[a, b + (d or 1)], [a, b]]
+        elif kind == 4:
+            out[:, :, g] = rng.integers(-1, 2, size=(2, 2))
+        else:
+            out[:, :, g] = rng.normal(size=(2, 2))
+    return out
+
+
+def _random_support(rng, parts):
+    if rng.random() < 0.4:
+        return PartitionDistribution.degenerate(parts[rng.integers(len(parts))])
+    i, j = rng.choice(len(parts), size=2, replace=False)
+    w = float(rng.choice([0.5, 0.3, 0.8, 0.37]))
+    return PartitionDistribution((parts[i], parts[j]), (w, 1 - w))
+
+
+def _assert_same_enumeration(got, ref):
+    assert got.exhausted == ref.exhausted
+    assert len(got.profiles) == len(ref.profiles)
+    for a, b in zip(got.profiles, ref.profiles):
+        for player in (0, 1):
+            assert list(a.plays[player]) == list(b.plays[player])
+            for part in b.plays[player]:
+                assert a.plays[player][part].tobytes() == b.plays[player][part].tobytes()
+    assert len(got.continua) == len(ref.continua)
+    for a, b in zip(got.continua, ref.continua):
+        assert a.base.tobytes() == b.base.tobytes()
+        assert a.direction.tobytes() == b.direction.tobytes()
+        assert (a.t_lo, a.t_hi) == (b.t_lo, b.t_hi)
+        t = float(np.clip(0.5, a.t_lo, a.t_hi))
+        for player in (0, 1):
+            for part, strat in b.build(t).plays[player].items():
+                assert a.build(t).plays[player][part].tobytes() == strat.tobytes()
+
+
+def test_support_enumeration_matches_scalar_reference(rng):
+    from cabee.partitions import partition_list
+
+    kinds = set()
+    shapes = set()
+    for case in range(70):
+        n_games = int(rng.integers(1, 4))
+        prior = rng.dirichlet(np.ones(n_games)) if case % 2 else np.full(n_games, 1 / n_games)
+        env = make_environment(prior, _game_kinds(rng, n_games), _game_kinds(rng, n_games))
+        parts = list(partition_list(n_games, n_games))
+        if n_games == 1:
+            lams = degenerate_pair(parts[0], parts[0])
+        else:
+            lams = (_random_support(rng, parts), _random_support(rng, parts))
+        kinds |= {_threshold_info(env, p, g)[:2] for p in (0, 1) for g in range(n_games)}
+        shapes.add(tuple(len(lam.support) for lam in lams))
+        config = SolveConfig()
+        got = _binary_support_enumeration(env, lams, config)
+        _assert_same_enumeration(got, _loop_support_enumeration(env, lams, config))
+    assert {k[0] for k in kinds} == {"free", "constant", "threshold"}
+    assert {("threshold", 0.0), ("threshold", 1.0)} <= kinds
+    assert shapes >= {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+def test_support_enumeration_matches_reference_on_matching_pennies():
+    env = matching_pennies_env(0.5, 1.0, 1.5)
+    an_a = Partition.from_classes(3, [(0,), (1, 2)])
+    an_c = Partition.from_classes(3, [(2,), (0, 1)])
+    fin = Partition.finest(3)
+    config = SolveConfig()
+    for w in (0.5, 0.25):
+        row_mix = PartitionDistribution((an_a, an_c), (w, 1 - w))
+        col_mix = PartitionDistribution((an_a, fin), (w, 1 - w))
+        for lams in (
+            (row_mix, PartitionDistribution.degenerate(fin)),
+            (PartitionDistribution.degenerate(fin), col_mix),
+        ):
+            got = _binary_support_enumeration(env, lams, config)
+            assert got.continua  # the mixture families the search refines
+            _assert_same_enumeration(got, _loop_support_enumeration(env, lams, config))
+
+
+def test_support_enumeration_regime_budget(mp_env):
+    fin = Partition.finest(3)
+    mix = PartitionDistribution((Partition.coarsest(3), fin), (0.5, 0.5))
+    lams = (mix, PartitionDistribution.degenerate(fin))
+    regimes = len(_loop_side_combos(mp_env, lams, 0)) * len(_loop_side_combos(mp_env, lams, 1))
+    for budget in (regimes - 1, regimes):
+        config = SolveConfig(max_regimes=budget)
+        got = _binary_support_enumeration(mp_env, lams, config)
+        assert got.exhausted == (budget < regimes)
+        _assert_same_enumeration(got, _loop_support_enumeration(mp_env, lams, config))
+
+
+def test_support_enumeration_matches_reference_on_four_games():
+    # a class of four games against a two-partition support: eight terms
+    # in each of its class expectations
+    rng = np.random.default_rng(11)
+    env = make_environment(
+        rng.dirichlet(np.ones(4)), rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 2, 4))
+    )
+    pair = tuple(Partition.from_classes(4, c) for c in ([(0, 1), (2, 3)], [(0, 2), (1, 3)]))
+    coarse = PartitionDistribution.degenerate(Partition.coarsest(4))
+    lams = (PartitionDistribution(pair, (0.37, 0.63)), coarse)
+    config = SolveConfig()
+    got = _binary_support_enumeration(env, lams, config)
+    _assert_same_enumeration(got, _loop_support_enumeration(env, lams, config))
+
+
+def test_sum_left_rounds_as_a_scalar_loop(rng):
+    terms = rng.normal(size=(200, 12)) * 10.0 ** rng.integers(-8, 8, size=(200, 12))
+    terms[:5, 0] = -0.0
+    expect = [functools.reduce(operator.add, row.tolist(), 0) for row in terms]
+    assert _sum_left(terms).tobytes() == np.array(expect, dtype=float).tobytes()

@@ -247,3 +247,44 @@ def test_quadratic_roots_distinct_linear_and_constant():
     # tiny and symmetric: neither constant nor linear, and no division by zero
     assert _quadratic_roots(lambda t: 4e-20 * (t - 0.5) ** 2, 0.0, 1.0) == pytest.approx([0.5, 0.5])
     assert _quadratic_roots(lambda t: 0.0 * t + 1.0, 0.0, 1.0) == []
+
+
+def test_search_admission_equals_full_verification(mp_env, finest3):
+    """The search's admission test (clustering only after the best replies
+    hold) accepts exactly what cd_abee_verify accepts, and the full report
+    still lists every clustering failure when the best replies fail too."""
+    from cabee.equilibrium import _admitted
+    from cabee.partitions import partition_list
+
+    spec = MatchingPenniesSpec(0.5, 1.0, 1.5)
+    closed = solve_matching_pennies_cdabee(spec)
+    coarse = Partition.coarsest(3)
+    nash = [np.stack([nash_solve_2x2(mp_env, g)[p] for g in range(3)]) for p in (0, 1)]
+    for mode in (LOCAL, GLOBAL):
+        passing = EquilibriumCandidate(closed.lams, closed.profile, mode, L2)
+        failing_br = EquilibriumCandidate(
+            degenerate_pair(coarse, finest3),
+            StrategyProfile(plays=({coarse: nash[0]}, {finest3: nash[1]})),
+            mode,
+            L2,
+        )
+        cases = [(passing, True), (failing_br, False)]
+        for part in (p for p in partition_list(3, 2) if p.n_classes == 2):
+            (prof,) = abee_solve(mp_env, (part, finest3))
+            clustered_out = EquilibriumCandidate(degenerate_pair(part, finest3), prof, mode, L2)
+            rep = cd_abee_verify(mp_env, clustered_out, (2, 3))
+            assert rep.br_gain <= 1e-9 and rep.clustering_failures  # fails clustering only
+            cases.append((clustered_out, False))
+            # a pure row play moves the column's expectations off its
+            # indifference, and leaves the column aggregate (the row data) as is
+            row = prof.plays[0][part].copy()
+            row[:] = [1.0, 0.0]
+            moved = StrategyProfile(plays=({part: row}, dict(prof.plays[1])))
+            both = EquilibriumCandidate(clustered_out.lams, moved, mode, L2)
+            rep_both = cd_abee_verify(mp_env, both, (2, 3))
+            assert rep_both.br_gain > 1e-6
+            assert rep_both.clustering_failures == rep.clustering_failures
+            cases.append((both, False))
+        for cand, expected in cases:
+            assert cd_abee_verify(mp_env, cand, (2, 3)).ok is expected
+            assert _admitted(mp_env, cand, (2, 3)) is expected
