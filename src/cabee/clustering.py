@@ -5,6 +5,11 @@ an (n_games, n_actions) array).  A partition is locally clustered when every
 point is weakly nearest to its own class prototype, and globally clustered
 when it minimizes the prior-weighted within-class dispersion over all
 partitions with at most K classes.
+
+`divergence_eval` is the scalar definition.  The batched kernels are
+`_prototype_divergences` (every point against every prototype) and
+`_class_sums` (class sums and dispersion of every row of a label array);
+`_lloyd` is the one Lloyd iteration on them, and `kmeans_lloyd` its N = 1 case.
 """
 
 from __future__ import annotations
@@ -102,6 +107,43 @@ def class_prototypes(data: np.ndarray, partition: Partition, prior: np.ndarray) 
     return np.stack([prototype(data, cls, prior) for cls in partition.classes])
 
 
+def _projected(data, d: Divergence) -> tuple[np.ndarray, Divergence]:
+    """Data and divergence, with the mean divergence's data projected onto the
+    action values (a trailing axis of length 1) under squared Euclidean."""
+    data = np.asarray(data, dtype=float)
+    if d.kind == SQUARED_MEAN_DIFFERENCE:
+        return (data @ np.asarray(d.action_values, dtype=float))[..., None], L2
+    return data, d
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """Elementwise ln(x) where x > 0, and 0 elsewhere."""
+    return np.log(np.where(x > 0, x, 1.0))
+
+
+def _plogp(x: np.ndarray) -> np.ndarray:
+    """Elementwise x*ln(x) with 0*ln(0) = 0."""
+    return np.where(x > 0, x * _log(x), 0.0)
+
+
+def _prototype_divergences(data, protos, d: Divergence) -> np.ndarray:
+    """Divergence from every data point to every prototype, (..., n_games, dim)
+    and (..., k, dim) to (..., n_games, k), each entry `divergence_eval`'s:
+    KL takes 0*ln(0) = 0 and is inf where q's support misses p's.
+    """
+    p, kind = _projected(data, d)
+    q, _ = _projected(protos, d)
+    p, q = p[..., :, None, :], q[..., None, :, :]
+    kl = kind.kind == KULLBACK_LEIBLER
+    # summed one action at a time, in the order numpy sums a short axis (so each entry
+    # equals divergence_eval's), and several times faster than reducing that axis
+    dist = sum(
+        p[..., a] * (_log(p[..., a]) - _log(q[..., a])) if kl else (p[..., a] - q[..., a]) ** 2
+        for a in range(p.shape[-1])
+    )
+    return np.where(((p > 0) & (q <= 0)).any(axis=-1), np.inf, dist) if kl else dist
+
+
 def is_locally_clustered(
     data: np.ndarray,
     partition: Partition,
@@ -112,45 +154,33 @@ def is_locally_clustered(
     """Weak nearest-own-prototype test, with a (game, better class) witness.
 
     Equal distances do not fail the test; `tol` only absorbs floating-point
-    noise in the comparison.
+    noise in the comparison.  The witness is the first failing game in
+    class-major order, with the first class it prefers.
     """
-    protos = class_prototypes(data, partition, prior)
-    for ci, cls in enumerate(partition.classes):
-        for g in cls:
-            own = divergence_eval(d, data[g], protos[ci])
-            for cj in range(partition.n_classes):
-                if cj == ci:
-                    continue
-                if divergence_eval(d, data[g], protos[cj]) < own - tol:
-                    return False, (g, cj)
-    return True, None
+    dist = _prototype_divergences(data, class_prototypes(data, partition, prior), d)
+    games = np.arange(partition.n_games)
+    own = np.array(partition.assignment())
+    better = dist < dist[games, own][:, None] - tol
+    better[games, own] = False
+    order = [g for cls in partition.classes for g in cls]
+    failing = better[order].any(axis=1)
+    if not failing.any():
+        return True, None
+    g = order[int(failing.argmax())]
+    return False, (g, int(better[g].argmax()))
 
 
-def _plogp(x: np.ndarray) -> np.ndarray:
-    """Elementwise x*ln(x) with 0*ln(0) = 0."""
-    return np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), 0.0)
+def _class_sums(data: np.ndarray, prior: np.ndarray, labels: np.ndarray, n_classes: int, kl: bool):
+    """Prior-weighted class sums S_c (P, n_classes, dim), class masses W_c
+    (P, n_classes) and dispersions (P,) of every row of a (P, n_games) label
+    array.  data is one (n_games, dim) data set shared by every row, or a
+    (P, n_games, dim) batch with one data set per row.
 
-
-def _batched_dispersions(
-    data: np.ndarray, prior: np.ndarray, labels: np.ndarray, d: Divergence
-) -> np.ndarray:
-    """Dispersion of every partition of a (P, n_games) label array at once.
-
-    data is one (n_games, dim) data set shared by every row, or a
-    (P, n_games, dim) batch with one data set per row.  Uses the Bregman
-    identity (point term minus class term): for squared Euclidean the
-    within-class sum is sum p*|x|^2 - sum_c |S_c|^2/W_c, for KL it is
-    sum p*H(x) - sum_c W_c*H(S_c/W_c) with H(x) = sum x*ln(x), where S_c
-    and W_c are the prior-weighted class sum and class mass.
+    The dispersion is the Bregman identity (point term minus class term):
+    for squared Euclidean sum p*|x|^2 - sum_c |S_c|^2/W_c, for KL
+    sum p*H(x) - sum_c W_c*H(S_c/W_c) with H(x) = sum x*ln(x).
     """
-    data = np.asarray(data, dtype=float)
-    prior = np.asarray(prior, dtype=float)
-    if d.kind == SQUARED_MEAN_DIFFERENCE:
-        data = (data @ np.asarray(d.action_values, dtype=float))[..., None]
-    kl = d.kind == KULLBACK_LEIBLER
-    point_term = (_plogp(data) if kl else data**2).sum(axis=-1) @ prior
     n_parts, n_games = labels.shape
-    n_classes = int(labels.max()) + 1
     rows = np.arange(n_parts)
     weighted = prior[:, None] * data
     sums = np.zeros((n_parts, n_classes, data.shape[-1]))
@@ -159,12 +189,51 @@ def _batched_dispersions(
         # one label per row, so the (row, label) indices are distinct and += is exact
         sums[rows, labels[:, g]] += weighted[..., g, :]
         mass[rows, labels[:, g]] += prior[g]
+    point_term = (_plogp(data) if kl else data**2).sum(axis=-1) @ prior
     safe = np.where(mass > 0, mass, 1.0)  # empty classes have zero sums
     if kl:
         class_term = (mass * _plogp(sums / safe[:, :, None]).sum(axis=2)).sum(axis=1)
     else:
         class_term = ((sums**2).sum(axis=2) / safe).sum(axis=1)
-    return np.maximum(point_term - class_term, 0.0)
+    return sums, mass, np.maximum(point_term - class_term, 0.0)
+
+
+def _batched_dispersions(
+    data: np.ndarray, prior: np.ndarray, labels: np.ndarray, d: Divergence
+) -> np.ndarray:
+    """Dispersion of every partition of a (P, n_games) label array at once,
+    for one data set or one per row (see `_class_sums`)."""
+    data, d = _projected(data, d)
+    prior = np.asarray(prior, dtype=float)
+    return _class_sums(data, prior, labels, int(labels.max()) + 1, d.kind == KULLBACK_LEIBLER)[2]
+
+
+def _lloyd(data, prior, protos, d: Divergence, max_rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iteration on each row of an (N, n_games, dim) data batch from
+    its (N, k, dim) initial prototypes: games go to the nearest prototype
+    (the first on ties), prototypes to their class's prior-weighted mean.  A
+    class that empties is dropped by giving it infinite distance.  A row that
+    repeats its assignment stays put; the rounds stop when every row has, or
+    after max_rounds.  Returns the final labels (N, n_games), dropped classes'
+    labels unused, and the dispersion after each round (rounds, N).
+    """
+    data, kind = _projected(data, d)
+    protos, _ = _projected(protos, d)
+    prior = np.asarray(prior, dtype=float)
+    labels = np.full(data.shape[:2], -1)
+    dropped = np.zeros(protos.shape[:2], dtype=bool)
+    history = []
+    for _ in range(max_rounds):
+        dist = _prototype_divergences(data, protos, kind)
+        new = np.where(dropped[:, None, :], np.inf, dist).argmin(axis=2)
+        sums, mass, disp = _class_sums(data, prior, new, protos.shape[1], kind.kind == KULLBACK_LEIBLER)
+        dropped = mass == 0
+        protos = np.where(dropped[..., None], protos, sums / np.where(dropped, 1.0, mass)[..., None])
+        history.append(disp)
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return labels, np.array(history)
 
 
 # winners of global_cluster, keyed by (n_games, max_classes, label row)
@@ -224,47 +293,25 @@ def kmeans_lloyd(
     init: np.ndarray,
     max_iter: int = 1000,
 ) -> ClusteringReport:
-    """Lloyd iteration: nearest-prototype assignment, then mean updates.
+    """Lloyd iteration from `init`, which must hold 1 to `max_classes` rows.
 
     Stops when assignments are stable.  A class that empties is dropped and
     counted in the report.  The result always passes the local-clustering
     test and the dispersion history is nonincreasing.
     """
-    data = np.asarray(data, dtype=float)
-    prior = np.asarray(prior, dtype=float)
-    protos = [np.asarray(p, dtype=float) for p in np.asarray(init, dtype=float)]
-    if not 1 <= len(protos):
-        raise ValueError("need at least one initial representative")
-    n = data.shape[0]
-    assign = np.full(n, -1)
-    dropped = 0
-    history: list[float] = []
-    for it in range(max_iter):
-        dist = np.array([[divergence_eval(d, data[g], p) for p in protos] for g in range(n)])
-        new_assign = dist.argmin(axis=1)
-        live = sorted(set(int(a) for a in new_assign))
-        if len(live) < len(protos):
-            dropped += len(protos) - len(live)
-            relabel = {old: new for new, old in enumerate(live)}
-            new_assign = np.array([relabel[int(a)] for a in new_assign])
-        protos = [
-            prototype(data, np.flatnonzero(new_assign == c), prior)
-            for c in range(len(set(int(a) for a in new_assign)))
-        ]
-        part = Partition.from_assignment(new_assign)
-        history.append(dispersion(data, part, prior, d))
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-    part = Partition.from_assignment(assign)
+    data, init = np.asarray(data, dtype=float), np.asarray(init, dtype=float)
+    if not 1 <= len(init) <= max_classes:
+        raise ValueError(f"need 1 to {max_classes} initial representatives, got {len(init)}")
+    labels, history = _lloyd(data[None], prior, init[None], d, max_iter)
+    part = Partition.from_assignment(labels[0])
     local, _ = is_locally_clustered(data, part, prior, d)
     return ClusteringReport(
         partition=part,
         prototypes=class_prototypes(data, part, prior),
-        dispersion=history[-1],
+        dispersion=float(history[-1, 0]),
         locally_clustered=local,
         globally_clustered=None,
         iterations=len(history),
-        dispersion_history=history,
-        dropped_classes=dropped,
+        dispersion_history=history[:, 0].tolist(),
+        dropped_classes=len(init) - part.n_classes,
     )

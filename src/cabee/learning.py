@@ -7,6 +7,9 @@ into at most K categories, and best-respond to their class prototypes
 prototypes, best-respond to them, then re-sort the games around the
 inherited prototypes and pass the result on.
 
+Model 1's Lloyd variant is one `clustering._lloyd` call over all subjects;
+model 2 re-sorts a dynasty's games with one `_prototype_divergences` call.
+
 At zero noise the steps are set-valued at ties; the "incumbent" tie-break
 selects the current state whenever it is admissible, so a state is a rest
 point of the zero-noise step exactly when it is a clustered distributional
@@ -31,9 +34,11 @@ from .abee import (
 )
 from .clustering import (
     KULLBACK_LEIBLER,
-    SQUARED_MEAN_DIFFERENCE,
     Divergence,
-    divergence_eval,
+    _lloyd,
+    _plogp,
+    _projected,
+    _prototype_divergences,
     global_cluster,
 )
 from .env import GameEnvironment
@@ -189,16 +194,9 @@ def _dispersion_matrix(
 
     s has shape (N, n_games, n_actions); output (N, len(parts)).
     """
-    if d.kind == SQUARED_MEAN_DIFFERENCE:
-        v = np.asarray(d.action_values)
-        s = (s @ v)[:, :, None]
-        d = Divergence("squared-euclidean")
-    if d.kind == KULLBACK_LEIBLER:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(s > 0, s * np.log(np.where(s > 0, s, 1.0)), 0.0)
-        point = plogp.sum(axis=2) @ prior
-    else:
-        point = (s**2).sum(axis=2) @ prior
+    s, d = _projected(s, d)
+    kl = d.kind == KULLBACK_LEIBLER
+    point = (_plogp(s) if kl else s**2).sum(axis=2) @ prior
     out = np.empty((s.shape[0], len(parts)))
     for pi, part in enumerate(parts):
         ct = np.zeros(s.shape[0])
@@ -206,12 +204,7 @@ def _dispersion_matrix(
             idx = list(cls)
             w = prior[idx].sum()
             proto = np.einsum("g,nga->na", prior[idx], s[:, idx, :]) / w
-            if d.kind == KULLBACK_LEIBLER:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    plp = np.where(proto > 0, proto * np.log(np.where(proto > 0, proto, 1.0)), 0.0)
-                ct += w * plp.sum(axis=1)
-            else:
-                ct += w * (proto**2).sum(axis=1)
+            ct += w * (_plogp(proto) if kl else proto**2).sum(axis=1)
         out[:, pi] = point - ct
     return out
 
@@ -219,46 +212,10 @@ def _dispersion_matrix(
 def _lloyd_assignments(
     s: np.ndarray, prior: np.ndarray, k: int, d: Divergence, rng: np.random.Generator, rounds: int = 25
 ) -> np.ndarray:
-    """Vectorized Lloyd runs, one per subject, seeded at random data points.
-
-    Returns per-subject game assignments (N, n_games); empty classes simply
-    stop attracting games, which matches dropping them.
-    """
-    n_sub, n_games, n_act = s.shape
-    values = None
-    work = s
-    if d.kind == SQUARED_MEAN_DIFFERENCE:
-        values = np.asarray(d.action_values)
-        work = (s @ values)[:, :, None]
-        d = Divergence("squared-euclidean")
-    # a uniformly random ordered k-subset of the games per subject
-    seeds = rng.random((n_sub, n_games)).argsort(axis=1)[:, : min(k, n_games)]
-    protos = np.take_along_axis(work, seeds[:, :, None], axis=1)  # (N, k, n_act')
-    assign = np.zeros((n_sub, n_games), dtype=int)
-    for _ in range(rounds):
-        if d.kind == KULLBACK_LEIBLER:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logp = np.where(protos > 0, np.log(np.where(protos > 0, protos, 1.0)), -np.inf)
-            cross = np.einsum("nga,nka->ngk", work, logp)
-            with np.errstate(invalid="ignore"):
-                ent = np.where(work > 0, work * np.log(np.where(work > 0, work, 1.0)), 0.0).sum(axis=2)
-            dist = ent[:, :, None] - cross
-            dist = np.where(np.isnan(dist), np.inf, dist)
-        else:
-            diff = work[:, :, None, :] - protos[:, None, :, :]
-            dist = (diff**2).sum(axis=3)
-        new_assign = dist.argmin(axis=2)
-        for c in range(protos.shape[1]):
-            mask = (new_assign == c).astype(float) * prior[None, :]
-            mass = mask.sum(axis=1)
-            upd = mass > 0
-            if upd.any():
-                protos[upd, c, :] = (
-                    np.einsum("ng,nga->na", mask[upd], work[upd]) / mass[upd, None]
-                )
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
+    """Lloyd runs, one per subject, seeded at a random ordered k-subset of
+    the subject's data points; per-subject game assignments (N, n_games)."""
+    seeds = rng.random(s.shape[:2]).argsort(axis=1)[:, : min(k, s.shape[1])]
+    assign, _ = _lloyd(s, prior, np.take_along_axis(s, seeds[:, :, None], axis=1), d, rounds)
     return assign
 
 
@@ -415,20 +372,15 @@ def model2_step(
     for player in (0, 1):
         opp = aggs[1 - player]
         for rec, strat in zip(state.dynasties[player], stage1[player]):
-            assign = np.empty(env.n_games, dtype=int)
-            for g in range(env.n_games):
-                dists = np.array(
-                    [divergence_eval(d, opp[g], proto) for proto in rec.prototypes]
-                )
-                finite_min = dists.min()
-                near = np.flatnonzero(dists <= finite_min + 1e-12)
-                cur = rec.partition.class_of(g)
-                assign[g] = cur if cur in near else near[0]
-            live = sorted(set(int(a) for a in assign))
-            if len(live) < rec.partition.n_classes:
+            dists = _prototype_divergences(opp, rec.prototypes, d)
+            near = dists <= dists.min(axis=1, keepdims=True) + 1e-12
+            cur = np.array(rec.partition.assignment())
+            assign = np.where(near[np.arange(env.n_games), cur], cur, near.argmax(axis=1))
+            live = len(set(assign.tolist()))
+            if live < rec.partition.n_classes:
                 events.append(
                     f"t={state.t}: dynasty of player {player} dropped "
-                    f"{rec.partition.n_classes - len(live)} class(es)"
+                    f"{rec.partition.n_classes - live} class(es)"
                 )
             part = Partition.from_assignment(assign)
             protos = consistent_expectation(env, part, opp)

@@ -8,7 +8,10 @@ from cabee.clustering import (
     L2,
     TIE_TOL,
     Divergence,
+    ClusteringReport,
     _batched_dispersions,
+    _prototype_divergences,
+    class_prototypes,
     dispersion,
     divergence_eval,
     global_cluster,
@@ -25,6 +28,82 @@ MEAN1 = mean_divergence([1.0])  # scalar data carried as 1-vectors
 
 def one_d(points):
     return np.asarray(points, dtype=float)[:, None]
+
+
+def sparse_distributions(rng, n, k):
+    """Random distributions with about a third of their entries zero, none all zero."""
+    draws = rng.standard_exponential((n, k)) * (rng.random((n, k)) > 1 / 3)
+    draws[np.arange(n), rng.integers(0, k, n)] += 0.1
+    return draws / draws.sum(axis=1, keepdims=True)
+
+
+def random_cases(rng, trials):
+    """Seeded (data, prior, divergence) triples: L2, KL with zero entries, and
+    the mean divergence, with 2 to 5 actions."""
+    for trial in range(trials):
+        n = int(rng.integers(2, 8))
+        n_act = int(rng.integers(2, 6))
+        kind = trial % 3
+        data = (random_distributions, sparse_distributions, random_distributions)[kind](rng, n, n_act)
+        d = (L2, KL, mean_divergence(rng.normal(size=n_act)))[kind]
+        yield data, rng.dirichlet(np.ones(n)), d
+
+
+# ---------------------------------------------------------------------------
+# references: the per-game loops that the batched kernels replace
+# ---------------------------------------------------------------------------
+
+
+def _loop_is_locally_clustered(data, partition, prior, d, tol=1e-12):
+    protos = class_prototypes(data, partition, prior)
+    for ci, cls in enumerate(partition.classes):
+        for g in cls:
+            own = divergence_eval(d, data[g], protos[ci])
+            for cj in range(partition.n_classes):
+                if cj == ci:
+                    continue
+                if divergence_eval(d, data[g], protos[cj]) < own - tol:
+                    return False, (g, cj)
+    return True, None
+
+
+def _loop_kmeans_lloyd(data, prior, max_classes, d, init, max_iter=1000):
+    data = np.asarray(data, dtype=float)
+    prior = np.asarray(prior, dtype=float)
+    protos = [np.asarray(p, dtype=float) for p in np.asarray(init, dtype=float)]
+    n = data.shape[0]
+    assign = np.full(n, -1)
+    dropped = 0
+    history = []
+    for it in range(max_iter):
+        dist = np.array([[divergence_eval(d, data[g], p) for p in protos] for g in range(n)])
+        new_assign = dist.argmin(axis=1)
+        live = sorted(set(int(a) for a in new_assign))
+        if len(live) < len(protos):
+            dropped += len(protos) - len(live)
+            relabel = {old: new for new, old in enumerate(live)}
+            new_assign = np.array([relabel[int(a)] for a in new_assign])
+        protos = [
+            prototype(data, np.flatnonzero(new_assign == c), prior)
+            for c in range(len(set(int(a) for a in new_assign)))
+        ]
+        part = Partition.from_assignment(new_assign)
+        history.append(dispersion(data, part, prior, d))
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    part = Partition.from_assignment(assign)
+    local, _ = _loop_is_locally_clustered(data, part, prior, d)
+    return ClusteringReport(
+        partition=part,
+        prototypes=class_prototypes(data, part, prior),
+        dispersion=history[-1],
+        locally_clustered=local,
+        globally_clustered=None,
+        iterations=len(history),
+        dispersion_history=history,
+        dropped_classes=dropped,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +139,32 @@ def test_mean_divergence_requires_values():
         Divergence("squared-mean-difference")
     d = mean_divergence([0.0, 1.0])
     assert d([0.25, 0.75], [0.75, 0.25]) == pytest.approx(0.25)
+
+
+def test_prototype_divergences_match_the_scalar_definition(rng):
+    for data, _, d in random_cases(rng, 60):
+        k = int(rng.integers(1, 5))
+        protos = sparse_distributions(rng, k, data.shape[1]) if d is KL else random_distributions(rng, k, data.shape[1])
+        got = _prototype_divergences(data, protos, d)
+        want = np.array([[divergence_eval(d, p, q) for q in protos] for p in data])
+        assert got.shape == (len(data), k)
+        if d.kind == "squared-mean-difference":
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        else:
+            assert np.array_equal(got, want)
+        # a leading batch axis pairs each data set with its own prototypes
+        batched = _prototype_divergences(np.stack([data, data[::-1]]), np.stack([protos, protos]), d)
+        np.testing.assert_array_equal(batched[0], got)
+        np.testing.assert_array_equal(batched[1], got[::-1])
+
+
+def test_prototype_divergences_kl_zero_conventions():
+    # 0*ln(0) = 0: a point on its own prototype, zero coordinate shared, is at distance 0
+    got = _prototype_divergences(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [0.5, 0.5]]), KL)
+    assert got[0, 0] == 0.0
+    assert got[0, 1] == pytest.approx(math.log(2))
+    # a prototype missing the point's support is infinitely far
+    assert got[1, 0] == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +247,19 @@ def test_local_clustering_failure_witness():
     assert not ok
     game, better = wit
     assert game in (0, 2)
+
+
+def test_local_clustering_matches_loop_reference(rng):
+    """Verdicts and witnesses (first failing game in class-major order)
+    equal the per-game loop's on random partitions."""
+    verdicts = set()
+    for data, prior, d in random_cases(rng, 150):
+        parts = partition_list(len(data), int(rng.integers(1, 5)))
+        part = parts[int(rng.integers(len(parts)))]
+        got = is_locally_clustered(data, part, prior, d)
+        assert got == _loop_is_locally_clustered(data, part, prior, d), (data, part, d)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
 
 
 def test_global_cluster_unique_minimizer():
@@ -252,6 +370,52 @@ def test_kmeans_monotone_and_locally_clustered(rng):
         hist = report.dispersion_history
         assert all(a >= b - 1e-10 for a, b in zip(hist, hist[1:]))
         assert report.locally_clustered
+
+
+def assert_same_report(got, want):
+    assert got.partition == want.partition
+    assert got.iterations == want.iterations
+    assert got.dropped_classes == want.dropped_classes
+    assert got.locally_clustered == want.locally_clustered
+    np.testing.assert_array_equal(got.prototypes, want.prototypes)
+    np.testing.assert_allclose(got.dispersion_history, want.dispersion_history, rtol=0, atol=1e-12)
+    assert got.dispersion == pytest.approx(want.dispersion, rel=0, abs=1e-12)
+
+
+def test_kmeans_matches_loop_reference(rng):
+    """Seeded random data with K = 1 to 4 starts drawn from the data, off the
+    data, and with repeats, so classes empty and are dropped."""
+    dropped = 0
+    for data, prior, d in random_cases(rng, 150):
+        n, n_act = data.shape
+        k = int(rng.integers(1, 5))
+        pool = np.concatenate([data, sparse_distributions(rng, 3, n_act)])
+        init = pool[rng.integers(0, len(pool), k)]
+        want = _loop_kmeans_lloyd(data, prior, k, d, init)
+        assert_same_report(kmeans_lloyd(data, prior, k, d, init), want)
+        dropped += want.dropped_classes
+    assert dropped > 0
+
+
+def test_kmeans_matches_loop_reference_on_hand_cases():
+    prior = np.full(3, 1 / 3)
+    for init in ([0.0, 1.0], [0.2, 1.0], [0.35, 0.45], [5.0, 0.0]):
+        data = one_d([0.0, 0.4, 1.0])
+        assert_same_report(
+            kmeans_lloyd(data, prior, 2, MEAN1, one_d(init)),
+            _loop_kmeans_lloyd(data, prior, 2, MEAN1, one_d(init)),
+        )
+
+
+def test_kmeans_representatives_bounded_by_max_classes():
+    data = one_d([0.0, 0.4, 1.0])
+    prior = np.full(3, 1 / 3)
+    with pytest.raises(ValueError):
+        kmeans_lloyd(data, prior, 2, MEAN1, np.empty((0, 1)))
+    with pytest.raises(ValueError):
+        kmeans_lloyd(data, prior, 2, MEAN1, one_d([0.0, 0.4, 1.0]))
+    assert kmeans_lloyd(data, prior, 3, MEAN1, one_d([0.0, 0.4, 1.0])).partition.n_classes == 3
+    assert kmeans_lloyd(data, prior, 2, MEAN1, one_d([0.0])).partition.n_classes == 1
 
 
 def test_kmeans_drops_empty_class():

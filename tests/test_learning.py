@@ -1,14 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from cabee.abee import PartitionDistribution, StrategyProfile
-from cabee.clustering import KL, L2
+from cabee.clustering import KL, L2, kmeans_lloyd
 from cabee.env import make_environment
 from cabee.equilibrium import GLOBAL, LOCAL, EquilibriumCandidate
 from cabee.learning import (
     DynastyRecord,
     PerturbationSpec,
     PopulationState,
+    _lloyd_assignments,
     model1_run,
     model1_step,
     model2_step,
@@ -162,6 +165,28 @@ def test_model2_reassignment_flips_partition():
     assert nxt.dynasties[0][0].partition.key() == ((0,), (1, 2))
 
 
+def test_model2_reassignment_keeps_tied_classes_and_skips_infinite_prototypes():
+    """Games tied between prototypes keep their class; under KL a prototype
+    whose support misses a game's is never nearest."""
+    env = make_environment([0.25] * 4, np.zeros((2, 2, 4)), np.zeros((2, 2, 4)))
+    data = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0], [0.2, 0.8]])
+    fin = Partition.finest(4)
+    split = Partition.from_classes(4, [(0, 2), (1, 3)])
+    for d, protos, want in (
+        (L2, np.array([[0.5, 0.5], [0.5, 0.5]]), split),  # every game tied: nothing moves
+        (KL, np.array([[0.0, 1.0], [0.6, 0.4]]), Partition.from_classes(4, [(0,), (1, 2, 3)])),
+    ):
+        rec = DynastyRecord(split, protos, np.full((4, 2), 0.5), 1.0)
+        opp = DynastyRecord(fin, np.full((4, 2), 0.5), data, 1.0)
+        state = PopulationState(
+            lams=(PartitionDistribution.degenerate(split), PartitionDistribution.degenerate(fin)),
+            profile=StrategyProfile(plays=({split: rec.strategy}, {fin: data})),
+            aggregates=(np.full((4, 2), 0.5), data),
+            dynasties=([rec], [opp]),
+        )
+        assert model2_step(env, state, d).dynasties[0][0].partition == want
+
+
 def test_model2_requires_dynasties(mp_setup):
     env, cand = mp_setup
     state = state_from_candidate(env, cand)
@@ -200,13 +225,33 @@ def test_frequencies_stay_distributions(mp_setup):
 
 
 def test_lloyd_clustering_variant_runs(mp_setup):
+    """Each subject's Lloyd partition is kmeans_lloyd's on the subject's draw
+    from the same seeds; the step's shares count those partitions."""
     env, cand = mp_setup
     state = state_from_candidate(env, cand)
-    nxt = model1_step(
-        env, state, (2, 3), L2, PerturbationSpec(0.02, seed=9), n_subjects=200, clustering="lloyd"
-    )
+    pert, n, caps = PerturbationSpec(0.02, seed=9), 200, (2, 3)
+    nxt = model1_step(env, state, caps, L2, pert, n_subjects=n, clustering="lloyd")
+    rng = np.random.default_rng((pert.seed, state.t))  # replays the step's draws
     for player in (0, 1):
         assert abs(sum(nxt.lams[player].weights) - 1.0) <= 1e-12
+        data = state.aggregates[1 - player]
+        eta = pert.draw_measurement(rng, (n, env.n_games, data.shape[1]))
+        s = (data[None] + pert.epsilon * eta) / (1.0 + pert.epsilon)
+        seeds = rng.random((n, env.n_games)).argsort(axis=1)[:, : caps[player]]
+        pert.draw_payoff(rng, (n, env.n_games, env.n_actions(player)))
+        parts = Counter(kmeans_lloyd(s[i], env.prior, caps[player], L2, s[i, seeds[i]]).partition for i in range(n))
+        assert nxt.lam_weights(player) == {p: c / n for p, c in parts.items()}
+
+
+def test_lloyd_keeps_a_point_on_its_own_prototype_with_a_zero_coordinate():
+    """KL takes 0*ln(0) = 0: game 2 sits on its seed [0, 1] at distance 0."""
+    s = np.array([[[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]]])
+    prior = np.full(4, 0.25)
+    assert np.random.default_rng(0).random((1, 4)).argsort(axis=1)[0, :2].tolist() == [3, 2]
+    assign = _lloyd_assignments(s, prior, 2, KL, np.random.default_rng(0))
+    rep = kmeans_lloyd(s[0], prior, 2, KL, s[0, [3, 2]])
+    assert rep.partition == Partition.from_classes(4, [(0, 1, 3), (2,)])
+    assert Partition.from_assignment(assign[0]) == rep.partition
 
 
 def test_single_game_environment_runs():
