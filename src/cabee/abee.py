@@ -13,13 +13,18 @@ pairs left are solved in one batched Gauss-Jordan elimination; it keeps
 every profile that verifies and every one-parameter solution family.  A
 damped best-reply iteration with multi-start is the fallback for larger
 action sets.
+
+Verification takes a batch of profiles, each player's strategies stacked as
+one (B, n_support, n_games, n_actions) array: `dist_abee_verify_batch`
+checks them all at once, and `dist_abee_verify` is its one-profile case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,34 +89,77 @@ def degenerate_pair(p0: Partition, p1: Partition):
     return (PartitionDistribution.degenerate(p0), PartitionDistribution.degenerate(p1))
 
 
+def _strategies(profile: StrategyProfile, lam: PartitionDistribution, player: int) -> list:
+    """One player's strategies, in support order."""
+    strats = []
+    for part in lam.support:
+        if part not in profile.plays[player]:
+            raise KeyError(f"profile missing strategy for player {player}, {part}")
+        strats.append(np.asarray(profile.plays[player][part], dtype=float))
+    return strats
+
+
+def stack_plays(
+    profile: StrategyProfile, lams: tuple[PartitionDistribution, PartitionDistribution]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each player's strategies as one (n_support, n_games, n_actions) array,
+    in support order."""
+    return np.stack(_strategies(profile, lams[0], 0)), np.stack(_strategies(profile, lams[1], 1))
+
+
+def unstack_plays(supports, plays) -> StrategyProfile:
+    """The profile whose strategies are the rows of `stack_plays`'s arrays."""
+    return StrategyProfile(plays=tuple(dict(zip(supports[pl], plays[pl])) for pl in (0, 1)))
+
+
+def mixture(weights, strats) -> np.ndarray:
+    """Weighted sum of the strategies of the support partitions, strats[k]
+    that of partition k, added from the left."""
+    acc = weights[0] * strats[0]
+    for k in range(1, len(weights)):
+        acc = acc + weights[k] * strats[k]
+    return acc
+
+
 def aggregate(
     profile: StrategyProfile, lams: tuple[PartitionDistribution, PartitionDistribution]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lambda-weighted mixture of per-partition strategies, per game."""
-    out = []
-    for player in (0, 1):
-        lam = lams[player]
-        acc = None
-        for part, w in zip(lam.partitions, lam.weights):
-            if part not in profile.plays[player]:
-                raise KeyError(f"profile missing strategy for player {player}, {part}")
-            strat = np.asarray(profile.plays[player][part], dtype=float)
-            acc = w * strat if acc is None else acc + w * strat
-        out.append(acc)
-    return out[0], out[1]
+    return tuple(mixture(lams[pl].weights, _strategies(profile, lams[pl], pl)) for pl in (0, 1))
+
+
+@functools.lru_cache(maxsize=4096)
+def _size_groups(partition: Partition) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(class indices, (k, size) member array) for each class size; the
+    arrays are read-only, as every caller shares them."""
+    by_size: dict[int, list[int]] = {}
+    for k, cls in enumerate(partition.classes):
+        by_size.setdefault(len(cls), []).append(k)
+    groups = []
+    for ks in by_size.values():
+        rows, members = np.array(ks), np.array([partition.classes[k] for k in ks])
+        rows.flags.writeable = members.flags.writeable = False
+        groups.append((rows, members))
+    return tuple(groups)
 
 
 def consistent_expectation(
     env: GameEnvironment, partition: Partition, opponent_aggregate: np.ndarray
 ) -> np.ndarray:
-    """Prior-weighted class means of the opponent aggregate, one row per class."""
+    """Prior-weighted class means of the opponent aggregate, one row per class.
+
+    The aggregate is (..., n_games, n_actions) and the result (...,
+    n_classes, n_actions).  Each class mean is `w @ agg[cls] / w.sum()`;
+    the classes of one size share one matmul over contiguous per-class
+    blocks, whose products round as the single-class product does.
+    """
     agg = np.asarray(opponent_aggregate, dtype=float)
-    rows = []
-    for cls in partition.classes:
-        idx = list(cls)
-        w = env.prior[idx]
-        rows.append(w @ agg[idx] / w.sum())
-    return np.stack(rows)
+    out = np.empty(agg.shape[:-2] + (partition.n_classes, agg.shape[-1]))
+    for rows, members in _size_groups(partition):
+        w = env.prior[members]
+        means = w[:, None, :] @ agg.take(members, axis=-2)
+        out[..., rows, :] = means[..., 0, :] / w.sum(axis=1)[:, None]
+    return out
 
 
 def analogy_best_response(
@@ -145,33 +193,54 @@ def best_replies(pays: np.ndarray, tol: float, incumbent: np.ndarray | None = No
     return np.where(keep[..., None], incumbent, mix)
 
 
+def dist_abee_verify_batch(
+    env: GameEnvironment,
+    lams: tuple[PartitionDistribution, PartitionDistribution],
+    plays: tuple[np.ndarray, np.ndarray],
+    tol: float = SOLVER_TOL,
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Distributional equilibrium check of a batch of profiles.
+
+    plays[i] holds player i's (B, n_support, n_games, n_actions) strategies
+    in support order.  Consistent expectations are recomputed from the
+    aggregates; per profile, the worst payoff gain any player gets by
+    deviating in any game under any support partition (0.0 when none is
+    positive), and its witness (player, partition, game): the first in
+    player, support and class-major game order to attain it, or None.
+    Returns (ok, worst, witnesses).
+    """
+    aggs = [mixture(lams[pl].weights, plays[pl].swapaxes(0, 1)) for pl in (0, 1)]
+    blocks, owners = [], []
+    for player in (0, 1):
+        for pi, part in enumerate(lams[player].support):
+            beta = consistent_expectation(env, part, aggs[1 - player])
+            pays = expected_payoffs(env, player, beta[..., list(part.assignment()), :])
+            order = list(itertools.chain.from_iterable(part.classes))
+            gains = pays.max(axis=-1) - (plays[player][:, pi] * pays).sum(axis=-1)
+            blocks.append(gains[:, order])
+            owners.append((player, part, order))
+    gains = np.concatenate(blocks, axis=1)  # n_games columns per (player, partition)
+    best = gains.max(axis=1)
+    worst = np.where(best > 0.0, best, 0.0)
+    witnesses = []
+    for i, b in zip(gains.argmax(axis=1).tolist(), best.tolist()):
+        player, part, order = owners[i // env.n_games]
+        witnesses.append((player, part, order[i % env.n_games]) if b > 0.0 else None)
+    return worst <= tol, worst, witnesses
+
+
 def dist_abee_verify(
     env: GameEnvironment,
     lams: tuple[PartitionDistribution, PartitionDistribution],
     profile: StrategyProfile,
     tol: float = SOLVER_TOL,
 ) -> tuple[bool, float, tuple | None]:
-    """Check the distributional equilibrium conditions on a profile.
-
-    Recomputes consistent expectations from the aggregates and reports the
-    worst payoff gain any player can get by deviating in any game under any
-    support partition, with a witness (player, partition, first such game).
-    """
-    aggs = aggregate(profile, lams)
-    worst = 0.0
-    witness = None
-    for player in (0, 1):
-        opp = aggs[1 - player]
-        for part in lams[player].support:
-            beta = consistent_expectation(env, part, opp)
-            pays = expected_payoffs(env, player, beta[list(part.assignment())])
-            order = list(itertools.chain.from_iterable(part.classes))
-            gains = (pays.max(axis=1) - (profile.plays[player][part] * pays).sum(axis=1))[order]
-            top = int(gains.argmax())
-            if gains[top] > worst:
-                worst = float(gains[top])
-                witness = (player, part, order[top])
-    return worst <= tol, worst, witness
+    """Check the distributional equilibrium conditions on a profile: the
+    one-profile case of `dist_abee_verify_batch`, as (ok, worst gain,
+    witness)."""
+    plays = stack_plays(profile, lams)
+    ok, worst, witnesses = dist_abee_verify_batch(env, lams, (plays[0][None], plays[1][None]), tol)
+    return bool(ok[0]), float(worst[0]), witnesses[0]
 
 
 def abee_verify(
@@ -199,18 +268,22 @@ class SolveConfig:
 class Continuum:
     """A one-parameter family of solutions of one indifference system.
 
-    x(t) = base + t * direction over t in [t_lo, t_hi]; build(t) assembles
-    the strategy profile (not yet verified).
+    x(t) = base + t * direction over t in [t_lo, t_hi].  `plays` maps points
+    (..., V) to each player's (..., n_support, n_games, n_actions)
+    strategies in the order of `supports`; build(t) assembles the strategy
+    profile (not yet verified).  The continua of one solve share `supports`
+    and `plays`.
     """
 
     base: np.ndarray
     direction: np.ndarray
     t_lo: float
     t_hi: float
-    _builder: object
+    supports: tuple[tuple[Partition, ...], tuple[Partition, ...]]
+    plays: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def build(self, t: float) -> StrategyProfile:
-        return self._builder(self.base + t * self.direction)
+        return unstack_plays(self.supports, self.plays(self.base + t * self.direction))
 
 
 @dataclass
@@ -524,23 +597,22 @@ def _binary_support_enumeration(
     )
     supports, n0 = (lams[0].support, lams[1].support), len(lams[0].support)
 
-    def build_profile(x) -> StrategyProfile:
-        mixes = np.empty((len(x), 2))
-        mixes[:, 0] = np.clip(x, 0.0, 1.0)
-        mixes[:, 1] = 1.0 - mixes[:, 0]
-        mixes = mixes.reshape(-1, env.n_games, 2)
-        plays = (dict(zip(supports[0], mixes[:n0])), dict(zip(supports[1], mixes[n0:])))
-        return StrategyProfile(plays=plays)
+    def split_plays(x):
+        """Points (..., V) as each player's (..., n_support, n_games, 2) mixes."""
+        act0 = np.clip(x, 0.0, 1.0)
+        mixes = np.stack([act0, 1.0 - act0], axis=-1)
+        mixes = mixes.reshape(x.shape[:-1] + (n0 + len(supports[1]), env.n_games, 2))
+        return mixes[..., :n0, :, :], mixes[..., n0:, :, :]
 
+    rows = np.flatnonzero(feasible[0] & feasible[1])
+    plays = split_plays(x[rows])
+    verified = dist_abee_verify_batch(env, lams, plays)[0]
     seen = set()
-    for i in np.flatnonzero(feasible[0] & feasible[1]):
-        profile = build_profile(x[i])
-        okv, _, _ = dist_abee_verify(env, lams, profile)
-        if okv:
-            key_r = tuple(np.round(x[i] / config.dedup_tol).astype(np.int64))
-            if key_r not in seen:
-                seen.add(key_r)
-                result.profiles.append(profile)
+    for j in np.flatnonzero(verified):
+        key_r = tuple(np.round(x[rows[j]] / config.dedup_tol).astype(np.int64))
+        if key_r not in seen:
+            seen.add(key_r)
+            result.profiles.append(unstack_plays(supports, (plays[0][j], plays[1][j])))
 
     # one free unknown in all, and the rigid side feasible: a one-parameter
     # family x + t * direction, cut to [0, 1] in every variable it moves
@@ -560,7 +632,7 @@ def _binary_support_enumeration(
     t_hi = np.where(moves, np.where(b1 > b0, b1, b0), np.inf).min(axis=1, initial=np.inf)
     for i in np.flatnonzero(t_lo < t_hi - 1e-12):
         result.continua.append(
-            Continuum(base[i], direction[i], float(t_lo[i]), float(t_hi[i]), build_profile)
+            Continuum(base[i], direction[i], float(t_lo[i]), float(t_hi[i]), supports, split_plays)
         )
     return result
 

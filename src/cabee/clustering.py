@@ -6,7 +6,8 @@ point is weakly nearest to its own class prototype, and globally clustered
 when it minimizes the prior-weighted within-class dispersion over all
 partitions with at most K classes.
 
-`divergence_eval` is the scalar definition.  The batched kernels are
+`divergence_eval` is the scalar definition, and `dispersion` adds it up
+game by game, on one data set or on each of a batch.  The batched kernels are
 `_prototype_divergences` (every point against every prototype) and
 `_class_sums` (class sums and dispersion of every row of a label array);
 `_lloyd` is the one Lloyd iteration on them, and `kmeans_lloyd` its N = 1 case.
@@ -87,20 +88,31 @@ def prototype(data: np.ndarray, members, prior: np.ndarray) -> np.ndarray:
     if not members:
         raise ValueError("empty class has no prototype")
     w = np.asarray(prior, dtype=float)[members]
-    pts = np.asarray(data, dtype=float)[members]
+    # take gives each data set's members as one contiguous block, so every
+    # product rounds as it does on a single (n_games, dim) data set
+    pts = np.asarray(data, dtype=float).take(members, axis=-2)
     return w @ pts / w.sum()
 
 
-def dispersion(data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence) -> float:
-    """Prior-weighted within-class divergence to class prototypes."""
+def dispersion(data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence):
+    """Prior-weighted within-class divergence to class prototypes.
+
+    data is one (n_games, dim) data set, which gives a float, or a
+    (..., n_games, dim) batch, which gives one value per data set.  Terms
+    are added class by class and game by game, each the game's
+    `divergence_eval` to its prototype, so a batch entry equals the call on
+    its data set alone.
+    """
     data = np.asarray(data, dtype=float)
     prior = np.asarray(prior, dtype=float)
-    total = 0.0
+    total = np.zeros(data.shape[:-2])
     for cls in partition.classes:
-        proto = prototype(data, cls, prior)
-        for g in cls:
-            total += prior[g] * divergence_eval(d, data[g], proto)
-    return total
+        members = list(cls)
+        proto = prototype(data, members, prior)
+        div = _prototype_divergences(data.take(members, axis=-2), proto[..., None, :], d)
+        for j, g in enumerate(members):
+            total = total + prior[g] * div[..., j, 0]
+    return float(total) if total.ndim == 0 else total
 
 
 def class_prototypes(data: np.ndarray, partition: Partition, prior: np.ndarray) -> np.ndarray:
@@ -112,7 +124,8 @@ def _projected(data, d: Divergence) -> tuple[np.ndarray, Divergence]:
     action values (a trailing axis of length 1) under squared Euclidean."""
     data = np.asarray(data, dtype=float)
     if d.kind == SQUARED_MEAN_DIFFERENCE:
-        return (data @ np.asarray(d.action_values, dtype=float))[..., None], L2
+        # one dot product per point, which rounds as divergence_eval's `p @ v`
+        return data[..., None, :] @ np.asarray(d.action_values, dtype=float), L2
     return data, d
 
 

@@ -6,7 +6,10 @@ conditions and that every support partition is clustered (locally, or a
 dispersion minimizer) against the opponent's aggregate play.  The search
 walks degenerate supports first, then two-partition supports for one player
 with the mixture weight on a simplex grid, refining free mixing weights by
-root-finding on the dispersion-tie condition.
+root-finding on the dispersion-tie condition.  The one-parameter families of
+one solve are refined together: one batch of tie residuals (two `dispersion`
+calls for the squared divergences), and one best-reply check of all their
+candidate points before any is clustered.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from .abee import (
     degenerate_pair,
     dist_abee_solve_detailed,
     dist_abee_verify,
+    dist_abee_verify_batch,
     expected_payoffs,
+    mixture,
+    unstack_plays,
 )
 from .clustering import Divergence, dispersion, global_cluster, is_locally_clustered
 from .env import SOLVER_TOL, GameEnvironment
@@ -309,8 +315,9 @@ def _lambda_grid(step: float) -> list[float]:
     return sorted(values, key=rank)
 
 
-def _quadratic_roots(f, lo: float, hi: float) -> list[float] | None:
-    """Roots in [lo, hi] of a function known to be quadratic in t.
+def _quadratic_roots(samples, lo: float, hi: float) -> list[float] | None:
+    """Roots in [lo, hi] of a function known to be quadratic in t, from its
+    values at lo, (lo + hi) / 2 and hi.
 
     Returns None when the residual vanishes identically (the caller should
     then sample the whole family instead of isolated roots).  An extremum
@@ -318,7 +325,7 @@ def _quadratic_roots(f, lo: float, hi: float) -> list[float] | None:
     is a double (tangent) root: rounding gives its discriminant either sign.
     """
     mid = (lo + hi) / 2
-    y0, y1, y2 = f(lo), f(mid), f(hi)
+    y0, y1, y2 = samples
     h = hi - lo
     if h <= 0:
         return []
@@ -342,93 +349,111 @@ def _quadratic_roots(f, lo: float, hi: float) -> list[float] | None:
     return [float(mid + r) for r in roots if lo - 1e-12 <= mid + r <= hi + 1e-12]
 
 
-def _bracket_roots(f, lo: float, hi: float, samples: int = 17, iters: int = 80) -> list[float]:
-    ts = np.linspace(lo, hi, samples)
-    ys = [f(t) for t in ts]
-    roots = []
-    for i in range(samples - 1):
-        if not np.isfinite(ys[i]) or not np.isfinite(ys[i + 1]):
-            continue
-        if ys[i] == 0.0:
-            roots.append(float(ts[i]))
-        if ys[i] * ys[i + 1] < 0:
-            a, b = float(ts[i]), float(ts[i + 1])
-            fa = ys[i]
-            for _ in range(iters):
-                m = (a + b) / 2
-                fm = f(m)
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append((a + b) / 2)
-    if ys and np.isfinite(ys[-1]) and ys[-1] == 0.0:
-        roots.append(float(ts[-1]))
+def _bracket_roots(
+    f, lo: np.ndarray, hi: np.ndarray, samples: int = 17, iters: int = 80
+) -> list[list[float]]:
+    """Roots of each of several functions c on [lo[c], hi[c]], in t order:
+    the points of an even grid of `samples` where f is 0, and the sign
+    changes between finite grid neighbours, each bisected `iters` times.
+
+    f(c, t) evaluates the functions c at t (integer and float arrays of one
+    shape); the grid is one call, and each bisection step one call for all
+    brackets.  Returns one list of roots per function.
+    """
+    ts = np.linspace(lo, hi, samples, axis=1)
+    ys = f(np.arange(len(lo))[:, None], ts)
+    finite = np.isfinite(ys)
+    pair = finite[:, :-1] & finite[:, 1:]
+    y = np.where(finite, ys, 0.0)
+    c, i = np.nonzero(pair & (y[:, :-1] * y[:, 1:] < 0))
+    a, b, fa = ts[c, i], ts[c, i + 1], ys[c, i]
+    for _ in range(iters if len(c) else 0):
+        m = (a + b) / 2
+        fm = f(c, m)
+        left = fa * fm <= 0
+        a, b, fa = np.where(left, a, m), np.where(left, m, b), np.where(left, fa, fm)
+    # (function, 2 * grid index + 1 for a bracket, root), sorted into t order
+    mids = ((a + b) / 2).tolist()
+    events = [(cc, 2 * ii + 1, r) for cc, ii, r in zip(c.tolist(), i.tolist(), mids)]
+    zc, zi = np.nonzero(np.concatenate([pair, finite[:, -1:]], axis=1) & (ys == 0.0))
+    events += [(cc, 2 * ii, float(ts[cc, ii])) for cc, ii in zip(zc.tolist(), zi.tolist())]
+    roots: list[list[float]] = [[] for _ in range(len(lo))]
+    for cc, _, r in sorted(events):
+        roots[cc].append(r)
     return roots
 
 
-def _refine_continuum(
+def _refine_continua(
     env: GameEnvironment,
     lams,
-    cont: Continuum,
+    continua: list[Continuum],
     mode: str,
     d: Divergence,
     capacities,
     local_samples: int,
-    seen_points: set | None = None,
-):
-    """Candidate points of a one-parameter solution family.
+) -> list[EquilibriumCandidate]:
+    """Candidate points of the one-parameter solution families of one solve.
 
-    Global mode with a two-partition support: roots of the dispersion-tie
-    residual between the two support partitions (quadratic for the
-    squared divergences, bracketing for KL).  Local mode: a sample sweep.
-    Every returned candidate passes cd_abee_verify.
+    Each family is inset by 1e-12 at both ends.  Global mode with a
+    two-partition support: roots of the dispersion-tie residual between the
+    two support partitions, for every family at once (quadratic for the
+    squared divergences, from samples at both ends and the middle;
+    bracketing for KL).  Otherwise, or where the tie holds along the whole
+    family, a sample sweep.  Points repeated across families are dropped;
+    the rest are checked for best replies in one batch and then clustered
+    in order.  Every returned candidate passes cd_abee_verify.
     """
+    if not continua:
+        return []
+    supports, split = continua[0].supports, continua[0].plays
     mix_player = None
     for player in (0, 1):
         if len(lams[player].support) == 2:
             mix_player = player
-    out = []
-    seen = seen_points if seen_points is not None else set()
-
-    def make_candidate(t):
-        x = cont.base + t * cont.direction
-        point_key = tuple(np.round(x / CANDIDATE_DEDUP_TOL).astype(np.int64))
-        if point_key in seen:
-            return None
-        seen.add(point_key)
-        profile = cont.build(t)
-        cand = EquilibriumCandidate(lams, profile, mode, d)
-        return cand if _admitted(env, cand, capacities) else None
-
-    lo = cont.t_lo + 1e-12
-    hi = cont.t_hi - 1e-12
-    if hi <= lo:
-        return out
-    if mode == GLOBAL and mix_player is not None:
+    lo = np.array([c.t_lo for c in continua]) + 1e-12
+    hi = np.array([c.t_hi for c in continua]) - 1e-12
+    base = np.stack([c.base for c in continua])
+    direction = np.stack([c.direction for c in continua])
+    live = np.flatnonzero(hi > lo)
+    roots: dict = {}  # family -> roots; None (or absent) means sweep the family
+    if mode == GLOBAL and mix_player is not None and len(live):
         part_a, part_b = lams[mix_player].support
+        data_player = 1 - mix_player
 
-        def residual(t):
-            prof = cont.build(t)
-            data = aggregate(prof, lams)[1 - mix_player]
-            return dispersion(data, part_a, env.prior, d) - dispersion(
-                data, part_b, env.prior, d
-            )
+        def residual(fam, t):
+            """Tie residual of families `fam` at t, from the non-mixing player's data."""
+            plays = split(base[fam] + t[..., None] * direction[fam])[data_player]
+            data = mixture(lams[data_player].weights, np.moveaxis(plays, -3, 0))
+            return dispersion(data, part_a, env.prior, d) - dispersion(data, part_b, env.prior, d)
 
         if d.kind == "kullback-leibler":
-            roots = _bracket_roots(residual, lo, hi)
+            found = _bracket_roots(lambda c, t: residual(live[c], t), lo[live], hi[live])
         else:
-            roots = _quadratic_roots(residual, lo, hi)
-        if roots is not None:
-            for t in roots:
-                cand = make_candidate(min(max(t, lo), hi))
-                if cand is not None:
-                    out.append(cand)
-            return out
-        # the tie holds along the whole family; fall through and sample it
-    for t in np.linspace(lo, hi, local_samples):
-        cand = make_candidate(float(t))
-        if cand is not None:
+            ts = np.stack([lo[live], (lo[live] + hi[live]) / 2, hi[live]], axis=1)
+            samples = residual(live[:, None], ts)
+            found = [_quadratic_roots(y, lo[c], hi[c]) for c, y in zip(live, samples)]
+        roots = dict(zip(live.tolist(), found))
+    points = []  # (family, t) in family order
+    for c in live.tolist():
+        if roots.get(c) is None:
+            points += [(c, float(t)) for t in np.linspace(lo[c], hi[c], local_samples)]
+        else:
+            points += [(c, min(max(t, lo[c]), hi[c])) for t in roots[c]]
+    if not points:
+        return []
+    fam = np.array([c for c, _ in points])
+    x = base[fam] + np.array([t for _, t in points])[:, None] * direction[fam]
+    seen, kept = set(), []
+    for i, key in enumerate(np.round(x / CANDIDATE_DEDUP_TOL).astype(np.int64)):
+        if key.tobytes() not in seen:
+            seen.add(key.tobytes())
+            kept.append(i)
+    plays = split(x[kept])
+    out = []
+    for j in np.flatnonzero(dist_abee_verify_batch(env, lams, plays)[0]):
+        profile = unstack_plays(supports, (plays[0][j], plays[1][j]))
+        cand = EquilibriumCandidate(lams, profile, mode, d)
+        if not _clustering_failures(env, cand, capacities):
             out.append(cand)
     return out
 
@@ -510,16 +535,14 @@ def cd_abee_search(
             lams = (lam_mix, lam_other) if mix_player == 0 else (lam_other, lam_mix)
             res = dist_abee_solve_detailed(env, lams, config.solve)
             evaluations += 1
-            point_seen: set = set()
             for profile in res.profiles:
                 cand = EquilibriumCandidate(lams, profile, mode, d)
                 if _admitted(env, cand, capacities) and collect(cand):
                     found += 1
-            for cont in res.continua:
-                for cand in _refine_continuum(
-                    env, lams, cont, mode, d, capacities, config.local_samples, point_seen
-                ):
-                    if collect(cand):
-                        found += 1
+            for cand in _refine_continua(
+                env, lams, res.continua, mode, d, capacities, config.local_samples
+            ):
+                if collect(cand):
+                    found += 1
     result.layers.append(LayerReport("pair-support", completed, evaluations, found))
     return result

@@ -264,10 +264,12 @@ def model1_step(
         proto_by_game = np.empty_like(s)
         for pi in np.flatnonzero(counts):
             members = choice == pi
+            rows = np.flatnonzero(members)
             for cls in parts[pi].classes:
                 idx = list(cls)
                 w = env.prior[idx]
-                proto = np.einsum("g,nga->na", w, s[members][:, idx, :]) / w.sum()
+                # only the class's games of the members' draws are copied
+                proto = np.einsum("g,nga->na", w, s[np.ix_(rows, idx)]) / w.sum()
                 for g in idx:
                     proto_by_game[members, g, :] = proto
         rho = perturbation.draw_payoff(rng, (n_subjects, env.n_games, n_act_own))

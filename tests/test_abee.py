@@ -25,9 +25,12 @@ from cabee.abee import (
     degenerate_pair,
     dist_abee_solve,
     dist_abee_verify,
+    dist_abee_verify_batch,
     expected_payoffs,
+    stack_plays,
+    unstack_plays,
 )
-from cabee.env import make_environment, nash_solve_2x2, pure_payoffs_against
+from cabee.env import SOLVER_TOL, make_environment, nash_solve_2x2, pure_payoffs_against
 from cabee.partitions import Partition
 from conftest import dominant_env, matching_pennies_env
 
@@ -377,6 +380,106 @@ def test_dist_verify_flags_deviation(mp_env, finest3):
 
 
 # ---------------------------------------------------------------------------
+# batched verification against the per-profile reference
+# ---------------------------------------------------------------------------
+#
+# The references are the previous per-class and per-profile forms; the
+# batched kernel must reproduce their verdicts, gains and witnesses exactly.
+
+
+def _loop_consistent_expectation(env, partition, opponent_aggregate):
+    agg = np.asarray(opponent_aggregate, dtype=float)
+    rows = []
+    for cls in partition.classes:
+        idx = list(cls)
+        w = env.prior[idx]
+        rows.append(w @ agg[idx] / w.sum())
+    return np.stack(rows)
+
+
+def _loop_dist_abee_verify(env, lams, profile, tol=SOLVER_TOL):
+    aggs = []
+    for player in (0, 1):
+        acc = None
+        for part, w in zip(lams[player].partitions, lams[player].weights):
+            strat = np.asarray(profile.plays[player][part], dtype=float)
+            acc = w * strat if acc is None else acc + w * strat
+        aggs.append(acc)
+    worst = 0.0
+    witness = None
+    for player in (0, 1):
+        opp = aggs[1 - player]
+        for part in lams[player].support:
+            beta = _loop_consistent_expectation(env, part, opp)
+            pays = expected_payoffs(env, player, beta[list(part.assignment())])
+            order = list(itertools.chain.from_iterable(part.classes))
+            gains = (pays.max(axis=1) - (profile.plays[player][part] * pays).sum(axis=1))[order]
+            top = int(gains.argmax())
+            if gains[top] > worst:
+                worst = float(gains[top])
+                witness = (player, part, order[top])
+    return worst <= tol, worst, witness
+
+
+def _verify_batch_case(rng, case):
+    """A random environment with binary or three actions, a support pair with
+    one or two partitions per player, and a batch of profiles: random mixes,
+    pure rows, the solver's equilibria on binary games, and on every third
+    case games that are copies of one another, so that gains tie."""
+    from cabee.partitions import partition_list
+
+    n_games, n_act = int(rng.integers(1, 5)), (2, 3)[case % 2]
+    payoffs = [rng.integers(-2, 3, size=(n_act, n_act, n_games)).astype(float) for _ in (0, 1)]
+    if case % 3 == 2:
+        payoffs = [np.repeat(u[:, :, :1], n_games, axis=2) for u in payoffs]
+    env = make_environment(rng.dirichlet(np.ones(n_games)), *payoffs)
+    parts = list(partition_list(n_games, n_games))
+    if n_games == 1:
+        lams = degenerate_pair(parts[0], parts[0])
+    else:
+        lams = (_random_support(rng, parts), _random_support(rng, parts))
+    plays = []
+    for player in (0, 1):
+        shape = (6, len(lams[player].support), n_games)
+        mixes = rng.dirichlet(np.ones(n_act), size=shape)
+        pure_rows = np.eye(n_act)[rng.integers(0, n_act, size=shape)]
+        batch = np.where(rng.random(shape)[..., None] < 0.5, pure_rows, mixes)
+        if case % 3 == 2:
+            batch = np.repeat(batch[:, :, :1], n_games, axis=2)
+        plays.append(batch)
+    if n_act == 2:
+        solved = [stack_plays(prof, lams) for prof in dist_abee_solve(env, lams)]
+        plays = [np.concatenate([plays[pl]] + [sp[pl][None] for sp in solved]) for pl in (0, 1)]
+    return env, lams, (plays[0], plays[1])
+
+
+def test_batched_verify_matches_per_profile_reference(rng):
+    verdicts, shapes, witnessed = set(), set(), 0
+    for case in range(60):
+        env, lams, plays = _verify_batch_case(rng, case)
+        supports = (lams[0].support, lams[1].support)
+        ok, worst, witnesses = dist_abee_verify_batch(env, lams, plays)
+        for b in range(len(plays[0])):
+            profile = unstack_plays(supports, (plays[0][b], plays[1][b]))
+            ref = _loop_dist_abee_verify(env, lams, profile)
+            assert (bool(ok[b]), worst[b], witnesses[b]) == ref, (case, b)
+            assert dist_abee_verify(env, lams, profile) == ref
+            verdicts.add(ref[0])
+            witnessed += ref[2] is not None
+        shapes.add(tuple(len(s) for s in supports))
+        for player in (0, 1):
+            agg = plays[1 - player][:, 0]
+            for part in supports[player]:
+                batched = consistent_expectation(env, part, agg)
+                for b in range(len(agg)):
+                    ref_beta = _loop_consistent_expectation(env, part, agg[b])
+                    assert batched[b].tobytes() == ref_beta.tobytes()
+                    assert consistent_expectation(env, part, agg[b]).tobytes() == ref_beta.tobytes()
+    assert verdicts == {True, False} and witnessed
+    assert shapes >= {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+# ---------------------------------------------------------------------------
 # support enumeration against the per-pair scalar reference
 # ---------------------------------------------------------------------------
 #
@@ -516,6 +619,12 @@ def _loop_support_enumeration(env, lams, config):
             arr[g, 1] = 1.0 - m
         return StrategyProfile(plays=plays)
 
+    supports = (lams[0].support, lams[1].support)
+
+    def build_plays(x):
+        profile = build_profile(x)
+        return tuple(np.stack([profile.plays[pl][part] for part in supports[pl]]) for pl in (0, 1))
+
     seen = set()
     for c0 in combos[0]:
         for c1 in combos[1]:
@@ -554,7 +663,9 @@ def _loop_support_enumeration(env, lams, config):
                     t_hi = min(t_hi, max(b0, b1))
                 if t_lo < t_hi - 1e-12:
                     result.continua.append(
-                        Continuum(x.copy(), direction, float(t_lo), float(t_hi), build_profile)
+                        Continuum(
+                            x.copy(), direction, float(t_lo), float(t_hi), supports, build_plays
+                        )
                     )
     return result
 

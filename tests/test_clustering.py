@@ -224,6 +224,40 @@ def test_batched_dispersion_matches_definition(rng):
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
+def _loop_dispersion(data, partition, prior, d):
+    """The per-game definition: `prototype` per class, `divergence_eval` per game."""
+    total = 0.0
+    for cls in partition.classes:
+        proto = prototype(data, cls, prior)
+        for g in cls:
+            total += prior[g] * divergence_eval(d, data[g], proto)
+    return total
+
+
+def test_dispersion_batch_equals_per_data_set_calls(rng):
+    """On a (..., n_games, dim) batch each entry is exactly the call on its
+    data set alone, and the per-game definition; one data set gives a float."""
+    draws = (random_distributions, sparse_distributions, random_distributions)
+    for trial in range(108):
+        kind, n_act, lead = trial % 3, 2 + trial // 3 % 4, ((), (4,), (2, 3))[trial // 12 % 3]
+        n = int(rng.integers(1, 7))
+        d = (L2, KL, mean_divergence(rng.normal(size=n_act)))[kind]
+        sets = [draws[kind](rng, n, n_act) for _ in range(math.prod(lead))]
+        data = np.stack(sets).reshape(lead + (n, n_act))
+        prior = rng.dirichlet(np.ones(n))
+        parts = partition_list(n, n)
+        part = parts[int(rng.integers(len(parts)))]
+        got = dispersion(data, part, prior, d)
+        if not lead:
+            assert type(got) is float
+            assert got == _loop_dispersion(data, part, prior, d)
+            continue
+        assert got.shape == lead
+        for idx in np.ndindex(*lead):
+            alone = dispersion(data[idx], part, prior, d)
+            assert got[idx] == alone == _loop_dispersion(data[idx], part, prior, d), (trial, idx)
+
+
 # ---------------------------------------------------------------------------
 # local and global clustering
 # ---------------------------------------------------------------------------

@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
 
-from cabee.abee import StrategyProfile, abee_solve, degenerate_pair
-from cabee.clustering import KL, L2
+from cabee import equilibrium
+from cabee.abee import (
+    Continuum,
+    PartitionDistribution,
+    StrategyProfile,
+    abee_solve,
+    aggregate,
+    degenerate_pair,
+    dist_abee_solve_detailed,
+)
+from cabee.clustering import KL, L2, dispersion, mean_divergence
 from cabee.env import make_environment, nash_solve_2x2
 from cabee.equilibrium import (
+    CANDIDATE_DEDUP_TOL,
     GLOBAL,
     LOCAL,
     EquilibriumCandidate,
     SearchConfig,
+    _admitted,
+    _bracket_roots,
     _quadratic_roots,
+    _refine_continua,
     cabee_verify,
     cd_abee_search,
     cd_abee_verify,
@@ -219,41 +232,249 @@ def test_search_finds_monitoring_candidate():
     assert hits
 
 
+def _roots_of(f, lo, hi):
+    """_quadratic_roots of f, sampled at both ends and the middle."""
+    return _quadratic_roots((f(lo), f((lo + hi) / 2), f(hi)), lo, hi)
+
+
 def test_quadratic_roots_keep_tangent_double_roots(rng):
     # a perfect-square residual touches zero once; rounding in the fitted
     # coefficients gives its discriminant either sign, and the root must stay
     cases = ((0.5, 0.0, 1.0), (0.3, 0.1, 0.9), (1 / 3, 0.0, 1.0), (0.1, 0.1, 0.9), (0.9, 0.1, 0.9))
     for r, lo, hi in cases:
-        roots = _quadratic_roots(lambda t: 2.5 * (t - r) ** 2, lo, hi)
+        roots = _roots_of(lambda t: 2.5 * (t - r) ** 2, lo, hi)
         assert roots and max(abs(t - r) for t in roots) <= 1e-6, (r, lo, hi, roots)
     for _ in range(500):
         lo = rng.uniform(-2, 2)
         hi = lo + 10 ** rng.uniform(-3, 0.5)
         k = 10 ** rng.uniform(-3, 2)
         for r in (rng.uniform(lo, hi), lo, hi):  # interior and both endpoints
-            roots = _quadratic_roots(lambda t: k * (t - r) ** 2, lo, hi)
+            roots = _roots_of(lambda t: k * (t - r) ** 2, lo, hi)
             assert roots and max(abs(t - r) for t in roots) <= 1e-6, (r, lo, hi, k, roots)
             # lifted clear of the tolerance it has no root; negated it is the same tangent
             lift = 1e-8 * max(1.0, k * (hi - lo) ** 2)
-            assert _quadratic_roots(lambda t: k * (t - r) ** 2 + lift, lo, hi) == []
-            assert _quadratic_roots(lambda t: -k * (t - r) ** 2, lo, hi)
+            assert _roots_of(lambda t: k * (t - r) ** 2 + lift, lo, hi) == []
+            assert _roots_of(lambda t: -k * (t - r) ** 2, lo, hi)
 
 
 def test_quadratic_roots_distinct_linear_and_constant():
-    assert _quadratic_roots(lambda t: (t - 0.2) * (t - 0.7), 0.0, 1.0) == pytest.approx([0.2, 0.7])
-    assert _quadratic_roots(lambda t: (t - 0.2) * (t - 1.7), 0.0, 1.0) == pytest.approx([0.2])
-    assert _quadratic_roots(lambda t: 0.3 * t - 0.1, 0.0, 1.0) == pytest.approx([1 / 3])
-    assert _quadratic_roots(lambda t: 0.0 * t, 0.0, 1.0) is None
+    assert _roots_of(lambda t: (t - 0.2) * (t - 0.7), 0.0, 1.0) == pytest.approx([0.2, 0.7])
+    assert _roots_of(lambda t: (t - 0.2) * (t - 1.7), 0.0, 1.0) == pytest.approx([0.2])
+    assert _roots_of(lambda t: 0.3 * t - 0.1, 0.0, 1.0) == pytest.approx([1 / 3])
+    assert _roots_of(lambda t: 0.0 * t, 0.0, 1.0) is None
     # tiny and symmetric: neither constant nor linear, and no division by zero
-    assert _quadratic_roots(lambda t: 4e-20 * (t - 0.5) ** 2, 0.0, 1.0) == pytest.approx([0.5, 0.5])
-    assert _quadratic_roots(lambda t: 0.0 * t + 1.0, 0.0, 1.0) == []
+    assert _roots_of(lambda t: 4e-20 * (t - 0.5) ** 2, 0.0, 1.0) == pytest.approx([0.5, 0.5])
+    assert _roots_of(lambda t: 0.0 * t + 1.0, 0.0, 1.0) == []
+
+
+# ---------------------------------------------------------------------------
+# continuum refinement against the per-family reference
+# ---------------------------------------------------------------------------
+
+
+def _loop_bracket_roots(f, lo, hi, samples=17, iters=80):
+    ts = np.linspace(lo, hi, samples)
+    ys = [f(t) for t in ts]
+    roots = []
+    for i in range(samples - 1):
+        if not np.isfinite(ys[i]) or not np.isfinite(ys[i + 1]):
+            continue
+        if ys[i] == 0.0:
+            roots.append(float(ts[i]))
+        if ys[i] * ys[i + 1] < 0:
+            a, b = float(ts[i]), float(ts[i + 1])
+            fa = ys[i]
+            for _ in range(iters):
+                m = (a + b) / 2
+                fm = f(m)
+                if fa * fm <= 0:
+                    b = m
+                else:
+                    a, fa = m, fm
+            roots.append((a + b) / 2)
+    if ys and np.isfinite(ys[-1]) and ys[-1] == 0.0:
+        roots.append(float(ts[-1]))
+    return roots
+
+
+def _loop_refine_continuum(env, lams, cont, mode, d, capacities, local_samples, seen):
+    """The previous per-family refinement, `_quadratic_roots` fed its samples;
+    `seen` is shared by the families of one solve."""
+    mix_player = None
+    for player in (0, 1):
+        if len(lams[player].support) == 2:
+            mix_player = player
+    out = []
+
+    def make_candidate(t):
+        x = cont.base + t * cont.direction
+        point_key = tuple(np.round(x / CANDIDATE_DEDUP_TOL).astype(np.int64))
+        if point_key in seen:
+            return None
+        seen.add(point_key)
+        cand = EquilibriumCandidate(lams, cont.build(t), mode, d)
+        return cand if _admitted(env, cand, capacities) else None
+
+    lo = cont.t_lo + 1e-12
+    hi = cont.t_hi - 1e-12
+    if hi <= lo:
+        return out
+    if mode == GLOBAL and mix_player is not None:
+        part_a, part_b = lams[mix_player].support
+
+        def residual(t):
+            data = aggregate(cont.build(t), lams)[1 - mix_player]
+            return dispersion(data, part_a, env.prior, d) - dispersion(data, part_b, env.prior, d)
+
+        if d.kind == "kullback-leibler":
+            roots = _loop_bracket_roots(residual, lo, hi)
+        else:
+            roots = _roots_of(residual, lo, hi)
+        if roots is not None:
+            for t in roots:
+                cand = make_candidate(min(max(t, lo), hi))
+                if cand is not None:
+                    out.append(cand)
+            return out
+    for t in np.linspace(lo, hi, local_samples):
+        cand = make_candidate(float(t))
+        if cand is not None:
+            out.append(cand)
+    return out
+
+
+def _assert_refinement_matches_reference(env, lams, continua, mode, d):
+    got = _refine_continua(env, lams, continua, mode, d, (2, 3), 9)
+    seen: set = set()
+    ref = [
+        cand
+        for cont in continua
+        for cand in _loop_refine_continuum(env, lams, cont, mode, d, (2, 3), 9, seen)
+    ]
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert (a.lams, a.mode, a.divergence) == (b.lams, b.mode, b.divergence)
+        for x, y in zip(a.aggregates(), b.aggregates()):
+            assert x.tobytes() == y.tobytes()
+    return len(got)
+
+
+REFINE_SETTINGS = ((GLOBAL, L2), (GLOBAL, mean_divergence([1.0, 0.0])), (GLOBAL, KL), (LOCAL, L2))
+
+
+def _mp_row_mixing():
+    env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    an_a = Partition.from_classes(3, [(0,), (1, 2)])
+    an_c = Partition.from_classes(3, [(2,), (0, 1)])
+    fin = PartitionDistribution.degenerate(Partition.finest(3))
+    return env, (PartitionDistribution((an_a, an_c), (0.5, 0.5)), fin)
+
+
+def test_refine_continua_matches_per_family_reference():
+    mp_env, mp_lams = _mp_row_mixing()
+    fin = Partition.finest(3)
+    col_mix = PartitionDistribution((mp_lams[0].support[0], fin), (0.25, 0.75))
+    mon_env = build_monitoring(MonitoringSpec(0.4, 0.4, 0.2, 0.5, 0.3))
+    mon_mix = PartitionDistribution(bundling_partitions(), (0.3, 0.7))
+    solves = (
+        (mp_env, mp_lams),
+        (mp_env, (PartitionDistribution.degenerate(fin), col_mix)),
+        (mon_env, (mon_mix, PartitionDistribution.degenerate(fin))),
+    )
+    found = 0
+    for env, lams in solves:
+        continua = dist_abee_solve_detailed(env, lams).continua
+        assert continua
+        for mode, d in REFINE_SETTINGS:
+            # the per-family KL reference is slow: the last 135 of the 315
+            # matching-pennies families hold all four of its candidates
+            families = continua[-135:] if d == KL else continua
+            found += _assert_refinement_matches_reference(env, lams, families, mode, d)
+    assert found
+    # the monitoring families twice over: the points of the copy are all seen
+    once = _assert_refinement_matches_reference(env, lams, continua, GLOBAL, L2)
+    assert once and _assert_refinement_matches_reference(env, lams, continua * 2, GLOBAL, L2) == once
+
+
+def test_refine_continua_tied_family_and_empty_inset():
+    """A family along which both support partitions tie identically is
+    sampled; one shorter than its two 1e-12 insets gives nothing."""
+    env, lams = _mp_row_mixing()
+    continua = dist_abee_solve_detailed(env, lams).continua
+    cont = continua[0]
+    # the column's data (variables 6..8) fixed at (1/2, 1/2) in every game
+    base, direction = cont.base.copy(), np.zeros_like(cont.direction)
+    base[6:] = 0.5
+    direction[0] = 1.0
+    tied = Continuum(base, direction, 0.0, 0.5, cont.supports, cont.plays)
+    thin = Continuum(
+        cont.base, cont.direction, cont.t_lo, cont.t_lo + 1.5e-12, cont.supports, cont.plays
+    )
+    part_a, part_b = lams[0].support
+
+    def residual(t):
+        data = aggregate(tied.build(t), lams)[1]
+        return dispersion(data, part_a, env.prior, L2) - dispersion(data, part_b, env.prior, L2)
+
+    assert _roots_of(residual, 1e-12, 0.5 - 1e-12) is None
+    assert _refine_continua(env, lams, [thin], GLOBAL, L2, (2, 3), 9) == []
+    for mode, d in REFINE_SETTINGS:
+        _assert_refinement_matches_reference(env, lams, [tied, thin] + continua[::30], mode, d)
+
+
+def test_bracket_roots_match_per_function_reference():
+    """Sign changes, grid points where f is 0 (interior and last), and
+    non-finite grid values, all functions bracketed in one batch."""
+    funcs = (
+        lambda t: (t - 0.3) * (t - 0.7),
+        lambda t: (t - 0.25) * (t - 1.1) * (t - 1.6),
+        lambda t: t - 0.5,  # 0 at the middle grid point
+        lambda t: np.where(t > 0.8, np.inf, t - 0.2),
+        lambda t: t - 1.0,  # 0 at the last grid point
+        lambda t: 0.0 * t + 1.0,
+    )
+    lo, hi = np.zeros(len(funcs)), np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
+
+    def f(c, t):
+        c, t = np.broadcast_arrays(c, t)
+        out = np.empty(t.shape)
+        for k, fn in enumerate(funcs):
+            out[c == k] = fn(t[c == k])
+        return out
+
+    got = _bracket_roots(f, lo, hi)
+    assert got == [_loop_bracket_roots(fn, a, b) for fn, a, b in zip(funcs, lo, hi)]
+    assert got[2] == [0.5] and got[4] == [1.0] and got[5] == []
+
+
+def test_search_scores_each_solve_in_one_dispersion_batch(monkeypatch):
+    """The tie residuals of one solve take at most two `dispersion` calls
+    (one per support partition), however many families and points it has."""
+    calls = {"dispersion": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(equilibrium, "dispersion", counted("dispersion", dispersion))
+    monkeypatch.setattr(
+        equilibrium, "dist_abee_solve_detailed", counted("solve", dist_abee_solve_detailed)
+    )
+    env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    cfg = SearchConfig(lambda_step=0.5, layer1_budget_s=1e9, layer2_budget_s=1e9)
+    result = cd_abee_search(env, (2, 3), GLOBAL, L2, cfg)
+    assert all(rep.completed for rep in result.layers) and result.candidates
+    assert calls["solve"] and calls["dispersion"]
+    assert calls["dispersion"] <= 2 * calls["solve"]
 
 
 def test_search_admission_equals_full_verification(mp_env, finest3):
     """The search's admission test (clustering only after the best replies
     hold) accepts exactly what cd_abee_verify accepts, and the full report
     still lists every clustering failure when the best replies fail too."""
-    from cabee.equilibrium import _admitted
     from cabee.partitions import partition_list
 
     spec = MatchingPenniesSpec(0.5, 1.0, 1.5)
