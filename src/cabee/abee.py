@@ -60,12 +60,6 @@ class PartitionDistribution:
     def support(self) -> tuple[Partition, ...]:
         return self.partitions
 
-    def weight(self, partition: Partition) -> float:
-        return dict(zip(self.partitions, self.weights))[partition]
-
-    def is_degenerate(self) -> bool:
-        return len(self.partitions) == 1
-
 
 @dataclass(frozen=True)
 class StrategyProfile:
@@ -76,9 +70,6 @@ class StrategyProfile:
     """
 
     plays: tuple[dict[Partition, np.ndarray], dict[Partition, np.ndarray]]
-
-    def strategy(self, player: int, partition: Partition) -> np.ndarray:
-        return self.plays[player][partition]
 
     def single(self, player: int) -> np.ndarray:
         (strat,) = self.plays[player].values()

@@ -4,7 +4,9 @@ Scenarios are versioned JSON descriptors naming a game family, a solver,
 and parameters.  Results echo the scenario, carry the solver output in a
 re-verifiable form, and are written atomically.  `verify` re-runs the
 equilibrium checks on a stored result; `list-scenarios` prints the bundled
-catalog.  Exit codes: 0 success, 2 validation error, 3 budget exhausted.
+catalog.  A `cdabee` search stops on a count of solves, the scenario's
+`max_evaluations` (or `--max-evaluations`), never on the clock.  Exit codes:
+0 success, 2 validation error, 3 search budget exhausted without a result.
 """
 
 from __future__ import annotations
@@ -121,8 +123,15 @@ def validate_scenario(doc: dict) -> dict:
         budget = doc["time_budget_s"]
         if type(budget) not in (int, float) or not (math.isfinite(budget) and budget > 0):
             raise ScenarioError(f"time_budget_s: expected a finite positive number, got {budget!r}")
+    if "max_evaluations" in doc:
+        _check_max_evaluations(doc["max_evaluations"])
     _build_inputs(doc)  # validates kind-specific parameters
     return doc
+
+
+def _check_max_evaluations(value) -> None:
+    if type(value) is not int or value <= 0:
+        raise ScenarioError(f"max_evaluations: expected a positive integer, got {value!r}")
 
 
 def _parse_custom_env(params: dict) -> GameEnvironment:
@@ -335,7 +344,7 @@ def _candidate_verification(env: GameEnvironment, cands, capacities) -> dict:
     return {"all_ok": all(x["ok"] for x in details), "details": details}
 
 
-def _run_matching_pennies(doc, spec, env, mode, d, out_dir, budget_ms):
+def _run_matching_pennies(doc, spec, env, mode, d, max_evaluations):
     solver = doc["solver"]
     params = doc.get("params", {})
     results: dict = {}
@@ -367,13 +376,8 @@ def _run_matching_pennies(doc, spec, env, mode, d, out_dir, budget_ms):
         results["column_mix"] = cand.aggregates()[1][:, 0].tolist()
         results["lambda"] = list(cand.lams[0].weights)
         exhausted = False
-        if params.get("search_budget_s"):
-            cfg = SearchConfig(
-                layer1_budget_s=params["search_budget_s"] / 3,
-                layer2_budget_s=params["search_budget_s"],
-            )
-            if budget_ms:
-                cfg.layer2_budget_s = min(cfg.layer2_budget_s, budget_ms / 1000)
+        if max_evaluations:
+            cfg = SearchConfig(max_evaluations=max_evaluations)
             found = cd_abee_search(env, _capacities(doc, env), mode, d, cfg)
             target = np.sort(np.asarray(results["column_mix"]))
             results["search_recovered"] = any(
@@ -395,7 +399,7 @@ def _run_matching_pennies(doc, spec, env, mode, d, out_dir, budget_ms):
     raise ScenarioError(f"solver: {solver} not supported for matching-pennies")
 
 
-def _run_monitoring(doc, spec, env, mode, d, out_dir, budget_ms):
+def _run_monitoring(doc, spec, env, mode, d):
     solver = doc["solver"]
     params = doc.get("params", {})
     results: dict = {}
@@ -414,7 +418,7 @@ def _run_monitoring(doc, spec, env, mode, d, out_dir, budget_ms):
     return results, _candidate_verification(env, sol.candidates, _capacities(doc, env)), False
 
 
-def _run_beauty(doc, spec, mode, d, out_dir):
+def _run_beauty(doc, spec):
     solver = doc["solver"]
     params = doc.get("params", {})
     results: dict = {}
@@ -464,7 +468,7 @@ def _run_beauty(doc, spec, mode, d, out_dir):
     raise ScenarioError(f"solver: {solver} not supported for beauty")
 
 
-def _run_linear(doc, spec, mode, d, out_dir):
+def _run_linear(doc, spec, out_dir):
     solver = doc["solver"]
     params = doc.get("params", {})
     results: dict = {}
@@ -595,7 +599,11 @@ def run_scenario(doc: dict, out_dir: Path, overrides: dict | None = None) -> tup
     mode = overrides.get("mode") or doc.get("mode", "global")
     div_name = overrides.get("divergence") or doc.get("divergence", "l2")
     seed = overrides.get("seed") if overrides.get("seed") is not None else doc.get("seed", 0)
-    budget_ms = overrides.get("budget_ms") or doc.get("budget_ms")
+    max_evaluations = overrides.get("max_evaluations")
+    if max_evaluations is None:
+        max_evaluations = doc.get("max_evaluations")
+    else:
+        _check_max_evaluations(max_evaluations)
     kind_spec, env = _build_inputs(doc)
     d = _divergence(div_name)
     t0 = time.perf_counter()
@@ -608,16 +616,14 @@ def run_scenario(doc: dict, out_dir: Path, overrides: dict | None = None) -> tup
         )
     elif doc["kind"] == "matching-pennies":
         results, verification, exhausted = _run_matching_pennies(
-            doc, kind_spec, env, mode, d, out_dir, budget_ms
+            doc, kind_spec, env, mode, d, max_evaluations
         )
     elif doc["kind"] == "monitoring":
-        results, verification, exhausted = _run_monitoring(
-            doc, kind_spec, env, mode, d, out_dir, budget_ms
-        )
+        results, verification, exhausted = _run_monitoring(doc, kind_spec, env, mode, d)
     elif doc["kind"] == "beauty":
-        results, verification, exhausted = _run_beauty(doc, kind_spec, mode, d, out_dir)
+        results, verification, exhausted = _run_beauty(doc, kind_spec)
     elif doc["kind"] == "linear":
-        results, verification, exhausted = _run_linear(doc, kind_spec, mode, d, out_dir)
+        results, verification, exhausted = _run_linear(doc, kind_spec, out_dir)
     elif doc["kind"] == "custom-env":
         if solver == "abee":
             parts = tuple(
@@ -633,9 +639,8 @@ def run_scenario(doc: dict, out_dir: Path, overrides: dict | None = None) -> tup
         elif solver == "cdabee":
             caps = _capacities(doc, env)
             cfg = SearchConfig()
-            if budget_ms:
-                cfg.layer1_budget_s = budget_ms / 3000
-                cfg.layer2_budget_s = budget_ms / 1000
+            if max_evaluations is not None:
+                cfg.max_evaluations = max_evaluations
             found = cd_abee_search(env, caps, mode, d, cfg)
             results = {"candidates": [_candidate_to_json(c) for c in found.candidates]}
             verification = _candidate_verification(env, found.candidates, caps)
@@ -715,7 +720,9 @@ def _add_common(parser):
     parser.add_argument("--divergence", choices=sorted(DIVERGENCES))
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--budget-ms", type=int, dest="budget_ms")
+    parser.add_argument(
+        "--max-evaluations", type=int, help="solves a cdabee search may spend (both layers)"
+    )
 
 
 def main(argv=None) -> int:
@@ -769,7 +776,7 @@ def main(argv=None) -> int:
         "mode": args.mode,
         "divergence": args.divergence,
         "seed": args.seed,
-        "budget_ms": args.budget_ms,
+        "max_evaluations": args.max_evaluations,
     }
     try:
         result_doc, exhausted = run_scenario(doc, out_dir, overrides)

@@ -15,7 +15,6 @@ candidate points before any is clustered.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +43,7 @@ from .partitions import Partition, partition_list
 LOCAL = "local"
 GLOBAL = "global"
 CANDIDATE_DEDUP_TOL = 1e-7
+LOCAL_SAMPLES = 9  # continuum samples kept per family where no tie is isolated
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,6 @@ def cd_abee_verify(
     ok_br, gain, wit = dist_abee_verify(env, candidate.lams, candidate.profile)
     failures = _clustering_failures(env, candidate, caps)
     return VerifyReport(ok_br and not failures, gain, wit, failures)
-
-
-def _admitted(env: GameEnvironment, candidate: EquilibriumCandidate, capacities) -> bool:
-    """`cd_abee_verify(...).ok`, clustering only once the best replies hold."""
-    if not dist_abee_verify(env, candidate.lams, candidate.profile)[0]:
-        return False
-    return not _clustering_failures(env, candidate, capacities)
 
 
 def cabee_verify(
@@ -255,10 +248,9 @@ def grand_map_contains(
 @dataclass
 class SearchConfig:
     lambda_step: float = 0.01
-    layer1_budget_s: float = 30.0
-    layer2_budget_s: float = 120.0
+    # solves for the whole search: layer 1 spends first, layer 2 gets the rest
+    max_evaluations: int = 10_000
     solve: SolveConfig = field(default_factory=SolveConfig)
-    local_samples: int = 9  # continuum samples kept per family in local mode
     max_candidates: int = 64
 
 
@@ -390,7 +382,6 @@ def _refine_continua(
     mode: str,
     d: Divergence,
     capacities,
-    local_samples: int,
 ) -> list[EquilibriumCandidate]:
     """Candidate points of the one-parameter solution families of one solve.
 
@@ -436,7 +427,7 @@ def _refine_continua(
     points = []  # (family, t) in family order
     for c in live.tolist():
         if roots.get(c) is None:
-            points += [(c, float(t)) for t in np.linspace(lo[c], hi[c], local_samples)]
+            points += [(c, float(t)) for t in np.linspace(lo[c], hi[c], LOCAL_SAMPLES)]
         else:
             points += [(c, min(max(t, lo[c]), hi[c])) for t in roots[c]]
     if not points:
@@ -470,10 +461,13 @@ def cd_abee_search(
     Layer 1 scans every degenerate partition pair exhaustively.  Layer 2
     scans two-partition supports for one player at a time against every
     degenerate partition of the other, with the mixture weight on a grid
-    and free indifference weights resolved by tie root-finding.  All
-    returned candidates verify; an empty result means "not found within
-    budget", never nonexistence (except for the pure layer, which reports
-    exhaustive refutation when it completes empty).
+    and free indifference weights resolved by tie root-finding.  The two
+    layers share `config.max_evaluations` solves, layer 1 first; a layer
+    that runs out stops with `completed=False`, so work and output do not
+    depend on the speed of the machine.  All returned candidates verify;
+    an empty result means "not found within its evaluation budget", never
+    nonexistence (except for the pure layer, which reports exhaustive
+    refutation when it completes empty).
     """
     config = config or SearchConfig()
     result = SearchResult()
@@ -489,25 +483,26 @@ def cd_abee_search(
         return True
 
     # layer 1: degenerate distributions (pure clustered equilibria)
-    deadline = time.monotonic() + config.layer1_budget_s
+    budget = config.max_evaluations
     evaluations = 0
     found = 0
     completed = True
     for an0, an1 in itertools.product(parts[0], parts[1]):
-        if time.monotonic() > deadline:
+        if evaluations >= budget:
             completed = False
             break
         evaluations += 1
+        # solved profiles pass dist_abee_verify already; only clustering is left
         for profile in abee_solve(env, (an0, an1), config.solve):
             cand = EquilibriumCandidate(degenerate_pair(an0, an1), profile, mode, d)
-            if _admitted(env, cand, capacities) and collect(cand):
+            if not _clustering_failures(env, cand, capacities) and collect(cand):
                 found += 1
     result.layers.append(LayerReport("degenerate", completed, evaluations, found))
 
     # layer 2: one mixing side, two-partition support, lambda on a grid.
     # The sweep is weight-major with coarse grid multiples first, so every
     # branch sees the high-prior weights before any branch sees fine ones.
-    deadline = time.monotonic() + config.layer2_budget_s
+    budget -= evaluations
     grid = _lambda_grid(config.lambda_step)
     evaluations = 0
     found = 0
@@ -524,7 +519,7 @@ def cd_abee_search(
         if not completed:
             break
         for mix_player, pair, other in branches:
-            if time.monotonic() > deadline or len(result.candidates) >= config.max_candidates:
+            if evaluations >= budget or len(result.candidates) >= config.max_candidates:
                 completed = False
                 break
             try:
@@ -537,11 +532,9 @@ def cd_abee_search(
             evaluations += 1
             for profile in res.profiles:
                 cand = EquilibriumCandidate(lams, profile, mode, d)
-                if _admitted(env, cand, capacities) and collect(cand):
+                if not _clustering_failures(env, cand, capacities) and collect(cand):
                     found += 1
-            for cand in _refine_continua(
-                env, lams, res.continua, mode, d, capacities, config.local_samples
-            ):
+            for cand in _refine_continua(env, lams, res.continua, mode, d, capacities):
                 if collect(cand):
                     found += 1
     result.layers.append(LayerReport("pair-support", completed, evaluations, found))

@@ -120,7 +120,7 @@ def test_criterion_2_mixed_categorization_equilibrium():
         col, [8 / 35, 12 / 35, 16 / 35], atol=1e-9
     )
     verify_ok = cd_abee_verify(env, cand, (2, 3)).ok
-    cfg = SearchConfig(lambda_step=0.01, layer1_budget_s=5.0, layer2_budget_s=18.0)
+    cfg = SearchConfig(lambda_step=0.01, max_evaluations=650)
     found = cd_abee_search(env, (2, 3), GLOBAL, L2, cfg)
     target = cand.aggregates()[1][:, 0]
     recovered = any(

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cabee.cli import (
+    EXIT_BUDGET,
     EXIT_OK,
     EXIT_VALIDATION,
     ScenarioError,
@@ -242,3 +243,50 @@ def test_time_budget_optional():
     doc = dict(bundled_scenarios()["prop5_monitoring"])
     doc.pop("time_budget_s", None)
     assert validate_scenario(doc) is doc
+
+
+def _matching_pennies_custom_env(max_evaluations):
+    """The three matching-pennies games (0.5, 1, 1.5) as a custom environment."""
+    return {
+        "version": 1,
+        "kind": "custom-env",
+        "solver": "cdabee",
+        "mode": "global",
+        "params": {
+            "games": ["a", "b", "c"],
+            "prior": [1 / 3, 1 / 3, 1 / 3],
+            "actions": {"i": ["H", "T"], "j": ["H", "T"]},
+            "payoffs": {
+                "i": [[[1.5, 2.0, 2.5], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]],
+                "j": [[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]],
+            },
+            "capacities": [2, 3],
+        },
+        "max_evaluations": max_evaluations,
+    }
+
+
+def test_search_budget_exhausted_without_candidates_exits_3(tmp_path, capsys):
+    """5 of layer 1's 20 solves find no pure equilibrium, on every run."""
+    path = tmp_path / "pennies.json"
+    path.write_text(json.dumps(_matching_pennies_custom_env(5)))
+    for _ in range(3):
+        assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == EXIT_BUDGET
+        doc = json.loads((tmp_path / "pennies.result.json").read_text())
+        assert doc["results"]["candidates"] == []
+    assert "exhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [None, -1, 0, 1.0, 2.5, float("nan"), "10", True])
+def test_max_evaluations_validated(budget):
+    with pytest.raises(ScenarioError, match="max_evaluations"):
+        validate_scenario(_matching_pennies_custom_env(budget))
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_max_evaluations_flag_validated(tmp_path, capsys, budget):
+    path = tmp_path / "pennies.json"
+    path.write_text(json.dumps(_matching_pennies_custom_env(5)))
+    argv = ("run", "--scenario", str(path), "--out", str(tmp_path), "--max-evaluations", budget)
+    assert run_cli(*argv) == EXIT_VALIDATION
+    assert "max_evaluations" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,8 @@ from cabee.equilibrium import (
     LOCAL,
     EquilibriumCandidate,
     SearchConfig,
-    _admitted,
     _bracket_roots,
+    _candidate_key,
     _quadratic_roots,
     _refine_continua,
     cabee_verify,
@@ -158,7 +160,7 @@ def test_grand_map_constant_for_dominant_env():
 def mp_search():
     spec = MatchingPenniesSpec(0.5, 1.0, 1.5)
     env = build_matching_pennies(spec)
-    cfg = SearchConfig(lambda_step=0.01, layer1_budget_s=15.0, layer2_budget_s=25.0)
+    cfg = SearchConfig(lambda_step=0.01, max_evaluations=650)
     return spec, env, cd_abee_search(env, (2, 3), GLOBAL, L2, cfg)
 
 
@@ -204,7 +206,7 @@ def test_search_candidates_consistent_across_characterizations(rng):
         caps = (int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1)))
         mode = (GLOBAL, LOCAL)[trial % 2]
         d = (L2, KL)[trial % 2]
-        cfg = SearchConfig(lambda_step=0.1, layer1_budget_s=5, layer2_budget_s=5, max_candidates=10)
+        cfg = SearchConfig(lambda_step=0.1, max_candidates=10)
         for cand in cd_abee_search(env, caps, mode, d, cfg).candidates:
             found += 1
             assert cd_abee_verify(env, cand, caps).ok
@@ -218,7 +220,7 @@ def test_search_candidates_consistent_across_characterizations(rng):
 def test_search_finds_monitoring_candidate():
     spec = MonitoringSpec(0.4, 0.4, 0.2, 0.5, 0.3)
     env = build_monitoring(spec)
-    cfg = SearchConfig(lambda_step=0.1, layer1_budget_s=10.0, layer2_budget_s=30.0)
+    cfg = SearchConfig(lambda_step=0.1)
     result = cd_abee_search(env, (2, 3), GLOBAL, L2, cfg)
     assert result.pure_exhaustively_refuted
     an_ac, an_bc = bundling_partitions()
@@ -230,6 +232,53 @@ def test_search_finds_monitoring_candidate():
             if zeta == pytest.approx(0.5, abs=1e-7):
                 hits.append(cand)
     assert hits
+
+
+@pytest.fixture(scope="module")
+def mp_half_grid():
+    """Matching pennies (0.5, 1, 1.5) searched on the {1/2} weight grid:
+    20 degenerate pairs, then 70 pair-support branches."""
+    env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    return env, cd_abee_search(env, (2, 3), GLOBAL, L2, SearchConfig(lambda_step=0.5))
+
+
+def test_search_does_not_depend_on_the_clock(mp_half_grid, monkeypatch):
+    env, expected = mp_half_grid
+    now = [time.monotonic()]
+
+    def hour_per_read():
+        now[0] += 3600.0
+        return now[0]
+
+    monkeypatch.setattr(time, "monotonic", hour_per_read)
+    got = cd_abee_search(env, (2, 3), GLOBAL, L2, SearchConfig(lambda_step=0.5))
+    assert got.layers == expected.layers
+    assert [_candidate_key(c) for c in got.candidates] == [
+        _candidate_key(c) for c in expected.candidates
+    ]
+
+
+@pytest.mark.parametrize(
+    "budget, layers",
+    [
+        (19, [(False, 19), (False, 0)]),
+        (20, [(True, 20), (False, 0)]),
+        (21, [(True, 20), (False, 1)]),
+        (90, [(True, 20), (True, 70)]),
+    ],
+)
+def test_search_evaluation_budget(mp_half_grid, budget, layers):
+    """One count for both layers: layer 1 spends first, layer 2 gets the
+    rest, and a layer that runs out reports completed=False."""
+    env, default = mp_half_grid
+    cfg = SearchConfig(lambda_step=0.5, max_evaluations=budget)
+    result = cd_abee_search(env, (2, 3), GLOBAL, L2, cfg)
+    assert [rep.name for rep in result.layers] == ["degenerate", "pair-support"]
+    assert [(rep.completed, rep.evaluations) for rep in result.layers] == layers
+    if budget == 90:
+        assert [_candidate_key(c) for c in result.candidates] == [
+            _candidate_key(c) for c in default.candidates
+        ]
 
 
 def _roots_of(f, lo, hi):
@@ -313,7 +362,7 @@ def _loop_refine_continuum(env, lams, cont, mode, d, capacities, local_samples, 
             return None
         seen.add(point_key)
         cand = EquilibriumCandidate(lams, cont.build(t), mode, d)
-        return cand if _admitted(env, cand, capacities) else None
+        return cand if cd_abee_verify(env, cand, capacities).ok else None
 
     lo = cont.t_lo + 1e-12
     hi = cont.t_hi - 1e-12
@@ -344,7 +393,7 @@ def _loop_refine_continuum(env, lams, cont, mode, d, capacities, local_samples, 
 
 
 def _assert_refinement_matches_reference(env, lams, continua, mode, d):
-    got = _refine_continua(env, lams, continua, mode, d, (2, 3), 9)
+    got = _refine_continua(env, lams, continua, mode, d, (2, 3))
     seen: set = set()
     ref = [
         cand
@@ -417,7 +466,7 @@ def test_refine_continua_tied_family_and_empty_inset():
         return dispersion(data, part_a, env.prior, L2) - dispersion(data, part_b, env.prior, L2)
 
     assert _roots_of(residual, 1e-12, 0.5 - 1e-12) is None
-    assert _refine_continua(env, lams, [thin], GLOBAL, L2, (2, 3), 9) == []
+    assert _refine_continua(env, lams, [thin], GLOBAL, L2, (2, 3)) == []
     for mode, d in REFINE_SETTINGS:
         _assert_refinement_matches_reference(env, lams, [tied, thin] + continua[::30], mode, d)
 
@@ -464,7 +513,7 @@ def test_search_scores_each_solve_in_one_dispersion_batch(monkeypatch):
         equilibrium, "dist_abee_solve_detailed", counted("solve", dist_abee_solve_detailed)
     )
     env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
-    cfg = SearchConfig(lambda_step=0.5, layer1_budget_s=1e9, layer2_budget_s=1e9)
+    cfg = SearchConfig(lambda_step=0.5)
     result = cd_abee_search(env, (2, 3), GLOBAL, L2, cfg)
     assert all(rep.completed for rep in result.layers) and result.candidates
     assert calls["solve"] and calls["dispersion"]
@@ -508,4 +557,3 @@ def test_search_admission_equals_full_verification(mp_env, finest3):
             cases.append((both, False))
         for cand, expected in cases:
             assert cd_abee_verify(mp_env, cand, (2, 3)).ok is expected
-            assert _admitted(mp_env, cand, (2, 3)) is expected
