@@ -95,7 +95,7 @@ def stack_plays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each player's strategies as one (n_support, n_games, n_actions) array,
     in support order."""
-    return np.stack(_strategies(profile, lams[0], 0)), np.stack(_strategies(profile, lams[1], 1))
+    return np.array(_strategies(profile, lams[0], 0)), np.array(_strategies(profile, lams[1], 1))
 
 
 def unstack_plays(supports, plays) -> StrategyProfile:
@@ -247,8 +247,6 @@ def abee_verify(
 @dataclass
 class SolveConfig:
     seed: int = 0
-    damping: float = 0.5
-    iteration_tol: float = 1e-9
     max_iterations: int = 100_000
     n_starts: int = 32
     max_regimes: int = 500_000
@@ -662,11 +660,11 @@ def _damped_iteration(
                     beta = consistent_expectation(env, part, opp)
                     pays = expected_payoffs(env, player, beta[list(part.assignment())])
                     old = profile.plays[player][part]
-                    new = (1 - config.damping) * old + config.damping * best_replies(pays, 1e-12)
+                    new = 0.5 * old + 0.5 * best_replies(pays, 1e-12)
                     delta = max(delta, float(np.abs(new - old).max()))
                     new_plays[player][part] = new
             profile = StrategyProfile(plays=new_plays)
-            if delta < config.iteration_tol:
+            if delta < 1e-9:
                 break
         okv, _, _ = dist_abee_verify(env, lams, profile)
         if okv:
@@ -688,7 +686,9 @@ def dist_abee_solve_detailed(
     """Distributional equilibrium search; keeps one-parameter families.
 
     Binary-action environments go through exact support enumeration; other
-    shapes use the damped iteration.  Every returned profile verifies.
+    shapes use the damped iteration (each step moves halfway to the best
+    replies, until no strategy moves by 1e-9).  Every returned profile
+    verifies.
     """
     config = config or SolveConfig()
     if env.n_actions(0) == 2 and env.n_actions(1) == 2:

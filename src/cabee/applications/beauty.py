@@ -126,16 +126,14 @@ def discrete_abee(
     spec: BeautyContestSpec,
     partition: Partition,
     n_actions: int | None = None,
-    max_iter: int = 10_000,
-    damping: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Symmetric equilibrium of the discretized game for a common partition.
 
-    Iterates on the per-class opponent means: actions are the grid points
-    nearest to the continuous best replies, means are recomputed from the
-    prior.  Returns (action values per game, class means, worst deviation
-    gain over the full action grid), the gain measured against the
-    quadratic payoff.
+    Iterates on the per-class opponent means, for at most 10,000 steps:
+    actions are the grid points nearest to the continuous best replies, and
+    the means move halfway to those recomputed from the prior.  Returns
+    (action values per game, class means, worst deviation gain over the
+    full action grid), the gain measured against the quadratic payoff.
     """
     if n_actions is None:
         n_actions = spec.n
@@ -146,7 +144,7 @@ def discrete_abee(
     w = np.asarray(spec.weights)
     assign = np.array(partition.assignment())
     means = class_means(spec, partition)
-    for _ in range(max_iter):
+    for _ in range(10_000):
         targets = (1.0 - spec.r) * th + spec.r * means[assign]
         idx = np.argmin(np.abs(acts[None, :] - targets[:, None]), axis=1)
         chosen = acts[idx]
@@ -157,7 +155,7 @@ def discrete_abee(
         if np.max(np.abs(new_means - means)) < 1e-13:
             means = new_means
             break
-        means = (1.0 - damping) * means + damping * new_means
+        means = 0.5 * means + 0.5 * new_means
     targets = (1.0 - spec.r) * th + spec.r * means[assign]
     idx = np.argmin(np.abs(acts[None, :] - targets[:, None]), axis=1)
     chosen = acts[idx]

@@ -18,6 +18,7 @@ from ..clustering import L2
 from ..env import GameEnvironment, make_environment
 from ..equilibrium import (
     GLOBAL,
+    LOCAL,
     EquilibriumCandidate,
     cabee_verify,
     cd_abee_verify,
@@ -139,13 +140,12 @@ def analytic_two_class_abee(spec: MatchingPenniesSpec, partition: Partition):
     return row, col
 
 
-def two_class_refutation(
-    spec: MatchingPenniesSpec, modes: tuple[str, ...] = ("local", "global")
-) -> dict:
+def two_class_refutation(spec: MatchingPenniesSpec) -> dict:
     """Check every two-class row partition's equilibrium against clustering.
 
     Returns, per partition, the solver output, its match with the analytic
-    structure, and the clustered-equilibrium verdicts per mode.
+    structure, and the clustered-equilibrium verdicts per mode (local and
+    global).
     """
     env = build_matching_pennies(spec)
     finest = Partition.finest(3)
@@ -154,14 +154,14 @@ def two_class_refutation(
         profiles = abee_solve(env, (part, finest))
         row_ref, col_ref = analytic_two_class_abee(spec, part)
         matches = []
-        verdicts = {mode: [] for mode in modes}
+        verdicts = {mode: [] for mode in (LOCAL, GLOBAL)}
         for prof in profiles:
             row = prof.single(0)[:, 0]
             col = prof.single(1)[:, 0]
             matches.append(
                 float(max(np.abs(row - row_ref).max(), np.abs(col - col_ref).max()))
             )
-            for mode in modes:
+            for mode in (LOCAL, GLOBAL):
                 rep = cabee_verify(env, (part, finest), prof, mode, L2, capacities=(2, 3))
                 verdicts[mode].append(rep.ok)
         out[part] = {

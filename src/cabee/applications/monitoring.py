@@ -16,7 +16,7 @@ from math import sqrt
 
 import numpy as np
 
-from ..abee import PartitionDistribution, StrategyProfile
+from ..abee import PartitionDistribution, unstack_plays
 from ..clustering import (
     KULLBACK_LEIBLER,
     L2,
@@ -26,7 +26,7 @@ from ..clustering import (
     dispersion,
 )
 from ..env import GameEnvironment, make_environment
-from ..equilibrium import GLOBAL, LOCAL, EquilibriumCandidate, cd_abee_verify
+from ..equilibrium import GLOBAL, LOCAL, EquilibriumCandidate, cd_abee_verify, cd_abee_verify_batch
 from ..numeric import bisect_root
 from ..partitions import Partition
 from . import HypothesesUnmet
@@ -122,26 +122,32 @@ def _clustering_tie_zeta(spec: MonitoringSpec, d: Divergence) -> float:
     return bisect_root(residual, 1e-9, 1 - 1e-9, tol=1e-12)
 
 
-def _candidate_at(spec: MonitoringSpec, zeta: float, mode: str, d: Divergence):
-    env = build_monitoring(spec)
+def _mixed_lams(spec: MonitoringSpec):
+    """The employer mixes the bundlings with weight mu_star on the
+    a-bundling; the worker is fully expressive."""
     an_ac, an_bc = bundling_partitions()
-    finest = Partition.finest(3)
-    control = np.array([1.0, 0.0])
-    trust = np.array([0.0, 1.0])
-    profile = StrategyProfile(
-        plays=(
-            {
-                an_ac: np.stack([control, trust, control]),
-                an_bc: np.stack([control, trust, trust]),
-            },
-            {finest: _worker_point(zeta)},
-        )
-    )
-    lams = (
+    return (
         PartitionDistribution((an_ac, an_bc), (spec.mu_star, 1.0 - spec.mu_star)),
-        PartitionDistribution.degenerate(finest),
+        PartitionDistribution.degenerate(Partition.finest(3)),
     )
-    return env, EquilibriumCandidate(lams, profile, mode, d)
+
+
+def _mixed_plays(zetas) -> tuple[np.ndarray, np.ndarray]:
+    """Strategies of the mixed candidate at each shirking probability of
+    type c, stacked (len(zetas), n_support, 3, 2) in support order: the
+    employer controls the class holding c under each bundling and trusts
+    the other one."""
+    control, trust = [1.0, 0.0], [0.0, 1.0]
+    employer = np.array([[control, trust, control], [control, trust, trust]])
+    worker = np.stack([_worker_point(z) for z in zetas])[:, None]
+    return np.repeat(employer[None], len(worker), axis=0), worker
+
+
+def _candidate_at(spec: MonitoringSpec, zeta: float, mode: str, d: Divergence):
+    lams = _mixed_lams(spec)
+    plays = _mixed_plays([zeta])
+    profile = unstack_plays((lams[0].support, lams[1].support), (plays[0][0], plays[1][0]))
+    return build_monitoring(spec), EquilibriumCandidate(lams, profile, mode, d)
 
 
 @dataclass
@@ -157,16 +163,15 @@ def _candidate_ok(spec: MonitoringSpec, zeta: float, mode: str, d: Divergence) -
     return cd_abee_verify(env, cand, capacities=(2, 3)).ok
 
 
-def solve_monitoring_cdabee(
-    spec: MonitoringSpec, mode: str, d: Divergence = L2, grid_step: float = 1e-3
-) -> MonitoringSolution:
+def solve_monitoring_cdabee(spec: MonitoringSpec, mode: str, d: Divergence = L2) -> MonitoringSolution:
     """Mixed-categorization equilibria of the monitoring family.
 
     Global mode returns the single candidate with the tie-making shirking
     probability (1/2 when the a and b types are equally likely).  Local
     mode detects the interval of sustainable shirking probabilities by a
-    grid sweep plus boundary bisection; preconditions for reporting the
-    interval are p_a = p_b > 1/3 and nu_star != 1/2.
+    sweep of the grid of step 1e-3, checked in one batch, plus boundary
+    bisection; preconditions for reporting the interval are p_a = p_b > 1/3
+    and nu_star != 1/2.
     """
     if mode == GLOBAL:
         zeta = _clustering_tie_zeta(spec, d)
@@ -181,8 +186,10 @@ def solve_monitoring_cdabee(
         raise HypothesesUnmet("local interval reporting needs p_a = p_b > 1/3")
     if abs(spec.nu_star - 0.5) < 1e-12:
         raise HypothesesUnmet("local interval reporting needs nu_star != 1/2")
-    zetas = np.arange(grid_step, 1.0, grid_step)
-    passing = np.array([_candidate_ok(spec, float(z), LOCAL, d) for z in zetas])
+    zetas = np.arange(1e-3, 1.0, 1e-3)
+    env, lams = build_monitoring(spec), _mixed_lams(spec)
+    reports = cd_abee_verify_batch(env, lams, _mixed_plays(zetas), LOCAL, d, (2, 3))
+    passing = np.array([report.ok for report in reports])
     if not passing.any():
         return MonitoringSolution([], note="no sustainable shirking probability found")
     idx = np.flatnonzero(passing)

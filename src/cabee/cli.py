@@ -1,12 +1,12 @@
 """Command-line front end: scenario files in, result documents out.
 
 Scenarios are versioned JSON descriptors naming a game family, a solver,
-and parameters.  Results echo the scenario, carry the solver output in a
-re-verifiable form, and are written atomically.  `verify` re-runs the
-equilibrium checks on a stored result; `list-scenarios` prints the bundled
-catalog.  A `cdabee` search stops on a count of solves, the scenario's
-`max_evaluations` (or `--max-evaluations`), never on the clock.  Exit codes:
-0 success, 2 validation error, 3 search budget exhausted without a result.
+and parameters; flags that are set are written into the scenario.  Results
+echo it, carry the solver output in a re-verifiable form, and are written
+atomically.  `verify` re-runs the equilibrium checks on a stored result;
+`list-scenarios` prints the bundled catalog.  A `cdabee` search stops on a
+count of solves (`max_evaluations`), never on the clock.  Exit codes: 0
+success, 2 validation error, 3 search budget exhausted without a result.
 """
 
 from __future__ import annotations
@@ -66,13 +66,13 @@ class ScenarioError(ValueError):
     """Scenario file fails validation; the message names the field."""
 
 
-def _divergence(name: str, action_values=None) -> Divergence:
+def _divergence(name: str) -> Divergence:
     if name == "l2":
         return L2
     if name == "kl":
         return KL
     if name == "mean":
-        return mean_divergence(action_values if action_values is not None else (0.0, 1.0))
+        return mean_divergence((0.0, 1.0))
     raise ScenarioError(f"divergence: unknown value {name!r}")
 
 
@@ -84,15 +84,15 @@ def _density(name: str):
     raise ScenarioError(f"params.density: unknown value {name!r}")
 
 
-def load_scenario(path) -> dict:
+def _read_scenario(path) -> dict:
+    """The scenario document of a file, not yet validated."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
-    return validate_scenario(doc)
 
 
 def validate_scenario(doc: dict) -> dict:
@@ -124,14 +124,11 @@ def validate_scenario(doc: dict) -> dict:
         if type(budget) not in (int, float) or not (math.isfinite(budget) and budget > 0):
             raise ScenarioError(f"time_budget_s: expected a finite positive number, got {budget!r}")
     if "max_evaluations" in doc:
-        _check_max_evaluations(doc["max_evaluations"])
+        value = doc["max_evaluations"]
+        if type(value) is not int or value <= 0:
+            raise ScenarioError(f"max_evaluations: expected a positive integer, got {value!r}")
     _build_inputs(doc)  # validates kind-specific parameters
     return doc
-
-
-def _check_max_evaluations(value) -> None:
-    if type(value) is not int or value <= 0:
-        raise ScenarioError(f"max_evaluations: expected a positive integer, got {value!r}")
 
 
 def _parse_custom_env(params: dict) -> GameEnvironment:
@@ -253,7 +250,7 @@ def _candidate_to_json(cand: EquilibriumCandidate):
     return doc
 
 
-def _candidate_from_json(n_games: int, doc: dict, action_values=None) -> EquilibriumCandidate:
+def _candidate_from_json(n_games: int, doc: dict) -> EquilibriumCandidate:
     lams = []
     plays: tuple[dict, dict] = ({}, {})
     for player in (0, 1):
@@ -268,8 +265,7 @@ def _candidate_from_json(n_games: int, doc: dict, action_values=None) -> Equilib
     d = _divergence(
         {"squared-euclidean": "l2", "kullback-leibler": "kl", "squared-mean-difference": "mean"}[
             doc["divergence"]
-        ],
-        action_values,
+        ]
     )
     return EquilibriumCandidate(
         (lams[0], lams[1]), StrategyProfile(plays=plays), doc["mode"], d
@@ -591,21 +587,15 @@ def _run_cluster(doc, d, seed):
     return results, {"all_ok": True, "details": []}, False
 
 
-def run_scenario(doc: dict, out_dir: Path, overrides: dict | None = None) -> tuple[dict, bool]:
+def run_scenario(doc: dict, out_dir: Path) -> tuple[dict, bool]:
     """Execute a validated scenario; returns (result document, exhausted)."""
-    overrides = overrides or {}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mode = overrides.get("mode") or doc.get("mode", "global")
-    div_name = overrides.get("divergence") or doc.get("divergence", "l2")
-    seed = overrides.get("seed") if overrides.get("seed") is not None else doc.get("seed", 0)
-    max_evaluations = overrides.get("max_evaluations")
-    if max_evaluations is None:
-        max_evaluations = doc.get("max_evaluations")
-    else:
-        _check_max_evaluations(max_evaluations)
+    mode = doc.get("mode", "global")
+    seed = doc.get("seed", 0)
+    max_evaluations = doc.get("max_evaluations")
     kind_spec, env = _build_inputs(doc)
-    d = _divergence(div_name)
+    d = _divergence(doc.get("divergence", "l2"))
     t0 = time.perf_counter()
     solver = doc["solver"]
     if solver == "cluster":
@@ -759,27 +749,27 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         if os.path.exists(args.scenario):
-            doc = load_scenario(args.scenario)
+            doc = _read_scenario(args.scenario)
             name = Path(args.scenario).stem
         else:
             catalog = bundled_scenarios()
             if args.scenario not in catalog:
                 raise ScenarioError(f"scenario: no file and no bundled scenario named {args.scenario!r}")
-            doc = validate_scenario(catalog[args.scenario])
+            doc = catalog[args.scenario]
             name = args.scenario
+        # the flags that were set become part of the scenario the result echoes
+        flags = {"mode": args.mode, "divergence": args.divergence, "seed": args.seed,
+                 "max_evaluations": args.max_evaluations}
+        if isinstance(doc, dict):
+            doc = {**doc, **{key: value for key, value in flags.items() if value is not None}}
+        doc = validate_scenario(doc)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     out_dir = Path(args.out)
-    overrides = {
-        "mode": args.mode,
-        "divergence": args.divergence,
-        "seed": args.seed,
-        "max_evaluations": args.max_evaluations,
-    }
     try:
-        result_doc, exhausted = run_scenario(doc, out_dir, overrides)
+        result_doc, exhausted = run_scenario(doc, out_dir)
     except HypothesesUnmet as exc:
         print(f"error: hypotheses unmet: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -7,7 +7,10 @@ when it minimizes the prior-weighted within-class dispersion over all
 partitions with at most K classes.
 
 `divergence_eval` is the scalar definition, and `dispersion` adds it up
-game by game, on one data set or on each of a batch.  The batched kernels are
+game by game, on one data set or on each of a batch.  Both clustering tests
+take batches of data sets (`local_witnesses`, `global_cluster_batch`), and
+`is_locally_clustered` and `global_cluster` are their one-data-set case.
+The batched kernels are
 `_prototype_divergences` (every point against every prototype) and
 `_class_sums` (class sums and dispersion of every row of a label array);
 `_lloyd` is the one Lloyd iteration on them, and `kmeans_lloyd` its N = 1 case.
@@ -20,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partitions import DEFAULT_ENUMERATION_CAP, Partition, label_array
+from .partitions import Partition, label_array
 
 TIE_TOL = 1e-10  # dispersion comparison tolerance for minimizer sets
 LOCAL_TOL = 1e-12  # slack absorbed by the weak local-clustering inequality
+_CLUSTER_CHUNK = 1 << 14  # (data set, partition) rows per kernel call of a batch, which bounds the memory
 
 SQUARED_EUCLIDEAN = "squared-euclidean"
 KULLBACK_LEIBLER = "kullback-leibler"
@@ -116,7 +120,7 @@ def dispersion(data: np.ndarray, partition: Partition, prior: np.ndarray, d: Div
 
 
 def class_prototypes(data: np.ndarray, partition: Partition, prior: np.ndarray) -> np.ndarray:
-    return np.stack([prototype(data, cls, prior) for cls in partition.classes])
+    return np.stack([prototype(data, cls, prior) for cls in partition.classes], axis=-2)
 
 
 def _projected(data, d: Divergence) -> tuple[np.ndarray, Divergence]:
@@ -157,30 +161,39 @@ def _prototype_divergences(data, protos, d: Divergence) -> np.ndarray:
     return np.where(((p > 0) & (q <= 0)).any(axis=-1), np.inf, dist) if kl else dist
 
 
-def is_locally_clustered(
-    data: np.ndarray,
-    partition: Partition,
-    prior: np.ndarray,
-    d: Divergence,
-    tol: float = LOCAL_TOL,
-) -> tuple[bool, tuple[int, int] | None]:
-    """Weak nearest-own-prototype test, with a (game, better class) witness.
+def local_witnesses(
+    data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence
+) -> list[tuple[int, int] | None]:
+    """Weak nearest-own-prototype test of each data set of a (B, n_games, dim)
+    batch: None where it holds, else a (game, better class) witness.
 
-    Equal distances do not fail the test; `tol` only absorbs floating-point
-    noise in the comparison.  The witness is the first failing game in
-    class-major order, with the first class it prefers.
+    Equal distances do not fail the test; LOCAL_TOL only absorbs
+    floating-point noise in the comparison.  The witness is the first
+    failing game in class-major order, with the first class it prefers.
     """
     dist = _prototype_divergences(data, class_prototypes(data, partition, prior), d)
     games = np.arange(partition.n_games)
     own = np.array(partition.assignment())
-    better = dist < dist[games, own][:, None] - tol
-    better[games, own] = False
+    better = dist < dist[:, games, own][..., None] - LOCAL_TOL
+    better[:, games, own] = False
+    witnesses: list[tuple[int, int] | None] = [None] * len(dist)
+    if not better.any():
+        return witnesses
     order = [g for cls in partition.classes for g in cls]
-    failing = better[order].any(axis=1)
-    if not failing.any():
-        return True, None
-    g = order[int(failing.argmax())]
-    return False, (g, int(better[g].argmax()))
+    failing = better[:, order].any(axis=2)
+    for b in np.flatnonzero(failing.any(axis=1)).tolist():
+        g = order[int(failing[b].argmax())]
+        witnesses[b] = (g, int(better[b, g].argmax()))
+    return witnesses
+
+
+def is_locally_clustered(
+    data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence
+) -> tuple[bool, tuple[int, int] | None]:
+    """`local_witnesses` of one (n_games, dim) data set: whether the test
+    holds, and its witness."""
+    witness = local_witnesses(np.asarray(data, dtype=float)[None], partition, prior, d)[0]
+    return witness is None, witness
 
 
 def _class_sums(data: np.ndarray, prior: np.ndarray, labels: np.ndarray, n_classes: int, kl: bool):
@@ -261,27 +274,52 @@ def _winner(labels: np.ndarray, max_classes: int, row: int) -> Partition:
     return part
 
 
+def partition_dispersions(
+    data: np.ndarray, prior: np.ndarray, labels: np.ndarray, d: Divergence
+) -> np.ndarray:
+    """(B, P) dispersion of every row of a (P, n_games) label array against
+    each data set of a (B, n_games, dim) batch.  One kernel call scores at
+    most _CLUSTER_CHUNK (data set, row) pairs, or one data set, and a lone
+    data set is shared by all rows rather than repeated."""
+    data = np.asarray(data, dtype=float)
+    per_call = max(1, _CLUSTER_CHUNK // len(labels))
+    out = []
+    for start in range(0, len(data), per_call):
+        chunk = data[start : start + per_call]
+        if len(chunk) == 1:
+            out.append(_batched_dispersions(chunk[0], prior, labels, d)[None])
+        else:
+            rows = (np.repeat(chunk, len(labels), axis=0), prior, np.tile(labels, (len(chunk), 1)), d)
+            out.append(_batched_dispersions(*rows).reshape(len(chunk), len(labels)))
+    return out[0] if len(out) == 1 else np.concatenate(out)
+
+
+def global_cluster_batch(
+    data: np.ndarray, prior: np.ndarray, max_classes: int, d: Divergence
+) -> tuple[list[list[Partition]], np.ndarray]:
+    """`global_cluster` of each data set of a (B, n_games, dim) batch: the
+    minimizer lists, and the (B,) minima."""
+    labels = label_array(np.asarray(data).shape[1], max_classes)
+    disp = partition_dispersions(data, prior, labels, d)
+    best = disp.min(axis=1)
+    held = disp <= best[:, None] + TIE_TOL
+    winners = [[_winner(labels, max_classes, r) for r in np.flatnonzero(row).tolist()] for row in held]
+    return winners, best
+
+
 def global_cluster(
-    data: np.ndarray,
-    prior: np.ndarray,
-    max_classes: int,
-    d: Divergence,
-    tie_tol: float = TIE_TOL,
-    enumeration_cap: int | None = None,
+    data: np.ndarray, prior: np.ndarray, max_classes: int, d: Divergence
 ) -> tuple[list[Partition], float]:
     """All partitions attaining the minimal dispersion, and that minimum.
 
     Exhaustive over partitions with at most `max_classes` classes, in the
-    order of `partition_list`; ties are reported within `tie_tol`.  Size
-    errors from the enumeration propagate.
+    order of `partition_list`; ties are reported within TIE_TOL.  Size
+    errors from the enumeration (past `partitions.DEFAULT_ENUMERATION_CAP`
+    games) propagate.
     """
-    n = np.asarray(data).shape[0]
-    cap = DEFAULT_ENUMERATION_CAP if enumeration_cap is None else enumeration_cap
-    labels = label_array(n, max_classes, cap)
-    disp = _batched_dispersions(data, prior, labels, d)
-    best = float(disp.min())
-    winners = [_winner(labels, max_classes, int(r)) for r in np.flatnonzero(disp <= best + tie_tol)]
-    return winners, best
+    data = np.asarray(data, dtype=float)[None]
+    winners, best = global_cluster_batch(data, prior, max_classes, d)
+    return winners[0], float(best[0])
 
 
 @dataclass

@@ -3,18 +3,22 @@
 A candidate pairs a distribution over analogy partitions per player with a
 strategy profile.  Verification checks the distributional equilibrium
 conditions and that every support partition is clustered (locally, or a
-dispersion minimizer) against the opponent's aggregate play.  The search
-walks degenerate supports first, then two-partition supports for one player
-with the mixture weight on a simplex grid, refining free mixing weights by
-root-finding on the dispersion-tie condition.  The one-parameter families of
-one solve are refined together: one batch of tie residuals (two `dispersion`
-calls for the squared divergences), and one best-reply check of all their
-candidate points before any is clustered.
+dispersion minimizer) against the opponent's aggregate play, for a batch
+of profiles at once (`cd_abee_verify_batch`; `cd_abee_verify` is its
+one-candidate case).  The search walks degenerate supports first, then
+two-partition supports for one player with the mixture weight on a simplex
+grid, in one loop body: each support is solved, and its profiles and the
+points of its one-parameter solution families are admitted by one batched
+clustering check each.  Family points are the roots of the dispersion-tie
+condition for a mixing support, and for a degenerate pair the roots of
+every margin of the clustering check with the points between them, found
+for all families of one solve together.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,26 +28,35 @@ from .abee import (
     PartitionDistribution,
     SolveConfig,
     StrategyProfile,
-    abee_solve,
     aggregate,
     best_replies,
     consistent_expectation,
     degenerate_pair,
     dist_abee_solve_detailed,
-    dist_abee_verify,
     dist_abee_verify_batch,
     expected_payoffs,
     mixture,
+    stack_plays,
     unstack_plays,
 )
-from .clustering import Divergence, dispersion, global_cluster, is_locally_clustered
+from .clustering import (
+    KULLBACK_LEIBLER,
+    Divergence,
+    _prototype_divergences,
+    class_prototypes,
+    dispersion,
+    global_cluster_batch,
+    local_witnesses,
+    partition_dispersions,
+)
 from .env import SOLVER_TOL, GameEnvironment
-from .partitions import Partition, partition_list
+from .partitions import Partition, label_array, partition_list
 
 LOCAL = "local"
 GLOBAL = "global"
 CANDIDATE_DEDUP_TOL = 1e-7
 LOCAL_SAMPLES = 9  # continuum samples kept per family where no tie is isolated
+MAX_VERTEX_PROFILES = 512  # grand_map lists at most this many, and reports truncation
 
 
 @dataclass(frozen=True)
@@ -75,6 +88,28 @@ def infer_capacities(lams) -> tuple[int, int]:
     return tuple(max(p.n_classes for p in lams[pl].support) for pl in (0, 1))
 
 
+def _unclustered(env: GameEnvironment, lams, plays, mode: str, d: Divergence, capacities) -> list[list]:
+    """(player, partition, reason) for every support partition that is not
+    clustered against the opponent aggregate, per row of stacked plays (as
+    for `cd_abee_verify_batch`), in player and support order.  Global mode
+    needs a dispersion minimizer among the partitions with at most the
+    player's capacity of classes, so a support partition with more fails."""
+    failures: list[list] = [[] for _ in plays[0]]
+    for player in (0, 1):
+        data = mixture(lams[1 - player].weights, plays[1 - player].swapaxes(0, 1))
+        support = lams[player].support
+        if mode == GLOBAL:
+            winners, _ = global_cluster_batch(data, env.prior, capacities[player], d)
+            for fails, won in zip(failures, winners):
+                fails += [(player, part, "not a dispersion minimizer") for part in support if part not in won]
+        else:
+            for part in support:
+                for fails, witness in zip(failures, local_witnesses(data, part, env.prior, d)):
+                    if witness is not None:
+                        fails.append((player, part, f"game {witness[0]} is closer to class {witness[1]}"))
+    return failures
+
+
 def clustered_partition_set(
     env: GameEnvironment,
     data: np.ndarray,
@@ -87,39 +122,36 @@ def clustered_partition_set(
     Global mode: the dispersion-minimizer set.  Local mode: every partition
     passing the nearest-own-prototype test.
     """
+    data = np.asarray(data, dtype=float)[None]
     if mode == GLOBAL:
-        winners, _ = global_cluster(data, env.prior, capacity, d)
-        return winners
-    out = []
-    for part in partition_list(env.n_games, capacity):
-        okc, _ = is_locally_clustered(data, part, env.prior, d)
-        if okc:
-            out.append(part)
-    return out
+        return global_cluster_batch(data, env.prior, capacity, d)[0][0]
+    parts = partition_list(env.n_games, capacity)
+    return [part for part in parts if local_witnesses(data, part, env.prior, d)[0] is None]
 
 
-def _clustering_failures(env: GameEnvironment, candidate: EquilibriumCandidate, caps) -> list:
-    """(player, partition, reason) for every support partition that is not
-    clustered against the opponent aggregate."""
-    lams = candidate.lams
-    failures: list = []
-    aggs = aggregate(candidate.profile, lams)
-    for player in (0, 1):
-        data = aggs[1 - player]
-        if candidate.mode == GLOBAL:
-            winners, _ = global_cluster(data, env.prior, caps[player], candidate.divergence)
-            winner_keys = {w.key() for w in winners}
-            for part in lams[player].support:
-                if part.key() not in winner_keys:
-                    failures.append((player, part, "not a dispersion minimizer"))
-        else:
-            for part in lams[player].support:
-                okc, witc = is_locally_clustered(data, part, env.prior, candidate.divergence)
-                if not okc:
-                    failures.append(
-                        (player, part, f"game {witc[0]} is closer to class {witc[1]}")
-                    )
-    return failures
+def cd_abee_verify_batch(
+    env: GameEnvironment,
+    lams: tuple[PartitionDistribution, PartitionDistribution],
+    plays: tuple[np.ndarray, np.ndarray],
+    mode: str,
+    d: Divergence,
+    capacities: tuple[int, int] | None = None,
+) -> list[VerifyReport]:
+    """Clustered-equilibrium check of a batch of profiles, one report each.
+
+    plays[i] holds player i's (B, n_support, n_games, n_actions) strategies
+    in support order.  `dist_abee_verify_batch` checks the best replies, and
+    every support partition is clustered against the opponent aggregates of
+    all profiles at once.  Clustering failures are (player, partition,
+    reason), in player and support order.
+    """
+    caps = capacities or infer_capacities(lams)
+    ok, worst, witnesses = dist_abee_verify_batch(env, lams, plays)
+    failures = _unclustered(env, lams, plays, mode, d, caps)
+    return [
+        VerifyReport(bool(ok[b]) and not fails, float(worst[b]), witnesses[b], fails)
+        for b, fails in enumerate(failures)
+    ]
 
 
 def cd_abee_verify(
@@ -128,11 +160,11 @@ def cd_abee_verify(
     capacities: tuple[int, int] | None = None,
 ) -> VerifyReport:
     """Distributional equilibrium check plus the clustering check of every
-    support partition against the opponent aggregate."""
-    caps = capacities or infer_capacities(candidate.lams)
-    ok_br, gain, wit = dist_abee_verify(env, candidate.lams, candidate.profile)
-    failures = _clustering_failures(env, candidate, caps)
-    return VerifyReport(ok_br and not failures, gain, wit, failures)
+    support partition against the opponent aggregate: the one-candidate
+    case of `cd_abee_verify_batch`."""
+    lams, plays = candidate.lams, stack_plays(candidate.profile, candidate.lams)
+    batch = (plays[0][None], plays[1][None])
+    return cd_abee_verify_batch(env, lams, batch, candidate.mode, candidate.divergence, capacities)[0]
 
 
 def cabee_verify(
@@ -172,10 +204,11 @@ def grand_map(
     env: GameEnvironment,
     candidate: EquilibriumCandidate,
     capacities: tuple[int, int] | None = None,
-    max_profiles: int = 512,
 ) -> GrandMapImage:
-    """Successor set of a state: all vertex best-reply profiles on the
-    current supports, and the clustering-admissible partitions per player."""
+    """Successor set of a state: the vertex best-reply profiles on the
+    current supports (the first MAX_VERTEX_PROFILES, with `truncated` set
+    when there are more), and the clustering-admissible partitions per
+    player."""
     lams = candidate.lams
     caps = capacities or infer_capacities(lams)
     aggs = aggregate(candidate.profile, lams)
@@ -191,15 +224,9 @@ def grand_map(
             for g in itertools.chain.from_iterable(part.classes):
                 choice_sets.append(tuple(int(a) for a in np.flatnonzero(replies[g])))
                 layout.append((player, part, g))
-    total = 1
-    truncated = False
-    for s in choice_sets:
-        total *= len(s)
-        if total > max_profiles:
-            truncated = True
-            break
+    truncated = math.prod(len(s) for s in choice_sets) > MAX_VERTEX_PROFILES
     profiles = []
-    for combo in itertools.islice(itertools.product(*choice_sets), max_profiles):
+    for combo in itertools.islice(itertools.product(*choice_sets), MAX_VERTEX_PROFILES):
         plays: tuple[dict, dict] = ({}, {})
         for (player, part, g), act in zip(layout, combo):
             arr = plays[player].setdefault(part, np.zeros((env.n_games, env.n_actions(player))))
@@ -212,14 +239,13 @@ def grand_map_contains(
     env: GameEnvironment,
     candidate: EquilibriumCandidate,
     capacities: tuple[int, int] | None = None,
-    tol: float = 1e-9,
 ) -> bool:
     """Whether the state belongs to its own successor set.
 
-    Support-based check: every played action is a best reply to the
-    consistent expectations, and every support partition is clustering
-    admissible.  Equivalent to the verification route, by construction of
-    the mapping.
+    Support-based check: every played action (mass above 1e-9) is a best
+    reply to the consistent expectations, and every support partition is
+    clustering admissible.  Equivalent to the verification route, by
+    construction of the mapping.
     """
     lams = candidate.lams
     caps = capacities or infer_capacities(lams)
@@ -235,7 +261,7 @@ def grand_map_contains(
             if part.key() not in admissible:
                 return False
             strat = candidate.profile.plays[player][part]
-            if (strat[~_reply_mask(env, player, part, aggs[1 - player])] > tol).any():
+            if (strat[~_reply_mask(env, player, part, aggs[1 - player])] > 1e-9).any():
                 return False
     return True
 
@@ -266,13 +292,18 @@ class LayerReport:
 class SearchResult:
     candidates: list[EquilibriumCandidate] = field(default_factory=list)
     layers: list[LayerReport] = field(default_factory=list)
+    # families of degenerate pairs whose clustering check was only sampled
+    # (KL, where it is not decided by quadratics): an empty pure layer then
+    # refutes nothing
+    sampled_pure_families: int = 0
 
     @property
     def pure_exhaustively_refuted(self) -> bool:
-        """True when the degenerate layer finished with no pure candidate."""
+        """True when the degenerate layer finished with no pure candidate,
+        having covered every family of its pairs."""
         for rep in self.layers:
             if rep.name == "degenerate":
-                return rep.completed and rep.found == 0
+                return rep.completed and rep.found == 0 and not self.sampled_pure_families
         return False
 
 
@@ -311,8 +342,9 @@ def _quadratic_roots(samples, lo: float, hi: float) -> list[float] | None:
     """Roots in [lo, hi] of a function known to be quadratic in t, from its
     values at lo, (lo + hi) / 2 and hi.
 
-    Returns None when the residual vanishes identically (the caller should
-    then sample the whole family instead of isolated roots).  An extremum
+    Returns None when the function vanishes identically (for a tie
+    residual, the caller then samples the whole family instead of isolated
+    roots).  An extremum
     that misses zero by at most 1e-12 (relative to the samples, at least 1)
     is a double (tangent) root: rounding gives its discriminant either sign.
     """
@@ -337,29 +369,33 @@ def _quadratic_roots(samples, lo: float, hi: float) -> list[float] | None:
             disc = 0.0
         elif disc < 0:
             return []
-        roots = [(-b - np.sqrt(disc)) / (2 * a), (-b + np.sqrt(disc)) / (2 * a)]
+        # (-b -+ sqrt(disc)) / 2a, each through q = -(b + sign(b) sqrt(disc)) / 2
+        # so that no root loses its digits to cancellation when a is small
+        q = -(b - math.sqrt(disc)) / 2 if b < 0 else -(b + math.sqrt(disc)) / 2
+        if q == 0:  # b = 0 and disc = 0, so c = 0: a double root at mid
+            roots = [0.0, 0.0]
+        else:
+            roots = [c / q, q / a] if b < 0 else [q / a, c / q]
     return [float(mid + r) for r in roots if lo - 1e-12 <= mid + r <= hi + 1e-12]
 
 
-def _bracket_roots(
-    f, lo: np.ndarray, hi: np.ndarray, samples: int = 17, iters: int = 80
-) -> list[list[float]]:
+def _bracket_roots(f, lo: np.ndarray, hi: np.ndarray) -> list[list[float]]:
     """Roots of each of several functions c on [lo[c], hi[c]], in t order:
-    the points of an even grid of `samples` where f is 0, and the sign
-    changes between finite grid neighbours, each bisected `iters` times.
+    the points of an even grid of 17 where f is 0, and the sign changes
+    between finite grid neighbours, each bisected 80 times.
 
     f(c, t) evaluates the functions c at t (integer and float arrays of one
     shape); the grid is one call, and each bisection step one call for all
     brackets.  Returns one list of roots per function.
     """
-    ts = np.linspace(lo, hi, samples, axis=1)
+    ts = np.linspace(lo, hi, 17, axis=1)
     ys = f(np.arange(len(lo))[:, None], ts)
     finite = np.isfinite(ys)
     pair = finite[:, :-1] & finite[:, 1:]
     y = np.where(finite, ys, 0.0)
     c, i = np.nonzero(pair & (y[:, :-1] * y[:, 1:] < 0))
     a, b, fa = ts[c, i], ts[c, i + 1], ys[c, i]
-    for _ in range(iters if len(c) else 0):
+    for _ in range(80 if len(c) else 0):
         m = (a + b) / 2
         fm = f(c, m)
         left = fa * fm <= 0
@@ -373,6 +409,36 @@ def _bracket_roots(
     for cc, _, r in sorted(events):
         roots[cc].append(r)
     return roots
+
+
+def _check_margins(env: GameEnvironment, lams, plays, mode: str, d: Divergence, capacities) -> np.ndarray:
+    """(B, m) functions of each row of stacked plays on a degenerate pair whose
+    signs decide its clustered-equilibrium check, for each player: the
+    payoff difference of every two actions in every game (which decide the
+    best replies, the supports of the strategies being fixed inside a
+    family), and the margins of the clustering test, which passes where
+    none is below zero: the dispersion of every partition with at most the
+    player's capacity of classes less the support partition's (global), or
+    each game's divergence to every class prototype less that to its own
+    class's (local).  Along a family the payoff differences are affine, and
+    under the squared divergences the margins are quadratic."""
+    cols = []
+    for player in (0, 1):
+        data = plays[1 - player][:, 0]
+        part = lams[player].support[0]
+        beta = consistent_expectation(env, part, data)
+        pays = expected_payoffs(env, player, beta[:, list(part.assignment())])
+        cols.append((pays[..., :, None] - pays[..., None, :]).reshape(len(data), -1))
+        if mode == GLOBAL:
+            # the support partition is scored as a last row, so an equal row's margin is exactly 0
+            labels = np.vstack([label_array(env.n_games, capacities[player]), part.assignment()])
+            disp = partition_dispersions(data, env.prior, labels, d)
+            cols.append(disp[:, :-1] - disp[:, -1:])
+        else:
+            dist = _prototype_divergences(data, class_prototypes(data, part, env.prior), d)
+            own = dist[:, np.arange(env.n_games), list(part.assignment())]
+            cols.append((dist - own[..., None]).reshape(len(data), -1))
+    return np.concatenate(cols, axis=1)
 
 
 def _refine_continua(
@@ -389,14 +455,18 @@ def _refine_continua(
     two-partition support: roots of the dispersion-tie residual between the
     two support partitions, for every family at once (quadratic for the
     squared divergences, from samples at both ends and the middle;
-    bracketing for KL).  Otherwise, or where the tie holds along the whole
-    family, a sample sweep.  Points repeated across families are dropped;
-    the rest are checked for best replies in one batch and then clustered
-    in order.  Every returned candidate passes cd_abee_verify.
+    bracketing for KL).  A degenerate pair under a squared divergence: both
+    ends, every root of a function deciding the check (`_check_margins`,
+    fitted from the same three samples), and the midpoint between each two
+    neighbours, so the points meet every stretch on which the check's
+    verdict is constant.  Otherwise, or where the tie holds along the whole
+    family, a sweep of LOCAL_SAMPLES points.  Points repeated across
+    families are dropped; those whose best replies hold are admitted by one
+    clustering check, in order.
     """
     if not continua:
         return []
-    supports, split = continua[0].supports, continua[0].plays
+    split = continua[0].plays
     mix_player = None
     for player in (0, 1):
         if len(lams[player].support) == 2:
@@ -406,7 +476,7 @@ def _refine_continua(
     base = np.stack([c.base for c in continua])
     direction = np.stack([c.direction for c in continua])
     live = np.flatnonzero(hi > lo)
-    roots: dict = {}  # family -> roots; None (or absent) means sweep the family
+    roots: dict = {}  # family -> points; None (or absent) means sweep the family
     if mode == GLOBAL and mix_player is not None and len(live):
         part_a, part_b = lams[mix_player].support
         data_player = 1 - mix_player
@@ -417,13 +487,24 @@ def _refine_continua(
             data = mixture(lams[data_player].weights, np.moveaxis(plays, -3, 0))
             return dispersion(data, part_a, env.prior, d) - dispersion(data, part_b, env.prior, d)
 
-        if d.kind == "kullback-leibler":
+        if d.kind == KULLBACK_LEIBLER:
             found = _bracket_roots(lambda c, t: residual(live[c], t), lo[live], hi[live])
         else:
             ts = np.stack([lo[live], (lo[live] + hi[live]) / 2, hi[live]], axis=1)
             samples = residual(live[:, None], ts)
             found = [_quadratic_roots(y, lo[c], hi[c]) for c, y in zip(live, samples)]
         roots = dict(zip(live.tolist(), found))
+    elif mix_player is None and d.kind != KULLBACK_LEIBLER and len(live):
+        ts = np.stack([lo[live], (lo[live] + hi[live]) / 2, hi[live]], axis=1)
+        x = base[live][:, None] + ts[..., None] * direction[live][:, None]
+        at = split(x.reshape(3 * len(live), -1))
+        margins = _check_margins(env, lams, at, mode, d, capacities).reshape(len(live), 3, -1)
+        for c, samples in zip(live.tolist(), margins):
+            cuts = {lo[c], hi[c]}
+            for y in samples.T:  # a margin that vanishes identically cuts nowhere
+                cuts.update(_quadratic_roots(y, lo[c], hi[c]) or [])
+            cuts = sorted(cuts)
+            roots[c] = sorted(cuts + [(u + v) / 2 for u, v in zip(cuts, cuts[1:])])
     points = []  # (family, t) in family order
     for c in live.tolist():
         if roots.get(c) is None:
@@ -434,19 +515,24 @@ def _refine_continua(
         return []
     fam = np.array([c for c, _ in points])
     x = base[fam] + np.array([t for _, t in points])[:, None] * direction[fam]
-    seen, kept = set(), []
-    for i, key in enumerate(np.round(x / CANDIDATE_DEDUP_TOL).astype(np.int64)):
-        if key.tobytes() not in seen:
-            seen.add(key.tobytes())
-            kept.append(i)
-    plays = split(x[kept])
-    out = []
-    for j in np.flatnonzero(dist_abee_verify_batch(env, lams, plays)[0]):
-        profile = unstack_plays(supports, (plays[0][j], plays[1][j]))
-        cand = EquilibriumCandidate(lams, profile, mode, d)
-        if not _clustering_failures(env, cand, capacities):
-            out.append(cand)
-    return out
+    _, first = np.unique(np.round(x / CANDIDATE_DEDUP_TOL).astype(np.int64), axis=0, return_index=True)
+    plays = split(x[np.sort(first)])
+    held = dist_abee_verify_batch(env, lams, plays)[0]
+    return _admitted(env, lams, (plays[0][held], plays[1][held]), mode, d, capacities)
+
+
+def _admitted(env: GameEnvironment, lams, plays, mode: str, d: Divergence, capacities) -> list:
+    """The candidates among stacked plays (as for `cd_abee_verify_batch`)
+    whose best replies are known to hold that pass the clustering check, in
+    batch order."""
+    if not len(plays[0]):
+        return []
+    supports = (lams[0].support, lams[1].support)
+    return [
+        EquilibriumCandidate(lams, unstack_plays(supports, (plays[0][b], plays[1][b])), mode, d)
+        for b, fails in enumerate(_unclustered(env, lams, plays, mode, d, capacities))
+        if not fails
+    ]
 
 
 def cd_abee_search(
@@ -458,84 +544,69 @@ def cd_abee_search(
 ) -> SearchResult:
     """Layered search for clustered distributional equilibria.
 
-    Layer 1 scans every degenerate partition pair exhaustively.  Layer 2
-    scans two-partition supports for one player at a time against every
-    degenerate partition of the other, with the mixture weight on a grid
-    and free indifference weights resolved by tie root-finding.  The two
-    layers share `config.max_evaluations` solves, layer 1 first; a layer
-    that runs out stops with `completed=False`, so work and output do not
-    depend on the speed of the machine.  All returned candidates verify;
-    an empty result means "not found within its evaluation budget", never
-    nonexistence (except for the pure layer, which reports exhaustive
-    refutation when it completes empty).
+    Layer 1 scans every degenerate partition pair exhaustively, with each
+    pair's one-parameter solution families, which the squared divergences
+    cover exactly and KL only at samples (counted in
+    `sampled_pure_families`).  Layer 2 scans two-partition supports for one
+    player at a time against every degenerate partition of the other, with
+    the mixture weight on a grid and free indifference weights resolved by
+    tie root-finding.  Both layers run one loop body: each support is
+    solved, and its profiles and family points are admitted by the
+    clustering check of `cd_abee_verify_batch`.  The two layers share
+    `config.max_evaluations` solves, layer 1 first; a layer that runs out,
+    or reaches `config.max_candidates`, stops with `completed=False`, so
+    work and output do not depend on the speed of the machine.  All
+    returned candidates verify; an empty result means "not found within its
+    evaluation budget", never nonexistence (except for the pure layer,
+    which reports exhaustive refutation when it completes empty having
+    covered every family exactly).
     """
     config = config or SearchConfig()
     result = SearchResult()
     seen: set = set()
-    parts = tuple(list(partition_list(env.n_games, capacities[pl])) for pl in (0, 1))
+    parts = tuple(partition_list(env.n_games, capacities[pl]) for pl in (0, 1))
+    # layer 2 branches: the degenerate side ordered finest-first, since a
+    # fully expressive opponent is the common case in the applications
+    branches = [
+        (mix_player, pair, other)
+        for mix_player in (0, 1)
+        for pair in itertools.combinations(parts[mix_player], 2)
+        for other in sorted(parts[1 - mix_player], key=lambda p: -p.n_classes)
+    ]
 
-    def collect(candidate: EquilibriumCandidate) -> bool:
-        key = _candidate_key(candidate)
-        if key in seen:
-            return False
-        seen.add(key)
-        result.candidates.append(candidate)
-        return True
+    def mixed(w, mix_player, pair, other):
+        lam_mix = PartitionDistribution(pair, (w, round(1 - w, 12)))
+        lam_other = PartitionDistribution.degenerate(other)
+        return (lam_mix, lam_other) if mix_player == 0 else (lam_other, lam_mix)
 
-    # layer 1: degenerate distributions (pure clustered equilibria)
+    # layer 2 is weight-major with coarse grid multiples first, so every
+    # branch sees the high-prior weights before any branch sees fine ones
+    layers = (
+        ("degenerate", (degenerate_pair(an0, an1) for an0, an1 in itertools.product(*parts))),
+        ("pair-support", (mixed(w, *b) for w in _lambda_grid(config.lambda_step) for b in branches)),
+    )
     budget = config.max_evaluations
-    evaluations = 0
-    found = 0
-    completed = True
-    for an0, an1 in itertools.product(parts[0], parts[1]):
-        if evaluations >= budget:
-            completed = False
-            break
-        evaluations += 1
-        # solved profiles pass dist_abee_verify already; only clustering is left
-        for profile in abee_solve(env, (an0, an1), config.solve):
-            cand = EquilibriumCandidate(degenerate_pair(an0, an1), profile, mode, d)
-            if not _clustering_failures(env, cand, capacities) and collect(cand):
-                found += 1
-    result.layers.append(LayerReport("degenerate", completed, evaluations, found))
-
-    # layer 2: one mixing side, two-partition support, lambda on a grid.
-    # The sweep is weight-major with coarse grid multiples first, so every
-    # branch sees the high-prior weights before any branch sees fine ones.
-    budget -= evaluations
-    grid = _lambda_grid(config.lambda_step)
-    evaluations = 0
-    found = 0
-    completed = True
-    branches = []
-    for mix_player in (0, 1):
-        # degenerate side ordered finest-first: a fully expressive opponent
-        # is the common case in the applications
-        others = sorted(parts[1 - mix_player], key=lambda p: -p.n_classes)
-        for pair in itertools.combinations(parts[mix_player], 2):
-            for other in others:
-                branches.append((mix_player, pair, other))
-    for w in grid:
-        if not completed:
-            break
-        for mix_player, pair, other in branches:
+    for name, supports in layers:
+        evaluations = found = 0
+        completed = True
+        for lams in supports:
             if evaluations >= budget or len(result.candidates) >= config.max_candidates:
                 completed = False
                 break
-            try:
-                lam_mix = PartitionDistribution(pair, (w, round(1 - w, 12)))
-            except ValueError:
-                continue
-            lam_other = PartitionDistribution.degenerate(other)
-            lams = (lam_mix, lam_other) if mix_player == 0 else (lam_other, lam_mix)
             res = dist_abee_solve_detailed(env, lams, config.solve)
             evaluations += 1
-            for profile in res.profiles:
-                cand = EquilibriumCandidate(lams, profile, mode, d)
-                if not _clustering_failures(env, cand, capacities) and collect(cand):
+            plays = [stack_plays(profile, lams) for profile in res.profiles]
+            stacked = tuple(np.array([p[pl] for p in plays]) for pl in (0, 1))
+            # solved profiles pass dist_abee_verify already; only clustering is left
+            admitted = _admitted(env, lams, stacked, mode, d, capacities)
+            if name == "degenerate" and d.kind == KULLBACK_LEIBLER:
+                result.sampled_pure_families += len(res.continua)
+            for cand in admitted + _refine_continua(env, lams, res.continua, mode, d, capacities):
+                key = _candidate_key(cand)
+                if key not in seen:
+                    seen.add(key)
+                    result.candidates.append(cand)
                     found += 1
-            for cand in _refine_continua(env, lams, res.continua, mode, d, capacities):
-                if collect(cand):
-                    found += 1
-    result.layers.append(LayerReport("pair-support", completed, evaluations, found))
+        budget -= evaluations
+        result.layers.append(LayerReport(name, completed, evaluations, found))
     return result

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -50,31 +49,24 @@ STATE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Noise scales and sources for the simulated dynamics.
+    """Noise scale and seed of the simulated dynamics.
 
-    payoff_noise draws action-payoff perturbations on [0, 1]; measurement
-    noise draws interior points of the opponent simplex mixed into each
-    observation.  Both default to uniform draws and can be swapped for any
-    callable with the same signature.
+    Action-payoff perturbations are uniform on [0, 1]; measurement noise
+    draws interior points of the opponent simplex (normalized exponential
+    draws) mixed into each observation.
     """
 
     epsilon: float = 0.0
     seed: int = 0
-    payoff_noise: Callable[[np.random.Generator, tuple], np.ndarray] | None = None
-    measurement_noise: Callable[[np.random.Generator, tuple], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("noise scale must be nonnegative")
 
     def draw_payoff(self, rng: np.random.Generator, shape) -> np.ndarray:
-        if self.payoff_noise is not None:
-            return self.payoff_noise(rng, shape)
         return rng.uniform(0.0, 1.0, size=shape)
 
     def draw_measurement(self, rng: np.random.Generator, shape) -> np.ndarray:
-        if self.measurement_noise is not None:
-            return self.measurement_noise(rng, shape)
         draws = rng.standard_exponential(shape)
         return draws / draws.sum(axis=-1, keepdims=True)
 

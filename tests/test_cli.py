@@ -290,3 +290,23 @@ def test_max_evaluations_flag_validated(tmp_path, capsys, budget):
     argv = ("run", "--scenario", str(path), "--out", str(tmp_path), "--max-evaluations", budget)
     assert run_cli(*argv) == EXIT_VALIDATION
     assert "max_evaluations" in capsys.readouterr().err
+
+
+def test_flag_overrides_are_recorded_in_the_result(tmp_path):
+    """Set flags become part of the echoed scenario, so the echo reruns to
+    the same results; a run without flags echoes its file unchanged."""
+    argv = ("--scenario", "example1_cdabee", "--max-evaluations", "20", "--mode", "local")
+    assert run_cli("run", *argv, "--out", str(tmp_path / "a")) == EXIT_BUDGET
+    doc = json.loads((tmp_path / "a" / "example1_cdabee.result.json").read_text())
+    assert doc["scenario"] == {
+        **bundled_scenarios()["example1_cdabee"], "max_evaluations": 20, "mode": "local"
+    }
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(doc["scenario"]))
+    assert run_cli("run", "--scenario", str(echo), "--out", str(tmp_path / "b")) == EXIT_BUDGET
+    rerun = json.loads((tmp_path / "b" / "echo.result.json").read_text())
+    assert rerun["scenario"] == doc["scenario"]
+    assert rerun["results"] == doc["results"]
+    assert run_cli("run", "--scenario", "prop5_monitoring", "--out", str(tmp_path)) == EXIT_OK
+    plain = json.loads((tmp_path / "prop5_monitoring.result.json").read_text())
+    assert plain["scenario"] == bundled_scenarios()["prop5_monitoring"]

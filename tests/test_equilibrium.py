@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cabee import equilibrium
+from cabee import clustering
 from cabee.abee import (
     Continuum,
     PartitionDistribution,
@@ -12,13 +13,17 @@ from cabee.abee import (
     aggregate,
     degenerate_pair,
     dist_abee_solve_detailed,
+    dist_abee_verify,
+    stack_plays,
+    unstack_plays,
 )
-from cabee.clustering import KL, L2, dispersion, mean_divergence
+from cabee.clustering import KL, L2, dispersion, global_cluster, is_locally_clustered, mean_divergence
 from cabee.env import make_environment, nash_solve_2x2
 from cabee.equilibrium import (
     CANDIDATE_DEDUP_TOL,
     GLOBAL,
     LOCAL,
+    LOCAL_SAMPLES,
     EquilibriumCandidate,
     SearchConfig,
     _bracket_roots,
@@ -28,10 +33,12 @@ from cabee.equilibrium import (
     cabee_verify,
     cd_abee_search,
     cd_abee_verify,
+    cd_abee_verify_batch,
+    clustered_partition_set,
     grand_map,
     grand_map_contains,
 )
-from cabee.partitions import Partition
+from cabee.partitions import Partition, partition_list
 from cabee.applications.matching_pennies import (
     MatchingPenniesSpec,
     build_matching_pennies,
@@ -557,3 +564,279 @@ def test_search_admission_equals_full_verification(mp_env, finest3):
             cases.append((both, False))
         for cand, expected in cases:
             assert cd_abee_verify(mp_env, cand, (2, 3)).ok is expected
+
+
+# ---------------------------------------------------------------------------
+# the batched clustered-equilibrium check against the per-candidate reference
+# ---------------------------------------------------------------------------
+
+
+def _loop_clustering_failures(env, candidate, caps):
+    """The previous per-candidate clustering check: one `global_cluster` or
+    `is_locally_clustered` call per player or support partition."""
+    lams = candidate.lams
+    failures = []
+    aggs = aggregate(candidate.profile, lams)
+    for player in (0, 1):
+        data = aggs[1 - player]
+        if candidate.mode == GLOBAL:
+            winners, _ = global_cluster(data, env.prior, caps[player], candidate.divergence)
+            winner_keys = {w.key() for w in winners}
+            for part in lams[player].support:
+                if part.key() not in winner_keys:
+                    failures.append((player, part, "not a dispersion minimizer"))
+        else:
+            for part in lams[player].support:
+                okc, witc = is_locally_clustered(data, part, env.prior, candidate.divergence)
+                if not okc:
+                    failures.append((player, part, f"game {witc[0]} is closer to class {witc[1]}"))
+    return failures
+
+
+def _loop_clustered_partition_set(env, data, capacity, mode, d):
+    if mode == GLOBAL:
+        winners, _ = global_cluster(data, env.prior, capacity, d)
+        return winners
+    return [p for p in partition_list(env.n_games, capacity) if is_locally_clustered(data, p, env.prior, d)[0]]
+
+
+def _random_batch(rng, env, lams, n_random):
+    """Solved profiles and family points of the supports (which mostly pass
+    the best-reply check), then random plays with pure rows (zero entries)."""
+    res = dist_abee_solve_detailed(env, lams)
+    solved = [stack_plays(p, lams) for p in res.profiles]
+    solved += [stack_plays(c.build(t), lams) for c in res.continua[:6] for t in (c.t_lo, c.t_hi)]
+    plays = []
+    for pl in (0, 1):
+        shape = (n_random, len(lams[pl].support), env.n_games)
+        act0 = np.where(rng.random(shape) < 0.4, rng.integers(0, 2, shape), rng.random(shape))
+        rand = np.stack([act0, 1.0 - act0], axis=-1)
+        plays.append(np.concatenate([np.array([s[pl] for s in solved]).reshape((-1,) + rand.shape[1:]), rand]))
+    return tuple(plays)
+
+
+def _random_lams(rng, n_games):
+    parts = partition_list(n_games, n_games)
+    lams = []
+    for _ in (0, 1):
+        if rng.random() < 0.5 or len(parts) < 2:
+            lams.append(PartitionDistribution.degenerate(parts[rng.integers(len(parts))]))
+        else:
+            i, j = rng.choice(len(parts), size=2, replace=False)
+            w = round(float(rng.uniform(0.1, 0.9)), 6)
+            lams.append(PartitionDistribution((parts[i], parts[j]), (w, round(1 - w, 12))))
+    return tuple(lams)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 40])
+def test_cd_abee_verify_batch_matches_per_candidate_reference(rng, monkeypatch, chunk):
+    """Every row of the batch gets the report of `dist_abee_verify` plus the
+    per-candidate clustering loop: verdict, gain, witness and failures with
+    their text, for both modes and all three divergences, supports of one
+    and two partitions, and capacities below a support's class count.  A
+    chunk of 1 row scores each data set alone, and one of 40 rows splits a
+    batch into kernel calls of several data sets each."""
+    if chunk is not None:
+        monkeypatch.setattr(clustering, "_CLUSTER_CHUNK", chunk)
+    divergences = (L2, KL, mean_divergence([1.0, 0.0]))
+    seen = {"ok": 0, "global": 0, "local": 0, "over_capacity": 0}
+    for trial in range(24):
+        n = 2 + trial % 3
+        prior = rng.dirichlet(np.ones(n) * 3)
+        env = make_environment(prior, rng.normal(size=(2, 2, n)), rng.normal(size=(2, 2, n)))
+        lams = _random_lams(rng, n)
+        caps = tuple(int(rng.integers(1, n + 1)) for _ in (0, 1))
+        mode = (GLOBAL, LOCAL)[trial % 2]
+        d = divergences[trial // 2 % 3]
+        plays = _random_batch(rng, env, lams, 8)
+        reports = cd_abee_verify_batch(env, lams, plays, mode, d, caps)
+        assert len(reports) == len(plays[0])
+        supports = (lams[0].support, lams[1].support)
+        for b, rep in enumerate(reports):
+            cand = EquilibriumCandidate(lams, unstack_plays(supports, (plays[0][b], plays[1][b])), mode, d)
+            ok_br, gain, witness = dist_abee_verify(env, lams, cand.profile)
+            failures = _loop_clustering_failures(env, cand, caps)
+            assert rep.ok == (ok_br and not failures)
+            assert (rep.br_gain, rep.br_witness) == (gain, witness)
+            assert rep.clustering_failures == failures
+            assert cd_abee_verify(env, cand, caps) == rep
+            seen["ok"] += rep.ok
+            seen[mode] += bool(failures)
+        seen["over_capacity"] += any(p.n_classes > caps[pl] for pl in (0, 1) for p in lams[pl].support)
+    assert all(seen.values()), seen
+
+
+def test_clustered_partition_set_matches_reference(rng):
+    for trial in range(30):
+        n = 2 + trial % 4
+        prior = rng.dirichlet(np.ones(n) * 3)
+        env = make_environment(prior, np.zeros((2, 2, n)), np.zeros((2, 2, n)))
+        data = rng.dirichlet(np.ones(2), size=n)
+        data[rng.random(n) < 0.3] = [1.0, 0.0]  # ties and zero entries
+        capacity = int(rng.integers(1, n + 1))
+        for mode in (GLOBAL, LOCAL):
+            for d in (L2, KL, mean_divergence([1.0, 0.0])):
+                got = clustered_partition_set(env, data, capacity, mode, d)
+                assert got == _loop_clustered_partition_set(env, data, capacity, mode, d)
+
+
+def test_layer_one_keeps_families_of_degenerate_pairs():
+    """A one-parameter family of the only degenerate pair holds pure
+    clustered equilibria, so the pure layer must not report a refutation."""
+    i = [[[0, 1, 0], [1, 0, 1]], [[0, 0, 1], [0, 1, -1]]]
+    j = [[[-1, 0, 0], [0, 0, -1]], [[-1, 1, -1], [0, 0, 0]]]
+    env = make_environment((0.119, 0.035, 0.846), i, j)
+    result = cd_abee_search(env, (1, 1), GLOBAL, L2, SearchConfig(lambda_step=0.5))
+    layer1 = result.layers[0]
+    assert layer1.name == "degenerate" and layer1.completed and layer1.found > 0
+    assert not result.pure_exhaustively_refuted
+    for cand in result.candidates:
+        assert cd_abee_verify(env, cand, (1, 1)).ok
+        assert grand_map_contains(env, cand, (1, 1))
+
+
+def test_layer_one_local_matching_pennies_families():
+    env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    result = cd_abee_search(env, (2, 3), LOCAL, L2, SearchConfig(lambda_step=0.5))
+    parts = [partition_list(3, c) for c in (2, 3)]
+    from_profiles = set()
+    for an0 in parts[0]:
+        for an1 in parts[1]:
+            lams = degenerate_pair(an0, an1)
+            for prof in dist_abee_solve_detailed(env, lams).profiles:
+                cand = EquilibriumCandidate(lams, prof, LOCAL, L2)
+                if cd_abee_verify(env, cand, (2, 3)).ok:
+                    from_profiles.add(_candidate_key(cand))
+    assert len(from_profiles) == 8
+    layer1 = result.layers[0]
+    assert layer1.found > len(from_profiles)
+    pure = [c for c in result.candidates if all(len(lam.support) == 1 for lam in c.lams)]
+    assert len(pure) == layer1.found
+    assert from_profiles <= {_candidate_key(c) for c in pure}
+    for cand in result.candidates:
+        assert cd_abee_verify(env, cand, (2, 3)).ok
+
+
+def test_search_clusters_each_solve_in_at_most_four_kernel_calls(monkeypatch):
+    """Two players times (profiles, family points): the clustering check
+    of one solve makes four `_batched_dispersions` calls, and the margins of
+    a degenerate pair's families two more, at most four per solve in all
+    (302 over the 90 solves here)."""
+    calls = {"kernel": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        clustering, "_batched_dispersions", counted("kernel", clustering._batched_dispersions)
+    )
+    monkeypatch.setattr(
+        equilibrium, "dist_abee_solve_detailed", counted("solve", dist_abee_solve_detailed)
+    )
+    env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    result = cd_abee_search(env, (2, 3), GLOBAL, L2, SearchConfig(lambda_step=0.5))
+    assert all(rep.completed for rep in result.layers) and result.candidates
+    assert calls["solve"] == 90 and calls["kernel"]
+    assert calls["kernel"] <= 4 * calls["solve"]
+
+
+def test_layer_one_covers_a_clustered_point_between_family_samples():
+    """Two games, global L2: the column player's one-class support is a
+    dispersion minimizer only where the row plays alike in both games, a
+    single point of a family that misses all LOCAL_SAMPLES evenly spaced
+    points.  The family's cover of margin roots holds it."""
+    i = [[[-1, 1], [1, -1]], [[-1, 0], [-1, 0]]]
+    j = [[[1, 1], [-1, -1]], [[-1, 0], [1, 1]]]
+    env = make_environment((0.437, 0.563), i, j)
+    lams = degenerate_pair(Partition.finest(2), Partition.coarsest(2))
+    family = [c for c in dist_abee_solve_detailed(env, lams).continua if c.t_lo > -0.5]
+    assert len(family) == 1
+    lo, hi = family[0].t_lo + 1e-12, family[0].t_hi - 1e-12
+    for t in np.linspace(lo, hi, LOCAL_SAMPLES):
+        assert not cd_abee_verify(env, EquilibriumCandidate(lams, family[0].build(t), GLOBAL, L2), (2, 2))
+    found = _refine_continua(env, lams, family, GLOBAL, L2, (2, 2))
+    assert len(found) == 1
+    row = found[0].aggregates()[0][:, 0]
+    assert row == pytest.approx([2 / 3, 2 / 3], abs=1e-9)
+    assert cd_abee_verify(env, found[0], (2, 2)).ok
+    assert grand_map_contains(env, found[0], (2, 2))
+    result = cd_abee_search(env, (2, 2), GLOBAL, L2, SearchConfig(lambda_step=0.5))
+    assert _candidate_key(found[0]) in {_candidate_key(c) for c in result.candidates}
+
+
+def test_layer_one_cover_bounds_the_best_reply_stretch_of_a_family():
+    """At capacities (1, 1) every clustering test passes, and along one
+    family of the coarsest pair the best replies hold only on a middle
+    stretch (t in about [0.09, 0.38] of [-0.5, 0.5]) that holds neither end
+    nor the middle.  The roots of the payoff differences bound it, so the
+    cover finds its two ends and the point between them."""
+    i = [[[0, -1], [1, 0]], [[1, 1], [0, -1]]]
+    j = [[[0, 1], [-1, 1]], [[-1, 1], [0, 1]]]
+    env = make_environment((0.434, 0.566), i, j)
+    lams = degenerate_pair(Partition.coarsest(2), Partition.coarsest(2))
+    family = dist_abee_solve_detailed(env, lams).continua[1]
+    lo, hi = family.t_lo + 1e-12, family.t_hi - 1e-12
+    for t in (lo, (lo + hi) / 2, hi):
+        assert not cd_abee_verify(env, EquilibriumCandidate(lams, family.build(t), GLOBAL, L2), (1, 1))
+    found = _refine_continua(env, lams, [family], GLOBAL, L2, (1, 1))
+    assert len(found) == 3
+    for cand in found:
+        assert cd_abee_verify(env, cand, (1, 1)).ok
+        assert grand_map_contains(env, cand, (1, 1))
+
+
+def test_kl_families_of_the_pure_layer_are_not_a_refutation():
+    """KL margins are not quadratic, so degenerate-pair families are only
+    sampled: they are counted, and an empty pure layer then refutes nothing."""
+    result = equilibrium.SearchResult(layers=[equilibrium.LayerReport("degenerate", True, 4, 0)])
+    assert result.pure_exhaustively_refuted
+    result.sampled_pure_families = 1
+    assert not result.pure_exhaustively_refuted
+    env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    searched = cd_abee_search(env, (2, 3), GLOBAL, KL, SearchConfig(lambda_step=0.5, max_evaluations=20))
+    assert searched.sampled_pure_families > 0 and not searched.pure_exhaustively_refuted
+
+
+def test_degenerate_family_cover_meets_every_clustered_stretch(rng):
+    """On random 2- and 3-game environments, in both modes under L2 and the
+    mean divergence: wherever a sweep of 401 points finds clustered
+    equilibria along a family of a degenerate pair, the family's cover
+    admits a point of that stretch (within one sweep step)."""
+    import itertools
+
+    stretches = 0
+    for trial in range(16):
+        n = 2 + trial % 2
+        prior = rng.dirichlet(np.ones(n) * 2)
+        env = make_environment(prior, rng.integers(-1, 2, (2, 2, n)), rng.integers(-1, 2, (2, 2, n)))
+        caps = tuple(int(rng.integers(1, n + 1)) for _ in (0, 1))
+        mode = (GLOBAL, LOCAL)[trial % 2]
+        d = (L2, mean_divergence([1.0, 0.0]))[trial // 2 % 2]
+        for an0, an1 in itertools.product(partition_list(n, caps[0]), partition_list(n, caps[1])):
+            lams = degenerate_pair(an0, an1)
+            for fam in dist_abee_solve_detailed(env, lams).continua:
+                ts = np.linspace(fam.t_lo + 1e-12, fam.t_hi - 1e-12, 401)
+                if ts[-1] <= ts[0]:
+                    continue
+                plays = fam.plays(fam.base + ts[:, None] * fam.direction)
+                swept = cd_abee_verify_batch(env, lams, plays, mode, d, caps)
+                ok = np.array([rep.ok for rep in swept] + [False])
+                # the cover's points, located on the family by least squares
+                at_ends = fam.plays(fam.base + ts[[0, -1], None] * fam.direction)
+                ends = [np.concatenate([at_ends[0][k].ravel(), at_ends[1][k].ravel()]) for k in (0, 1)]
+                span = ends[1] - ends[0]
+                found = []
+                for cand in _refine_continua(env, lams, [fam], mode, d, caps):
+                    x = np.concatenate([p.ravel() for p in stack_plays(cand.profile, lams)])
+                    found.append(ts[0] + float((x - ends[0]) @ span / (span @ span)) * (ts[-1] - ts[0]))
+                step = ts[1] - ts[0]
+                starts = np.flatnonzero(ok & ~np.concatenate([[False], ok[:-1]]))
+                for i in starts:
+                    j = i + np.argmin(ok[i:])
+                    stretches += 1
+                    assert any(ts[i] - step <= t <= ts[j - 1] + step for t in found), (trial, an0, an1)
+    assert stretches
