@@ -32,7 +32,7 @@ from .env import GameEnvironment, SOLVER_TOL, pure_payoffs_against
 from .partitions import Partition
 
 EQ_TOL = 1e-10  # residual tolerance for the indifference systems
-DEDUP_TOL = 1e-7
+DEDUP_TOL = 1e-7  # solved profiles this close in every coordinate are one
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,6 @@ class SolveConfig:
     max_iterations: int = 100_000
     n_starts: int = 32
     max_regimes: int = 500_000
-    dedup_tol: float = DEDUP_TOL
 
 
 @dataclass
@@ -280,6 +279,7 @@ class SolveResult:
     profiles: list[StrategyProfile] = field(default_factory=list)
     continua: list[Continuum] = field(default_factory=list)
     exhausted: bool = False  # True when the regime budget cut the enumeration
+    exact: bool = True  # False when the damped iteration, a heuristic, found the profiles
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +598,7 @@ def _binary_support_enumeration(
     verified = dist_abee_verify_batch(env, lams, plays)[0]
     seen = set()
     for j in np.flatnonzero(verified):
-        key_r = tuple(np.round(x[rows[j]] / config.dedup_tol).astype(np.int64))
+        key_r = tuple(np.round(x[rows[j]] / DEDUP_TOL).astype(np.int64))
         if key_r not in seen:
             seen.add(key_r)
             result.profiles.append(unstack_plays(supports, (plays[0][j], plays[1][j])))
@@ -671,7 +671,7 @@ def _damped_iteration(
             flat = np.concatenate(
                 [profile.plays[p][part].ravel() for p in (0, 1) for part in lams[p].support]
             )
-            key = tuple(np.round(flat / config.dedup_tol).astype(np.int64))
+            key = tuple(np.round(flat / DEDUP_TOL).astype(np.int64))
             if key not in keys:
                 keys.add(key)
                 found.append(profile)
@@ -686,20 +686,18 @@ def dist_abee_solve_detailed(
     """Distributional equilibrium search; keeps one-parameter families.
 
     Binary-action environments go through exact support enumeration; other
-    shapes use the damped iteration (each step moves halfway to the best
-    replies, until no strategy moves by 1e-9).  Every returned profile
-    verifies.
+    shapes, and binary ones over `config.max_regimes`, use the damped
+    iteration (each step moves halfway to the best replies, until no
+    strategy moves by 1e-9), which may miss equilibria and is reported as
+    not `exact`.  Every returned profile verifies.
     """
     config = config or SolveConfig()
     if env.n_actions(0) == 2 and env.n_actions(1) == 2:
         result = _binary_support_enumeration(env, lams, config)
-        if result.profiles or result.continua:
+        if not result.exhausted:
             return result
-        if result.exhausted:
-            iterated = _damped_iteration(env, lams, config)
-            return SolveResult(profiles=iterated, exhausted=True)
-        return result
-    return SolveResult(profiles=_damped_iteration(env, lams, config))
+        return SolveResult(profiles=_damped_iteration(env, lams, config), exhausted=True, exact=False)
+    return SolveResult(profiles=_damped_iteration(env, lams, config), exact=False)
 
 
 def dist_abee_solve(

@@ -15,9 +15,9 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from ..clustering import L2, _batched_dispersions
+from ..clustering import L2, _class_sums, partition_dispersions, subset_table
 from ..env import GameEnvironment, make_environment
-from ..partitions import Partition, label_array
+from ..partitions import Partition, class_masks
 
 LOCAL_SLACK = 1e-12
 
@@ -216,7 +216,7 @@ def self_consistent_contiguous(
     while chunk := list(islice(parts, 256)):
         actions = np.stack([abee_actions(spec, part) for part in chunk])
         labels = np.array([part.assignment() for part in chunk])
-        own = _batched_dispersions(actions[:, :, None], w, labels, L2)
+        own = _class_sums(actions[:, :, None], w, labels, n_classes, kl=False)[2]
         out += [
             part
             for part, acts, disp in zip(chunk, actions, own)
@@ -239,10 +239,7 @@ def contiguity_is_sufficient(spec: BeautyContestSpec, n_classes: int, tie_tol: f
     beats the best contiguous one on the induced data of any contiguous
     candidate."""
     w = np.asarray(spec.weights)
-    labels = label_array(spec.n, n_classes)
-    for part in contiguous_partitions(spec.n, n_classes):
-        actions = abee_actions(spec, part)
-        best_contig = best_contiguous_dispersion(actions, w, n_classes)
-        if _batched_dispersions(actions[:, None], w, labels, L2).min() < best_contig - tie_tol:
-            return False
-    return True
+    actions = np.stack([abee_actions(spec, part) for part in contiguous_partitions(spec.n, n_classes)])
+    best_contig = np.array([best_contiguous_dispersion(acts, w, n_classes) for acts in actions])
+    disp = partition_dispersions(subset_table(actions[:, :, None], w, L2), class_masks(spec.n, n_classes))
+    return bool((disp.min(axis=0) >= best_contig - tie_tol).all())

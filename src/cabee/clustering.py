@@ -10,10 +10,11 @@ partitions with at most K classes.
 game by game, on one data set or on each of a batch.  Both clustering tests
 take batches of data sets (`local_witnesses`, `global_cluster_batch`), and
 `is_locally_clustered` and `global_cluster` are their one-data-set case.
-The batched kernels are
-`_prototype_divergences` (every point against every prototype) and
-`_class_sums` (class sums and dispersion of every row of a label array);
-`_lloyd` is the one Lloyd iteration on them, and `kmeans_lloyd` its N = 1 case.
+The batched kernels are `_prototype_divergences` (every point against every
+prototype), `subset_table` with `partition_dispersions` (every enumerated
+partition, from the class terms of all game subsets), and `_class_sums` (for
+labels that differ per data set); `_lloyd` is the one Lloyd iteration, and
+`kmeans_lloyd` its N = 1 case.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partitions import Partition, label_array
+from .partitions import Partition, class_masks, label_array
 
 TIE_TOL = 1e-10  # dispersion comparison tolerance for minimizer sets
 LOCAL_TOL = 1e-12  # slack absorbed by the weak local-clustering inequality
-_CLUSTER_CHUNK = 1 << 14  # (data set, partition) rows per kernel call of a batch, which bounds the memory
 
 SQUARED_EUCLIDEAN = "squared-euclidean"
 KULLBACK_LEIBLER = "kullback-leibler"
@@ -199,8 +199,7 @@ def is_locally_clustered(
 def _class_sums(data: np.ndarray, prior: np.ndarray, labels: np.ndarray, n_classes: int, kl: bool):
     """Prior-weighted class sums S_c (P, n_classes, dim), class masses W_c
     (P, n_classes) and dispersions (P,) of every row of a (P, n_games) label
-    array.  data is one (n_games, dim) data set shared by every row, or a
-    (P, n_games, dim) batch with one data set per row.
+    array, each against its own row of a (P, n_games, dim) data batch.
 
     The dispersion is the Bregman identity (point term minus class term):
     for squared Euclidean sum p*|x|^2 - sum_c |S_c|^2/W_c, for KL
@@ -222,16 +221,6 @@ def _class_sums(data: np.ndarray, prior: np.ndarray, labels: np.ndarray, n_class
     else:
         class_term = ((sums**2).sum(axis=2) / safe).sum(axis=1)
     return sums, mass, np.maximum(point_term - class_term, 0.0)
-
-
-def _batched_dispersions(
-    data: np.ndarray, prior: np.ndarray, labels: np.ndarray, d: Divergence
-) -> np.ndarray:
-    """Dispersion of every partition of a (P, n_games) label array at once,
-    for one data set or one per row (see `_class_sums`)."""
-    data, d = _projected(data, d)
-    prior = np.asarray(prior, dtype=float)
-    return _class_sums(data, prior, labels, int(labels.max()) + 1, d.kind == KULLBACK_LEIBLER)[2]
 
 
 def _lloyd(data, prior, protos, d: Divergence, max_rounds: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,32 +255,48 @@ def _lloyd(data, prior, protos, d: Divergence, max_rounds: int) -> tuple[np.ndar
 _WINNERS: dict[tuple[int, int, int], Partition] = {}
 
 
-def _winner(labels: np.ndarray, max_classes: int, row: int) -> Partition:
-    key = (labels.shape[1], max_classes, row)
+def _winner(n_games: int, max_classes: int, row: int) -> Partition:
+    key = (n_games, max_classes, row)
     part = _WINNERS.get(key)
     if part is None:
-        part = _WINNERS[key] = Partition.from_assignment(labels[row].tolist())
+        part = _WINNERS[key] = Partition.from_assignment(label_array(n_games, max_classes)[row].tolist())
     return part
 
 
-def partition_dispersions(
-    data: np.ndarray, prior: np.ndarray, labels: np.ndarray, d: Divergence
-) -> np.ndarray:
-    """(B, P) dispersion of every row of a (P, n_games) label array against
-    each data set of a (B, n_games, dim) batch.  One kernel call scores at
-    most _CLUSTER_CHUNK (data set, row) pairs, or one data set, and a lone
-    data set is shared by all rows rather than repeated."""
-    data = np.asarray(data, dtype=float)
-    per_call = max(1, _CLUSTER_CHUNK // len(labels))
-    out = []
-    for start in range(0, len(data), per_call):
-        chunk = data[start : start + per_call]
-        if len(chunk) == 1:
-            out.append(_batched_dispersions(chunk[0], prior, labels, d)[None])
-        else:
-            rows = (np.repeat(chunk, len(labels), axis=0), prior, np.tile(labels, (len(chunk), 1)), d)
-            out.append(_batched_dispersions(*rows).reshape(len(chunk), len(labels)))
-    return out[0] if len(out) == 1 else np.concatenate(out)
+def subset_table(data: np.ndarray, prior: np.ndarray, d: Divergence):
+    """Point term (...), class sums S (2^n, dim, ...), masses W (2^n,) and
+    class terms T (2^n, ...) of the Bregman identity (see `_class_sums`) for
+    every subset m of the games (bit g set when it holds game g), on one
+    (n_games, dim) data set or each of a (..., n_games, dim) batch, with
+    S[m + 2^g] = S[m] + p_g*x_g.  T is W*|S/W|^2, or W*H(S/W) under KL, and
+    0 for the empty set; the mean divergence projects onto the action values.
+    """
+    x, d = _projected(data, d)
+    prior = np.asarray(prior, dtype=float)
+    kl = d.kind == KULLBACK_LEIBLER
+    point = (_plogp(x) if kl else x**2).sum(axis=-1) @ prior
+    x = np.moveaxis(x, (-2, -1), (0, 1))  # (n_games, dim, ...)
+    sums = np.zeros((1 << len(x),) + x.shape[1:])
+    mass = np.zeros(1 << len(x))
+    for g, row in enumerate(x):
+        sums[1 << g : 2 << g] = sums[: 1 << g] + prior[g] * row
+        mass[1 << g : 2 << g] = mass[: 1 << g] + prior[g]
+    w = mass.reshape((-1,) + (1,) * (sums.ndim - 2))  # broadcasts over the batch axes
+    safe = np.where(w > 0, w, 1.0)  # the empty set has zero sums
+    # summed one action at a time, which keeps one (2^n, ...) temporary per step
+    terms = w * sum(_plogp(s / safe) if kl else (s / safe) ** 2 for s in sums.swapaxes(0, 1))
+    return point, sums, mass, terms
+
+
+def partition_dispersions(table, masks: np.ndarray) -> np.ndarray:
+    """(P, ...) dispersion of every partition of a (P, K) class-mask array
+    (`partitions.class_masks`) from a `subset_table`: the point term less its
+    class terms summed in class order, unclipped (an exact 0 may round below)."""
+    point, _, _, terms = table
+    class_term = terms[masks[:, 0]]
+    for c in range(1, masks.shape[1]):
+        class_term += terms[masks[:, c]]
+    return point - class_term
 
 
 def global_cluster_batch(
@@ -299,11 +304,11 @@ def global_cluster_batch(
 ) -> tuple[list[list[Partition]], np.ndarray]:
     """`global_cluster` of each data set of a (B, n_games, dim) batch: the
     minimizer lists, and the (B,) minima."""
-    labels = label_array(np.asarray(data).shape[1], max_classes)
-    disp = partition_dispersions(data, prior, labels, d)
-    best = disp.min(axis=1)
-    held = disp <= best[:, None] + TIE_TOL
-    winners = [[_winner(labels, max_classes, r) for r in np.flatnonzero(row).tolist()] for row in held]
+    n_games = np.asarray(data).shape[1]
+    disp = partition_dispersions(subset_table(data, prior, d), class_masks(n_games, max_classes))
+    best = np.maximum(disp.min(axis=0), 0.0)  # a dispersion is never negative; 0 may round below
+    held = (disp <= best + TIE_TOL).T
+    winners = [[_winner(n_games, max_classes, r) for r in np.flatnonzero(row).tolist()] for row in held]
     return winners, best
 
 

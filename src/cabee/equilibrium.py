@@ -48,9 +48,10 @@ from .clustering import (
     global_cluster_batch,
     local_witnesses,
     partition_dispersions,
+    subset_table,
 )
 from .env import SOLVER_TOL, GameEnvironment
-from .partitions import Partition, label_array, partition_list
+from .partitions import Partition, assignment_rows, class_masks, partition_list
 
 LOCAL = "local"
 GLOBAL = "global"
@@ -300,7 +301,7 @@ class SearchResult:
     @property
     def pure_exhaustively_refuted(self) -> bool:
         """True when the degenerate layer finished with no pure candidate,
-        having covered every family of its pairs."""
+        having solved every pair exactly and covered all of its families."""
         for rep in self.layers:
             if rep.name == "degenerate":
                 return rep.completed and rep.found == 0 and not self.sampled_pure_families
@@ -430,10 +431,10 @@ def _check_margins(env: GameEnvironment, lams, plays, mode: str, d: Divergence, 
         pays = expected_payoffs(env, player, beta[:, list(part.assignment())])
         cols.append((pays[..., :, None] - pays[..., None, :]).reshape(len(data), -1))
         if mode == GLOBAL:
-            # the support partition is scored as a last row, so an equal row's margin is exactly 0
-            labels = np.vstack([label_array(env.n_games, capacities[player]), part.assignment()])
-            disp = partition_dispersions(data, env.prior, labels, d)
-            cols.append(disp[:, :-1] - disp[:, -1:])
+            masks = class_masks(env.n_games, capacities[player])
+            disp = partition_dispersions(subset_table(data, env.prior, d), masks)
+            # less the support partition's own row, so an equal row's margin is exactly 0
+            cols.append((disp - disp[assignment_rows([part.assignment()], capacities[player])]).T)
         else:
             dist = _prototype_divergences(data, class_prototypes(data, part, env.prior), d)
             own = dist[:, np.arange(env.n_games), list(part.assignment())]
@@ -555,7 +556,9 @@ def cd_abee_search(
     clustering check of `cd_abee_verify_batch`.  The two layers share
     `config.max_evaluations` solves, layer 1 first; a layer that runs out,
     or reaches `config.max_candidates`, stops with `completed=False`, so
-    work and output do not depend on the speed of the machine.  All
+    work and output do not depend on the speed of the machine.  A layer
+    with a solve that was not exact (`SolveResult.exact`) also reports
+    `completed=False`, since it may have missed equilibria.  All
     returned candidates verify; an empty result means "not found within its
     evaluation budget", never nonexistence (except for the pure layer,
     which reports exhaustive refutation when it completes empty having
@@ -595,6 +598,7 @@ def cd_abee_search(
                 break
             res = dist_abee_solve_detailed(env, lams, config.solve)
             evaluations += 1
+            completed &= res.exact  # a heuristic solve may have missed equilibria
             plays = [stack_plays(profile, lams) for profile in res.profiles]
             stacked = tuple(np.array([p[pl] for p in plays]) for pl in (0, 1))
             # solved profiles pass dist_abee_verify already; only clustering is left

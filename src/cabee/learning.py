@@ -7,8 +7,10 @@ into at most K categories, and best-respond to their class prototypes
 prototypes, best-respond to them, then re-sort the games around the
 inherited prototypes and pass the result on.
 
-Model 1's Lloyd variant is one `clustering._lloyd` call over all subjects;
-model 2 re-sorts a dynasty's games with one `_prototype_divergences` call.
+Model 1 clusters all subjects' draws with one `clustering.subset_table`
+(its Lloyd variant with one `_lloyd` call) and takes their prototypes with
+one `_class_sums` call; model 2 re-sorts a dynasty's games with one
+`_prototype_divergences` call.
 
 At zero noise the steps are set-valued at ties; the "incumbent" tie-break
 selects the current state whenever it is admissible, so a state is a rest
@@ -32,17 +34,17 @@ from .abee import (
     expected_payoffs,
 )
 from .clustering import (
-    KULLBACK_LEIBLER,
     Divergence,
+    _class_sums,
     _lloyd,
-    _plogp,
-    _projected,
     _prototype_divergences,
     global_cluster,
+    partition_dispersions,
+    subset_table,
 )
 from .env import GameEnvironment
 from .equilibrium import GLOBAL, LOCAL, EquilibriumCandidate, cd_abee_verify
-from .partitions import Partition, assignment_rows, partition_list
+from .partitions import Partition, assignment_rows, class_masks, label_array, partition_list
 
 STATE_TOL = 1e-9
 
@@ -179,28 +181,6 @@ def _exact_model1_step(
     )
 
 
-def _dispersion_matrix(
-    s: np.ndarray, prior: np.ndarray, parts, d: Divergence
-) -> np.ndarray:
-    """Dispersion of every partition for every subject's perturbed data.
-
-    s has shape (N, n_games, n_actions); output (N, len(parts)).
-    """
-    s, d = _projected(s, d)
-    kl = d.kind == KULLBACK_LEIBLER
-    point = (_plogp(s) if kl else s**2).sum(axis=2) @ prior
-    out = np.empty((s.shape[0], len(parts)))
-    for pi, part in enumerate(parts):
-        ct = np.zeros(s.shape[0])
-        for cls in part.classes:
-            idx = list(cls)
-            w = prior[idx].sum()
-            proto = np.einsum("g,nga->na", prior[idx], s[:, idx, :]) / w
-            ct += w * (_plogp(proto) if kl else proto**2).sum(axis=1)
-        out[:, pi] = point - ct
-    return out
-
-
 def _lloyd_assignments(
     s: np.ndarray, prior: np.ndarray, k: int, d: Divergence, rng: np.random.Generator, rounds: int = 25
 ) -> np.ndarray:
@@ -209,6 +189,21 @@ def _lloyd_assignments(
     seeds = rng.random(s.shape[:2]).argsort(axis=1)[:, : min(k, s.shape[1])]
     assign, _ = _lloyd(s, prior, np.take_along_axis(s, seeds[:, :, None], axis=1), d, rounds)
     return assign
+
+
+def _exhaustive_choices(s: np.ndarray, prior: np.ndarray, k: int, d: Divergence) -> np.ndarray:
+    """Each subject's first dispersion minimizer, as a row of `label_array`,
+    from one subset table of all subjects' draws, which is freed on return."""
+    masks = class_masks(s.shape[1], k)
+    return partition_dispersions(subset_table(s, prior, d), masks).argmin(axis=0)
+
+
+def _class_means(s: np.ndarray, prior: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Class means of each subject's draw under its row of an (N, n_games)
+    label array, per game (N, n_games, n_actions)."""
+    sums, mass, _ = _class_sums(s, prior, labels, k, kl=False)
+    rows = np.arange(len(s))[:, None]
+    return sums[rows, labels] / mass[rows, labels][..., None]
 
 
 def model1_step(
@@ -248,22 +243,12 @@ def model1_step(
             assign = _lloyd_assignments(s, env.prior, capacities[player], d, rng)
             choice = assignment_rows(assign, capacities[player])
         else:
-            disp = _dispersion_matrix(s, env.prior, parts, d)
-            choice = disp.argmin(axis=1)
+            choice = _exhaustive_choices(s, env.prior, capacities[player], d)
         counts = np.bincount(choice, minlength=len(parts))
         # subjects' prototypes per game: class means of their own draw under
         # their chosen partition
-        proto_by_game = np.empty_like(s)
-        for pi in np.flatnonzero(counts):
-            members = choice == pi
-            rows = np.flatnonzero(members)
-            for cls in parts[pi].classes:
-                idx = list(cls)
-                w = env.prior[idx]
-                # only the class's games of the members' draws are copied
-                proto = np.einsum("g,nga->na", w, s[np.ix_(rows, idx)]) / w.sum()
-                for g in idx:
-                    proto_by_game[members, g, :] = proto
+        labels = label_array(env.n_games, capacities[player])[choice]
+        proto_by_game = _class_means(s, env.prior, labels, capacities[player])
         rho = perturbation.draw_payoff(rng, (n_subjects, env.n_games, n_act_own))
         utils = expected_payoffs(env, player, proto_by_game) + eps * rho
         actions = utils.argmax(axis=2)  # (N, n_games)

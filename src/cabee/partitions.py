@@ -4,7 +4,8 @@ Analogy partitions are partitions of the game set {0, ..., n-1} into at
 most K nonempty classes.  Enumeration builds all restricted-growth strings
 at once as an integer label array in lexicographic order, which gives a
 deterministic canonical ordering that the solvers and the search rely on
-for reproducibility.  `Partition` objects are built from its rows on demand.
+for reproducibility.  `Partition` objects are built from its rows on demand,
+and `class_masks` holds the same partitions as class bitmasks.
 """
 
 from __future__ import annotations
@@ -73,12 +74,6 @@ class Partition:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def class_of(self, game: int) -> int:
-        for idx, cls in enumerate(self.classes):
-            if game in cls:
-                return idx
-        raise KeyError(game)
-
     def assignment(self) -> tuple[int, ...]:
         """Per-game class index, canonical (first occurrence order)."""
         out = [0] * self.n_games
@@ -130,6 +125,25 @@ def label_array(n_games: int, max_classes: int, cap: int = DEFAULT_ENUMERATION_C
     return _LABEL_CACHE[key]
 
 
+_MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def class_masks(n_games: int, max_classes: int) -> np.ndarray:
+    """Cached read-only (P, K) class bitmasks of the rows of `label_array`,
+    with K = min(max_classes, n_games): bit g of entry (p, c) is set when
+    game g is in class c of partition p, and classes past its count are 0."""
+    key = (n_games, min(max_classes, n_games))
+    if key not in _MASK_CACHE:
+        labels = label_array(n_games, max_classes)
+        flat = np.zeros(len(labels) * key[1], dtype=np.min_scalar_type((1 << n_games) - 1))
+        rows = np.arange(0, len(flat), key[1])  # the first entry of each row
+        for g in range(n_games):  # one class per (row, game), so += is exact
+            flat[rows + labels[:, g]] += 1 << g
+        flat.setflags(write=False)
+        _MASK_CACHE[key] = flat.reshape(-1, key[1])
+    return _MASK_CACHE[key]
+
+
 def assignment_rows(assign, max_classes: int) -> np.ndarray:
     """Row of `label_array` holding the partition of each assignment row.
 
@@ -171,27 +185,3 @@ def partition_list(
         rows = label_array(n_games, max_classes, cap).tolist()
         _PARTITION_CACHE[key] = tuple(Partition.from_assignment(r) for r in rows)
     return _PARTITION_CACHE[key]
-
-
-def bell_number(n: int) -> int:
-    """Number of set partitions of n items (Bell triangle recurrence)."""
-    if n == 0:
-        return 1
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[-1]
-
-
-def count_partitions(n: int, max_classes: int) -> int:
-    """Number of partitions of n items into at most max_classes classes."""
-    # Stirling numbers of the second kind, summed over class counts.
-    stirling = [[0] * (max_classes + 1) for _ in range(n + 1)]
-    stirling[0][0] = 1
-    for i in range(1, n + 1):
-        for k in range(1, max_classes + 1):
-            stirling[i][k] = k * stirling[i - 1][k] + stirling[i - 1][k - 1]
-    return sum(stirling[n][1 : max_classes + 1])

@@ -24,6 +24,14 @@ def dominant_env(n_games=3):
     return make_environment([1.0 / n_games] * n_games, pr, pc)
 
 
+def class_of(partition, game):
+    """Index of the class of `partition` that holds `game`."""
+    for idx, cls in enumerate(partition.classes):
+        if game in cls:
+            return idx
+    raise KeyError(game)
+
+
 def random_distributions(rng, n, k):
     draws = rng.standard_exponential((n, k))
     return draws / draws.sum(axis=1, keepdims=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cabee.abee import (
+    DEDUP_TOL,
     EQ_TOL,
     Continuum,
     PartitionDistribution,
@@ -32,7 +33,7 @@ from cabee.abee import (
 )
 from cabee.env import SOLVER_TOL, make_environment, nash_solve_2x2, pure_payoffs_against
 from cabee.partitions import Partition
-from conftest import dominant_env, matching_pennies_env
+from conftest import class_of, dominant_env, matching_pennies_env
 
 
 def pure(*rows):
@@ -175,7 +176,7 @@ def test_expected_payoffs_match_pure_payoffs_against(rng):
     for env, part, beta in random_kernel_cases(rng):
         per_game = beta[list(part.assignment())]
         ref = np.stack(
-            [pure_payoffs_against(env, 0, g, beta[part.class_of(g)]) for g in range(env.n_games)]
+            [pure_payoffs_against(env, 0, g, beta[class_of(part, g)]) for g in range(env.n_games)]
         )
         np.testing.assert_allclose(expected_payoffs(env, 0, per_game), ref, atol=1e-12)
         # a leading batch axis evaluates each expectation set on its own
@@ -190,7 +191,7 @@ def test_best_replies_support_is_analogy_best_response(rng):
     for env, part, beta in random_kernel_cases(rng):
         mix = best_replies(expected_payoffs(env, 0, beta[list(part.assignment())]), 1e-9)
         for g in range(env.n_games):
-            replies, indiff = analogy_best_response(env, 0, g, beta[part.class_of(g)], tol=1e-9)
+            replies, indiff = analogy_best_response(env, 0, g, beta[class_of(part, g)], tol=1e-9)
             assert tuple(np.flatnonzero(mix[g] > 0)) == replies
             np.testing.assert_allclose(mix[g, list(replies)], 1 / len(replies))
             ties += indiff
@@ -643,7 +644,7 @@ def _loop_support_enumeration(env, lams, config):
             if sol0["feasible"] and sol1["feasible"]:
                 profile = build_profile(x)
                 if dist_abee_verify(env, lams, profile)[0]:
-                    key = tuple(np.round(x / config.dedup_tol).astype(np.int64))
+                    key = tuple(np.round(x / DEDUP_TOL).astype(np.int64))
                     if key not in seen:
                         seen.add(key)
                         result.profiles.append(profile)

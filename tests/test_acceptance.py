@@ -70,7 +70,7 @@ from cabee.applications.monitoring import (
     solve_monitoring_cdabee,
 )
 from cabee.cli import run_scenario, bundled_scenarios
-from conftest import random_distributions
+from conftest import class_of, random_distributions
 
 
 def report(name, ok, elapsed, budget, detail=""):
@@ -193,7 +193,7 @@ def test_criterion_3b_shirking_interval_l2():
     _, an_bc = bundling_partitions()
     gap = cd_abee_verify(build_monitoring(spec), _candidate_at(spec, 0.7, LOCAL, L2)[1], (2, 3))
     gap_failures = [(pl, part.key(), why) for pl, part, why in gap.clustering_failures]
-    gap_witness = [(0, an_bc.key(), f"game {GAME_C} is closer to class {an_bc.class_of(GAME_A)}")]
+    gap_witness = [(0, an_bc.key(), f"game {GAME_C} is closer to class {class_of(an_bc, GAME_A)}")]
     elapsed = time.monotonic() - t0
     ok = (
         abs(lo - lo_ref) <= 1e-3

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cabee.abee import abee_solve, abee_verify
-from cabee.clustering import L2, _batched_dispersions
+from cabee.clustering import L2, partition_dispersions, subset_table
 from cabee.partitions import Partition
 from cabee.applications.beauty import (
     BeautyContestSpec,
@@ -189,8 +189,8 @@ def test_contiguous_dispersion_matches_loop_and_brute_force(rng):
             best = best_contiguous_dispersion(values, weights, k)
             assert best == _loop_contiguous_dispersion(values, weights, k)
             if k <= n:
-                labels = np.array([p.assignment() for p in contiguous_partitions(n, k)])
-                brute = _batched_dispersions(values[:, None], weights, labels, L2).min()
+                masks = np.array([[sum(1 << g for g in c) for c in p.classes] for p in contiguous_partitions(n, k)])
+                brute = partition_dispersions(subset_table(values[:, None], weights, L2), masks).min()
                 assert best == pytest.approx(brute, abs=1e-12)
 
 

@@ -9,7 +9,6 @@ from cabee.clustering import (
     TIE_TOL,
     Divergence,
     ClusteringReport,
-    _batched_dispersions,
     _prototype_divergences,
     class_prototypes,
     dispersion,
@@ -18,9 +17,11 @@ from cabee.clustering import (
     is_locally_clustered,
     kmeans_lloyd,
     mean_divergence,
+    partition_dispersions,
     prototype,
+    subset_table,
 )
-from cabee.partitions import Partition, enumerate_partitions, label_array, partition_list
+from cabee.partitions import Partition, class_masks, enumerate_partitions, partition_list
 from conftest import random_distributions
 
 MEAN1 = mean_divergence([1.0])  # scalar data carried as 1-vectors
@@ -219,7 +220,7 @@ def test_batched_dispersion_matches_definition(rng):
         data = random_distributions(rng, 6, 3)
         prior = rng.dirichlet(np.ones(6))
         parts = partition_list(6, 3)
-        fast = _batched_dispersions(data, prior, label_array(6, 3), d)
+        fast = partition_dispersions(subset_table(data, prior, d), class_masks(6, 3))
         slow = np.array([dispersion(data, p, prior, d) for p in parts])
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
@@ -308,6 +309,18 @@ def test_global_cluster_degenerate_all_tie():
     winners, best = global_cluster(data, np.full(3, 1 / 3), 2, L2)
     assert best == pytest.approx(0.0)
     assert len(winners) == len(list(enumerate_partitions(3, 2)))
+
+
+def test_global_cluster_minimum_is_never_negative(rng):
+    """With at least as many classes as games the minimum is 0 in exact
+    arithmetic, and the singletons' class terms may round it either way; the
+    reported minimum is never below 0."""
+    for trial in range(60):
+        n = 2 + trial % 4
+        data = sparse_distributions(rng, n, 3)
+        d = (L2, KL, mean_divergence([0.0, 0.5, 1.0]))[trial % 3]
+        winners, best = global_cluster(data, rng.dirichlet(np.ones(n)), n, d)
+        assert 0.0 <= best <= TIE_TOL and Partition.finest(n) in winners
 
 
 def test_global_cluster_is_the_argmin_set_of_dispersion(rng):

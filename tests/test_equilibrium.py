@@ -8,6 +8,7 @@ from cabee import clustering
 from cabee.abee import (
     Continuum,
     PartitionDistribution,
+    SolveConfig,
     StrategyProfile,
     abee_solve,
     aggregate,
@@ -629,15 +630,13 @@ def _random_lams(rng, n_games):
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 40])
-def test_cd_abee_verify_batch_matches_per_candidate_reference(rng, monkeypatch, chunk):
+def test_cd_abee_verify_batch_matches_per_candidate_reference(rng, chunk):
     """Every row of the batch gets the report of `dist_abee_verify` plus the
     per-candidate clustering loop: verdict, gain, witness and failures with
     their text, for both modes and all three divergences, supports of one
-    and two partitions, and capacities below a support's class count.  A
-    chunk of 1 row scores each data set alone, and one of 40 rows splits a
-    batch into kernel calls of several data sets each."""
-    if chunk is not None:
-        monkeypatch.setattr(clustering, "_CLUSTER_CHUNK", chunk)
+    and two partitions, and capacities below a support's class count.  The
+    batch is checked whole, or in slices of 1 row (each data set alone) or
+    of 40 rows, with the same reports."""
     divergences = (L2, KL, mean_divergence([1.0, 0.0]))
     seen = {"ok": 0, "global": 0, "local": 0, "over_capacity": 0}
     for trial in range(24):
@@ -649,7 +648,14 @@ def test_cd_abee_verify_batch_matches_per_candidate_reference(rng, monkeypatch, 
         mode = (GLOBAL, LOCAL)[trial % 2]
         d = divergences[trial // 2 % 3]
         plays = _random_batch(rng, env, lams, 8)
-        reports = cd_abee_verify_batch(env, lams, plays, mode, d, caps)
+        size = chunk or len(plays[0])
+        reports = [
+            rep
+            for start in range(0, len(plays[0]), size)
+            for rep in cd_abee_verify_batch(
+                env, lams, (plays[0][start : start + size], plays[1][start : start + size]), mode, d, caps
+            )
+        ]
         assert len(reports) == len(plays[0])
         supports = (lams[0].support, lams[1].support)
         for b, rep in enumerate(reports):
@@ -678,6 +684,32 @@ def test_clustered_partition_set_matches_reference(rng):
             for d in (L2, KL, mean_divergence([1.0, 0.0])):
                 got = clustered_partition_set(env, data, capacity, mode, d)
                 assert got == _loop_clustered_partition_set(env, data, capacity, mode, d)
+
+
+def test_search_over_regime_budget_reports_incomplete_layers():
+    """With a regime budget of 1 every solve falls back to the damped
+    iteration, which may miss equilibria, so neither layer completes and
+    nothing is refuted."""
+    env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    solve = SolveConfig(max_regimes=1, n_starts=1, max_iterations=50)
+    result = cd_abee_search(env, (2, 3), GLOBAL, L2, SearchConfig(lambda_step=0.5, solve=solve))
+    assert [(rep.completed, rep.evaluations) for rep in result.layers] == [(False, 20), (False, 70)]
+    assert not result.pure_exhaustively_refuted
+
+
+def test_search_with_three_actions_reports_incomplete_layers():
+    """Weighted rock-paper-scissors in two games has three actions, so every
+    solve is the damped iteration: candidates may be found, but no layer
+    completes."""
+    rps = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+    pay = np.stack([rps, 2 * rps], axis=-1)
+    env = make_environment((0.5, 0.5), pay, -pay)
+    solve = SolveConfig(n_starts=2, max_iterations=200)
+    result = cd_abee_search(env, (2, 2), GLOBAL, L2, SearchConfig(lambda_step=0.5, solve=solve))
+    assert [(rep.completed, rep.evaluations) for rep in result.layers] == [(False, 4), (False, 4)]
+    assert not result.pure_exhaustively_refuted
+    for cand in result.candidates:
+        assert cd_abee_verify(env, cand, (2, 2)).ok
 
 
 def test_layer_one_keeps_families_of_degenerate_pairs():
@@ -719,8 +751,8 @@ def test_layer_one_local_matching_pennies_families():
 
 def test_search_clusters_each_solve_in_at_most_four_kernel_calls(monkeypatch):
     """Two players times (profiles, family points): the clustering check
-    of one solve makes four `_batched_dispersions` calls, and the margins of
-    a degenerate pair's families two more, at most four per solve in all
+    of one solve builds four subset tables (`subset_table`), and the margins
+    of a degenerate pair's families two more, at most four per solve in all
     (302 over the 90 solves here)."""
     calls = {"kernel": 0, "solve": 0}
 
@@ -731,9 +763,9 @@ def test_search_clusters_each_solve_in_at_most_four_kernel_calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        clustering, "_batched_dispersions", counted("kernel", clustering._batched_dispersions)
-    )
+    kernel = counted("kernel", clustering.subset_table)
+    monkeypatch.setattr(clustering, "subset_table", kernel)
+    monkeypatch.setattr(equilibrium, "subset_table", kernel)
     monkeypatch.setattr(
         equilibrium, "dist_abee_solve_detailed", counted("solve", dist_abee_solve_detailed)
     )

@@ -4,13 +4,25 @@ import numpy as np
 import pytest
 
 from cabee.abee import PartitionDistribution, StrategyProfile
-from cabee.clustering import KL, L2, kmeans_lloyd
+from cabee.clustering import (
+    KL,
+    KULLBACK_LEIBLER,
+    L2,
+    _plogp,
+    _projected,
+    kmeans_lloyd,
+    mean_divergence,
+    partition_dispersions,
+    subset_table,
+)
 from cabee.env import make_environment
 from cabee.equilibrium import GLOBAL, LOCAL, EquilibriumCandidate
 from cabee.learning import (
     DynastyRecord,
     PerturbationSpec,
     PopulationState,
+    _class_means,
+    _exhaustive_choices,
     _lloyd_assignments,
     model1_run,
     model1_step,
@@ -20,7 +32,7 @@ from cabee.learning import (
     steady_state_check,
     write_trajectory_csv,
 )
-from cabee.partitions import Partition
+from cabee.partitions import Partition, class_masks, label_array, partition_list
 from cabee.applications.matching_pennies import (
     MatchingPenniesSpec,
     build_matching_pennies,
@@ -193,6 +205,62 @@ def test_model2_requires_dynasties(mp_setup):
     state.dynasties = None
     with pytest.raises(ValueError):
         model2_step(env, state, L2)
+
+
+def _reference_dispersion_matrix(s, prior, parts, d):
+    """Model 1's dispersion of every partition for every subject's draw,
+    (N, len(parts)), partition by partition and class by class."""
+    s, d = _projected(s, d)
+    kl = d.kind == KULLBACK_LEIBLER
+    point = (_plogp(s) if kl else s**2).sum(axis=2) @ prior
+    out = np.empty((s.shape[0], len(parts)))
+    for pi, part in enumerate(parts):
+        ct = np.zeros(s.shape[0])
+        for cls in part.classes:
+            idx = list(cls)
+            w = prior[idx].sum()
+            proto = np.einsum("g,nga->na", prior[idx], s[:, idx, :]) / w
+            ct += w * (_plogp(proto) if kl else proto**2).sum(axis=1)
+        out[:, pi] = point - ct
+    return out
+
+
+def _reference_prototypes(s, prior, parts, choice):
+    """Each subject's per-game class means of its own draw under its chosen
+    partition, class by class over the partitions chosen."""
+    proto_by_game = np.empty_like(s)
+    for pi in np.unique(choice):
+        members = choice == pi
+        for cls in parts[pi].classes:
+            idx = list(cls)
+            proto = np.einsum("g,nga->na", prior[idx], s[np.ix_(np.flatnonzero(members), idx)]) / prior[idx].sum()
+            for g in idx:
+                proto_by_game[members, g, :] = proto
+    return proto_by_game
+
+
+def test_model1_choices_and_prototypes_match_per_partition_reference(rng):
+    """Model 1's dispersions and exhaustive choice, from one subset table,
+    and its prototypes, from one `_class_sums` call, for the chosen and for
+    random partitions, equal the per-partition reference bit for bit: L2, KL on
+    draws with zero entries, and the mean divergence, with 1 to 3 classes and
+    3 to 5 games."""
+    for d in (L2, KL, mean_divergence([0.0, 0.5, 1.0])):
+        for n in (3, 4, 5):
+            for k in (1, 2, 3):
+                prior = rng.dirichlet(np.ones(n) * 2)
+                s = rng.standard_exponential((400, n, 3)) * (rng.random((400, n, 3)) > 0.3)
+                s[..., 0] += 0.05
+                s /= s.sum(axis=-1, keepdims=True)
+                parts = partition_list(n, k)
+                disp = _reference_dispersion_matrix(s, prior, parts, d)
+                table = subset_table(s, prior, d)
+                assert np.array_equal(partition_dispersions(table, class_masks(n, k)).T, disp)
+                want = disp.argmin(axis=1)
+                np.testing.assert_array_equal(_exhaustive_choices(s, prior, k, d), want)
+                for choice in (want, rng.integers(0, len(parts), len(s))):
+                    protos = _class_means(s, prior, label_array(n, k)[choice], k)
+                    assert np.array_equal(protos, _reference_prototypes(s, prior, parts, choice))
 
 
 # ---------------------------------------------------------------------------

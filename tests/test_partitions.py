@@ -8,12 +8,36 @@ from cabee.partitions import (
     Partition,
     PartitionSizeError,
     assignment_rows,
-    bell_number,
-    count_partitions,
+    class_masks,
     enumerate_partitions,
     label_array,
     partition_list,
 )
+from conftest import class_of
+
+
+def bell_number(n: int) -> int:
+    """Number of set partitions of n items (Bell triangle recurrence)."""
+    if n == 0:
+        return 1
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[-1]
+
+
+def count_partitions(n: int, max_classes: int) -> int:
+    """Number of partitions of n items into at most max_classes classes."""
+    # Stirling numbers of the second kind, summed over class counts.
+    stirling = [[0] * (max_classes + 1) for _ in range(n + 1)]
+    stirling[0][0] = 1
+    for i in range(1, n + 1):
+        for k in range(1, max_classes + 1):
+            stirling[i][k] = k * stirling[i - 1][k] + stirling[i - 1][k - 1]
+    return sum(stirling[n][1 : max_classes + 1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,6 +115,22 @@ def test_label_array_order_count_and_keys():
             assert set(keys) == brute_force_partitions(n, k)
 
 
+def test_class_masks_round_trip_to_label_array():
+    """Each row of `class_masks` holds the classes of the same row of
+    `label_array`, in class order, with 0 past its class count."""
+    for n in range(1, 8):
+        for k in range(1, n + 2):
+            masks = class_masks(n, k)
+            assert masks.shape == (len(label_array(n, k)), min(n, k))
+            assert not masks.flags.writeable and class_masks(n, k) is masks
+            for row, labels in zip(masks.tolist(), label_array(n, k).tolist()):
+                part = Partition.from_assignment(labels)
+                masks_of_classes = [sum(1 << g for g in cls) for cls in part.classes]
+                assert row == masks_of_classes + [0] * (len(row) - part.n_classes)
+                classes = [[g for g in range(n) if m >> g & 1] for m in row if m]
+                assert Partition.from_classes(n, classes) == part
+
+
 def test_label_array_size_cap():
     with pytest.raises(PartitionSizeError):
         label_array(15, 2)
@@ -131,5 +171,5 @@ def test_partition_list_cached():
 def test_class_lookup_and_assignment():
     part = Partition.from_classes(4, [(1, 3), (0,), (2,)])
     assert part.classes == ((0,), (1, 3), (2,))  # canonical order
-    assert part.class_of(3) == 1
+    assert class_of(part, 3) == 1
     assert part.assignment() == (0, 1, 2, 1)
