@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .env import GameEnvironment, SOLVER_TOL, pure_payoffs_against
+from .env import GameEnvironment, SOLVER_TOL
 from .partitions import Partition
 
 EQ_TOL = 1e-10  # residual tolerance for the indifference systems
@@ -153,20 +153,6 @@ def consistent_expectation(
     return out
 
 
-def analogy_best_response(
-    env: GameEnvironment,
-    player: int,
-    game: int,
-    expectation: np.ndarray,
-    tol: float = SOLVER_TOL,
-) -> tuple[tuple[int, ...], bool]:
-    """Pure best replies against the class expectation, plus indifference flag."""
-    pays = pure_payoffs_against(env, player, game, expectation)
-    best = float(pays.max())
-    replies = tuple(int(a) for a in np.flatnonzero(pays >= best - tol))
-    return replies, len(replies) >= 2
-
-
 def expected_payoffs(env: GameEnvironment, player: int, expectations: np.ndarray) -> np.ndarray:
     """Payoff of each own pure action in each game, (..., n_games, n_actions),
     against per-game opponent mixtures (..., n_games, n_opponent_actions)."""
@@ -232,16 +218,6 @@ def dist_abee_verify(
     plays = stack_plays(profile, lams)
     ok, worst, witnesses = dist_abee_verify_batch(env, lams, (plays[0][None], plays[1][None]), tol)
     return bool(ok[0]), float(worst[0]), witnesses[0]
-
-
-def abee_verify(
-    env: GameEnvironment,
-    partitions: tuple[Partition, Partition],
-    profile: StrategyProfile,
-    tol: float = SOLVER_TOL,
-) -> tuple[bool, float, tuple | None]:
-    """Single-partition equilibrium check (degenerate distributions)."""
-    return dist_abee_verify(env, degenerate_pair(*partitions), profile, tol=tol)
 
 
 @dataclass
@@ -700,18 +676,10 @@ def dist_abee_solve_detailed(
     return SolveResult(profiles=_damped_iteration(env, lams, config), exact=False)
 
 
-def dist_abee_solve(
-    env: GameEnvironment,
-    lams: tuple[PartitionDistribution, PartitionDistribution],
-    config: SolveConfig | None = None,
-) -> list[StrategyProfile]:
-    return dist_abee_solve_detailed(env, lams, config).profiles
-
-
 def abee_solve(
     env: GameEnvironment,
     partitions: tuple[Partition, Partition],
     config: SolveConfig | None = None,
 ) -> list[StrategyProfile]:
     """Equilibria for one fixed analogy partition per player."""
-    return dist_abee_solve(env, degenerate_pair(*partitions), config)
+    return dist_abee_solve_detailed(env, degenerate_pair(*partitions), config).profiles

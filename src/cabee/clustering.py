@@ -12,9 +12,9 @@ take batches of data sets (`local_witnesses`, `global_cluster_batch`), and
 `is_locally_clustered` and `global_cluster` are their one-data-set case.
 The batched kernels are `_prototype_divergences` (every point against every
 prototype), `subset_table` with `partition_dispersions` (every enumerated
-partition, from the class terms of all game subsets), and `_class_sums` (for
-labels that differ per data set); `_lloyd` is the one Lloyd iteration, and
-`kmeans_lloyd` its N = 1 case.
+partition, from the class terms of all game subsets, which `_subset_sums`
+adds up), and `_class_sums` (for labels that differ per data set); `_lloyd`
+is the one Lloyd iteration, and `kmeans_lloyd` its N = 1 case.
 """
 
 from __future__ import annotations
@@ -263,24 +263,32 @@ def _winner(n_games: int, max_classes: int, row: int) -> Partition:
     return part
 
 
-def subset_table(data: np.ndarray, prior: np.ndarray, d: Divergence):
-    """Point term (...), class sums S (2^n, dim, ...), masses W (2^n,) and
-    class terms T (2^n, ...) of the Bregman identity (see `_class_sums`) for
-    every subset m of the games (bit g set when it holds game g), on one
-    (n_games, dim) data set or each of a (..., n_games, dim) batch, with
-    S[m + 2^g] = S[m] + p_g*x_g.  T is W*|S/W|^2, or W*H(S/W) under KL, and
-    0 for the empty set; the mean divergence projects onto the action values.
-    """
-    x, d = _projected(data, d)
-    prior = np.asarray(prior, dtype=float)
-    kl = d.kind == KULLBACK_LEIBLER
-    point = (_plogp(x) if kl else x**2).sum(axis=-1) @ prior
-    x = np.moveaxis(x, (-2, -1), (0, 1))  # (n_games, dim, ...)
+def _subset_sums(x: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class sums S (2^n, ...) and masses W (2^n,) of every subset m of the
+    games (bit g set when it holds game g), from points x (n_games, ...):
+    S[m + 2^g] = S[m] + p_g*x_g, so a class's members are added in game
+    order, as `_class_sums` adds them, and S/W is the class mean."""
     sums = np.zeros((1 << len(x),) + x.shape[1:])
     mass = np.zeros(1 << len(x))
     for g, row in enumerate(x):
         sums[1 << g : 2 << g] = sums[: 1 << g] + prior[g] * row
         mass[1 << g : 2 << g] = mass[: 1 << g] + prior[g]
+    return sums, mass
+
+
+def subset_table(data: np.ndarray, prior: np.ndarray, d: Divergence):
+    """Point term (...), class sums S (2^n, dim, ...), masses W (2^n,) and
+    class terms T (2^n, ...) of the Bregman identity (see `_class_sums`) for
+    every subset of the games (`_subset_sums`), on one (n_games, dim) data
+    set or each of a (..., n_games, dim) batch.  T is W*|S/W|^2, or
+    W*H(S/W) under KL, and 0 for the empty set; the mean divergence
+    projects onto the action values.
+    """
+    x, d = _projected(data, d)
+    prior = np.asarray(prior, dtype=float)
+    kl = d.kind == KULLBACK_LEIBLER
+    point = (_plogp(x) if kl else x**2).sum(axis=-1) @ prior
+    sums, mass = _subset_sums(np.moveaxis(x, (-2, -1), (0, 1)), prior)  # x as (n_games, dim, ...)
     w = mass.reshape((-1,) + (1,) * (sums.ndim - 2))  # broadcasts over the batch axes
     safe = np.where(w > 0, w, 1.0)  # the empty set has zero sums
     # summed one action at a time, which keeps one (2^n, ...) temporary per step

@@ -8,8 +8,9 @@ prototypes, best-respond to them, then re-sort the games around the
 inherited prototypes and pass the result on.
 
 Model 1 clusters all subjects' draws with one `clustering.subset_table`
-(its Lloyd variant with one `_lloyd` call) and takes their prototypes with
-one `_class_sums` call; model 2 re-sorts a dynasty's games with one
+(its Lloyd variant with one `_lloyd` call), takes their prototypes as one
+gather from the subset sums of their raw draws, and counts their actions
+with one `np.bincount`; model 2 re-sorts a dynasty's games with one
 `_prototype_divergences` call.
 
 At zero noise the steps are set-valued at ties; the "incumbent" tie-break
@@ -35,9 +36,9 @@ from .abee import (
 )
 from .clustering import (
     Divergence,
-    _class_sums,
     _lloyd,
     _prototype_divergences,
+    _subset_sums,
     global_cluster,
     partition_dispersions,
     subset_table,
@@ -47,6 +48,8 @@ from .equilibrium import GLOBAL, LOCAL, EquilibriumCandidate, cd_abee_verify
 from .partitions import Partition, assignment_rows, class_masks, label_array, partition_list
 
 STATE_TOL = 1e-9
+CLUSTERINGS = ("global", "lloyd")  # model 1's exhaustive clustering, and its Lloyd variant
+TIE_BREAKS = ("uniform", "incumbent")
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,9 @@ class PerturbationSpec:
 
     def draw_measurement(self, rng: np.random.Generator, shape) -> np.ndarray:
         draws = rng.standard_exponential(shape)
-        return draws / draws.sum(axis=-1, keepdims=True)
+        # summed one action at a time, which rounds as numpy's sum of a short axis
+        draws /= sum(draws[..., a] for a in range(shape[-1]))[..., None]
+        return draws
 
 
 @dataclass(frozen=True)
@@ -198,12 +203,18 @@ def _exhaustive_choices(s: np.ndarray, prior: np.ndarray, k: int, d: Divergence)
     return partition_dispersions(subset_table(s, prior, d), masks).argmin(axis=0)
 
 
-def _class_means(s: np.ndarray, prior: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Class means of each subject's draw under its row of an (N, n_games)
-    label array, per game (N, n_games, n_actions)."""
-    sums, mass, _ = _class_sums(s, prior, labels, k, kl=False)
-    rows = np.arange(len(s))[:, None]
-    return sums[rows, labels] / mass[rows, labels][..., None]
+def _class_means(s: np.ndarray, prior: np.ndarray, choice: np.ndarray, k: int) -> np.ndarray:
+    """Class means of each subject's draw under its chosen row of
+    `label_array`, per game (N, n_games, n_actions): S[m]/W[m] of the subset
+    sums of all draws, m the bitmask of the game's class."""
+    n, n_games, n_act = s.shape
+    sums, mass = _subset_sums(s.swapaxes(0, 1), prior)  # (2^n_games, N, n_act)
+    game_masks = np.take_along_axis(class_masks(n_games, k), label_array(n_games, k), axis=1)
+    m = game_masks.astype(np.intp).take(choice, axis=0)  # (N, n_games)
+    # one flat gather of the rows (m, subject): a 2-D fancy index is slower
+    protos = sums.reshape(-1, n_act).take(m * n + np.arange(n)[:, None], axis=0)
+    protos /= mass.take(m)[..., None]
+    return protos
 
 
 def model1_step(
@@ -225,6 +236,10 @@ def model1_step(
     clustering="lloyd") and best-respond; the new state holds empirical
     frequencies.
     """
+    if clustering not in CLUSTERINGS:
+        raise ValueError(f"unknown clustering {clustering!r}: expected one of {CLUSTERINGS}")
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"unknown tie_break {tie_break!r}: expected one of {TIE_BREAKS}")
     if perturbation.epsilon == 0.0:
         return _exact_model1_step(env, state, capacities, d, tie_break)
     rng = rng or np.random.default_rng((perturbation.seed, state.t))
@@ -247,18 +262,20 @@ def model1_step(
         counts = np.bincount(choice, minlength=len(parts))
         # subjects' prototypes per game: class means of their own draw under
         # their chosen partition
-        labels = label_array(env.n_games, capacities[player])[choice]
-        proto_by_game = _class_means(s, env.prior, labels, capacities[player])
+        proto_by_game = _class_means(s, env.prior, choice, capacities[player])
         rho = perturbation.draw_payoff(rng, (n_subjects, env.n_games, n_act_own))
         utils = expected_payoffs(env, player, proto_by_game) + eps * rho
         actions = utils.argmax(axis=2)  # (N, n_games)
-        onehot = np.eye(n_act_own)[actions]  # (N, n_games, n_act_own)
-        new_aggs.append(onehot.mean(axis=0))
+        # subjects per (partition, game, action): exact counts, so each frequency rounds once
+        cell = (choice[:, None] * env.n_games + np.arange(env.n_games)) * n_act_own + actions
+        tally = np.bincount(cell.ravel(), minlength=len(parts) * env.n_games * n_act_own)
+        tally = tally.reshape(len(parts), env.n_games, n_act_own)
+        new_aggs.append(tally.sum(axis=0) / n_subjects)
         support, weights = [], []
         for pi in np.flatnonzero(counts):
             support.append(parts[pi])
             weights.append(counts[pi] / n_subjects)
-            new_plays[player][parts[pi]] = onehot[choice == pi].mean(axis=0)
+            new_plays[player][parts[pi]] = tally[pi] / counts[pi]
         new_lams.append(PartitionDistribution(tuple(support), tuple(weights)))
     lams = (new_lams[0], new_lams[1])
     return PopulationState(

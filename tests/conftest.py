@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cabee.env import make_environment
+from cabee.abee import degenerate_pair, dist_abee_verify
+from cabee.env import SOLVER_TOL, make_environment, pure_payoffs_against
 from cabee.partitions import Partition
 
 
@@ -30,6 +31,20 @@ def class_of(partition, game):
         if game in cls:
             return idx
     raise KeyError(game)
+
+
+def analogy_best_response(env, player, game, expectation, tol=SOLVER_TOL):
+    """Pure best replies of one game against the class expectation, plus an
+    indifference flag: the per-game reference for `abee.best_replies`."""
+    pays = pure_payoffs_against(env, player, game, expectation)
+    replies = tuple(int(a) for a in np.flatnonzero(pays >= float(pays.max()) - tol))
+    return replies, len(replies) >= 2
+
+
+def abee_verify(env, partitions, profile, tol=SOLVER_TOL):
+    """Equilibrium check of one fixed partition per player: `dist_abee_verify`
+    on degenerate distributions, as (ok, worst gain, witness)."""
+    return dist_abee_verify(env, degenerate_pair(*partitions), profile, tol=tol)
 
 
 def random_distributions(rng, n, k):

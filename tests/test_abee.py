@@ -18,13 +18,11 @@ from cabee.abee import (
     _sum_left,
     _threshold_info,
     abee_solve,
-    abee_verify,
     aggregate,
-    analogy_best_response,
     best_replies,
     consistent_expectation,
     degenerate_pair,
-    dist_abee_solve,
+    dist_abee_solve_detailed,
     dist_abee_verify,
     dist_abee_verify_batch,
     expected_payoffs,
@@ -33,7 +31,7 @@ from cabee.abee import (
 )
 from cabee.env import SOLVER_TOL, make_environment, nash_solve_2x2, pure_payoffs_against
 from cabee.partitions import Partition
-from conftest import class_of, dominant_env, matching_pennies_env
+from conftest import abee_verify, analogy_best_response, class_of, dominant_env, matching_pennies_env
 
 
 def pure(*rows):
@@ -314,7 +312,7 @@ def test_row_mixes_in_at_most_one_bundled_game(rng):
 def test_dist_degenerate_coincides_with_fixed_partition(mp_env, finest3):
     part = Partition.from_classes(3, [(0, 1), (2,)])
     lams = degenerate_pair(part, finest3)
-    got = dist_abee_solve(mp_env, lams)
+    got = dist_abee_solve_detailed(mp_env, lams).profiles
     ref = abee_solve(mp_env, (part, finest3))
     assert len(got) == len(ref) == 1
     np.testing.assert_allclose(got[0].single(1), ref[0].single(1), atol=1e-12)
@@ -449,7 +447,7 @@ def _verify_batch_case(rng, case):
             batch = np.repeat(batch[:, :, :1], n_games, axis=2)
         plays.append(batch)
     if n_act == 2:
-        solved = [stack_plays(prof, lams) for prof in dist_abee_solve(env, lams)]
+        solved = [stack_plays(prof, lams) for prof in dist_abee_solve_detailed(env, lams).profiles]
         plays = [np.concatenate([plays[pl]] + [sp[pl][None] for sp in solved]) for pl in (0, 1)]
     return env, lams, (plays[0], plays[1])
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cabee.abee import abee_solve, abee_verify
+from cabee.abee import abee_solve
 from cabee.clustering import L2, partition_dispersions, subset_table
 from cabee.partitions import Partition
 from cabee.applications.beauty import (
@@ -19,6 +19,7 @@ from cabee.applications.beauty import (
     self_consistent_contiguous,
     uniform_spec,
 )
+from conftest import abee_verify
 
 
 def test_spec_validation():

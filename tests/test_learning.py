@@ -3,11 +3,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cabee.abee import PartitionDistribution, StrategyProfile
+from cabee.abee import PartitionDistribution, StrategyProfile, expected_payoffs
 from cabee.clustering import (
     KL,
     KULLBACK_LEIBLER,
     L2,
+    _class_sums,
     _plogp,
     _projected,
     kmeans_lloyd,
@@ -32,7 +33,7 @@ from cabee.learning import (
     steady_state_check,
     write_trajectory_csv,
 )
-from cabee.partitions import Partition, class_masks, label_array, partition_list
+from cabee.partitions import Partition, assignment_rows, class_masks, label_array, partition_list
 from cabee.applications.matching_pennies import (
     MatchingPenniesSpec,
     build_matching_pennies,
@@ -241,7 +242,7 @@ def _reference_prototypes(s, prior, parts, choice):
 
 def test_model1_choices_and_prototypes_match_per_partition_reference(rng):
     """Model 1's dispersions and exhaustive choice, from one subset table,
-    and its prototypes, from one `_class_sums` call, for the chosen and for
+    and its prototypes, from one gather of the subset sums, for the chosen and for
     random partitions, equal the per-partition reference bit for bit: L2, KL on
     draws with zero entries, and the mean divergence, with 1 to 3 classes and
     3 to 5 games."""
@@ -259,8 +260,89 @@ def test_model1_choices_and_prototypes_match_per_partition_reference(rng):
                 want = disp.argmin(axis=1)
                 np.testing.assert_array_equal(_exhaustive_choices(s, prior, k, d), want)
                 for choice in (want, rng.integers(0, len(parts), len(s))):
-                    protos = _class_means(s, prior, label_array(n, k)[choice], k)
+                    protos = _class_means(s, prior, choice, k)
                     assert np.array_equal(protos, _reference_prototypes(s, prior, parts, choice))
+
+
+def _reference_class_means(s, prior, labels, k):
+    """Each subject's per-game class means under its row of an (N, n_games)
+    label array, from one `_class_sums` scatter and a gather."""
+    sums, mass, _ = _class_sums(s, prior, labels, k, kl=False)
+    rows = np.arange(len(s))[:, None]
+    return sums[rows, labels] / mass[rows, labels][..., None]
+
+
+def _reference_model1_step(env, state, capacities, d, pert, n, clustering):
+    """The noisy model-1 step on the same random stream, with one-hot tallies
+    and `_class_sums` prototypes: per player its aggregate, shares, plays
+    per support partition and subjects' prototypes."""
+    rng = np.random.default_rng((pert.seed, state.t))
+    out = []
+    for player in (0, 1):
+        data, k, n_own = state.aggregates[1 - player], capacities[player], env.n_actions(player)
+        draws = rng.standard_exponential((n, env.n_games, data.shape[1]))
+        s = (data[None] + pert.epsilon * draws / draws.sum(axis=-1, keepdims=True)) / (1.0 + pert.epsilon)
+        parts = partition_list(env.n_games, k)
+        if clustering == "lloyd":
+            choice = assignment_rows(_lloyd_assignments(s, env.prior, k, d, rng), k)
+        else:
+            choice = _exhaustive_choices(s, env.prior, k, d)
+        protos = _reference_class_means(s, env.prior, label_array(env.n_games, k)[choice], k)
+        rho = rng.uniform(0.0, 1.0, size=(n, env.n_games, n_own))
+        onehot = np.eye(n_own)[(expected_payoffs(env, player, protos) + pert.epsilon * rho).argmax(axis=2)]
+        chosen = np.unique(choice)
+        shares = {parts[pi]: np.count_nonzero(choice == pi) / n for pi in chosen}
+        plays = {parts[pi]: onehot[choice == pi].mean(axis=0) for pi in chosen}
+        out.append((onehot.mean(axis=0), shares, plays, s, choice, protos))
+    return out
+
+
+@pytest.mark.parametrize("clustering", ["global", "lloyd"])
+def test_model1_step_matches_one_hot_reference(rng, clustering):
+    """model1_step's aggregates, shares and per-partition plays, and its
+    prototypes, equal the one-hot and `_class_sums` reference bit for bit:
+    L2, KL and the mean divergence, 1 to 3 classes, opponents with 2 and 3
+    actions."""
+    cases = [((2, 2), L2), ((2, 3), L2), ((2, 3), KL), ((3, 3), mean_divergence([0.0, 0.5, 1.0]))]
+    for (n0, n1), d in cases:
+        for caps in ((1, 2), (2, 3), (3, 3)):
+            n_games, n = 4, 300
+            env = make_environment(
+                rng.dirichlet(np.ones(n_games)), rng.random((n0, n1, n_games)), rng.random((n1, n0, n_games))
+            )
+            fin = Partition.finest(n_games)
+            lams = (PartitionDistribution.degenerate(fin), PartitionDistribution.degenerate(fin))
+            aggs = (rng.dirichlet(np.ones(n0), n_games), rng.dirichlet(np.ones(n1), n_games))
+            state = PopulationState(lams, StrategyProfile(plays=({fin: aggs[0]}, {fin: aggs[1]})), aggs, t=3)
+            pert = PerturbationSpec(0.2, seed=5)
+            nxt = model1_step(env, state, caps, d, pert, n_subjects=n, clustering=clustering)
+            for player, (agg, shares, plays, s, choice, protos) in enumerate(
+                _reference_model1_step(env, state, caps, d, pert, n, clustering)
+            ):
+                assert np.array_equal(nxt.aggregates[player], agg)
+                assert nxt.lam_weights(player) == shares
+                assert list(nxt.profile.plays[player]) == list(plays)
+                assert all(np.array_equal(nxt.profile.plays[player][p], plays[p]) for p in plays)
+                assert np.array_equal(_class_means(s, env.prior, choice, caps[player]), protos)
+
+
+def test_measurement_draws_equal_numpy_normalization():
+    """draw_measurement's per-action sum rounds as numpy's sum of the last axis."""
+    for n_act in (2, 3, 5):
+        draws = np.random.default_rng(n_act).standard_exponential((2000, 4, n_act))
+        got = PerturbationSpec(0.2).draw_measurement(np.random.default_rng(n_act), draws.shape)
+        assert np.array_equal(got, draws / draws.sum(axis=-1, keepdims=True))
+
+
+def test_model1_rejects_unknown_options(mp_setup):
+    """A misspelt clustering or tie-break raises, naming the allowed values,
+    with and without noise."""
+    env, cand = mp_setup
+    state = state_from_candidate(env, cand)
+    for option, allowed in (({"clustering": "loyd"}, "'lloyd'"), ({"tie_break": "incumbnet"}, "'incumbent'")):
+        for eps in (0.0, 0.05):
+            with pytest.raises(ValueError, match=allowed):
+                model1_step(env, state, (2, 3), L2, PerturbationSpec(eps), n_subjects=10, **option)
 
 
 # ---------------------------------------------------------------------------

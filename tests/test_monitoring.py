@@ -16,6 +16,7 @@ from cabee.applications.monitoring import (
     nu_star_sweep,
     solve_monitoring_cdabee,
 )
+from conftest import analogy_best_response
 
 SPEC = MonitoringSpec(0.4, 0.4, 0.2, 0.5, 0.3)
 
@@ -196,8 +197,6 @@ def test_fixed_ab_bundling_violates_local_clustering_at_a_or_b():
 
 
 def test_employer_best_reply_to_shirking_heavy_expectation():
-    from cabee.abee import analogy_best_response
-
     env = build_monitoring(SPEC)
     replies, indiff = analogy_best_response(env, 0, 2, [SPEC.nu_star + 0.1, 0.9 - SPEC.nu_star])
     assert replies == (CONTROL,) and not indiff
