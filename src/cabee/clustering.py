@@ -13,8 +13,14 @@ take batches of data sets (`local_witnesses`, `global_cluster_batch`), and
 The batched kernels are `_prototype_divergences` (every point against every
 prototype), `subset_table` with `partition_dispersions` (every enumerated
 partition, from the class terms of all game subsets, which `_subset_sums`
-adds up), and `_class_sums` (for labels that differ per data set); `_lloyd`
-is the one Lloyd iteration, and `kmeans_lloyd` its N = 1 case.
+adds up), and `_class_sums` (for labels that differ per data set: one
+`np.bincount` per action over the (row, class) cells, which adds each
+class's members in game order); `_lloyd` is the one Lloyd iteration, with
+`numeric.first_best` for the nearest prototype, and `kmeans_lloyd` its
+N = 1 case.  A batch may be held in any memory layout (model 1 holds its
+draws game-major): the kernels give the same values bit for bit on it as
+on a row-major copy, for data with fewer than 8 actions, whose sums
+numpy adds in order.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numeric import first_best
 from .partitions import Partition, class_masks, label_array
 
 TIE_TOL = 1e-10  # dispersion comparison tolerance for minimizer sets
@@ -129,7 +136,8 @@ def _projected(data, d: Divergence) -> tuple[np.ndarray, Divergence]:
     data = np.asarray(data, dtype=float)
     if d.kind == SQUARED_MEAN_DIFFERENCE:
         # one dot product per point, which rounds as divergence_eval's `p @ v`
-        return data[..., None, :] @ np.asarray(d.action_values, dtype=float), L2
+        # on C-order points, whatever the layout of the batch
+        return np.ascontiguousarray(data)[..., None, :] @ np.asarray(d.action_values, dtype=float), L2
     return data, d
 
 
@@ -196,6 +204,14 @@ def is_locally_clustered(
     return witness is None, witness
 
 
+def _point_term(data: np.ndarray, prior: np.ndarray, kl: bool) -> np.ndarray:
+    """The Bregman identity's point term (...) of a (..., n_games, dim) batch:
+    sum p*|x|^2, or sum p*H(x) under KL (see `_class_sums`).  The per-game
+    sums are made C-order before the product with the prior, so that it
+    rounds alike whatever the layout of the batch."""
+    return np.ascontiguousarray((_plogp(data) if kl else data**2).sum(axis=-1)) @ prior
+
+
 def _class_sums(data: np.ndarray, prior: np.ndarray, labels: np.ndarray, n_classes: int, kl: bool):
     """Prior-weighted class sums S_c (P, n_classes, dim), class masses W_c
     (P, n_classes) and dispersions (P,) of every row of a (P, n_games) label
@@ -203,24 +219,27 @@ def _class_sums(data: np.ndarray, prior: np.ndarray, labels: np.ndarray, n_class
 
     The dispersion is the Bregman identity (point term minus class term):
     for squared Euclidean sum p*|x|^2 - sum_c |S_c|^2/W_c, for KL
-    sum p*H(x) - sum_c W_c*H(S_c/W_c) with H(x) = sum x*ln(x).
+    sum p*H(x) - sum_c W_c*H(S_c/W_c) with H(x) = sum x*ln(x).  Each
+    (row, class) cell is one bin of `np.bincount`, which adds its entries in
+    index order; they are listed game by game (free on game-major data), so
+    a class's members are added in game order.  The class term is summed one
+    action at a time, which rounds as numpy's sum of a short axis.
     """
     n_parts, n_games = labels.shape
-    rows = np.arange(n_parts)
-    weighted = prior[:, None] * data
-    sums = np.zeros((n_parts, n_classes, data.shape[-1]))
-    mass = np.zeros((n_parts, n_classes))
-    for g in range(n_games):
-        # one label per row, so the (row, label) indices are distinct and += is exact
-        sums[rows, labels[:, g]] += weighted[..., g, :]
-        mass[rows, labels[:, g]] += prior[g]
-    point_term = (_plogp(data) if kl else data**2).sum(axis=-1) @ prior
+    cells = (np.arange(n_parts) * n_classes + labels.T).ravel()
+
+    def per_class(weights):  # weights (P, n_games)
+        return np.bincount(cells, weights.T.ravel(), n_parts * n_classes).reshape(n_parts, n_classes)
+
+    mass = per_class(np.broadcast_to(prior, labels.shape))
     safe = np.where(mass > 0, mass, 1.0)  # empty classes have zero sums
-    if kl:
-        class_term = (mass * _plogp(sums / safe[:, :, None]).sum(axis=2)).sum(axis=1)
-    else:
-        class_term = ((sums**2).sum(axis=2) / safe).sum(axis=1)
-    return sums, mass, np.maximum(point_term - class_term, 0.0)
+    sums = np.empty((n_parts, n_classes, data.shape[-1]))
+    proto_term = 0.0
+    for a in range(data.shape[-1]):
+        sums[..., a] = per_class(prior * data[..., a])
+        proto_term = proto_term + (_plogp(sums[..., a] / safe) if kl else sums[..., a] ** 2)
+    class_term = (mass * proto_term if kl else proto_term / safe).sum(axis=1)
+    return sums, mass, np.maximum(_point_term(data, prior, kl) - class_term, 0.0)
 
 
 def _lloyd(data, prior, protos, d: Divergence, max_rounds: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +259,7 @@ def _lloyd(data, prior, protos, d: Divergence, max_rounds: int) -> tuple[np.ndar
     history = []
     for _ in range(max_rounds):
         dist = _prototype_divergences(data, protos, kind)
-        new = np.where(dropped[:, None, :], np.inf, dist).argmin(axis=2)
+        new = first_best(np.where(dropped[:, None, :], np.inf, dist), np.minimum)
         sums, mass, disp = _class_sums(data, prior, new, protos.shape[1], kind.kind == KULLBACK_LEIBLER)
         dropped = mass == 0
         protos = np.where(dropped[..., None], protos, sums / np.where(dropped, 1.0, mass)[..., None])
@@ -287,7 +306,7 @@ def subset_table(data: np.ndarray, prior: np.ndarray, d: Divergence):
     x, d = _projected(data, d)
     prior = np.asarray(prior, dtype=float)
     kl = d.kind == KULLBACK_LEIBLER
-    point = (_plogp(x) if kl else x**2).sum(axis=-1) @ prior
+    point = _point_term(x, prior, kl)
     sums, mass = _subset_sums(np.moveaxis(x, (-2, -1), (0, 1)), prior)  # x as (n_games, dim, ...)
     w = mass.reshape((-1,) + (1,) * (sums.ndim - 2))  # broadcasts over the batch axes
     safe = np.where(w > 0, w, 1.0)  # the empty set has zero sums

@@ -7,11 +7,16 @@ into at most K categories, and best-respond to their class prototypes
 prototypes, best-respond to them, then re-sort the games around the
 inherited prototypes and pass the result on.
 
-Model 1 clusters all subjects' draws with one `clustering.subset_table`
-(its Lloyd variant with one `_lloyd` call), takes their prototypes as one
-gather from the subset sums of their raw draws, and counts their actions
-with one `np.bincount`; model 2 re-sorts a dynasty's games with one
-`_prototype_divergences` call.
+Model 1 holds one role's draws game- and action-major, (n_games,
+n_actions, N) memory viewed as (N, n_games, n_actions), so that its
+reductions run over N-long vectors.  It clusters all subjects' draws with
+one `clustering.subset_table` (its Lloyd variant with one `_lloyd` call),
+takes their prototypes as one gather from that table's subset sums (only
+the mean divergence, whose table holds projected sums, and the Lloyd
+variant add up the raw draws' sums apart), picks their best replies with
+`numeric.first_best`, and counts their actions with one `np.bincount`;
+nothing of one role's subjects outlives its step.  Model 2 re-sorts a
+dynasty's games with one `_prototype_divergences` call.
 
 At zero noise the steps are set-valued at ties; the "incumbent" tie-break
 selects the current state whenever it is admissible, so a state is a rest
@@ -22,6 +27,7 @@ equilibrium of the matching mode (global for model 1, local for model 2).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +41,7 @@ from .abee import (
     expected_payoffs,
 )
 from .clustering import (
+    SQUARED_MEAN_DIFFERENCE,
     Divergence,
     _lloyd,
     _prototype_divergences,
@@ -45,6 +52,7 @@ from .clustering import (
 )
 from .env import GameEnvironment
 from .equilibrium import GLOBAL, LOCAL, EquilibriumCandidate, cd_abee_verify
+from .numeric import first_best
 from .partitions import Partition, assignment_rows, class_masks, label_array, partition_list
 
 STATE_TOL = 1e-9
@@ -65,8 +73,8 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("noise scale must be nonnegative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"noise scale must be finite and nonnegative, got epsilon={self.epsilon!r}")
 
     def draw_payoff(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.uniform(0.0, 1.0, size=shape)
@@ -196,25 +204,72 @@ def _lloyd_assignments(
     return assign
 
 
-def _exhaustive_choices(s: np.ndarray, prior: np.ndarray, k: int, d: Divergence) -> np.ndarray:
+def _exhaustive_choices(
+    s: np.ndarray, prior: np.ndarray, k: int, d: Divergence
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each subject's first dispersion minimizer, as a row of `label_array`,
-    from one subset table of all subjects' draws, which is freed on return."""
-    masks = class_masks(s.shape[1], k)
-    return partition_dispersions(subset_table(s, prior, d), masks).argmin(axis=0)
+    with the subset sums S (2^n_games, n_actions, N) and masses W of all
+    subjects' raw draws: under L2 and KL those of the one subset table that
+    scores the partitions, under the mean divergence, whose table holds
+    projected sums, those of a second `_subset_sums`."""
+    table = subset_table(s, prior, d)
+    choice = partition_dispersions(table, class_masks(s.shape[1], k)).argmin(axis=0)
+    if d.kind == SQUARED_MEAN_DIFFERENCE:
+        return (choice, *_subset_sums(s.transpose(1, 2, 0), prior))
+    return choice, table[1], table[2]
 
 
-def _class_means(s: np.ndarray, prior: np.ndarray, choice: np.ndarray, k: int) -> np.ndarray:
+def _class_means(sums: np.ndarray, mass: np.ndarray, choice: np.ndarray, k: int) -> np.ndarray:
     """Class means of each subject's draw under its chosen row of
-    `label_array`, per game (N, n_games, n_actions): S[m]/W[m] of the subset
-    sums of all draws, m the bitmask of the game's class."""
-    n, n_games, n_act = s.shape
-    sums, mass = _subset_sums(s.swapaxes(0, 1), prior)  # (2^n_games, N, n_act)
+    `label_array`, per game: S[m]/W[m] of the subset sums S (2^n_games, dim,
+    N) and masses W of all draws, m the bitmask of the game's class, as an
+    (N, n_games, dim) view of (n_games, dim, N) memory."""
+    n_sets, dim, n = sums.shape
+    n_games = n_sets.bit_length() - 1
     game_masks = np.take_along_axis(class_masks(n_games, k), label_array(n_games, k), axis=1)
-    m = game_masks.astype(np.intp).take(choice, axis=0)  # (N, n_games)
-    # one flat gather of the rows (m, subject): a 2-D fancy index is slower
-    protos = sums.reshape(-1, n_act).take(m * n + np.arange(n)[:, None], axis=0)
-    protos /= mass.take(m)[..., None]
-    return protos
+    m = game_masks.T.astype(np.intp).take(choice, axis=1)  # (n_games, N)
+    # one flat gather in (game, action, subject) order: a fancy index is slower
+    protos = sums.take((m[:, None, :] * dim + np.arange(dim)[:, None]) * n + np.arange(n))
+    protos /= mass.take(m)[:, None, :]
+    return protos.transpose(2, 0, 1)
+
+
+def _subject_tallies(
+    env: GameEnvironment,
+    player: int,
+    data: np.ndarray,
+    k: int,
+    d: Divergence,
+    perturbation: PerturbationSpec,
+    n_subjects: int,
+    clustering: str,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One role's noisy subjects: each clusters its draw of the opponents'
+    aggregate `data` into at most k classes and best-responds to its class
+    prototypes.  Returns the subjects per (row of `label_array`, game, own
+    action), exact counts; the draws, sums and payoffs are freed on return,
+    so none of them outlives the role's step."""
+    eps = perturbation.epsilon
+    eta = perturbation.draw_measurement(rng, (n_subjects,) + data.shape)
+    # (data + eps*eta)/(1 + eps), held game- and action-major, so the
+    # reductions below run over N-long vectors
+    s = np.multiply(eps, eta, out=np.empty(data.shape + (n_subjects,)).transpose(2, 0, 1))
+    s += data
+    s /= 1.0 + eps
+    if clustering == "lloyd":
+        choice = assignment_rows(_lloyd_assignments(s, env.prior, k, d, rng), k)
+        sums, mass = _subset_sums(s.transpose(1, 2, 0), env.prior)
+    else:
+        choice, sums, mass = _exhaustive_choices(s, env.prior, k, d)
+    # subjects' prototypes per game: class means of their own draw under
+    # their chosen partition
+    utils = expected_payoffs(env, player, _class_means(sums, mass, choice, k))
+    utils += eps * perturbation.draw_payoff(rng, utils.shape)
+    n_games, n_act = utils.shape[1:]
+    cells = (choice[:, None] * n_games + np.arange(n_games)) * n_act + first_best(utils, np.maximum)
+    size = len(label_array(n_games, k)) * n_games * n_act
+    return np.bincount(cells.ravel(), minlength=size).reshape(-1, n_games, n_act)
 
 
 def model1_step(
@@ -242,34 +297,20 @@ def model1_step(
         raise ValueError(f"unknown tie_break {tie_break!r}: expected one of {TIE_BREAKS}")
     if perturbation.epsilon == 0.0:
         return _exact_model1_step(env, state, capacities, d, tie_break)
+    if n_subjects < 1:
+        raise ValueError(f"n_subjects must be at least 1, got {n_subjects!r}")
     rng = rng or np.random.default_rng((perturbation.seed, state.t))
-    eps = perturbation.epsilon
     new_lams = []
     new_plays: tuple[dict, dict] = ({}, {})
     new_aggs = []
     for player in (0, 1):
-        data = state.aggregates[1 - player]
-        n_act_opp = data.shape[1]
-        n_act_own = env.n_actions(player)
-        eta = perturbation.draw_measurement(rng, (n_subjects, env.n_games, n_act_opp))
-        s = (data[None, :, :] + eps * eta) / (1.0 + eps)
         parts = partition_list(env.n_games, capacities[player])
-        if clustering == "lloyd":
-            assign = _lloyd_assignments(s, env.prior, capacities[player], d, rng)
-            choice = assignment_rows(assign, capacities[player])
-        else:
-            choice = _exhaustive_choices(s, env.prior, capacities[player], d)
-        counts = np.bincount(choice, minlength=len(parts))
-        # subjects' prototypes per game: class means of their own draw under
-        # their chosen partition
-        proto_by_game = _class_means(s, env.prior, choice, capacities[player])
-        rho = perturbation.draw_payoff(rng, (n_subjects, env.n_games, n_act_own))
-        utils = expected_payoffs(env, player, proto_by_game) + eps * rho
-        actions = utils.argmax(axis=2)  # (N, n_games)
-        # subjects per (partition, game, action): exact counts, so each frequency rounds once
-        cell = (choice[:, None] * env.n_games + np.arange(env.n_games)) * n_act_own + actions
-        tally = np.bincount(cell.ravel(), minlength=len(parts) * env.n_games * n_act_own)
-        tally = tally.reshape(len(parts), env.n_games, n_act_own)
+        # exact counts, so each frequency rounds once
+        tally = _subject_tallies(
+            env, player, state.aggregates[1 - player], capacities[player], d, perturbation,
+            n_subjects, clustering, rng,
+        )
+        counts = tally[:, 0].sum(axis=1)  # every subject plays one action in game 0
         new_aggs.append(tally.sum(axis=0) / n_subjects)
         support, weights = [], []
         for pi in np.flatnonzero(counts):

@@ -174,6 +174,24 @@ def test_malformed_kind_params_exit_validation(tmp_path, capsys):
     assert "partition" in capsys.readouterr().err
 
 
+def test_bad_learning_params_exit_validation(tmp_path, capsys):
+    """A non-finite or negative noise scale, or a subject count below one,
+    exits 2 with a params message naming the value."""
+    for key, value, named in (
+        ("epsilon", float("nan"), "epsilon=nan"),
+        ("epsilon", float("inf"), "epsilon=inf"),
+        ("epsilon", -0.5, "epsilon=-0.5"),
+        ("n_subjects", 0, "got 0"),
+    ):
+        doc = json.loads(json.dumps(bundled_scenarios()["learn1_matching_pennies"]))
+        doc["params"].update({key: value, "steps": 2})
+        path = tmp_path / "bad_learn.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity are JSON that json.load accepts
+        assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error: params:" in err and named in err, err
+
+
 def test_every_bundled_scenario_within_declared_budget(tmp_path):
     import time
 

@@ -1,16 +1,19 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import cabee.clustering as clustering_module
+import cabee.learning as learning_module
 from cabee.abee import PartitionDistribution, StrategyProfile, expected_payoffs
 from cabee.clustering import (
     KL,
     KULLBACK_LEIBLER,
     L2,
-    _class_sums,
     _plogp,
     _projected,
+    _subset_sums,
     kmeans_lloyd,
     mean_divergence,
     partition_dispersions,
@@ -33,7 +36,7 @@ from cabee.learning import (
     steady_state_check,
     write_trajectory_csv,
 )
-from cabee.partitions import Partition, assignment_rows, class_masks, label_array, partition_list
+from cabee.partitions import Partition, assignment_rows, class_masks, partition_list
 from cabee.applications.matching_pennies import (
     MatchingPenniesSpec,
     build_matching_pennies,
@@ -258,24 +261,20 @@ def test_model1_choices_and_prototypes_match_per_partition_reference(rng):
                 table = subset_table(s, prior, d)
                 assert np.array_equal(partition_dispersions(table, class_masks(n, k)).T, disp)
                 want = disp.argmin(axis=1)
-                np.testing.assert_array_equal(_exhaustive_choices(s, prior, k, d), want)
-                for choice in (want, rng.integers(0, len(parts), len(s))):
-                    protos = _class_means(s, prior, choice, k)
-                    assert np.array_equal(protos, _reference_prototypes(s, prior, parts, choice))
-
-
-def _reference_class_means(s, prior, labels, k):
-    """Each subject's per-game class means under its row of an (N, n_games)
-    label array, from one `_class_sums` scatter and a gather."""
-    sums, mass, _ = _class_sums(s, prior, labels, k, kl=False)
-    rows = np.arange(len(s))[:, None]
-    return sums[rows, labels] / mass[rows, labels][..., None]
+                # model 1 holds its draws game- and action-major; the values are the same
+                for draws in (s, np.ascontiguousarray(s.transpose(1, 2, 0)).transpose(2, 0, 1)):
+                    got, sums, mass = _exhaustive_choices(draws, prior, k, d)
+                    np.testing.assert_array_equal(got, want)
+                    for choice in (want, rng.integers(0, len(parts), len(s))):
+                        protos = _class_means(sums, mass, choice, k)
+                        assert np.array_equal(protos, _reference_prototypes(s, prior, parts, choice))
 
 
 def _reference_model1_step(env, state, capacities, d, pert, n, clustering):
-    """The noisy model-1 step on the same random stream, with one-hot tallies
-    and `_class_sums` prototypes: per player its aggregate, shares, plays
-    per support partition and subjects' prototypes."""
+    """The noisy model-1 step on the same random stream, with one-hot tallies,
+    choices from the per-partition dispersions and prototypes class by class:
+    per player its aggregate, shares, plays per support partition and
+    subjects' prototypes."""
     rng = np.random.default_rng((pert.seed, state.t))
     out = []
     for player in (0, 1):
@@ -286,8 +285,8 @@ def _reference_model1_step(env, state, capacities, d, pert, n, clustering):
         if clustering == "lloyd":
             choice = assignment_rows(_lloyd_assignments(s, env.prior, k, d, rng), k)
         else:
-            choice = _exhaustive_choices(s, env.prior, k, d)
-        protos = _reference_class_means(s, env.prior, label_array(env.n_games, k)[choice], k)
+            choice = _reference_dispersion_matrix(s, env.prior, parts, d).argmin(axis=1)
+        protos = _reference_prototypes(s, env.prior, parts, choice)
         rho = rng.uniform(0.0, 1.0, size=(n, env.n_games, n_own))
         onehot = np.eye(n_own)[(expected_payoffs(env, player, protos) + pert.epsilon * rho).argmax(axis=2)]
         chosen = np.unique(choice)
@@ -300,7 +299,7 @@ def _reference_model1_step(env, state, capacities, d, pert, n, clustering):
 @pytest.mark.parametrize("clustering", ["global", "lloyd"])
 def test_model1_step_matches_one_hot_reference(rng, clustering):
     """model1_step's aggregates, shares and per-partition plays, and its
-    prototypes, equal the one-hot and `_class_sums` reference bit for bit:
+    prototypes, equal the one-hot and per-partition reference bit for bit:
     L2, KL and the mean divergence, 1 to 3 classes, opponents with 2 and 3
     actions."""
     cases = [((2, 2), L2), ((2, 3), L2), ((2, 3), KL), ((3, 3), mean_divergence([0.0, 0.5, 1.0]))]
@@ -323,7 +322,28 @@ def test_model1_step_matches_one_hot_reference(rng, clustering):
                 assert nxt.lam_weights(player) == shares
                 assert list(nxt.profile.plays[player]) == list(plays)
                 assert all(np.array_equal(nxt.profile.plays[player][p], plays[p]) for p in plays)
-                assert np.array_equal(_class_means(s, env.prior, choice, caps[player]), protos)
+                sums, mass = _subset_sums(s.transpose(1, 2, 0), env.prior)
+                assert np.array_equal(_class_means(sums, mass, choice, caps[player]), protos)
+
+
+def test_exhaustive_player_step_runs_the_subset_sums_once(mp_setup, monkeypatch):
+    """Under L2 and KL an exhaustive player-step gathers its prototypes from
+    the scoring table's own subset sums, so the recurrence runs once per
+    role; the mean divergence, whose table holds projected sums, adds one."""
+    env, cand = mp_setup
+    state = state_from_candidate(env, cand)
+    calls = []
+
+    def counted(x, prior):
+        calls.append(x.shape)
+        return _subset_sums(x, prior)
+
+    monkeypatch.setattr(clustering_module, "_subset_sums", counted)
+    monkeypatch.setattr(learning_module, "_subset_sums", counted)
+    for d, per_role in ((L2, 1), (KL, 1), (mean_divergence([0.0, 1.0]), 2)):
+        calls.clear()
+        model1_step(env, state, (2, 3), d, PerturbationSpec(0.05, 3), n_subjects=50)
+        assert len(calls) == 2 * per_role, (d.kind, calls)
 
 
 def test_measurement_draws_equal_numpy_normalization():
@@ -332,6 +352,22 @@ def test_measurement_draws_equal_numpy_normalization():
         draws = np.random.default_rng(n_act).standard_exponential((2000, 4, n_act))
         got = PerturbationSpec(0.2).draw_measurement(np.random.default_rng(n_act), draws.shape)
         assert np.array_equal(got, draws / draws.sum(axis=-1, keepdims=True))
+
+
+def test_model1_rejects_bad_noise_and_subject_counts(mp_setup):
+    """A non-finite or negative noise scale, and fewer than one subject on the
+    noisy path, raise a ValueError naming the value (a NaN scale made every
+    subject play action 0 with drift 0)."""
+    env, cand = mp_setup
+    state = state_from_candidate(env, cand)
+    for eps in (math.nan, math.inf, -math.inf, -0.1):
+        with pytest.raises(ValueError, match=f"epsilon={eps!r}"):
+            PerturbationSpec(eps, 1)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=f"n_subjects must be at least 1, got {n}"):
+            model1_run(env, state, 2, (2, 3), L2, PerturbationSpec(0.05, 1), n_subjects=n)
+    # the zero-noise step has no subjects to count
+    assert model1_step(env, state, (2, 3), L2, PerturbationSpec(0.0), n_subjects=0).t == 1
 
 
 def test_model1_rejects_unknown_options(mp_setup):
