@@ -16,7 +16,7 @@ from math import sqrt
 
 import numpy as np
 
-from ..abee import PartitionDistribution, unstack_plays
+from ..abee import Continuum, PartitionDistribution, unstack_plays
 from ..clustering import (
     KULLBACK_LEIBLER,
     L2,
@@ -26,7 +26,8 @@ from ..clustering import (
     dispersion,
 )
 from ..env import GameEnvironment, make_environment
-from ..equilibrium import GLOBAL, LOCAL, EquilibriumCandidate, cd_abee_verify, cd_abee_verify_batch
+from ..equilibrium import FAMILY_INSET, GLOBAL, LOCAL, EquilibriumCandidate, _refine_continua
+from ..equilibrium import cd_abee_verify, cd_abee_verify_batch
 from ..numeric import bisect_root
 from ..partitions import Partition
 from . import HypothesesUnmet
@@ -134,13 +135,21 @@ def _mixed_lams(spec: MonitoringSpec):
 
 def _mixed_plays(zetas) -> tuple[np.ndarray, np.ndarray]:
     """Strategies of the mixed candidate at each shirking probability of
-    type c, stacked (len(zetas), n_support, 3, 2) in support order: the
-    employer controls the class holding c under each bundling and trusts
-    the other one."""
+    type c, stacked (..., n_support, 3, 2) in support order after the shape
+    of `zetas`: the employer controls the class holding c under each
+    bundling and trusts the other one."""
+    zetas = np.asarray(zetas, dtype=float)
     control, trust = [1.0, 0.0], [0.0, 1.0]
     employer = np.array([[control, trust, control], [control, trust, trust]])
-    worker = np.stack([_worker_point(z) for z in zetas])[:, None]
-    return np.repeat(employer[None], len(worker), axis=0), worker
+    worker = np.stack(np.broadcast_arrays(1.0, 0.0, 0.0, 1.0, zetas, 1.0 - zetas), axis=-1)
+    return np.tile(employer, zetas.shape + (1, 1, 1)), worker.reshape(zetas.shape + (1, 3, 2))
+
+
+def _zeta_family(lams) -> Continuum:
+    """The mixed candidate along type c's shirking probability, the
+    family's one variable, over [0, 1]."""
+    supports = (lams[0].support, lams[1].support)
+    return Continuum(np.zeros(1), np.ones(1), 0.0, 1.0, supports, lambda x: _mixed_plays(x[..., 0]))
 
 
 def _candidate_at(spec: MonitoringSpec, zeta: float, mode: str, d: Divergence):
@@ -158,20 +167,17 @@ class MonitoringSolution:
     note: str = ""
 
 
-def _candidate_ok(spec: MonitoringSpec, zeta: float, mode: str, d: Divergence) -> bool:
-    env, cand = _candidate_at(spec, zeta, mode, d)
-    return cd_abee_verify(env, cand, capacities=(2, 3)).ok
-
-
 def solve_monitoring_cdabee(spec: MonitoringSpec, mode: str, d: Divergence = L2) -> MonitoringSolution:
     """Mixed-categorization equilibria of the monitoring family.
 
     Global mode returns the single candidate with the tie-making shirking
     probability (1/2 when the a and b types are equally likely).  Local
-    mode detects the interval of sustainable shirking probabilities by a
-    sweep of the grid of step 1e-3, checked in one batch, plus boundary
-    bisection; preconditions for reporting the interval are p_a = p_b > 1/3
-    and nu_star != 1/2.
+    mode reads the interval of sustainable shirking probabilities off the
+    cover of the zeta family (`equilibrium._refine_continua`): from its
+    lowest to its highest admitted point, reaching 0 or 1 where the cover
+    admits the family's inset end, with verified representatives at a
+    quarter, a half and three quarters of it; preconditions for reporting
+    the interval are p_a = p_b > 1/3 and nu_star != 1/2.
     """
     if mode == GLOBAL:
         zeta = _clustering_tie_zeta(spec, d)
@@ -186,31 +192,16 @@ def solve_monitoring_cdabee(spec: MonitoringSpec, mode: str, d: Divergence = L2)
         raise HypothesesUnmet("local interval reporting needs p_a = p_b > 1/3")
     if abs(spec.nu_star - 0.5) < 1e-12:
         raise HypothesesUnmet("local interval reporting needs nu_star != 1/2")
-    zetas = np.arange(1e-3, 1.0, 1e-3)
     env, lams = build_monitoring(spec), _mixed_lams(spec)
-    reports = cd_abee_verify_batch(env, lams, _mixed_plays(zetas), LOCAL, d, (2, 3))
-    passing = np.array([report.ok for report in reports])
-    if not passing.any():
+    found = _refine_continua(env, lams, [_zeta_family(lams)], LOCAL, d, (2, 3))
+    if not found:
         return MonitoringSolution([], note="no sustainable shirking probability found")
-    idx = np.flatnonzero(passing)
-    if not np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)):
-        return MonitoringSolution([], note="passing set is not an interval")
-    lo_in, hi_in = float(zetas[idx[0]]), float(zetas[idx[-1]])
-    lo = (
-        bisect_root(lambda z: 1.0 if _candidate_ok(spec, z, LOCAL, d) else -1.0, 1e-12, lo_in, tol=1e-9)
-        if idx[0] > 0 and not _candidate_ok(spec, 1e-12, LOCAL, d)
-        else 0.0
-    )
-    hi = (
-        bisect_root(lambda z: -1.0 if _candidate_ok(spec, z, LOCAL, d) else 1.0, hi_in, 1 - 1e-12, tol=1e-9)
-        if idx[-1] < len(zetas) - 1 and not _candidate_ok(spec, 1 - 1e-12, LOCAL, d)
-        else 1.0
-    )
-    reps = []
-    for frac in (0.25, 0.5, 0.75):
-        z = lo + frac * (hi - lo)
-        if _candidate_ok(spec, z, LOCAL, d):
-            reps.append(_candidate_at(spec, z, LOCAL, d)[1])
+    zetas = [float(cand.profile.plays[1][lams[1].support[0]][GAME_C, E0]) for cand in found]
+    lo = min(zetas) if min(zetas) > FAMILY_INSET else 0.0
+    hi = max(zetas) if max(zetas) < 1.0 - FAMILY_INSET else 1.0
+    reps = [lo + frac * (hi - lo) for frac in (0.25, 0.5, 0.75)]
+    reports = cd_abee_verify_batch(env, lams, _mixed_plays(reps), LOCAL, d, (2, 3))
+    reps = [_candidate_at(spec, z, LOCAL, d)[1] for z, report in zip(reps, reports) if report.ok]
     return MonitoringSolution(reps, zeta_range=(lo, hi))
 
 

@@ -59,7 +59,7 @@ EXIT_BUDGET = 3
 
 KINDS = ("custom-env", "matching-pennies", "monitoring", "beauty", "linear")
 SOLVERS = ("abee", "cabee", "cdabee", "learn1", "learn2", "cluster")
-DIVERGENCES = {"l2": "l2", "kl": "kl", "mean": "mean"}
+DIVERGENCES = {"l2": L2, "kl": KL, "mean": mean_divergence((0.0, 1.0))}
 
 
 class ScenarioError(ValueError):
@@ -67,13 +67,9 @@ class ScenarioError(ValueError):
 
 
 def _divergence(name: str) -> Divergence:
-    if name == "l2":
-        return L2
-    if name == "kl":
-        return KL
-    if name == "mean":
-        return mean_divergence((0.0, 1.0))
-    raise ScenarioError(f"divergence: unknown value {name!r}")
+    if name not in DIVERGENCES:
+        raise ScenarioError(f"divergence: unknown value {name!r}")
+    return DIVERGENCES[name]
 
 
 def _density(name: str):
@@ -262,11 +258,7 @@ def _candidate_from_json(n_games: int, doc: dict) -> EquilibriumCandidate:
         for entry in doc["strategies"][player]:
             part = _partition_from_json(n_games, entry["partition"])
             plays[player][part] = np.asarray(entry["play"], dtype=float)
-    d = _divergence(
-        {"squared-euclidean": "l2", "kullback-leibler": "kl", "squared-mean-difference": "mean"}[
-            doc["divergence"]
-        ]
-    )
+    d = {d.kind: d for d in DIVERGENCES.values()}[doc["divergence"]]
     return EquilibriumCandidate(
         (lams[0], lams[1]), StrategyProfile(plays=plays), doc["mode"], d
     )

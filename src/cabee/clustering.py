@@ -362,7 +362,6 @@ class ClusteringReport:
     prototypes: np.ndarray
     dispersion: float
     locally_clustered: bool
-    globally_clustered: bool | None  # None when global optimality was not checked
     iterations: int = 0
     dispersion_history: list[float] = field(default_factory=list)
     dropped_classes: int = 0
@@ -393,7 +392,6 @@ def kmeans_lloyd(
         prototypes=class_prototypes(data, part, prior),
         dispersion=float(history[-1, 0]),
         locally_clustered=local,
-        globally_clustered=None,
         iterations=len(history),
         dispersion_history=history[:, 0].tolist(),
         dropped_classes=len(init) - part.n_classes,

@@ -9,10 +9,11 @@ one-candidate case).  The search walks degenerate supports first, then
 two-partition supports for one player with the mixture weight on a simplex
 grid, in one loop body: each support is solved, and its profiles and the
 points of its one-parameter solution families are admitted by one batched
-clustering check each.  Family points are the roots of the dispersion-tie
-condition for a mixing support, and for a degenerate pair the roots of
-every margin of the clustering check with the points between them, found
-for all families of one solve together.
+clustering check.  Family points are the isolated roots of the global
+dispersion-tie condition for a mixing support; every other family (any
+support, either mode) is cut at the roots of the margins of the check, and
+yields the cuts and the points between them, found for all families of one
+solve together.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .partitions import Partition, assignment_rows, class_masks, partition_list
 LOCAL = "local"
 GLOBAL = "global"
 CANDIDATE_DEDUP_TOL = 1e-7
-LOCAL_SAMPLES = 9  # continuum samples kept per family where no tie is isolated
+FAMILY_INSET = 1e-12  # a family is refined on [t_lo + FAMILY_INSET, t_hi - FAMILY_INSET]
 MAX_VERTEX_PROFILES = 512  # grand_map lists at most this many, and reports truncation
 
 
@@ -293,9 +294,9 @@ class LayerReport:
 class SearchResult:
     candidates: list[EquilibriumCandidate] = field(default_factory=list)
     layers: list[LayerReport] = field(default_factory=list)
-    # families of degenerate pairs whose clustering check was only sampled
-    # (KL, where it is not decided by quadratics): an empty pure layer then
-    # refutes nothing
+    # families of degenerate pairs covered under KL, whose margins are
+    # bracketed on a grid where one cell can hide two roots: an empty pure
+    # layer then refutes nothing
     sampled_pure_families: int = 0
 
     @property
@@ -339,45 +340,41 @@ def _lambda_grid(step: float) -> list[float]:
     return sorted(values, key=rank)
 
 
-def _quadratic_roots(samples, lo: float, hi: float) -> list[float] | None:
-    """Roots in [lo, hi] of a function known to be quadratic in t, from its
-    values at lo, (lo + hi) / 2 and hi.
+def _quadratic_roots(samples, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots in [lo, hi] of functions known to be quadratic in t, from their
+    (..., 3) values at lo, (lo + hi) / 2 and hi (lo and hi broadcast to the
+    leading shape): (..., 2) roots, NaN where there are fewer, and the
+    mask of the functions that vanish identically.
 
-    Returns None when the function vanishes identically (for a tie
-    residual, the caller then samples the whole family instead of isolated
-    roots).  An extremum
-    that misses zero by at most 1e-12 (relative to the samples, at least 1)
-    is a double (tangent) root: rounding gives its discriminant either sign.
+    An extremum that misses zero by at most 1e-12 (relative to the samples,
+    at least 1) is a double (tangent) root: rounding gives its discriminant
+    either sign.  Squares are taken by Python's float power (libm pow), as
+    the per-function routine this replaces took them; numpy's h * h can
+    differ in the last bit.
     """
-    mid = (lo + hi) / 2
-    y0, y1, y2 = samples
-    h = hi - lo
-    if h <= 0:
-        return []
-    # Lagrange coefficients in s = t - mid, which keeps them well conditioned
-    a = 2 * (y0 - 2 * y1 + y2) / h**2
-    b = (y2 - y0) / h
-    c = y1
-    scale = max(abs(y0), abs(y1), abs(y2), 1e-30)
-    if abs(a) < 1e-12 * scale / max(h, 1e-12) ** 2 and abs(b) < 1e-12 * scale / max(h, 1e-12):
-        # residual constant: identically zero ties everywhere, else no root
-        return None if abs(c) <= 1e-11 * max(scale, 1.0) else []
-    if abs(a) < 1e-14 and b != 0:
-        roots = [-c / b]
-    else:
+    y0, y1, y2 = np.moveaxis(np.asarray(samples, dtype=float), -1, 0)
+    mid, h = (lo + hi) / 2, hi - lo
+    square = np.reshape([v**2 for v in h.ravel().tolist()], h.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Lagrange coefficients in s = t - mid, which keeps them well conditioned
+        a, b, c = 2 * (y0 - 2 * y1 + y2) / square, (y2 - y0) / h, y1
+        scale = np.maximum(np.maximum(np.maximum(abs(y0), abs(y1)), abs(y2)), 1e-30)
+        unit = np.maximum(scale, 1.0)
+        wide = np.where(h > 1e-12, square, 1e-12**2)  # max(h, 1e-12) ** 2
+        flat = (h <= 0) | (abs(a) < 1e-12 * scale / wide) & (abs(b) < 1e-12 * scale / np.maximum(h, 1e-12))
+        vanishing = flat & (h > 0) & (abs(c) <= 1e-11 * unit)
         disc = b * b - 4 * a * c  # the extremum value is -disc / (4a)
-        if abs(disc) <= 4 * abs(a) * 1e-12 * max(scale, 1.0):
-            disc = 0.0
-        elif disc < 0:
-            return []
+        disc = np.where(abs(disc) <= 4 * abs(a) * 1e-12 * unit, 0.0, disc)
         # (-b -+ sqrt(disc)) / 2a, each through q = -(b + sign(b) sqrt(disc)) / 2
         # so that no root loses its digits to cancellation when a is small
-        q = -(b - math.sqrt(disc)) / 2 if b < 0 else -(b + math.sqrt(disc)) / 2
-        if q == 0:  # b = 0 and disc = 0, so c = 0: a double root at mid
-            roots = [0.0, 0.0]
-        else:
-            roots = [c / q, q / a] if b < 0 else [q / a, c / q]
-    return [float(mid + r) for r in roots if lo - 1e-12 <= mid + r <= hi + 1e-12]
+        q = np.where(b < 0, -(b - np.sqrt(disc)) / 2, -(b + np.sqrt(disc)) / 2)
+        roots = np.where((b < 0)[..., None], np.stack([c / q, q / a], -1), np.stack([q / a, c / q], -1))
+        roots[q == 0] = 0.0  # b = 0 and disc = 0, so c = 0: a double root at mid
+        linear = (abs(a) < 1e-14) & (b != 0)
+        roots[linear] = np.stack([-c / b, np.full(c.shape, np.nan)], -1)[linear]
+        roots[flat | ~linear & (disc < 0)] = np.nan
+    t = mid[..., None] + roots
+    return np.where(((lo - 1e-12)[..., None] <= t) & (t <= (hi + 1e-12)[..., None]), t, np.nan), vanishing
 
 
 def _bracket_roots(f, lo: np.ndarray, hi: np.ndarray) -> list[list[float]]:
@@ -413,113 +410,138 @@ def _bracket_roots(f, lo: np.ndarray, hi: np.ndarray) -> list[list[float]]:
 
 
 def _check_margins(env: GameEnvironment, lams, plays, mode: str, d: Divergence, capacities) -> np.ndarray:
-    """(B, m) functions of each row of stacked plays on a degenerate pair whose
-    signs decide its clustered-equilibrium check, for each player: the
-    payoff difference of every two actions in every game (which decide the
-    best replies, the supports of the strategies being fixed inside a
-    family), and the margins of the clustering test, which passes where
-    none is below zero: the dispersion of every partition with at most the
-    player's capacity of classes less the support partition's (global), or
-    each game's divergence to every class prototype less that to its own
-    class's (local).  Along a family the payoff differences are affine, and
-    under the squared divergences the margins are quadratic."""
+    """(B, m) functions of each row of stacked plays whose signs decide its
+    clustered-equilibrium check, for each player and each of its one or two
+    support partitions, against the opponent's aggregate: the payoff
+    difference of every two actions in every game (which decide the best
+    replies, the supports of the strategies being fixed inside a family),
+    and the margins of the clustering test, which passes where none is below
+    zero: the dispersion of every partition with at most the player's
+    capacity of classes less the support partition's (global), or each
+    game's divergence to every class prototype less that to its own class's
+    (local).  The aggregate is affine along a family, the mixture weights
+    being fixed, so the payoff differences are affine and, under the
+    squared divergences, the margins quadratic."""
     cols = []
     for player in (0, 1):
-        data = plays[1 - player][:, 0]
-        part = lams[player].support[0]
-        beta = consistent_expectation(env, part, data)
-        pays = expected_payoffs(env, player, beta[:, list(part.assignment())])
-        cols.append((pays[..., :, None] - pays[..., None, :]).reshape(len(data), -1))
+        data = mixture(lams[1 - player].weights, plays[1 - player].swapaxes(0, 1))
         if mode == GLOBAL:
             masks = class_masks(env.n_games, capacities[player])
             disp = partition_dispersions(subset_table(data, env.prior, d), masks)
-            # less the support partition's own row, so an equal row's margin is exactly 0
-            cols.append((disp - disp[assignment_rows([part.assignment()], capacities[player])]).T)
-        else:
-            dist = _prototype_divergences(data, class_prototypes(data, part, env.prior), d)
-            own = dist[:, np.arange(env.n_games), list(part.assignment())]
-            cols.append((dist - own[..., None]).reshape(len(data), -1))
+        for part in lams[player].support:
+            beta = consistent_expectation(env, part, data)
+            pays = expected_payoffs(env, player, beta[:, list(part.assignment())])
+            cols.append((pays[..., :, None] - pays[..., None, :]).reshape(len(data), -1))
+            if mode == GLOBAL:
+                # less the support partition's own row, so an equal row's margin is exactly 0
+                cols.append((disp - disp[assignment_rows([part.assignment()], capacities[player])]).T)
+            else:
+                dist = _prototype_divergences(data, class_prototypes(data, part, env.prior), d)
+                own = dist[:, np.arange(env.n_games), list(part.assignment())]
+                cols.append((dist - own[..., None]).reshape(len(data), -1))
     return np.concatenate(cols, axis=1)
 
 
-def _refine_continua(
-    env: GameEnvironment,
-    lams,
-    continua: list[Continuum],
-    mode: str,
-    d: Divergence,
-    capacities,
-) -> list[EquilibriumCandidate]:
-    """Candidate points of the one-parameter solution families of one solve.
+def _cover(env: GameEnvironment, lams, continua: list[Continuum], mode: str, d: Divergence, capacities):
+    """(N, V) points of the one-parameter solution families of one solve,
+    in family order, each family inset by FAMILY_INSET at both ends.
 
-    Each family is inset by 1e-12 at both ends.  Global mode with a
-    two-partition support: roots of the dispersion-tie residual between the
-    two support partitions, for every family at once (quadratic for the
-    squared divergences, from samples at both ends and the middle;
-    bracketing for KL).  A degenerate pair under a squared divergence: both
-    ends, every root of a function deciding the check (`_check_margins`,
-    fitted from the same three samples), and the midpoint between each two
-    neighbours, so the points meet every stretch on which the check's
-    verdict is constant.  Otherwise, or where the tie holds along the whole
-    family, a sweep of LOCAL_SAMPLES points.  Points repeated across
-    families are dropped; those whose best replies hold are admitted by one
-    clustering check, in order.
+    In global mode with a two-partition support, a family whose
+    dispersion-tie residual has isolated roots yields them: the tie is the
+    one margin that must vanish.  Every other family is cut at the roots of
+    `_check_margins` and yields its ends, the cuts and the midpoint between
+    each two neighbours, which meet every stretch where the check's verdict
+    is constant.  The roots are fitted quadratics under the squared
+    divergences (one `_quadratic_roots` call for all ties, one for all
+    margins) and bracketed (`_bracket_roots`) under KL, where one grid cell
+    can hide two.  A support partition over capacity is never a dispersion
+    minimizer, so in global mode its families yield nothing.  Points
+    repeated across families are dropped.
     """
-    if not continua:
-        return []
     split = continua[0].plays
-    mix_player = None
-    for player in (0, 1):
-        if len(lams[player].support) == 2:
-            mix_player = player
-    lo = np.array([c.t_lo for c in continua]) + 1e-12
-    hi = np.array([c.t_hi for c in continua]) - 1e-12
+    mix_player = next((pl for pl in (0, 1) if len(lams[pl].support) == 2), None)
+    lo = np.array([c.t_lo for c in continua]) + FAMILY_INSET
+    hi = np.array([c.t_hi for c in continua]) - FAMILY_INSET
     base = np.stack([c.base for c in continua])
     direction = np.stack([c.direction for c in continua])
     live = np.flatnonzero(hi > lo)
-    roots: dict = {}  # family -> points; None (or absent) means sweep the family
-    if mode == GLOBAL and mix_player is not None and len(live):
+    if not len(live) or mode == GLOBAL and any(
+        p.n_classes > cap for lam, cap in zip(lams, capacities) for p in lam.support
+    ):
+        return base[:0]
+    tie = mode == GLOBAL and mix_player is not None
+    ts = np.stack([lo, (lo + hi) / 2, hi], axis=1)  # both ends and the middle
+
+    def margins(fam, t):
+        """`_check_margins` of families `fam` at t, (..., m)."""
+        fam, t = np.broadcast_arrays(fam, t)
+        at = split(base[fam.ravel()] + t.ravel()[:, None] * direction[fam.ravel()])
+        return _check_margins(env, lams, at, mode, d, capacities).reshape(t.shape + (-1,))
+
+    def residual(fam, t):
+        """Tie residual of families `fam` at t, from the non-mixing player's data."""
+        plays = split(base[fam] + t[..., None] * direction[fam])[1 - mix_player]
+        data = mixture(lams[1 - mix_player].weights, np.moveaxis(plays, -3, 0))
         part_a, part_b = lams[mix_player].support
-        data_player = 1 - mix_player
+        return dispersion(data, part_a, env.prior, d) - dispersion(data, part_b, env.prior, d)
 
-        def residual(fam, t):
-            """Tie residual of families `fam` at t, from the non-mixing player's data."""
-            plays = split(base[fam] + t[..., None] * direction[fam])[data_player]
-            data = mixture(lams[data_player].weights, np.moveaxis(plays, -3, 0))
-            return dispersion(data, part_a, env.prior, d) - dispersion(data, part_b, env.prior, d)
-
-        if d.kind == KULLBACK_LEIBLER:
-            found = _bracket_roots(lambda c, t: residual(live[c], t), lo[live], hi[live])
-        else:
-            ts = np.stack([lo[live], (lo[live] + hi[live]) / 2, hi[live]], axis=1)
-            samples = residual(live[:, None], ts)
-            found = [_quadratic_roots(y, lo[c], hi[c]) for c, y in zip(live, samples)]
+    roots: dict = {}  # family -> the points it yields
+    cover = live  # the families cut at their margins' roots
+    if tie and d.kind == KULLBACK_LEIBLER:
+        found = _bracket_roots(lambda c, t: residual(live[c], t), lo[live], hi[live])
         roots = dict(zip(live.tolist(), found))
-    elif mix_player is None and d.kind != KULLBACK_LEIBLER and len(live):
-        ts = np.stack([lo[live], (lo[live] + hi[live]) / 2, hi[live]], axis=1)
-        x = base[live][:, None] + ts[..., None] * direction[live][:, None]
-        at = split(x.reshape(3 * len(live), -1))
-        margins = _check_margins(env, lams, at, mode, d, capacities).reshape(len(live), 3, -1)
-        for c, samples in zip(live.tolist(), margins):
-            cuts = {lo[c], hi[c]}
-            for y in samples.T:  # a margin that vanishes identically cuts nowhere
-                cuts.update(_quadratic_roots(y, lo[c], hi[c]) or [])
-            cuts = sorted(cuts)
-            roots[c] = sorted(cuts + [(u + v) / 2 for u, v in zip(cuts, cuts[1:])])
+        cover = live[:0]
+    elif tie:
+        found, vanishing = _quadratic_roots(residual(live[:, None], ts[live]), lo[live], hi[live])
+        kept = ~vanishing  # below, t == t drops the NaN of a missing root
+        roots = {c: [t for t in r if t == t] for c, r in zip(live[kept].tolist(), found[kept].tolist())}
+        cover = live[vanishing]
+    cuts: list = []  # the roots of the margins of each family of the cover
+    if len(cover) and d.kind == KULLBACK_LEIBLER:
+        m = margins(cover[:1], lo[cover[:1]]).shape[-1]
+
+        def margin(c, t):
+            """Margin c % m of family cover[c // m] at t, each (family, t) evaluated once."""
+            fam, col = np.divmod(c, m)
+            fam, col, t = np.broadcast_arrays(fam, col, t)
+            key, inv = np.unique(np.stack([fam.ravel(), t.ravel()]), axis=1, return_inverse=True)
+            values = margins(cover[key[0].astype(np.int64)], key[1])
+            return values[inv.ravel(), col.ravel()].reshape(t.shape)
+
+        found = _bracket_roots(margin, np.repeat(lo[cover], m), np.repeat(hi[cover], m))
+        cuts = [sum(found[k * m : (k + 1) * m], []) for k in range(len(cover))]
+    elif len(cover):
+        samples = margins(cover[:, None], ts[cover]).transpose(0, 2, 1)
+        found, _ = _quadratic_roots(samples, lo[cover, None], hi[cover, None])
+        # a margin that vanishes identically cuts nowhere
+        cuts = [[t for t in r if t == t] for r in found.reshape(len(cover), -1).tolist()]
+    for c, found in zip(cover.tolist(), cuts):
+        ends = sorted({lo[c], hi[c], *found})
+        roots[c] = sorted(ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])])
     points = []  # (family, t) in family order
     for c in live.tolist():
-        if roots.get(c) is None:
-            points += [(c, float(t)) for t in np.linspace(lo[c], hi[c], LOCAL_SAMPLES)]
-        else:
-            points += [(c, min(max(t, lo[c]), hi[c])) for t in roots[c]]
-    if not points:
-        return []
-    fam = np.array([c for c, _ in points])
+        points += [(c, min(max(t, lo[c]), hi[c])) for t in roots.get(c, ())]
+    fam = np.array([c for c, _ in points], dtype=np.int64)
     x = base[fam] + np.array([t for _, t in points])[:, None] * direction[fam]
     _, first = np.unique(np.round(x / CANDIDATE_DEDUP_TOL).astype(np.int64), axis=0, return_index=True)
-    plays = split(x[np.sort(first)])
-    held = dist_abee_verify_batch(env, lams, plays)[0]
-    return _admitted(env, lams, (plays[0][held], plays[1][held]), mode, d, capacities)
+    return x[np.sort(first)]
+
+
+def _refine_continua(env: GameEnvironment, lams, continua, mode: str, d: Divergence, capacities, profiles=()):
+    """Candidates of one solve, in order: its `profiles` (whose best replies
+    hold), then the points of its families' `_cover` whose best replies
+    hold, all through one clustering check (`_admitted`)."""
+    rows = [stack_plays(profile, lams) for profile in profiles]
+    plays = [
+        np.reshape([r[pl] for r in rows], (-1, len(lams[pl].support), env.n_games, env.n_actions(pl)))
+        for pl in (0, 1)
+    ]
+    points = _cover(env, lams, continua, mode, d, capacities) if continua else ()
+    if len(points):
+        at = continua[0].plays(points)
+        held = dist_abee_verify_batch(env, lams, at)[0]
+        plays = [np.concatenate([p, q[held]]) for p, q in zip(plays, at)]
+    return _admitted(env, lams, plays, mode, d, capacities)
 
 
 def _admitted(env: GameEnvironment, lams, plays, mode: str, d: Divergence, capacities) -> list:
@@ -547,22 +569,22 @@ def cd_abee_search(
 
     Layer 1 scans every degenerate partition pair exhaustively, with each
     pair's one-parameter solution families, which the squared divergences
-    cover exactly and KL only at samples (counted in
+    cover exactly and KL up to its bracketing grid (counted in
     `sampled_pure_families`).  Layer 2 scans two-partition supports for one
     player at a time against every degenerate partition of the other, with
-    the mixture weight on a grid and free indifference weights resolved by
-    tie root-finding.  Both layers run one loop body: each support is
-    solved, and its profiles and family points are admitted by the
-    clustering check of `cd_abee_verify_batch`.  The two layers share
-    `config.max_evaluations` solves, layer 1 first; a layer that runs out,
-    or reaches `config.max_candidates`, stops with `completed=False`, so
-    work and output do not depend on the speed of the machine.  A layer
-    with a solve that was not exact (`SolveResult.exact`) also reports
-    `completed=False`, since it may have missed equilibria.  All
-    returned candidates verify; an empty result means "not found within its
-    evaluation budget", never nonexistence (except for the pure layer,
-    which reports exhaustive refutation when it completes empty having
-    covered every family exactly).
+    the mixture weight on a grid and its families covered by `_cover`.
+    Both layers run one loop body: each support is solved, and its
+    profiles and family points are admitted by one clustering check.  The
+    two layers share `config.max_evaluations` solves, layer 1 first; a
+    layer that runs out, or reaches `config.max_candidates`, stops with
+    `completed=False`, so work and output do not depend on the speed of
+    the machine.  A layer with a solve that was not exact
+    (`SolveResult.exact`) also reports `completed=False`, since it may
+    have missed equilibria.  All returned candidates verify; an empty
+    result means "not found within its evaluation budget", never
+    nonexistence (except for the pure layer, which reports exhaustive
+    refutation when it completes empty having covered every family
+    exactly).
     """
     config = config or SearchConfig()
     result = SearchResult()
@@ -599,13 +621,10 @@ def cd_abee_search(
             res = dist_abee_solve_detailed(env, lams, config.solve)
             evaluations += 1
             completed &= res.exact  # a heuristic solve may have missed equilibria
-            plays = [stack_plays(profile, lams) for profile in res.profiles]
-            stacked = tuple(np.array([p[pl] for p in plays]) for pl in (0, 1))
-            # solved profiles pass dist_abee_verify already; only clustering is left
-            admitted = _admitted(env, lams, stacked, mode, d, capacities)
             if name == "degenerate" and d.kind == KULLBACK_LEIBLER:
                 result.sampled_pure_families += len(res.continua)
-            for cand in admitted + _refine_continua(env, lams, res.continua, mode, d, capacities):
+            # solved profiles pass dist_abee_verify already; only clustering is left
+            for cand in _refine_continua(env, lams, res.continua, mode, d, capacities, res.profiles):
                 key = _candidate_key(cand)
                 if key not in seen:
                     seen.add(key)

@@ -328,3 +328,22 @@ def test_flag_overrides_are_recorded_in_the_result(tmp_path):
     assert run_cli("run", "--scenario", "prop5_monitoring", "--out", str(tmp_path)) == EXIT_OK
     plain = json.loads((tmp_path / "prop5_monitoring.result.json").read_text())
     assert plain["scenario"] == bundled_scenarios()["prop5_monitoring"]
+
+
+@pytest.mark.parametrize("name", ["kl", "l2", "mean"])
+def test_candidate_json_round_trips_each_divergence(name):
+    """A stored candidate comes back with the divergence of its scenario
+    name, its distributions and its strategies unchanged."""
+    from cabee.applications.monitoring import MonitoringSpec, solve_monitoring_cdabee
+    from cabee.cli import DIVERGENCES, _candidate_from_json, _candidate_to_json
+    from cabee.equilibrium import GLOBAL
+
+    d = DIVERGENCES[name]
+    (cand,) = solve_monitoring_cdabee(MonitoringSpec(0.4, 0.4, 0.2, 0.5, 0.3), GLOBAL, d).candidates
+    doc = json.loads(json.dumps(_candidate_to_json(cand)))
+    back = _candidate_from_json(3, doc)
+    assert back.divergence == d and back.mode == GLOBAL and back.lams == cand.lams
+    for player in (0, 1):
+        for part in cand.lams[player].support:
+            assert back.profile.plays[player][part].tolist() == cand.profile.plays[player][part].tolist()
+    assert _candidate_to_json(back) == doc

@@ -102,7 +102,6 @@ def _loop_kmeans_lloyd(data, prior, max_classes, d, init, max_iter=1000):
         prototypes=class_prototypes(data, part, prior),
         dispersion=history[-1],
         locally_clustered=local,
-        globally_clustered=None,
         iterations=len(history),
         dispersion_history=history,
         dropped_classes=dropped,

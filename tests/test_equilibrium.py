@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -24,7 +25,6 @@ from cabee.equilibrium import (
     CANDIDATE_DEDUP_TOL,
     GLOBAL,
     LOCAL,
-    LOCAL_SAMPLES,
     EquilibriumCandidate,
     SearchConfig,
     _bracket_roots,
@@ -290,8 +290,41 @@ def test_search_evaluation_budget(mp_half_grid, budget, layers):
 
 
 def _roots_of(f, lo, hi):
-    """_quadratic_roots of f, sampled at both ends and the middle."""
-    return _quadratic_roots((f(lo), f((lo + hi) / 2), f(hi)), lo, hi)
+    """_quadratic_roots of f, sampled at both ends and the middle: its roots
+    in order, or None where f vanishes identically."""
+    roots, vanishing = _quadratic_roots(np.array([[f(lo), f((lo + hi) / 2), f(hi)]]), np.array([lo]), np.array([hi]))
+    return None if vanishing[0] else roots[0][~np.isnan(roots[0])].tolist()
+
+
+def _loop_quadratic_roots(samples, lo: float, hi: float) -> list[float] | None:
+    """The per-function routine that `_quadratic_roots` replaces: roots in
+    [lo, hi] of one quadratic from its values at lo, (lo + hi) / 2 and hi,
+    or None when it vanishes identically."""
+    mid = (lo + hi) / 2
+    y0, y1, y2 = samples
+    h = hi - lo
+    if h <= 0:
+        return []
+    a = 2 * (y0 - 2 * y1 + y2) / h**2
+    b = (y2 - y0) / h
+    c = y1
+    scale = max(abs(y0), abs(y1), abs(y2), 1e-30)
+    if abs(a) < 1e-12 * scale / max(h, 1e-12) ** 2 and abs(b) < 1e-12 * scale / max(h, 1e-12):
+        return None if abs(c) <= 1e-11 * max(scale, 1.0) else []
+    if abs(a) < 1e-14 and b != 0:
+        roots = [-c / b]
+    else:
+        disc = b * b - 4 * a * c
+        if abs(disc) <= 4 * abs(a) * 1e-12 * max(scale, 1.0):
+            disc = 0.0
+        elif disc < 0:
+            return []
+        q = -(b - math.sqrt(disc)) / 2 if b < 0 else -(b + math.sqrt(disc)) / 2
+        if q == 0:
+            roots = [0.0, 0.0]
+        else:
+            roots = [c / q, q / a] if b < 0 else [q / a, c / q]
+    return [float(mid + r) for r in roots if lo - 1e-12 <= mid + r <= hi + 1e-12]
 
 
 def test_quadratic_roots_keep_tangent_double_roots(rng):
@@ -322,6 +355,44 @@ def test_quadratic_roots_distinct_linear_and_constant():
     # tiny and symmetric: neither constant nor linear, and no division by zero
     assert _roots_of(lambda t: 4e-20 * (t - 0.5) ** 2, 0.0, 1.0) == pytest.approx([0.5, 0.5])
     assert _roots_of(lambda t: 0.0 * t + 1.0, 0.0, 1.0) == []
+
+
+def test_quadratic_roots_equal_the_per_function_loop_bit_for_bit(rng):
+    """The array routine performs the loop's operations in the same order:
+    on tangent, linear and constant cases and on 10,000 random sample
+    triples it gives the same roots, bit for bit, and flags exactly the
+    functions for which the loop returns None."""
+    cases = []
+    for _ in range(1000):
+        lo = rng.uniform(-2, 2)
+        hi = lo + 10 ** rng.uniform(-3, 0.5)
+        k, r, u = 10 ** rng.uniform(-3, 2), rng.uniform(lo, hi), rng.uniform(lo - 1, hi + 1)
+        for f in (
+            lambda t: k * (t - r) ** 2,
+            lambda t: -k * (t - r) ** 2 + 1e-13,
+            lambda t: k * (t - u),
+            lambda t: 0.0 * t + k,
+            lambda t: 0.0 * t,
+            lambda t: 1e-20 * (t - r) ** 2,
+        ):
+            cases.append(((f(lo), f((lo + hi) / 2), f(hi)), lo, hi))
+    for _ in range(10_000):
+        lo = rng.uniform(-2, 2)
+        hi = lo + 10 ** rng.uniform(-6, 1)
+        y = rng.normal(size=3) * 10 ** rng.uniform(-14, 3, size=3)
+        y[rng.random(3) < 0.1] = 0.0
+        cases.append((tuple(y.tolist()), lo, hi))
+    samples = np.array([c[0] for c in cases])
+    lo, hi = np.array([c[1] for c in cases]), np.array([c[2] for c in cases])
+    roots, vanishing = _quadratic_roots(samples, lo, hi)
+    kinds = set()
+    for (y, a, b), row, flat in zip(cases, roots, vanishing):
+        ref = _loop_quadratic_roots(y, a, b)
+        assert flat == (ref is None), (y, a, b)
+        got = row[~np.isnan(row)]
+        assert got.tobytes() == np.array(ref or [], dtype=float).tobytes(), (y, a, b, ref, got)
+        kinds.add(-1 if ref is None else len(ref))
+    assert kinds == {-1, 0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +426,10 @@ def _loop_bracket_roots(f, lo, hi, samples=17, iters=80):
 
 
 def _loop_refine_continuum(env, lams, cont, mode, d, capacities, local_samples, seen):
-    """The previous per-family refinement, `_quadratic_roots` fed its samples;
-    `seen` is shared by the families of one solve."""
+    """The per-family refinement before the margin cover: the roots of the
+    global tie residual (`_loop_quadratic_roots`, or bracketing under KL),
+    else a sweep of `local_samples` points; `seen` is shared by the
+    families of one solve."""
     mix_player = None
     for player in (0, 1):
         if len(lams[player].support) == 2:
@@ -386,7 +459,7 @@ def _loop_refine_continuum(env, lams, cont, mode, d, capacities, local_samples, 
         if d.kind == "kullback-leibler":
             roots = _loop_bracket_roots(residual, lo, hi)
         else:
-            roots = _roots_of(residual, lo, hi)
+            roots = _loop_quadratic_roots((residual(lo), residual((lo + hi) / 2), residual(hi)), lo, hi)
         if roots is not None:
             for t in roots:
                 cand = make_candidate(min(max(t, lo), hi))
@@ -400,8 +473,52 @@ def _loop_refine_continuum(env, lams, cont, mode, d, capacities, local_samples, 
     return out
 
 
+def _family_ts(fam, lams, cands):
+    """t of each candidate on family `fam`, located by least squares on its
+    stacked plays, or None where the candidate is off the family."""
+    ends = fam.plays(fam.base + np.array([fam.t_lo, fam.t_hi])[:, None] * fam.direction)
+    start, stop = (np.concatenate([ends[0][k].ravel(), ends[1][k].ravel()]) for k in (0, 1))
+    span = stop - start
+    out = []
+    for cand in cands:
+        x = np.concatenate([p.ravel() for p in stack_plays(cand.profile, lams)])
+        s = float((x - start) @ span / (span @ span))
+        on = np.abs(start + s * span - x).max() <= 1e-9
+        out.append(fam.t_lo + s * (fam.t_hi - fam.t_lo) if on else None)
+    return out
+
+
+def _assert_cover_meets_reference_stretches(env, lams, continua, mode, d, got):
+    """Every cover point verifies, and every point the sweep reference
+    admits lies on a clustered stretch of its family (found by a sweep of
+    401 points, widened by one step) that holds an admitted cover point of
+    the same family."""
+    for cand in got:
+        assert cd_abee_verify(env, cand, (2, 3)).ok
+    seen: set = set()
+    for fam in continua:
+        ref = _loop_refine_continuum(env, lams, fam, mode, d, (2, 3), 9, seen)
+        if not ref:
+            continue
+        ts = np.linspace(fam.t_lo + 1e-12, fam.t_hi - 1e-12, 401)
+        swept = cd_abee_verify_batch(env, lams, fam.plays(fam.base + ts[:, None] * fam.direction), mode, d, (2, 3))
+        failing = np.flatnonzero([not rep.ok for rep in swept])
+        covered = [t for t in _family_ts(fam, lams, got) if t is not None]
+        for t in _family_ts(fam, lams, ref):
+            i = np.searchsorted(ts, t)
+            below, above = failing[failing < i], failing[failing >= i]
+            a, b = ts[below[-1] if len(below) else 0], ts[above[0] if len(above) else -1]
+            assert any(a <= u <= b for u in covered), (t, a, b, covered)
+
+
 def _assert_refinement_matches_reference(env, lams, continua, mode, d):
+    """The refinement equals the per-family reference bit for bit; in local
+    L2, where the reference only sweeps 9 points per family, the cover
+    meets each of its stretches instead."""
     got = _refine_continua(env, lams, continua, mode, d, (2, 3))
+    if (mode, d) == (LOCAL, L2):
+        _assert_cover_meets_reference_stretches(env, lams, continua, mode, d, got)
+        return len(got)
     seen: set = set()
     ref = [
         cand
@@ -455,7 +572,8 @@ def test_refine_continua_matches_per_family_reference():
 
 def test_refine_continua_tied_family_and_empty_inset():
     """A family along which both support partitions tie identically is
-    sampled; one shorter than its two 1e-12 insets gives nothing."""
+    covered by its margins; one shorter than its two 1e-12 insets gives
+    nothing."""
     env, lams = _mp_row_mixing()
     continua = dist_abee_solve_detailed(env, lams).continua
     cont = continua[0]
@@ -750,10 +868,10 @@ def test_layer_one_local_matching_pennies_families():
 
 
 def test_search_clusters_each_solve_in_at_most_four_kernel_calls(monkeypatch):
-    """Two players times (profiles, family points): the clustering check
-    of one solve builds four subset tables (`subset_table`), and the margins
-    of a degenerate pair's families two more, at most four per solve in all
-    (302 over the 90 solves here)."""
+    """The one clustering check of a solve (its profiles and family points
+    together) builds a subset table (`subset_table`) per player, and the
+    margins of the families that the cover cuts two more, at most four per
+    solve in all (276 over the 90 solves here)."""
     calls = {"kernel": 0, "solve": 0}
 
     def counted(name, fn):
@@ -779,8 +897,7 @@ def test_search_clusters_each_solve_in_at_most_four_kernel_calls(monkeypatch):
 def test_layer_one_covers_a_clustered_point_between_family_samples():
     """Two games, global L2: the column player's one-class support is a
     dispersion minimizer only where the row plays alike in both games, a
-    single point of a family that misses all LOCAL_SAMPLES evenly spaced
-    points.  The family's cover of margin roots holds it."""
+    single point of a family that misses all of 9 evenly spaced points.  The family's cover of margin roots holds it."""
     i = [[[-1, 1], [1, -1]], [[-1, 0], [-1, 0]]]
     j = [[[1, 1], [-1, -1]], [[-1, 0], [1, 1]]]
     env = make_environment((0.437, 0.563), i, j)
@@ -788,7 +905,7 @@ def test_layer_one_covers_a_clustered_point_between_family_samples():
     family = [c for c in dist_abee_solve_detailed(env, lams).continua if c.t_lo > -0.5]
     assert len(family) == 1
     lo, hi = family[0].t_lo + 1e-12, family[0].t_hi - 1e-12
-    for t in np.linspace(lo, hi, LOCAL_SAMPLES):
+    for t in np.linspace(lo, hi, 9):
         assert not cd_abee_verify(env, EquilibriumCandidate(lams, family[0].build(t), GLOBAL, L2), (2, 2))
     found = _refine_continua(env, lams, family, GLOBAL, L2, (2, 2))
     assert len(found) == 1
@@ -822,8 +939,9 @@ def test_layer_one_cover_bounds_the_best_reply_stretch_of_a_family():
 
 
 def test_kl_families_of_the_pure_layer_are_not_a_refutation():
-    """KL margins are not quadratic, so degenerate-pair families are only
-    sampled: they are counted, and an empty pure layer then refutes nothing."""
+    """KL margins are not quadratic, so degenerate-pair families are covered
+    by bracketing on a grid, where one cell can hide two roots: they are
+    counted, and an empty pure layer then refutes nothing."""
     result = equilibrium.SearchResult(layers=[equilibrium.LayerReport("degenerate", True, 4, 0)])
     assert result.pure_exhaustively_refuted
     result.sampled_pure_families = 1
@@ -872,3 +990,98 @@ def test_degenerate_family_cover_meets_every_clustered_stretch(rng):
                     stretches += 1
                     assert any(ts[i] - step <= t <= ts[j - 1] + step for t in found), (trial, an0, an1)
     assert stretches
+
+
+def test_two_partition_family_cover_meets_every_clustered_stretch(rng):
+    """As for degenerate pairs, where one player mixes two partitions: on
+    random 2- and 3-game environments, in both modes under L2 and the mean
+    divergence, wherever a sweep of 401 points finds clustered equilibria
+    along a family that the cover refines, the family's cover admits a
+    point of that stretch (within one sweep step).  In global mode the
+    cover refines the families whose dispersion tie holds identically; the
+    others yield their isolated tie roots, which the per-family reference
+    test pins."""
+    import itertools
+
+    def tie_is_isolated(fam, lams, mix_player, d):
+        part_a, part_b = lams[mix_player].support
+
+        def residual(t):
+            data = aggregate(fam.build(t), lams)[1 - mix_player]
+            return dispersion(data, part_a, env.prior, d) - dispersion(data, part_b, env.prior, d)
+
+        lo, hi = fam.t_lo + 1e-12, fam.t_hi - 1e-12
+        return _loop_quadratic_roots((residual(lo), residual((lo + hi) / 2), residual(hi)), lo, hi) is not None
+
+    stretches = 0
+    for trial in range(32):
+        n = 2 + trial % 2
+        prior = rng.dirichlet(np.ones(n) * 2)
+        env = make_environment(prior, rng.integers(-3, 4, (2, 2, n)), rng.integers(-3, 4, (2, 2, n)))
+        mix_player = int(rng.integers(2))
+        caps = [int(rng.integers(1, n + 1)) for _ in (0, 1)]
+        caps[mix_player] = max(caps[mix_player], 2)
+        mode = (GLOBAL, LOCAL)[trial % 2]
+        d = (L2, mean_divergence([1.0, 0.0]))[trial // 2 % 2]
+        parts = [partition_list(n, c) for c in caps]
+        branches = list(itertools.product(itertools.combinations(parts[mix_player], 2), parts[1 - mix_player]))
+        for k in rng.permutation(len(branches))[:6]:
+            pair, other = branches[k]
+            mixed = PartitionDistribution(pair, (0.4, 0.6))
+            lams = (mixed, PartitionDistribution.degenerate(other))[:: 1 - 2 * mix_player]
+            for fam in dist_abee_solve_detailed(env, lams).continua:
+                ts = np.linspace(fam.t_lo + 1e-12, fam.t_hi - 1e-12, 401)
+                if ts[-1] <= ts[0] or mode == GLOBAL and tie_is_isolated(fam, lams, mix_player, d):
+                    continue
+                swept = cd_abee_verify_batch(env, lams, fam.plays(fam.base + ts[:, None] * fam.direction), mode, d, caps)
+                ok = np.array([rep.ok for rep in swept] + [False])
+                cover = _refine_continua(env, lams, [fam], mode, d, caps)
+                for cand in cover:
+                    assert cd_abee_verify(env, cand, caps).ok
+                found = _family_ts(fam, lams, cover)
+                step = ts[1] - ts[0]
+                for i in np.flatnonzero(ok & ~np.concatenate([[False], ok[:-1]])):
+                    j = i + np.argmin(ok[i:])
+                    stretches += 1
+                    assert any(ts[i] - step <= t <= ts[j - 1] + step for t in found), (trial, pair, other)
+    assert stretches >= 60
+
+
+@pytest.mark.parametrize("nu_star", [0.45, 0.5])
+def test_refinement_admits_both_ends_of_the_monitoring_interval(nu_star):
+    """Criterion 3b at the refinement level: on the mixed monitoring solve
+    (weight 0.3 on the a-bundling) in local L2, the cover of its families
+    admits the ends zeta = 0.4 and 0.6 of the sustainable-shirking
+    interval, which no grid of samples need hold."""
+    env = build_monitoring(MonitoringSpec(0.4, 0.4, 0.2, nu_star, 0.3))
+    lams = (PartitionDistribution(bundling_partitions(), (0.3, 0.7)), PartitionDistribution.degenerate(Partition.finest(3)))
+    found = _refine_continua(env, lams, dist_abee_solve_detailed(env, lams).continua, LOCAL, L2, (2, 3))
+    zetas = [cand.profile.plays[1][Partition.finest(3)][2, 0] for cand in found]
+    for end in (0.4, 0.6):
+        assert min(abs(z - end) for z in zetas) <= 1e-9, (end, zetas)
+    for cand in found:
+        assert cd_abee_verify(env, cand, (2, 3)).ok
+        assert 0.4 - 1e-9 <= cand.profile.plays[1][Partition.finest(3)][2, 0] <= 0.6 + 1e-9
+
+
+@pytest.mark.parametrize("d", [L2, mean_divergence([1.0, 0.0]), KL])
+def test_support_partition_over_capacity_yields_no_candidate(d):
+    """Global mode, the column mixing against the row's finest partition at
+    a row capacity of 2: that partition is never a dispersion minimizer, so
+    the families give no candidate, and raise nothing, also those whose
+    tie residual vanishes identically and which the margins would cover."""
+    env, mp_lams = _mp_row_mixing()
+    fin = Partition.finest(3)
+    lams = (PartitionDistribution.degenerate(fin), PartitionDistribution((mp_lams[0].support[0], fin), (0.25, 0.75)))
+    continua = dist_abee_solve_detailed(env, lams).continua
+
+    def tied(fam):
+        def residual(t):
+            data = aggregate(fam.build(t), lams)[0]
+            return dispersion(data, lams[1].support[0], env.prior, L2) - dispersion(data, fin, env.prior, L2)
+
+        lo, hi = fam.t_lo + 1e-12, fam.t_hi - 1e-12
+        return hi > lo and _loop_quadratic_roots((residual(lo), residual((lo + hi) / 2), residual(hi)), lo, hi) is None
+
+    assert any(tied(fam) for fam in continua)
+    assert _refine_continua(env, lams, continua, GLOBAL, d, (2, 3)) == []

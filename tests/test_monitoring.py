@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from cabee.clustering import KL, L2
+from cabee.clustering import KL, L2, mean_divergence
 from cabee.env import nash_solve_2x2, pure_payoffs_against
-from cabee.equilibrium import GLOBAL, LOCAL, cd_abee_verify
+from cabee.equilibrium import GLOBAL, LOCAL, cd_abee_verify, cd_abee_verify_batch
+from cabee.numeric import bisect_root
 from cabee.applications import HypothesesUnmet
 from cabee.applications.monitoring import (
     CONTROL,
     E0,
     MonitoringSpec,
     _candidate_at,
+    _mixed_lams,
+    _mixed_plays,
     _worker_point,
     build_monitoring,
     bundling_partitions,
@@ -141,6 +144,51 @@ def test_local_range_symmetry_argument():
         assert rep.ok == mirror.ok
         assert rep.ok == (0.4 <= zeta <= 0.6)
         assert failing_bundlings(mirror) == [mirrored[k] for k in failing_bundlings(rep)]
+
+
+def _grid_interval(spec, d):
+    """The grid routine that the cover replaced: a sweep of step 1e-3 over
+    (0, 1), checked in one batch, then a sign bisection of each end (to
+    1e-9) unless the ends of (0, 1) pass."""
+    env, lams = build_monitoring(spec), _mixed_lams(spec)
+
+    def ok(z):
+        return cd_abee_verify(env, _candidate_at(spec, z, LOCAL, d)[1], (2, 3)).ok
+
+    zetas = np.arange(1e-3, 1.0, 1e-3)
+    reports = cd_abee_verify_batch(env, lams, _mixed_plays(zetas), LOCAL, d, (2, 3))
+    idx = np.flatnonzero([report.ok for report in reports])
+    assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
+    lo_in, hi_in = float(zetas[idx[0]]), float(zetas[idx[-1]])
+    lo = 0.0
+    if idx[0] > 0 and not ok(1e-12):
+        lo = bisect_root(lambda z: 1.0 if ok(z) else -1.0, 1e-12, lo_in, tol=1e-9)
+    hi = 1.0
+    if idx[-1] < len(zetas) - 1 and not ok(1 - 1e-12):
+        hi = bisect_root(lambda z: -1.0 if ok(z) else 1.0, hi_in, 1 - 1e-12, tol=1e-9)
+    return lo, hi
+
+
+@pytest.mark.parametrize("d", [L2, KL, mean_divergence([1.0, 0.0])])
+@pytest.mark.parametrize("nu_star", [0.45, 0.55])
+def test_local_interval_agrees_with_the_grid_routine(d, nu_star):
+    spec = MonitoringSpec(0.4, 0.4, 0.2, nu_star, 0.3)
+    sol = solve_monitoring_cdabee(spec, LOCAL, d)
+    assert sol.zeta_range == pytest.approx(_grid_interval(spec, d), abs=1e-3)
+    env = build_monitoring(spec)
+    assert len(sol.candidates) == 3
+    for cand in sol.candidates:
+        assert cd_abee_verify(env, cand, (2, 3)).ok
+
+
+def test_local_interval_is_exact():
+    """The cover's ends are margin roots: the closed-form (0.4, 0.6) under
+    squared-Euclidean comparisons, to rounding (the grid routine's
+    bisection stopped 3.7e-10 short of 0.4), and all of (0, 1) under
+    relative entropy."""
+    lo, hi = solve_monitoring_cdabee(LOCAL_SPEC, LOCAL, L2).zeta_range
+    assert abs(lo - 0.4) <= 1e-12 and abs(hi - 0.6) <= 1e-12
+    assert solve_monitoring_cdabee(LOCAL_SPEC, LOCAL, KL).zeta_range == (0.0, 1.0)
 
 
 def test_local_range_kl_full_interval():
