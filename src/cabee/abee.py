@@ -1,7 +1,9 @@
 """Analogy-based expectation equilibria for fixed or mixed partitions.
 
 Consistency ties a player's per-class expectation to the prior-weighted
-aggregate of the opponent's play; best responses treat the class expectation
+aggregate of the opponent's play: it is the class mean of that aggregate,
+the clustering prototype, and comes from the one class-mean kernel
+`clustering.class_prototypes`.  Best responses treat the class expectation
 as the opponent's strategy in every game of the class.  The solver for
 binary-action games enumerates regimes: per analogy class, where the class
 expectation sits relative to the games' indifference thresholds ("pinned at
@@ -21,13 +23,13 @@ checks them all at once, and `dist_abee_verify` is its one-profile case.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .clustering import class_prototypes
 from .env import GameEnvironment, SOLVER_TOL
 from .partitions import Partition
 
@@ -119,40 +121,6 @@ def aggregate(
     return tuple(mixture(lams[pl].weights, _strategies(profile, lams[pl], pl)) for pl in (0, 1))
 
 
-@functools.lru_cache(maxsize=4096)
-def _size_groups(partition: Partition) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(class indices, (k, size) member array) for each class size; the
-    arrays are read-only, as every caller shares them."""
-    by_size: dict[int, list[int]] = {}
-    for k, cls in enumerate(partition.classes):
-        by_size.setdefault(len(cls), []).append(k)
-    groups = []
-    for ks in by_size.values():
-        rows, members = np.array(ks), np.array([partition.classes[k] for k in ks])
-        rows.flags.writeable = members.flags.writeable = False
-        groups.append((rows, members))
-    return tuple(groups)
-
-
-def consistent_expectation(
-    env: GameEnvironment, partition: Partition, opponent_aggregate: np.ndarray
-) -> np.ndarray:
-    """Prior-weighted class means of the opponent aggregate, one row per class.
-
-    The aggregate is (..., n_games, n_actions) and the result (...,
-    n_classes, n_actions).  Each class mean is `w @ agg[cls] / w.sum()`;
-    the classes of one size share one matmul over contiguous per-class
-    blocks, whose products round as the single-class product does.
-    """
-    agg = np.asarray(opponent_aggregate, dtype=float)
-    out = np.empty(agg.shape[:-2] + (partition.n_classes, agg.shape[-1]))
-    for rows, members in _size_groups(partition):
-        w = env.prior[members]
-        means = w[:, None, :] @ agg.take(members, axis=-2)
-        out[..., rows, :] = means[..., 0, :] / w.sum(axis=1)[:, None]
-    return out
-
-
 def expected_payoffs(env: GameEnvironment, player: int, expectations: np.ndarray) -> np.ndarray:
     """Payoff of each own pure action in each game, (..., n_games, n_actions),
     against per-game opponent mixtures (..., n_games, n_opponent_actions)."""
@@ -190,7 +158,7 @@ def dist_abee_verify_batch(
     blocks, owners = [], []
     for player in (0, 1):
         for pi, part in enumerate(lams[player].support):
-            beta = consistent_expectation(env, part, aggs[1 - player])
+            beta = class_prototypes(aggs[1 - player], part, env.prior)
             pays = expected_payoffs(env, player, beta[..., list(part.assignment()), :])
             order = list(itertools.chain.from_iterable(part.classes))
             gains = pays.max(axis=-1) - (plays[player][:, pi] * pays).sum(axis=-1)
@@ -633,7 +601,7 @@ def _damped_iteration(
             for player in (0, 1):
                 opp = aggs[1 - player]
                 for part in lams[player].support:
-                    beta = consistent_expectation(env, part, opp)
+                    beta = class_prototypes(opp, part, env.prior)
                     pays = expected_payoffs(env, player, beta[list(part.assignment())])
                     old = profile.plays[player][part]
                     new = 0.5 * old + 0.5 * best_replies(pays, 1e-12)

@@ -15,7 +15,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from ..clustering import L2, _class_sums, partition_dispersions, subset_table
+from ..clustering import L2, _class_sums, class_prototypes, local_margins, partition_dispersions, subset_table
 from ..env import GameEnvironment, make_environment
 from ..partitions import Partition, class_masks
 
@@ -55,9 +55,7 @@ def best_reply(spec: BeautyContestSpec, theta: float, opponent_mean: float) -> f
 
 
 def class_means(spec: BeautyContestSpec, partition: Partition) -> np.ndarray:
-    th = np.asarray(spec.thetas)
-    w = np.asarray(spec.weights)
-    return np.array([w[list(c)] @ th[list(c)] / w[list(c)].sum() for c in partition.classes])
+    return class_prototypes(np.asarray(spec.thetas)[:, None], partition, spec.weights)[:, 0]
 
 
 def abee_actions(spec: BeautyContestSpec, partition: Partition) -> np.ndarray:
@@ -80,21 +78,10 @@ def beauty_cabee_check(spec: BeautyContestSpec, partition: Partition) -> tuple[b
     means = class_means(spec, partition)
     if len(means) >= 2 and np.min(np.diff(np.sort(means))) < 1e-12:
         raise ValueError("partition has non-distinct class means")
-    actions = abee_actions(spec, partition)
-    w = np.asarray(spec.weights)
-    protos = np.array(
-        [w[list(c)] @ actions[list(c)] / w[list(c)].sum() for c in partition.classes]
-    )
-    margin = np.inf
-    for ci, cls in enumerate(partition.classes):
-        for g in cls:
-            own = (actions[g] - protos[ci]) ** 2
-            for cj in range(partition.n_classes):
-                if cj != ci:
-                    margin = min(margin, (actions[g] - protos[cj]) ** 2 - own)
-    if partition.n_classes < 2:
-        margin = np.inf
-    return margin >= -LOCAL_SLACK, float(margin)
+    margins, _ = local_margins(abee_actions(spec, partition)[:, None], partition, spec.weights, L2)
+    own = np.eye(partition.n_classes, dtype=bool)[list(partition.assignment())]
+    margin = float(np.min(margins[~own], initial=np.inf))
+    return margin >= -LOCAL_SLACK, margin
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +135,7 @@ def discrete_abee(
         targets = (1.0 - spec.r) * th + spec.r * means[assign]
         idx = np.argmin(np.abs(acts[None, :] - targets[:, None]), axis=1)
         chosen = acts[idx]
-        new_means = np.array(
-            [w[assign == c] @ chosen[assign == c] / w[assign == c].sum()
-             for c in range(partition.n_classes)]
-        )
+        new_means = class_prototypes(chosen[:, None], partition, w)[:, 0]
         if np.max(np.abs(new_means - means)) < 1e-13:
             means = new_means
             break

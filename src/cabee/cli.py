@@ -123,6 +123,8 @@ def validate_scenario(doc: dict) -> dict:
         value = doc["max_evaluations"]
         if type(value) is not int or value <= 0:
             raise ScenarioError(f"max_evaluations: expected a positive integer, got {value!r}")
+    if "seed" in doc and (type(doc["seed"]) is not int or doc["seed"] < 0):
+        raise ScenarioError("seed: expected a non-negative integer")
     _build_inputs(doc)  # validates kind-specific parameters
     return doc
 

@@ -6,12 +6,16 @@ point is weakly nearest to its own class prototype, and globally clustered
 when it minimizes the prior-weighted within-class dispersion over all
 partitions with at most K classes.
 
-`divergence_eval` is the scalar definition, and `dispersion` adds it up
-game by game, on one data set or on each of a batch.  Both clustering tests
-take batches of data sets (`local_witnesses`, `global_cluster_batch`), and
-`is_locally_clustered` and `global_cluster` are their one-data-set case.
-The batched kernels are `_prototype_divergences` (every point against every
-prototype), `subset_table` with `partition_dispersions` (every enumerated
+`divergence_eval` is the scalar definition.  `class_prototypes` is the one
+class-mean kernel for a fixed partition: the clustering prototypes, which
+are also ABEE's analogy-class expectations.  `local_margins` (each point's
+divergence to every prototype less that to its own) serves the local test
+`local_witnesses`, `dispersion`, the search's local margins and the
+beauty-contest check.  Both clustering tests take batches of data sets
+(`local_witnesses`, `global_cluster_batch`), and `is_locally_clustered`
+and `global_cluster` are their one-data-set case.  The batched kernels are
+`_prototype_divergences` (every point against every prototype),
+`subset_table` with `partition_dispersions` (every enumerated
 partition, from the class terms of all game subsets, which `_subset_sums`
 adds up), and `_class_sums` (for labels that differ per data set: one
 `np.bincount` per action over the (row, class) cells, which adds each
@@ -89,20 +93,25 @@ def divergence_eval(d: Divergence, p, q) -> float:
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
-def prototype(data: np.ndarray, members, prior: np.ndarray) -> np.ndarray:
-    """Prior-weighted mean of the class members.
+def class_prototypes(data: np.ndarray, partition: Partition, prior: np.ndarray) -> np.ndarray:
+    """Prior-weighted class means, one row per class: (..., n_games, dim)
+    data give (..., n_classes, dim).
 
     The mean minimizes within-class dispersion for every divergence kind
-    handled here (all are Bregman divergences in the relevant coordinate).
+    handled here (all are Bregman divergences in the relevant coordinate),
+    and it is the analogy-class expectation of ABEE consistency.  Each
+    class mean is `w @ data[cls] / w.sum()`; the classes of one size
+    (`Partition.size_groups`) share one matmul over contiguous per-class
+    blocks, whose products round as the single-class product does.
     """
-    members = list(members)
-    if not members:
-        raise ValueError("empty class has no prototype")
-    w = np.asarray(prior, dtype=float)[members]
-    # take gives each data set's members as one contiguous block, so every
-    # product rounds as it does on a single (n_games, dim) data set
-    pts = np.asarray(data, dtype=float).take(members, axis=-2)
-    return w @ pts / w.sum()
+    data = np.asarray(data, dtype=float)
+    prior = np.asarray(prior, dtype=float)
+    out = np.empty(data.shape[:-2] + (partition.n_classes, data.shape[-1]))
+    for rows, members in partition.size_groups():
+        w = prior[members]
+        means = w[:, None, :] @ data.take(members, axis=-2)
+        out[..., rows, :] = means[..., 0, :] / w.sum(axis=1)[:, None]
+    return out
 
 
 def dispersion(data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence):
@@ -111,23 +120,16 @@ def dispersion(data: np.ndarray, partition: Partition, prior: np.ndarray, d: Div
     data is one (n_games, dim) data set, which gives a float, or a
     (..., n_games, dim) batch, which gives one value per data set.  Terms
     are added class by class and game by game, each the game's
-    `divergence_eval` to its prototype, so a batch entry equals the call on
-    its data set alone.
+    `divergence_eval` to its own prototype (from `local_margins`), so a
+    batch entry equals the call on its data set alone.
     """
-    data = np.asarray(data, dtype=float)
     prior = np.asarray(prior, dtype=float)
-    total = np.zeros(data.shape[:-2])
+    _, own = local_margins(data, partition, prior, d)
+    total = np.zeros(own.shape[:-1])
     for cls in partition.classes:
-        members = list(cls)
-        proto = prototype(data, members, prior)
-        div = _prototype_divergences(data.take(members, axis=-2), proto[..., None, :], d)
-        for j, g in enumerate(members):
-            total = total + prior[g] * div[..., j, 0]
+        for g in cls:
+            total = total + prior[g] * own[..., g]
     return float(total) if total.ndim == 0 else total
-
-
-def class_prototypes(data: np.ndarray, partition: Partition, prior: np.ndarray) -> np.ndarray:
-    return np.stack([prototype(data, cls, prior) for cls in partition.classes], axis=-2)
 
 
 def _projected(data, d: Divergence) -> tuple[np.ndarray, Divergence]:
@@ -169,6 +171,18 @@ def _prototype_divergences(data, protos, d: Divergence) -> np.ndarray:
     return np.where(((p > 0) & (q <= 0)).any(axis=-1), np.inf, dist) if kl else dist
 
 
+def local_margins(
+    data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence
+) -> tuple[np.ndarray, np.ndarray]:
+    """Margins of the local-clustering test of (..., n_games, dim) data:
+    each game's divergence to every class prototype less that to its own
+    class's, (..., n_games, n_classes), which is exactly 0 at the own
+    class; and the divergence to the own prototype, (..., n_games)."""
+    dist = _prototype_divergences(data, class_prototypes(data, partition, prior), d)
+    own = dist[..., np.arange(partition.n_games), list(partition.assignment())]
+    return dist - own[..., None], own
+
+
 def local_witnesses(
     data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence
 ) -> list[tuple[int, int] | None]:
@@ -179,12 +193,8 @@ def local_witnesses(
     floating-point noise in the comparison.  The witness is the first
     failing game in class-major order, with the first class it prefers.
     """
-    dist = _prototype_divergences(data, class_prototypes(data, partition, prior), d)
-    games = np.arange(partition.n_games)
-    own = np.array(partition.assignment())
-    better = dist < dist[:, games, own][..., None] - LOCAL_TOL
-    better[:, games, own] = False
-    witnesses: list[tuple[int, int] | None] = [None] * len(dist)
+    better = local_margins(data, partition, prior, d)[0] < -LOCAL_TOL
+    witnesses: list[tuple[int, int] | None] = [None] * len(better)
     if not better.any():
         return witnesses
     order = [g for cls in partition.classes for g in cls]

@@ -10,7 +10,8 @@ two-partition supports for one player with the mixture weight on a simplex
 grid, in one loop body: each support is solved, and its profiles and the
 points of its one-parameter solution families are admitted by one batched
 clustering check.  Family points are the isolated roots of the global
-dispersion-tie condition for a mixing support; every other family (any
+dispersion-tie condition for a mixing support, and the family's ends where
+the tie holds; every other family (any
 support, either mode) is cut at the roots of the margins of the check, and
 yields the cuts and the points between them, found for all families of one
 solve together.
@@ -31,7 +32,6 @@ from .abee import (
     StrategyProfile,
     aggregate,
     best_replies,
-    consistent_expectation,
     degenerate_pair,
     dist_abee_solve_detailed,
     dist_abee_verify_batch,
@@ -42,11 +42,12 @@ from .abee import (
 )
 from .clustering import (
     KULLBACK_LEIBLER,
+    TIE_TOL,
     Divergence,
-    _prototype_divergences,
     class_prototypes,
     dispersion,
     global_cluster_batch,
+    local_margins,
     local_witnesses,
     partition_dispersions,
     subset_table,
@@ -197,7 +198,7 @@ class GrandMapImage:
 def _reply_mask(env: GameEnvironment, player: int, part: Partition, opponent_aggregate) -> np.ndarray:
     """(n_games, n_actions) mask of the best replies to the consistent
     expectations of one support partition."""
-    beta = consistent_expectation(env, part, opponent_aggregate)
+    beta = class_prototypes(opponent_aggregate, part, env.prior)
     pays = expected_payoffs(env, player, beta[list(part.assignment())])
     return best_replies(pays, SOLVER_TOL) > 0
 
@@ -429,16 +430,14 @@ def _check_margins(env: GameEnvironment, lams, plays, mode: str, d: Divergence, 
             masks = class_masks(env.n_games, capacities[player])
             disp = partition_dispersions(subset_table(data, env.prior, d), masks)
         for part in lams[player].support:
-            beta = consistent_expectation(env, part, data)
+            beta = class_prototypes(data, part, env.prior)
             pays = expected_payoffs(env, player, beta[:, list(part.assignment())])
             cols.append((pays[..., :, None] - pays[..., None, :]).reshape(len(data), -1))
             if mode == GLOBAL:
                 # less the support partition's own row, so an equal row's margin is exactly 0
                 cols.append((disp - disp[assignment_rows([part.assignment()], capacities[player])]).T)
             else:
-                dist = _prototype_divergences(data, class_prototypes(data, part, env.prior), d)
-                own = dist[:, np.arange(env.n_games), list(part.assignment())]
-                cols.append((dist - own[..., None]).reshape(len(data), -1))
+                cols.append(local_margins(data, part, env.prior, d)[0].reshape(len(data), -1))
     return np.concatenate(cols, axis=1)
 
 
@@ -447,8 +446,10 @@ def _cover(env: GameEnvironment, lams, continua: list[Continuum], mode: str, d: 
     in family order, each family inset by FAMILY_INSET at both ends.
 
     In global mode with a two-partition support, a family whose
-    dispersion-tie residual has isolated roots yields them: the tie is the
-    one margin that must vanish.  Every other family is cut at the roots of
+    dispersion-tie residual has isolated roots yields them, and each end
+    where the residual is within TIE_TOL (the clustering check's tolerance,
+    which a tangent root just past the end would miss): the tie is the one
+    margin that must vanish.  Every other family is cut at the roots of
     `_check_margins` and yields its ends, the cuts and the midpoint between
     each two neighbours, which meet every stretch where the check's verdict
     is constant.  The roots are fitted quadratics under the squared
@@ -489,13 +490,20 @@ def _cover(env: GameEnvironment, lams, continua: list[Continuum], mode: str, d: 
     cover = live  # the families cut at their margins' roots
     if tie and d.kind == KULLBACK_LEIBLER:
         found = _bracket_roots(lambda c, t: residual(live[c], t), lo[live], hi[live])
+        at_ends = residual(live[:, None], ts[live][:, [0, 2]])
         roots = dict(zip(live.tolist(), found))
         cover = live[:0]
     elif tie:
-        found, vanishing = _quadratic_roots(residual(live[:, None], ts[live]), lo[live], hi[live])
+        samples = residual(live[:, None], ts[live])
+        found, vanishing = _quadratic_roots(samples, lo[live], hi[live])
+        at_ends = samples[:, [0, 2]]
         kept = ~vanishing  # below, t == t drops the NaN of a missing root
         roots = {c: [t for t in r if t == t] for c, r in zip(live[kept].tolist(), found[kept].tolist())}
         cover = live[vanishing]
+    if tie:
+        for c, (at_lo, at_hi) in zip(live.tolist(), (abs(at_ends) <= TIE_TOL).tolist()):
+            if c in roots:
+                roots[c] = [lo[c]] * at_lo + roots[c] + [hi[c]] * at_hi
     cuts: list = []  # the roots of the margins of each family of the cover
     if len(cover) and d.kind == KULLBACK_LEIBLER:
         m = margins(cover[:1], lo[cover[:1]]).shape[-1]

@@ -37,7 +37,6 @@ from .abee import (
     StrategyProfile,
     aggregate,
     best_replies,
-    consistent_expectation,
     expected_payoffs,
 )
 from .clustering import (
@@ -46,6 +45,7 @@ from .clustering import (
     _lloyd,
     _prototype_divergences,
     _subset_sums,
+    class_prototypes,
     global_cluster,
     partition_dispersions,
     subset_table,
@@ -118,7 +118,7 @@ def state_from_candidate(env: GameEnvironment, candidate: EquilibriumCandidate) 
     for player in (0, 1):
         lam = candidate.lams[player]
         for part, w in zip(lam.partitions, lam.weights):
-            protos = consistent_expectation(env, part, aggs[1 - player])
+            protos = class_prototypes(aggs[1 - player], part, env.prior)
             dynasties[player].append(
                 DynastyRecord(part, protos, np.asarray(candidate.profile.plays[player][part], dtype=float), w)
             )
@@ -178,7 +178,7 @@ def _exact_model1_step(
             w = 1.0 / len(winners)
             new_lam = PartitionDistribution(tuple(winners), (w,) * len(winners))
         for part in new_lam.support:
-            beta = consistent_expectation(env, part, data)
+            beta = class_prototypes(data, part, env.prior)
             pays = expected_payoffs(env, player, beta[list(part.assignment())])
             incumbent = state.profile.plays[player].get(part) if tie_break == "incumbent" else None
             new_plays[player][part] = best_replies(pays, STATE_TOL, incumbent)
@@ -420,7 +420,7 @@ def model2_step(
                     f"{rec.partition.n_classes - live} class(es)"
                 )
             part = Partition.from_assignment(assign)
-            protos = consistent_expectation(env, part, opp)
+            protos = class_prototypes(opp, part, env.prior)
             new_dyn[player].append(DynastyRecord(part, protos, strat, rec.share))
     # population shares per partition
     new_lams = []

@@ -82,6 +82,21 @@ class Partition:
                 out[g] = idx
         return tuple(out)
 
+    def size_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(class indices, (k, size) member array) for each class size, in
+        order of first appearance.  Memoized on the instance, whose fields it
+        leaves alone (so equality and hashing are unchanged); the arrays are
+        read-only, as every caller shares them."""
+        if "_size_groups" not in self.__dict__:
+            by_size: dict[int, list[int]] = {}
+            for k, cls in enumerate(self.classes):
+                by_size.setdefault(len(cls), []).append(k)
+            groups = tuple((np.array(ks), np.array([self.classes[k] for k in ks])) for ks in by_size.values())
+            for rows, members in groups:
+                rows.flags.writeable = members.flags.writeable = False
+            object.__setattr__(self, "_size_groups", groups)
+        return self.__dict__["_size_groups"]
+
     def key(self) -> tuple:
         return self.classes
 

@@ -20,7 +20,6 @@ from cabee.abee import (
     abee_solve,
     aggregate,
     best_replies,
-    consistent_expectation,
     degenerate_pair,
     dist_abee_solve_detailed,
     dist_abee_verify,
@@ -29,6 +28,7 @@ from cabee.abee import (
     stack_plays,
     unstack_plays,
 )
+from cabee.clustering import class_prototypes
 from cabee.env import SOLVER_TOL, make_environment, nash_solve_2x2, pure_payoffs_against
 from cabee.partitions import Partition
 from conftest import abee_verify, analogy_best_response, class_of, dominant_env, matching_pennies_env
@@ -46,14 +46,14 @@ def pure(*rows):
 def test_consistent_expectation_symmetry(mp_env):
     agg = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]])
     part = Partition.from_classes(3, [(0, 1), (2,)])
-    beta = consistent_expectation(mp_env, part, agg)
+    beta = class_prototypes(agg, part, mp_env.prior)
     np.testing.assert_allclose(beta[0], [0.5, 0.5])
     np.testing.assert_allclose(beta[1], [0.3, 0.7])
 
 
 def test_consistent_expectation_singletons_identity(mp_env, finest3, rng):
     agg = rng.dirichlet(np.ones(2), size=3)
-    beta = consistent_expectation(mp_env, finest3, agg)
+    beta = class_prototypes(agg, finest3, mp_env.prior)
     np.testing.assert_allclose(beta, agg)
 
 
@@ -62,11 +62,11 @@ def test_consistency_is_linear(mp_env, rng):
     a1 = rng.dirichlet(np.ones(2), size=3)
     a2 = rng.dirichlet(np.ones(2), size=3)
     lam = 0.37
-    mixed = consistent_expectation(mp_env, part, lam * a1 + (1 - lam) * a2)
+    mixed = class_prototypes(lam * a1 + (1 - lam) * a2, part, mp_env.prior)
     np.testing.assert_allclose(
         mixed,
-        lam * consistent_expectation(mp_env, part, a1)
-        + (1 - lam) * consistent_expectation(mp_env, part, a2),
+        lam * class_prototypes(a1, part, mp_env.prior)
+        + (1 - lam) * class_prototypes(a2, part, mp_env.prior),
         atol=1e-14,
     )
 
@@ -77,7 +77,7 @@ def test_abee_expectation_matches_structure():
     env = matching_pennies_env(0.5, 1.0, 1.5)
     part = Partition.from_classes(3, [(0, 1), (2,)])
     (profile,) = abee_solve(env, (part, Partition.finest(3)))
-    beta = consistent_expectation(env, part, profile.single(1))
+    beta = class_prototypes(profile.single(1), part, env.prior)
     assert beta[0][0] == pytest.approx(1 / 2.5, abs=1e-12)
 
 
@@ -469,11 +469,15 @@ def test_batched_verify_matches_per_profile_reference(rng):
         for player in (0, 1):
             agg = plays[1 - player][:, 0]
             for part in supports[player]:
-                batched = consistent_expectation(env, part, agg)
+                batched = class_prototypes(agg, part, env.prior)
+                # the same batch held game- and action-major, as model 1 holds its draws
+                game_major = np.ascontiguousarray(agg.transpose(1, 2, 0)).transpose(2, 0, 1)
+                game_major = class_prototypes(game_major, part, env.prior)
                 for b in range(len(agg)):
                     ref_beta = _loop_consistent_expectation(env, part, agg[b])
                     assert batched[b].tobytes() == ref_beta.tobytes()
-                    assert consistent_expectation(env, part, agg[b]).tobytes() == ref_beta.tobytes()
+                    assert game_major[b].tobytes() == ref_beta.tobytes()
+                    assert class_prototypes(agg[b], part, env.prior).tobytes() == ref_beta.tobytes()
     assert verdicts == {True, False} and witnessed
     assert shapes >= {(1, 1), (1, 2), (2, 1), (2, 2)}
 

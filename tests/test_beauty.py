@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cabee.abee import abee_solve
+from cabee.cli import _partition_from_json, bundled_scenarios
 from cabee.clustering import L2, partition_dispersions, subset_table
 from cabee.partitions import Partition
 from cabee.applications.beauty import (
@@ -79,6 +80,67 @@ def test_distinct_class_means_required():
     sym = Partition.from_classes(4, [(0, 3), (1, 2)])  # equal means
     with pytest.raises(ValueError):
         beauty_cabee_check(spec, sym)
+
+
+def _loop_class_means(spec, partition):
+    """The per-class form that `class_means` replaces."""
+    th = np.asarray(spec.thetas)
+    w = np.asarray(spec.weights)
+    return np.array([w[list(c)] @ th[list(c)] / w[list(c)].sum() for c in partition.classes])
+
+
+def _loop_cabee_margin(spec, partition):
+    """The per-game, per-class loop that `beauty_cabee_check` replaces: the
+    smallest slack over all point/other-class comparisons."""
+    actions = abee_actions(spec, partition)
+    w = np.asarray(spec.weights)
+    protos = np.array([w[list(c)] @ actions[list(c)] / w[list(c)].sum() for c in partition.classes])
+    margin = np.inf
+    for ci, cls in enumerate(partition.classes):
+        for g in cls:
+            own = (actions[g] - protos[ci]) ** 2
+            for cj in range(partition.n_classes):
+                if cj != ci:
+                    margin = min(margin, (actions[g] - protos[cj]) ** 2 - own)
+    if partition.n_classes < 2:
+        margin = np.inf
+    return float(margin)
+
+
+def _bundled_beauty_cases():
+    """(spec, partition) of every partition and r that the bundled beauty
+    scenarios check: their named or equal-split partitions on their r grids,
+    and the contiguous partitions of each class count of their sweeps."""
+    for doc in bundled_scenarios().values():
+        if doc["kind"] != "beauty":
+            continue
+        p = doc["params"]
+        n, k = p["n"], p["K"]
+        named = p.get("partition", "equal-split")
+        part = equal_split_partition(n, k) if named == "equal-split" else _partition_from_json(n, named)
+        for r in p.get("r_grid", []) + [p["r"]]:
+            yield uniform_spec(r, n, k), part
+        if p.get("self_consistent_sweep"):
+            for count in p["class_counts"]:
+                for part in contiguous_partitions(n, count):
+                    yield uniform_spec(p["r"], n, count), part
+
+
+def test_class_means_and_margins_match_the_per_class_loops():
+    """On the bundled scenarios' partitions and r grids, class means equal the
+    per-class loop bit for bit, and margins and verdicts equal the per-game
+    loop's.  The loop squares numpy scalars with `**`, which is libm pow and
+    can differ from the kernel's array square in the last bit, so margins
+    agree to one unit in the last place of 1."""
+    cases = bits = 0
+    for spec, part in _bundled_beauty_cases():
+        assert class_means(spec, part).tobytes() == _loop_class_means(spec, part).tobytes()
+        ok, margin = beauty_cabee_check(spec, part)
+        ref = _loop_cabee_margin(spec, part)
+        assert abs(margin - ref) <= np.spacing(1.0), (spec.r, part, margin, ref)
+        assert ok == (ref >= -1e-12)
+        cases, bits = cases + 1, bits + (margin == ref)
+    assert cases > 1700 and bits > 0.99 * cases
 
 
 def test_discrete_matches_closed_form_within_cells():

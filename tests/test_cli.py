@@ -301,6 +301,13 @@ def test_max_evaluations_validated(budget):
         validate_scenario(_matching_pennies_custom_env(budget))
 
 
+@pytest.mark.parametrize("seed", [True, -1, 1.5, "x"])
+def test_seed_validated(seed):
+    doc = {**bundled_scenarios()["learn1_matching_pennies"], "seed": seed}
+    with pytest.raises(ScenarioError, match="^seed: expected a non-negative integer$"):
+        validate_scenario(doc)
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_max_evaluations_flag_validated(tmp_path, capsys, budget):
     path = tmp_path / "pennies.json"

@@ -20,7 +20,6 @@ from cabee.clustering import (
     kmeans_lloyd,
     mean_divergence,
     partition_dispersions,
-    prototype,
     subset_table,
 )
 from cabee.partitions import Partition, class_masks, enumerate_partitions, partition_list
@@ -57,6 +56,13 @@ def random_cases(rng, trials):
 # ---------------------------------------------------------------------------
 
 
+def _loop_prototype(data, members, prior):
+    """Prior-weighted mean of one class's members, the class at a time."""
+    members = list(members)
+    w = np.asarray(prior, dtype=float)[members]
+    return w @ np.asarray(data, dtype=float).take(members, axis=-2) / w.sum()
+
+
 def _loop_is_locally_clustered(data, partition, prior, d, tol=1e-12):
     protos = class_prototypes(data, partition, prior)
     for ci, cls in enumerate(partition.classes):
@@ -87,7 +93,7 @@ def _loop_kmeans_lloyd(data, prior, max_classes, d, init, max_iter=1000):
             relabel = {old: new for new, old in enumerate(live)}
             new_assign = np.array([relabel[int(a)] for a in new_assign])
         protos = [
-            prototype(data, np.flatnonzero(new_assign == c), prior)
+            _loop_prototype(data, np.flatnonzero(new_assign == c), prior)
             for c in range(len(set(int(a) for a in new_assign)))
         ]
         part = Partition.from_assignment(new_assign)
@@ -176,19 +182,28 @@ def test_prototype_divergences_kl_zero_conventions():
 
 def test_prototype_uniform_symmetry():
     data = np.array([[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(prototype(data, [0, 1], [0.5, 0.5]), [0.5, 0.5])
+    np.testing.assert_allclose(class_prototypes(data, Partition.coarsest(2), [0.5, 0.5]), [[0.5, 0.5]])
 
 
 def test_prototype_weighted():
     data = np.array([[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_allclose(prototype(data, [0, 1], [2 / 3, 1 / 3]), [2 / 3, 1 / 3])
+    np.testing.assert_allclose(class_prototypes(data, Partition.coarsest(2), [2 / 3, 1 / 3]), [[2 / 3, 1 / 3]])
 
 
-def test_prototype_singleton_and_empty():
+def test_prototype_singleton():
     data = np.array([[0.2, 0.8], [0.5, 0.5]])
-    np.testing.assert_allclose(prototype(data, [1], [0.5, 0.5]), [0.5, 0.5])
-    with pytest.raises(ValueError):
-        prototype(data, [], [0.5, 0.5])
+    np.testing.assert_allclose(class_prototypes(data, Partition.finest(2), [0.5, 0.5]), data)
+
+
+def test_partition_memo_keeps_equality_and_hash():
+    """A partition carrying its memoized size groups compares and hashes
+    equal to a fresh one."""
+    part = Partition.from_classes(4, [(0, 2), (1,), (3,)])
+    groups = part.size_groups()
+    assert part.size_groups() is groups
+    fresh = Partition.from_classes(4, [(0, 2), (1,), (3,)])
+    assert part == fresh and hash(part) == hash(fresh) and {part: 1}[fresh] == 1
+    assert [(r.tolist(), m.tolist()) for r, m in groups] == [([0], [[0, 2]]), ([1, 2], [[1], [3]])]
 
 
 def test_dispersion_identical_points():
@@ -227,10 +242,10 @@ def test_batched_dispersion_matches_definition(rng):
 
 
 def _loop_dispersion(data, partition, prior, d):
-    """The per-game definition: `prototype` per class, `divergence_eval` per game."""
+    """The per-game definition: `_loop_prototype` per class, `divergence_eval` per game."""
     total = 0.0
     for cls in partition.classes:
-        proto = prototype(data, cls, prior)
+        proto = _loop_prototype(data, cls, prior)
         for g in cls:
             total += prior[g] * divergence_eval(d, data[g], proto)
     return total
@@ -406,7 +421,7 @@ def test_prototype_optimality_perturbation(rng):
         prior = rng.dirichlet(np.ones(n))
         d = (L2, KL)[trial % 2]
         members = list(range(n))
-        proto = prototype(data, members, prior)
+        proto = class_prototypes(data, Partition.coarsest(n), prior)[0]
 
         def objective(q):
             return sum(prior[g] * divergence_eval(d, data[g], q) for g in members)

@@ -23,6 +23,7 @@ from cabee.clustering import KL, L2, dispersion, global_cluster, is_locally_clus
 from cabee.env import make_environment, nash_solve_2x2
 from cabee.equilibrium import (
     CANDIDATE_DEDUP_TOL,
+    FAMILY_INSET,
     GLOBAL,
     LOCAL,
     EquilibriumCandidate,
@@ -1000,18 +1001,8 @@ def test_two_partition_family_cover_meets_every_clustered_stretch(rng):
     point of that stretch (within one sweep step).  In global mode the
     cover refines the families whose dispersion tie holds identically; the
     others yield their isolated tie roots, which the per-family reference
-    test pins."""
+    test pins, and their ends on the tie."""
     import itertools
-
-    def tie_is_isolated(fam, lams, mix_player, d):
-        part_a, part_b = lams[mix_player].support
-
-        def residual(t):
-            data = aggregate(fam.build(t), lams)[1 - mix_player]
-            return dispersion(data, part_a, env.prior, d) - dispersion(data, part_b, env.prior, d)
-
-        lo, hi = fam.t_lo + 1e-12, fam.t_hi - 1e-12
-        return _loop_quadratic_roots((residual(lo), residual((lo + hi) / 2), residual(hi)), lo, hi) is not None
 
     stretches = 0
     for trial in range(32):
@@ -1031,7 +1022,7 @@ def test_two_partition_family_cover_meets_every_clustered_stretch(rng):
             lams = (mixed, PartitionDistribution.degenerate(other))[:: 1 - 2 * mix_player]
             for fam in dist_abee_solve_detailed(env, lams).continua:
                 ts = np.linspace(fam.t_lo + 1e-12, fam.t_hi - 1e-12, 401)
-                if ts[-1] <= ts[0] or mode == GLOBAL and tie_is_isolated(fam, lams, mix_player, d):
+                if ts[-1] <= ts[0]:
                     continue
                 swept = cd_abee_verify_batch(env, lams, fam.plays(fam.base + ts[:, None] * fam.direction), mode, d, caps)
                 ok = np.array([rep.ok for rep in swept] + [False])
@@ -1045,6 +1036,22 @@ def test_two_partition_family_cover_meets_every_clustered_stretch(rng):
                     stretches += 1
                     assert any(ts[i] - step <= t <= ts[j - 1] + step for t in found), (trial, pair, other)
     assert stretches >= 60
+
+
+def test_tie_isolated_family_yields_its_inset_end_on_the_tie():
+    """A global mean-divergence family whose dispersion-tie residual has a
+    double root at its end (0.0 at t_lo = -0.5, 2.4e-25 at the inset end,
+    0.059 at the middle): the tangent root falls just outside the inset
+    range, and the family still yields its inset end, which verifies."""
+    row = [[[1, -1], [0, 1]], [[1, 0], [-1, 0]]]
+    env = make_environment([0.39, 0.61], row, [[[0, 0], [1, 1]], [[1, -1], [0, -1]]])
+    coarse, fine = Partition.coarsest(2), Partition.finest(2)
+    lams = (PartitionDistribution.degenerate(coarse), PartitionDistribution((coarse, fine), (0.4, 0.6)))
+    (family,) = dist_abee_solve_detailed(env, lams).continua
+    (found,) = _refine_continua(env, lams, [family], GLOBAL, mean_divergence([1.0, 0.0]), (1, 2))
+    assert cd_abee_verify(env, found, (1, 2)).ok
+    inset_end = family.build(family.t_lo + FAMILY_INSET).single(0)
+    np.testing.assert_array_equal(found.profile.single(0), inset_end)
 
 
 @pytest.mark.parametrize("nu_star", [0.45, 0.5])
