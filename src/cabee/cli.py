@@ -4,9 +4,11 @@ Scenarios are versioned JSON descriptors naming a game family, a solver,
 and parameters; flags that are set are written into the scenario.  Results
 echo it, carry the solver output in a re-verifiable form, and are written
 atomically.  `verify` re-runs the equilibrium checks on a stored result;
-`list-scenarios` prints the bundled catalog.  A `cdabee` search stops on a
-count of solves (`max_evaluations`), never on the clock.  Exit codes: 0
-success, 2 validation error, 3 search budget exhausted without a result.
+`list-scenarios` prints the bundled catalog.  `RUNNERS` maps each
+supported (kind, solver) pair to the one function that runs it; validation
+rejects every other pair.  A `cdabee` search stops on a count of solves
+(`max_evaluations`), never on the clock.  Exit codes: 0 success, 2
+validation error, 3 search budget exhausted without a result.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -57,8 +61,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
-KINDS = ("custom-env", "matching-pennies", "monitoring", "beauty", "linear")
-SOLVERS = ("abee", "cabee", "cdabee", "learn1", "learn2", "cluster")
 DIVERGENCES = {"l2": L2, "kl": KL, "mean": mean_divergence((0.0, 1.0))}
 
 
@@ -100,8 +102,9 @@ def validate_scenario(doc: dict) -> dict:
     if kind not in KINDS:
         raise ScenarioError(f"kind: expected one of {KINDS}, got {kind!r}")
     solver = doc.get("solver")
-    if solver not in SOLVERS:
-        raise ScenarioError(f"solver: expected one of {SOLVERS}, got {solver!r}")
+    solvers = tuple(s for k, s in RUNNERS if k == kind)
+    if solver not in solvers:
+        raise ScenarioError(f"solver: expected one of {solvers} for {kind}, got {solver!r}")
     mode = doc.get("mode", "global")
     if mode not in (LOCAL, GLOBAL):
         raise ScenarioError(f"mode: expected local or global, got {mode!r}")
@@ -169,6 +172,19 @@ def _capacities(doc: dict, env: GameEnvironment) -> tuple[int, int]:
     return tuple(caps)
 
 
+def _abee_partitions(doc: dict, n_games: int, count: int) -> tuple[Partition, ...]:
+    """The fixed partitions of an `abee` run, `params.partitions`: the row
+    player's alone for matching pennies (the column player's is the finest),
+    one per player for a custom environment."""
+    classes = doc.get("params", {}).get("partitions")
+    try:
+        if not isinstance(classes, list) or len(classes) != count:
+            raise ValueError(f"expected a list of length {count}, got {classes!r}")
+        return tuple(_partition_from_json(n_games, c) for c in classes)
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"params.partitions: {exc}") from exc
+
+
 def _build_inputs(doc: dict):
     """Kind-specific spec construction; raises ScenarioError on bad fields."""
     kind = doc["kind"]
@@ -178,7 +194,10 @@ def _build_inputs(doc: dict):
             spec = matching_pennies.MatchingPenniesSpec(
                 params.get("a", 0.5), params.get("b", 1.0), params.get("c", 1.5)
             )
-            return spec, matching_pennies.build_matching_pennies(spec)
+            env = matching_pennies.build_matching_pennies(spec)
+            if doc["solver"] == "abee":
+                _abee_partitions(doc, env.n_games, 1)
+            return spec, env
         if kind == "monitoring":
             spec = monitoring.MonitoringSpec(
                 params["p_a"], params["p_b"], params["p_c"],
@@ -203,6 +222,8 @@ def _build_inputs(doc: dict):
                 return None, None
             env = _parse_custom_env(params)
             _capacities(doc, env)  # validates params.capacities
+            if doc["solver"] == "abee":
+                _abee_partitions(doc, env.n_games, 2)
             return None, env
     except ScenarioError:
         raise
@@ -326,231 +347,245 @@ def write_polyline_svg(path: Path, series, width=640, height=420, margin=40) -> 
 
 
 def _candidate_verification(env: GameEnvironment, cands, capacities) -> dict:
-    details = []
-    for cand in cands:
-        rep = cd_abee_verify(env, cand, capacities)
-        details.append({"ok": rep.ok, "br_gain": rep.br_gain,
-                        "clustering_failures": len(rep.clustering_failures)})
-    return {"all_ok": all(x["ok"] for x in details), "details": details}
+    reps = [cd_abee_verify(env, cand, capacities) for cand in cands]
+    details = [{"ok": r.ok, "br_gain": r.br_gain, "clustering_failures": len(r.clustering_failures)}
+               for r in reps]
+    return {"all_ok": all(r.ok for r in reps), "details": details}
 
 
-def _run_matching_pennies(doc, spec, env, mode, d, max_evaluations):
-    solver = doc["solver"]
-    params = doc.get("params", {})
-    results: dict = {}
-    if solver == "cabee":
-        step = params.get("sweep_step")
-        specs = [spec]
-        if step:
-            vals = [round(step * k, 10) for k in range(1, int(2 / step) + 1) if step * k < 2]
-            specs = [
-                matching_pennies.MatchingPenniesSpec(a, b, c)
-                for i, a in enumerate(vals)
-                for j, b in enumerate(vals[i + 1 :], start=i + 1)
-                for c in vals[j + 1 :]
-            ]
-        all_false = True
-        n_checked = 0
-        for sp in specs:
-            ref = matching_pennies.two_class_refutation(sp)
-            for part, rep in ref.items():
-                n_checked += 1
-                if any(any(v) for v in rep["verdicts"].values()):
-                    all_false = False
-        results["pure_clustered_equilibria_refuted"] = all_false
-        results["cases_checked"] = n_checked
-        return results, {"all_ok": all_false, "details": []}, False
-    if solver == "cdabee":
-        cand = matching_pennies.solve_matching_pennies_cdabee(spec)
-        results["candidates"] = [_candidate_to_json(cand)]
-        results["column_mix"] = cand.aggregates()[1][:, 0].tolist()
-        results["lambda"] = list(cand.lams[0].weights)
-        exhausted = False
-        if max_evaluations:
-            cfg = SearchConfig(max_evaluations=max_evaluations)
-            found = cd_abee_search(env, _capacities(doc, env), mode, d, cfg)
-            target = np.sort(np.asarray(results["column_mix"]))
-            results["search_recovered"] = any(
-                np.allclose(np.sort(c.aggregates()[1][:, 0]), target, atol=1e-7)
-                for c in found.candidates
-            )
-            results["search_layers_completed"] = all(rep.completed for rep in found.layers)
-            # budget exhaustion only counts against the run when the search
-            # also failed to recover the closed-form candidate
-            exhausted = not results["search_layers_completed"] and not results["search_recovered"]
-        return results, _candidate_verification(env, [cand], _capacities(doc, env)), exhausted
-    if solver == "abee":
-        part = _partition_from_json(3, params["partitions"][0])
-        profiles = abee_solve(env, (part, Partition.finest(3)))
-        results["profiles"] = [
-            {"row": p.single(0).tolist(), "column": p.single(1).tolist()} for p in profiles
+def _verdict(all_ok: bool) -> dict:
+    """The verification of a runner whose results carry no candidates."""
+    return {"all_ok": all_ok, "details": []}
+
+
+def _search(doc, env, d):
+    """`cd_abee_search` on a scenario's finite game, with its capacities and
+    mode, and its `max_evaluations` when it sets one."""
+    cfg = SearchConfig(max_evaluations=doc["max_evaluations"]) if "max_evaluations" in doc else SearchConfig()
+    return cd_abee_search(env, _capacities(doc, env), doc.get("mode", GLOBAL), d, cfg)
+
+
+def _abee_results(env, partitions, names):
+    profiles = abee_solve(env, partitions)
+    rows = [dict(zip(names, (p.single(0).tolist(), p.single(1).tolist()))) for p in profiles]
+    return {"profiles": rows}, _verdict(bool(profiles)), False
+
+
+def _run_custom_abee(doc, spec, env, d, out_dir):
+    return _abee_results(env, _abee_partitions(doc, env.n_games, 2), ("i", "j"))
+
+
+def _run_custom_cdabee(doc, spec, env, d, out_dir):
+    found = _search(doc, env, d)
+    results = {"candidates": [_candidate_to_json(c) for c in found.candidates]}
+    exhausted = not all(rep.completed for rep in found.layers) and not found.candidates
+    return results, _candidate_verification(env, found.candidates, _capacities(doc, env)), exhausted
+
+
+def _run_cluster(doc, spec, env, d, out_dir):
+    params = doc["params"]
+    data = np.asarray(params["data"], dtype=float)
+    prior = np.asarray(params.get("prior", [1.0 / len(data)] * len(data)))
+    k = int(params["K"])
+    if params.get("algorithm", "global") == "kmeans":
+        rng = np.random.default_rng(doc.get("seed", 0))
+        init = data[rng.choice(len(data), size=min(k, len(data)), replace=False)]
+        rep = kmeans_lloyd(data, prior, k, d, init)
+        results = {"partition": _partition_to_json(rep.partition), "dispersion": rep.dispersion,
+                   "locally_clustered": bool(rep.locally_clustered)}
+    else:
+        winners, best = global_cluster(data, prior, k, d)
+        results = {"minimizers": [_partition_to_json(p) for p in winners], "dispersion": best}
+    return results, _verdict(True), False
+
+
+def _run_pennies_abee(doc, spec, env, d, out_dir):
+    partitions = _abee_partitions(doc, env.n_games, 1) + (Partition.finest(env.n_games),)
+    return _abee_results(env, partitions, ("row", "column"))
+
+
+def _run_pennies_refutation(doc, spec, env, d, out_dir):
+    step = doc.get("params", {}).get("sweep_step")
+    specs = [spec]
+    if step:
+        vals = [round(step * k, 10) for k in range(1, int(2 / step) + 1) if step * k < 2]
+        specs = [
+            matching_pennies.MatchingPenniesSpec(a, b, c)
+            for i, a in enumerate(vals)
+            for j, b in enumerate(vals[i + 1 :], start=i + 1)
+            for c in vals[j + 1 :]
         ]
-        return results, {"all_ok": bool(profiles), "details": []}, False
-    raise ScenarioError(f"solver: {solver} not supported for matching-pennies")
+    clustered = [
+        any(any(v) for v in rep["verdicts"].values())
+        for sp in specs
+        for rep in matching_pennies.two_class_refutation(sp).values()
+    ]
+    refuted = not any(clustered)
+    results = {"pure_clustered_equilibria_refuted": refuted, "cases_checked": len(clustered)}
+    return results, _verdict(refuted), False
 
 
-def _run_monitoring(doc, spec, env, mode, d):
-    solver = doc["solver"]
-    params = doc.get("params", {})
-    results: dict = {}
-    if solver != "cdabee":
-        raise ScenarioError(f"solver: {solver} not supported for monitoring")
-    sol = monitoring.solve_monitoring_cdabee(spec, mode, d)
-    results["candidates"] = [_candidate_to_json(c) for c in sol.candidates]
+def _run_pennies_cdabee(doc, spec, env, d, out_dir):
+    cand = matching_pennies.solve_matching_pennies_cdabee(spec)
+    results = {
+        "candidates": [_candidate_to_json(cand)],
+        "column_mix": cand.aggregates()[1][:, 0].tolist(),
+        "lambda": list(cand.lams[0].weights),
+    }
+    exhausted = False
+    if "max_evaluations" in doc:
+        found = _search(doc, env, d)
+        target = np.sort(np.asarray(results["column_mix"]))
+        results["search_recovered"] = any(
+            np.allclose(np.sort(c.aggregates()[1][:, 0]), target, atol=1e-7)
+            for c in found.candidates
+        )
+        results["search_layers_completed"] = all(rep.completed for rep in found.layers)
+        # budget exhaustion only counts against the run when the search
+        # also failed to recover the closed-form candidate
+        exhausted = not results["search_layers_completed"] and not results["search_recovered"]
+    return results, _candidate_verification(env, [cand], _capacities(doc, env)), exhausted
+
+
+def _run_monitoring_cdabee(doc, spec, env, d, out_dir):
+    sol = monitoring.solve_monitoring_cdabee(spec, doc.get("mode", GLOBAL), d)
+    results: dict = {"candidates": [_candidate_to_json(c) for c in sol.candidates]}
     if sol.zeta_star is not None:
         results["zeta"] = sol.zeta_star
         results["lambda"] = [spec.mu_star, 1.0 - spec.mu_star]
     if sol.zeta_range is not None:
         results["zeta_range"] = list(sol.zeta_range)
-    if params.get("nu_sweep"):
-        sweep = monitoring.nu_star_sweep(spec, int(params["nu_sweep"]))
-        results["nu_sweep"] = [[nu, lam, z] for nu, lam, z in sweep]
+    nu_sweep = doc.get("params", {}).get("nu_sweep")
+    if nu_sweep:
+        results["nu_sweep"] = [list(row) for row in monitoring.nu_star_sweep(spec, int(nu_sweep))]
     return results, _candidate_verification(env, sol.candidates, _capacities(doc, env)), False
 
 
-def _run_beauty(doc, spec):
-    solver = doc["solver"]
+def _run_beauty_abee(doc, spec, env, d, out_dir):
     params = doc.get("params", {})
-    results: dict = {}
-    if solver == "abee":
-        part = (
-            beauty.equal_split_partition(spec.n, spec.K)
-            if params.get("partition", "equal-split") == "equal-split"
-            else _partition_from_json(spec.n, params["partition"])
-        )
-        closed = beauty.abee_actions(spec, part)
-        chosen, means, gain = beauty.discrete_abee(spec, part, params.get("n_actions"))
-        cell = 1.0 / (params.get("n_actions") or spec.n)
-        results["max_action_gap"] = float(np.abs(closed - chosen).max())
-        results["grid_cell"] = cell
-        results["within_two_cells"] = bool(np.abs(closed - chosen).max() <= 2 * cell + 1e-12)
-        results["class_means"] = means.tolist()
-        results["deviation_gain"] = gain
-        return results, {"all_ok": results["within_two_cells"], "details": []}, False
-    if solver == "cabee":
-        if params.get("self_consistent_sweep"):
-            found = {}
-            for k in params.get("class_counts", [spec.K]):
-                partitions = beauty.self_consistent_contiguous(
-                    beauty.uniform_spec(spec.r, spec.n, k), k
-                )
-                found[str(k)] = [_partition_to_json(p) for p in partitions]
-            results["self_consistent_contiguous"] = found
-            return results, {"all_ok": True, "details": []}, False
-        part = _partition_from_json(spec.n, params["partition"])
-        if "r_grid" in params:
-            grid = []
-            for r in params["r_grid"]:
-                ok, margin = beauty.beauty_cabee_check(
-                    beauty.uniform_spec(r, spec.n, spec.K), part
-                )
-                grid.append([r, bool(ok), margin])
-            results["r_grid"] = grid
-            monotone = all(
-                grid[i][1] <= grid[i + 1][1] for i in range(len(grid) - 1)
-            )
-            results["monotone_in_r"] = monotone
-            return results, {"all_ok": monotone, "details": []}, False
-        ok, margin = beauty.beauty_cabee_check(spec, part)
-        results["locally_clustered"] = bool(ok)
-        results["margin"] = margin
-        return results, {"all_ok": bool(ok), "details": []}, False
-    raise ScenarioError(f"solver: {solver} not supported for beauty")
+    part = (
+        beauty.equal_split_partition(spec.n, spec.K)
+        if params.get("partition", "equal-split") == "equal-split"
+        else _partition_from_json(spec.n, params["partition"])
+    )
+    closed = beauty.abee_actions(spec, part)
+    chosen, means, gain = beauty.discrete_abee(spec, part, params.get("n_actions"))
+    cell = 1.0 / (params.get("n_actions") or spec.n)
+    gap = float(np.abs(closed - chosen).max())
+    results = {
+        "max_action_gap": gap,
+        "grid_cell": cell,
+        "within_two_cells": bool(gap <= 2 * cell + 1e-12),
+        "class_means": means.tolist(),
+        "deviation_gain": gain,
+    }
+    return results, _verdict(results["within_two_cells"]), False
 
 
-def _run_linear(doc, spec, out_dir):
-    solver = doc["solver"]
+def _run_beauty_cabee(doc, spec, env, d, out_dir):
     params = doc.get("params", {})
-    results: dict = {}
+    if params.get("self_consistent_sweep"):
+        found = {}
+        for k in params.get("class_counts", [spec.K]):
+            partitions = beauty.self_consistent_contiguous(beauty.uniform_spec(spec.r, spec.n, k), k)
+            found[str(k)] = [_partition_to_json(p) for p in partitions]
+        return {"self_consistent_contiguous": found}, _verdict(True), False
+    part = _partition_from_json(spec.n, params["partition"])
+    if "r_grid" in params:
+        grid = []
+        for r in params["r_grid"]:
+            ok, margin = beauty.beauty_cabee_check(beauty.uniform_spec(r, spec.n, spec.K), part)
+            grid.append([r, bool(ok), margin])
+        monotone = all(grid[i][1] <= grid[i + 1][1] for i in range(len(grid) - 1))
+        return {"r_grid": grid, "monotone_in_r": monotone}, _verdict(monotone), False
+    ok, margin = beauty.beauty_cabee_check(spec, part)
+    return {"locally_clustered": bool(ok), "margin": margin}, _verdict(bool(ok)), False
+
+
+def _endpoints(spec, params):
+    """The class endpoints a linear scenario sets, else equal-width classes."""
     endpoints = params.get("endpoints")
-    if endpoints is None:
-        endpoints = linear.equal_split_endpoints(spec)
-    if solver == "abee":
-        lines = linear.linear_abee(spec, endpoints)
-        results["classes"] = [
-            {"lo": ln.lo, "hi": ln.hi, "mean": ln.mean, "beta": ln.beta, "slope": ln.slope}
-            for ln in lines
-        ]
-        rows = linear.figure_curves(spec, endpoints, params.get("points_per_class", 50))
-        csv_name = doc.get("outputs", {}).get("csv")
-        if csv_name:
-            write_csv(
-                out_dir / csv_name,
-                ["mu", "nash_action", "abee_action", "class_index"],
-                rows,
-            )
-            results["csv"] = csv_name
-        svg_name = doc.get("outputs", {}).get("svg")
-        if svg_name:
-            nash_pts = [(r[0], r[1]) for r in rows]
-            series = [("nash", nash_pts)]
-            for k in range(len(lines)):
-                series.append((f"class-{k}", [(r[0], r[2]) for r in rows if r[3] == k]))
-            write_polyline_svg(out_dir / svg_name, series)
-            results["svg"] = svg_name
-        jumps = []
-        for k in range(len(lines) - 1):
-            mu_k = lines[k].hi
-            jumps.append(
-                {
-                    "mu": mu_k,
-                    "jump": (spec.A + mu_k * lines[k + 1].slope)
-                    - (spec.A + mu_k * lines[k].slope),
-                }
-            )
-        results["jumps"] = jumps
-        return results, {"all_ok": True, "details": []}, False
-    if solver == "cabee":
-        if params.get("equidistant", True):
-            endpoints = linear.equidistant_partition(spec)
-        results["endpoints"] = list(map(float, endpoints))
-        chk = linear.linear_local_check(spec, endpoints)
-        results["locally_clustered"] = chk.ok
-        results["boundary_slacks"] = [list(s) for s in chk.boundary_slacks]
-        if params.get("windows") and spec.regime == linear.COMPLEMENTS:
-            wins = linear.linear_cabee_window(spec, endpoints)
-            results["windows"] = [list(w) for w in wins]
-        return results, {"all_ok": True, "details": []}, False
-    raise ScenarioError(f"solver: {solver} not supported for linear")
+    return linear.equal_split_endpoints(spec) if endpoints is None else endpoints
 
 
-def _run_learning(doc, kind_spec, env, mode, d, out_dir, seed):
+def _run_linear_abee(doc, spec, env, d, out_dir):
     params = doc.get("params", {})
-    if env is None:
-        raise ScenarioError("learning solvers need a finite environment kind")
-    if doc["kind"] == "matching-pennies":
-        cand = matching_pennies.solve_matching_pennies_cdabee(kind_spec)
-    elif doc["kind"] == "monitoring":
-        cand = monitoring.solve_monitoring_cdabee(kind_spec, GLOBAL, d).candidates[0]
-    else:
-        raise ScenarioError("learning scenarios support matching-pennies and monitoring kinds")
+    endpoints = _endpoints(spec, params)
+    lines = linear.linear_abee(spec, endpoints)
+    results: dict = {"classes": [asdict(ln) for ln in lines]}  # lo, hi, mean, beta, slope
+    rows = linear.figure_curves(spec, endpoints, params.get("points_per_class", 50))
+    csv_name = doc.get("outputs", {}).get("csv")
+    if csv_name:
+        write_csv(out_dir / csv_name, ["mu", "nash_action", "abee_action", "class_index"], rows)
+        results["csv"] = csv_name
+    svg_name = doc.get("outputs", {}).get("svg")
+    if svg_name:
+        series = [("nash", [(r[0], r[1]) for r in rows])]
+        for k in range(len(lines)):
+            series.append((f"class-{k}", [(r[0], r[2]) for r in rows if r[3] == k]))
+        write_polyline_svg(out_dir / svg_name, series)
+        results["svg"] = svg_name
+    results["jumps"] = [
+        {"mu": left.hi, "jump": (spec.A + left.hi * right.slope) - (spec.A + left.hi * left.slope)}
+        for left, right in zip(lines, lines[1:])
+    ]
+    return results, _verdict(True), False
+
+
+def _run_linear_cabee(doc, spec, env, d, out_dir):
+    params = doc.get("params", {})
+    equidistant = params.get("equidistant", True)
+    endpoints = linear.equidistant_partition(spec) if equidistant else _endpoints(spec, params)
+    chk = linear.linear_local_check(spec, endpoints)
+    results = {
+        "endpoints": list(map(float, endpoints)),
+        "locally_clustered": chk.ok,
+        "boundary_slacks": [list(s) for s in chk.boundary_slacks],
+    }
+    if params.get("windows") and spec.regime == linear.COMPLEMENTS:
+        results["windows"] = [list(w) for w in linear.linear_cabee_window(spec, endpoints)]
+    return results, _verdict(True), False
+
+
+def _pennies_start(spec, d):
+    return matching_pennies.solve_matching_pennies_cdabee(spec)
+
+
+def _monitoring_start(spec, d):
+    return monitoring.solve_monitoring_cdabee(spec, GLOBAL, d).candidates[0]
+
+
+def _model1(doc, env, state, capacities, d):
+    """Model 1's trajectory from `state`, and its drifts as results."""
+    params = doc.get("params", {})
+    pert = PerturbationSpec(epsilon=params.get("epsilon", 0.0), seed=doc.get("seed", 0))
+    traj, report = model1_run(
+        env, state, params.get("steps", 20), capacities, d, pert,
+        n_subjects=params.get("n_subjects", 1000),
+        tie_break=params.get("tie_break", "incumbent" if pert.epsilon == 0 else "uniform"),
+    )
+    return traj, {"aggregate_drift": report.aggregate_drift, "lambda_drift": report.lam_drift}
+
+
+def _model2(doc, env, state, capacities, d):
+    """Model 2's trajectory from `state`; it adds no results."""
+    traj = [state]
+    for _ in range(doc.get("params", {}).get("steps", 20)):
+        traj.append(model2_step(env, traj[-1], d))
+    return traj, {}
+
+
+def _run_learning(start, dynamic, doc, spec, env, d, out_dir):
+    """A learning dynamic from the kind's closed-form equilibrium: `start`
+    gives the candidate, `dynamic` the trajectory and its extra results."""
     capacities = _capacities(doc, env)
-    state = state_from_candidate(env, cand)
-    results: dict = {}
-    steady, info = steady_state_check(env, state, mode, d, capacities)
-    results["start_is_steady"] = bool(steady)
-    results["steady_info"] = {k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v)) for k, v in info.items()}
-    if doc["solver"] == "learn1":
-        pert = PerturbationSpec(epsilon=params.get("epsilon", 0.0), seed=seed)
-        traj, report = model1_run(
-            env,
-            state,
-            params.get("steps", 20),
-            capacities,
-            d,
-            pert,
-            n_subjects=params.get("n_subjects", 1000),
-            tie_break=params.get("tie_break", "incumbent" if pert.epsilon == 0 else "uniform"),
-        )
-    else:
-        traj = [state]
-        for _ in range(params.get("steps", 20)):
-            traj.append(model2_step(env, traj[-1], d))
-        report = None
+    state = state_from_candidate(env, start(spec, d))
+    steady, info = steady_state_check(env, state, doc.get("mode", GLOBAL), d, capacities)
+    steady_info = {k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v)) for k, v in info.items()}
+    results = {"start_is_steady": bool(steady), "steady_info": steady_info}
+    traj, extra = dynamic(doc, env, state, capacities, d)
     results["steps"] = len(traj) - 1
-    if report is not None:
-        results["aggregate_drift"] = report.aggregate_drift
-        results["lambda_drift"] = report.lam_drift
+    results.update(extra)
     outputs = doc.get("outputs", {})
     if outputs.get("actions_csv") and outputs.get("shares_csv"):
         write_trajectory_csv(
@@ -558,81 +593,42 @@ def _run_learning(doc, kind_spec, env, mode, d, out_dir, seed):
         )
         results["actions_csv"] = outputs["actions_csv"]
         results["shares_csv"] = outputs["shares_csv"]
-    return results, {"all_ok": True, "details": []}, False
+    return results, _verdict(True), False
 
 
-def _run_cluster(doc, d, seed):
-    params = doc["params"]
-    data = np.asarray(params["data"], dtype=float)
-    prior = np.asarray(params.get("prior", [1.0 / len(data)] * len(data)))
-    k = int(params["K"])
-    results: dict = {}
-    if params.get("algorithm", "global") == "kmeans":
-        rng = np.random.default_rng(seed)
-        init = data[rng.choice(len(data), size=min(k, len(data)), replace=False)]
-        rep = kmeans_lloyd(data, prior, k, d, init)
-        results["partition"] = _partition_to_json(rep.partition)
-        results["dispersion"] = rep.dispersion
-        results["locally_clustered"] = bool(rep.locally_clustered)
-    else:
-        winners, best = global_cluster(data, prior, k, d)
-        results["minimizers"] = [_partition_to_json(p) for p in winners]
-        results["dispersion"] = best
-    return results, {"all_ok": True, "details": []}, False
+# Every supported (kind, solver) pair and its runner; validation rejects any
+# other pair.  A runner takes (scenario, kind spec, finite environment or
+# None, divergence, output directory) and returns (results, verification,
+# search budget exhausted).
+RUNNERS = {
+    ("custom-env", "abee"): _run_custom_abee,
+    ("custom-env", "cdabee"): _run_custom_cdabee,
+    ("custom-env", "cluster"): _run_cluster,
+    ("matching-pennies", "abee"): _run_pennies_abee,
+    ("matching-pennies", "cabee"): _run_pennies_refutation,
+    ("matching-pennies", "cdabee"): _run_pennies_cdabee,
+    ("matching-pennies", "learn1"): partial(_run_learning, _pennies_start, _model1),
+    ("matching-pennies", "learn2"): partial(_run_learning, _pennies_start, _model2),
+    ("monitoring", "cdabee"): _run_monitoring_cdabee,
+    ("monitoring", "learn1"): partial(_run_learning, _monitoring_start, _model1),
+    ("monitoring", "learn2"): partial(_run_learning, _monitoring_start, _model2),
+    ("beauty", "abee"): _run_beauty_abee,
+    ("beauty", "cabee"): _run_beauty_cabee,
+    ("linear", "abee"): _run_linear_abee,
+    ("linear", "cabee"): _run_linear_cabee,
+}
+KINDS = tuple(dict.fromkeys(kind for kind, _ in RUNNERS))
 
 
 def run_scenario(doc: dict, out_dir: Path) -> tuple[dict, bool]:
     """Execute a validated scenario; returns (result document, exhausted)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    mode = doc.get("mode", "global")
-    seed = doc.get("seed", 0)
-    max_evaluations = doc.get("max_evaluations")
     kind_spec, env = _build_inputs(doc)
     d = _divergence(doc.get("divergence", "l2"))
     t0 = time.perf_counter()
-    solver = doc["solver"]
-    if solver == "cluster":
-        results, verification, exhausted = _run_cluster(doc, d, seed)
-    elif solver in ("learn1", "learn2"):
-        results, verification, exhausted = _run_learning(
-            doc, kind_spec, env, mode, d, out_dir, seed
-        )
-    elif doc["kind"] == "matching-pennies":
-        results, verification, exhausted = _run_matching_pennies(
-            doc, kind_spec, env, mode, d, max_evaluations
-        )
-    elif doc["kind"] == "monitoring":
-        results, verification, exhausted = _run_monitoring(doc, kind_spec, env, mode, d)
-    elif doc["kind"] == "beauty":
-        results, verification, exhausted = _run_beauty(doc, kind_spec)
-    elif doc["kind"] == "linear":
-        results, verification, exhausted = _run_linear(doc, kind_spec, out_dir)
-    elif doc["kind"] == "custom-env":
-        if solver == "abee":
-            parts = tuple(
-                _partition_from_json(env.n_games, p) for p in doc["params"]["partitions"]
-            )
-            profiles = abee_solve(env, parts)
-            results = {
-                "profiles": [
-                    {"i": p.single(0).tolist(), "j": p.single(1).tolist()} for p in profiles
-                ]
-            }
-            verification, exhausted = {"all_ok": bool(profiles), "details": []}, False
-        elif solver == "cdabee":
-            caps = _capacities(doc, env)
-            cfg = SearchConfig()
-            if max_evaluations is not None:
-                cfg.max_evaluations = max_evaluations
-            found = cd_abee_search(env, caps, mode, d, cfg)
-            results = {"candidates": [_candidate_to_json(c) for c in found.candidates]}
-            verification = _candidate_verification(env, found.candidates, caps)
-            exhausted = not all(rep.completed for rep in found.layers) and not found.candidates
-        else:
-            raise ScenarioError(f"solver: {solver} not supported for custom-env")
-    else:
-        raise ScenarioError(f"kind: unhandled {doc['kind']!r}")
+    runner = RUNNERS[doc["kind"], doc["solver"]]
+    results, verification, exhausted = runner(doc, kind_spec, env, d, out_dir)
     elapsed_ms = (time.perf_counter() - t0) * 1000
     result_doc = {
         "version": 1,

@@ -172,13 +172,17 @@ def _prototype_divergences(data, protos, d: Divergence) -> np.ndarray:
 
 
 def local_margins(
-    data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence
+    data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence,
+    protos: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Margins of the local-clustering test of (..., n_games, dim) data:
     each game's divergence to every class prototype less that to its own
     class's, (..., n_games, n_classes), which is exactly 0 at the own
-    class; and the divergence to the own prototype, (..., n_games)."""
-    dist = _prototype_divergences(data, class_prototypes(data, partition, prior), d)
+    class; and the divergence to the own prototype, (..., n_games).
+    `protos` are the data's `class_prototypes`, when the caller has them."""
+    if protos is None:
+        protos = class_prototypes(data, partition, prior)
+    dist = _prototype_divergences(data, protos, d)
     own = dist[..., np.arange(partition.n_games), list(partition.assignment())]
     return dist - own[..., None], own
 

@@ -20,7 +20,6 @@ solve together.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +58,6 @@ LOCAL = "local"
 GLOBAL = "global"
 CANDIDATE_DEDUP_TOL = 1e-7
 FAMILY_INSET = 1e-12  # a family is refined on [t_lo + FAMILY_INSET, t_hi - FAMILY_INSET]
-MAX_VERTEX_PROFILES = 512  # grand_map lists at most this many, and reports truncation
 
 
 @dataclass(frozen=True)
@@ -188,54 +186,12 @@ def cabee_verify(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GrandMapImage:
-    vertex_profiles: list[StrategyProfile]
-    admissible_partitions: tuple[list[Partition], list[Partition]]
-    truncated: bool = False
-
-
 def _reply_mask(env: GameEnvironment, player: int, part: Partition, opponent_aggregate) -> np.ndarray:
     """(n_games, n_actions) mask of the best replies to the consistent
     expectations of one support partition."""
     beta = class_prototypes(opponent_aggregate, part, env.prior)
     pays = expected_payoffs(env, player, beta[list(part.assignment())])
     return best_replies(pays, SOLVER_TOL) > 0
-
-
-def grand_map(
-    env: GameEnvironment,
-    candidate: EquilibriumCandidate,
-    capacities: tuple[int, int] | None = None,
-) -> GrandMapImage:
-    """Successor set of a state: the vertex best-reply profiles on the
-    current supports (the first MAX_VERTEX_PROFILES, with `truncated` set
-    when there are more), and the clustering-admissible partitions per
-    player."""
-    lams = candidate.lams
-    caps = capacities or infer_capacities(lams)
-    aggs = aggregate(candidate.profile, lams)
-    admissible = tuple(
-        clustered_partition_set(env, aggs[1 - pl], caps[pl], candidate.mode, candidate.divergence)
-        for pl in (0, 1)
-    )
-    choice_sets = []
-    layout = []
-    for player in (0, 1):
-        for part in lams[player].support:
-            replies = _reply_mask(env, player, part, aggs[1 - player])
-            for g in itertools.chain.from_iterable(part.classes):
-                choice_sets.append(tuple(int(a) for a in np.flatnonzero(replies[g])))
-                layout.append((player, part, g))
-    truncated = math.prod(len(s) for s in choice_sets) > MAX_VERTEX_PROFILES
-    profiles = []
-    for combo in itertools.islice(itertools.product(*choice_sets), MAX_VERTEX_PROFILES):
-        plays: tuple[dict, dict] = ({}, {})
-        for (player, part, g), act in zip(layout, combo):
-            arr = plays[player].setdefault(part, np.zeros((env.n_games, env.n_actions(player))))
-            arr[g, act] = 1.0
-        profiles.append(StrategyProfile(plays=plays))
-    return GrandMapImage(profiles, admissible, truncated)
 
 
 def grand_map_contains(
@@ -437,7 +393,7 @@ def _check_margins(env: GameEnvironment, lams, plays, mode: str, d: Divergence, 
                 # less the support partition's own row, so an equal row's margin is exactly 0
                 cols.append((disp - disp[assignment_rows([part.assignment()], capacities[player])]).T)
             else:
-                cols.append(local_margins(data, part, env.prior, d)[0].reshape(len(data), -1))
+                cols.append(local_margins(data, part, env.prior, d, beta)[0].reshape(len(data), -1))
     return np.concatenate(cols, axis=1)
 
 

@@ -1,9 +1,16 @@
+import itertools
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from cabee.abee import degenerate_pair, dist_abee_verify
+from cabee.abee import StrategyProfile, aggregate, degenerate_pair, dist_abee_verify
 from cabee.env import SOLVER_TOL, make_environment, pure_payoffs_against
+from cabee.equilibrium import _reply_mask, clustered_partition_set, infer_capacities
 from cabee.partitions import Partition
+
+MAX_VERTEX_PROFILES = 512  # grand_map lists at most this many, and reports truncation
 
 
 def matching_pennies_env(a=0.5, b=1.0, c=1.5):
@@ -45,6 +52,44 @@ def abee_verify(env, partitions, profile, tol=SOLVER_TOL):
     """Equilibrium check of one fixed partition per player: `dist_abee_verify`
     on degenerate distributions, as (ok, worst gain, witness)."""
     return dist_abee_verify(env, degenerate_pair(*partitions), profile, tol=tol)
+
+
+@dataclass
+class GrandMapImage:
+    vertex_profiles: list[StrategyProfile]
+    admissible_partitions: tuple[list[Partition], list[Partition]]
+    truncated: bool = False
+
+
+def grand_map(env, candidate, capacities=None) -> GrandMapImage:
+    """Successor set of a state: the vertex best-reply profiles on the
+    current supports (the first MAX_VERTEX_PROFILES, with `truncated` set
+    when there are more), and the clustering-admissible partitions per
+    player."""
+    lams = candidate.lams
+    caps = capacities or infer_capacities(lams)
+    aggs = aggregate(candidate.profile, lams)
+    admissible = tuple(
+        clustered_partition_set(env, aggs[1 - pl], caps[pl], candidate.mode, candidate.divergence)
+        for pl in (0, 1)
+    )
+    choice_sets = []
+    layout = []
+    for player in (0, 1):
+        for part in lams[player].support:
+            replies = _reply_mask(env, player, part, aggs[1 - player])
+            for g in itertools.chain.from_iterable(part.classes):
+                choice_sets.append(tuple(int(a) for a in np.flatnonzero(replies[g])))
+                layout.append((player, part, g))
+    truncated = math.prod(len(s) for s in choice_sets) > MAX_VERTEX_PROFILES
+    profiles = []
+    for combo in itertools.islice(itertools.product(*choice_sets), MAX_VERTEX_PROFILES):
+        plays: tuple[dict, dict] = ({}, {})
+        for (player, part, g), act in zip(layout, combo):
+            arr = plays[player].setdefault(part, np.zeros((env.n_games, env.n_actions(player))))
+            arr[g, act] = 1.0
+        profiles.append(StrategyProfile(plays=plays))
+    return GrandMapImage(profiles, admissible, truncated)
 
 
 def random_distributions(rng, n, k):

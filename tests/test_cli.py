@@ -1,5 +1,9 @@
+import itertools
 import json
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cabee.cli import (
@@ -112,9 +116,9 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
 def test_missing_scenario_field_rejected():
     with pytest.raises(ScenarioError):
         validate_scenario({"version": 1, "kind": "beauty"})
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="^seed:"):
         validate_scenario(
-            {"version": 1, "kind": "beauty", "solver": "learn1", "params": {}}
+            {"version": 1, "kind": "matching-pennies", "solver": "learn1", "params": {}}
         )  # randomness without a seed
 
 
@@ -354,3 +358,120 @@ def test_candidate_json_round_trips_each_divergence(name):
         for part in cand.lams[player].support:
             assert back.profile.plays[player][part].tolist() == cand.profile.plays[player][part].tolist()
     assert _candidate_to_json(back) == doc
+
+
+SOLVERS = ("abee", "cabee", "cdabee", "learn1", "learn2", "cluster")
+SUPPORTED = {
+    ("custom-env", "abee"), ("custom-env", "cdabee"), ("custom-env", "cluster"),
+    ("matching-pennies", "abee"), ("matching-pennies", "cabee"), ("matching-pennies", "cdabee"),
+    ("matching-pennies", "learn1"), ("matching-pennies", "learn2"),
+    ("monitoring", "cdabee"), ("monitoring", "learn1"), ("monitoring", "learn2"),
+    ("beauty", "abee"), ("beauty", "cabee"),
+    ("linear", "abee"), ("linear", "cabee"),
+}
+# parameters under which every supported solver of the kind validates
+KIND_PARAMS = {
+    "custom-env": {
+        **_dominance_scenario([2, 2])["params"],
+        "partitions": [[[0, 1], [2]], [[0, 1, 2]]],
+        "data": [[0.0, 1.0], [0.1, 0.9], [1.0, 0.0]],
+        "K": 2,
+    },
+    "matching-pennies": {"partitions": [[[0, 1], [2]]]},
+    "monitoring": {"p_a": 0.4, "p_b": 0.4, "p_c": 0.2, "nu_star": 0.5, "mu_star": 0.3},
+    "beauty": {},
+    "linear": {},
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+def test_solver_validated_per_kind(kind, solver):
+    """Each of the 15 supported (kind, solver) pairs validates; each of the
+    other 15 is rejected at validation, by a message naming the kind's
+    solvers."""
+    doc = {"version": 1, "kind": kind, "solver": solver, "seed": 3, "params": KIND_PARAMS[kind]}
+    if (kind, solver) in SUPPORTED:
+        assert validate_scenario(doc) is doc
+        return
+    with pytest.raises(ScenarioError, match=f"^solver: .* for {kind}, got '{solver}'$") as info:
+        validate_scenario(doc)
+    listed = re.findall(r"'([\w-]+)'", str(info.value).split(" for ")[0])
+    assert sorted(listed) == sorted(s for k, s in SUPPORTED if k == kind)
+
+
+@pytest.mark.parametrize(
+    "kind, partitions",
+    [
+        ("matching-pennies", None),
+        ("matching-pennies", "x"),
+        ("matching-pennies", []),
+        ("matching-pennies", [[[0, 1], [2]], [[0], [1], [2]]]),
+        ("matching-pennies", [[[0, 1], [1, 2]]]),
+        ("matching-pennies", [[[0, 1]]]),
+        ("matching-pennies", [[0, 1, 2]]),
+        ("matching-pennies", [[[0, 1], []]]),
+        ("custom-env", None),
+        ("custom-env", [[[0, 1, 2]]]),
+        ("custom-env", [[[0, 1, 2]], [[0], [1]]]),
+        ("custom-env", [[[0, 1, 2]], 5]),
+    ],
+)
+def test_abee_partitions_validated(kind, partitions):
+    """A missing or malformed `params.partitions` of an abee run is a
+    validation error naming the field, not a failure at run time."""
+    params = {k: v for k, v in KIND_PARAMS[kind].items() if k != "partitions"}
+    if partitions is not None:
+        params["partitions"] = partitions
+    doc = {"version": 1, "kind": kind, "solver": "abee", "params": params}
+    with pytest.raises(ScenarioError, match="^params.partitions: "):
+        validate_scenario(doc)
+
+
+@pytest.mark.parametrize("row", [[[0, 1], [2]], [[0, 2], [1]], [[0], [1, 2]]])
+def test_matching_pennies_abee_run_matches_closed_form(tmp_path, row):
+    from cabee.applications.matching_pennies import MatchingPenniesSpec, analytic_two_class_abee
+    from cabee.cli import run_scenario
+    from cabee.partitions import Partition
+
+    doc = {"version": 1, "kind": "matching-pennies", "solver": "abee", "params": {"partitions": [row]}}
+    result, exhausted = run_scenario(validate_scenario(doc), tmp_path)
+    (profile,) = result["results"]["profiles"]
+    want_row, want_col = analytic_two_class_abee(
+        MatchingPenniesSpec(0.5, 1.0, 1.5), Partition.from_classes(3, [tuple(c) for c in row])
+    )
+    np.testing.assert_allclose(np.array(profile["row"])[:, 0], want_row, atol=1e-9, rtol=0)
+    np.testing.assert_allclose(np.array(profile["column"])[:, 0], want_col, atol=1e-9, rtol=0)
+    assert result["verification"]["all_ok"] and not exhausted
+
+
+def test_custom_env_kmeans_cluster_run(tmp_path):
+    """Seeded k-means from the CLI returns a locally clustered partition, and
+    a rerun returns the same result."""
+    from cabee.clustering import L2, is_locally_clustered
+    from cabee.cli import run_scenario
+    from cabee.partitions import Partition
+
+    data = [[0.0, 1.0], [0.1, 0.9], [0.2, 0.8], [0.9, 0.1], [1.0, 0.0], [0.5, 0.5]]
+    doc = {
+        "version": 1, "kind": "custom-env", "solver": "cluster", "seed": 4,
+        "params": {"data": data, "K": 2, "algorithm": "kmeans"},
+    }
+    first, _ = run_scenario(validate_scenario(doc), tmp_path / "a")
+    again, _ = run_scenario(validate_scenario(doc), tmp_path / "b")
+    assert first["results"] == again["results"]
+    classes = first["results"]["partition"]
+    assert first["results"]["locally_clustered"] and len(classes) == 2
+    part = Partition.from_classes(len(data), [tuple(c) for c in classes])
+    ok, _ = is_locally_clustered(np.array(data), part, np.full(len(data), 1 / len(data)), L2)
+    assert ok
+
+
+def test_readme_lists_the_supported_pairs():
+    """The README's table of (kind, solver) pairs is the runner table."""
+    from cabee.cli import RUNNERS
+
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[lines.index("| kind | solver | runs |") + 2 :])
+    pairs = [tuple(cell.strip().strip("`") for cell in row.split("|")[1:3]) for row in rows]
+    assert pairs == list(RUNNERS)

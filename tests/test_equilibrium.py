@@ -37,7 +37,6 @@ from cabee.equilibrium import (
     cd_abee_verify,
     cd_abee_verify_batch,
     clustered_partition_set,
-    grand_map,
     grand_map_contains,
 )
 from cabee.partitions import Partition, partition_list
@@ -53,7 +52,7 @@ from cabee.applications.monitoring import (
     bundling_partitions,
     solve_monitoring_cdabee,
 )
-from conftest import dominant_env
+from conftest import dominant_env, grand_map
 
 
 def test_single_game_trivially_clustered():
@@ -1092,3 +1091,25 @@ def test_support_partition_over_capacity_yields_no_candidate(d):
 
     assert any(tied(fam) for fam in continua)
     assert _refine_continua(env, lams, continua, GLOBAL, d, (2, 3)) == []
+
+
+@pytest.mark.parametrize("mode", [GLOBAL, LOCAL])
+def test_check_margins_takes_each_support_partitions_class_means_once(monkeypatch, mode):
+    """On the monitoring zeta family (three support partitions), the check's
+    margins compute each support partition's class means once, in both
+    modes: the local margins read the means that the payoff differences use."""
+    from cabee.applications.monitoring import _mixed_lams, _mixed_plays
+
+    real, calls = clustering.class_prototypes, []
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(clustering, "class_prototypes", counting)
+    monkeypatch.setattr(equilibrium, "class_prototypes", counting)
+    spec = MonitoringSpec(0.4, 0.4, 0.2, 0.5, 0.3)
+    lams = _mixed_lams(spec)
+    plays = _mixed_plays([0.2, 0.5, 0.8])
+    equilibrium._check_margins(build_monitoring(spec), lams, plays, mode, L2, (2, 3))
+    assert calls == [*lams[0].support, *lams[1].support]
