@@ -92,17 +92,24 @@ class ClassLine:
         return self.beta - self.mean * self.slope + mu * self.slope
 
 
+def checked_endpoints(spec: LinearFamilySpec, endpoints: Sequence[float]) -> list[float]:
+    """The endpoints as floats; a ValueError unless they are strictly
+    increasing and span the regime's interval (NaN spans nothing)."""
+    lo_dom, hi_dom = spec.domain
+    pts = [float(p) for p in endpoints]
+    if len(pts) < 2 or not (abs(pts[0] - lo_dom) <= 1e-12 and abs(pts[-1] - hi_dom) <= 1e-12):
+        raise ValueError("endpoints must span the regime interval")
+    if not all(b - a > 0 for a, b in zip(pts[:-1], pts[1:])):
+        raise ValueError("endpoints must be strictly increasing")
+    return pts
+
+
 def linear_abee(spec: LinearFamilySpec, endpoints: Sequence[float]) -> list[ClassLine]:
     """Per-class expectation and action line for an interval partition.
 
     endpoints must be strictly increasing and span the regime's interval.
     """
-    lo_dom, hi_dom = spec.domain
-    pts = list(endpoints)
-    if abs(pts[0] - lo_dom) > 1e-12 or abs(pts[-1] - hi_dom) > 1e-12:
-        raise ValueError("endpoints must span the regime interval")
-    if any(b - a <= 0 for a, b in zip(pts[:-1], pts[1:])):
-        raise ValueError("endpoints must be strictly increasing")
+    pts = checked_endpoints(spec, endpoints)
     lines = []
     for lo, hi in zip(pts[:-1], pts[1:]):
         e = conditional_mean(spec, lo, hi)

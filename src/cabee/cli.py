@@ -37,7 +37,7 @@ from .clustering import (
     kmeans_lloyd,
     mean_divergence,
 )
-from .env import GameEnvironment, make_environment, validate_environment
+from .env import PROB_TOL, GameEnvironment, make_environment, validate_environment
 from .equilibrium import (
     GLOBAL,
     LOCAL,
@@ -54,7 +54,7 @@ from .learning import (
     steady_state_check,
     write_trajectory_csv,
 )
-from .partitions import Partition
+from .partitions import DEFAULT_ENUMERATION_CAP, Partition
 from .applications import HypothesesUnmet, beauty, linear, matching_pennies, monitoring
 
 EXIT_OK = 0
@@ -185,6 +185,75 @@ def _abee_partitions(doc: dict, n_games: int, count: int) -> tuple[Partition, ..
         raise ScenarioError(f"params.partitions: {exc}") from exc
 
 
+def _cluster_inputs(doc: dict) -> tuple[np.ndarray, np.ndarray, int]:
+    """The data, prior and class count of a `cluster` run: `params.data`
+    one distribution per point (over the mean divergence's two actions
+    under it, and at most `DEFAULT_ENUMERATION_CAP` points for the global
+    algorithm), `params.prior` positive and summing to 1 (default uniform),
+    `params.K` a positive integer."""
+    params = doc.get("params", {})
+    if "data" not in params:
+        raise ScenarioError("params.data: missing")
+    try:
+        data = np.asarray(params["data"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"params.data: expected a 2-D array of distributions ({exc})") from exc
+    if not (
+        data.ndim == 2 and data.size and np.all(data >= 0)
+        and np.all(np.abs(data.sum(axis=1) - 1.0) <= PROB_TOL)
+    ):
+        raise ScenarioError("params.data: expected a 2-D array of distributions, one row per point")
+    d = _divergence(doc.get("divergence", "l2"))
+    if d.action_values is not None and data.shape[1] != len(d.action_values):
+        raise ScenarioError(f"params.data: the mean divergence takes {len(d.action_values)} actions")
+    algorithm = params.get("algorithm", "global")
+    if algorithm not in ("global", "kmeans"):
+        raise ScenarioError(f"params.algorithm: expected global or kmeans, got {algorithm!r}")
+    if algorithm == "global" and len(data) > DEFAULT_ENUMERATION_CAP:
+        raise ScenarioError(
+            f"params.data: {len(data)} points exceed the global algorithm's cap of {DEFAULT_ENUMERATION_CAP}"
+        )
+    k = params.get("K")
+    if type(k) is not int or k < 1:
+        raise ScenarioError(f"params.K: expected a positive integer, got {k!r}")
+    prior = params.get("prior", [1.0 / len(data)] * len(data))
+    try:
+        prior = np.asarray(prior, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"params.prior: expected one positive weight per point ({exc})") from exc
+    if prior.shape != (len(data),) or not (np.all(prior > 0) and abs(prior.sum() - 1.0) <= PROB_TOL):
+        raise ScenarioError("params.prior: expected one positive weight per point, summing to 1")
+    return data, prior, k
+
+
+def _beauty_partition(doc: dict, spec) -> Partition:
+    """The partition of a beauty run, `params.partition`: a list of classes,
+    or under `abee` "equal-split" (its default), K equal contiguous classes."""
+    abee = doc["solver"] == "abee"
+    classes = doc.get("params", {}).get("partition", "equal-split" if abee else None)
+    try:
+        if abee and classes == "equal-split":
+            return beauty.equal_split_partition(spec.n, spec.K)
+        if not isinstance(classes, list):
+            raise ValueError(f"expected a list of classes, got {classes!r}")
+        return _partition_from_json(spec.n, classes)
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"params.partition: {exc}") from exc
+
+
+def _endpoints(doc: dict, spec) -> list[float]:
+    """The class endpoints a linear scenario sets (`params.endpoints`,
+    strictly increasing and spanning the regime's interval), else
+    equal-width classes."""
+    endpoints = doc.get("params", {}).get("endpoints")
+    if endpoints is None:
+        return linear.equal_split_endpoints(spec)
+    try:
+        return linear.checked_endpoints(spec, endpoints)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"params.endpoints: {exc}") from exc
+
+
 def _build_inputs(doc: dict):
     """Kind-specific spec construction; raises ScenarioError on bad fields."""
     kind = doc["kind"]
@@ -206,6 +275,8 @@ def _build_inputs(doc: dict):
             return spec, monitoring.build_monitoring(spec)
         if kind == "beauty":
             spec = beauty.uniform_spec(params.get("r", 0.5), params.get("n", 60), params.get("K", 2))
+            if doc["solver"] == "abee" or not params.get("self_consistent_sweep"):
+                _beauty_partition(doc, spec)
             return spec, None
         if kind == "linear":
             spec = linear.LinearFamilySpec(
@@ -214,11 +285,12 @@ def _build_inputs(doc: dict):
                 _density(params.get("density")),
                 params.get("K", 4),
             )
+            if doc["solver"] == "abee" or not params.get("equidistant", True):
+                _endpoints(doc, spec)
             return spec, None
         if kind == "custom-env":
             if doc["solver"] == "cluster":
-                if "data" not in params or "K" not in params:
-                    raise ScenarioError("params.data and params.K: required for cluster")
+                _cluster_inputs(doc)
                 return None, None
             env = _parse_custom_env(params)
             _capacities(doc, env)  # validates params.capacities
@@ -244,6 +316,8 @@ def _partition_to_json(part: Partition):
 
 
 def _partition_from_json(n_games: int, classes) -> Partition:
+    if not all(type(g) is int for c in classes for g in c):
+        raise ValueError(f"class members must be game indices, got {classes!r}")
     return Partition.from_classes(n_games, [tuple(c) for c in classes])
 
 
@@ -383,11 +457,8 @@ def _run_custom_cdabee(doc, spec, env, d, out_dir):
 
 
 def _run_cluster(doc, spec, env, d, out_dir):
-    params = doc["params"]
-    data = np.asarray(params["data"], dtype=float)
-    prior = np.asarray(params.get("prior", [1.0 / len(data)] * len(data)))
-    k = int(params["K"])
-    if params.get("algorithm", "global") == "kmeans":
+    data, prior, k = _cluster_inputs(doc)
+    if doc["params"].get("algorithm", "global") == "kmeans":
         rng = np.random.default_rng(doc.get("seed", 0))
         init = data[rng.choice(len(data), size=min(k, len(data)), replace=False)]
         rep = kmeans_lloyd(data, prior, k, d, init)
@@ -463,11 +534,7 @@ def _run_monitoring_cdabee(doc, spec, env, d, out_dir):
 
 def _run_beauty_abee(doc, spec, env, d, out_dir):
     params = doc.get("params", {})
-    part = (
-        beauty.equal_split_partition(spec.n, spec.K)
-        if params.get("partition", "equal-split") == "equal-split"
-        else _partition_from_json(spec.n, params["partition"])
-    )
+    part = _beauty_partition(doc, spec)
     closed = beauty.abee_actions(spec, part)
     chosen, means, gain = beauty.discrete_abee(spec, part, params.get("n_actions"))
     cell = 1.0 / (params.get("n_actions") or spec.n)
@@ -490,7 +557,7 @@ def _run_beauty_cabee(doc, spec, env, d, out_dir):
             partitions = beauty.self_consistent_contiguous(beauty.uniform_spec(spec.r, spec.n, k), k)
             found[str(k)] = [_partition_to_json(p) for p in partitions]
         return {"self_consistent_contiguous": found}, _verdict(True), False
-    part = _partition_from_json(spec.n, params["partition"])
+    part = _beauty_partition(doc, spec)
     if "r_grid" in params:
         grid = []
         for r in params["r_grid"]:
@@ -502,15 +569,9 @@ def _run_beauty_cabee(doc, spec, env, d, out_dir):
     return {"locally_clustered": bool(ok), "margin": margin}, _verdict(bool(ok)), False
 
 
-def _endpoints(spec, params):
-    """The class endpoints a linear scenario sets, else equal-width classes."""
-    endpoints = params.get("endpoints")
-    return linear.equal_split_endpoints(spec) if endpoints is None else endpoints
-
-
 def _run_linear_abee(doc, spec, env, d, out_dir):
     params = doc.get("params", {})
-    endpoints = _endpoints(spec, params)
+    endpoints = _endpoints(doc, spec)
     lines = linear.linear_abee(spec, endpoints)
     results: dict = {"classes": [asdict(ln) for ln in lines]}  # lo, hi, mean, beta, slope
     rows = linear.figure_curves(spec, endpoints, params.get("points_per_class", 50))
@@ -535,7 +596,7 @@ def _run_linear_abee(doc, spec, env, d, out_dir):
 def _run_linear_cabee(doc, spec, env, d, out_dir):
     params = doc.get("params", {})
     equidistant = params.get("equidistant", True)
-    endpoints = linear.equidistant_partition(spec) if equidistant else _endpoints(spec, params)
+    endpoints = linear.equidistant_partition(spec) if equidistant else _endpoints(doc, spec)
     chk = linear.linear_local_check(spec, endpoints)
     results = {
         "endpoints": list(map(float, endpoints)),

@@ -19,12 +19,13 @@ and `global_cluster` are their one-data-set case.  The batched kernels are
 partition, from the class terms of all game subsets, which `_subset_sums`
 adds up), and `_class_sums` (for labels that differ per data set: one
 `np.bincount` per action over the (row, class) cells, which adds each
-class's members in game order); `_lloyd` is the one Lloyd iteration, with
-`numeric.first_best` for the nearest prototype, and `kmeans_lloyd` its
-N = 1 case.  A batch may be held in any memory layout (model 1 holds its
-draws game-major): the kernels give the same values bit for bit on it as
-on a row-major copy, for data with fewer than 8 actions, whose sums
-numpy adds in order.
+class's members in game order); `_lloyd` is the Lloyd iteration over
+labels, with `numeric.first_best` for the nearest prototype, and serves
+`kmeans_lloyd` alone (model 1's Lloyd variant maps partitions to
+partitions on the subset sums instead, in `learning`).  A batch may be
+held in any memory layout (model 1 holds its draws game-major): the
+kernels give the same values bit for bit on it as on a row-major copy, for
+data with fewer than 8 actions, whose sums numpy adds in order.
 """
 
 from __future__ import annotations

@@ -10,13 +10,16 @@ inherited prototypes and pass the result on.
 Model 1 holds one role's draws game- and action-major, (n_games,
 n_actions, N) memory viewed as (N, n_games, n_actions), so that its
 reductions run over N-long vectors.  It clusters all subjects' draws with
-one `clustering.subset_table` (its Lloyd variant with one `_lloyd` call),
-takes their prototypes as one gather from that table's subset sums (only
-the mean divergence, whose table holds projected sums, and the Lloyd
-variant add up the raw draws' sums apart), picks their best replies with
-`numeric.first_best`, and counts their actions with one `np.bincount`;
-nothing of one role's subjects outlives its step.  Model 2 re-sorts a
-dynasty's games with one `_prototype_divergences` call.
+one `clustering.subset_table`, or in its Lloyd variant by rounds that map
+each subject's partition to a partition, with prototypes gathered from the
+subset sums of its draws (`clustering._lloyd`, a Lloyd iteration over
+labels, serves `kmeans_lloyd` alone).  It takes their prototypes as one
+gather from the same subset sums (only under the mean divergence, whose
+table and Lloyd rounds hold projected sums, are the raw draws' sums added
+up apart), picks their best replies with `numeric.first_best`, and counts
+their actions with one `np.bincount`; nothing of one role's subjects
+outlives its step.  Model 2 re-sorts a dynasty's games with one
+`_prototype_divergences` call.
 
 At zero noise the steps are set-valued at ties; the "incumbent" tie-break
 selects the current state whenever it is admissible, so a state is a rest
@@ -42,7 +45,7 @@ from .abee import (
 from .clustering import (
     SQUARED_MEAN_DIFFERENCE,
     Divergence,
-    _lloyd,
+    _projected,
     _prototype_divergences,
     _subset_sums,
     class_prototypes,
@@ -194,14 +197,57 @@ def _exact_model1_step(
     )
 
 
-def _lloyd_assignments(
+def _lloyd_choices(
     s: np.ndarray, prior: np.ndarray, k: int, d: Divergence, rng: np.random.Generator, rounds: int = 25
-) -> np.ndarray:
-    """Lloyd runs, one per subject, seeded at a random ordered k-subset of
-    the subject's data points; per-subject game assignments (N, n_games)."""
-    seeds = rng.random(s.shape[:2]).argsort(axis=1)[:, : min(k, s.shape[1])]
-    assign, _ = _lloyd(s, prior, np.take_along_axis(s, seeds[:, :, None], axis=1), d, rounds)
-    return assign
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each subject's Lloyd partition, as a row of `label_array`, with the
+    subset sums S (2^n_games, n_actions, N) and masses W of all subjects'
+    raw draws.
+
+    A subject's run is seeded at a random ordered k-subset of its data
+    points, and sends each game to its nearest seed point.  Every later
+    round maps a partition to a partition: the prototypes of a subject's
+    current row are its class means S[m]/W[m], m the row's `class_masks`
+    (the class mean is the prototype under every divergence here), which
+    the subjects still moving gather at once from the subset sums (under
+    the mean divergence, from a second `_subset_sums`, of the projected
+    draws); a class past the row's count is at infinite distance.  A
+    subject whose row repeats stops; every run stops after `rounds`
+    assignments in all.
+
+    On an exact distance tie a game goes to the class with the smallest
+    game (to the seed drawn first, in the seed round), where a Lloyd run
+    over labels (`clustering.kmeans_lloyd`) keeps the class seeded first.
+    The variant runs only with noise, where such ties have probability 0.
+    """
+    x, kind = _projected(s, d)
+    xt = x.transpose(1, 2, 0)  # (n_games, dim, N), game-major as model 1 holds its draws
+    order = rng.random(s.shape[:2]).argsort(axis=1)[:, : min(k, s.shape[1])]
+    seeds = np.take_along_axis(xt, order.T[:, None, :], axis=0)  # the seed points, (k, dim, N)
+    # one expression, so that no (N, n_games, k) temporary of the seed round outlives it
+    choice = assignment_rows(first_best(_prototype_divergences(x, seeds.transpose(2, 0, 1), kind), np.minimum), k)
+    del order, seeds
+    sums, mass = _subset_sums(s.transpose(1, 2, 0), prior)
+    x_sums = _subset_sums(xt, prior)[0] if d.kind == SQUARED_MEAN_DIFFERENCE else sums
+    n, dim = x.shape[0], x.shape[2]
+    masks = class_masks(s.shape[1], k).astype(np.intp)
+    safe = np.where(mass > 0, mass, 1.0)  # only the empty set has no mass
+    moving = np.arange(n)
+    for _ in range(rounds - 1):
+        rows = choice[moving]
+        m = masks[rows].T  # (K, moving)
+        # one flat gather in (class, action, subject) order, as in `_class_means`
+        protos = x_sums.take((m[:, None, :] * dim + np.arange(dim)[:, None]) * n + moving)
+        protos /= safe.take(m)[:, None, :]
+        xm = xt if len(moving) == n else xt.take(moving, axis=2)
+        dist = _prototype_divergences(xm.transpose(2, 0, 1), protos.transpose(2, 0, 1), kind)
+        np.copyto(dist, np.inf, where=(m == 0).T[:, None, :])
+        new = assignment_rows(first_best(dist, np.minimum), k)
+        choice[moving] = new
+        moving = moving[new != rows]
+        if not len(moving):
+            break
+    return choice, sums, mass
 
 
 def _exhaustive_choices(
@@ -258,8 +304,7 @@ def _subject_tallies(
     s += data
     s /= 1.0 + eps
     if clustering == "lloyd":
-        choice = assignment_rows(_lloyd_assignments(s, env.prior, k, d, rng), k)
-        sums, mass = _subset_sums(s.transpose(1, 2, 0), env.prior)
+        choice, sums, mass = _lloyd_choices(s, env.prior, k, d, rng)
     else:
         choice, sums, mass = _exhaustive_choices(s, env.prior, k, d)
     # subjects' prototypes per game: class means of their own draw under

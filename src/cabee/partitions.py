@@ -162,19 +162,33 @@ def class_masks(n_games: int, max_classes: int) -> np.ndarray:
 def assignment_rows(assign, max_classes: int) -> np.ndarray:
     """Row of `label_array` holding the partition of each assignment row.
 
-    `assign` is an (N, n_games) array of arbitrary labels in [0, max_classes);
-    each row is relabeled by first occurrence and looked up by its base-K code.
+    `assign` is an (N, n_games) array of arbitrary labels in [0, max_classes).
+    One pass over the games relabels each row by first occurrence and ranks
+    the restricted-growth string r it gives among the rows of `label_array`,
+    which are in lexicographic order: rank = sum_g r_g * C[n-1-g, c_g], with
+    c_g the classes of r_0..r_{g-1} and C[j, c] the count of restricted-growth
+    completions of j more games after c classes (Knuth, TAOCP 4A, 7.2.1.5).
     """
     assign = np.asarray(assign)
-    n_games = assign.shape[1]
-    present = assign[:, :, None] == np.arange(max_classes)
-    first = np.where(present.any(axis=1), present.argmax(axis=1), n_games)
-    rank = first.argsort(axis=1).argsort(axis=1)
-    canon = np.take_along_axis(rank, assign, axis=1)
-    powers = max_classes ** np.arange(n_games - 1, -1, -1, dtype=np.int64)
-    # lexicographic rows have increasing codes, so the codes are sorted
-    codes = label_array(n_games, max_classes) @ powers
-    return np.searchsorted(codes, canon @ powers)
+    n_rows, n_games = assign.shape
+    k = min(max_classes, n_games)
+    completions = np.ones((n_games + 1, k + 1), dtype=np.int64)
+    for j in range(1, n_games + 1):  # a next game joins one of c classes, or opens class c < k
+        completions[j, :k] = np.arange(k) * completions[j - 1, :k] + completions[j - 1, 1:]
+        completions[j, k] = k * completions[j - 1, k]
+    canon = np.full(n_rows * max_classes, -1, dtype=np.int64)  # each row's relabeling so far
+    cells = np.arange(n_rows) * max_classes
+    used = np.zeros(n_rows, dtype=np.int64)  # classes met so far
+    rank = np.zeros(n_rows, dtype=np.int64)
+    for g in range(n_games):
+        cell = cells + assign[:, g]
+        label = canon.take(cell)
+        opens = label < 0
+        label = np.where(opens, used, label)
+        canon.put(cell, label)
+        rank += label * completions[n_games - 1 - g].take(used)
+        used += opens
+    return rank
 
 
 def enumerate_partitions(

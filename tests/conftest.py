@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cabee.abee import StrategyProfile, aggregate, degenerate_pair, dist_abee_verify
+from cabee.clustering import _lloyd
 from cabee.env import SOLVER_TOL, make_environment, pure_payoffs_against
 from cabee.equilibrium import _reply_mask, clustered_partition_set, infer_capacities
-from cabee.partitions import Partition
+from cabee.partitions import Partition, label_array
 
 MAX_VERTEX_PROFILES = 512  # grand_map lists at most this many, and reports truncation
 
@@ -90,6 +91,33 @@ def grand_map(env, candidate, capacities=None) -> GrandMapImage:
             arr[g, act] = 1.0
         profiles.append(StrategyProfile(plays=plays))
     return GrandMapImage(profiles, admissible, truncated)
+
+
+def lloyd_assignments(s, prior, k, d, rng, rounds=25):
+    """Lloyd runs over labels, one per subject, seeded at a random ordered
+    k-subset of the subject's data points (the same random stream as model
+    1's Lloyd variant); per-subject game assignments (N, n_games).  The
+    reference of `learning._lloyd_choices`."""
+    seeds = rng.random(s.shape[:2]).argsort(axis=1)[:, : min(k, s.shape[1])]
+    assign, _ = _lloyd(s, prior, np.take_along_axis(s, seeds[:, :, None], axis=1), d, rounds)
+    return assign
+
+
+def sorted_assignment_rows(assign, max_classes):
+    """Row of `label_array` of each assignment row, by sorting: relabel by
+    first occurrence (two argsorts), then search the row's base-K code among
+    the sorted codes of all rows.  The reference of
+    `partitions.assignment_rows`."""
+    assign = np.asarray(assign)
+    n_games = assign.shape[1]
+    present = assign[:, :, None] == np.arange(max_classes)
+    first = np.where(present.any(axis=1), present.argmax(axis=1), n_games)
+    rank = first.argsort(axis=1).argsort(axis=1)
+    canon = np.take_along_axis(rank, assign, axis=1)
+    powers = max_classes ** np.arange(n_games - 1, -1, -1, dtype=np.int64)
+    # lexicographic rows have increasing codes, so the codes are sorted
+    codes = label_array(n_games, max_classes) @ powers
+    return np.searchsorted(codes, canon @ powers)
 
 
 def random_distributions(rng, n, k):

@@ -379,7 +379,8 @@ KIND_PARAMS = {
     },
     "matching-pennies": {"partitions": [[[0, 1], [2]]]},
     "monitoring": {"p_a": 0.4, "p_b": 0.4, "p_c": 0.2, "nu_star": 0.5, "mu_star": 0.3},
-    "beauty": {},
+    # beauty's cabee check needs a partition (its abee run reads the same one)
+    "beauty": {"partition": [list(range(30)), list(range(30, 60))]},
     "linear": {},
 }
 
@@ -426,6 +427,116 @@ def test_abee_partitions_validated(kind, partitions):
     doc = {"version": 1, "kind": kind, "solver": "abee", "params": params}
     with pytest.raises(ScenarioError, match="^params.partitions: "):
         validate_scenario(doc)
+
+
+CLUSTER_DATA = [[0.0, 1.0], [0.1, 0.9], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "field, params",
+    [
+        ("data", {"K": 2}),
+        ("data", {"data": [[0.0, 1.0], [1.0]], "K": 2}),
+        ("data", {"data": [0.5, 0.5], "K": 2}),
+        ("data", {"data": [], "K": 2}),
+        ("data", {"data": [["a", "b"]], "K": 2}),
+        ("data", {"data": [[0.5, 0.6], [1.0, 0.0]], "K": 2}),
+        ("data", {"data": [[-0.5, 1.5], [1.0, 0.0]], "K": 2}),
+        ("data", {"data": [[0.5, 0.5]] * 15, "K": 2}),
+        ("K", {"data": CLUSTER_DATA}),
+        ("K", {"data": CLUSTER_DATA, "K": 0}),
+        ("K", {"data": CLUSTER_DATA, "K": 1.5}),
+        ("K", {"data": CLUSTER_DATA, "K": "2"}),
+        ("K", {"data": CLUSTER_DATA, "K": True}),
+        ("prior", {"data": CLUSTER_DATA, "K": 2, "prior": [0.5, 0.5]}),
+        ("prior", {"data": CLUSTER_DATA, "K": 2, "prior": [0.5, 0.5, 0.0]}),
+        ("prior", {"data": CLUSTER_DATA, "K": 2, "prior": [0.3, 0.3, 0.3]}),
+        ("prior", {"data": CLUSTER_DATA, "K": 2, "prior": [[0.5, 0.5]]}),
+        ("algorithm", {"data": CLUSTER_DATA, "K": 2, "algorithm": "lloyd"}),
+    ],
+)
+def test_cluster_params_validated(field, params):
+    """A custom-env cluster document with ragged, non-distribution or
+    oversized data, a class count that is not a positive integer, a prior
+    that is not one positive weight per point summing to 1, or an unknown
+    algorithm is a validation error naming the field, not a failure at run
+    time."""
+    doc = {"version": 1, "kind": "custom-env", "solver": "cluster", "seed": 1, "params": params}
+    with pytest.raises(ScenarioError, match=f"^params\\.{field}: "):
+        validate_scenario(doc)
+
+
+def test_cluster_data_validated_against_the_mean_divergence():
+    """The mean divergence reads two actions; three-action data is a
+    validation error, and the same data validates under L2."""
+    doc = {"version": 1, "kind": "custom-env", "solver": "cluster", "divergence": "mean",
+           "params": {"data": [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]], "K": 2}}
+    with pytest.raises(ScenarioError, match="^params\\.data: "):
+        validate_scenario(doc)
+    assert validate_scenario({**doc, "divergence": "l2"})
+
+
+HALVES = [list(range(30)), list(range(30, 60))]
+
+
+@pytest.mark.parametrize(
+    "solver, params",
+    [
+        ("cabee", {}),
+        ("cabee", {"partition": "equal-split"}),
+        ("cabee", {"partition": [list(range(31)), list(range(30, 60))]}),
+        ("cabee", {"partition": [list(range(30))]}),
+        ("cabee", {"partition": [list(range(30)), list(range(30, 61))]}),
+        ("cabee", {"partition": [[float(g) for g in range(30)], list(range(30, 60))]}),
+        ("cabee", {"partition": [list(range(60)), []]}),
+        ("abee", {"partition": "halves"}),
+        ("abee", {"partition": [list(range(31)), list(range(30, 60))]}),
+        ("abee", {"partition": 5}),
+        ("abee", {"n": 61}),
+    ],
+)
+def test_beauty_partition_validated(solver, params):
+    """A beauty run without a partition it can read (cabee needs class
+    lists; abee also takes "equal-split", its default, which needs K to
+    divide n) is a validation error naming params.partition."""
+    doc = {"version": 1, "kind": "beauty", "solver": solver, "params": params}
+    with pytest.raises(ScenarioError, match="^params\\.partition: "):
+        validate_scenario(doc)
+
+
+def test_beauty_partition_accepted():
+    """Class lists validate under both solvers, and the self-consistent
+    sweep needs no partition."""
+    for solver in ("abee", "cabee"):
+        assert validate_scenario({"version": 1, "kind": "beauty", "solver": solver, "params": {"partition": HALVES}})
+    assert validate_scenario({"version": 1, "kind": "beauty", "solver": "abee", "params": {}})
+    assert validate_scenario(
+        {"version": 1, "kind": "beauty", "solver": "cabee", "params": {"self_consistent_sweep": True}}
+    )
+
+
+@pytest.mark.parametrize(
+    "solver, endpoints",
+    [
+        ("abee", [0.5, 0.2]),
+        ("abee", [0.0, 0.5]),
+        ("abee", [0.0, 0.7, 0.5, 1.0]),
+        ("abee", [0.0, float("nan"), 1.0]),
+        ("abee", [1.0]),
+        ("abee", ["a", 1.0]),
+        ("abee", 5),
+        ("cabee", [0.5, 0.2]),
+    ],
+)
+def test_linear_endpoints_validated(solver, endpoints):
+    """Linear endpoints that are not strictly increasing across the regime
+    interval are a validation error naming params.endpoints (cabee reads
+    them when it is not told to use the equidistant partition)."""
+    params = {"endpoints": endpoints, "equidistant": False}
+    doc = {"version": 1, "kind": "linear", "solver": solver, "params": params}
+    with pytest.raises(ScenarioError, match="^params\\.endpoints: "):
+        validate_scenario(doc)
+    assert validate_scenario({**doc, "params": {**params, "endpoints": [0, 0.3, 1]}})
 
 
 @pytest.mark.parametrize("row", [[[0, 1], [2]], [[0, 2], [1]], [[0], [1, 2]]])

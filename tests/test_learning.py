@@ -27,7 +27,7 @@ from cabee.learning import (
     PopulationState,
     _class_means,
     _exhaustive_choices,
-    _lloyd_assignments,
+    _lloyd_choices,
     model1_run,
     model1_step,
     model2_step,
@@ -36,7 +36,7 @@ from cabee.learning import (
     steady_state_check,
     write_trajectory_csv,
 )
-from cabee.partitions import Partition, assignment_rows, class_masks, partition_list
+from cabee.partitions import Partition, class_masks, partition_list
 from cabee.applications.matching_pennies import (
     MatchingPenniesSpec,
     build_matching_pennies,
@@ -48,7 +48,7 @@ from cabee.applications.monitoring import (
     build_monitoring,
     solve_monitoring_cdabee,
 )
-from conftest import dominant_env
+from conftest import dominant_env, lloyd_assignments, sorted_assignment_rows
 
 
 @pytest.fixture(scope="module")
@@ -283,7 +283,7 @@ def _reference_model1_step(env, state, capacities, d, pert, n, clustering):
         s = (data[None] + pert.epsilon * draws / draws.sum(axis=-1, keepdims=True)) / (1.0 + pert.epsilon)
         parts = partition_list(env.n_games, k)
         if clustering == "lloyd":
-            choice = assignment_rows(_lloyd_assignments(s, env.prior, k, d, rng), k)
+            choice = sorted_assignment_rows(lloyd_assignments(s, env.prior, k, d, rng), k)
         else:
             choice = _reference_dispersion_matrix(s, env.prior, parts, d).argmin(axis=1)
         protos = _reference_prototypes(s, env.prior, parts, choice)
@@ -324,6 +324,60 @@ def test_model1_step_matches_one_hot_reference(rng, clustering):
                 assert all(np.array_equal(nxt.profile.plays[player][p], plays[p]) for p in plays)
                 sums, mass = _subset_sums(s.transpose(1, 2, 0), env.prior)
                 assert np.array_equal(_class_means(sums, mass, choice, caps[player]), protos)
+
+
+def test_lloyd_choices_match_the_label_reference(rng):
+    """Each subject's Lloyd partition equals the row of a Lloyd run over
+    labels from the same seeds (`clustering._lloyd`, rows by sorting), and
+    the sums are `_subset_sums` of the draws: L2, KL and the mean divergence,
+    1 to 4 classes, 2 to 6 games, after 1, 2 and 25 assignments."""
+    stopped_early = 0
+    for n_games in range(2, 7):
+        for n_act in (2, 3):
+            prior = rng.dirichlet(np.ones(n_games))
+            data = rng.dirichlet(np.ones(n_act), n_games)
+            eta = rng.standard_exponential((n_games, n_act, 300))
+            # game- and action-major, as model 1 holds its draws
+            s = ((data[..., None] + 0.3 * eta / eta.sum(axis=1, keepdims=True)) / 1.3).transpose(2, 0, 1)
+            for d in (L2, KL, mean_divergence(np.linspace(0.0, 1.0, n_act))):
+                for k in range(1, 5):
+                    seed = int(rng.integers(1 << 30))
+                    rows = {}
+                    for rounds in (1, 2, 25):
+                        assign = lloyd_assignments(s, prior, k, d, np.random.default_rng(seed), rounds)
+                        want = sorted_assignment_rows(assign, k)
+                        rows[rounds], sums, mass = _lloyd_choices(s, prior, k, d, np.random.default_rng(seed), rounds)
+                        np.testing.assert_array_equal(rows[rounds], want)
+                        want_sums, want_mass = _subset_sums(s.transpose(1, 2, 0), prior)
+                        assert np.array_equal(sums, want_sums) and np.array_equal(mass, want_mass)
+                    stopped_early += not np.array_equal(rows[1], rows[25])
+    assert stopped_early  # the round cap binds somewhere, so the caps are told apart
+
+
+def test_lloyd_step_runs_no_label_lloyd_or_class_sums(mp_setup, monkeypatch):
+    """model1_step's Lloyd variant calls neither `clustering._lloyd` nor
+    `_class_sums`, and `learning` imports neither; under L2 and KL it runs
+    the subset-sum recurrence once per role, and the mean divergence adds
+    one of the projected draws."""
+    env, cand = mp_setup
+    state = state_from_candidate(env, cand)
+    calls = []
+
+    def refused(*args, **kwargs):
+        raise AssertionError("called")
+
+    def counted(x, prior):
+        calls.append(x.shape)
+        return _subset_sums(x, prior)
+
+    for name in ("_lloyd", "_class_sums"):
+        assert not hasattr(learning_module, name)
+        monkeypatch.setattr(clustering_module, name, refused)
+    monkeypatch.setattr(learning_module, "_subset_sums", counted)
+    for d, per_role in ((L2, 1), (KL, 1), (mean_divergence([0.0, 1.0]), 2)):
+        calls.clear()
+        nxt = model1_step(env, state, (2, 3), d, PerturbationSpec(0.05, 3), n_subjects=200, clustering="lloyd")
+        assert nxt.t == state.t + 1 and len(calls) == 2 * per_role, (d.kind, calls)
 
 
 def test_exhaustive_player_step_runs_the_subset_sums_once(mp_setup, monkeypatch):
@@ -430,14 +484,17 @@ def test_lloyd_clustering_variant_runs(mp_setup):
 
 
 def test_lloyd_keeps_a_point_on_its_own_prototype_with_a_zero_coordinate():
-    """KL takes 0*ln(0) = 0: game 2 sits on its seed [0, 1] at distance 0."""
+    """KL takes 0*ln(0) = 0: game 2 sits on its seed [0, 1] at distance 0,
+    in the Lloyd variant as in its label reference and in kmeans_lloyd."""
     s = np.array([[[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]]])
     prior = np.full(4, 0.25)
     assert np.random.default_rng(0).random((1, 4)).argsort(axis=1)[0, :2].tolist() == [3, 2]
-    assign = _lloyd_assignments(s, prior, 2, KL, np.random.default_rng(0))
+    assign = lloyd_assignments(s, prior, 2, KL, np.random.default_rng(0))
+    choice, _, _ = _lloyd_choices(s, prior, 2, KL, np.random.default_rng(0))
     rep = kmeans_lloyd(s[0], prior, 2, KL, s[0, [3, 2]])
     assert rep.partition == Partition.from_classes(4, [(0, 1, 3), (2,)])
     assert Partition.from_assignment(assign[0]) == rep.partition
+    assert partition_list(4, 2)[choice[0]] == rep.partition
 
 
 def test_single_game_environment_runs():

@@ -144,14 +144,20 @@ def test_partition_list_is_a_view_of_label_array():
 
 
 def test_assignment_rows_match_per_subject_relabeling():
-    """The vectorized lookup equals relabeling each row through Partition."""
+    """The vectorized lookup equals relabeling each row through Partition,
+    for 1 to 8 games and 1 to n + 1 classes, labels anywhere in [0, K); and
+    the one-row call of `equilibrium._check_margins` on a partition's own
+    assignment gives the partition's index."""
     rng = np.random.default_rng(11)
-    for n, k in [(3, 2), (3, 3), (4, 5), (5, 3), (7, 4)]:
-        assign = rng.integers(0, min(n, k), size=(500, n))
-        parts = partition_list(n, k)
-        canon = {p.assignment(): pi for pi, p in enumerate(parts)}
-        old = np.array([canon[Partition.from_assignment(a).assignment()] for a in assign])
-        np.testing.assert_array_equal(assignment_rows(assign, k), old)
+    for n in range(1, 9):
+        for k in range(1, n + 2):
+            assign = rng.integers(0, k, size=(300, n))
+            parts = partition_list(n, k)
+            canon = {p.assignment(): pi for pi, p in enumerate(parts)}
+            old = np.array([canon[Partition.from_assignment(a).assignment()] for a in assign])
+            np.testing.assert_array_equal(assignment_rows(assign, k), old)
+            for pi in rng.choice(len(parts), size=min(len(parts), 40), replace=False).tolist():
+                assert assignment_rows([parts[pi].assignment()], k).tolist() == [pi]
 
 
 def test_partition_validation():
