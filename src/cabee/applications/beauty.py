@@ -11,11 +11,11 @@ Under a common partition of the fundamental grid the equilibrium action is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
-from ..clustering import L2, _class_sums, class_prototypes, local_margins, partition_dispersions, subset_table
+from ..clustering import L2, class_prototypes, local_margins, partition_dispersions, subset_table
 from ..env import GameEnvironment, make_environment
 from ..partitions import Partition, class_masks
 
@@ -167,45 +167,50 @@ def contiguous_partitions(n: int, n_classes: int):
         )
 
 
-def best_contiguous_dispersion(values: np.ndarray, weights: np.ndarray, n_classes: int) -> float:
-    """Minimal squared-dispersion over interval partitions, by dynamic
-    programming on prefix sums (Fisher 1958), vectorized over the split
-    point.  Segments of nonpositive mass cost inf."""
+def _segment_costs(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(n+1, n+1) squared dispersions from prefix sums (Fisher 1958): entry
+    [i, j] is that of the points i..j-1, inf where the mass is not positive."""
     w = np.concatenate([[0.0], np.cumsum(weights)])
     wv = np.concatenate([[0.0], np.cumsum(weights * values)])
     wv2 = np.concatenate([[0.0], np.cumsum(weights * values**2)])
-    # cost[i, j] is the dispersion of points i..j-1
     mass = w[None, :] - w[:, None]
     s, s2 = wv[None, :] - wv[:, None], wv2[None, :] - wv2[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cost = np.where(mass > 0, s2 - s * s / mass, np.inf)
-    dp = np.full(len(values) + 1, np.inf)
+        return np.where(mass > 0, s2 - s * s / mass, np.inf)
+
+
+def _best_path(cost: np.ndarray, n_classes: int) -> float:
+    """Minimal sum of n_classes segment costs covering all points, by dynamic
+    programming vectorized over the split point; each path is added from
+    the left."""
+    dp = np.full(len(cost), np.inf)
     dp[0] = 0.0
     for _ in range(n_classes):
         dp = (dp[:, None] + cost).min(axis=0)
     return float(dp[-1])
 
 
+def best_contiguous_dispersion(values: np.ndarray, weights: np.ndarray, n_classes: int) -> float:
+    """Minimal squared-dispersion over interval partitions."""
+    return _best_path(_segment_costs(values, weights), n_classes)
+
+
 def self_consistent_contiguous(
     spec: BeautyContestSpec, n_classes: int, tie_tol: float = 1e-10
 ) -> list[Partition]:
     """Interval partitions that are dispersion-minimizing for the data they
-    themselves induce through the equilibrium map."""
+    themselves induce through the equilibrium map.  A partition's own
+    dispersion adds its classes' segment costs from the left, as the dynamic
+    program adds its optimal path, so an optimal partition ties bit for bit."""
     w = np.asarray(spec.weights)
     out = []
-    parts = contiguous_partitions(spec.n, n_classes)
-    # scored in chunks, which bounds the memory of the action and label
-    # batches; the DP stays per candidate, because its (n+1, n+1) cost
-    # matrix batched over a chunk would add megabytes per temporary
-    while chunk := list(islice(parts, 256)):
-        actions = np.stack([abee_actions(spec, part) for part in chunk])
-        labels = np.array([part.assignment() for part in chunk])
-        own = _class_sums(actions[:, :, None], w, labels, n_classes, kl=False)[2]
-        out += [
-            part
-            for part, acts, disp in zip(chunk, actions, own)
-            if disp <= best_contiguous_dispersion(acts, w, n_classes) + tie_tol
-        ]
+    for part in contiguous_partitions(spec.n, n_classes):
+        cost = _segment_costs(abee_actions(spec, part), w)
+        own = 0.0
+        for cls in part.classes:
+            own += cost[cls[0], cls[-1] + 1]
+        if own <= _best_path(cost, n_classes) + tie_tol:
+            out.append(part)
     return out
 
 

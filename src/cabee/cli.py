@@ -23,6 +23,7 @@ import time
 from dataclasses import asdict
 from functools import partial
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from .equilibrium import (
     cd_abee_verify,
 )
 from .learning import (
+    TIE_BREAKS,
     PerturbationSpec,
     model1_run,
     model2_step,
@@ -62,6 +64,10 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
 DIVERGENCES = {"l2": L2, "kl": KL, "mean": mean_divergence((0.0, 1.0))}
+# the top-level fields of a scenario; validation refuses any other, so that a
+# misspelled or retired field is reported rather than silently ignored
+FIELDS = ("version", "kind", "solver", "mode", "divergence", "params", "seed", "max_evaluations", "outputs",
+          "description")
 
 
 class ScenarioError(ValueError):
@@ -96,6 +102,9 @@ def _read_scenario(path) -> dict:
 def validate_scenario(doc: dict) -> dict:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
+    for key in doc:
+        if key not in FIELDS:
+            raise ScenarioError(f"{key}: not a scenario field (expected among {FIELDS})")
     if doc.get("version") != 1:
         raise ScenarioError("version: expected 1")
     kind = doc.get("kind")
@@ -118,10 +127,6 @@ def validate_scenario(doc: dict) -> dict:
     )
     if uses_randomness and "seed" not in doc:
         raise ScenarioError("seed: required whenever the solver draws randomness")
-    if "time_budget_s" in doc:
-        budget = doc["time_budget_s"]
-        if type(budget) not in (int, float) or not (math.isfinite(budget) and budget > 0):
-            raise ScenarioError(f"time_budget_s: expected a finite positive number, got {budget!r}")
     if "max_evaluations" in doc:
         value = doc["max_evaluations"]
         if type(value) is not int or value <= 0:
@@ -254,10 +259,44 @@ def _endpoints(doc: dict, spec) -> list[float]:
         raise ScenarioError(f"params.endpoints: {exc}") from exc
 
 
+def _learning_params(doc: dict) -> tuple[int, int, float, str]:
+    """A learning scenario's steps, n_subjects, epsilon and tie_break (the
+    last three read by model 1 alone), checked; raises ScenarioError."""
+    params = doc.get("params", {})
+    steps, n_subjects = params.get("steps", 20), params.get("n_subjects", 1000)
+    epsilon = params.get("epsilon", 0.0)
+    tie_break = params.get("tie_break", "incumbent" if epsilon == 0 else "uniform")
+    for key, value in (("steps", steps), ("n_subjects", n_subjects)):
+        if type(value) is not int or value < 1:
+            raise ScenarioError(f"params: {key} must be a positive integer, got {value!r}")
+    if type(epsilon) not in (int, float) or not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ScenarioError(f"params: epsilon must be finite and at least 0, got epsilon={epsilon!r}")
+    if tie_break not in TIE_BREAKS:
+        raise ScenarioError(f"params: tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
+    return steps, n_subjects, epsilon, tie_break
+
+
+def _stake_grid(doc: dict) -> list[float] | None:
+    """The stakes step, 2*step, ... below 2 of params.sweep_step, or None
+    without a sweep; raises ScenarioError unless the grid holds a triple."""
+    params = doc.get("params", {})
+    if "sweep_step" not in params:
+        return None
+    step = params["sweep_step"]
+    if type(step) not in (int, float) or not (math.isfinite(step) and step > 0):
+        raise ScenarioError(f"params.sweep_step: expected a positive number, got {step!r}")
+    vals = [round(step * k, 10) for k in range(1, int(2 / step) + 1) if step * k < 2]
+    if len(vals) < 3:
+        raise ScenarioError(f"params.sweep_step: {step!r} leaves no stake triple 0 < a < b < c < 2 on its grid")
+    return vals
+
+
 def _build_inputs(doc: dict):
     """Kind-specific spec construction; raises ScenarioError on bad fields."""
     kind = doc["kind"]
     params = doc.get("params", {})
+    if doc["solver"] in ("learn1", "learn2"):
+        _learning_params(doc)
     try:
         if kind == "matching-pennies":
             spec = matching_pennies.MatchingPenniesSpec(
@@ -266,6 +305,8 @@ def _build_inputs(doc: dict):
             env = matching_pennies.build_matching_pennies(spec)
             if doc["solver"] == "abee":
                 _abee_partitions(doc, env.n_games, 1)
+            if doc["solver"] == "cabee":
+                _stake_grid(doc)
             return spec, env
         if kind == "monitoring":
             spec = monitoring.MonitoringSpec(
@@ -476,22 +517,14 @@ def _run_pennies_abee(doc, spec, env, d, out_dir):
 
 
 def _run_pennies_refutation(doc, spec, env, d, out_dir):
-    step = doc.get("params", {}).get("sweep_step")
-    specs = [spec]
-    if step:
-        vals = [round(step * k, 10) for k in range(1, int(2 / step) + 1) if step * k < 2]
-        specs = [
-            matching_pennies.MatchingPenniesSpec(a, b, c)
-            for i, a in enumerate(vals)
-            for j, b in enumerate(vals[i + 1 :], start=i + 1)
-            for c in vals[j + 1 :]
-        ]
+    grid = _stake_grid(doc)
+    specs = [spec] if grid is None else [matching_pennies.MatchingPenniesSpec(*abc) for abc in combinations(grid, 3)]
     clustered = [
         any(any(v) for v in rep["verdicts"].values())
         for sp in specs
         for rep in matching_pennies.two_class_refutation(sp).values()
     ]
-    refuted = not any(clustered)
+    refuted = bool(clustered) and not any(clustered)  # nothing checked refutes nothing
     results = {"pure_clustered_equilibria_refuted": refuted, "cases_checked": len(clustered)}
     return results, _verdict(refuted), False
 
@@ -618,20 +651,16 @@ def _monitoring_start(spec, d):
 
 def _model1(doc, env, state, capacities, d):
     """Model 1's trajectory from `state`, and its drifts as results."""
-    params = doc.get("params", {})
-    pert = PerturbationSpec(epsilon=params.get("epsilon", 0.0), seed=doc.get("seed", 0))
-    traj, report = model1_run(
-        env, state, params.get("steps", 20), capacities, d, pert,
-        n_subjects=params.get("n_subjects", 1000),
-        tie_break=params.get("tie_break", "incumbent" if pert.epsilon == 0 else "uniform"),
-    )
+    steps, n_subjects, epsilon, tie_break = _learning_params(doc)
+    pert = PerturbationSpec(epsilon=epsilon, seed=doc.get("seed", 0))
+    traj, report = model1_run(env, state, steps, capacities, d, pert, n_subjects=n_subjects, tie_break=tie_break)
     return traj, {"aggregate_drift": report.aggregate_drift, "lambda_drift": report.lam_drift}
 
 
 def _model2(doc, env, state, capacities, d):
     """Model 2's trajectory from `state`; it adds no results."""
     traj = [state]
-    for _ in range(doc.get("params", {}).get("steps", 20)):
+    for _ in range(_learning_params(doc)[0]):
         traj.append(model2_step(env, traj[-1], d))
     return traj, {}
 

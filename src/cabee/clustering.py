@@ -14,18 +14,16 @@ divergence to every prototype less that to its own) serves the local test
 beauty-contest check.  Both clustering tests take batches of data sets
 (`local_witnesses`, `global_cluster_batch`), and `is_locally_clustered`
 and `global_cluster` are their one-data-set case.  The batched kernels are
-`_prototype_divergences` (every point against every prototype),
-`subset_table` with `partition_dispersions` (every enumerated
-partition, from the class terms of all game subsets, which `_subset_sums`
-adds up), and `_class_sums` (for labels that differ per data set: one
-`np.bincount` per action over the (row, class) cells, which adds each
-class's members in game order); `_lloyd` is the Lloyd iteration over
-labels, with `numeric.first_best` for the nearest prototype, and serves
-`kmeans_lloyd` alone (model 1's Lloyd variant maps partitions to
-partitions on the subset sums instead, in `learning`).  A batch may be
-held in any memory layout (model 1 holds its draws game-major): the
-kernels give the same values bit for bit on it as on a row-major copy, for
-data with fewer than 8 actions, whose sums numpy adds in order.
+`_prototype_divergences` (every point against every prototype) and
+`subset_table` with `partition_dispersions` (every enumerated partition,
+from the class terms of all game subsets, which `_subset_sums` adds up).
+`kmeans_lloyd` runs Lloyd's iteration on one data set with these
+kernels and `numeric.first_best` for the nearest prototype (model 1's
+Lloyd variant maps partitions to partitions on the subset sums instead, in
+`learning`).  A batch may be held in any memory layout (model 1 holds its
+draws game-major): the kernels give the same values bit for bit on it as
+on a row-major copy, for data with fewer than 8 actions, whose sums numpy
+adds in order.
 """
 
 from __future__ import annotations
@@ -219,72 +217,6 @@ def is_locally_clustered(
     return witness is None, witness
 
 
-def _point_term(data: np.ndarray, prior: np.ndarray, kl: bool) -> np.ndarray:
-    """The Bregman identity's point term (...) of a (..., n_games, dim) batch:
-    sum p*|x|^2, or sum p*H(x) under KL (see `_class_sums`).  The per-game
-    sums are made C-order before the product with the prior, so that it
-    rounds alike whatever the layout of the batch."""
-    return np.ascontiguousarray((_plogp(data) if kl else data**2).sum(axis=-1)) @ prior
-
-
-def _class_sums(data: np.ndarray, prior: np.ndarray, labels: np.ndarray, n_classes: int, kl: bool):
-    """Prior-weighted class sums S_c (P, n_classes, dim), class masses W_c
-    (P, n_classes) and dispersions (P,) of every row of a (P, n_games) label
-    array, each against its own row of a (P, n_games, dim) data batch.
-
-    The dispersion is the Bregman identity (point term minus class term):
-    for squared Euclidean sum p*|x|^2 - sum_c |S_c|^2/W_c, for KL
-    sum p*H(x) - sum_c W_c*H(S_c/W_c) with H(x) = sum x*ln(x).  Each
-    (row, class) cell is one bin of `np.bincount`, which adds its entries in
-    index order; they are listed game by game (free on game-major data), so
-    a class's members are added in game order.  The class term is summed one
-    action at a time, which rounds as numpy's sum of a short axis.
-    """
-    n_parts, n_games = labels.shape
-    cells = (np.arange(n_parts) * n_classes + labels.T).ravel()
-
-    def per_class(weights):  # weights (P, n_games)
-        return np.bincount(cells, weights.T.ravel(), n_parts * n_classes).reshape(n_parts, n_classes)
-
-    mass = per_class(np.broadcast_to(prior, labels.shape))
-    safe = np.where(mass > 0, mass, 1.0)  # empty classes have zero sums
-    sums = np.empty((n_parts, n_classes, data.shape[-1]))
-    proto_term = 0.0
-    for a in range(data.shape[-1]):
-        sums[..., a] = per_class(prior * data[..., a])
-        proto_term = proto_term + (_plogp(sums[..., a] / safe) if kl else sums[..., a] ** 2)
-    class_term = (mass * proto_term if kl else proto_term / safe).sum(axis=1)
-    return sums, mass, np.maximum(_point_term(data, prior, kl) - class_term, 0.0)
-
-
-def _lloyd(data, prior, protos, d: Divergence, max_rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd iteration on each row of an (N, n_games, dim) data batch from
-    its (N, k, dim) initial prototypes: games go to the nearest prototype
-    (the first on ties), prototypes to their class's prior-weighted mean.  A
-    class that empties is dropped by giving it infinite distance.  A row that
-    repeats its assignment stays put; the rounds stop when every row has, or
-    after max_rounds.  Returns the final labels (N, n_games), dropped classes'
-    labels unused, and the dispersion after each round (rounds, N).
-    """
-    data, kind = _projected(data, d)
-    protos, _ = _projected(protos, d)
-    prior = np.asarray(prior, dtype=float)
-    labels = np.full(data.shape[:2], -1)
-    dropped = np.zeros(protos.shape[:2], dtype=bool)
-    history = []
-    for _ in range(max_rounds):
-        dist = _prototype_divergences(data, protos, kind)
-        new = first_best(np.where(dropped[:, None, :], np.inf, dist), np.minimum)
-        sums, mass, disp = _class_sums(data, prior, new, protos.shape[1], kind.kind == KULLBACK_LEIBLER)
-        dropped = mass == 0
-        protos = np.where(dropped[..., None], protos, sums / np.where(dropped, 1.0, mass)[..., None])
-        history.append(disp)
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    return labels, np.array(history)
-
-
 # winners of global_cluster, keyed by (n_games, max_classes, label row)
 _WINNERS: dict[tuple[int, int, int], Partition] = {}
 
@@ -301,7 +233,7 @@ def _subset_sums(x: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Class sums S (2^n, ...) and masses W (2^n,) of every subset m of the
     games (bit g set when it holds game g), from points x (n_games, ...):
     S[m + 2^g] = S[m] + p_g*x_g, so a class's members are added in game
-    order, as `_class_sums` adds them, and S/W is the class mean."""
+    order, and S/W is the class mean."""
     sums = np.zeros((1 << len(x),) + x.shape[1:])
     mass = np.zeros(1 << len(x))
     for g, row in enumerate(x):
@@ -312,16 +244,22 @@ def _subset_sums(x: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def subset_table(data: np.ndarray, prior: np.ndarray, d: Divergence):
     """Point term (...), class sums S (2^n, dim, ...), masses W (2^n,) and
-    class terms T (2^n, ...) of the Bregman identity (see `_class_sums`) for
-    every subset of the games (`_subset_sums`), on one (n_games, dim) data
-    set or each of a (..., n_games, dim) batch.  T is W*|S/W|^2, or
-    W*H(S/W) under KL, and 0 for the empty set; the mean divergence
-    projects onto the action values.
+    class terms T (2^n, ...) of the Bregman identity for every subset of the
+    games (`_subset_sums`), on one (n_games, dim) data set or each of a
+    (..., n_games, dim) batch; the mean divergence projects onto the action
+    values.
+
+    A partition's dispersion is the point term less its classes' terms: for
+    squared Euclidean sum p*|x|^2 - sum_c |S_c|^2/W_c, for KL
+    sum p*H(x) - sum_c W_c*H(S_c/W_c) with H(x) = sum x*ln(x).  T is
+    W*|S/W|^2, or W*H(S/W) under KL, and 0 for the empty set.  The per-game
+    point sums are made C-order before the product with the prior, so that
+    it rounds alike whatever the layout of the batch.
     """
     x, d = _projected(data, d)
     prior = np.asarray(prior, dtype=float)
     kl = d.kind == KULLBACK_LEIBLER
-    point = _point_term(x, prior, kl)
+    point = np.ascontiguousarray((_plogp(x) if kl else x**2).sum(axis=-1)) @ prior
     sums, mass = _subset_sums(np.moveaxis(x, (-2, -1), (0, 1)), prior)  # x as (n_games, dim, ...)
     w = mass.reshape((-1,) + (1,) * (sums.ndim - 2))  # broadcasts over the batch axes
     safe = np.where(w > 0, w, 1.0)  # the empty set has zero sums
@@ -392,22 +330,38 @@ def kmeans_lloyd(
 ) -> ClusteringReport:
     """Lloyd iteration from `init`, which must hold 1 to `max_classes` rows.
 
-    Stops when assignments are stable.  A class that empties is dropped and
-    counted in the report.  The result always passes the local-clustering
-    test and the dispersion history is nonincreasing.
+    Games go to the nearest prototype (the first on ties), prototypes to
+    their class's prior-weighted mean.  Stops when assignments are stable, or
+    after `max_iter` assignments.  A class that empties is dropped (its slot
+    is at infinite distance from then on) and counted in the report.  The
+    result always passes the local-clustering test and the dispersion
+    history is nonincreasing.
     """
     data, init = np.asarray(data, dtype=float), np.asarray(init, dtype=float)
     if not 1 <= len(init) <= max_classes:
         raise ValueError(f"need 1 to {max_classes} initial representatives, got {len(init)}")
-    labels, history = _lloyd(data[None], prior, init[None], d, max_iter)
-    part = Partition.from_assignment(labels[0])
+    if max_iter < 1:
+        raise ValueError(f"need at least one assignment, got max_iter={max_iter}")
+    protos = init.copy()  # slot c holds the prototype of the games labelled c
+    live = np.ones(len(init), dtype=bool)
+    labels, history = None, []
+    for _ in range(max_iter):
+        new = first_best(np.where(live, _prototype_divergences(data, protos, d), np.inf), np.minimum)
+        part = Partition.from_assignment(new)
+        slots = new[[cls[0] for cls in part.classes]]
+        protos[slots] = class_prototypes(data, part, prior)
+        live = np.isin(np.arange(len(init)), slots)  # an emptied slot stays dropped
+        history.append(max(dispersion(data, part, prior, d), 0.0))  # 0 may round below
+        if np.array_equal(new, labels):
+            break
+        labels = new
     local, _ = is_locally_clustered(data, part, prior, d)
     return ClusteringReport(
         partition=part,
         prototypes=class_prototypes(data, part, prior),
-        dispersion=float(history[-1, 0]),
+        dispersion=history[-1],
         locally_clustered=local,
         iterations=len(history),
-        dispersion_history=history[:, 0].tolist(),
+        dispersion_history=history,
         dropped_classes=len(init) - part.n_classes,
     )

@@ -12,8 +12,7 @@ n_actions, N) memory viewed as (N, n_games, n_actions), so that its
 reductions run over N-long vectors.  It clusters all subjects' draws with
 one `clustering.subset_table`, or in its Lloyd variant by rounds that map
 each subject's partition to a partition, with prototypes gathered from the
-subset sums of its draws (`clustering._lloyd`, a Lloyd iteration over
-labels, serves `kmeans_lloyd` alone).  It takes their prototypes as one
+subset sums of its draws.  It takes their prototypes as one
 gather from the same subset sums (only under the mean divergence, whose
 table and Lloyd rounds hold projected sums, are the raw draws' sums added
 up apart), picks their best replies with `numeric.first_best`, and counts

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cabee.abee import StrategyProfile, aggregate, degenerate_pair, dist_abee_verify
-from cabee.clustering import _lloyd
+from cabee.clustering import _projected, _prototype_divergences
 from cabee.env import SOLVER_TOL, make_environment, pure_payoffs_against
 from cabee.equilibrium import _reply_mask, clustered_partition_set, infer_capacities
+from cabee.numeric import first_best
 from cabee.partitions import Partition, label_array
 
 MAX_VERTEX_PROFILES = 512  # grand_map lists at most this many, and reports truncation
@@ -96,10 +97,22 @@ def grand_map(env, candidate, capacities=None) -> GrandMapImage:
 def lloyd_assignments(s, prior, k, d, rng, rounds=25):
     """Lloyd runs over labels, one per subject, seeded at a random ordered
     k-subset of the subject's data points (the same random stream as model
-    1's Lloyd variant); per-subject game assignments (N, n_games).  The
-    reference of `learning._lloyd_choices`."""
+    1's Lloyd variant): games go to the nearest prototype (the first on
+    ties), prototypes to their class's prior-weighted mean of the (projected)
+    data, and a class that empties is at infinite distance from then on.
+    Per-subject game assignments (N, n_games) after `rounds` assignments.
+    The reference of `learning._lloyd_choices`."""
+    x, kind = _projected(s, d)
     seeds = rng.random(s.shape[:2]).argsort(axis=1)[:, : min(k, s.shape[1])]
-    assign, _ = _lloyd(s, prior, np.take_along_axis(s, seeds[:, :, None], axis=1), d, rounds)
+    protos = np.take_along_axis(x, seeds[:, :, None], axis=1)
+    live = np.ones(protos.shape[:2], dtype=bool)
+    for _ in range(rounds):
+        assign = first_best(np.where(live[:, None, :], _prototype_divergences(x, protos, kind), np.inf), np.minimum)
+        for c in range(protos.shape[1]):
+            w = np.where(assign == c, prior, 0.0)  # (N, n_games)
+            mass = w.sum(axis=1)
+            live[:, c] = mass > 0
+            protos[:, c] = (w[:, :, None] * x).sum(axis=1) / np.where(live[:, c], mass, 1.0)[:, None]
     return assign
 
 

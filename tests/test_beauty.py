@@ -3,7 +3,7 @@ import pytest
 
 from cabee.abee import abee_solve
 from cabee.cli import _partition_from_json, bundled_scenarios
-from cabee.clustering import L2, partition_dispersions, subset_table
+from cabee.clustering import L2, dispersion, partition_dispersions, subset_table
 from cabee.partitions import Partition
 from cabee.applications.beauty import (
     BeautyContestSpec,
@@ -212,6 +212,24 @@ def test_weak_coordination_selects_equal_split():
 def test_contiguity_restriction_validated_small():
     assert contiguity_is_sufficient(uniform_spec(0.01, 8, 2), 2)
     assert contiguity_is_sufficient(uniform_spec(0.3, 8, 3), 3)
+
+
+def _reference_self_consistent(spec, n_classes, tie_tol=1e-10):
+    """Contiguous partitions whose own `dispersion` on the actions they
+    induce is within tie_tol of the least `dispersion` of any contiguous
+    partition on those actions."""
+    parts = list(contiguous_partitions(spec.n, n_classes))
+    actions = np.stack([abee_actions(spec, part) for part in parts])[:, :, None]
+    disp = np.array([dispersion(actions, other, spec.weights, L2) for other in parts])  # (other, own)
+    return [part for p, part in enumerate(parts) if disp[p, p] <= disp[:, p].min() + tie_tol]
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_self_consistent_contiguous_matches_brute_force(n):
+    for n_classes in (2, 3):
+        for r in (0.01, 0.3, 0.6, 0.9):
+            spec = uniform_spec(r, n, n_classes)
+            assert self_consistent_contiguous(spec, n_classes) == _reference_self_consistent(spec, n_classes)
 
 
 def _loop_contiguous_dispersion(values, weights, n_classes):

@@ -179,16 +179,26 @@ def test_malformed_kind_params_exit_validation(tmp_path, capsys):
 
 
 def test_bad_learning_params_exit_validation(tmp_path, capsys):
-    """A non-finite or negative noise scale, or a subject count below one,
-    exits 2 with a params message naming the value."""
-    for key, value, named in (
-        ("epsilon", float("nan"), "epsilon=nan"),
-        ("epsilon", float("inf"), "epsilon=inf"),
-        ("epsilon", -0.5, "epsilon=-0.5"),
-        ("n_subjects", 0, "got 0"),
+    """A non-finite or negative noise scale, a step or subject count that is
+    not a positive integer, or an unknown tie-break is refused by validation,
+    and exits 2 with a params message naming the value; learn2 checks its
+    step count too."""
+    for name, key, value, named in (
+        ("learn1_matching_pennies", "epsilon", float("nan"), "epsilon=nan"),
+        ("learn1_matching_pennies", "epsilon", float("inf"), "epsilon=inf"),
+        ("learn1_matching_pennies", "epsilon", -0.5, "epsilon=-0.5"),
+        ("learn1_matching_pennies", "n_subjects", 0, "got 0"),
+        ("learn1_matching_pennies", "n_subjects", 2.5, "got 2.5"),
+        ("learn1_matching_pennies", "steps", -2, "got -2"),
+        ("learn1_matching_pennies", "steps", "ten", "got 'ten'"),
+        ("learn1_matching_pennies", "steps", True, "got True"),
+        ("learn1_matching_pennies", "tie_break", "x", "got 'x'"),
+        ("learn2_monitoring", "steps", 0, "got 0"),
     ):
-        doc = json.loads(json.dumps(bundled_scenarios()["learn1_matching_pennies"]))
-        doc["params"].update({key: value, "steps": 2})
+        doc = json.loads(json.dumps(bundled_scenarios()[name]))
+        doc["params"].update({"steps": 2, key: value})
+        with pytest.raises(ScenarioError, match=f"^params: {key} "):
+            validate_scenario(doc)
         path = tmp_path / "bad_learn.json"
         path.write_text(json.dumps(doc))  # NaN and Infinity are JSON that json.load accepts
         assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == EXIT_VALIDATION
@@ -196,16 +206,63 @@ def test_bad_learning_params_exit_validation(tmp_path, capsys):
         assert "error: params:" in err and named in err, err
 
 
+@pytest.mark.parametrize("step", [-1, 0, 5, 1.5, 2 / 3, float("nan"), "0.2", True, None])
+def test_refutation_sweep_step_validated(step):
+    """A sweep step is a positive number whose grid step, 2*step, ... below 2
+    holds at least one stake triple 0 < a < b < c < 2."""
+    doc = json.loads(json.dumps(bundled_scenarios()["prop1_refutation"]))
+    doc["params"]["sweep_step"] = step
+    with pytest.raises(ScenarioError, match="^params.sweep_step: "):
+        validate_scenario(doc)
+    doc["params"]["sweep_step"] = 0.6  # 0.6, 1.2, 1.8: one triple
+    assert validate_scenario(doc) is doc
+
+
+def test_refutation_reports_nothing_when_nothing_is_checked(tmp_path, monkeypatch):
+    """A refutation that checked no case refutes nothing, and its
+    verification fails; the bundled sweep checks every grid triple."""
+    from cabee.applications import matching_pennies
+    from cabee.cli import run_scenario
+
+    doc = dict(bundled_scenarios()["prop1_refutation"], params={"sweep_step": 0.6})
+    result, _ = run_scenario(doc, tmp_path)
+    assert result["results"] == {"pure_clustered_equilibria_refuted": True, "cases_checked": 3}
+    assert result["verification"]["all_ok"]
+    monkeypatch.setattr(matching_pennies, "two_class_refutation", lambda spec: {})
+    result, _ = run_scenario(doc, tmp_path)
+    assert result["results"] == {"pure_clustered_equilibria_refuted": False, "cases_checked": 0}
+    assert not result["verification"]["all_ok"]
+
+
+def test_bundled_scenarios_set_only_fields_the_cli_reads():
+    read = {"version", "kind", "solver", "mode", "divergence", "params", "seed", "max_evaluations", "outputs",
+            "description"}
+    for name, doc in bundled_scenarios().items():
+        assert set(doc) <= read, (name, set(doc) - read)
+
+
+# wall-time bound of each bundled scenario, in seconds
+BUDGET_S = {
+    "beauty_eq4_discrete": 30, "beauty_prop2_high_r": 30, "beauty_prop3_monotone": 60,
+    "beauty_r0_equal_split": 120, "cluster_three_points": 10, "custom_env_single_game": 10,
+    "equidistant_triangular": 30, "example1_cdabee": 30, "fig1a_linear": 10, "fig1b_linear": 10,
+    "fig2a_linear": 10, "fig2b_linear": 10, "learn1_matching_pennies": 60, "learn2_monitoring": 30,
+    "linear_equidistant_windows": 60, "prop1_refutation": 30, "prop5_monitoring": 30,
+    "prop6_monitoring_kl": 60, "prop6_monitoring_l2": 60,
+}
+
+
 def test_every_bundled_scenario_within_declared_budget(tmp_path):
     import time
 
     from cabee.cli import run_scenario
 
+    assert set(bundled_scenarios()) == set(BUDGET_S)
     for name, doc in bundled_scenarios().items():
         t0 = time.monotonic()
         result, exhausted = run_scenario(doc, tmp_path / name)
         elapsed = time.monotonic() - t0
-        assert elapsed < doc["time_budget_s"], (name, elapsed)
+        assert elapsed < BUDGET_S[name], (name, elapsed)
         assert not exhausted, name
         assert result["verification"]["all_ok"], name
 
@@ -256,12 +313,15 @@ def test_custom_env_capacities_validated(capacities):
 
 @pytest.mark.parametrize("budget", [None, -1, 0, float("nan"), float("inf"), "10", True])
 def test_time_budget_validated(budget):
+    """time_budget_s is not a scenario field: the search stops on
+    max_evaluations, so a budget in seconds is refused, whatever its value."""
     doc = dict(bundled_scenarios()["prop5_monitoring"], time_budget_s=budget)
     with pytest.raises(ScenarioError, match="time_budget_s"):
         validate_scenario(doc)
 
 
 def test_time_budget_optional():
+    """No bundled scenario needs time_budget_s."""
     doc = dict(bundled_scenarios()["prop5_monitoring"])
     doc.pop("time_budget_s", None)
     assert validate_scenario(doc) is doc

@@ -9,8 +9,6 @@ from cabee.clustering import (
     TIE_TOL,
     Divergence,
     ClusteringReport,
-    _class_sums,
-    _plogp,
     _prototype_divergences,
     class_prototypes,
     dispersion,
@@ -313,47 +311,6 @@ def test_local_clustering_matches_loop_reference(rng):
     assert verdicts == {True, False}
 
 
-def _loop_class_sums(data, prior, labels, n_classes, kl):
-    """`_class_sums` row by row: each row's members added to its class sums and
-    masses in game order, its class term summed class by class.  The point
-    term is the batch's matrix-vector product, as in the kernel: a single
-    row's dot product can round differently."""
-    sums = np.zeros((len(labels), n_classes, data.shape[-1]))
-    mass = np.zeros((len(labels), n_classes))
-    point = (_plogp(data) if kl else data**2).sum(axis=-1) @ prior
-    disp = np.empty(len(labels))
-    for r, row in enumerate(labels):
-        for g, c in enumerate(row):
-            sums[r, c] += prior[g] * data[r, g]
-            mass[r, c] += prior[g]
-        safe = np.where(mass[r] > 0, mass[r], 1.0)
-        if kl:
-            class_term = (mass[r] * _plogp(sums[r] / safe[:, None]).sum(axis=1)).sum()
-        else:
-            class_term = ((sums[r] ** 2).sum(axis=1) / safe).sum()
-        disp[r] = max(point[r] - class_term, 0.0)
-    return sums, mass, disp
-
-
-def test_class_sums_match_per_row_loop(rng):
-    """The bincount class sums, masses and dispersions equal the per-row loop
-    bit for bit, on row-major and on game-major data: L2, KL on draws with
-    zero entries, labels that leave classes empty, and the beauty contest's
-    shape (60 games, scalar data)."""
-    cases = []
-    for kl in (False, True):
-        data = np.stack([sparse_distributions(rng, 5, 3) for _ in range(300)])
-        cases.append((data, rng.dirichlet(np.ones(5)), rng.integers(0, 3, (300, 5)), 3, kl))
-        cases.append((data, rng.dirichlet(np.ones(5)), 2 * rng.integers(0, 2, (300, 5)), 4, kl))
-        cases.append((rng.random((40, 60, 1)), rng.dirichlet(np.ones(60)), np.sort(rng.integers(0, 3, (40, 60))), 3, kl))
-    for data, prior, labels, k, kl in cases:
-        want = _loop_class_sums(data, prior, labels, k, kl)
-        game_major = np.ascontiguousarray(data.transpose(1, 2, 0)).transpose(2, 0, 1)
-        for batch in (data, game_major):
-            got = _class_sums(batch, prior, labels, k, kl)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
 def test_global_cluster_unique_minimizer():
     data = one_d([0.0, 0.4, 1.0])
     winners, best = global_cluster(data, np.full(3, 1 / 3), 2, MEAN1)
@@ -462,6 +419,16 @@ def test_kmeans_other_basin():
     np.testing.assert_allclose(report.prototypes.ravel(), [0.0, 0.7])
 
 
+def checked_kmeans_lloyd(data, prior, k, d, init):
+    """`kmeans_lloyd`, checked to leave `init` alone and to report no
+    negative dispersion."""
+    before = np.array(init, dtype=float)
+    report = kmeans_lloyd(data, prior, k, d, init)
+    np.testing.assert_array_equal(init, before)
+    assert report.dispersion >= 0 and min(report.dispersion_history) >= 0
+    return report
+
+
 def test_kmeans_monotone_and_locally_clustered(rng):
     for trial in range(60):
         n = int(rng.integers(2, 8))
@@ -470,7 +437,7 @@ def test_kmeans_monotone_and_locally_clustered(rng):
         k = int(rng.integers(1, 4))
         init = data[rng.choice(n, size=min(k, n), replace=False)]
         d = (L2, KL)[trial % 2]
-        report = kmeans_lloyd(data, prior, k, d, init)
+        report = checked_kmeans_lloyd(data, prior, k, d, init)
         hist = report.dispersion_history
         assert all(a >= b - 1e-10 for a, b in zip(hist, hist[1:]))
         assert report.locally_clustered
@@ -496,7 +463,7 @@ def test_kmeans_matches_loop_reference(rng):
         pool = np.concatenate([data, sparse_distributions(rng, 3, n_act)])
         init = pool[rng.integers(0, len(pool), k)]
         want = _loop_kmeans_lloyd(data, prior, k, d, init)
-        assert_same_report(kmeans_lloyd(data, prior, k, d, init), want)
+        assert_same_report(checked_kmeans_lloyd(data, prior, k, d, init), want)
         dropped += want.dropped_classes
     assert dropped > 0
 
@@ -506,7 +473,7 @@ def test_kmeans_matches_loop_reference_on_hand_cases():
     for init in ([0.0, 1.0], [0.2, 1.0], [0.35, 0.45], [5.0, 0.0]):
         data = one_d([0.0, 0.4, 1.0])
         assert_same_report(
-            kmeans_lloyd(data, prior, 2, MEAN1, one_d(init)),
+            checked_kmeans_lloyd(data, prior, 2, MEAN1, one_d(init)),
             _loop_kmeans_lloyd(data, prior, 2, MEAN1, one_d(init)),
         )
 
@@ -518,6 +485,8 @@ def test_kmeans_representatives_bounded_by_max_classes():
         kmeans_lloyd(data, prior, 2, MEAN1, np.empty((0, 1)))
     with pytest.raises(ValueError):
         kmeans_lloyd(data, prior, 2, MEAN1, one_d([0.0, 0.4, 1.0]))
+    with pytest.raises(ValueError, match="max_iter=0"):
+        kmeans_lloyd(data, prior, 2, MEAN1, one_d([0.0, 1.0]), max_iter=0)
     assert kmeans_lloyd(data, prior, 3, MEAN1, one_d([0.0, 0.4, 1.0])).partition.n_classes == 3
     assert kmeans_lloyd(data, prior, 2, MEAN1, one_d([0.0])).partition.n_classes == 1
 

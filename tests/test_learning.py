@@ -328,7 +328,7 @@ def test_model1_step_matches_one_hot_reference(rng, clustering):
 
 def test_lloyd_choices_match_the_label_reference(rng):
     """Each subject's Lloyd partition equals the row of a Lloyd run over
-    labels from the same seeds (`clustering._lloyd`, rows by sorting), and
+    labels from the same seeds (`lloyd_assignments`, rows by sorting), and
     the sums are `_subset_sums` of the draws: L2, KL and the mean divergence,
     1 to 4 classes, 2 to 6 games, after 1, 2 and 25 assignments."""
     stopped_early = 0
@@ -355,24 +355,20 @@ def test_lloyd_choices_match_the_label_reference(rng):
 
 
 def test_lloyd_step_runs_no_label_lloyd_or_class_sums(mp_setup, monkeypatch):
-    """model1_step's Lloyd variant calls neither `clustering._lloyd` nor
-    `_class_sums`, and `learning` imports neither; under L2 and KL it runs
-    the subset-sum recurrence once per role, and the mean divergence adds
-    one of the projected draws."""
+    """No label Lloyd iteration (`_lloyd`) or per-row class-sum kernel
+    (`_class_sums`) exists in `clustering` or `learning`; under L2 and KL
+    model1_step's Lloyd variant runs the subset-sum recurrence once per role,
+    and the mean divergence adds one of the projected draws."""
     env, cand = mp_setup
     state = state_from_candidate(env, cand)
     calls = []
-
-    def refused(*args, **kwargs):
-        raise AssertionError("called")
 
     def counted(x, prior):
         calls.append(x.shape)
         return _subset_sums(x, prior)
 
     for name in ("_lloyd", "_class_sums"):
-        assert not hasattr(learning_module, name)
-        monkeypatch.setattr(clustering_module, name, refused)
+        assert not hasattr(learning_module, name) and not hasattr(clustering_module, name)
     monkeypatch.setattr(learning_module, "_subset_sums", counted)
     for d, per_role in ((L2, 1), (KL, 1), (mean_divergence([0.0, 1.0]), 2)):
         calls.clear()
