@@ -6,16 +6,23 @@ linear in the opponent's mean action, so strategies are identified with
 their means and behavior is compared through squared mean differences.
 Under a common partition of the fundamental grid the equilibrium action is
 (1-r)*theta + r*classmean(theta).
+
+Interval partitions of the grid are held as integer arrays of class edges,
+in blocks of `BLOCK` rows.  The self-consistency sweep reads every class
+mean off one table of interval means, builds one block's actions and
+segment-cost tables at a time, and runs Fisher's (1958) interval dynamic
+program batched over the block; only the partitions it returns become
+`Partition` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from ..clustering import L2, class_prototypes, local_margins, partition_dispersions, subset_table
+from ..clustering import L2, class_prototypes, local_margins, member_means, partition_dispersions, subset_table
 from ..env import GameEnvironment, make_environment
 from ..partitions import Partition, class_masks
 
@@ -158,59 +165,120 @@ def discrete_abee(
 # ---------------------------------------------------------------------------
 
 
-def contiguous_partitions(n: int, n_classes: int):
-    """Interval partitions of 0..n-1 with exactly n_classes classes."""
-    for cuts in combinations(range(1, n), n_classes - 1):
-        edges = (0,) + cuts + (n,)
-        yield Partition.from_classes(
-            n, [tuple(range(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
-        )
+# Interval partitions per block of the sweep: one block's cost tables are
+# (BLOCK, n+1, n+1), so memory stays bounded whatever C(n-1, K-1) is.
+BLOCK = 16
 
 
-def _segment_costs(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(n+1, n+1) squared dispersions from prefix sums (Fisher 1958): entry
-    [i, j] is that of the points i..j-1, inf where the mass is not positive."""
-    w = np.concatenate([[0.0], np.cumsum(weights)])
-    wv = np.concatenate([[0.0], np.cumsum(weights * values)])
-    wv2 = np.concatenate([[0.0], np.cumsum(weights * values**2)])
-    mass = w[None, :] - w[:, None]
-    s, s2 = wv[None, :] - wv[:, None], wv2[None, :] - wv2[:, None]
+def _edge_blocks(n: int, n_classes: int):
+    """Class edges of the interval partitions of 0..n-1 with exactly
+    n_classes classes, as (B, n_classes + 1) blocks of at most BLOCK rows:
+    row (0, c_1, ..., c_{K-1}, n) has the classes c_k..c_{k+1}-1.  Cut
+    positions come lazily from `combinations`, in its order."""
+    cuts = combinations(range(1, n), n_classes - 1)
+    while block := list(islice(cuts, BLOCK)):
+        edges = np.empty((len(block), n_classes + 1), dtype=np.intp)
+        edges[:, 0], edges[:, 1:-1], edges[:, -1] = 0, block, n
+        yield edges
+
+
+def _interval_partition(n: int, edges) -> Partition:
+    return Partition.from_classes(n, [tuple(range(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])])
+
+
+def _interval_means(spec: BeautyContestSpec) -> np.ndarray:
+    """(n+1, n+1) class means of every interval: entry [i, j] is that of the
+    grid points i..j-1.  The intervals of one length share one
+    `member_means` call, as the classes of one size do in
+    `class_prototypes`, so the means equal `class_means` bit for bit."""
+    th, w = np.asarray(spec.thetas, dtype=float)[:, None], np.asarray(spec.weights, dtype=float)
+    table = np.full((spec.n + 1, spec.n + 1), np.nan)
+    for size in range(1, spec.n + 1):
+        members = np.arange(spec.n - size + 1)[:, None] + np.arange(size)
+        table[members[:, 0], members[:, -1] + 1] = member_means(th, w, members)[:, 0]
+    return table
+
+
+def _interval_actions(spec: BeautyContestSpec, edges: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """(B, n) `abee_actions` of the interval partitions with class edges
+    (B, K+1), reading each point's class mean off the `_interval_means`
+    table."""
+    sizes = np.diff(edges, axis=1).ravel()
+    lo, hi = np.repeat(edges[:, :-1].ravel(), sizes), np.repeat(edges[:, 1:].ravel(), sizes)
+    th = np.asarray(spec.thetas)
+    return (1.0 - spec.r) * th + spec.r * means[lo, hi].reshape(len(edges), spec.n)
+
+
+def _prefix(x: np.ndarray) -> np.ndarray:
+    """Prefix sums along the last axis, led by 0."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _mass_table(weights: np.ndarray) -> np.ndarray:
+    """(n+1, n+1) prior mass of the points i..j-1 at [i, j]."""
+    w = _prefix(weights)
+    return w[None, :] - w[:, None]
+
+
+def _segment_costs(values: np.ndarray, weights: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """(..., n+1, n+1) squared dispersions from prefix sums (Fisher 1958),
+    one table per row of values (..., n): entry [i, j] is s2 - s*s/mass over
+    the points i..j-1, inf where `mass` (the `_mass_table` of weights) is
+    not positive."""
+    wv, wv2 = _prefix(weights * values), _prefix(weights * values**2)
+    s = wv[..., None, :] - wv[..., :, None]
+    cost = wv2[..., None, :] - wv2[..., :, None]
+    s *= s
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(mass > 0, s2 - s * s / mass, np.inf)
+        s /= mass
+    cost -= s
+    np.copyto(cost, np.inf, where=mass <= 0)
+    return cost
 
 
-def _best_path(cost: np.ndarray, n_classes: int) -> float:
-    """Minimal sum of n_classes segment costs covering all points, by dynamic
-    programming vectorized over the split point; each path is added from
-    the left."""
-    dp = np.full(len(cost), np.inf)
-    dp[0] = 0.0
-    for _ in range(n_classes):
-        dp = (dp[:, None] + cost).min(axis=0)
-    return float(dp[-1])
+def _best_path(cost: np.ndarray, n_classes: int) -> np.ndarray:
+    """Minimal sums of n_classes segment costs covering all points, one per
+    table of cost (..., n+1, n+1), by dynamic programming vectorized over
+    the split point; each path is added from the left.  The first class
+    starts at point 0 and the last ends at point n, so only the classes
+    between them take a full table step."""
+    if n_classes < 1:
+        raise ValueError("need at least one class")
+    dp = cost[..., 0, :]
+    for _ in range(n_classes - 2):
+        dp = (dp[..., :, None] + cost).min(axis=-2)
+    return dp[..., -1] if n_classes == 1 else (dp + cost[..., :, -1]).min(axis=-1)
 
 
 def best_contiguous_dispersion(values: np.ndarray, weights: np.ndarray, n_classes: int) -> float:
     """Minimal squared-dispersion over interval partitions."""
-    return _best_path(_segment_costs(values, weights), n_classes)
+    return float(_best_path(_segment_costs(values, weights, _mass_table(weights)), n_classes))
 
 
 def self_consistent_contiguous(
     spec: BeautyContestSpec, n_classes: int, tie_tol: float = 1e-10
 ) -> list[Partition]:
     """Interval partitions that are dispersion-minimizing for the data they
-    themselves induce through the equilibrium map.  A partition's own
-    dispersion adds its classes' segment costs from the left, as the dynamic
-    program adds its optimal path, so an optimal partition ties bit for bit."""
-    w = np.asarray(spec.weights)
+    themselves induce through the equilibrium map.
+
+    One pass over `_edge_blocks`: per block, the induced actions, their
+    segment-cost tables and the dynamic program, all batched; only the
+    winners become `Partition` objects.  A partition's own dispersion adds
+    its classes' segment costs from the left, as the dynamic program adds
+    its optimal path, so an optimal partition ties bit for bit."""
+    w = np.asarray(spec.weights, dtype=float)
+    mass, means = _mass_table(w), _interval_means(spec)
     out = []
-    for part in contiguous_partitions(spec.n, n_classes):
-        cost = _segment_costs(abee_actions(spec, part), w)
-        own = 0.0
-        for cls in part.classes:
-            own += cost[cls[0], cls[-1] + 1]
-        if own <= _best_path(cost, n_classes) + tie_tol:
-            out.append(part)
+    for edges in _edge_blocks(spec.n, n_classes):
+        cost = _segment_costs(_interval_actions(spec, edges, means), w, mass)
+        rows = np.arange(len(edges))
+        own = np.zeros(len(edges))
+        for k in range(n_classes):
+            own = own + cost[rows, edges[:, k], edges[:, k + 1]]
+        winners = edges[own <= _best_path(cost, n_classes) + tie_tol]
+        out.extend(_interval_partition(spec.n, row) for row in winners)
     return out
 
 
@@ -227,8 +295,9 @@ def contiguity_is_sufficient(spec: BeautyContestSpec, n_classes: int, tie_tol: f
     """Brute-force check (small grids) that no non-contiguous partition
     beats the best contiguous one on the induced data of any contiguous
     candidate."""
-    w = np.asarray(spec.weights)
-    actions = np.stack([abee_actions(spec, part) for part in contiguous_partitions(spec.n, n_classes)])
-    best_contig = np.array([best_contiguous_dispersion(acts, w, n_classes) for acts in actions])
+    w = np.asarray(spec.weights, dtype=float)
+    means = _interval_means(spec)
+    actions = np.concatenate([_interval_actions(spec, e, means) for e in _edge_blocks(spec.n, n_classes)])
+    best_contig = _best_path(_segment_costs(actions, w, _mass_table(w)), n_classes)
     disp = partition_dispersions(subset_table(actions[:, :, None], w, L2), class_masks(spec.n, n_classes))
     return bool((disp.min(axis=0) >= best_contig - tie_tol).all())

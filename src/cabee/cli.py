@@ -246,6 +246,36 @@ def _beauty_partition(doc: dict, spec) -> Partition:
         raise ScenarioError(f"params.partition: {exc}") from exc
 
 
+def _class_counts(doc: dict, spec) -> list[int]:
+    """The class counts of a beauty self-consistency sweep,
+    `params.class_counts` (default: K alone), each in [1, n]."""
+    params = doc.get("params", {})
+    if "class_counts" not in params and spec.K > spec.n:
+        raise ScenarioError(f"params.K: the sweep needs at most n = {spec.n} classes, got {spec.K}")
+    counts = params.get("class_counts", [spec.K])
+    if not (isinstance(counts, list) and counts and all(type(k) is int and 1 <= k <= spec.n for k in counts)):
+        raise ScenarioError(
+            f"params.class_counts: expected a non-empty list of integers in [1, {spec.n}], got {counts!r}"
+        )
+    return counts
+
+
+def _r_grid(doc: dict) -> list[float] | None:
+    """The coordination weights of a beauty r sweep, `params.r_grid`,
+    strictly increasing (the monotonicity verdict reads them in order)
+    finite numbers in (0, 1), or None without a sweep."""
+    params = doc.get("params", {})
+    if "r_grid" not in params:
+        return None
+    grid = params["r_grid"]
+    if not (
+        isinstance(grid, list) and grid and all(type(r) in (int, float) and 0 < r < 1 for r in grid)
+        and all(a < b for a, b in zip(grid, grid[1:]))
+    ):
+        raise ScenarioError(f"params.r_grid: expected an increasing non-empty list of numbers in (0, 1), got {grid!r}")
+    return grid
+
+
 def _endpoints(doc: dict, spec) -> list[float]:
     """The class endpoints a linear scenario sets (`params.endpoints`,
     strictly increasing and spanning the regime's interval), else
@@ -318,6 +348,10 @@ def _build_inputs(doc: dict):
             spec = beauty.uniform_spec(params.get("r", 0.5), params.get("n", 60), params.get("K", 2))
             if doc["solver"] == "abee" or not params.get("self_consistent_sweep"):
                 _beauty_partition(doc, spec)
+            if doc["solver"] == "cabee" and params.get("self_consistent_sweep"):
+                _class_counts(doc, spec)
+            elif doc["solver"] == "cabee":
+                _r_grid(doc)
             return spec, None
         if kind == "linear":
             spec = linear.LinearFamilySpec(
@@ -586,14 +620,15 @@ def _run_beauty_cabee(doc, spec, env, d, out_dir):
     params = doc.get("params", {})
     if params.get("self_consistent_sweep"):
         found = {}
-        for k in params.get("class_counts", [spec.K]):
+        for k in _class_counts(doc, spec):
             partitions = beauty.self_consistent_contiguous(beauty.uniform_spec(spec.r, spec.n, k), k)
             found[str(k)] = [_partition_to_json(p) for p in partitions]
         return {"self_consistent_contiguous": found}, _verdict(True), False
     part = _beauty_partition(doc, spec)
-    if "r_grid" in params:
+    r_grid = _r_grid(doc)
+    if r_grid is not None:
         grid = []
-        for r in params["r_grid"]:
+        for r in r_grid:
             ok, margin = beauty.beauty_cabee_check(beauty.uniform_spec(r, spec.n, spec.K), part)
             grid.append([r, bool(ok), margin])
         monotone = all(grid[i][1] <= grid[i + 1][1] for i in range(len(grid) - 1))

@@ -107,10 +107,17 @@ def class_prototypes(data: np.ndarray, partition: Partition, prior: np.ndarray) 
     prior = np.asarray(prior, dtype=float)
     out = np.empty(data.shape[:-2] + (partition.n_classes, data.shape[-1]))
     for rows, members in partition.size_groups():
-        w = prior[members]
-        means = w[:, None, :] @ data.take(members, axis=-2)
-        out[..., rows, :] = means[..., 0, :] / w.sum(axis=1)[:, None]
+        out[..., rows, :] = member_means(data, prior, members)
     return out
+
+
+def member_means(data: np.ndarray, prior: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Prior-weighted means of equal-size groups of games: (k, size) member
+    indices into (..., n_games, dim) data give (..., k, dim), one stacked
+    matmul for all groups."""
+    w = prior[members]
+    means = w[:, None, :] @ data.take(members, axis=-2)
+    return means[..., 0, :] / w.sum(axis=1)[:, None]
 
 
 def dispersion(data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence):

@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from cabee.abee import abee_solve
 from cabee.cli import _partition_from_json, bundled_scenarios
 from cabee.clustering import L2, dispersion, partition_dispersions, subset_table
 from cabee.partitions import Partition
+from cabee.applications import beauty
 from cabee.applications.beauty import (
     BeautyContestSpec,
     abee_actions,
@@ -13,7 +17,6 @@ from cabee.applications.beauty import (
     best_reply,
     class_means,
     contiguity_is_sufficient,
-    contiguous_partitions,
     discrete_abee,
     discretize_beauty,
     equal_split_partition,
@@ -80,6 +83,14 @@ def test_distinct_class_means_required():
     sym = Partition.from_classes(4, [(0, 3), (1, 2)])  # equal means
     with pytest.raises(ValueError):
         beauty_cabee_check(spec, sym)
+
+
+def contiguous_partitions(n, n_classes):
+    """Interval partitions of 0..n-1 with exactly n_classes classes, one
+    `Partition` each, in the order of `combinations` of the cut positions."""
+    for cuts in combinations(range(1, n), n_classes - 1):
+        edges = (0,) + cuts + (n,)
+        yield Partition.from_classes(n, [tuple(range(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])])
 
 
 def _loop_class_means(spec, partition):
@@ -219,17 +230,118 @@ def _reference_self_consistent(spec, n_classes, tie_tol=1e-10):
     induce is within tie_tol of the least `dispersion` of any contiguous
     partition on those actions."""
     parts = list(contiguous_partitions(spec.n, n_classes))
+    if not parts:
+        return []
     actions = np.stack([abee_actions(spec, part) for part in parts])[:, :, None]
     disp = np.array([dispersion(actions, other, spec.weights, L2) for other in parts])  # (other, own)
     return [part for p, part in enumerate(parts) if disp[p, p] <= disp[:, p].min() + tie_tol]
 
 
+def _uneven_spec(r, n, seed=0):
+    """A grid with unsorted, unevenly spaced thetas and uneven weights."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.2, 1.0, size=n)
+    weights /= weights.sum()
+    weights[-1] = 1.0 - weights[:-1].sum()
+    return BeautyContestSpec(r, tuple(rng.uniform(size=n)), tuple(weights), 2)
+
+
 @pytest.mark.parametrize("n", [8, 10, 12])
 def test_self_consistent_contiguous_matches_brute_force(n):
-    for n_classes in (2, 3):
+    """Every class count from the coarsest partition alone (K = 1) to the
+    finest (K = n) and past it (none), on the uniform grid and on an uneven
+    one."""
+    for n_classes in (1, 2, 3, 4, n, n + 1):
         for r in (0.01, 0.3, 0.6, 0.9):
-            spec = uniform_spec(r, n, n_classes)
-            assert self_consistent_contiguous(spec, n_classes) == _reference_self_consistent(spec, n_classes)
+            for spec in (uniform_spec(r, n, n_classes), _uneven_spec(r, n, seed=n_classes)):
+                found = self_consistent_contiguous(spec, n_classes)
+                assert found == _reference_self_consistent(spec, n_classes), (r, n_classes, spec)
+    assert self_consistent_contiguous(uniform_spec(0.3, n, 1), 1) == [Partition.coarsest(n)]
+    assert self_consistent_contiguous(uniform_spec(0.3, n, n), n) == [Partition.finest(n)]
+    assert self_consistent_contiguous(uniform_spec(0.3, n, n), n + 1) == []
+
+
+def _interval_cases():
+    """(spec, n_classes) of every class count at n <= 12 (uniform and uneven
+    grids) and of the bundled sweep's 1,711 three-class partitions."""
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            yield uniform_spec(0.6, n, k), k
+            yield _uneven_spec(0.3, n, seed=k), k
+    yield uniform_spec(0.01, 60, 3), 3
+
+
+def test_interval_kernel_matches_abee_actions_bit_for_bit():
+    """The sweep's actions, read off the interval-mean table, equal
+    `abee_actions` of the same partition bit for bit, for every interval
+    partition of the cases."""
+    checked = 0
+    for spec, k in _interval_cases():
+        means = beauty._interval_means(spec)
+        for edges in beauty._edge_blocks(spec.n, k):
+            actions = beauty._interval_actions(spec, edges, means)
+            for row, acts in zip(edges, actions):
+                part = beauty._interval_partition(spec.n, row)
+                assert acts.tobytes() == abee_actions(spec, part).tobytes(), (spec.r, spec.n, part)
+                checked += 1
+    assert checked == 2 * (2**12 - 1) + 1711  # 2^(n-1) per grid at each n <= 12; the n = 60 sweep
+
+
+def test_returned_partitions_tie_the_batched_optimum_bit_for_bit():
+    """A returned partition's own dispersion, its segment costs added from
+    the left, equals the batched dynamic program's optimum on its induced
+    actions bit for bit (on the brute-force grids and the bundled sweep)."""
+    cases = [(uniform_spec(r, n, k), k) for n in (8, 10, 12) for k in (2, 3, 4) for r in (0.01, 0.3, 0.6, 0.9)]
+    cases += [(uniform_spec(0.01, 60, k), k) for k in (2, 3)]
+    returned = 0
+    for spec, k in cases:
+        found = self_consistent_contiguous(spec, k)
+        if not found:
+            continue
+        w = np.asarray(spec.weights)
+        cost = beauty._segment_costs(np.stack([abee_actions(spec, p) for p in found]), w, beauty._mass_table(w))
+        best = beauty._best_path(cost, k)
+        for b, part in enumerate(found):
+            own = 0.0
+            for cls in part.classes:
+                own += cost[b, cls[0], cls[-1] + 1]
+            assert own == best[b], (spec.r, spec.n, part, own - best[b])
+        returned += len(found)
+    assert returned > 100
+
+
+def test_sweep_memory_is_bounded_by_one_block():
+    """At n = 80 all 3,081 three-class cost tables would take about 162 MB;
+    the sweep holds one block of them."""
+    tracemalloc.start()
+    try:
+        found = self_consistent_contiguous(uniform_spec(0.01, 80, 3), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found and peak < 32 * 2**20, peak
+
+
+def test_sweep_builds_no_partition_it_does_not_return(monkeypatch):
+    """The sweep never calls `abee_actions`, and it builds a `Partition`
+    for the partitions it returns alone."""
+
+    def refuse(*args):
+        raise AssertionError("abee_actions called")
+
+    built = []
+    from_classes = Partition.from_classes
+
+    def counting(n_games, classes):
+        built.append(1)
+        return from_classes(n_games, classes)
+
+    monkeypatch.setattr(beauty, "abee_actions", refuse)
+    monkeypatch.setattr(Partition, "from_classes", staticmethod(counting))
+    found = self_consistent_contiguous(uniform_spec(0.01, 60, 3), 3)
+    assert len(built) == len(found) == 1
+    monkeypatch.undo()
+    assert found == [equal_split_partition(60, 3)]
 
 
 def _loop_contiguous_dispersion(values, weights, n_classes):
@@ -287,7 +399,13 @@ def test_contiguous_dispersion_edge_cases(rng):
 
 
 def test_contiguous_partition_count():
+    """The sweep's edge blocks hold the interval partitions, in the order of
+    the reference enumeration and at most BLOCK to a block."""
     assert sum(1 for _ in contiguous_partitions(6, 3)) == 10  # C(5, 2)
+    for n, k in ((6, 3), (40, 3), (7, 1), (7, 7), (7, 8)):
+        blocks = list(beauty._edge_blocks(n, k))
+        assert all(0 < len(b) <= beauty.BLOCK for b in blocks)
+        assert [beauty._interval_partition(n, row) for b in blocks for row in b] == list(contiguous_partitions(n, k))
 
 
 def test_generic_clustered_verification_on_tensor_game():

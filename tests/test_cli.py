@@ -575,6 +575,42 @@ def test_beauty_partition_accepted():
     )
 
 
+@pytest.mark.parametrize("counts", [[0], ["x"], [2.5], 3, [True], [61], [9], [], None])
+def test_beauty_class_counts_validated(counts):
+    """The sweep's class counts are a non-empty list of integers (not bools)
+    in [1, n]; anything else is a validation error naming
+    params.class_counts, before the sweep can crash, key its output "True"
+    or return no partition."""
+    params = {"n": 8, "r": 0.3, "self_consistent_sweep": True, "class_counts": counts}
+    doc = {"version": 1, "kind": "beauty", "solver": "cabee", "params": params}
+    with pytest.raises(ScenarioError, match="^params\\.class_counts: "):
+        validate_scenario(doc)
+    assert validate_scenario({**doc, "params": {**params, "class_counts": [1, 3, 8]}})
+
+
+def test_beauty_sweep_default_class_count_validated():
+    """Without class_counts the sweep runs K alone, which must not exceed n."""
+    params = {"n": 8, "K": 9, "self_consistent_sweep": True}
+    with pytest.raises(ScenarioError, match="^params\\.K: "):
+        validate_scenario({"version": 1, "kind": "beauty", "solver": "cabee", "params": params})
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[1.5], ["x"], 0.3, [float("nan")], [float("inf")], [], [0], [1], [True], [0.5, None], [0.95, 0.05], [0.5, 0.5]],
+)
+def test_beauty_r_grid_validated(grid):
+    """An r grid is a strictly increasing, non-empty list of finite numbers
+    in (0, 1); anything else is a validation error naming params.r_grid,
+    before the run can crash, call an empty grid monotone or read a
+    monotone family downwards."""
+    params = {"partition": HALVES, "r_grid": grid}
+    doc = {"version": 1, "kind": "beauty", "solver": "cabee", "params": params}
+    with pytest.raises(ScenarioError, match="^params\\.r_grid: "):
+        validate_scenario(doc)
+    assert validate_scenario({**doc, "params": {**params, "r_grid": [0.05, 0.5, 0.95]}})
+
+
 @pytest.mark.parametrize(
     "solver, endpoints",
     [
