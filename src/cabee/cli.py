@@ -6,9 +6,11 @@ echo it, carry the solver output in a re-verifiable form, and are written
 atomically.  `verify` re-runs the equilibrium checks on a stored result;
 `list-scenarios` prints the bundled catalog.  `RUNNERS` maps each
 supported (kind, solver) pair to the one function that runs it; validation
-rejects every other pair.  A `cdabee` search stops on a count of solves
-(`max_evaluations`), never on the clock.  Exit codes: 0 success, 2
-validation error, 3 search budget exhausted without a result.
+rejects every other pair.  A scenario is parsed once, by `_parse` and the
+kind's reader in `READERS`, and a runner reads only that parse.  A `cdabee`
+search stops on a count of solves (`max_evaluations`), never on the clock.
+Exit codes: 0 success, 2 validation error, 3 search budget exhausted
+without a result.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from functools import partial
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .clustering import (
     kmeans_lloyd,
     mean_divergence,
 )
-from .env import PROB_TOL, GameEnvironment, make_environment, validate_environment
+from .env import PROB_TOL, make_environment, validate_environment
 from .equilibrium import (
     GLOBAL,
     LOCAL,
@@ -74,20 +77,6 @@ class ScenarioError(ValueError):
     """Scenario file fails validation; the message names the field."""
 
 
-def _divergence(name: str) -> Divergence:
-    if name not in DIVERGENCES:
-        raise ScenarioError(f"divergence: unknown value {name!r}")
-    return DIVERGENCES[name]
-
-
-def _density(name: str):
-    if name in (None, "uniform"):
-        return None
-    if name == "linear-increasing":
-        return lambda m: 2.0 * m
-    raise ScenarioError(f"params.density: unknown value {name!r}")
-
-
 def _read_scenario(path) -> dict:
     """The scenario document of a file, not yet validated."""
     try:
@@ -100,6 +89,14 @@ def _read_scenario(path) -> dict:
 
 
 def validate_scenario(doc: dict) -> dict:
+    _parse(doc)
+    return doc
+
+
+def _parse(doc) -> SimpleNamespace:
+    """The one parse of a scenario: its fields, kind `spec`, finite game `env`
+    and `capacities` (None where the kind has none), and every parameter its
+    runner reads, checked; raises ScenarioError naming the field."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
     for key in doc:
@@ -114,7 +111,7 @@ def validate_scenario(doc: dict) -> dict:
     solvers = tuple(s for k, s in RUNNERS if k == kind)
     if solver not in solvers:
         raise ScenarioError(f"solver: expected one of {solvers} for {kind}, got {solver!r}")
-    mode = doc.get("mode", "global")
+    mode = doc.get("mode", GLOBAL)
     if mode not in (LOCAL, GLOBAL):
         raise ScenarioError(f"mode: expected local or global, got {mode!r}")
     if doc.get("divergence", "l2") not in DIVERGENCES:
@@ -122,10 +119,8 @@ def validate_scenario(doc: dict) -> dict:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ScenarioError("params: must be an object")
-    uses_randomness = solver in ("learn1", "learn2") or (
-        solver == "cluster" and params.get("algorithm") == "kmeans"
-    )
-    if uses_randomness and "seed" not in doc:
+    kmeans = solver == "cluster" and params.get("algorithm") == "kmeans"
+    if "seed" not in doc and (solver in ("learn1", "learn2") or kmeans):
         raise ScenarioError("seed: required whenever the solver draws randomness")
     if "max_evaluations" in doc:
         value = doc["max_evaluations"]
@@ -133,11 +128,46 @@ def validate_scenario(doc: dict) -> dict:
             raise ScenarioError(f"max_evaluations: expected a positive integer, got {value!r}")
     if "seed" in doc and (type(doc["seed"]) is not int or doc["seed"] < 0):
         raise ScenarioError("seed: expected a non-negative integer")
-    _build_inputs(doc)  # validates kind-specific parameters
-    return doc
+    run = SimpleNamespace(doc=doc, kind=kind, solver=solver, mode=mode, d=DIVERGENCES[doc.get("divergence", "l2")],
+                          seed=doc.get("seed", 0), params=params, spec=None, env=None, capacities=None)
+    try:
+        if solver in ("learn1", "learn2"):
+            run.steps, run.n_subjects, run.epsilon, run.tie_break = _learning_params(params)
+        READERS[kind](run)
+        if solver == "abee" and run.env is not None:
+            run.partitions = _abee_partitions(run)
+    except ScenarioError:
+        raise
+    except KeyError as exc:
+        raise ScenarioError(f"params.{exc.args[0]}: missing") from exc
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"params: {exc}") from exc
+    return run
 
 
-def _parse_custom_env(params: dict) -> GameEnvironment:
+def _integer(params: dict, name: str, default, least: int):
+    """`params[name]`, an integer (not a bool) of at least `least`, or `default` when left out."""
+    value = params.get(name, default)
+    if name in params and (type(value) is not int or value < least):
+        raise ScenarioError(f"params.{name}: expected an integer of at least {least}, got {value!r}")
+    return value
+
+
+def _flag(params: dict, name: str, default: bool = False) -> bool:
+    """`params[name]`, a JSON boolean, or `default` when left out."""
+    value = params.get(name, default)
+    if type(value) is not bool:
+        raise ScenarioError(f"params.{name}: expected true or false, got {value!r}")
+    return value
+
+
+def _read_custom_env(run) -> None:
+    """A custom environment and its class capacities (default: one class per
+    game), or a `cluster` run's inputs."""
+    params = run.params
+    if run.solver == "cluster":
+        run.data, run.prior, run.K, run.algorithm = _cluster_inputs(params, run.d)
+        return
     for field in ("games", "prior", "actions", "payoffs"):
         if field not in params:
             raise ScenarioError(f"params.{field}: missing")
@@ -154,18 +184,7 @@ def _parse_custom_env(params: dict) -> GameEnvironment:
     violations = validate_environment(env)
     if violations:
         raise ScenarioError("params: " + "; ".join(violations))
-    return env
-
-
-def _capacities(doc: dict, env: GameEnvironment) -> tuple[int, int]:
-    """Class capacities of the players in a scenario's finite game.
-
-    A custom environment declares them as `params.capacities` (default: one
-    class per game); the matching-pennies and monitoring families use (2, 3).
-    """
-    if doc["kind"] != "custom-env":
-        return (2, 3)
-    caps = doc.get("params", {}).get("capacities", [env.n_games, env.n_games])
+    caps = params.get("capacities", [env.n_games, env.n_games])
     if not (
         isinstance(caps, (list, tuple))
         and len(caps) == 2
@@ -174,29 +193,86 @@ def _capacities(doc: dict, env: GameEnvironment) -> tuple[int, int]:
         raise ScenarioError(
             f"params.capacities: expected two integers in [1, {env.n_games}], got {caps!r}"
         )
-    return tuple(caps)
+    run.env, run.capacities = env, tuple(caps)
 
 
-def _abee_partitions(doc: dict, n_games: int, count: int) -> tuple[Partition, ...]:
-    """The fixed partitions of an `abee` run, `params.partitions`: the row
-    player's alone for matching pennies (the column player's is the finest),
-    one per player for a custom environment."""
-    classes = doc.get("params", {}).get("partitions")
+def _read_pennies(run) -> None:
+    """The stakes `a`, `b`, `c`, and the stakes the refutation checks (default: these)."""
+    params = run.params
+    run.spec = matching_pennies.MatchingPenniesSpec(params.get("a", 0.5), params.get("b", 1.0), params.get("c", 1.5))
+    run.env, run.capacities = matching_pennies.build_matching_pennies(run.spec), (2, 3)
+    if run.solver == "cabee":
+        run.stakes = _stake_triples(params) or [run.spec]
+
+
+def _read_monitoring(run) -> None:
+    """The monitoring game, and the search's `nu_sweep` point count (0 sweeps nothing)."""
+    params = run.params
+    run.spec = monitoring.MonitoringSpec(
+        params["p_a"], params["p_b"], params["p_c"], params["nu_star"], params["mu_star"]
+    )
+    run.env, run.capacities = monitoring.build_monitoring(run.spec), (2, 3)
+    if run.solver == "cdabee":
+        run.nu_sweep = _integer(params, "nu_sweep", 0, 0)
+
+
+def _read_beauty(run) -> None:
+    """The beauty contest; the sweep's class counts, or the partition with
+    abee's `n_actions` grid (default n) or cabee's `r_grid`."""
+    params = run.params
+    run.spec = spec = beauty.uniform_spec(params.get("r", 0.5), params.get("n", 60), params.get("K", 2))
+    run.sweep = run.solver == "cabee" and _flag(params, "self_consistent_sweep")
+    if run.sweep:
+        run.class_counts = _class_counts(params, spec)
+        return
+    run.partition = _beauty_partition(run)
+    if run.solver == "abee":
+        run.n_actions = _integer(params, "n_actions", None, spec.K)
+    else:
+        run.r_grid = _r_grid(params)
+
+
+def _read_linear(run) -> None:
+    """The linear family and its class endpoints (None for cabee's
+    `equidistant` partition, its default); abee's `points_per_class`, cabee's
+    `windows`."""
+    params = run.params
+    density = params.get("density")
+    if density not in (None, "uniform", "linear-increasing"):
+        raise ScenarioError(f"params.density: unknown value {density!r}")
+    run.spec = spec = linear.LinearFamilySpec(
+        params.get("A", 1.0), params.get("B", 1.0), params.get("C", 0.8), params.get("regime", "complements"),
+        (lambda m: 2.0 * m) if density == "linear-increasing" else None, params.get("K", 4),
+    )
+    equidistant = run.solver == "cabee" and _flag(params, "equidistant", True)
+    run.endpoints = None if equidistant else _endpoints(params, spec)
+    if run.solver == "abee":
+        run.points_per_class = _integer(params, "points_per_class", 50, 1)
+    else:
+        run.windows = _flag(params, "windows") and spec.regime == linear.COMPLEMENTS
+
+
+def _abee_partitions(run) -> tuple[Partition, ...]:
+    """`params.partitions` of an `abee` run on a finite game: one per player,
+    or for matching pennies the row player's alone (the column's is finest)."""
+    n_games, pennies = run.env.n_games, run.kind == "matching-pennies"
+    classes = run.params.get("partitions")
+    count = 1 if pennies else 2
     try:
         if not isinstance(classes, list) or len(classes) != count:
             raise ValueError(f"expected a list of length {count}, got {classes!r}")
-        return tuple(_partition_from_json(n_games, c) for c in classes)
+        parts = tuple(_partition_from_json(n_games, c) for c in classes)
     except (IndexError, TypeError, ValueError) as exc:
         raise ScenarioError(f"params.partitions: {exc}") from exc
+    return parts + (Partition.finest(n_games),) if pennies else parts
 
 
-def _cluster_inputs(doc: dict) -> tuple[np.ndarray, np.ndarray, int]:
-    """The data, prior and class count of a `cluster` run: `params.data`
-    one distribution per point (over the mean divergence's two actions
-    under it, and at most `DEFAULT_ENUMERATION_CAP` points for the global
-    algorithm), `params.prior` positive and summing to 1 (default uniform),
-    `params.K` a positive integer."""
-    params = doc.get("params", {})
+def _cluster_inputs(params: dict, d: Divergence) -> tuple[np.ndarray, np.ndarray, int, str]:
+    """The data, prior, class count and algorithm of a `cluster` run:
+    `params.data` one distribution per point (over the mean divergence's
+    two actions under it, and at most `DEFAULT_ENUMERATION_CAP` points for
+    the global algorithm), `params.prior` positive and summing to 1
+    (default uniform), `params.K` a positive integer."""
     if "data" not in params:
         raise ScenarioError("params.data: missing")
     try:
@@ -208,7 +284,6 @@ def _cluster_inputs(doc: dict) -> tuple[np.ndarray, np.ndarray, int]:
         and np.all(np.abs(data.sum(axis=1) - 1.0) <= PROB_TOL)
     ):
         raise ScenarioError("params.data: expected a 2-D array of distributions, one row per point")
-    d = _divergence(doc.get("divergence", "l2"))
     if d.action_values is not None and data.shape[1] != len(d.action_values):
         raise ScenarioError(f"params.data: the mean divergence takes {len(d.action_values)} actions")
     algorithm = params.get("algorithm", "global")
@@ -228,43 +303,44 @@ def _cluster_inputs(doc: dict) -> tuple[np.ndarray, np.ndarray, int]:
         raise ScenarioError(f"params.prior: expected one positive weight per point ({exc})") from exc
     if prior.shape != (len(data),) or not (np.all(prior > 0) and abs(prior.sum() - 1.0) <= PROB_TOL):
         raise ScenarioError("params.prior: expected one positive weight per point, summing to 1")
-    return data, prior, k
+    return data, prior, k, algorithm
 
 
-def _beauty_partition(doc: dict, spec) -> Partition:
+def _beauty_partition(run) -> Partition:
     """The partition of a beauty run, `params.partition`: a list of classes,
     or under `abee` "equal-split" (its default), K equal contiguous classes."""
-    abee = doc["solver"] == "abee"
-    classes = doc.get("params", {}).get("partition", "equal-split" if abee else None)
+    abee = run.solver == "abee"
+    classes = run.params.get("partition", "equal-split" if abee else None)
     try:
         if abee and classes == "equal-split":
-            return beauty.equal_split_partition(spec.n, spec.K)
+            return beauty.equal_split_partition(run.spec.n, run.spec.K)
         if not isinstance(classes, list):
             raise ValueError(f"expected a list of classes, got {classes!r}")
-        return _partition_from_json(spec.n, classes)
+        return _partition_from_json(run.spec.n, classes)
     except (IndexError, TypeError, ValueError) as exc:
         raise ScenarioError(f"params.partition: {exc}") from exc
 
 
-def _class_counts(doc: dict, spec) -> list[int]:
+def _class_counts(params: dict, spec) -> list[int]:
     """The class counts of a beauty self-consistency sweep,
-    `params.class_counts` (default: K alone), each in [1, n]."""
-    params = doc.get("params", {})
+    `params.class_counts` (default: K alone), distinct and each in [1, n]."""
     if "class_counts" not in params and spec.K > spec.n:
         raise ScenarioError(f"params.K: the sweep needs at most n = {spec.n} classes, got {spec.K}")
     counts = params.get("class_counts", [spec.K])
-    if not (isinstance(counts, list) and counts and all(type(k) is int and 1 <= k <= spec.n for k in counts)):
+    if not (
+        isinstance(counts, list) and counts and all(type(k) is int and 1 <= k <= spec.n for k in counts)
+        and len(set(counts)) == len(counts)
+    ):
         raise ScenarioError(
-            f"params.class_counts: expected a non-empty list of integers in [1, {spec.n}], got {counts!r}"
+            f"params.class_counts: expected a non-empty list of distinct integers in [1, {spec.n}], got {counts!r}"
         )
     return counts
 
 
-def _r_grid(doc: dict) -> list[float] | None:
+def _r_grid(params: dict) -> list[float] | None:
     """The coordination weights of a beauty r sweep, `params.r_grid`,
     strictly increasing (the monotonicity verdict reads them in order)
     finite numbers in (0, 1), or None without a sweep."""
-    params = doc.get("params", {})
     if "r_grid" not in params:
         return None
     grid = params["r_grid"]
@@ -276,11 +352,11 @@ def _r_grid(doc: dict) -> list[float] | None:
     return grid
 
 
-def _endpoints(doc: dict, spec) -> list[float]:
+def _endpoints(params: dict, spec) -> list[float]:
     """The class endpoints a linear scenario sets (`params.endpoints`,
     strictly increasing and spanning the regime's interval), else
     equal-width classes."""
-    endpoints = doc.get("params", {}).get("endpoints")
+    endpoints = params.get("endpoints")
     if endpoints is None:
         return linear.equal_split_endpoints(spec)
     try:
@@ -289,10 +365,9 @@ def _endpoints(doc: dict, spec) -> list[float]:
         raise ScenarioError(f"params.endpoints: {exc}") from exc
 
 
-def _learning_params(doc: dict) -> tuple[int, int, float, str]:
+def _learning_params(params: dict) -> tuple[int, int, float, str]:
     """A learning scenario's steps, n_subjects, epsilon and tie_break (the
     last three read by model 1 alone), checked; raises ScenarioError."""
-    params = doc.get("params", {})
     steps, n_subjects = params.get("steps", 20), params.get("n_subjects", 1000)
     epsilon = params.get("epsilon", 0.0)
     tie_break = params.get("tie_break", "incumbent" if epsilon == 0 else "uniform")
@@ -306,10 +381,10 @@ def _learning_params(doc: dict) -> tuple[int, int, float, str]:
     return steps, n_subjects, epsilon, tie_break
 
 
-def _stake_grid(doc: dict) -> list[float] | None:
-    """The stakes step, 2*step, ... below 2 of params.sweep_step, or None
-    without a sweep; raises ScenarioError unless the grid holds a triple."""
-    params = doc.get("params", {})
+def _stake_triples(params: dict) -> list[matching_pennies.MatchingPenniesSpec] | None:
+    """Every stake triple on the grid step, 2*step, ... below 2 of
+    params.sweep_step, or None without a sweep; raises ScenarioError unless
+    the grid holds a triple."""
     if "sweep_step" not in params:
         return None
     step = params["sweep_step"]
@@ -318,67 +393,16 @@ def _stake_grid(doc: dict) -> list[float] | None:
     vals = [round(step * k, 10) for k in range(1, int(2 / step) + 1) if step * k < 2]
     if len(vals) < 3:
         raise ScenarioError(f"params.sweep_step: {step!r} leaves no stake triple 0 < a < b < c < 2 on its grid")
-    return vals
+    return [matching_pennies.MatchingPenniesSpec(*abc) for abc in combinations(vals, 3)]
 
 
-def _build_inputs(doc: dict):
-    """Kind-specific spec construction; raises ScenarioError on bad fields."""
-    kind = doc["kind"]
-    params = doc.get("params", {})
-    if doc["solver"] in ("learn1", "learn2"):
-        _learning_params(doc)
-    try:
-        if kind == "matching-pennies":
-            spec = matching_pennies.MatchingPenniesSpec(
-                params.get("a", 0.5), params.get("b", 1.0), params.get("c", 1.5)
-            )
-            env = matching_pennies.build_matching_pennies(spec)
-            if doc["solver"] == "abee":
-                _abee_partitions(doc, env.n_games, 1)
-            if doc["solver"] == "cabee":
-                _stake_grid(doc)
-            return spec, env
-        if kind == "monitoring":
-            spec = monitoring.MonitoringSpec(
-                params["p_a"], params["p_b"], params["p_c"],
-                params["nu_star"], params["mu_star"],
-            )
-            return spec, monitoring.build_monitoring(spec)
-        if kind == "beauty":
-            spec = beauty.uniform_spec(params.get("r", 0.5), params.get("n", 60), params.get("K", 2))
-            if doc["solver"] == "abee" or not params.get("self_consistent_sweep"):
-                _beauty_partition(doc, spec)
-            if doc["solver"] == "cabee" and params.get("self_consistent_sweep"):
-                _class_counts(doc, spec)
-            elif doc["solver"] == "cabee":
-                _r_grid(doc)
-            return spec, None
-        if kind == "linear":
-            spec = linear.LinearFamilySpec(
-                params.get("A", 1.0), params.get("B", 1.0), params.get("C", 0.8),
-                params.get("regime", "complements"),
-                _density(params.get("density")),
-                params.get("K", 4),
-            )
-            if doc["solver"] == "abee" or not params.get("equidistant", True):
-                _endpoints(doc, spec)
-            return spec, None
-        if kind == "custom-env":
-            if doc["solver"] == "cluster":
-                _cluster_inputs(doc)
-                return None, None
-            env = _parse_custom_env(params)
-            _capacities(doc, env)  # validates params.capacities
-            if doc["solver"] == "abee":
-                _abee_partitions(doc, env.n_games, 2)
-            return None, env
-    except ScenarioError:
-        raise
-    except KeyError as exc:
-        raise ScenarioError(f"params.{exc.args[0]}: missing") from exc
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"params: {exc}") from exc
-    raise ScenarioError(f"kind: unhandled {kind!r}")
+READERS = {
+    "custom-env": _read_custom_env,
+    "matching-pennies": _read_pennies,
+    "monitoring": _read_monitoring,
+    "beauty": _read_beauty,
+    "linear": _read_linear,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +519,8 @@ def write_polyline_svg(path: Path, series, width=640, height=420, margin=40) -> 
 # ---------------------------------------------------------------------------
 
 
-def _candidate_verification(env: GameEnvironment, cands, capacities) -> dict:
-    reps = [cd_abee_verify(env, cand, capacities) for cand in cands]
+def _candidate_verification(run, cands) -> dict:
+    reps = [cd_abee_verify(run.env, cand, run.capacities) for cand in cands]
     details = [{"ok": r.ok, "br_gain": r.br_gain, "clustering_failures": len(r.clustering_failures)}
                for r in reps]
     return {"all_ok": all(r.ok for r in reps), "details": details}
@@ -507,55 +531,45 @@ def _verdict(all_ok: bool) -> dict:
     return {"all_ok": all_ok, "details": []}
 
 
-def _search(doc, env, d):
+def _search(run):
     """`cd_abee_search` on a scenario's finite game, with its capacities and
     mode, and its `max_evaluations` when it sets one."""
-    cfg = SearchConfig(max_evaluations=doc["max_evaluations"]) if "max_evaluations" in doc else SearchConfig()
-    return cd_abee_search(env, _capacities(doc, env), doc.get("mode", GLOBAL), d, cfg)
+    cfg = SearchConfig(max_evaluations=run.doc["max_evaluations"]) if "max_evaluations" in run.doc else SearchConfig()
+    return cd_abee_search(run.env, run.capacities, run.mode, run.d, cfg)
 
 
-def _abee_results(env, partitions, names):
-    profiles = abee_solve(env, partitions)
+def _run_abee(names, run, out_dir):
+    """The ABEE of a finite game's fixed partitions, the players' plays named `names`."""
+    profiles = abee_solve(run.env, run.partitions)
     rows = [dict(zip(names, (p.single(0).tolist(), p.single(1).tolist()))) for p in profiles]
     return {"profiles": rows}, _verdict(bool(profiles)), False
 
 
-def _run_custom_abee(doc, spec, env, d, out_dir):
-    return _abee_results(env, _abee_partitions(doc, env.n_games, 2), ("i", "j"))
-
-
-def _run_custom_cdabee(doc, spec, env, d, out_dir):
-    found = _search(doc, env, d)
+def _run_custom_cdabee(run, out_dir):
+    found = _search(run)
     results = {"candidates": [_candidate_to_json(c) for c in found.candidates]}
     exhausted = not all(rep.completed for rep in found.layers) and not found.candidates
-    return results, _candidate_verification(env, found.candidates, _capacities(doc, env)), exhausted
+    return results, _candidate_verification(run, found.candidates), exhausted
 
 
-def _run_cluster(doc, spec, env, d, out_dir):
-    data, prior, k = _cluster_inputs(doc)
-    if doc["params"].get("algorithm", "global") == "kmeans":
-        rng = np.random.default_rng(doc.get("seed", 0))
+def _run_cluster(run, out_dir):
+    data, k = run.data, run.K
+    if run.algorithm == "kmeans":
+        rng = np.random.default_rng(run.seed)
         init = data[rng.choice(len(data), size=min(k, len(data)), replace=False)]
-        rep = kmeans_lloyd(data, prior, k, d, init)
+        rep = kmeans_lloyd(data, run.prior, k, run.d, init)
         results = {"partition": _partition_to_json(rep.partition), "dispersion": rep.dispersion,
                    "locally_clustered": bool(rep.locally_clustered)}
     else:
-        winners, best = global_cluster(data, prior, k, d)
+        winners, best = global_cluster(data, run.prior, k, run.d)
         results = {"minimizers": [_partition_to_json(p) for p in winners], "dispersion": best}
     return results, _verdict(True), False
 
 
-def _run_pennies_abee(doc, spec, env, d, out_dir):
-    partitions = _abee_partitions(doc, env.n_games, 1) + (Partition.finest(env.n_games),)
-    return _abee_results(env, partitions, ("row", "column"))
-
-
-def _run_pennies_refutation(doc, spec, env, d, out_dir):
-    grid = _stake_grid(doc)
-    specs = [spec] if grid is None else [matching_pennies.MatchingPenniesSpec(*abc) for abc in combinations(grid, 3)]
+def _run_pennies_refutation(run, out_dir):
     clustered = [
         any(any(v) for v in rep["verdicts"].values())
-        for sp in specs
+        for sp in run.stakes
         for rep in matching_pennies.two_class_refutation(sp).values()
     ]
     refuted = bool(clustered) and not any(clustered)  # nothing checked refutes nothing
@@ -563,16 +577,16 @@ def _run_pennies_refutation(doc, spec, env, d, out_dir):
     return results, _verdict(refuted), False
 
 
-def _run_pennies_cdabee(doc, spec, env, d, out_dir):
-    cand = matching_pennies.solve_matching_pennies_cdabee(spec)
+def _run_pennies_cdabee(run, out_dir):
+    cand = matching_pennies.solve_matching_pennies_cdabee(run.spec)
     results = {
         "candidates": [_candidate_to_json(cand)],
         "column_mix": cand.aggregates()[1][:, 0].tolist(),
         "lambda": list(cand.lams[0].weights),
     }
     exhausted = False
-    if "max_evaluations" in doc:
-        found = _search(doc, env, d)
+    if "max_evaluations" in run.doc:
+        found = _search(run)
         target = np.sort(np.asarray(results["column_mix"]))
         results["search_recovered"] = any(
             np.allclose(np.sort(c.aggregates()[1][:, 0]), target, atol=1e-7)
@@ -582,29 +596,28 @@ def _run_pennies_cdabee(doc, spec, env, d, out_dir):
         # budget exhaustion only counts against the run when the search
         # also failed to recover the closed-form candidate
         exhausted = not results["search_layers_completed"] and not results["search_recovered"]
-    return results, _candidate_verification(env, [cand], _capacities(doc, env)), exhausted
+    return results, _candidate_verification(run, [cand]), exhausted
 
 
-def _run_monitoring_cdabee(doc, spec, env, d, out_dir):
-    sol = monitoring.solve_monitoring_cdabee(spec, doc.get("mode", GLOBAL), d)
+def _run_monitoring_cdabee(run, out_dir):
+    spec = run.spec
+    sol = monitoring.solve_monitoring_cdabee(spec, run.mode, run.d)
     results: dict = {"candidates": [_candidate_to_json(c) for c in sol.candidates]}
     if sol.zeta_star is not None:
         results["zeta"] = sol.zeta_star
         results["lambda"] = [spec.mu_star, 1.0 - spec.mu_star]
     if sol.zeta_range is not None:
         results["zeta_range"] = list(sol.zeta_range)
-    nu_sweep = doc.get("params", {}).get("nu_sweep")
-    if nu_sweep:
-        results["nu_sweep"] = [list(row) for row in monitoring.nu_star_sweep(spec, int(nu_sweep))]
-    return results, _candidate_verification(env, sol.candidates, _capacities(doc, env)), False
+    if run.nu_sweep:
+        results["nu_sweep"] = [list(row) for row in monitoring.nu_star_sweep(spec, run.nu_sweep)]
+    return results, _candidate_verification(run, sol.candidates), False
 
 
-def _run_beauty_abee(doc, spec, env, d, out_dir):
-    params = doc.get("params", {})
-    part = _beauty_partition(doc, spec)
+def _run_beauty_abee(run, out_dir):
+    spec, part = run.spec, run.partition
     closed = beauty.abee_actions(spec, part)
-    chosen, means, gain = beauty.discrete_abee(spec, part, params.get("n_actions"))
-    cell = 1.0 / (params.get("n_actions") or spec.n)
+    chosen, means, gain = beauty.discrete_abee(spec, part, run.n_actions)
+    cell = 1.0 / (run.n_actions or spec.n)
     gap = float(np.abs(closed - chosen).max())
     results = {
         "max_action_gap": gap,
@@ -616,38 +629,35 @@ def _run_beauty_abee(doc, spec, env, d, out_dir):
     return results, _verdict(results["within_two_cells"]), False
 
 
-def _run_beauty_cabee(doc, spec, env, d, out_dir):
-    params = doc.get("params", {})
-    if params.get("self_consistent_sweep"):
+def _run_beauty_cabee(run, out_dir):
+    spec = run.spec
+    if run.sweep:
         found = {}
-        for k in _class_counts(doc, spec):
+        for k in run.class_counts:
             partitions = beauty.self_consistent_contiguous(beauty.uniform_spec(spec.r, spec.n, k), k)
             found[str(k)] = [_partition_to_json(p) for p in partitions]
         return {"self_consistent_contiguous": found}, _verdict(True), False
-    part = _beauty_partition(doc, spec)
-    r_grid = _r_grid(doc)
-    if r_grid is not None:
+    if run.r_grid is not None:
         grid = []
-        for r in r_grid:
-            ok, margin = beauty.beauty_cabee_check(beauty.uniform_spec(r, spec.n, spec.K), part)
+        for r in run.r_grid:
+            ok, margin = beauty.beauty_cabee_check(beauty.uniform_spec(r, spec.n, spec.K), run.partition)
             grid.append([r, bool(ok), margin])
         monotone = all(grid[i][1] <= grid[i + 1][1] for i in range(len(grid) - 1))
         return {"r_grid": grid, "monotone_in_r": monotone}, _verdict(monotone), False
-    ok, margin = beauty.beauty_cabee_check(spec, part)
+    ok, margin = beauty.beauty_cabee_check(spec, run.partition)
     return {"locally_clustered": bool(ok), "margin": margin}, _verdict(bool(ok)), False
 
 
-def _run_linear_abee(doc, spec, env, d, out_dir):
-    params = doc.get("params", {})
-    endpoints = _endpoints(doc, spec)
+def _run_linear_abee(run, out_dir):
+    spec, endpoints = run.spec, run.endpoints
     lines = linear.linear_abee(spec, endpoints)
     results: dict = {"classes": [asdict(ln) for ln in lines]}  # lo, hi, mean, beta, slope
-    rows = linear.figure_curves(spec, endpoints, params.get("points_per_class", 50))
-    csv_name = doc.get("outputs", {}).get("csv")
+    rows = linear.figure_curves(spec, endpoints, run.points_per_class)
+    csv_name = run.doc.get("outputs", {}).get("csv")
     if csv_name:
         write_csv(out_dir / csv_name, ["mu", "nash_action", "abee_action", "class_index"], rows)
         results["csv"] = csv_name
-    svg_name = doc.get("outputs", {}).get("svg")
+    svg_name = run.doc.get("outputs", {}).get("svg")
     if svg_name:
         series = [("nash", [(r[0], r[1]) for r in rows])]
         for k in range(len(lines)):
@@ -661,17 +671,16 @@ def _run_linear_abee(doc, spec, env, d, out_dir):
     return results, _verdict(True), False
 
 
-def _run_linear_cabee(doc, spec, env, d, out_dir):
-    params = doc.get("params", {})
-    equidistant = params.get("equidistant", True)
-    endpoints = linear.equidistant_partition(spec) if equidistant else _endpoints(doc, spec)
+def _run_linear_cabee(run, out_dir):
+    spec = run.spec
+    endpoints = linear.equidistant_partition(spec) if run.endpoints is None else run.endpoints
     chk = linear.linear_local_check(spec, endpoints)
     results = {
         "endpoints": list(map(float, endpoints)),
         "locally_clustered": chk.ok,
         "boundary_slacks": [list(s) for s in chk.boundary_slacks],
     }
-    if params.get("windows") and spec.regime == linear.COMPLEMENTS:
+    if run.windows:
         results["windows"] = [list(w) for w in linear.linear_cabee_window(spec, endpoints)]
     return results, _verdict(True), False
 
@@ -684,37 +693,36 @@ def _monitoring_start(spec, d):
     return monitoring.solve_monitoring_cdabee(spec, GLOBAL, d).candidates[0]
 
 
-def _model1(doc, env, state, capacities, d):
+def _model1(run, state):
     """Model 1's trajectory from `state`, and its drifts as results."""
-    steps, n_subjects, epsilon, tie_break = _learning_params(doc)
-    pert = PerturbationSpec(epsilon=epsilon, seed=doc.get("seed", 0))
-    traj, report = model1_run(env, state, steps, capacities, d, pert, n_subjects=n_subjects, tie_break=tie_break)
+    pert = PerturbationSpec(epsilon=run.epsilon, seed=run.seed)
+    traj, report = model1_run(run.env, state, run.steps, run.capacities, run.d, pert, n_subjects=run.n_subjects,
+                              tie_break=run.tie_break)
     return traj, {"aggregate_drift": report.aggregate_drift, "lambda_drift": report.lam_drift}
 
 
-def _model2(doc, env, state, capacities, d):
+def _model2(run, state):
     """Model 2's trajectory from `state`; it adds no results."""
     traj = [state]
-    for _ in range(_learning_params(doc)[0]):
-        traj.append(model2_step(env, traj[-1], d))
+    for _ in range(run.steps):
+        traj.append(model2_step(run.env, traj[-1], run.d))
     return traj, {}
 
 
-def _run_learning(start, dynamic, doc, spec, env, d, out_dir):
+def _run_learning(start, dynamic, run, out_dir):
     """A learning dynamic from the kind's closed-form equilibrium: `start`
     gives the candidate, `dynamic` the trajectory and its extra results."""
-    capacities = _capacities(doc, env)
-    state = state_from_candidate(env, start(spec, d))
-    steady, info = steady_state_check(env, state, doc.get("mode", GLOBAL), d, capacities)
+    state = state_from_candidate(run.env, start(run.spec, run.d))
+    steady, info = steady_state_check(run.env, state, run.mode, run.d, run.capacities)
     steady_info = {k: (bool(v) if isinstance(v, (bool, np.bool_)) else float(v)) for k, v in info.items()}
     results = {"start_is_steady": bool(steady), "steady_info": steady_info}
-    traj, extra = dynamic(doc, env, state, capacities, d)
+    traj, extra = dynamic(run, state)
     results["steps"] = len(traj) - 1
     results.update(extra)
-    outputs = doc.get("outputs", {})
+    outputs = run.doc.get("outputs", {})
     if outputs.get("actions_csv") and outputs.get("shares_csv"):
         write_trajectory_csv(
-            out_dir / outputs["actions_csv"], out_dir / outputs["shares_csv"], traj, env
+            out_dir / outputs["actions_csv"], out_dir / outputs["shares_csv"], traj, run.env
         )
         results["actions_csv"] = outputs["actions_csv"]
         results["shares_csv"] = outputs["shares_csv"]
@@ -722,14 +730,13 @@ def _run_learning(start, dynamic, doc, spec, env, d, out_dir):
 
 
 # Every supported (kind, solver) pair and its runner; validation rejects any
-# other pair.  A runner takes (scenario, kind spec, finite environment or
-# None, divergence, output directory) and returns (results, verification,
-# search budget exhausted).
+# other pair.  A runner takes (parsed scenario, output directory) and returns
+# (results, verification, search budget exhausted).
 RUNNERS = {
-    ("custom-env", "abee"): _run_custom_abee,
+    ("custom-env", "abee"): partial(_run_abee, ("i", "j")),
     ("custom-env", "cdabee"): _run_custom_cdabee,
     ("custom-env", "cluster"): _run_cluster,
-    ("matching-pennies", "abee"): _run_pennies_abee,
+    ("matching-pennies", "abee"): partial(_run_abee, ("row", "column")),
     ("matching-pennies", "cabee"): _run_pennies_refutation,
     ("matching-pennies", "cdabee"): _run_pennies_cdabee,
     ("matching-pennies", "learn1"): partial(_run_learning, _pennies_start, _model1),
@@ -749,11 +756,9 @@ def run_scenario(doc: dict, out_dir: Path) -> tuple[dict, bool]:
     """Execute a validated scenario; returns (result document, exhausted)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kind_spec, env = _build_inputs(doc)
-    d = _divergence(doc.get("divergence", "l2"))
+    run = _parse(doc)
     t0 = time.perf_counter()
-    runner = RUNNERS[doc["kind"], doc["solver"]]
-    results, verification, exhausted = runner(doc, kind_spec, env, d, out_dir)
+    results, verification, exhausted = RUNNERS[run.kind, run.solver](run, out_dir)
     elapsed_ms = (time.perf_counter() - t0) * 1000
     result_doc = {
         "version": 1,
@@ -767,7 +772,8 @@ def run_scenario(doc: dict, out_dir: Path) -> tuple[dict, bool]:
 
 
 def verify_result(path) -> tuple[bool, list[str]]:
-    """Re-run the equilibrium checks on every candidate stored in a result."""
+    """Re-run the equilibrium checks on every candidate stored in a result;
+    raises ScenarioError when its scenario does not validate."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("library_version") != __version__:
@@ -776,19 +782,17 @@ def verify_result(path) -> tuple[bool, list[str]]:
             f"verifying with {__version__}",
             file=sys.stderr,
         )
-    scenario = doc["scenario"]
+    run = _parse(doc["scenario"])
     notes: list[str] = []
     cands_json = doc.get("results", {}).get("candidates")
     if not cands_json:
         return True, ["no stored candidates; nothing to re-verify"]
-    kind_spec, env = _build_inputs(scenario)
-    if env is None:
+    if run.env is None:
         return True, ["kind carries no finite environment; nothing to re-verify"]
-    capacities = _capacities(scenario, env)
     ok = True
     for i, cj in enumerate(cands_json):
-        cand = _candidate_from_json(env.n_games, cj)
-        rep = cd_abee_verify(env, cand, capacities)
+        cand = _candidate_from_json(run.env.n_games, cj)
+        rep = cd_abee_verify(run.env, cand, run.capacities)
         if not rep.ok:
             ok = False
             witness = rep.br_witness or (rep.clustering_failures and rep.clustering_failures[0])
@@ -851,6 +855,9 @@ def main(argv=None) -> int:
     if args.command == "verify":
         try:
             ok, notes = verify_result(args.result)
+        except ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
         except (OSError, KeyError, json.JSONDecodeError) as exc:
             print(f"error: unreadable result document: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
@@ -887,12 +894,6 @@ def main(argv=None) -> int:
         result_doc, exhausted = run_scenario(doc, out_dir)
     except HypothesesUnmet as exc:
         print(f"error: hypotheses unmet: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except KeyError as exc:
-        print(f"error: params.{exc.args[0]}: missing", file=sys.stderr)
         return EXIT_VALIDATION
     except (TypeError, ValueError) as exc:
         print(f"error: params: {exc}", file=sys.stderr)

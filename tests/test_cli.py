@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -575,12 +576,12 @@ def test_beauty_partition_accepted():
     )
 
 
-@pytest.mark.parametrize("counts", [[0], ["x"], [2.5], 3, [True], [61], [9], [], None])
+@pytest.mark.parametrize("counts", [[0], ["x"], [2.5], 3, [True], [61], [9], [], None, [3, 3], [2, 3, 2]])
 def test_beauty_class_counts_validated(counts):
-    """The sweep's class counts are a non-empty list of integers (not bools)
-    in [1, n]; anything else is a validation error naming
-    params.class_counts, before the sweep can crash, key its output "True"
-    or return no partition."""
+    """The sweep's class counts are a non-empty list of distinct integers
+    (not bools) in [1, n]; anything else is a validation error naming
+    params.class_counts, before the sweep can crash, key its output "True",
+    return no partition or sweep one count twice."""
     params = {"n": 8, "r": 0.3, "self_consistent_sweep": True, "class_counts": counts}
     doc = {"version": 1, "kind": "beauty", "solver": "cabee", "params": params}
     with pytest.raises(ScenarioError, match="^params\\.class_counts: "):
@@ -682,3 +683,93 @@ def test_readme_lists_the_supported_pairs():
     rows = itertools.takewhile(lambda line: line.startswith("|"), lines[lines.index("| kind | solver | runs |") + 2 :])
     pairs = [tuple(cell.strip().strip("`") for cell in row.split("|")[1:3]) for row in rows]
     assert pairs == list(RUNNERS)
+
+
+@pytest.mark.parametrize(
+    "name, key, value, valid",
+    [("prop5_monitoring", "nu_sweep", value, 3) for value in (2.7, -1, "3", True, None)]
+    + [("beauty_eq4_discrete", "n_actions", value, 2) for value in (0, -3, 1, "x", 2.5, True)]
+    + [("fig1a_linear", "points_per_class", value, 1) for value in (0, -2, "x", 2.5, True, None)]
+    + [
+        ("equidistant_triangular", "equidistant", "no", False),
+        ("equidistant_triangular", "equidistant", 0, False),
+        ("linear_equidistant_windows", "windows", "yes", False),
+        ("linear_equidistant_windows", "windows", None, False),
+        ("beauty_r0_equal_split", "self_consistent_sweep", 1, True),
+        ("beauty_r0_equal_split", "self_consistent_sweep", "no", True),
+    ],
+)
+def test_integer_and_flag_params_validated(name, key, value, valid):
+    """monitoring's nu_sweep is an integer >= 0, beauty abee's n_actions an
+    integer >= K, linear abee's points_per_class an integer >= 1 (none of
+    them a bool), and the self_consistent_sweep, equidistant and windows
+    flags are JSON booleans; anything else is a validation error naming the
+    field, before the run can crash, count "3" as three points or read "no"
+    as true."""
+    doc = json.loads(json.dumps(bundled_scenarios()[name]))
+    doc["params"][key] = value
+    with pytest.raises(ScenarioError, match=f"^params\\.{key}: "):
+        validate_scenario(doc)
+    doc["params"][key] = valid
+    assert validate_scenario(doc) is doc
+
+
+def test_nu_sweep_zero_or_absent_sweeps_nothing(tmp_path):
+    from cabee.cli import run_scenario
+
+    doc = json.loads(json.dumps(bundled_scenarios()["prop5_monitoring"]))
+    assert len(run_scenario(doc, tmp_path)[0]["results"]["nu_sweep"]) == 10
+    doc["params"]["nu_sweep"] = 0
+    assert "nu_sweep" not in run_scenario(doc, tmp_path)[0]["results"]
+    del doc["params"]["nu_sweep"]
+    assert "nu_sweep" not in run_scenario(doc, tmp_path)[0]["results"]
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("p_a", 0.9, "error: params: type probabilities"), ("kind", "nope", "error: kind: expected one of")],
+)
+def test_verify_refuses_a_result_whose_scenario_does_not_validate(tmp_path, capsys, field, value, message):
+    """`cabee verify` exits 2 with the field's message, not a traceback, when
+    the scenario stored in a result no longer validates."""
+    assert run_cli("run", "--scenario", "prop6_monitoring_l2", "--out", str(tmp_path)) == EXIT_OK
+    path = tmp_path / "prop6_monitoring_l2.result.json"
+    doc = json.loads(path.read_text())
+    scenario = doc["scenario"]
+    (scenario["params"] if field in scenario["params"] else scenario)[field] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(path)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message), captured.err
+    assert "verification:" not in captured.out
+
+
+class _Untouchable(Mapping):
+    """A params mapping that fails any read."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"a runner read params[{key!r}]")
+
+    def __iter__(self):
+        raise AssertionError("a runner iterated params")
+
+    def __len__(self):
+        raise AssertionError("a runner sized params")
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_S))
+def test_runners_read_only_the_parse(tmp_path, name):
+    """Every bundled scenario runs to the same results when, after the one
+    parse, its raw params cannot be read: no runner re-parses them."""
+    from cabee.cli import RUNNERS, _parse, run_scenario
+
+    expected, exhausted = run_scenario(json.loads(json.dumps(bundled_scenarios()[name])), tmp_path / "a")
+    doc = json.loads(json.dumps(bundled_scenarios()[name]))
+    run = _parse(doc)
+    run.params = doc["params"] = _Untouchable()
+    (tmp_path / "b").mkdir()
+    results, verification, spent = RUNNERS[run.kind, run.solver](run, tmp_path / "b")
+    assert (results, verification, spent) == (expected["results"], expected["verification"], exhausted)
+    for written in (tmp_path / "a").iterdir():
+        assert (tmp_path / "b" / written.name).read_bytes() == written.read_bytes(), written.name
