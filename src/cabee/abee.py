@@ -507,18 +507,22 @@ def _binary_support_enumeration(
         return result
     # the pins of one side constrain only the other side's variables, so
     # each half solves on its own.  Checks on the affine maps alone come
-    # first: a pin on a class that no unknown moves, and every interval of
-    # a regime without unknowns; only the pairs passing both halves solve.
+    # first: a pin on a class that no unknown moves, and an interval that
+    # q's range over the box x_u in [0, 1]^width misses beyond the solve's
+    # tolerances.  Pins get no range test: plays clip unknowns into the
+    # box, and a clipped point may verify.  Only pairs passing both solve.
     maps, direct = [], []
     for p in (0, 1):
         own, opp = sides[p], sides[1 - p]
         m = _affine_maps(env, lams[p].weights, own, opp.slot_classes)
         unmoved = ~(np.abs(m.a) > 1e-14).any(axis=2)
         bad_pin = opp.pinned & unmoved[:, None] & (np.abs(m.b[:, None] - opp.lo) > 1e-9)
-        rigid = ~m.valid.any(axis=1)[:, None]
-        bad_interval = rigid & _outside(m.b[:, None], opp.pinned, opp.lo, opp.hi)
+        slack = 1e-9 * (1.0 + np.abs(m.a).sum(axis=2))[:, None]
+        q_lo = (m.b + np.minimum(m.a, 0.0).sum(axis=2))[:, None]
+        q_hi = (m.b + np.maximum(m.a, 0.0).sum(axis=2))[:, None]
+        misses = ~opp.pinned & ((q_hi < opp.lo - slack) | (q_lo > opp.hi + slack))
         maps.append(m)
-        direct.append(~bad_pin.any(axis=2) & ~bad_interval)
+        direct.append(~(bad_pin | misses).any(axis=2))
     c0, c1 = np.nonzero(direct[0] & direct[1].T)  # c0-major
     pairs = ((c0, c1), (c1, c0))
     sols = [_solve_pairs(maps[p], sides[1 - p], *pairs[p]) for p in (0, 1)]
@@ -633,7 +637,8 @@ def dist_abee_solve_detailed(
     shapes, and binary ones over `config.max_regimes`, use the damped
     iteration (each step moves halfway to the best replies, until no
     strategy moves by 1e-9), which may miss equilibria and is reported as
-    not `exact`.  Every returned profile verifies.
+    not `exact`.  Every returned profile verifies.  Families whose moving
+    side cannot meet an opponent interval inside the box are not returned.
     """
     config = config or SolveConfig()
     if env.n_actions(0) == 2 and env.n_actions(1) == 2:

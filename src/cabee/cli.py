@@ -71,6 +71,9 @@ DIVERGENCES = {"l2": L2, "kl": KL, "mean": mean_divergence((0.0, 1.0))}
 # misspelled or retired field is reported rather than silently ignored
 FIELDS = ("version", "kind", "solver", "mode", "divergence", "params", "seed", "max_evaluations", "outputs",
           "description")
+# the params read by `_flag`; a JSON boolean is refused in any other, where
+# Python would read it as the number 0 or 1
+FLAGS = ("self_consistent_sweep", "equidistant", "windows")
 
 
 class ScenarioError(ValueError):
@@ -142,6 +145,9 @@ def _parse(doc) -> SimpleNamespace:
         raise ScenarioError(f"params.{exc.args[0]}: missing") from exc
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"params: {exc}") from exc
+    for key, value in params.items():
+        if type(value) is bool and key not in FLAGS:
+            raise ScenarioError(f"params.{key}: only {', '.join(FLAGS)} take true or false, got {value!r}")
     return run
 
 
@@ -324,8 +330,8 @@ def _beauty_partition(run) -> Partition:
 def _class_counts(params: dict, spec) -> list[int]:
     """The class counts of a beauty self-consistency sweep,
     `params.class_counts` (default: K alone), distinct and each in [1, n]."""
-    if "class_counts" not in params and spec.K > spec.n:
-        raise ScenarioError(f"params.K: the sweep needs at most n = {spec.n} classes, got {spec.K}")
+    if "class_counts" not in params and not (type(spec.K) is int and 1 <= spec.K <= spec.n):
+        raise ScenarioError(f"params.K: the sweep needs an integer class count in [1, {spec.n}], got {spec.K!r}")
     counts = params.get("class_counts", [spec.K])
     if not (
         isinstance(counts, list) and counts and all(type(k) is int and 1 <= k <= spec.n for k in counts)

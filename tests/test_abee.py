@@ -546,7 +546,7 @@ def _loop_side_combos(env, lams, player):
     return combos
 
 
-def _loop_solve_block(env, lams, block_player, fixed, unknowns, pins, intervals):
+def _loop_solve_block(env, lams, block_player, fixed, unknowns, pins, intervals, prune=True):
     prior = env.prior
     lam_w = lams[block_player].weights
     u_pos = {v: k for k, v in enumerate(unknowns)}
@@ -564,6 +564,14 @@ def _loop_solve_block(env, lams, block_player, fixed, unknowns, pins, intervals)
                     const += c * fixed[(pi, g)]
         return row, const
 
+    if prune:  # the range of q over the box [0, 1]^unknowns misses an interval
+        for _, cls, lo, hi in intervals:
+            row, const = q_terms(cls)
+            slack = 1e-9 * (1.0 + sum(abs(v) for v in row))
+            q_lo = const + sum(min(v, 0.0) for v in row)
+            q_hi = const + sum(max(v, 0.0) for v in row)
+            if q_hi < lo - slack or q_lo > hi + slack:
+                return None
     rows, rhs = [], []
     for _, cls, t in pins:
         row, const = q_terms(cls)
@@ -598,7 +606,7 @@ def _loop_solve_block(env, lams, block_player, fixed, unknowns, pins, intervals)
     return {"x": x_u, "feasible": feasible, "n_free": len(free_cols), "directions": directions}
 
 
-def _loop_support_enumeration(env, lams, config):
+def _loop_support_enumeration(env, lams, config, prune=True):
     n_games = env.n_games
     result = SolveResult()
     combos = (_loop_side_combos(env, lams, 0), _loop_side_combos(env, lams, 1))
@@ -631,10 +639,10 @@ def _loop_support_enumeration(env, lams, config):
     seen = set()
     for c0 in combos[0]:
         for c1 in combos[1]:
-            sol0 = _loop_solve_block(env, lams, 0, c0[0], c0[1], c1[2], c1[3])
+            sol0 = _loop_solve_block(env, lams, 0, c0[0], c0[1], c1[2], c1[3], prune)
             if sol0 is None:
                 continue
-            sol1 = _loop_solve_block(env, lams, 1, c1[0], c1[1], c0[2], c0[3])
+            sol1 = _loop_solve_block(env, lams, 1, c1[0], c1[1], c0[2], c0[3], prune)
             if sol1 is None:
                 continue
             x = np.zeros(n_vars)
@@ -703,7 +711,7 @@ def _random_support(rng, parts):
     return PartitionDistribution((parts[i], parts[j]), (w, 1 - w))
 
 
-def _assert_same_enumeration(got, ref):
+def _assert_same_profiles(got, ref):
     assert got.exhausted == ref.exhausted
     assert len(got.profiles) == len(ref.profiles)
     for a, b in zip(got.profiles, ref.profiles):
@@ -711,6 +719,10 @@ def _assert_same_enumeration(got, ref):
             assert list(a.plays[player]) == list(b.plays[player])
             for part in b.plays[player]:
                 assert a.plays[player][part].tobytes() == b.plays[player][part].tobytes()
+
+
+def _assert_same_enumeration(got, ref):
+    _assert_same_profiles(got, ref)
     assert len(got.continua) == len(ref.continua)
     for a, b in zip(got.continua, ref.continua):
         assert a.base.tobytes() == b.base.tobytes()
@@ -760,8 +772,69 @@ def test_support_enumeration_matches_reference_on_matching_pennies():
             (PartitionDistribution.degenerate(fin), col_mix),
         ):
             got = _binary_support_enumeration(env, lams, config)
-            assert got.continua  # the mixture families the search refines
+            # the mixture families the search refines; the row mix at
+            # w = 0.25 has one family only without the range test, and
+            # none of its points verifies
+            pruned_away = w == 0.25 and lams[0] is row_mix
+            assert bool(got.continua) != pruned_away
+            if pruned_away:
+                (family,) = _loop_support_enumeration(env, lams, config, prune=False).continua
+                assert not _verified_points(env, lams, family)
             _assert_same_enumeration(got, _loop_support_enumeration(env, lams, config))
+
+
+def _verified_points(env, lams, family):
+    """The points of a 201-point sweep of [t_lo, t_hi] that verify; `build`
+    clips the strategies into [0, 1] as the search does."""
+    ts = np.linspace(family.t_lo, family.t_hi, 201)
+    return [t for t in ts if dist_abee_verify(env, lams, family.build(t))[0]]
+
+
+def _family_key(family):
+    return family.base.tobytes(), family.direction.tobytes(), family.t_lo, family.t_hi
+
+
+def test_range_test_drops_no_family_that_verifies(rng):
+    """Against the reference without the range test: the profiles are the
+    same bit for bit, and a family that the range test drops has no point
+    that verifies.  The first case is why pinned slots get no range test:
+    the column's unknown x[4] must be 2 for the row's pin at q = 1 on the
+    class (0, 1), where q ranges over [0, 0.5] in the box, so the family
+    verifies only with x[4] clipped to 1, and it is kept."""
+    from cabee.partitions import partition_list
+
+    part = Partition.from_classes(3, [(0, 1), (2,)])
+    clipped_env = make_environment(
+        (0.25, 0.25, 0.5),
+        [[[0, 1, 0], [0, 1, 0]], [[0, -1, -1], [1, 1, -1]]],
+        [[[0, 1, -1], [-1, 0, 0]], [[0, 0, -1], [0, 1, -1]]],
+    )
+    cases = [(clipped_env, degenerate_pair(part, part))]
+    for case in range(200):
+        n_games = int(rng.integers(1, 4))
+        prior = rng.dirichlet(np.ones(n_games)) if case % 2 else np.full(n_games, 1 / n_games)
+        env = make_environment(prior, _game_kinds(rng, n_games), _game_kinds(rng, n_games))
+        parts = list(partition_list(n_games, n_games))
+        if n_games == 1:
+            cases.append((env, degenerate_pair(parts[0], parts[0])))
+        else:
+            cases.append((env, (_random_support(rng, parts), _random_support(rng, parts))))
+    dropped = 0
+    for case, (env, lams) in enumerate(cases):
+        config = SolveConfig()
+        got = _binary_support_enumeration(env, lams, config)
+        ref = _loop_support_enumeration(env, lams, config, prune=False)
+        _assert_same_profiles(got, ref)
+        kept = {_family_key(family) for family in got.continua}
+        assert kept <= {_family_key(family) for family in ref.continua}
+        for family in ref.continua:
+            if _family_key(family) not in kept:
+                dropped += 1
+                assert not _verified_points(env, lams, family), case
+        if case == 0:
+            (clipped,) = [family for family in got.continua if family.base[4] == 2.0]
+            assert _verified_points(env, lams, clipped)
+    assert dropped
 
 
 def test_support_enumeration_regime_budget(mp_env):

@@ -596,6 +596,32 @@ def test_beauty_sweep_default_class_count_validated():
         validate_scenario({"version": 1, "kind": "beauty", "solver": "cabee", "params": params})
 
 
+def test_beauty_sweep_fractional_class_count_names_k():
+    """Without class_counts the sweep's one class count is K, an integer in
+    [1, n]; the message names K, the field the scenario sets."""
+    params = {"n": 8, "K": 2.5, "self_consistent_sweep": True}
+    with pytest.raises(ScenarioError, match="^params\\.K: "):
+        validate_scenario({"version": 1, "kind": "beauty", "solver": "cabee", "params": params})
+    assert validate_scenario({"version": 1, "kind": "beauty", "solver": "cabee", "params": {**params, "K": 2}})
+
+
+@pytest.mark.parametrize(
+    "kind, solver, params, key, number",
+    [
+        ("beauty", "cabee", {"n": True, "K": 1, "self_consistent_sweep": True}, "n", 8),
+        ("linear", "cabee", {"K": True}, "K", 2),
+        ("matching-pennies", "cdabee", {"a": True, "b": 1.5, "c": 1.8}, "a", 0.5),
+    ],
+)
+def test_boolean_spec_numbers_refused(kind, solver, params, key, number):
+    """A JSON boolean is a number to Python, so a spec number given as true
+    would run as 1; only the flags take true or false."""
+    doc = {"version": 1, "kind": kind, "solver": solver, "params": params}
+    with pytest.raises(ScenarioError, match=f"^params\\.{key}: "):
+        validate_scenario(doc)
+    assert validate_scenario({**doc, "params": {**params, key: number}})
+
+
 @pytest.mark.parametrize(
     "grid",
     [[1.5], ["x"], 0.3, [float("nan")], [float("inf")], [], [0], [1], [True], [0.5, None], [0.95, 0.05], [0.5, 0.5]],

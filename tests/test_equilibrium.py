@@ -927,7 +927,11 @@ def test_layer_one_cover_bounds_the_best_reply_stretch_of_a_family():
     j = [[[0, 1], [-1, 1]], [[-1, 1], [0, 1]]]
     env = make_environment((0.434, 0.566), i, j)
     lams = degenerate_pair(Partition.coarsest(2), Partition.coarsest(2))
-    family = dist_abee_solve_detailed(env, lams).continua[1]
+    (family,) = [
+        c
+        for c in dist_abee_solve_detailed(env, lams).continua
+        if np.array_equal(c.base, [1, 0, 0, 0.5]) and np.array_equal(c.direction, [0, 0, 0, 1])
+    ]
     lo, hi = family.t_lo + 1e-12, family.t_hi - 1e-12
     for t in (lo, (lo + hi) / 2, hi):
         assert not cd_abee_verify(env, EquilibriumCandidate(lams, family.build(t), GLOBAL, L2), (1, 1))
