@@ -6,8 +6,9 @@ echo it, carry the solver output in a re-verifiable form, and are written
 atomically.  `verify` re-runs the equilibrium checks on a stored result;
 `list-scenarios` prints the bundled catalog.  `RUNNERS` maps each
 supported (kind, solver) pair to the one function that runs it; validation
-rejects every other pair.  A scenario is parsed once, by `_parse` and the
-kind's reader in `READERS`, and a runner reads only that parse.  A `cdabee`
+rejects every other pair.  A scenario is parsed once, by `_parse`: each
+`params` value and output name through the pair's rows in `PARAMS`, then the
+kind's reader in `READERS`; a runner reads only that parse.  A `cdabee`
 search stops on a count of solves (`max_evaluations`), never on the clock.
 Exit codes: 0 success, 2 validation error, 3 search budget exhausted
 without a result.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -28,6 +28,7 @@ from importlib import resources
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .abee import PartitionDistribution, StrategyProfile, abee_solve
 from .clustering import (
     KL,
     L2,
-    Divergence,
     global_cluster,
     kmeans_lloyd,
     mean_divergence,
@@ -71,9 +71,7 @@ DIVERGENCES = {"l2": L2, "kl": KL, "mean": mean_divergence((0.0, 1.0))}
 # misspelled or retired field is reported rather than silently ignored
 FIELDS = ("version", "kind", "solver", "mode", "divergence", "params", "seed", "max_evaluations", "outputs",
           "description")
-# the params read by `_flag`; a JSON boolean is refused in any other, where
-# Python would read it as the number 0 or 1
-FLAGS = ("self_consistent_sweep", "equidistant", "windows")
+LEARNERS = ("learn1", "learn2")
 
 
 class ScenarioError(ValueError):
@@ -97,9 +95,11 @@ def validate_scenario(doc: dict) -> dict:
 
 
 def _parse(doc) -> SimpleNamespace:
-    """The one parse of a scenario: its fields, kind `spec`, finite game `env`
-    and `capacities` (None where the kind has none), and every parameter its
-    runner reads, checked; raises ScenarioError naming the field."""
+    """The one parse of a scenario: its fields, its `params` and `outputs`
+    through the (kind, solver) row of `PARAMS`, one attribute each, and what
+    the kind's reader in `READERS` builds from them: the kind `spec`, the
+    finite game `env` and its `capacities` (None where the kind has none);
+    raises ScenarioError naming the field."""
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
     for key in doc:
@@ -119,283 +119,290 @@ def _parse(doc) -> SimpleNamespace:
         raise ScenarioError(f"mode: expected local or global, got {mode!r}")
     if doc.get("divergence", "l2") not in DIVERGENCES:
         raise ScenarioError(f"divergence: expected one of {sorted(DIVERGENCES)}")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ScenarioError("params: must be an object")
-    kmeans = solver == "cluster" and params.get("algorithm") == "kmeans"
-    if "seed" not in doc and (solver in ("learn1", "learn2") or kmeans):
-        raise ScenarioError("seed: required whenever the solver draws randomness")
-    if "max_evaluations" in doc:
-        value = doc["max_evaluations"]
-        if type(value) is not int or value <= 0:
-            raise ScenarioError(f"max_evaluations: expected a positive integer, got {value!r}")
-    if "seed" in doc and (type(doc["seed"]) is not int or doc["seed"] < 0):
+    if "max_evaluations" in doc and not integer(1).accepts(doc["max_evaluations"]):
+        raise ScenarioError(f"max_evaluations: expected a positive integer, got {doc['max_evaluations']!r}")
+    if "seed" in doc and not integer(0).accepts(doc["seed"]):
         raise ScenarioError("seed: expected a non-negative integer")
-    run = SimpleNamespace(doc=doc, kind=kind, solver=solver, mode=mode, d=DIVERGENCES[doc.get("divergence", "l2")],
-                          seed=doc.get("seed", 0), params=params, spec=None, env=None, capacities=None)
+    run = SimpleNamespace(kind=kind, solver=solver, mode=mode, d=DIVERGENCES[doc.get("divergence", "l2")],
+                          seed=doc.get("seed", 0), max_evaluations=doc.get("max_evaluations"), spec=None, env=None,
+                          capacities=None)
+    rows, outputs = PARAMS[kind, solver]
+    vars(run).update(_fields("params", doc.get("params", {}), rows, f"{kind} {solver}"))
+    run.outputs = _fields("outputs", doc.get("outputs", {}), outputs, f"{kind} {solver}")
+    if solver in LEARNERS and (run.outputs["actions_csv"] is None) != (run.outputs["shares_csv"] is None):
+        raise ScenarioError("outputs: a learning run writes actions_csv and shares_csv together, or neither")
+    if "seed" not in doc and (solver in LEARNERS or getattr(run, "algorithm", None) == "kmeans"):
+        raise ScenarioError("seed: required whenever the solver draws randomness")
     try:
-        if solver in ("learn1", "learn2"):
-            run.steps, run.n_subjects, run.epsilon, run.tie_break = _learning_params(params)
         READERS[kind](run)
         if solver == "abee" and run.env is not None:
             run.partitions = _abee_partitions(run)
     except ScenarioError:
         raise
-    except KeyError as exc:
-        raise ScenarioError(f"params.{exc.args[0]}: missing") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # the specs' own range checks
         raise ScenarioError(f"params: {exc}") from exc
-    for key, value in params.items():
-        if type(value) is bool and key not in FLAGS:
-            raise ScenarioError(f"params.{key}: only {', '.join(FLAGS)} take true or false, got {value!r}")
     return run
 
 
-def _integer(params: dict, name: str, default, least: int):
-    """`params[name]`, an integer (not a bool) of at least `least`, or `default` when left out."""
-    value = params.get(name, default)
-    if name in params and (type(value) is not int or value < least):
-        raise ScenarioError(f"params.{name}: expected an integer of at least {least}, got {value!r}")
-    return value
+def _fields(field: str, given, rows, pair: str) -> dict:
+    """The value of each row in `given`, the scenario's `field` object, or
+    the row's default; a row is (name, parser) when its value is required,
+    else (name, parser, default), and a key outside the rows is refused."""
+    if not isinstance(given, dict):
+        raise ScenarioError(f"{field}: must be an object")
+    names = [row[0] for row in rows]
+    for key in given:
+        if key not in names:
+            raise ScenarioError(f"{field}.{key}: {pair} takes no such key (it takes {', '.join(names) or 'none'})")
+    for name, parser, *default in rows:
+        if name in given and not parser.accepts(given[name]):
+            raise ScenarioError(f"{field}.{name}: expected {parser.what}, got {given[name]!r}")
+        if name not in given and not default:
+            raise ScenarioError(f"{field}.{name}: missing (expected {parser.what})")
+    return {name: given.get(name, *default) for name, _, *default in rows}
 
 
-def _flag(params: dict, name: str, default: bool = False) -> bool:
-    """`params[name]`, a JSON boolean, or `default` when left out."""
-    value = params.get(name, default)
-    if type(value) is not bool:
-        raise ScenarioError(f"params.{name}: expected true or false, got {value!r}")
-    return value
+class Parser(NamedTuple):
+    """A typed reader of one JSON value: `accepts` tells whether a value is
+    `what`, and `_fields` refuses any other with "expected <what>"."""
+
+    what: str
+    accepts: Callable[[object], bool]
+
+
+def real(where: str = "", holds=lambda x: True) -> Parser:
+    """A finite number, never a JSON boolean, for which `holds` is true (`where`
+    says when); NaN, the infinities and integers past the largest float fail."""
+    return Parser(f"a finite number{where}",
+                  lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max and holds(v))
+
+
+def integer(least: int) -> Parser:
+    """An integer, never a JSON boolean, of at least `least`."""
+    return Parser(f"an integer of at least {least}", lambda v: type(v) is int and v >= least)
+
+
+def choice(*values: str) -> Parser:
+    """One of a few fixed strings."""
+    return Parser(f"one of {', '.join(values)}", lambda v: v in values)
+
+
+def list_of(item: Parser, distinct: bool = False, increasing: bool = False) -> Parser:
+    """A non-empty list of values that `item` accepts, optionally distinct or strictly increasing."""
+    order = " strictly increasing" if increasing else " distinct" if distinct else ""
+    return Parser(
+        f"a non-empty list of{order} values, each {item.what}",
+        lambda v: isinstance(v, list) and bool(v) and all(map(item.accepts, v))
+        and not (distinct and len(set(v)) < len(v)) and not (increasing and any(a >= b for a, b in zip(v, v[1:]))),
+    )
+
+
+BOOLEAN = Parser("true or false", lambda v: type(v) is bool)
+ANY = Parser("a JSON value", lambda v: True)  # checked as a whole by the kind's reader
+FILE_NAME = Parser("a bare file name", lambda v: type(v) is str and v not in ("", "..") and Path(v).name == v)
+REAL = real()
+CLASSES = list_of(list_of(integer(0)))  # a partition, as lists of game indices
+
+# rows that every solver of a kind reads
+STAKES = (("a", REAL, 0.5), ("b", REAL, 1.0), ("c", REAL, 1.5))
+MONITORING = tuple((name, REAL) for name in ("p_a", "p_b", "p_c", "nu_star", "mu_star"))
+BEAUTY = (("r", REAL, 0.5), ("n", integer(1), 60), ("K", integer(1), 2))
+LINEAR = (
+    ("A", REAL, 1.0), ("B", REAL, 1.0), ("C", REAL, 0.8),
+    ("regime", choice(linear.COMPLEMENTS, linear.SUBSTITUTES), linear.COMPLEMENTS),
+    ("density", choice("uniform", "linear-increasing"), "uniform"), ("K", integer(1), 4),
+    ("endpoints", list_of(REAL), None),  # default: equal-width classes, or cabee's equidistant partition
+)
+GAME = (("games", list_of(ANY)), ("prior", list_of(REAL)), ("actions", ANY), ("payoffs", ANY))
+# both learning models take a step count; model 1 draws subjects and breaks ties
+# (default: at the incumbent without noise, else uniformly)
+MODEL2 = (("steps", integer(1), 20),)
+MODEL1 = MODEL2 + (("n_subjects", integer(1), 1000), ("epsilon", real(" of at least 0", lambda x: x >= 0), 0.0),
+                   ("tie_break", choice(*TIE_BREAKS), None))
+ABEE_PARTITIONS = (("partitions", list_of(CLASSES)),)
+TRAJECTORY = (("actions_csv", FILE_NAME, None), ("shares_csv", FILE_NAME, None))
+
+# Every supported (kind, solver) pair's `params` rows and `outputs` rows;
+# validation refuses any other key of either.  Linear abee always reads
+# endpoints, so it takes `equidistant: false` alone.
+PARAMS = {
+    ("custom-env", "abee"): (GAME + ABEE_PARTITIONS, ()),
+    ("custom-env", "cdabee"): (GAME + (("capacities", list_of(integer(1)), None),), ()),  # default: a class per game
+    ("custom-env", "cluster"): ((("data", list_of(list_of(REAL))), ("K", integer(1)), ("prior", list_of(REAL), None),
+                                 ("algorithm", choice("global", "kmeans"), "global")), ()),
+    ("matching-pennies", "abee"): (STAKES + ABEE_PARTITIONS, ()),
+    ("matching-pennies", "cabee"): (STAKES + (("sweep_step", real(" above 0", lambda x: x > 0), None),), ()),
+    ("matching-pennies", "cdabee"): (STAKES, ()),
+    ("matching-pennies", "learn1"): (STAKES + MODEL1, TRAJECTORY),
+    ("matching-pennies", "learn2"): (STAKES + MODEL2, TRAJECTORY),
+    ("monitoring", "cdabee"): (MONITORING + (("nu_sweep", integer(0), 0),), ()),
+    ("monitoring", "learn1"): (MONITORING + MODEL1, TRAJECTORY),
+    ("monitoring", "learn2"): (MONITORING + MODEL2, TRAJECTORY),
+    ("beauty", "abee"): (BEAUTY + (
+        ("partition", Parser(f'"equal-split" or {CLASSES.what}', lambda v: v == "equal-split" or CLASSES.accepts(v)),
+         "equal-split"),
+        ("n_actions", integer(1), None),  # default: n
+    ), ()),
+    ("beauty", "cabee"): (BEAUTY + (
+        ("partition", CLASSES, None),
+        # increasing, since the monotonicity verdict reads the grid in order
+        ("r_grid", list_of(real(" in (0, 1)", lambda x: 0 < x < 1), increasing=True), None),
+        ("self_consistent_sweep", BOOLEAN, False),
+        ("class_counts", list_of(integer(1), distinct=True), None),
+    ), ()),
+    ("linear", "abee"): (
+        LINEAR + (("equidistant", Parser("false", lambda v: v is False), False), ("points_per_class", integer(1), 50)),
+        (("csv", FILE_NAME, None), ("svg", FILE_NAME, None)),
+    ),
+    ("linear", "cabee"): (LINEAR + (("equidistant", BOOLEAN, True), ("windows", BOOLEAN, False)), ()),
+}
+
+
+def _unread(run, names, flag: str) -> None:
+    """Refuse each parameter of `names` that the scenario sets although the run does not read it under `flag`."""
+    for name in names:
+        if getattr(run, name) is not None:
+            raise ScenarioError(f"params.{name}: not read when {flag} is {str(getattr(run, flag)).lower()}")
 
 
 def _read_custom_env(run) -> None:
-    """A custom environment and its class capacities (default: one class per
-    game), or a `cluster` run's inputs."""
-    params = run.params
+    """A custom game and, for cdabee, its class capacities (default: one
+    class per game), or a `cluster` run's data and prior."""
     if run.solver == "cluster":
-        run.data, run.prior, run.K, run.algorithm = _cluster_inputs(params, run.d)
+        run.data, run.prior = _cluster_inputs(run)
         return
-    for field in ("games", "prior", "actions", "payoffs"):
-        if field not in params:
-            raise ScenarioError(f"params.{field}: missing")
     try:
         env = make_environment(
-            params["prior"],
-            np.asarray(params["payoffs"]["i"], dtype=float),
-            np.asarray(params["payoffs"]["j"], dtype=float),
-            game_labels=[str(g) for g in params["games"]],
-            action_labels=(params["actions"]["i"], params["actions"]["j"]),
+            run.prior,
+            np.asarray(run.payoffs["i"], dtype=float),
+            np.asarray(run.payoffs["j"], dtype=float),
+            game_labels=[str(g) for g in run.games],
+            action_labels=(run.actions["i"], run.actions["j"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"params.payoffs: malformed ({exc})") from exc
     violations = validate_environment(env)
     if violations:
         raise ScenarioError("params: " + "; ".join(violations))
-    caps = params.get("capacities", [env.n_games, env.n_games])
-    if not (
-        isinstance(caps, (list, tuple))
-        and len(caps) == 2
-        and all(type(c) is int and 1 <= c <= env.n_games for c in caps)
-    ):
-        raise ScenarioError(
-            f"params.capacities: expected two integers in [1, {env.n_games}], got {caps!r}"
-        )
-    run.env, run.capacities = env, tuple(caps)
+    run.env = env
+    if run.solver == "cdabee":
+        caps = run.capacities or [env.n_games, env.n_games]
+        if len(caps) != 2 or max(caps) > env.n_games:
+            raise ScenarioError(f"params.capacities: expected two integers in [1, {env.n_games}], got {caps!r}")
+        run.capacities = tuple(caps)
 
 
 def _read_pennies(run) -> None:
     """The stakes `a`, `b`, `c`, and the stakes the refutation checks (default: these)."""
-    params = run.params
-    run.spec = matching_pennies.MatchingPenniesSpec(params.get("a", 0.5), params.get("b", 1.0), params.get("c", 1.5))
+    run.spec = matching_pennies.MatchingPenniesSpec(run.a, run.b, run.c)
     run.env, run.capacities = matching_pennies.build_matching_pennies(run.spec), (2, 3)
     if run.solver == "cabee":
-        run.stakes = _stake_triples(params) or [run.spec]
+        run.stakes = [run.spec] if run.sweep_step is None else _stake_triples(run.sweep_step)
 
 
 def _read_monitoring(run) -> None:
-    """The monitoring game, and the search's `nu_sweep` point count (0 sweeps nothing)."""
-    params = run.params
-    run.spec = monitoring.MonitoringSpec(
-        params["p_a"], params["p_b"], params["p_c"], params["nu_star"], params["mu_star"]
-    )
+    """The monitoring game."""
+    run.spec = monitoring.MonitoringSpec(run.p_a, run.p_b, run.p_c, run.nu_star, run.mu_star)
     run.env, run.capacities = monitoring.build_monitoring(run.spec), (2, 3)
-    if run.solver == "cdabee":
-        run.nu_sweep = _integer(params, "nu_sweep", 0, 0)
 
 
 def _read_beauty(run) -> None:
-    """The beauty contest; the sweep's class counts, or the partition with
-    abee's `n_actions` grid (default n) or cabee's `r_grid`."""
-    params = run.params
-    run.spec = spec = beauty.uniform_spec(params.get("r", 0.5), params.get("n", 60), params.get("K", 2))
-    run.sweep = run.solver == "cabee" and _flag(params, "self_consistent_sweep")
-    if run.sweep:
-        run.class_counts = _class_counts(params, spec)
-        return
+    """The beauty contest; the sweep's class counts, or the partition (and
+    abee's `n_actions` grid, at least K points)."""
+    run.spec = spec = beauty.uniform_spec(run.r, run.n, run.K)
+    if run.solver == "cabee":
+        sweep = run.self_consistent_sweep
+        _unread(run, ("partition", "r_grid") if sweep else ("class_counts",), "self_consistent_sweep")
+        if sweep:
+            run.class_counts = _class_counts(run)
+            return
     run.partition = _beauty_partition(run)
-    if run.solver == "abee":
-        run.n_actions = _integer(params, "n_actions", None, spec.K)
-    else:
-        run.r_grid = _r_grid(params)
+    if run.solver == "abee" and run.n_actions is not None and run.n_actions < spec.K:
+        raise ScenarioError(f"params.n_actions: expected an integer of at least K = {spec.K}, got {run.n_actions!r}")
 
 
 def _read_linear(run) -> None:
     """The linear family and its class endpoints (None for cabee's
-    `equidistant` partition, its default); abee's `points_per_class`, cabee's
-    `windows`."""
-    params = run.params
-    density = params.get("density")
-    if density not in (None, "uniform", "linear-increasing"):
-        raise ScenarioError(f"params.density: unknown value {density!r}")
+    equidistant partition, its default); cabee draws windows only under
+    complements."""
     run.spec = spec = linear.LinearFamilySpec(
-        params.get("A", 1.0), params.get("B", 1.0), params.get("C", 0.8), params.get("regime", "complements"),
-        (lambda m: 2.0 * m) if density == "linear-increasing" else None, params.get("K", 4),
+        run.A, run.B, run.C, run.regime, (lambda m: 2.0 * m) if run.density == "linear-increasing" else None, run.K
     )
-    equidistant = run.solver == "cabee" and _flag(params, "equidistant", True)
-    run.endpoints = None if equidistant else _endpoints(params, spec)
-    if run.solver == "abee":
-        run.points_per_class = _integer(params, "points_per_class", 50, 1)
+    if run.equidistant:
+        _unread(run, ("endpoints",), "equidistant")
+    elif run.endpoints is None:
+        run.endpoints = linear.equal_split_endpoints(spec)
     else:
-        run.windows = _flag(params, "windows") and spec.regime == linear.COMPLEMENTS
+        try:
+            run.endpoints = linear.checked_endpoints(spec, run.endpoints)
+        except ValueError as exc:
+            raise ScenarioError(f"params.endpoints: {exc}") from exc
+    if run.solver == "cabee":
+        run.windows = run.windows and spec.regime == linear.COMPLEMENTS
 
 
 def _abee_partitions(run) -> tuple[Partition, ...]:
     """`params.partitions` of an `abee` run on a finite game: one per player,
     or for matching pennies the row player's alone (the column's is finest)."""
     n_games, pennies = run.env.n_games, run.kind == "matching-pennies"
-    classes = run.params.get("partitions")
     count = 1 if pennies else 2
     try:
-        if not isinstance(classes, list) or len(classes) != count:
-            raise ValueError(f"expected a list of length {count}, got {classes!r}")
-        parts = tuple(_partition_from_json(n_games, c) for c in classes)
-    except (IndexError, TypeError, ValueError) as exc:
+        if len(run.partitions) != count:
+            raise ValueError(f"expected a list of length {count}, got {run.partitions!r}")
+        parts = tuple(_partition_from_json(n_games, c) for c in run.partitions)
+    except ValueError as exc:
         raise ScenarioError(f"params.partitions: {exc}") from exc
     return parts + (Partition.finest(n_games),) if pennies else parts
 
 
-def _cluster_inputs(params: dict, d: Divergence) -> tuple[np.ndarray, np.ndarray, int, str]:
-    """The data, prior, class count and algorithm of a `cluster` run:
-    `params.data` one distribution per point (over the mean divergence's
-    two actions under it, and at most `DEFAULT_ENUMERATION_CAP` points for
-    the global algorithm), `params.prior` positive and summing to 1
-    (default uniform), `params.K` a positive integer."""
-    if "data" not in params:
-        raise ScenarioError("params.data: missing")
+def _cluster_inputs(run) -> tuple[np.ndarray, np.ndarray]:
+    """The data and prior of a `cluster` run: one distribution per point
+    (over the mean divergence's two actions under it, and at most
+    `DEFAULT_ENUMERATION_CAP` points for the global algorithm), and one
+    positive weight per point summing to 1 (default uniform)."""
     try:
-        data = np.asarray(params["data"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"params.data: expected a 2-D array of distributions ({exc})") from exc
-    if not (
-        data.ndim == 2 and data.size and np.all(data >= 0)
-        and np.all(np.abs(data.sum(axis=1) - 1.0) <= PROB_TOL)
-    ):
-        raise ScenarioError("params.data: expected a 2-D array of distributions, one row per point")
-    if d.action_values is not None and data.shape[1] != len(d.action_values):
-        raise ScenarioError(f"params.data: the mean divergence takes {len(d.action_values)} actions")
-    algorithm = params.get("algorithm", "global")
-    if algorithm not in ("global", "kmeans"):
-        raise ScenarioError(f"params.algorithm: expected global or kmeans, got {algorithm!r}")
-    if algorithm == "global" and len(data) > DEFAULT_ENUMERATION_CAP:
+        data = np.asarray(run.data, dtype=float)
+    except ValueError as exc:
+        raise ScenarioError(f"params.data: expected one row per point, all of one length ({exc})") from exc
+    if not (np.all(data >= 0) and np.all(np.abs(data.sum(axis=1) - 1.0) <= PROB_TOL)):
+        raise ScenarioError("params.data: expected a distribution per point")
+    if run.d.action_values is not None and data.shape[1] != len(run.d.action_values):
+        raise ScenarioError(f"params.data: the mean divergence takes {len(run.d.action_values)} actions")
+    if run.algorithm == "global" and len(data) > DEFAULT_ENUMERATION_CAP:
         raise ScenarioError(
             f"params.data: {len(data)} points exceed the global algorithm's cap of {DEFAULT_ENUMERATION_CAP}"
         )
-    k = params.get("K")
-    if type(k) is not int or k < 1:
-        raise ScenarioError(f"params.K: expected a positive integer, got {k!r}")
-    prior = params.get("prior", [1.0 / len(data)] * len(data))
-    try:
-        prior = np.asarray(prior, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"params.prior: expected one positive weight per point ({exc})") from exc
+    prior = np.full(len(data), 1.0 / len(data)) if run.prior is None else np.asarray(run.prior, dtype=float)
     if prior.shape != (len(data),) or not (np.all(prior > 0) and abs(prior.sum() - 1.0) <= PROB_TOL):
         raise ScenarioError("params.prior: expected one positive weight per point, summing to 1")
-    return data, prior, k, algorithm
+    return data, prior
 
 
 def _beauty_partition(run) -> Partition:
-    """The partition of a beauty run, `params.partition`: a list of classes,
-    or under `abee` "equal-split" (its default), K equal contiguous classes."""
-    abee = run.solver == "abee"
-    classes = run.params.get("partition", "equal-split" if abee else None)
+    """The partition of a beauty run, `params.partition`: class lists, or
+    under `abee` "equal-split" (its default), K equal contiguous classes."""
     try:
-        if abee and classes == "equal-split":
-            return beauty.equal_split_partition(run.spec.n, run.spec.K)
-        if not isinstance(classes, list):
-            raise ValueError(f"expected a list of classes, got {classes!r}")
-        return _partition_from_json(run.spec.n, classes)
-    except (IndexError, TypeError, ValueError) as exc:
+        if run.partition == "equal-split":
+            return beauty.equal_split_partition(run.n, run.K)
+        if run.partition is None:
+            raise ValueError("missing: cabee checks a list of classes unless self_consistent_sweep is true")
+        return _partition_from_json(run.n, run.partition)
+    except ValueError as exc:
         raise ScenarioError(f"params.partition: {exc}") from exc
 
 
-def _class_counts(params: dict, spec) -> list[int]:
+def _class_counts(run) -> list[int]:
     """The class counts of a beauty self-consistency sweep,
-    `params.class_counts` (default: K alone), distinct and each in [1, n]."""
-    if "class_counts" not in params and not (type(spec.K) is int and 1 <= spec.K <= spec.n):
-        raise ScenarioError(f"params.K: the sweep needs an integer class count in [1, {spec.n}], got {spec.K!r}")
-    counts = params.get("class_counts", [spec.K])
-    if not (
-        isinstance(counts, list) and counts and all(type(k) is int and 1 <= k <= spec.n for k in counts)
-        and len(set(counts)) == len(counts)
-    ):
-        raise ScenarioError(
-            f"params.class_counts: expected a non-empty list of distinct integers in [1, {spec.n}], got {counts!r}"
-        )
+    `params.class_counts` (default: K alone), each at most n."""
+    name, counts = ("K", [run.K]) if run.class_counts is None else ("class_counts", run.class_counts)
+    if max(counts) > run.n:
+        raise ScenarioError(f"params.{name}: expected class counts of at most n = {run.n}, got {getattr(run, name)!r}")
     return counts
 
 
-def _r_grid(params: dict) -> list[float] | None:
-    """The coordination weights of a beauty r sweep, `params.r_grid`,
-    strictly increasing (the monotonicity verdict reads them in order)
-    finite numbers in (0, 1), or None without a sweep."""
-    if "r_grid" not in params:
-        return None
-    grid = params["r_grid"]
-    if not (
-        isinstance(grid, list) and grid and all(type(r) in (int, float) and 0 < r < 1 for r in grid)
-        and all(a < b for a, b in zip(grid, grid[1:]))
-    ):
-        raise ScenarioError(f"params.r_grid: expected an increasing non-empty list of numbers in (0, 1), got {grid!r}")
-    return grid
-
-
-def _endpoints(params: dict, spec) -> list[float]:
-    """The class endpoints a linear scenario sets (`params.endpoints`,
-    strictly increasing and spanning the regime's interval), else
-    equal-width classes."""
-    endpoints = params.get("endpoints")
-    if endpoints is None:
-        return linear.equal_split_endpoints(spec)
-    try:
-        return linear.checked_endpoints(spec, endpoints)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"params.endpoints: {exc}") from exc
-
-
-def _learning_params(params: dict) -> tuple[int, int, float, str]:
-    """A learning scenario's steps, n_subjects, epsilon and tie_break (the
-    last three read by model 1 alone), checked; raises ScenarioError."""
-    steps, n_subjects = params.get("steps", 20), params.get("n_subjects", 1000)
-    epsilon = params.get("epsilon", 0.0)
-    tie_break = params.get("tie_break", "incumbent" if epsilon == 0 else "uniform")
-    for key, value in (("steps", steps), ("n_subjects", n_subjects)):
-        if type(value) is not int or value < 1:
-            raise ScenarioError(f"params: {key} must be a positive integer, got {value!r}")
-    if type(epsilon) not in (int, float) or not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ScenarioError(f"params: epsilon must be finite and at least 0, got epsilon={epsilon!r}")
-    if tie_break not in TIE_BREAKS:
-        raise ScenarioError(f"params: tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
-    return steps, n_subjects, epsilon, tie_break
-
-
-def _stake_triples(params: dict) -> list[matching_pennies.MatchingPenniesSpec] | None:
-    """Every stake triple on the grid step, 2*step, ... below 2 of
-    params.sweep_step, or None without a sweep; raises ScenarioError unless
-    the grid holds a triple."""
-    if "sweep_step" not in params:
-        return None
-    step = params["sweep_step"]
-    if type(step) not in (int, float) or not (math.isfinite(step) and step > 0):
-        raise ScenarioError(f"params.sweep_step: expected a positive number, got {step!r}")
+def _stake_triples(step: float) -> list[matching_pennies.MatchingPenniesSpec]:
+    """Every stake triple on the grid step, 2*step, ... below 2; raises
+    ScenarioError unless the grid holds one."""
     vals = [round(step * k, 10) for k in range(1, int(2 / step) + 1) if step * k < 2]
     if len(vals) < 3:
         raise ScenarioError(f"params.sweep_step: {step!r} leaves no stake triple 0 < a < b < c < 2 on its grid")
@@ -540,7 +547,7 @@ def _verdict(all_ok: bool) -> dict:
 def _search(run):
     """`cd_abee_search` on a scenario's finite game, with its capacities and
     mode, and its `max_evaluations` when it sets one."""
-    cfg = SearchConfig(max_evaluations=run.doc["max_evaluations"]) if "max_evaluations" in run.doc else SearchConfig()
+    cfg = SearchConfig() if run.max_evaluations is None else SearchConfig(max_evaluations=run.max_evaluations)
     return cd_abee_search(run.env, run.capacities, run.mode, run.d, cfg)
 
 
@@ -591,7 +598,7 @@ def _run_pennies_cdabee(run, out_dir):
         "lambda": list(cand.lams[0].weights),
     }
     exhausted = False
-    if "max_evaluations" in run.doc:
+    if run.max_evaluations is not None:
         found = _search(run)
         target = np.sort(np.asarray(results["column_mix"]))
         results["search_recovered"] = any(
@@ -637,7 +644,7 @@ def _run_beauty_abee(run, out_dir):
 
 def _run_beauty_cabee(run, out_dir):
     spec = run.spec
-    if run.sweep:
+    if run.self_consistent_sweep:
         found = {}
         for k in run.class_counts:
             partitions = beauty.self_consistent_contiguous(beauty.uniform_spec(spec.r, spec.n, k), k)
@@ -659,17 +666,15 @@ def _run_linear_abee(run, out_dir):
     lines = linear.linear_abee(spec, endpoints)
     results: dict = {"classes": [asdict(ln) for ln in lines]}  # lo, hi, mean, beta, slope
     rows = linear.figure_curves(spec, endpoints, run.points_per_class)
-    csv_name = run.doc.get("outputs", {}).get("csv")
-    if csv_name:
-        write_csv(out_dir / csv_name, ["mu", "nash_action", "abee_action", "class_index"], rows)
-        results["csv"] = csv_name
-    svg_name = run.doc.get("outputs", {}).get("svg")
-    if svg_name:
+    if run.outputs["csv"]:
+        write_csv(out_dir / run.outputs["csv"], ["mu", "nash_action", "abee_action", "class_index"], rows)
+        results["csv"] = run.outputs["csv"]
+    if run.outputs["svg"]:
         series = [("nash", [(r[0], r[1]) for r in rows])]
         for k in range(len(lines)):
             series.append((f"class-{k}", [(r[0], r[2]) for r in rows if r[3] == k]))
-        write_polyline_svg(out_dir / svg_name, series)
-        results["svg"] = svg_name
+        write_polyline_svg(out_dir / run.outputs["svg"], series)
+        results["svg"] = run.outputs["svg"]
     results["jumps"] = [
         {"mu": left.hi, "jump": (spec.A + left.hi * right.slope) - (spec.A + left.hi * left.slope)}
         for left, right in zip(lines, lines[1:])
@@ -703,7 +708,7 @@ def _model1(run, state):
     """Model 1's trajectory from `state`, and its drifts as results."""
     pert = PerturbationSpec(epsilon=run.epsilon, seed=run.seed)
     traj, report = model1_run(run.env, state, run.steps, run.capacities, run.d, pert, n_subjects=run.n_subjects,
-                              tie_break=run.tie_break)
+                              tie_break=run.tie_break or ("incumbent" if run.epsilon == 0 else "uniform"))
     return traj, {"aggregate_drift": report.aggregate_drift, "lambda_drift": report.lam_drift}
 
 
@@ -725,13 +730,9 @@ def _run_learning(start, dynamic, run, out_dir):
     traj, extra = dynamic(run, state)
     results["steps"] = len(traj) - 1
     results.update(extra)
-    outputs = run.doc.get("outputs", {})
-    if outputs.get("actions_csv") and outputs.get("shares_csv"):
-        write_trajectory_csv(
-            out_dir / outputs["actions_csv"], out_dir / outputs["shares_csv"], traj, run.env
-        )
-        results["actions_csv"] = outputs["actions_csv"]
-        results["shares_csv"] = outputs["shares_csv"]
+    if run.outputs["actions_csv"]:  # set together with shares_csv
+        write_trajectory_csv(out_dir / run.outputs["actions_csv"], out_dir / run.outputs["shares_csv"], traj, run.env)
+        results.update(run.outputs)
     return results, _verdict(True), False
 
 

@@ -185,9 +185,9 @@ def test_bad_learning_params_exit_validation(tmp_path, capsys):
     and exits 2 with a params message naming the value; learn2 checks its
     step count too."""
     for name, key, value, named in (
-        ("learn1_matching_pennies", "epsilon", float("nan"), "epsilon=nan"),
-        ("learn1_matching_pennies", "epsilon", float("inf"), "epsilon=inf"),
-        ("learn1_matching_pennies", "epsilon", -0.5, "epsilon=-0.5"),
+        ("learn1_matching_pennies", "epsilon", float("nan"), "got nan"),
+        ("learn1_matching_pennies", "epsilon", float("inf"), "got inf"),
+        ("learn1_matching_pennies", "epsilon", -0.5, "got -0.5"),
         ("learn1_matching_pennies", "n_subjects", 0, "got 0"),
         ("learn1_matching_pennies", "n_subjects", 2.5, "got 2.5"),
         ("learn1_matching_pennies", "steps", -2, "got -2"),
@@ -198,13 +198,13 @@ def test_bad_learning_params_exit_validation(tmp_path, capsys):
     ):
         doc = json.loads(json.dumps(bundled_scenarios()[name]))
         doc["params"].update({"steps": 2, key: value})
-        with pytest.raises(ScenarioError, match=f"^params: {key} "):
+        with pytest.raises(ScenarioError, match=f"^params\\.{key}: "):
             validate_scenario(doc)
         path = tmp_path / "bad_learn.json"
         path.write_text(json.dumps(doc))  # NaN and Infinity are JSON that json.load accepts
         assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "error: params:" in err and named in err, err
+        assert f"error: params.{key}: " in err and named in err, err
 
 
 @pytest.mark.parametrize("step", [-1, 0, 5, 1.5, 2 / 3, float("nan"), "0.2", True, None])
@@ -236,10 +236,21 @@ def test_refutation_reports_nothing_when_nothing_is_checked(tmp_path, monkeypatc
 
 
 def test_bundled_scenarios_set_only_fields_the_cli_reads():
+    from cabee.cli import PARAMS
+
     read = {"version", "kind", "solver", "mode", "divergence", "params", "seed", "max_evaluations", "outputs",
             "description"}
     for name, doc in bundled_scenarios().items():
         assert set(doc) <= read, (name, set(doc) - read)
+        rows, outputs = PARAMS[doc["kind"], doc["solver"]]
+        assert set(doc.get("params", {})) <= {row[0] for row in rows}, name
+        assert set(doc.get("outputs", {})) <= {row[0] for row in outputs}, name
+
+
+def test_params_table_is_keyed_like_the_runners():
+    from cabee.cli import PARAMS, RUNNERS
+
+    assert PARAMS.keys() == RUNNERS.keys()
 
 
 # wall-time bound of each bundled scenario, in seconds
@@ -430,29 +441,30 @@ SUPPORTED = {
     ("beauty", "abee"), ("beauty", "cabee"),
     ("linear", "abee"), ("linear", "cabee"),
 }
-# parameters under which every supported solver of the kind validates
-KIND_PARAMS = {
-    "custom-env": {
-        **_dominance_scenario([2, 2])["params"],
-        "partitions": [[[0, 1], [2]], [[0, 1, 2]]],
-        "data": [[0.0, 1.0], [0.1, 0.9], [1.0, 0.0]],
-        "K": 2,
-    },
-    "matching-pennies": {"partitions": [[[0, 1], [2]]]},
-    "monitoring": {"p_a": 0.4, "p_b": 0.4, "p_c": 0.2, "nu_star": 0.5, "mu_star": 0.3},
+_GAME = {key: value for key, value in _dominance_scenario([2, 2])["params"].items() if key != "capacities"}
+_MONITORING = {"p_a": 0.4, "p_b": 0.4, "p_c": 0.2, "nu_star": 0.5, "mu_star": 0.3}
+# parameters under which each supported pair validates
+PAIR_PARAMS = {
+    ("custom-env", "abee"): {**_GAME, "partitions": [[[0, 1], [2]], [[0, 1, 2]]]},
+    ("custom-env", "cdabee"): {**_GAME, "capacities": [2, 2]},
+    ("custom-env", "cluster"): {"data": [[0.0, 1.0], [0.1, 0.9], [1.0, 0.0]], "K": 2},
+    ("matching-pennies", "abee"): {"partitions": [[[0, 1], [2]]]},
+    **{("matching-pennies", solver): {} for solver in ("cabee", "cdabee", "learn1", "learn2")},
+    **{("monitoring", solver): _MONITORING for solver in ("cdabee", "learn1", "learn2")},
     # beauty's cabee check needs a partition (its abee run reads the same one)
-    "beauty": {"partition": [list(range(30)), list(range(30, 60))]},
-    "linear": {},
+    **{("beauty", solver): {"partition": [list(range(30)), list(range(30, 60))]} for solver in ("abee", "cabee")},
+    ("linear", "abee"): {},
+    ("linear", "cabee"): {},
 }
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
-@pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+@pytest.mark.parametrize("kind", sorted({kind for kind, _ in SUPPORTED}))
 def test_solver_validated_per_kind(kind, solver):
     """Each of the 15 supported (kind, solver) pairs validates; each of the
     other 15 is rejected at validation, by a message naming the kind's
     solvers."""
-    doc = {"version": 1, "kind": kind, "solver": solver, "seed": 3, "params": KIND_PARAMS[kind]}
+    doc = {"version": 1, "kind": kind, "solver": solver, "seed": 3, "params": PAIR_PARAMS.get((kind, solver), {})}
     if (kind, solver) in SUPPORTED:
         assert validate_scenario(doc) is doc
         return
@@ -482,7 +494,7 @@ def test_solver_validated_per_kind(kind, solver):
 def test_abee_partitions_validated(kind, partitions):
     """A missing or malformed `params.partitions` of an abee run is a
     validation error naming the field, not a failure at run time."""
-    params = {k: v for k, v in KIND_PARAMS[kind].items() if k != "partitions"}
+    params = {k: v for k, v in PAIR_PARAMS[kind, "abee"].items() if k != "partitions"}
     if partitions is not None:
         params["partitions"] = partitions
     doc = {"version": 1, "kind": kind, "solver": "abee", "params": params}
@@ -702,13 +714,19 @@ def test_custom_env_kmeans_cluster_run(tmp_path):
 
 
 def test_readme_lists_the_supported_pairs():
-    """The README's table of (kind, solver) pairs is the runner table."""
-    from cabee.cli import RUNNERS
+    """The README's table of (kind, solver) pairs is the runner table, and
+    each pair's parameters and output names are its rows in `PARAMS`."""
+    from cabee.cli import PARAMS, RUNNERS
 
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[lines.index("| kind | solver | runs |") + 2 :])
-    pairs = [tuple(cell.strip().strip("`") for cell in row.split("|")[1:3]) for row in rows]
+    start = lines.index("| kind | solver | parameters | runs |") + 2
+    rows = [row.split("|") for row in itertools.takewhile(lambda line: line.startswith("|"), lines[start:])]
+    pairs = [tuple(cell.strip().strip("`") for cell in row[1:3]) for row in rows]
     assert pairs == list(RUNNERS)
+    for pair, row in zip(pairs, rows):
+        params, outputs = PARAMS[pair]
+        listed = [name.strip().strip("`") for name in row[3].split(",")]
+        assert listed == [p[0] for p in params] + [f"outputs.{o[0]}" for o in outputs], pair
 
 
 @pytest.mark.parametrize(
@@ -787,15 +805,106 @@ class _Untouchable(Mapping):
 @pytest.mark.parametrize("name", sorted(BUDGET_S))
 def test_runners_read_only_the_parse(tmp_path, name):
     """Every bundled scenario runs to the same results when, after the one
-    parse, its raw params cannot be read: no runner re-parses them."""
+    parse, its raw params and outputs cannot be read: no runner re-parses
+    them."""
     from cabee.cli import RUNNERS, _parse, run_scenario
 
     expected, exhausted = run_scenario(json.loads(json.dumps(bundled_scenarios()[name])), tmp_path / "a")
     doc = json.loads(json.dumps(bundled_scenarios()[name]))
     run = _parse(doc)
-    run.params = doc["params"] = _Untouchable()
+    run.doc = run.params = doc["params"] = doc["outputs"] = _Untouchable()
     (tmp_path / "b").mkdir()
     results, verification, spent = RUNNERS[run.kind, run.solver](run, tmp_path / "b")
     assert (results, verification, spent) == (expected["results"], expected["verification"], exhausted)
     for written in (tmp_path / "a").iterdir():
         assert (tmp_path / "b" / written.name).read_bytes() == written.read_bytes(), written.name
+
+
+@pytest.mark.parametrize(
+    "name, outputs",
+    [
+        ("fig1a_linear", "x"),
+        ("fig1a_linear", [1]),
+        ("fig1a_linear", {"csv": 5}),
+        ("fig1a_linear", {"cvs": "a.csv"}),
+        ("fig1a_linear", {"csv": "sub/../../escape.csv"}),
+        ("fig1a_linear", {"csv": ".."}),
+        ("learn2_monitoring", {"actions_csv": "a.csv"}),
+        ("prop5_monitoring", {"csv": "a.csv"}),
+    ],
+)
+def test_outputs_validated(tmp_path, capsys, name, outputs):
+    """`outputs` is an object of the pair's output names, each a bare file
+    name; the learning runs take both names or neither.  Anything else is
+    refused at validation, and `cabee run` exits 2 without writing."""
+    doc = {**bundled_scenarios()[name], "outputs": outputs}
+    with pytest.raises(ScenarioError, match="^outputs"):
+        validate_scenario(doc)
+    path = tmp_path / "scenario" / "bad_outputs.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out" / "inner"
+    assert run_cli("run", "--scenario", str(path), "--out", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: outputs")
+    assert [p.name for p in tmp_path.rglob("*")] == ["scenario", "bad_outputs.json"]
+
+
+def _pair_doc(kind, solver, **params):
+    return {"version": 1, "kind": kind, "solver": solver, "seed": 1, "params": params}
+
+
+def _bundled_with(name, **params):
+    doc = json.loads(json.dumps(bundled_scenarios()[name]))
+    doc["params"].update(params)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, key, pair",
+    [
+        (_bundled_with("prop1_refutation", sweep_stp=0.2), "sweep_stp", "matching-pennies cabee"),
+        (_bundled_with("cluster_three_points", algoritm="kmeans"), "algoritm", "custom-env cluster"),
+        (_pair_doc("monitoring", "learn1", **_MONITORING, nu_sweep=3), "nu_sweep", "monitoring learn1"),
+        (_pair_doc("matching-pennies", "cdabee", partitions=[[[0, 1], [2]]]), "partitions", "matching-pennies cdabee"),
+        (_bundled_with("learn2_monitoring", n_subjects=10), "n_subjects", "monitoring learn2"),
+        (_bundled_with("fig1a_linear", windows=True), "windows", "linear abee"),
+        (_pair_doc("linear", "cabee", endpoints=[0.0, 0.5, 1.0]), "endpoints", None),
+        (_pair_doc("linear", "cabee", endpoints=[0.0, 0.5, 1.0], equidistant=True), "endpoints", None),
+        (_bundled_with("beauty_r0_equal_split", partition=HALVES), "partition", None),
+        (_bundled_with("beauty_prop2_high_r", class_counts=[2]), "class_counts", None),
+    ],
+)
+def test_params_the_pair_does_not_read_refused(doc, key, pair):
+    """A `params` key that the pair does not read is refused, naming the key
+    and the pair; one that it reads only under another setting (linear
+    endpoints while equidistant is true, beauty's partition during the
+    self-consistent sweep, its class counts outside it) is refused, naming
+    the key, rather than silently ignored."""
+    with pytest.raises(ScenarioError, match=f"^params\\.{key}: ") as info:
+        validate_scenario(doc)
+    assert pair is None or f" {pair} " in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("fig1a_linear", "A", float("inf")),
+        ("fig1a_linear", "B", float("nan")),
+        ("fig1a_linear", "C", 10**400),  # an integer past the largest float
+        ("example1_cdabee", "a", "x"),
+        ("beauty_prop2_high_r", "r", "0.5"),
+        ("fig1b_linear", "K", "4"),
+        ("prop5_monitoring", "p_a", "0.4"),
+    ],
+)
+def test_wrongly_typed_numbers_refused(tmp_path, capsys, name, key, value):
+    """A non-finite number, or a number given as a string, is refused with a
+    message naming the field and the value; `cabee run` exits 2."""
+    doc = json.loads(json.dumps(bundled_scenarios()[name]))
+    doc["params"][key] = value
+    with pytest.raises(ScenarioError, match=f"^params\\.{key}: expected .*, got {re.escape(repr(value))}$"):
+        validate_scenario(doc)
+    path = tmp_path / "bad_number.json"
+    path.write_text(json.dumps(doc))  # Infinity and NaN are JSON that json.load accepts
+    assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: params.{key}: ")
