@@ -11,10 +11,13 @@ a threshold" or "strictly between two").  A player's regime fixes which of
 its mixing weights are unknown, and so an affine map from them to the
 opponent's class expectations, built once per regime.  The opponent's pins
 and intervals are then checked against these maps as arrays, and the regime
-pairs left are solved in one batched Gauss-Jordan elimination; it keeps
-every profile that verifies and every one-parameter solution family.  A
-damped best-reply iteration with multi-start is the fallback for larger
-action sets.
+pairs left are solved in batched Gauss-Jordan eliminations; it keeps every
+profile that verifies and every one-parameter solution family.  Supports
+are solved as a stream (`dist_abee_solve_many`): the pairs of consecutive
+supports are stacked into runs of about `_PAIR_CHUNK` pairs, one
+elimination per map width and run, and each support's result is the same
+as its solve alone (`dist_abee_solve_detailed`).  A damped best-reply
+iteration with multi-start is the fallback for larger action sets.
 
 Verification takes a batch of profiles, each player's strategies stacked as
 one (B, n_support, n_games, n_actions) array: `dist_abee_verify_batch`
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -429,7 +432,7 @@ def _eliminate(aug: np.ndarray, n_cols: int) -> np.ndarray:
     return pivot_row
 
 
-_PAIR_CHUNK = 1 << 14  # regime pairs solved per batch, which bounds the memory
+_PAIR_CHUNK = 512  # regime pairs solved per batch, and per run of supports
 
 
 def _outside(q, pinned, lo, hi) -> np.ndarray:
@@ -437,17 +440,20 @@ def _outside(q, pinned, lo, hi) -> np.ndarray:
     return (~pinned & ((q < lo - 1e-9) | (q > hi + 1e-9))).any(axis=-1)
 
 
-def _solve_pairs(maps: _AffineMaps, opp: _Regimes, own_idx, opp_idx):
+def _solve_pairs(maps, bounds, own_idx, opp_idx):
     """One player's unknowns solved against the opponent regime of each pair.
 
-    The equations are the opponent's pins on classes the unknowns move, in
-    slot order.  Returns per pair (ok, feasible, n_free, x, direction): ok
-    fails on inconsistent equations, or on a failed interval with no free
-    unknown; free unknowns sit at 0.5 in x; direction spans the null space
-    where exactly one is free; feasible adds that x is a mix within every
+    maps holds the (a, b, valid) of `_AffineMaps` for the player's regimes,
+    and bounds the (pinned, lo, hi) of the opponent's.  The equations are
+    the opponent's pins on classes the unknowns move, in slot order.
+    Returns per pair (ok, feasible, n_free, x, direction): ok fails on
+    inconsistent equations, or on a failed interval with no free unknown;
+    free unknowns sit at 0.5 in x; direction spans the null space where
+    exactly one is free; feasible adds that x is a mix within every
     interval.
     """
-    a_map, b, valid = maps.a, maps.b, maps.valid
+    a_map, b, valid = maps
+    pinned, lo, hi = bounds
     n, width = len(own_idx), a_map.shape[2]
     ok = np.ones(n, dtype=bool)
     feasible = np.zeros(n, dtype=bool)
@@ -460,9 +466,9 @@ def _solve_pairs(maps: _AffineMaps, opp: _Regimes, own_idx, opp_idx):
         mix = np.flatnonzero(n_free[part] > 0) + start
         if len(mix):
             a_mix, at = a_map[own_idx[mix]], np.arange(len(mix))[:, None]
-            active = opp.pinned[opp_idx[mix]] & (np.abs(a_mix) > 1e-14).any(axis=2)
+            active = pinned[opp_idx[mix]] & (np.abs(a_mix) > 1e-14).any(axis=2)
             order = np.argsort(~active, axis=1, kind="stable")
-            rhs = opp.lo[opp_idx[mix]] - b[own_idx[mix]]
+            rhs = lo[opp_idx[mix]] - b[own_idx[mix]]
             aug = np.concatenate([a_mix[at, order], rhs[at, order][..., None]], axis=2)
             aug[~active[at, order]] = 0.0
             pivot_row = _eliminate(aug, width)
@@ -480,7 +486,7 @@ def _solve_pairs(maps: _AffineMaps, opp: _Regimes, own_idx, opp_idx):
             x[mix] = np.where(pivoted, back[at, np.maximum(pivot_row, 0)], 0.5)
             direction[mix] = line
         q = b_part + _sum_left(a_part * x[part, None, :])
-        outside = _outside(q, opp.pinned[k], opp.lo[k], opp.hi[k])
+        outside = _outside(q, pinned[k], lo[k], hi[k])
         inside = (((x[part] >= -1e-9) & (x[part] <= 1 + 1e-9)) | ~valid[own_idx[part]]).all(axis=1)
         ok[part] &= ~(outside & (n_free[part] == 0))
         feasible[part] = inside & ~outside
@@ -495,22 +501,26 @@ def _place(base: np.ndarray, columns: np.ndarray, values: np.ndarray) -> np.ndar
     return out[:, :-1]
 
 
-def _binary_support_enumeration(
-    env: GameEnvironment,
-    lams: tuple[PartitionDistribution, PartitionDistribution],
-    config: SolveConfig,
-) -> SolveResult:
-    result = SolveResult()
-    sides = (_side_regimes_cached(env, lams, 0), _side_regimes_cached(env, lams, 1))
-    if len(sides[0].lo) * len(sides[1].lo) > config.max_regimes:
-        result.exhausted = True
-        return result
-    # the pins of one side constrain only the other side's variables, so
-    # each half solves on its own.  Checks on the affine maps alone come
-    # first: a pin on a class that no unknown moves, and an interval that
-    # q's range over the box x_u in [0, 1]^width misses beyond the solve's
-    # tolerances.  Pins get no range test: plays clip unknowns into the
-    # box, and a clipped point may verify.  Only pairs passing both solve.
+class _Support(NamedTuple):
+    """One support's regimes, affine maps and kept regime pairs, held until
+    its run is solved; pairs[p] is (own regimes, opponent regimes) of side p."""
+
+    lams: tuple[PartitionDistribution, PartitionDistribution]
+    sides: tuple[_Regimes, _Regimes]
+    maps: tuple[_AffineMaps, _AffineMaps]
+    pairs: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _regime_pairs(env: GameEnvironment, lams, sides) -> _Support:
+    """The regime pairs of one support left for the solve.
+
+    The pins of one side constrain only the other side's variables, so
+    each half solves on its own.  Checks on the affine maps alone come
+    first: a pin on a class that no unknown moves, and an interval that q's
+    range over the box x_u in [0, 1]^width misses beyond the solve's
+    tolerances.  Pins get no range test: plays clip unknowns into the box,
+    and a clipped point may verify.  Only pairs passing both are kept.
+    """
     maps, direct = [], []
     for p in (0, 1):
         own, opp = sides[p], sides[1 - p]
@@ -524,10 +534,63 @@ def _binary_support_enumeration(
         maps.append(m)
         direct.append(~(bad_pin | misses).any(axis=2))
     c0, c1 = np.nonzero(direct[0] & direct[1].T)  # c0-major
-    pairs = ((c0, c1), (c1, c0))
-    sols = [_solve_pairs(maps[p], sides[1 - p], *pairs[p]) for p in (0, 1)]
+    return _Support(lams, sides, tuple(maps), ((c0, c1), (c1, c0)))
+
+
+def _stacked(tables: list[np.ndarray], n_slots: int, fill) -> np.ndarray:
+    """Regime tables (R, S, ...) one after another, their slots padded to
+    n_slots with fill."""
+    out = np.full((sum(len(t) for t in tables), n_slots) + tables[0].shape[2:], fill, dtype=tables[0].dtype)
+    at = 0
+    for t in tables:
+        out[at : at + len(t), : t.shape[1]] = t
+        at += len(t)
+    return out
+
+
+def _solve_run(run: list[_Support]) -> list[list[tuple]]:
+    """`_solve_pairs` of both sides of every support of a run, per support
+    and side.
+
+    The sides of one map width are stacked into one call: their regime
+    tables one after another, the opponent slots padded to the most with
+    zero rows of the maps and unpinned slots on (-inf, inf), which take no
+    part in the elimination or the interval checks, so each pair solves as
+    it would alone.
+    """
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, sup in enumerate(run):
+        for p in (0, 1):
+            groups.setdefault(sup.maps[p].a.shape[2], []).append((i, p))
+    sols = [[None, None] for _ in run]
+    for members in groups.values():
+        maps = [run[i].maps[p] for i, p in members]
+        opps = [run[i].sides[1 - p] for i, p in members]
+        n_slots = max(m.a.shape[1] for m in maps)
+        own_at = np.cumsum([0] + [len(m.b) for m in maps])
+        opp_at = np.cumsum([0] + [len(o.lo) for o in opps])
+        pairs = [run[i].pairs[p] for i, p in members]
+        solved = _solve_pairs(
+            (_stacked([m.a for m in maps], n_slots, 0.0), _stacked([m.b for m in maps], n_slots, 0.0),
+             np.concatenate([m.valid for m in maps])),
+            (_stacked([o.pinned for o in opps], n_slots, False), _stacked([o.lo for o in opps], n_slots, -np.inf),
+             _stacked([o.hi for o in opps], n_slots, np.inf)),
+            np.concatenate([own + at for (own, _), at in zip(pairs, own_at)]),
+            np.concatenate([opp + at for (_, opp), at in zip(pairs, opp_at)]),
+        )
+        ends = np.cumsum([len(own) for own, _ in pairs])[:-1]
+        for (i, p), part in zip(members, zip(*(np.split(arr, ends) for arr in solved))):
+            sols[i][p] = part
+    return sols
+
+
+def _assemble(env: GameEnvironment, sup: _Support, sols) -> SolveResult:
+    """One support's result from its two sides' solved pairs: the profiles
+    that verify, deduplicated, and the one-parameter families."""
+    result = SolveResult()
+    lams, sides, maps = sup.lams, sup.sides, sup.maps
     keep = sols[0][0] & sols[1][0]
-    own = [pairs[p][0][keep] for p in (0, 1)]
+    own = [sup.pairs[p][0][keep] for p in (0, 1)]
     feasible, n_free, xs, directions = ([sol[i][keep] for sol in sols] for i in range(1, 5))
     x = np.concatenate(
         [_place(sides[p].fixed[own[p]], maps[p].columns[own[p]], xs[p]) for p in (0, 1)], axis=1
@@ -572,6 +635,12 @@ def _binary_support_enumeration(
             Continuum(base[i], direction[i], float(t_lo[i]), float(t_hi[i]), supports, split_plays)
         )
     return result
+
+
+def _solved(env: GameEnvironment, run: list[_Support]) -> Iterator[SolveResult]:
+    """The results of a run's supports, in order, from one `_solve_run`."""
+    for sup, sols in zip(run, _solve_run(run)):
+        yield _assemble(env, sup, sols)
 
 
 # ---------------------------------------------------------------------------
@@ -626,27 +695,50 @@ def _damped_iteration(
     return found
 
 
+def dist_abee_solve_many(
+    env: GameEnvironment,
+    supports: Iterable[tuple[PartitionDistribution, PartitionDistribution]],
+    config: SolveConfig | None = None,
+) -> Iterator[SolveResult]:
+    """Distributional equilibrium search of each support of one environment,
+    lazily, one `SolveResult` per support in order; keeps one-parameter
+    families.
+
+    Binary-action environments go through exact support enumeration: a
+    support's regime pairs are kept until its run is solved, a run being
+    the next consecutive supports whose pairs reach `_PAIR_CHUNK`, and the
+    pairs of a run are solved together (`_solve_run`), with the same result
+    for each support as alone.  Other shapes, and binary supports over
+    `config.max_regimes`, use the damped iteration (each step moves halfway
+    to the best replies, until no strategy moves by 1e-9) in their place in
+    the stream, which may miss equilibria and is reported as not `exact`.
+    Every returned profile verifies.  Families whose moving side cannot
+    meet an opponent interval inside the box are not returned.
+    """
+    config = config or SolveConfig()
+    binary = env.n_actions(0) == 2 and env.n_actions(1) == 2
+    run, n_pairs = [], 0
+    for lams in supports:
+        sides = (_side_regimes_cached(env, lams, 0), _side_regimes_cached(env, lams, 1)) if binary else None
+        enumerated = binary and len(sides[0].lo) * len(sides[1].lo) <= config.max_regimes
+        if enumerated:
+            run.append(_regime_pairs(env, lams, sides))
+            n_pairs += len(run[-1].pairs[0][0])
+        if not enumerated or n_pairs >= _PAIR_CHUNK:
+            yield from _solved(env, run)
+            run, n_pairs = [], 0
+        if not enumerated:
+            yield SolveResult(profiles=_damped_iteration(env, lams, config), exhausted=binary, exact=False)
+    yield from _solved(env, run)
+
+
 def dist_abee_solve_detailed(
     env: GameEnvironment,
     lams: tuple[PartitionDistribution, PartitionDistribution],
     config: SolveConfig | None = None,
 ) -> SolveResult:
-    """Distributional equilibrium search; keeps one-parameter families.
-
-    Binary-action environments go through exact support enumeration; other
-    shapes, and binary ones over `config.max_regimes`, use the damped
-    iteration (each step moves halfway to the best replies, until no
-    strategy moves by 1e-9), which may miss equilibria and is reported as
-    not `exact`.  Every returned profile verifies.  Families whose moving
-    side cannot meet an opponent interval inside the box are not returned.
-    """
-    config = config or SolveConfig()
-    if env.n_actions(0) == 2 and env.n_actions(1) == 2:
-        result = _binary_support_enumeration(env, lams, config)
-        if not result.exhausted:
-            return result
-        return SolveResult(profiles=_damped_iteration(env, lams, config), exhausted=True, exact=False)
-    return SolveResult(profiles=_damped_iteration(env, lams, config), exact=False)
+    """The one-support case of `dist_abee_solve_many`."""
+    return next(dist_abee_solve_many(env, [lams], config))
 
 
 def abee_solve(

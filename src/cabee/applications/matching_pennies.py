@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..abee import PartitionDistribution, StrategyProfile, abee_solve
-from ..clustering import L2
+from ..abee import PartitionDistribution, StrategyProfile, degenerate_pair, dist_abee_solve_many
+from ..clustering import L2, Divergence
 from ..env import GameEnvironment, make_environment
 from ..equilibrium import (
     GLOBAL,
@@ -140,18 +140,21 @@ def analytic_two_class_abee(spec: MatchingPenniesSpec, partition: Partition):
     return row, col
 
 
-def two_class_refutation(spec: MatchingPenniesSpec) -> dict:
-    """Check every two-class row partition's equilibrium against clustering.
+def two_class_refutation(spec: MatchingPenniesSpec, d: Divergence = L2) -> dict:
+    """Check every two-class row partition's equilibrium against clustering
+    under the divergence d.
 
-    Returns, per partition, the solver output, its match with the analytic
-    structure, and the clustered-equilibrium verdicts per mode (local and
-    global).
+    The three partitions are solved against the finest column partition in
+    one `dist_abee_solve_many` stream.  Returns, per partition, the solver
+    output, its match with the analytic structure, and the
+    clustered-equilibrium verdicts per mode (local and global).
     """
     env = build_matching_pennies(spec)
     finest = Partition.finest(3)
+    parts = two_class_row_partitions()
     out = {}
-    for part in two_class_row_partitions():
-        profiles = abee_solve(env, (part, finest))
+    for part, res in zip(parts, dist_abee_solve_many(env, (degenerate_pair(part, finest) for part in parts))):
+        profiles = res.profiles
         row_ref, col_ref = analytic_two_class_abee(spec, part)
         matches = []
         verdicts = {mode: [] for mode in (LOCAL, GLOBAL)}
@@ -162,7 +165,7 @@ def two_class_refutation(spec: MatchingPenniesSpec) -> dict:
                 float(max(np.abs(row - row_ref).max(), np.abs(col - col_ref).max()))
             )
             for mode in (LOCAL, GLOBAL):
-                rep = cabee_verify(env, (part, finest), prof, mode, L2, capacities=(2, 3))
+                rep = cabee_verify(env, (part, finest), prof, mode, d, capacities=(2, 3))
                 verdicts[mode].append(rep.ok)
         out[part] = {
             "n_equilibria": len(profiles),

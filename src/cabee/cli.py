@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -297,7 +298,7 @@ def _read_pennies(run) -> None:
     run.spec = matching_pennies.MatchingPenniesSpec(run.a, run.b, run.c)
     run.env, run.capacities = matching_pennies.build_matching_pennies(run.spec), (2, 3)
     if run.solver == "cabee":
-        run.stakes = [run.spec] if run.sweep_step is None else _stake_triples(run.sweep_step)
+        run.stakes = [run.spec] if run.sweep_step is None else _stake_triples(run.sweep_step, run.max_evaluations)
 
 
 def _read_monitoring(run) -> None:
@@ -400,12 +401,20 @@ def _class_counts(run) -> list[int]:
     return counts
 
 
-def _stake_triples(step: float) -> list[matching_pennies.MatchingPenniesSpec]:
+def _stake_triples(step: float, max_evaluations: int | None) -> list[matching_pennies.MatchingPenniesSpec]:
     """Every stake triple on the grid step, 2*step, ... below 2; raises
-    ScenarioError unless the grid holds one."""
+    ScenarioError unless the grid holds one, or when its solves (one per
+    two-class row partition of each triple) exceed `max_evaluations`, by
+    default the search's."""
     vals = [round(step * k, 10) for k in range(1, int(2 / step) + 1) if step * k < 2]
     if len(vals) < 3:
         raise ScenarioError(f"params.sweep_step: {step!r} leaves no stake triple 0 < a < b < c < 2 on its grid")
+    budget = SearchConfig().max_evaluations if max_evaluations is None else max_evaluations
+    n_triples = math.comb(len(vals), 3)
+    solves = len(matching_pennies.two_class_row_partitions()) * n_triples
+    if solves > budget:
+        raise ScenarioError(f"params.sweep_step: {step!r} asks for {solves} solves ({n_triples} stake triples),"
+                            f" over max_evaluations = {budget}")
     return [matching_pennies.MatchingPenniesSpec(*abc) for abc in combinations(vals, 3)]
 
 
@@ -583,7 +592,7 @@ def _run_pennies_refutation(run, out_dir):
     clustered = [
         any(any(v) for v in rep["verdicts"].values())
         for sp in run.stakes
-        for rep in matching_pennies.two_class_refutation(sp).values()
+        for rep in matching_pennies.two_class_refutation(sp, run.d).values()
     ]
     refuted = bool(clustered) and not any(clustered)  # nothing checked refutes nothing
     results = {"pure_clustered_equilibria_refuted": refuted, "cases_checked": len(clustered)}

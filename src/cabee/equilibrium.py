@@ -7,14 +7,14 @@ dispersion minimizer) against the opponent's aggregate play, for a batch
 of profiles at once (`cd_abee_verify_batch`; `cd_abee_verify` is its
 one-candidate case).  The search walks degenerate supports first, then
 two-partition supports for one player with the mixture weight on a simplex
-grid, in one loop body: each support is solved, and its profiles and the
-points of its one-parameter solution families are admitted by one batched
-clustering check.  Family points are the isolated roots of the global
-dispersion-tie condition for a mixing support, and the family's ends where
-the tie holds; every other family (any
-support, either mode) is cut at the roots of the margins of the check, and
-yields the cuts and the points between them, found for all families of one
-solve together.
+grid, in one loop body: each support's solve is pulled from one lazy
+stream per layer (`dist_abee_solve_many`, cut at the solves left), and its
+profiles and the points of its one-parameter solution families are
+admitted by one batched clustering check.  Family points are the isolated
+roots of the global dispersion-tie condition for a mixing support, and the
+family's ends where the tie holds; every other family (any support, either
+mode) is cut at the roots of the margins of the check, and yields the cuts
+and the points between them, found for all families of one solve together.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .abee import (
     aggregate,
     best_replies,
     degenerate_pair,
-    dist_abee_solve_detailed,
+    dist_abee_solve_many,
     dist_abee_verify_batch,
     expected_payoffs,
     mixture,
@@ -537,14 +537,16 @@ def cd_abee_search(
     `sampled_pure_families`).  Layer 2 scans two-partition supports for one
     player at a time against every degenerate partition of the other, with
     the mixture weight on a grid and its families covered by `_cover`.
-    Both layers run one loop body: each support is solved, and its
-    profiles and family points are admitted by one clustering check.  The
-    two layers share `config.max_evaluations` solves, layer 1 first; a
-    layer that runs out, or reaches `config.max_candidates`, stops with
-    `completed=False`, so work and output do not depend on the speed of
-    the machine.  A layer with a solve that was not exact
-    (`SolveResult.exact`) also reports `completed=False`, since it may
-    have missed equilibria.  All returned candidates verify; an empty
+    Both layers run one loop body: each support's solve is pulled from
+    the layer's stream of solves, and its profiles and family points are
+    admitted by one clustering check.  The two layers share
+    `config.max_evaluations` solves, layer 1 first, and a layer's stream is
+    cut at the solves left; a layer that runs out, or reaches
+    `config.max_candidates` (checked before each result is pulled; the
+    rest of its run is dropped unused), stops with `completed=False`, so
+    work and output do not depend on the speed of the machine.  A layer
+    with a solve that was not exact (`SolveResult.exact`) also reports
+    `completed=False`, since it may have missed equilibria.  All returned candidates verify; an empty
     result means "not found within its evaluation budget", never
     nonexistence (except for the pure layer, which reports exhaustive
     refutation when it completes empty having covered every family
@@ -578,11 +580,13 @@ def cd_abee_search(
     for name, supports in layers:
         evaluations = found = 0
         completed = True
-        for lams in supports:
-            if evaluations >= budget or len(result.candidates) >= config.max_candidates:
+        todo, solving = itertools.tee(itertools.islice(supports, budget))
+        results = dist_abee_solve_many(env, solving, config.solve)
+        for lams in todo:
+            if len(result.candidates) >= config.max_candidates:
                 completed = False
                 break
-            res = dist_abee_solve_detailed(env, lams, config.solve)
+            res = next(results)
             evaluations += 1
             completed &= res.exact  # a heuristic solve may have missed equilibria
             if name == "degenerate" and d.kind == KULLBACK_LEIBLER:
@@ -594,6 +598,8 @@ def cd_abee_search(
                     seen.add(key)
                     result.candidates.append(cand)
                     found += 1
+        else:
+            completed &= next(supports, None) is None  # a support past the budget is left
         budget -= evaluations
         result.layers.append(LayerReport(name, completed, evaluations, found))
     return result

@@ -13,8 +13,12 @@ from cabee.abee import (
     SolveConfig,
     SolveResult,
     StrategyProfile,
-    _binary_support_enumeration,
+    _assemble,
     _class_positions,
+    _damped_iteration,
+    _regime_pairs,
+    _side_regimes_cached,
+    _solve_run,
     _sum_left,
     _threshold_info,
     abee_solve,
@@ -22,12 +26,14 @@ from cabee.abee import (
     best_replies,
     degenerate_pair,
     dist_abee_solve_detailed,
+    dist_abee_solve_many,
     dist_abee_verify,
     dist_abee_verify_batch,
     expected_payoffs,
     stack_plays,
     unstack_plays,
 )
+from cabee import abee
 from cabee.clustering import class_prototypes
 from cabee.env import SOLVER_TOL, make_environment, nash_solve_2x2, pure_payoffs_against
 from cabee.partitions import Partition
@@ -751,7 +757,7 @@ def test_support_enumeration_matches_scalar_reference(rng):
         kinds |= {_threshold_info(env, p, g)[:2] for p in (0, 1) for g in range(n_games)}
         shapes.add(tuple(len(lam.support) for lam in lams))
         config = SolveConfig()
-        got = _binary_support_enumeration(env, lams, config)
+        got = dist_abee_solve_detailed(env, lams, config)
         _assert_same_enumeration(got, _loop_support_enumeration(env, lams, config))
     assert {k[0] for k in kinds} == {"free", "constant", "threshold"}
     assert {("threshold", 0.0), ("threshold", 1.0)} <= kinds
@@ -771,7 +777,7 @@ def test_support_enumeration_matches_reference_on_matching_pennies():
             (row_mix, PartitionDistribution.degenerate(fin)),
             (PartitionDistribution.degenerate(fin), col_mix),
         ):
-            got = _binary_support_enumeration(env, lams, config)
+            got = dist_abee_solve_detailed(env, lams, config)
             # the mixture families the search refines; the row mix at
             # w = 0.25 has one family only without the range test, and
             # none of its points verifies
@@ -822,7 +828,7 @@ def test_range_test_drops_no_family_that_verifies(rng):
     dropped = 0
     for case, (env, lams) in enumerate(cases):
         config = SolveConfig()
-        got = _binary_support_enumeration(env, lams, config)
+        got = dist_abee_solve_detailed(env, lams, config)
         ref = _loop_support_enumeration(env, lams, config, prune=False)
         _assert_same_profiles(got, ref)
         kept = {_family_key(family) for family in got.continua}
@@ -843,10 +849,87 @@ def test_support_enumeration_regime_budget(mp_env):
     lams = (mix, PartitionDistribution.degenerate(fin))
     regimes = len(_loop_side_combos(mp_env, lams, 0)) * len(_loop_side_combos(mp_env, lams, 1))
     for budget in (regimes - 1, regimes):
-        config = SolveConfig(max_regimes=budget)
-        got = _binary_support_enumeration(mp_env, lams, config)
+        # a short damped iteration: on this mixing support it never settles
+        config = SolveConfig(max_regimes=budget, n_starts=2, max_iterations=50)
+        got = dist_abee_solve_detailed(mp_env, lams, config)
         assert got.exhausted == (budget < regimes)
-        _assert_same_enumeration(got, _loop_support_enumeration(mp_env, lams, config))
+        if got.exhausted:  # the damped iteration takes the enumeration's place
+            assert not got.exact and not got.continua
+            _assert_same_profiles(got, SolveResult(_damped_iteration(mp_env, lams, config), exhausted=True))
+        else:
+            _assert_same_enumeration(got, _loop_support_enumeration(mp_env, lams, config))
+
+
+def _search_supports(capacities):
+    """Every layer-1 and layer-2 support of a 3-game search at weight 1/2:
+    the degenerate pairs, then each pair of one player's partitions against
+    each partition of the other."""
+    from cabee.partitions import partition_list
+
+    parts = tuple(partition_list(3, cap) for cap in capacities)
+    supports = [degenerate_pair(p0, p1) for p0, p1 in itertools.product(*parts)]
+    for mix in (0, 1):
+        for pair in itertools.combinations(parts[mix], 2):
+            for other in parts[1 - mix]:
+                lams = (PartitionDistribution(pair, (0.5, 0.5)), PartitionDistribution.degenerate(other))
+                supports.append(lams if mix == 0 else lams[::-1])
+    return supports
+
+
+def _assert_same_result(got, ref):
+    assert (got.exhausted, got.exact) == (ref.exhausted, ref.exact)
+    assert len(got.profiles) == len(ref.profiles)
+    for a, b in zip(got.profiles, ref.profiles):
+        for player in (0, 1):
+            assert list(a.plays[player]) == list(b.plays[player])
+            assert all(np.array_equal(a.plays[player][part], b.plays[player][part]) for part in b.plays[player])
+    assert len(got.continua) == len(ref.continua)
+    for a, b in zip(got.continua, ref.continua):
+        assert np.array_equal(a.base, b.base) and np.array_equal(a.direction, b.direction)
+        assert (a.t_lo, a.t_hi) == (b.t_lo, b.t_hi)
+
+
+@pytest.mark.parametrize("capacities", [(2, 2), (2, 3)])
+def test_support_result_does_not_depend_on_its_run_mates(monkeypatch, capacities):
+    """Each support of a `dist_abee_solve_many` stream gets its one-support
+    solve, bit for bit, in runs of a few supports (`_PAIR_CHUNK` 8) or of
+    the whole stream (1 << 20).  The largest support, moved to the middle,
+    is over `max_regimes` and takes the damped iteration in its place."""
+    rng = np.random.default_rng(23)
+    for _ in range(2):
+        env = make_environment(np.full(3, 1 / 3), rng.integers(-2, 3, size=(2, 2, 3)),
+                               rng.integers(-2, 3, size=(2, 2, 3)))
+        stream = _search_supports(capacities)
+        regimes = [len(_side_regimes_cached(env, lams, 0).lo) * len(_side_regimes_cached(env, lams, 1).lo)
+                   for lams in stream]
+        stream.insert(len(stream) // 2, stream.pop(int(np.argmax(regimes))))
+        config = SolveConfig(max_regimes=max(regimes) - 1, n_starts=2, max_iterations=50)
+        refs = [dist_abee_solve_detailed(env, lams, config) for lams in stream]
+        mid = len(stream) // 2
+        assert refs[mid].exhausted and not refs[mid].exact
+        assert any(ref.exact for ref in refs[:mid]) and any(ref.exact for ref in refs[mid + 1:])
+        for chunk in (8, 1 << 20):
+            monkeypatch.setattr(abee, "_PAIR_CHUNK", chunk)
+            got = list(dist_abee_solve_many(env, iter(stream), config))
+            assert len(got) == len(refs)
+            for a, b in zip(got, refs):
+                _assert_same_result(a, b)
+
+
+def test_a_support_that_keeps_no_pairs_leaves_its_run_mates_alone(mp_env):
+    """No support of a binary game keeps zero regime pairs: an ABEE exists,
+    and its pair passes the range test.  So one support's pairs are emptied
+    inside a run: its result is empty, and the others are their own solves."""
+    stream = _search_supports((2, 3))[18:21]
+    run = [_regime_pairs(mp_env, lams, (_side_regimes_cached(mp_env, lams, 0), _side_regimes_cached(mp_env, lams, 1)))
+           for lams in stream]
+    run[1] = run[1]._replace(pairs=tuple((own[:0], opp[:0]) for own, opp in run[1].pairs))
+    got = [_assemble(mp_env, sup, sols) for sup, sols in zip(run, _solve_run(run))]
+    assert not got[1].profiles and not got[1].continua
+    for i in (0, 2):
+        ref = dist_abee_solve_detailed(mp_env, stream[i])
+        assert ref.profiles or ref.continua
+        _assert_same_result(got[i], ref)
 
 
 def test_support_enumeration_matches_reference_on_four_games():
@@ -860,7 +943,7 @@ def test_support_enumeration_matches_reference_on_four_games():
     coarse = PartitionDistribution.degenerate(Partition.coarsest(4))
     lams = (PartitionDistribution(pair, (0.37, 0.63)), coarse)
     config = SolveConfig()
-    got = _binary_support_enumeration(env, lams, config)
+    got = dist_abee_solve_detailed(env, lams, config)
     _assert_same_enumeration(got, _loop_support_enumeration(env, lams, config))
 
 

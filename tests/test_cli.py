@@ -219,6 +219,49 @@ def test_refutation_sweep_step_validated(step):
     assert validate_scenario(doc) is doc
 
 
+def test_refutation_sweep_bounded_by_max_evaluations():
+    """A stake grid costs 3 solves per triple, against the document's
+    `max_evaluations` or the search's default of 10,000: the step 0.02 asks
+    for 156,849 triples and is refused unless the budget covers them; the
+    bundled step 0.2 asks for 252 solves."""
+    from cabee.cli import _parse
+
+    doc = json.loads(json.dumps(bundled_scenarios()["prop1_refutation"]))
+    assert len(_parse(doc).stakes) == 84
+    doc["params"]["sweep_step"] = 0.02
+    with pytest.raises(ScenarioError, match=r"^params\.sweep_step: 0\.02 asks for 470547 solves .*10000"):
+        validate_scenario(doc)
+    doc["max_evaluations"] = 470_546
+    with pytest.raises(ScenarioError, match=r"^params\.sweep_step: .*470546"):
+        validate_scenario(doc)
+    doc["max_evaluations"] = 470_547
+    assert validate_scenario(doc) is doc
+    doc = dict(doc, params=dict(doc["params"], sweep_step=0.2), max_evaluations=251)
+    with pytest.raises(ScenarioError, match="asks for 252 solves"):
+        validate_scenario(doc)
+
+
+@pytest.mark.parametrize("divergence", ["l2", "kl", "mean"])
+def test_refutation_runs_under_the_scenario_divergence(tmp_path, monkeypatch, divergence):
+    """The refutation's clustering checks use the document's divergence, and
+    each divergence refutes at the bundled stakes."""
+    from cabee.applications import matching_pennies
+    from cabee.cli import DIVERGENCES, run_scenario
+
+    used = []
+    refute = matching_pennies.two_class_refutation
+
+    def spy(spec, d):
+        used.append(d)
+        return refute(spec, d)
+
+    monkeypatch.setattr(matching_pennies, "two_class_refutation", spy)
+    doc = dict(bundled_scenarios()["prop1_refutation"], divergence=divergence, params={"a": 0.5, "b": 1.0, "c": 1.5})
+    result, _ = run_scenario(doc, tmp_path)
+    assert used == [DIVERGENCES[divergence]]
+    assert result["results"] == {"pure_clustered_equilibria_refuted": True, "cases_checked": 3}
+
+
 def test_refutation_reports_nothing_when_nothing_is_checked(tmp_path, monkeypatch):
     """A refutation that checked no case refutes nothing, and its
     verification fails; the bundled sweep checks every grid triple."""
@@ -229,7 +272,7 @@ def test_refutation_reports_nothing_when_nothing_is_checked(tmp_path, monkeypatc
     result, _ = run_scenario(doc, tmp_path)
     assert result["results"] == {"pure_clustered_equilibria_refuted": True, "cases_checked": 3}
     assert result["verification"]["all_ok"]
-    monkeypatch.setattr(matching_pennies, "two_class_refutation", lambda spec: {})
+    monkeypatch.setattr(matching_pennies, "two_class_refutation", lambda spec, d: {})
     result, _ = run_scenario(doc, tmp_path)
     assert result["results"] == {"pure_clustered_equilibria_refuted": False, "cases_checked": 0}
     assert not result["verification"]["all_ok"]

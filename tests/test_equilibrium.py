@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -15,6 +16,7 @@ from cabee.abee import (
     aggregate,
     degenerate_pair,
     dist_abee_solve_detailed,
+    dist_abee_solve_many,
     dist_abee_verify,
     stack_plays,
     unstack_plays,
@@ -287,6 +289,75 @@ def test_search_evaluation_budget(mp_half_grid, budget, layers):
         assert [_candidate_key(c) for c in result.candidates] == [
             _candidate_key(c) for c in default.candidates
         ]
+
+
+def _reference_search(env, capacities, mode, d, config):
+    """`cd_abee_search` as a loop of one-support solves: each support is
+    solved by `dist_abee_solve_detailed` right after the budget and
+    candidate checks."""
+    result, seen = equilibrium.SearchResult(), set()
+    parts = tuple(partition_list(env.n_games, capacities[pl]) for pl in (0, 1))
+    branches = [
+        (mix, pair, other)
+        for mix in (0, 1)
+        for pair in itertools.combinations(parts[mix], 2)
+        for other in sorted(parts[1 - mix], key=lambda p: -p.n_classes)
+    ]
+
+    def mixed(w, mix, pair, other):
+        lams = (PartitionDistribution(pair, (w, round(1 - w, 12))), PartitionDistribution.degenerate(other))
+        return lams if mix == 0 else lams[::-1]
+
+    layers = (
+        ("degenerate", [degenerate_pair(an0, an1) for an0, an1 in itertools.product(*parts)]),
+        ("pair-support", [mixed(w, *b) for w in equilibrium._lambda_grid(config.lambda_step) for b in branches]),
+    )
+    budget = config.max_evaluations
+    for name, supports in layers:
+        evaluations = found = 0
+        completed = True
+        for lams in supports:
+            if evaluations >= budget or len(result.candidates) >= config.max_candidates:
+                completed = False
+                break
+            res = dist_abee_solve_detailed(env, lams, config.solve)
+            evaluations += 1
+            completed &= res.exact
+            if name == "degenerate" and d.kind == clustering.KULLBACK_LEIBLER:
+                result.sampled_pure_families += len(res.continua)
+            for cand in _refine_continua(env, lams, res.continua, mode, d, capacities, res.profiles):
+                if _candidate_key(cand) not in seen:
+                    seen.add(_candidate_key(cand))
+                    result.candidates.append(cand)
+                    found += 1
+        budget -= evaluations
+        result.layers.append(equilibrium.LayerReport(name, completed, evaluations, found))
+    return result
+
+
+@pytest.mark.parametrize(
+    "mode, d, max_evaluations, pair_layer",
+    [
+        (LOCAL, L2, 10_000, (False, 1)),  # max_candidates after 1 of 70 solves
+        (GLOBAL, L2, 50, (False, 30)),  # max_evaluations in the middle of layer 2
+        (GLOBAL, L2, 20, (False, 0)),
+        (GLOBAL, KL, 35, (False, 15)),
+    ],
+    ids=["local-max-candidates", "max-evaluations-in-layer-2", "max-evaluations-at-layer-end", "global-kl"],
+)
+def test_search_stops_where_one_support_solves_stop(mode, d, max_evaluations, pair_layer):
+    """The search's lazy stream of solves gives the layer reports, the
+    candidates in order and the sampled families of a loop that solves one
+    support at a time, and so stops where that loop stops."""
+    env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    config = SearchConfig(lambda_step=0.5, max_evaluations=max_evaluations)
+    got = cd_abee_search(env, (2, 3), mode, d, config)
+    ref = _reference_search(env, (2, 3), mode, d, config)
+    assert got.layers == ref.layers
+    assert (got.layers[1].completed, got.layers[1].evaluations) == pair_layer
+    assert [_candidate_key(c) for c in got.candidates] == [_candidate_key(c) for c in ref.candidates]
+    assert got.sampled_pure_families == ref.sampled_pure_families
+    assert (got.sampled_pure_families > 0) == (d is KL)
 
 
 def _roots_of(f, lo, hi):
@@ -622,6 +693,17 @@ def test_bracket_roots_match_per_function_reference():
     assert got[2] == [0.5] and got[4] == [1.0] and got[5] == []
 
 
+def _counted_solves(calls):
+    """`dist_abee_solve_many` counting each result it yields in calls["solve"]."""
+
+    def solves(env, supports, config=None):
+        for res in dist_abee_solve_many(env, supports, config):
+            calls["solve"] += 1
+            yield res
+
+    return solves
+
+
 def test_search_scores_each_solve_in_one_dispersion_batch(monkeypatch):
     """The tie residuals of one solve take at most two `dispersion` calls
     (one per support partition), however many families and points it has."""
@@ -635,9 +717,7 @@ def test_search_scores_each_solve_in_one_dispersion_batch(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(equilibrium, "dispersion", counted("dispersion", dispersion))
-    monkeypatch.setattr(
-        equilibrium, "dist_abee_solve_detailed", counted("solve", dist_abee_solve_detailed)
-    )
+    monkeypatch.setattr(equilibrium, "dist_abee_solve_many", _counted_solves(calls))
     env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
     cfg = SearchConfig(lambda_step=0.5)
     result = cd_abee_search(env, (2, 3), GLOBAL, L2, cfg)
@@ -884,9 +964,7 @@ def test_search_clusters_each_solve_in_at_most_four_kernel_calls(monkeypatch):
     kernel = counted("kernel", clustering.subset_table)
     monkeypatch.setattr(clustering, "subset_table", kernel)
     monkeypatch.setattr(equilibrium, "subset_table", kernel)
-    monkeypatch.setattr(
-        equilibrium, "dist_abee_solve_detailed", counted("solve", dist_abee_solve_detailed)
-    )
+    monkeypatch.setattr(equilibrium, "dist_abee_solve_many", _counted_solves(calls))
     env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
     result = cd_abee_search(env, (2, 3), GLOBAL, L2, SearchConfig(lambda_step=0.5))
     assert all(rep.completed for rep in result.layers) and result.candidates
