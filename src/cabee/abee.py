@@ -540,6 +540,8 @@ def _regime_pairs(env: GameEnvironment, lams, sides) -> _Support:
 def _stacked(tables: list[np.ndarray], n_slots: int, fill) -> np.ndarray:
     """Regime tables (R, S, ...) one after another, their slots padded to
     n_slots with fill."""
+    if len(tables) == 1:
+        return tables[0]
     out = np.full((sum(len(t) for t in tables), n_slots) + tables[0].shape[2:], fill, dtype=tables[0].dtype)
     at = 0
     for t in tables:
@@ -566,10 +568,10 @@ def _solve_run(run: list[_Support]) -> list[list[tuple]]:
     for members in groups.values():
         maps = [run[i].maps[p] for i, p in members]
         opps = [run[i].sides[1 - p] for i, p in members]
-        n_slots = max(m.a.shape[1] for m in maps)
-        own_at = np.cumsum([0] + [len(m.b) for m in maps])
-        opp_at = np.cumsum([0] + [len(o.lo) for o in opps])
         pairs = [run[i].pairs[p] for i, p in members]
+        n_slots = max(m.a.shape[1] for m in maps)
+        own_at = itertools.accumulate((len(m.b) for m in maps), initial=0)
+        opp_at = itertools.accumulate((len(o.lo) for o in opps), initial=0)
         solved = _solve_pairs(
             (_stacked([m.a for m in maps], n_slots, 0.0), _stacked([m.b for m in maps], n_slots, 0.0),
              np.concatenate([m.valid for m in maps])),
@@ -578,9 +580,10 @@ def _solve_run(run: list[_Support]) -> list[list[tuple]]:
             np.concatenate([own + at for (own, _), at in zip(pairs, own_at)]),
             np.concatenate([opp + at for (_, opp), at in zip(pairs, opp_at)]),
         )
-        ends = np.cumsum([len(own) for own, _ in pairs])[:-1]
-        for (i, p), part in zip(members, zip(*(np.split(arr, ends) for arr in solved))):
-            sols[i][p] = part
+        start = 0
+        for (i, p), end in zip(members, itertools.accumulate(len(own) for own, _ in pairs)):
+            sols[i][p] = tuple(arr[start:end] for arr in solved)
+            start = end
     return sols
 
 
