@@ -539,7 +539,7 @@ def _regime_pairs(env: GameEnvironment, lams, sides) -> _Support:
 
 def _stacked(tables: list[np.ndarray], n_slots: int, fill) -> np.ndarray:
     """Regime tables (R, S, ...) one after another, their slots padded to
-    n_slots with fill."""
+    n_slots with fill; a lone table is returned as it is."""
     if len(tables) == 1:
         return tables[0]
     out = np.full((sum(len(t) for t in tables), n_slots) + tables[0].shape[2:], fill, dtype=tables[0].dtype)
@@ -555,10 +555,10 @@ def _solve_run(run: list[_Support]) -> list[list[tuple]]:
     and side.
 
     The sides of one map width are stacked into one call: their regime
-    tables one after another, the opponent slots padded to the most with
-    zero rows of the maps and unpinned slots on (-inf, inf), which take no
-    part in the elimination or the interval checks, so each pair solves as
-    it would alone.
+    tables one after another, the opponent slots padded to the largest
+    count with zero rows of the maps and unpinned slots on (-inf, inf),
+    which take no part in the elimination or the interval checks, so each
+    pair solves as it would alone.
     """
     groups: dict[int, list[tuple[int, int]]] = {}
     for i, sup in enumerate(run):
