@@ -13,10 +13,12 @@ opponent's class expectations, built once per regime.  The opponent's pins
 and intervals are then checked against these maps as arrays, and the regime
 pairs left are solved in batched Gauss-Jordan eliminations; it keeps every
 profile that verifies and every one-parameter solution family.  Supports
-are solved as a stream (`dist_abee_solve_many`): the pairs of consecutive
-supports are stacked into runs of about `_PAIR_CHUNK` pairs, one
-elimination per map width and run, and each support's result is the same
-as its solve alone (`dist_abee_solve_detailed`).  A damped best-reply
+are solved as a stream (`dist_abee_solve_many`) of (environment, support)
+items, so one stream may mix environments: the pairs of consecutive
+supports are stacked into runs of about `_PAIR_CHUNK` pairs and at most
+`_RUN_SUPPORTS` supports, one elimination per map width and run, and each
+support's result is the same as its solve alone
+(`dist_abee_solve_detailed`).  A damped best-reply
 iteration with multi-start is the fallback for larger action sets.
 
 Verification takes a batch of profiles, each player's strategies stacked as
@@ -433,6 +435,7 @@ def _eliminate(aug: np.ndarray, n_cols: int) -> np.ndarray:
 
 
 _PAIR_CHUNK = 512  # regime pairs solved per batch, and per run of supports
+_RUN_SUPPORTS = 32  # supports per run, when each keeps few pairs
 
 
 def _outside(q, pinned, lo, hi) -> np.ndarray:
@@ -502,9 +505,11 @@ def _place(base: np.ndarray, columns: np.ndarray, values: np.ndarray) -> np.ndar
 
 
 class _Support(NamedTuple):
-    """One support's regimes, affine maps and kept regime pairs, held until
-    its run is solved; pairs[p] is (own regimes, opponent regimes) of side p."""
+    """One support's environment, regimes, affine maps and kept regime
+    pairs, held until its run is solved; pairs[p] is (own regimes, opponent
+    regimes) of side p."""
 
+    env: GameEnvironment
     lams: tuple[PartitionDistribution, PartitionDistribution]
     sides: tuple[_Regimes, _Regimes]
     maps: tuple[_AffineMaps, _AffineMaps]
@@ -534,7 +539,7 @@ def _regime_pairs(env: GameEnvironment, lams, sides) -> _Support:
         maps.append(m)
         direct.append(~(bad_pin | misses).any(axis=2))
     c0, c1 = np.nonzero(direct[0] & direct[1].T)  # c0-major
-    return _Support(lams, sides, tuple(maps), ((c0, c1), (c1, c0)))
+    return _Support(env, lams, sides, tuple(maps), ((c0, c1), (c1, c0)))
 
 
 def _stacked(tables: list[np.ndarray], n_slots: int, fill) -> np.ndarray:
@@ -587,11 +592,11 @@ def _solve_run(run: list[_Support]) -> list[list[tuple]]:
     return sols
 
 
-def _assemble(env: GameEnvironment, sup: _Support, sols) -> SolveResult:
+def _assemble(sup: _Support, sols) -> SolveResult:
     """One support's result from its two sides' solved pairs: the profiles
     that verify, deduplicated, and the one-parameter families."""
     result = SolveResult()
-    lams, sides, maps = sup.lams, sup.sides, sup.maps
+    env, lams, sides, maps = sup.env, sup.lams, sup.sides, sup.maps
     keep = sols[0][0] & sols[1][0]
     own = [sup.pairs[p][0][keep] for p in (0, 1)]
     feasible, n_free, xs, directions = ([sol[i][keep] for sol in sols] for i in range(1, 5))
@@ -640,10 +645,10 @@ def _assemble(env: GameEnvironment, sup: _Support, sols) -> SolveResult:
     return result
 
 
-def _solved(env: GameEnvironment, run: list[_Support]) -> Iterator[SolveResult]:
+def _solved(run: list[_Support]) -> Iterator[SolveResult]:
     """The results of a run's supports, in order, from one `_solve_run`."""
     for sup, sols in zip(run, _solve_run(run)):
-        yield _assemble(env, sup, sols)
+        yield _assemble(sup, sols)
 
 
 # ---------------------------------------------------------------------------
@@ -699,40 +704,41 @@ def _damped_iteration(
 
 
 def dist_abee_solve_many(
-    env: GameEnvironment,
-    supports: Iterable[tuple[PartitionDistribution, PartitionDistribution]],
+    items: Iterable[tuple[GameEnvironment, tuple[PartitionDistribution, PartitionDistribution]]],
     config: SolveConfig | None = None,
 ) -> Iterator[SolveResult]:
-    """Distributional equilibrium search of each support of one environment,
-    lazily, one `SolveResult` per support in order; keeps one-parameter
+    """Distributional equilibrium search of each (environment, support)
+    item, lazily, one `SolveResult` per item in order; keeps one-parameter
     families.
 
-    Binary-action environments go through exact support enumeration: a
-    support's regime pairs are kept until its run is solved, a run being
-    the next consecutive supports whose pairs reach `_PAIR_CHUNK`, and the
-    pairs of a run are solved together (`_solve_run`), with the same result
-    for each support as alone.  Other shapes, and binary supports over
-    `config.max_regimes`, use the damped iteration (each step moves halfway
-    to the best replies, until no strategy moves by 1e-9) in their place in
-    the stream, which may miss equilibria and is reported as not `exact`.
-    Every returned profile verifies.  Families whose moving side cannot
-    meet an opponent interval inside the box are not returned.
+    Each item carries its own environment, so one stream may mix them.
+    Binary-action items go through exact support enumeration: a support's
+    regime pairs are kept until its run is solved, a run being the next
+    consecutive supports whose pairs reach `_PAIR_CHUNK`, or `_RUN_SUPPORTS`
+    of them when each keeps few pairs, and the pairs of a run are solved
+    together (`_solve_run`), with the same result for each support as
+    alone.  Other shapes, and binary supports over `config.max_regimes`,
+    use the damped iteration (each step moves halfway to the best replies,
+    until no strategy moves by 1e-9) in their place in the stream, which
+    may miss equilibria and is reported as not `exact`.  Every returned
+    profile verifies.  Families whose moving side cannot meet an opponent
+    interval inside the box are not returned.
     """
     config = config or SolveConfig()
-    binary = env.n_actions(0) == 2 and env.n_actions(1) == 2
     run, n_pairs = [], 0
-    for lams in supports:
+    for env, lams in items:
+        binary = env.n_actions(0) == 2 and env.n_actions(1) == 2
         sides = (_side_regimes_cached(env, lams, 0), _side_regimes_cached(env, lams, 1)) if binary else None
         enumerated = binary and len(sides[0].lo) * len(sides[1].lo) <= config.max_regimes
         if enumerated:
             run.append(_regime_pairs(env, lams, sides))
             n_pairs += len(run[-1].pairs[0][0])
-        if not enumerated or n_pairs >= _PAIR_CHUNK:
-            yield from _solved(env, run)
+        if not enumerated or n_pairs >= _PAIR_CHUNK or len(run) >= _RUN_SUPPORTS:
+            yield from _solved(run)
             run, n_pairs = [], 0
         if not enumerated:
             yield SolveResult(profiles=_damped_iteration(env, lams, config), exhausted=binary, exact=False)
-    yield from _solved(env, run)
+    yield from _solved(run)
 
 
 def dist_abee_solve_detailed(
@@ -740,8 +746,8 @@ def dist_abee_solve_detailed(
     lams: tuple[PartitionDistribution, PartitionDistribution],
     config: SolveConfig | None = None,
 ) -> SolveResult:
-    """The one-support case of `dist_abee_solve_many`."""
-    return next(dist_abee_solve_many(env, [lams], config))
+    """The one-item case of `dist_abee_solve_many`."""
+    return next(dist_abee_solve_many([(env, lams)], config))
 
 
 def abee_solve(

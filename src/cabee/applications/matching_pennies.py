@@ -10,18 +10,26 @@ bundlings tie, while the row population splits evenly between them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from ..abee import PartitionDistribution, StrategyProfile, degenerate_pair, dist_abee_solve_many
+from ..abee import (
+    PartitionDistribution,
+    StrategyProfile,
+    degenerate_pair,
+    dist_abee_solve_many,
+    dist_abee_verify_batch,
+    stack_plays,
+)
 from ..clustering import L2, Divergence
 from ..env import GameEnvironment, make_environment
 from ..equilibrium import (
     GLOBAL,
     LOCAL,
     EquilibriumCandidate,
-    cabee_verify,
     cd_abee_verify,
+    unclustered,
 )
 from ..partitions import Partition
 from . import HypothesesUnmet
@@ -140,36 +148,52 @@ def analytic_two_class_abee(spec: MatchingPenniesSpec, partition: Partition):
     return row, col
 
 
-def two_class_refutation(spec: MatchingPenniesSpec, d: Divergence = L2) -> dict:
+def two_class_refutation(specs: Sequence[MatchingPenniesSpec], d: Divergence = L2) -> list[dict]:
     """Check every two-class row partition's equilibrium against clustering
-    under the divergence d.
+    under the divergence d, for each stake triple of specs.
 
-    The three partitions are solved against the finest column partition in
-    one `dist_abee_solve_many` stream.  Returns, per partition, the solver
-    output, its match with the analytic structure, and the
-    clustered-equilibrium verdicts per mode (local and global).
+    All (triple, partition) supports, each row partition against the finest
+    column partition, are solved in one `dist_abee_solve_many` stream.  The
+    best replies of each support's profiles are checked in one
+    `dist_abee_verify_batch` call, and the clustering of every triple's
+    profiles in one `unclustered` call per partition and mode: the triples'
+    environments share their prior.  Each verdict is `cabee_verify(...).ok`
+    of its profile and mode.  Returns, per triple, a dict keyed by
+    partition: the solver output, its match with the analytic structure,
+    and the clustered-equilibrium verdicts per mode (local and global).
     """
-    env = build_matching_pennies(spec)
+    envs = [build_matching_pennies(spec) for spec in specs]
     finest = Partition.finest(3)
     parts = two_class_row_partitions()
-    out = {}
-    for part, res in zip(parts, dist_abee_solve_many(env, (degenerate_pair(part, finest) for part in parts))):
-        profiles = res.profiles
-        row_ref, col_ref = analytic_two_class_abee(spec, part)
-        matches = []
-        verdicts = {mode: [] for mode in (LOCAL, GLOBAL)}
-        for prof in profiles:
-            row = prof.single(0)[:, 0]
-            col = prof.single(1)[:, 0]
-            matches.append(
-                float(max(np.abs(row - row_ref).max(), np.abs(col - col_ref).max()))
-            )
-            for mode in (LOCAL, GLOBAL):
-                rep = cabee_verify(env, (part, finest), prof, mode, d, capacities=(2, 3))
-                verdicts[mode].append(rep.ok)
-        out[part] = {
-            "n_equilibria": len(profiles),
-            "analytic_gap": min(matches) if matches else None,
-            "verdicts": verdicts,
-        }
-    return out
+    pairs = {part: degenerate_pair(part, finest) for part in parts}
+    solves = dist_abee_solve_many((env, pairs[part]) for env in envs for part in parts)
+    reports = []
+    rows = {part: [] for part in parts}  # (env, plays, best replies hold, verdicts) per profile
+    for spec, env in zip(specs, envs):
+        report = {}
+        for part, res in zip(parts, solves):
+            row_ref, col_ref = analytic_two_class_abee(spec, part)
+            matches = [
+                float(max(np.abs(prof.single(0)[:, 0] - row_ref).max(), np.abs(prof.single(1)[:, 0] - col_ref).max()))
+                for prof in res.profiles
+            ]
+            verdicts = {LOCAL: [], GLOBAL: []}
+            report[part] = {
+                "n_equilibria": len(res.profiles),
+                "analytic_gap": min(matches) if matches else None,
+                "verdicts": verdicts,
+            }
+            if res.profiles:
+                plays = tuple(np.stack(p) for p in zip(*(stack_plays(prof, pairs[part]) for prof in res.profiles)))
+                held = dist_abee_verify_batch(env, pairs[part], plays)[0]
+                rows[part] += [(env, (plays[0][b], plays[1][b]), held[b], verdicts) for b in range(len(held))]
+        reports.append(report)
+    for part, checks in rows.items():
+        if not checks:
+            continue
+        row_envs, row_plays, held, outs = zip(*checks)
+        plays = tuple(np.stack(p) for p in zip(*row_plays))
+        for mode in (LOCAL, GLOBAL):
+            for out, ok, fails in zip(outs, held, unclustered(row_envs, pairs[part], plays, mode, d, (2, 3))):
+                out[mode].append(bool(ok) and not fails)
+    return reports

@@ -591,8 +591,8 @@ def _run_cluster(run, out_dir):
 def _run_pennies_refutation(run, out_dir):
     clustered = [
         any(any(v) for v in rep["verdicts"].values())
-        for sp in run.stakes
-        for rep in matching_pennies.two_class_refutation(sp, run.d).values()
+        for report in matching_pennies.two_class_refutation(run.stakes, run.d)
+        for rep in report.values()
     ]
     refuted = bool(clustered) and not any(clustered)  # nothing checked refutes nothing
     results = {"pure_clustered_equilibria_refuted": refuted, "cases_checked": len(clustered)}

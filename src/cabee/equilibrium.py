@@ -89,26 +89,42 @@ def infer_capacities(lams) -> tuple[int, int]:
     return tuple(max(p.n_classes for p in lams[pl].support) for pl in (0, 1))
 
 
-def _unclustered(env: GameEnvironment, lams, plays, mode: str, d: Divergence, capacities) -> list[list]:
+def unclustered(envs, lams, plays, mode: str, d: Divergence, capacities) -> list[list]:
     """(player, partition, reason) for every support partition that is not
     clustered against the opponent aggregate, per row of stacked plays (as
     for `cd_abee_verify_batch`), in player and support order.  Global mode
     needs a dispersion minimizer among the partitions with at most the
-    player's capacity of classes, so a support partition with more fails."""
+    player's capacity of classes, so a support partition with more fails.
+
+    envs is the environment of every row, or a sequence of the rows'
+    environments, which may differ: the check reads only the prior, so
+    environments whose priors differ raise ValueError.
+    """
+    prior = _common_prior(envs)
     failures: list[list] = [[] for _ in plays[0]]
     for player in (0, 1):
         data = mixture(lams[1 - player].weights, plays[1 - player].swapaxes(0, 1))
         support = lams[player].support
         if mode == GLOBAL:
-            winners, _ = global_cluster_batch(data, env.prior, capacities[player], d)
+            winners, _ = global_cluster_batch(data, prior, capacities[player], d)
             for fails, won in zip(failures, winners):
                 fails += [(player, part, "not a dispersion minimizer") for part in support if part not in won]
         else:
             for part in support:
-                for fails, witness in zip(failures, local_witnesses(data, part, env.prior, d)):
+                for fails, witness in zip(failures, local_witnesses(data, part, prior, d)):
                     if witness is not None:
                         fails.append((player, part, f"game {witness[0]} is closer to class {witness[1]}"))
     return failures
+
+
+def _common_prior(envs) -> np.ndarray:
+    """The prior of one environment, or the one prior of a sequence of them."""
+    if isinstance(envs, GameEnvironment):
+        return envs.prior
+    priors = [env.prior for env in envs]
+    if any(not np.array_equal(p, priors[0]) for p in priors[1:]):
+        raise ValueError("the rows' environments have different priors")
+    return priors[0]
 
 
 def clustered_partition_set(
@@ -148,7 +164,7 @@ def cd_abee_verify_batch(
     """
     caps = capacities or infer_capacities(lams)
     ok, worst, witnesses = dist_abee_verify_batch(env, lams, plays)
-    failures = _unclustered(env, lams, plays, mode, d, caps)
+    failures = unclustered(env, lams, plays, mode, d, caps)
     return [
         VerifyReport(bool(ok[b]) and not fails, float(worst[b]), witnesses[b], fails)
         for b, fails in enumerate(failures)
@@ -517,7 +533,7 @@ def _admitted(env: GameEnvironment, lams, plays, mode: str, d: Divergence, capac
     supports = (lams[0].support, lams[1].support)
     return [
         EquilibriumCandidate(lams, unstack_plays(supports, (plays[0][b], plays[1][b])), mode, d)
-        for b, fails in enumerate(_unclustered(env, lams, plays, mode, d, capacities))
+        for b, fails in enumerate(unclustered(env, lams, plays, mode, d, capacities))
         if not fails
     ]
 
@@ -581,7 +597,7 @@ def cd_abee_search(
         evaluations = found = 0
         completed = True
         todo, solving = itertools.tee(itertools.islice(supports, budget))
-        results = dist_abee_solve_many(env, solving, config.solve)
+        results = dist_abee_solve_many(((env, lams) for lams in solving), config.solve)
         for lams in todo:
             if len(result.candidates) >= config.max_candidates:
                 completed = False

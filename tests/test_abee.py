@@ -889,12 +889,26 @@ def _assert_same_result(got, ref):
         assert (a.t_lo, a.t_hi) == (b.t_lo, b.t_hi)
 
 
+def _assert_stream_is_its_solves(monkeypatch, items, config):
+    """Each (environment, support) item of a `dist_abee_solve_many` stream
+    gets its one-item solve, bit for bit, in runs of a few supports
+    (`_PAIR_CHUNK` 8, or `_RUN_SUPPORTS` 1) or of the whole stream (both
+    1 << 20)."""
+    refs = [dist_abee_solve_detailed(env, lams, config) for env, lams in items]
+    for chunk, cap in itertools.product((8, 1 << 20), (1, 1 << 20)):
+        monkeypatch.setattr(abee, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(abee, "_RUN_SUPPORTS", cap)
+        got = list(dist_abee_solve_many(iter(items), config))
+        assert len(got) == len(refs)
+        for a, b in zip(got, refs):
+            _assert_same_result(a, b)
+    return refs
+
+
 @pytest.mark.parametrize("capacities", [(2, 2), (2, 3)])
 def test_support_result_does_not_depend_on_its_run_mates(monkeypatch, capacities):
-    """Each support of a `dist_abee_solve_many` stream gets its one-support
-    solve, bit for bit, in runs of a few supports (`_PAIR_CHUNK` 8) or of
-    the whole stream (1 << 20).  The largest support, moved to the middle,
-    is over `max_regimes` and takes the damped iteration in its place."""
+    """The largest support of a stream, moved to the middle, is over
+    `max_regimes` and takes the damped iteration in its place."""
     rng = np.random.default_rng(23)
     for _ in range(2):
         env = make_environment(np.full(3, 1 / 3), rng.integers(-2, 3, size=(2, 2, 3)),
@@ -904,16 +918,35 @@ def test_support_result_does_not_depend_on_its_run_mates(monkeypatch, capacities
                    for lams in stream]
         stream.insert(len(stream) // 2, stream.pop(int(np.argmax(regimes))))
         config = SolveConfig(max_regimes=max(regimes) - 1, n_starts=2, max_iterations=50)
-        refs = [dist_abee_solve_detailed(env, lams, config) for lams in stream]
+        refs = _assert_stream_is_its_solves(monkeypatch, [(env, lams) for lams in stream], config)
         mid = len(stream) // 2
         assert refs[mid].exhausted and not refs[mid].exact
         assert any(ref.exact for ref in refs[:mid]) and any(ref.exact for ref in refs[mid + 1:])
-        for chunk in (8, 1 << 20):
-            monkeypatch.setattr(abee, "_PAIR_CHUNK", chunk)
-            got = list(dist_abee_solve_many(env, iter(stream), config))
-            assert len(got) == len(refs)
-            for a, b in zip(got, refs):
-                _assert_same_result(a, b)
+
+
+def test_support_result_does_not_depend_on_run_mates_of_other_environments(monkeypatch):
+    """Supports of two matching-pennies stake triples, a monitoring game (its
+    own prior) and a random binary environment, interleaved in one stream,
+    with a three-action item in the middle that takes the damped iteration."""
+    from cabee.applications.matching_pennies import MatchingPenniesSpec, build_matching_pennies
+    from cabee.applications.monitoring import MonitoringSpec, build_monitoring
+
+    rng = np.random.default_rng(24)
+    envs = [
+        build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5)),
+        build_matching_pennies(MatchingPenniesSpec(0.2, 0.4, 1.8)),
+        build_monitoring(MonitoringSpec(0.4, 0.4, 0.2, 0.5, 0.3)),
+        make_environment(rng.dirichlet(np.ones(3)), rng.integers(-2, 3, size=(2, 2, 3)),
+                         rng.integers(-2, 3, size=(2, 2, 3))),
+    ]
+    supports = _search_supports((2, 3))
+    items = [(envs[k % len(envs)], supports[(7 * k) % len(supports)]) for k in range(len(supports))]
+    wide = make_environment(np.full(3, 1 / 3), rng.normal(size=(3, 2, 3)), rng.normal(size=(2, 3, 3)))
+    items.insert(len(items) // 2, (wide, supports[0]))
+    refs = _assert_stream_is_its_solves(monkeypatch, items, SolveConfig(n_starts=2, max_iterations=50))
+    assert not refs[len(items) // 2].exact
+    assert all(ref.exact for k, ref in enumerate(refs) if k != len(items) // 2)
+    assert sum(len(ref.profiles) for ref in refs) and sum(len(ref.continua) for ref in refs)
 
 
 def test_a_support_that_keeps_no_pairs_leaves_its_run_mates_alone(mp_env):
@@ -924,7 +957,7 @@ def test_a_support_that_keeps_no_pairs_leaves_its_run_mates_alone(mp_env):
     run = [_regime_pairs(mp_env, lams, (_side_regimes_cached(mp_env, lams, 0), _side_regimes_cached(mp_env, lams, 1)))
            for lams in stream]
     run[1] = run[1]._replace(pairs=tuple((own[:0], opp[:0]) for own, opp in run[1].pairs))
-    got = [_assemble(mp_env, sup, sols) for sup, sols in zip(run, _solve_run(run))]
+    got = [_assemble(sup, sols) for sup, sols in zip(run, _solve_run(run))]
     assert not got[1].profiles and not got[1].continua
     for i in (0, 2):
         ref = dist_abee_solve_detailed(mp_env, stream[i])

@@ -251,9 +251,9 @@ def test_refutation_runs_under_the_scenario_divergence(tmp_path, monkeypatch, di
     used = []
     refute = matching_pennies.two_class_refutation
 
-    def spy(spec, d):
+    def spy(specs, d):
         used.append(d)
-        return refute(spec, d)
+        return refute(specs, d)
 
     monkeypatch.setattr(matching_pennies, "two_class_refutation", spy)
     doc = dict(bundled_scenarios()["prop1_refutation"], divergence=divergence, params={"a": 0.5, "b": 1.0, "c": 1.5})
@@ -272,7 +272,7 @@ def test_refutation_reports_nothing_when_nothing_is_checked(tmp_path, monkeypatc
     result, _ = run_scenario(doc, tmp_path)
     assert result["results"] == {"pure_clustered_equilibria_refuted": True, "cases_checked": 3}
     assert result["verification"]["all_ok"]
-    monkeypatch.setattr(matching_pennies, "two_class_refutation", lambda spec, d: {})
+    monkeypatch.setattr(matching_pennies, "two_class_refutation", lambda specs, d: [])
     result, _ = run_scenario(doc, tmp_path)
     assert result["results"] == {"pure_clustered_equilibria_refuted": False, "cases_checked": 0}
     assert not result["verification"]["all_ok"]

@@ -696,8 +696,8 @@ def test_bracket_roots_match_per_function_reference():
 def _counted_solves(calls):
     """`dist_abee_solve_many` counting each result it yields in calls["solve"]."""
 
-    def solves(env, supports, config=None):
-        for res in dist_abee_solve_many(env, supports, config):
+    def solves(items, config=None):
+        for res in dist_abee_solve_many(items, config):
             calls["solve"] += 1
             yield res
 

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cabee.abee import abee_solve
-from cabee.clustering import L2, dispersion
-from cabee.equilibrium import cd_abee_verify
+from cabee import abee
+from cabee.abee import abee_solve, degenerate_pair, stack_plays
+from cabee.cli import DIVERGENCES, _stake_triples, bundled_scenarios
+from cabee.clustering import L2, dispersion, mean_divergence
+from cabee.env import make_environment
+from cabee.equilibrium import GLOBAL, LOCAL, cabee_verify, cd_abee_verify, unclustered
 from cabee.partitions import Partition
 from cabee.applications import HypothesesUnmet
 from cabee.applications.matching_pennies import (
@@ -90,13 +95,99 @@ def test_analytic_structure_matches_solver():
 
 
 def test_refutation_on_one_spec():
-    report = two_class_refutation(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    (report,) = two_class_refutation([MatchingPenniesSpec(0.5, 1.0, 1.5)])
     assert len(report) == 3
     for rep in report.values():
         assert rep["n_equilibria"] == 1
         assert rep["analytic_gap"] <= 1e-9
         assert not any(rep["verdicts"]["local"])
         assert not any(rep["verdicts"]["global"])
+
+
+def _bundled_sweep():
+    return _stake_triples(bundled_scenarios()["prop1_refutation"]["params"]["sweep_step"], None)
+
+
+def _reference_refutation(specs, d):
+    """The refutation one stake triple, partition and mode at a time, with
+    one `cabee_verify` call per profile."""
+    fin = Partition.finest(3)
+    reports = []
+    for spec in specs:
+        env = build_matching_pennies(spec)
+        report = {}
+        for part in two_class_row_partitions():
+            profiles = abee_solve(env, (part, fin))
+            row_ref, col_ref = analytic_two_class_abee(spec, part)
+            gaps = [float(max(np.abs(p.single(0)[:, 0] - row_ref).max(), np.abs(p.single(1)[:, 0] - col_ref).max()))
+                    for p in profiles]
+            report[part] = {
+                "n_equilibria": len(profiles),
+                "analytic_gap": min(gaps) if gaps else None,
+                "verdicts": {mode: [cabee_verify(env, (part, fin), p, mode, d, capacities=(2, 3)).ok for p in profiles]
+                             for mode in (LOCAL, GLOBAL)},
+            }
+        reports.append(report)
+    return reports
+
+
+@pytest.mark.parametrize(
+    "d, mixed",
+    [(DIVERGENCES["l2"], False), (DIVERGENCES["kl"], False), (DIVERGENCES["mean"], False),
+     (mean_divergence((0.0, 3e-5)), True), (mean_divergence((0.0, 3e-6)), True)],
+    ids=["l2", "kl", "mean", "mean-flat", "mean-flatter"],
+)
+def test_refutation_sweep_matches_per_triple_reference(d, mixed):
+    """Every verdict of the batched sweep is `cabee_verify(...).ok` of its
+    profile and mode.  At the bundled stakes every verdict is False under
+    the scenario divergences; the flattened mean divergences put the
+    dispersion gaps of some triples inside the tie tolerances, so their
+    batches mix passing and failing rows."""
+    specs = _bundled_sweep()
+    got = two_class_refutation(specs, d)
+    assert got == _reference_refutation(specs, d)
+    assert sum(rep["n_equilibria"] for report in got for rep in report.values()) == 252
+    verdicts = [v for report in got for rep in report.values() for vs in rep["verdicts"].values() for v in vs]
+    assert (any(verdicts) and not all(verdicts)) if mixed else not any(verdicts)
+
+
+def test_clustering_failures_refuse_environments_with_different_priors():
+    """`unclustered` reads only the prior: a batch over environments that
+    share it gives each row's own failures, and one whose priors differ is
+    refused."""
+    spec = MatchingPenniesSpec(0.5, 1.0, 1.5)
+    env, other = build_matching_pennies(spec), build_matching_pennies(MatchingPenniesSpec(0.2, 0.4, 1.8))
+    skewed = make_environment([0.5, 0.25, 0.25], env.payoffs[0], env.payoffs[1])
+    lams = degenerate_pair(two_class_row_partitions()[0], Partition.finest(3))
+    (prof,) = abee_solve(env, tuple(lam.support[0] for lam in lams))
+    plays = tuple(np.stack([p, p]) for p in stack_plays(prof, lams))
+    for mode in (LOCAL, GLOBAL):
+        alone = unclustered(env, lams, plays, mode, L2, (2, 3))
+        assert alone[0] and unclustered([env, other], lams, plays, mode, L2, (2, 3)) == alone
+        with pytest.raises(ValueError, match="different priors"):
+            unclustered([env, skewed], lams, plays, mode, L2, (2, 3))
+
+
+def test_refutation_sweep_memory_is_bounded_by_its_runs(monkeypatch):
+    """The sweep's 252 supports are solved in runs of at most
+    `_RUN_SUPPORTS`, so it never holds the regime tables of the whole
+    sweep at once; the bound is one the uncapped stream exceeds.  The
+    regime cache starts empty, as in a fresh run."""
+    specs = _bundled_sweep()
+    bound = 2.5 * 2**20
+
+    def peak():
+        monkeypatch.setattr(abee, "_REGIME_CACHE", {})
+        tracemalloc.start()
+        try:
+            two_class_refutation(specs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < bound
+    monkeypatch.setattr(abee, "_RUN_SUPPORTS", 1 << 20)
+    assert peak() > bound
 
 
 def test_construction_rejects_out_of_scope_spec():
