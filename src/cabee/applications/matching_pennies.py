@@ -184,9 +184,9 @@ def two_class_refutation(specs: Sequence[MatchingPenniesSpec], d: Divergence = L
                 "verdicts": verdicts,
             }
             if res.profiles:
-                plays = tuple(np.stack(p) for p in zip(*(stack_plays(prof, pairs[part]) for prof in res.profiles)))
-                held = dist_abee_verify_batch(env, pairs[part], plays)[0]
-                rows[part] += [(env, (plays[0][b], plays[1][b]), held[b], verdicts) for b in range(len(held))]
+                stacked = [stack_plays(prof, pairs[part]) for prof in res.profiles]
+                held = dist_abee_verify_batch(env, pairs[part], tuple(np.stack(p) for p in zip(*stacked)))[0]
+                rows[part] += [(env, plays, ok, verdicts) for plays, ok in zip(stacked, held)]
         reports.append(report)
     for part, checks in rows.items():
         if not checks:
