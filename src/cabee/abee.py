@@ -9,17 +9,21 @@ binary-action games enumerates regimes: per analogy class, where the class
 expectation sits relative to the games' indifference thresholds ("pinned at
 a threshold" or "strictly between two").  A player's regime fixes which of
 its mixing weights are unknown, and so an affine map from them to the
-opponent's class expectations, built once per regime.  The opponent's pins
-and intervals are then checked against these maps as arrays, and the regime
-pairs left are solved in batched Gauss-Jordan eliminations; it keeps every
-profile that verifies and every one-parameter solution family.  Supports
-are solved as a stream (`dist_abee_solve_many`) of (environment, support)
-items, so one stream may mix environments: the pairs of consecutive
-supports are stacked into runs of about `_PAIR_CHUNK` pairs and at most
-`_RUN_SUPPORTS` supports, one elimination per map width and run, and each
-support's result is the same as its solve alone
-(`dist_abee_solve_detailed`).  A damped best-reply
-iteration with multi-start is the fallback for larger action sets.
+opponent's class expectations.  The opponent's pins and intervals are then
+checked against these maps as arrays, and the regime pairs left are solved
+in batched Gauss-Jordan eliminations; it keeps every profile that verifies
+and every one-parameter solution family.  Supports are solved as a stream
+(`dist_abee_solve_many`) of (environment, support) items, so one stream may
+mix environments, in runs of `_RUN_SUPPORTS` consecutive items, and each
+stage works on a whole run: the regime tables of the supports not yet
+memoized are built in one pass from each player's threshold arrays
+(`_side_regimes`), the affine maps and range tests in one pass per map
+width (`_map_group`), the eliminations in one pass per map width and batch
+of supports holding about `_PAIR_CHUNK` pairs (`_solve_batch`), and the
+assembly, best-reply check included, in one pass per batch and support
+shape (`_assemble`).  Each support's result is the same as its solve alone
+(`dist_abee_solve_detailed`).  A damped best-reply iteration with
+multi-start is the fallback for larger action sets.
 
 Verification takes a batch of profiles, each player's strategies stacked as
 one (B, n_support, n_games, n_actions) array: `dist_abee_verify_batch`
@@ -30,12 +34,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .clustering import class_prototypes
-from .env import GameEnvironment, SOLVER_TOL
+from .env import GameEnvironment, SOLVER_TOL, common_prior
 from .partitions import Partition
 
 EQ_TOL = 1e-10  # residual tolerance for the indifference systems
@@ -144,7 +149,7 @@ def best_replies(pays: np.ndarray, tol: float, incumbent: np.ndarray | None = No
 
 
 def dist_abee_verify_batch(
-    env: GameEnvironment,
+    envs,
     lams: tuple[PartitionDistribution, PartitionDistribution],
     plays: tuple[np.ndarray, np.ndarray],
     tol: float = SOLVER_TOL,
@@ -152,19 +157,23 @@ def dist_abee_verify_batch(
     """Distributional equilibrium check of a batch of profiles.
 
     plays[i] holds player i's (B, n_support, n_games, n_actions) strategies
-    in support order.  Consistent expectations are recomputed from the
-    aggregates; per profile, the worst payoff gain any player gets by
-    deviating in any game under any support partition (0.0 when none is
-    positive), and its witness (player, partition, game): the first in
-    player, support and class-major game order to attain it, or None.
-    Returns (ok, worst, witnesses).
+    in support order.  envs is the environment of every profile, or a
+    sequence of the profiles' environments, which may differ in payoffs but
+    not in prior (ValueError otherwise).  Consistent expectations are
+    recomputed from the aggregates; per profile, the worst payoff gain any
+    player gets by deviating in any game under any support partition (0.0
+    when none is positive), and its witness (player, partition, game): the
+    first in player, support and class-major game order to attain it, or
+    None.  Returns (ok, worst, witnesses).
     """
+    prior = common_prior(envs)
     aggs = [mixture(lams[pl].weights, plays[pl].swapaxes(0, 1)) for pl in (0, 1)]
     blocks, owners = [], []
     for player in (0, 1):
+        payoffs = envs.payoffs[player] if isinstance(envs, GameEnvironment) else np.stack([e.payoffs[player] for e in envs])
         for pi, part in enumerate(lams[player].support):
-            beta = class_prototypes(aggs[1 - player], part, env.prior)
-            pays = expected_payoffs(env, player, beta[..., list(part.assignment()), :])
+            beta = class_prototypes(aggs[1 - player], part, prior)
+            pays = np.einsum("...abg,...gb->...ga", payoffs, beta[..., list(part.assignment()), :])
             order = list(itertools.chain.from_iterable(part.classes))
             gains = pays.max(axis=-1) - (plays[player][:, pi] * pays).sum(axis=-1)
             blocks.append(gains[:, order])
@@ -174,8 +183,8 @@ def dist_abee_verify_batch(
     worst = np.where(best > 0.0, best, 0.0)
     witnesses = []
     for i, b in zip(gains.argmax(axis=1).tolist(), best.tolist()):
-        player, part, order = owners[i // env.n_games]
-        witnesses.append((player, part, order[i % env.n_games]) if b > 0.0 else None)
+        player, part, order = owners[i // len(prior)]
+        witnesses.append((player, part, order[i % len(prior)]) if b > 0.0 else None)
     return worst <= tol, worst, witnesses
 
 
@@ -236,67 +245,39 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _threshold_info(env: GameEnvironment, player: int, game: int):
-    """Indifference threshold of a binary-action game in the opponent's
-    action-0 probability q.
+class _Thresholds(NamedTuple):
+    """Where the best reply of a binary-action player changes in each game
+    with the opponent's action-0 probability q: it plays `above` for
+    q > t, `below` for q < t, and either at t.  A game with one strict action
+    over all of [0, 1] has t = inf and that action in both fields; a `free`
+    game leaves the player indifferent at every q."""
 
-    Returns (kind, t, action_above, action_below):
-      kind 'threshold' with t in [0,1]; 'constant' with the strict action in
-      t; or 'free' when the player is indifferent at every q.
-    """
-    u = env.payoff_slice(player, game)
+    t: np.ndarray
+    above: np.ndarray
+    below: np.ndarray
+    free: np.ndarray
+    key: bytes  # the four fields' bytes
+
+
+def _thresholds(env: GameEnvironment, player: int) -> _Thresholds:
+    """The thresholds of one player in every game, from one pass over its
+    payoffs.  A payoff slope in q below 1e-14 gives a free game or a strict
+    action by the sign of the intercept; a threshold more than 1e-12 outside
+    [0, 1] gives the strict action at q = 1/2, and one within it is clipped
+    into [0, 1]."""
+    u = env.payoffs[player]
     g = u[0, 1] - u[1, 1]
     h = (u[0, 0] - u[1, 0]) - g
-    if abs(h) < 1e-14:
-        if abs(g) < 1e-14:
-            return ("free", None, None, None)
-        return ("constant", 0 if g > 0 else 1, None, None)
-    t = -g / h
-    if t < -1e-12 or t > 1 + 1e-12:
-        mid = 0.5
-        return ("constant", 0 if g + h * mid > 0 else 1, None, None)
-    # action optimal above/below the threshold
-    above = 0 if h > 0 else 1
-    return ("threshold", min(max(t, 0.0), 1.0), above, 1 - above)
-
-
-def _class_positions(env: GameEnvironment, player: int, cls: tuple[int, ...]):
-    """Candidate placements of one class expectation.
-
-    Each position fixes, per game of the class, either a strict action or
-    "indifferent", together with the constraint on the class expectation q:
-    an equality (pin at a threshold) or an interval.
-    """
-    infos = {g: _threshold_info(env, player, g) for g in cls}
-    free_games = [g for g in cls if infos[g][0] == "free"]
-    consts = {g: infos[g][1] for g in cls if infos[g][0] == "constant"}
-    thr_games = [(g, infos[g]) for g in cls if infos[g][0] == "threshold"]
-    ts = sorted({round(info[1], 14) for _, info in thr_games})
-    positions = []
-
-    def actions_at(q, pin=None):
-        acts = dict(consts)
-        indiff = list(free_games)
-        for g, (_, t, above, below) in thr_games:
-            if pin is not None and abs(t - pin) <= 1e-12:
-                indiff.append(g)
-            elif q > t:
-                acts[g] = above
-            else:
-                acts[g] = below
-        return acts, indiff
-
-    edges = [0.0] + ts + [1.0]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo < 1e-12:
-            continue
-        mid = (lo + hi) / 2
-        acts, indiff = actions_at(mid)
-        positions.append(("interval", lo, hi, acts, indiff))
-    for t in ts:
-        acts, indiff = actions_at(t, pin=t)
-        positions.append(("pin", t, t, acts, indiff))
-    return positions
+    flat = np.abs(h) < 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -g / h
+    strict = flat | (t < -1e-12) | (t > 1 + 1e-12)
+    act = np.where(flat, ~(g > 0), ~(g + h * 0.5 > 0)).astype(np.intp)
+    above = np.where(strict, act, np.where(h > 0, 0, 1))
+    t = np.where(0.0 > t, 0.0, t)  # max(t, 0.0) and then min(t, 1.0), signed zeros kept
+    t = np.where(1.0 < t, 1.0, t)
+    fields = (np.where(strict, np.inf, t), above, np.where(strict, act, 1 - above), flat & (np.abs(g) < 1e-14))
+    return _Thresholds(*fields, b"".join(f.tobytes() for f in fields))
 
 
 @dataclass(frozen=True)
@@ -310,51 +291,156 @@ class _Regimes:
 
     fixed: np.ndarray  # (R, V) mass of the strict variables, 0 at unknowns
     unknown: np.ndarray  # (R, V) bool: the indifferent (mixing) variables
-    pinned: np.ndarray  # (R, S) bool: the class expectation sits at a threshold
-    lo: np.ndarray  # (R, S) bounds on the class expectation, lo == hi at a pin
-    hi: np.ndarray
+    choice: np.ndarray  # (R, S) the position of each slot
+    # (S, P) per slot and position: whether the class expectation sits at a
+    # threshold, and its bounds lo, hi (lo == hi at a pin)
+    positions: tuple[np.ndarray, np.ndarray, np.ndarray]
     slot_classes: tuple[tuple[int, ...], ...]
+    width: int  # the most unknowns of a regime
+
+    def _at_choice(self, table: np.ndarray) -> np.ndarray:
+        return table[np.arange(len(self.slot_classes)), self.choice]
+
+    @property
+    def pinned(self) -> np.ndarray:
+        """(R, S) bool: the class expectation sits at a threshold."""
+        return self._at_choice(self.positions[0])
+
+    @property
+    def lo(self) -> np.ndarray:
+        """(R, S) bounds on the class expectation, lo == hi at a pin."""
+        return self._at_choice(self.positions[1])
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self._at_choice(self.positions[2])
 
 
-def _side_regimes(env: GameEnvironment, support: tuple[Partition, ...], player: int) -> _Regimes:
-    n_games = env.n_games
-    n_vars = len(support) * n_games
-    slot_classes, tables = [], []
-    for pi, part in enumerate(support):
-        for cls in part.classes:
-            positions = _class_positions(env, player, cls)
-            fixed = np.zeros((len(positions), n_vars))
-            unknown = np.zeros((len(positions), n_vars), dtype=bool)
-            for k, (_, _, _, acts, indiff) in enumerate(positions):
-                for g, act in acts.items():
-                    fixed[k, pi * n_games + g] = 1.0 if act == 0 else 0.0
-                unknown[k, [pi * n_games + g for g in indiff]] = True
-            bounds = np.array([(kind == "pin", lo, hi) for kind, lo, hi, _, _ in positions])
-            slot_classes.append(cls)
-            tables.append((fixed, unknown, bounds))
-    # row-major indices run through the product with the last slot fastest
-    choice = np.indices([len(t[0]) for t in tables]).reshape(len(tables), -1)
-    bounds = np.stack([t[2][c] for t, c in zip(tables, choice)], axis=1)
-    return _Regimes(
-        fixed=sum(t[0][c] for t, c in zip(tables, choice)),  # each variable has one slot
-        unknown=np.logical_or.reduce([t[1][c] for t, c in zip(tables, choice)]),
-        pinned=bounds[..., 0] > 0,
-        lo=bounds[..., 1],
-        hi=bounds[..., 2],
-        slot_classes=tuple(slot_classes),
-    )
+def _side_regimes(items: list[tuple[_Thresholds, tuple[Partition, ...]]]) -> list[_Regimes]:
+    """Every regime of one player for each (thresholds, support) item, the
+    positions of every class of every item built in one pass.
+
+    The positions of a class expectation q are the intervals between the
+    class's thresholds rounded to 14 digits (equal ones merged, the first
+    in class order kept), each at least 1e-12 wide, and then a pin at each
+    of these thresholds, in increasing q.  At a position each game of the
+    class plays a strict action, or is indifferent: in a free game, and at
+    a pin within 1e-12 of its threshold.  Slots are numbered across the
+    items, and an item's tables are views of the pass's.
+    """
+    slot_classes = [tuple(cls for part in support for cls in part.classes) for _, support in items]
+    n_slots = np.array([len(classes) for classes in slot_classes])
+    n_games = np.array([len(th.t) for th, _ in items])
+    slot_at = np.cumsum(n_slots) - n_slots  # each item's first slot
+    n_all = int(n_slots.sum())
+    # the variables of each item in slot order, with the slot and item of each
+    var = np.array([pi * len(th.t) + g for th, support in items
+                    for pi, part in enumerate(support) for cls in part.classes for g in cls])
+    slot = np.repeat(np.arange(n_all), [len(cls) for classes in slot_classes for cls in classes])
+    item = np.repeat(np.arange(len(items)), n_slots)[slot]
+    game = (np.cumsum(n_games) - n_games)[item] + var % n_games[item]
+    t, above, below, free = (np.concatenate([th[f] for th, _ in items])[game] for f in range(4))
+    finite = np.flatnonzero(np.isfinite(t))
+    ts, ts_slot = np.round(t[finite], 14), slot[finite]
+    order = np.lexsort((ts, ts_slot))  # stable: the first in class order leads equal values
+    ts, ts_slot = ts[order], ts_slot[order]
+    distinct = np.ones(len(ts), dtype=bool)
+    distinct[1:] = (ts[1:] != ts[:-1]) | (ts_slot[1:] != ts_slot[:-1])
+    ts, ts_slot = ts[distinct], ts_slot[distinct]
+    # each slot's intervals run between its edges 0.0, ts..., 1.0
+    lo, hi = np.zeros(len(ts) + n_all), np.ones(len(ts) + n_all)
+    lo[np.arange(len(ts)) + ts_slot + 1] = ts
+    hi[np.arange(len(ts)) + ts_slot] = ts
+    wide = ~(hi - lo < 1e-12)
+    interval_slot = np.repeat(np.arange(n_all), np.bincount(ts_slot, minlength=n_all) + 1)
+    pos_slot = np.concatenate([interval_slot[wide], ts_slot])
+    by_slot = np.argsort(pos_slot, kind="stable")
+    pos_slot = pos_slot[by_slot]
+    pin, lo, hi, q = np.array([
+        np.arange(len(by_slot)) >= wide.sum(),
+        np.concatenate([lo[wide], ts]),
+        np.concatenate([hi[wide], ts]),
+        np.concatenate([((lo + hi) / 2)[wide], ts]),
+    ])[:, by_slot]
+    pin = pin > 0
+    n_positions = np.bincount(pos_slot, minlength=n_all)
+    first = np.cumsum(n_positions) - n_positions
+    table = np.zeros((3, n_all, n_positions.max()))
+    table[:, pos_slot, np.arange(len(pos_slot)) - first[pos_slot]] = pin, lo, hi
+    # regimes: row-major indices run through each item's product, its last slot fastest
+    sizes, stride, n_regimes = n_positions.tolist(), [], []
+    for at, k in zip(slot_at.tolist(), n_slots.tolist()):
+        steps = [1] * k
+        for s in range(k - 2, -1, -1):
+            steps[s] = steps[s + 1] * sizes[at + s + 1]
+        stride += steps
+        n_regimes.append(steps[0] * sizes[at])
+    regime_at = np.cumsum([0] + n_regimes)
+    regime_item = np.repeat(np.arange(len(items)), n_regimes)
+    rank = np.arange(regime_at[-1]) - regime_at[regime_item]
+    in_item = np.arange(n_slots.max()) < n_slots[regime_item][:, None]
+    slots = np.where(in_item, slot_at[regime_item][:, None] + np.arange(n_slots.max()), 0)
+    choice = np.where(in_item, rank[:, None] // np.array(stride)[slots] % n_positions[slots], 0)  # (R, S)
+    # each variable's state is set by the position of its slot
+    entry = np.full((len(items), max(len(support) * len(th.t) for th, support in items)), -1)
+    entry[item, var] = np.arange(len(var))
+    entry = entry[regime_item]
+    own = entry >= 0
+    entry = np.where(own, entry, 0)
+    position = first[slot[entry]] + np.take_along_axis(choice, slot[entry] - slot_at[item[entry]], axis=1)
+    unknown = own & (free[entry] | (pin[position] & (np.abs(t[entry] - q[position]) <= 1e-12)))
+    fixed = (own & ~unknown & (np.where(q[position] > t[entry], above[entry], below[entry]) == 0)).astype(float)
+    widths = np.maximum.reduceat(unknown.sum(axis=1), regime_at[:-1]).tolist()
+    choice = choice.astype(np.min_scalar_type(n_positions.max()))
+    out = []
+    for j, (th, support) in enumerate(items):
+        rows, n_vars = slice(regime_at[j], regime_at[j + 1]), len(support) * len(th.t)
+        at = slice(slot_at[j], slot_at[j] + n_slots[j])
+        n_pos = n_positions[at].max()
+        out.append(_Regimes(
+            fixed=fixed[rows, :n_vars],
+            unknown=unknown[rows, :n_vars],
+            choice=choice[rows, : n_slots[j]],
+            positions=(table[0, at, :n_pos] > 0, table[1, at, :n_pos], table[2, at, :n_pos]),
+            slot_classes=slot_classes[j],
+            width=widths[j],
+        ))
+    return out
 
 
-_REGIME_CACHE: dict[tuple, _Regimes] = {}
+_REGIME_CACHE: dict[tuple, object] = {}
 
 
-def _side_regimes_cached(env: GameEnvironment, lams, player: int) -> _Regimes:
-    key = (env.fingerprint(), player, lams[player].support)
+def _memo(key: tuple, build: Callable):
+    """`_REGIME_CACHE[key]`, built on a miss; the cache is emptied once it
+    holds more than 4096 entries."""
     if key not in _REGIME_CACHE:
         if len(_REGIME_CACHE) > 4096:
             _REGIME_CACHE.clear()
-        _REGIME_CACHE[key] = _side_regimes(env, lams[player].support, player)
+        _REGIME_CACHE[key] = build()
     return _REGIME_CACHE[key]
+
+
+def _regimes_of(items) -> list[tuple[_Regimes, _Regimes]]:
+    """Both players' regimes of each binary (environment, support) item.
+
+    A player's regimes depend on its thresholds and support alone and are
+    memoized on them, and the thresholds per environment and player; the
+    missing regimes are built in one pass (`_side_regimes`)."""
+    wanted = []
+    for env, lams in items:
+        for player in (0, 1):
+            th = _memo((env.fingerprint(), player), lambda: _thresholds(env, player))
+            wanted.append(((th.key, lams[player].support), th))
+    found = {key: _REGIME_CACHE.get(key) for key, _ in wanted}
+    missing = {key: (th, key[1]) for key, th in wanted if found[key] is None}
+    if missing:
+        if len(_REGIME_CACHE) + len(missing) > 4096:
+            _REGIME_CACHE.clear()
+        for key, regimes in zip(missing, _side_regimes(list(missing.values()))):
+            found[key] = _REGIME_CACHE[key] = regimes
+    sides = [found[key] for key, _ in wanted]
+    return list(zip(sides[::2], sides[1::2]))
 
 
 def _sum_left(terms: np.ndarray) -> np.ndarray:
@@ -366,39 +452,107 @@ def _sum_left(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-class _AffineMaps(NamedTuple):
-    """Per regime of the block player, the map q = a @ x_u + b from its
-    unknowns to the opponent's class expectations, one row per opponent slot."""
+def _coefficients(prior: np.ndarray, weights: tuple[float, ...], slot_classes) -> tuple[np.ndarray, np.ndarray]:
+    """Per opponent slot, the coefficient of each own variable in its class
+    expectation, with a dummy last column of 0, and the variables of its
+    terms in (game, support partition) order, padded with the dummy.  They
+    depend on the prior, the own weights and the opponent's classes alone,
+    and are memoized on them."""
 
+    def build():
+        n_games = len(prior)
+        n_vars = n_games * len(weights)
+        coef = np.zeros((len(slot_classes), n_vars + 1))
+        order = np.full((len(slot_classes), n_vars), n_vars)
+        for s, cls in enumerate(slot_classes):
+            pcls = sum(prior[g] for g in cls)
+            terms = [pi * n_games + g for g in cls for pi in range(len(weights))]
+            order[s, : len(terms)] = terms
+            for g in cls:
+                for pi, w in enumerate(weights):
+                    coef[s, pi * n_games + g] = prior[g] * w / pcls
+        return coef, order
+
+    return _memo(("coefficients", prior.tobytes(), weights, slot_classes), build)
+
+
+class _MapGroup(NamedTuple):
+    """The sides (support, player) of a run of one map width, the most
+    unknowns of one of their regimes.  Each side's own regimes are stacked
+    one after another from `starts`, their variables padded to the most of
+    any member, and its opponent's slots are padded likewise, with zero map
+    rows that take no part in any test or equation.  Per own regime: the
+    affine map q = a @ x_u + b from its unknowns to the opponent's class
+    expectations, the variable of each unknown column in variable order
+    (-1, a dummy last variable, for padding) and whether the column is one
+    of the regime's unknowns; per own regime, opponent slot and position of
+    that slot, whether the checks on the maps alone rule the position out."""
+
+    members: list[tuple[int, int]]
+    starts: np.ndarray
+    fixed: np.ndarray  # (R, V + 1) bool, the dummy last
     a: np.ndarray  # (R, S, width)
     b: np.ndarray  # (R, S)
-    columns: np.ndarray  # (R, width) variable of each unknown column, V for padding
-    valid: np.ndarray  # (R, width) bool: the column is one of the regime's unknowns
+    columns: np.ndarray  # (R, width)
+    valid: np.ndarray  # (R, width) bool
+    drops: np.ndarray  # (R, S, P) bool
 
 
-def _affine_maps(env: GameEnvironment, weights, own: _Regimes, slot_classes) -> _AffineMaps:
-    """Column u of a belongs to the regime's u-th unknown in variable order;
-    regimes with fewer unknowns get zero columns.  b adds the strict
-    variables' terms from the left, in (game, support partition) order."""
-    n_games = env.n_games
-    n_regimes, n_vars = own.unknown.shape
-    coef = np.zeros((len(slot_classes), n_vars + 1))
-    order = np.full((len(slot_classes), n_games * len(weights)), n_vars)
-    for s, cls in enumerate(slot_classes):
-        pcls = sum(env.prior[g] for g in cls)
-        terms = [pi * n_games + g for g in cls for pi in range(len(weights))]
-        order[s, : len(terms)] = terms
-        for g in cls:
-            for pi, w in enumerate(weights):
-                coef[s, pi * n_games + g] = env.prior[g] * w / pcls
-    fixed = np.concatenate([own.fixed, np.zeros((n_regimes, 1))], axis=1)
-    b = _sum_left(np.take_along_axis(coef, order, axis=1) * fixed[:, order])
-    n_unknowns = own.unknown.sum(axis=1)
-    width = int(n_unknowns.max())
-    columns = np.argsort(~own.unknown, axis=1, kind="stable")[:, :width]
-    valid = np.arange(width) < n_unknowns[:, None]
-    columns[~valid] = n_vars
-    return _AffineMaps(coef[:, columns].transpose(1, 0, 2), b, columns, valid)
+def _map_group(run: list[_Support], members: list[tuple[int, int]]) -> _MapGroup:
+    """The maps and range test of the sides of one width, all in one pass.
+
+    b adds the strict variables' terms from the left, in (game, support
+    partition) order.  An opponent position is ruled out for a regime's slot
+    when it pins the class at other than b while no unknown moves it, or
+    when it is an interval that q's range over the box x_u in [0, 1]^width
+    misses beyond the solve's tolerances.  Pins get no range test: plays
+    clip unknowns into the box, and a clipped point may verify.
+    """
+    own = [run[i].sides[p] for i, p in members]
+    opp = [run[i].sides[1 - p] for i, p in members]
+    n_vars = max(o.fixed.shape[1] for o in own)
+    n_slots = max(len(o.slot_classes) for o in opp)
+    n_positions = max(o.positions[1].shape[1] for o in opp)
+    counts = [len(o.choice) for o in own]
+    starts = np.cumsum([0] + counts)
+    fixed = np.zeros((starts[-1], n_vars + 1), dtype=bool)
+    unknown = np.zeros((starts[-1], n_vars), dtype=bool)
+    coef = np.zeros((len(members), n_slots, n_vars + 1))
+    order = np.full((len(members), n_slots, n_vars), n_vars)
+    positions = [np.zeros((len(members), n_slots, n_positions), dtype=bool),
+                 np.full((len(members), n_slots, n_positions), -np.inf),
+                 np.full((len(members), n_slots, n_positions), np.inf)]
+    for m, ((i, p), o, q) in enumerate(zip(members, own, opp)):
+        rows, n_own, n_opp = slice(starts[m], starts[m + 1]), o.fixed.shape[1], len(q.slot_classes)
+        fixed[rows, :n_own] = o.fixed
+        unknown[rows, :n_own] = o.unknown
+        c, terms = _coefficients(run[i].env.prior, run[i].lams[p].weights, q.slot_classes)
+        coef[m, :n_opp, :n_own] = c[:, :n_own]
+        order[m, :n_opp, :n_own] = terms  # the dummy n_own is a zero column here
+        for table, part in zip(positions, q.positions):
+            table[m, :n_opp, : part.shape[1]] = part
+    member = np.repeat(np.arange(len(members)), counts)
+    rows = np.arange(len(member))
+    terms = np.take_along_axis(coef, order, axis=2)
+    b = np.zeros((len(member), n_slots))
+    for t in range(n_vars):  # `_sum_left`, one term at a time
+        b = b + terms[member, :, t] * fixed[rows[:, None], order[member, :, t]]
+    width = own[0].width
+    columns = np.argsort(~unknown, axis=1, kind="stable")[:, :width]
+    valid = np.arange(width) < unknown.sum(axis=1)[:, None]
+    columns[~valid] = -1
+    a = coef[member[:, None, None], np.arange(n_slots)[:, None], columns[:, None, :]]
+    drops = np.zeros((len(member), n_slots, n_positions), dtype=bool)
+    for s in range(n_slots):
+        unmoved = ~(np.abs(a[:, s]) > 1e-14).any(axis=1)
+        slack = 1e-9 * (1.0 + np.abs(a[:, s]).sum(axis=1))
+        q_lo = b[:, s] + np.minimum(a[:, s], 0.0).sum(axis=1)
+        q_hi = b[:, s] + np.maximum(a[:, s], 0.0).sum(axis=1)
+        for k in range(n_positions):
+            pins, lo, hi = (table[member, s, k] for table in positions)
+            bad_pin = pins & unmoved & (np.abs(b[:, s] - lo) > 1e-9)
+            drops[:, s, k] = bad_pin | (~pins & ((q_hi < lo - slack) | (q_lo > hi + slack)))
+    return _MapGroup(members, starts, fixed, a, b, columns, valid, drops)
 
 
 def _eliminate(aug: np.ndarray, n_cols: int) -> np.ndarray:
@@ -434,8 +588,8 @@ def _eliminate(aug: np.ndarray, n_cols: int) -> np.ndarray:
     return pivot_row
 
 
-_PAIR_CHUNK = 512  # regime pairs solved per batch, and per run of supports
-_RUN_SUPPORTS = 32  # supports per run, when each keeps few pairs
+_PAIR_CHUNK = 512  # regime pairs solved per elimination, and per batch of supports
+_RUN_SUPPORTS = 32  # items per run
 
 
 def _outside(q, pinned, lo, hi) -> np.ndarray:
@@ -446,7 +600,7 @@ def _outside(q, pinned, lo, hi) -> np.ndarray:
 def _solve_pairs(maps, bounds, own_idx, opp_idx):
     """One player's unknowns solved against the opponent regime of each pair.
 
-    maps holds the (a, b, valid) of `_AffineMaps` for the player's regimes,
+    maps holds the (a, b, valid) of a `_MapGroup` for the player's regimes,
     and bounds the (pinned, lo, hi) of the opponent's.  The equations are
     the opponent's pins on classes the unknowns move, in slot order.
     Returns per pair (ok, feasible, n_free, x, direction): ok fails on
@@ -498,157 +652,182 @@ def _solve_pairs(maps, bounds, own_idx, opp_idx):
 
 def _place(base: np.ndarray, columns: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Rows of base with values written at columns; the dummy column
-    base.shape[1] absorbs padding."""
+    base.shape[1], which the padding index -1 names, absorbs padding."""
     out = np.concatenate([base, np.zeros((len(base), 1))], axis=1)
     out[np.arange(len(base))[:, None], columns] = values
     return out[:, :-1]
 
 
 class _Support(NamedTuple):
-    """One support's environment, regimes, affine maps and kept regime
-    pairs, held until its run is solved; pairs[p] is (own regimes, opponent
-    regimes) of side p."""
+    """One support's environment and the regimes of both players, held
+    until its run is solved."""
 
     env: GameEnvironment
     lams: tuple[PartitionDistribution, PartitionDistribution]
     sides: tuple[_Regimes, _Regimes]
-    maps: tuple[_AffineMaps, _AffineMaps]
-    pairs: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _regime_pairs(env: GameEnvironment, lams, sides) -> _Support:
-    """The regime pairs of one support left for the solve.
-
-    The pins of one side constrain only the other side's variables, so
-    each half solves on its own.  Checks on the affine maps alone come
-    first: a pin on a class that no unknown moves, and an interval that q's
-    range over the box x_u in [0, 1]^width misses beyond the solve's
-    tolerances.  Pins get no range test: plays clip unknowns into the box,
-    and a clipped point may verify.  Only pairs passing both are kept.
-    """
-    maps, direct = [], []
-    for p in (0, 1):
-        own, opp = sides[p], sides[1 - p]
-        m = _affine_maps(env, lams[p].weights, own, opp.slot_classes)
-        unmoved = ~(np.abs(m.a) > 1e-14).any(axis=2)
-        bad_pin = opp.pinned & unmoved[:, None] & (np.abs(m.b[:, None] - opp.lo) > 1e-9)
-        slack = 1e-9 * (1.0 + np.abs(m.a).sum(axis=2))[:, None]
-        q_lo = (m.b + np.minimum(m.a, 0.0).sum(axis=2))[:, None]
-        q_hi = (m.b + np.maximum(m.a, 0.0).sum(axis=2))[:, None]
-        misses = ~opp.pinned & ((q_hi < opp.lo - slack) | (q_lo > opp.hi + slack))
-        maps.append(m)
-        direct.append(~(bad_pin | misses).any(axis=2))
-    c0, c1 = np.nonzero(direct[0] & direct[1].T)  # c0-major
-    return _Support(env, lams, sides, tuple(maps), ((c0, c1), (c1, c0)))
-
-
-def _stacked(tables: list[np.ndarray], n_slots: int, fill) -> np.ndarray:
-    """Regime tables (R, S, ...) one after another, their slots padded to
-    n_slots with fill; a lone table is returned as it is."""
-    if len(tables) == 1:
-        return tables[0]
-    out = np.full((sum(len(t) for t in tables), n_slots) + tables[0].shape[2:], fill, dtype=tables[0].dtype)
-    at = 0
-    for t in tables:
-        out[at : at + len(t), : t.shape[1]] = t
-        at += len(t)
-    return out
-
-
-def _solve_run(run: list[_Support]) -> list[list[tuple]]:
-    """`_solve_pairs` of both sides of every support of a run, per support
-    and side.
-
-    The sides of one map width are stacked into one call: their regime
-    tables one after another, the opponent slots padded to the largest
-    count with zero rows of the maps and unpinned slots on (-inf, inf),
-    which take no part in the elimination or the interval checks, so each
-    pair solves as it would alone.
-    """
-    groups: dict[int, list[tuple[int, int]]] = {}
+def _kept_pairs(run: list[_Support], groups: list[_MapGroup]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per support, the (row regime, column regime) pairs left for the
+    solve, row-regime-major: those with no slot position that either side's
+    maps rule out.  The pins of one side constrain only the other side's
+    variables, so each side's half of a pair solves on its own."""
+    at = {member: (g, k) for g in groups for k, member in enumerate(g.members)}
+    pairs = []
     for i, sup in enumerate(run):
+        fails = []
         for p in (0, 1):
-            groups.setdefault(sup.maps[p].a.shape[2], []).append((i, p))
-    sols = [[None, None] for _ in run]
-    for members in groups.values():
-        maps = [run[i].maps[p] for i, p in members]
-        opps = [run[i].sides[1 - p] for i, p in members]
-        pairs = [run[i].pairs[p] for i, p in members]
-        n_slots = max(m.a.shape[1] for m in maps)
-        own_at = itertools.accumulate((len(m.b) for m in maps), initial=0)
-        opp_at = itertools.accumulate((len(o.lo) for o in opps), initial=0)
-        solved = _solve_pairs(
-            (_stacked([m.a for m in maps], n_slots, 0.0), _stacked([m.b for m in maps], n_slots, 0.0),
-             np.concatenate([m.valid for m in maps])),
-            (_stacked([o.pinned for o in opps], n_slots, False), _stacked([o.lo for o in opps], n_slots, -np.inf),
-             _stacked([o.hi for o in opps], n_slots, np.inf)),
-            np.concatenate([own + at for (own, _), at in zip(pairs, own_at)]),
-            np.concatenate([opp + at for (_, opp), at in zip(pairs, opp_at)]),
-        )
-        start = 0
-        for (i, p), end in zip(members, itertools.accumulate(len(own) for own, _ in pairs)):
-            sols[i][p] = tuple(arr[start:end] for arr in solved)
-            start = end
-    return sols
+            g, k = at[i, p]
+            choice = sup.sides[1 - p].choice
+            drops = g.drops[g.starts[k] : g.starts[k + 1], : choice.shape[1]]
+            fails.append(drops[:, np.arange(choice.shape[1]), choice].any(axis=2))
+        pairs.append(np.nonzero(~fails[0] & ~fails[1].T))
+    return pairs
 
 
-def _assemble(sup: _Support, sols) -> SolveResult:
-    """One support's result from its two sides' solved pairs: the profiles
-    that verify, deduplicated, and the one-parameter families."""
-    result = SolveResult()
-    env, lams, sides, maps = sup.env, sup.lams, sup.sides, sup.maps
-    keep = sols[0][0] & sols[1][0]
-    own = [sup.pairs[p][0][keep] for p in (0, 1)]
-    feasible, n_free, xs, directions = ([sol[i][keep] for sol in sols] for i in range(1, 5))
-    x = np.concatenate(
-        [_place(sides[p].fixed[own[p]], maps[p].columns[own[p]], xs[p]) for p in (0, 1)], axis=1
-    )
-    supports, n0 = (lams[0].support, lams[1].support), len(lams[0].support)
+class _Solved(NamedTuple):
+    """Both sides of the kept pairs of a batch of supports, side first, the
+    pairs of its support i at starts[i]:starts[i + 1]: what `_solve_pairs`
+    gives, with x and direction placed into the side's variables (padded to
+    the most of the run)."""
 
-    def split_plays(x):
-        """Points (..., V) as each player's (..., n_support, n_games, 2) mixes."""
-        act0 = np.clip(x, 0.0, 1.0)
-        mixes = np.stack([act0, 1.0 - act0], axis=-1)
-        mixes = mixes.reshape(x.shape[:-1] + (n0 + len(supports[1]), env.n_games, 2))
-        return mixes[..., :n0, :, :], mixes[..., n0:, :, :]
+    starts: np.ndarray
+    ok: np.ndarray  # (2, N)
+    feasible: np.ndarray
+    n_free: np.ndarray
+    x: np.ndarray  # (2, N, V)
+    direction: np.ndarray
 
-    rows = np.flatnonzero(feasible[0] & feasible[1])
-    plays = split_plays(x[rows])
-    verified = dist_abee_verify_batch(env, lams, plays)[0]
-    seen = set()
-    for j in np.flatnonzero(verified):
-        key_r = tuple(np.round(x[rows[j]] / DEDUP_TOL).astype(np.int64))
-        if key_r not in seen:
-            seen.add(key_r)
-            result.profiles.append(unstack_plays(supports, (plays[0][j], plays[1][j])))
 
-    # one free unknown in all, and the rigid side feasible: a one-parameter
-    # family x + t * direction, cut to [0, 1] in every variable it moves
-    line = (n_free[0] + n_free[1] == 1) & np.where(n_free[0] == 1, feasible[1], feasible[0])
-    base = x[line]
-    direction = np.concatenate(
-        [
-            _place(np.zeros((len(base), sides[p].fixed.shape[1])), maps[p].columns[rows], d[line])
-            for p, (rows, d) in enumerate(zip((own[0][line], own[1][line]), directions))
-        ],
-        axis=1,
-    )
-    moves = np.abs(direction) > 1e-14
-    step = np.where(moves, direction, 1.0)
-    b0, b1 = (0.0 - base) / step, (1.0 - base) / step
-    t_lo = np.where(moves, np.where(b1 < b0, b1, b0), -np.inf).max(axis=1, initial=-np.inf)
-    t_hi = np.where(moves, np.where(b1 > b0, b1, b0), np.inf).min(axis=1, initial=np.inf)
-    for i in np.flatnonzero(t_lo < t_hi - 1e-12):
-        result.continua.append(
-            Continuum(base[i], direction[i], float(t_lo[i]), float(t_hi[i]), supports, split_plays)
-        )
-    return result
+def _solve_batch(run: list[_Support], groups: list[_MapGroup], pairs, batch: range) -> _Solved:
+    """`_solve_pairs` of both sides of every kept pair of the supports of a
+    batch, one call per map group: the group's maps, and the opponent
+    regimes one after another, their slots padded as unpinned on
+    (-inf, inf), which take no part in the elimination or the interval
+    checks, so each pair solves as it would alone."""
+    starts = np.cumsum([0] + [len(pairs[i][0]) for i in batch])
+    ok = np.zeros((2, starts[-1]), dtype=bool)
+    feasible = np.zeros_like(ok)
+    n_free = np.zeros(ok.shape, dtype=np.intp)
+    x = np.zeros(ok.shape + (max(g.fixed.shape[1] for g in groups) - 1,))
+    direction = np.zeros_like(x)
+    for g in groups:
+        members = [(m, i, p) for m, (i, p) in enumerate(g.members) if i in batch]
+        if not members:
+            continue
+        opps = [run[i].sides[1 - p] for _, i, p in members]
+        opp_at = np.cumsum([0] + [len(o.choice) for o in opps])
+        n_slots = g.b.shape[1]
+        bounds = [np.zeros((opp_at[-1], n_slots), dtype=bool),
+                  np.full((opp_at[-1], n_slots), -np.inf),
+                  np.full((opp_at[-1], n_slots), np.inf)]
+        for o, start, end in zip(opps, opp_at, opp_at[1:]):
+            for table, part in zip(bounds, (o.pinned, o.lo, o.hi)):
+                table[start:end, : part.shape[1]] = part
+        own = np.concatenate([pairs[i][p] + g.starts[m] for m, i, p in members])
+        opp = np.concatenate([pairs[i][1 - p] + at for (_, i, p), at in zip(members, opp_at)])
+        side = np.concatenate([np.full(len(pairs[i][p]), p) for _, i, p in members])
+        dest = np.concatenate([np.arange(starts[i - batch.start], starts[i - batch.start + 1]) for _, i, _ in members])
+        solved = _solve_pairs((g.a, g.b, g.valid), bounds, own, opp)
+        ok[side, dest], feasible[side, dest], n_free[side, dest] = solved[:3]
+        n_vars = g.fixed.shape[1] - 1
+        x[side, dest, :n_vars] = _place(g.fixed[own, :-1], g.columns[own], solved[3])
+        direction[side, dest, :n_vars] = _place(np.zeros((len(own), n_vars)), g.columns[own], solved[4])
+    return _Solved(starts, ok, feasible, n_free, x, direction)
+
+
+def _split_plays(n0: int, n_games: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points (..., V) as each player's (..., n_support, n_games, 2) mixes,
+    the row player's n0 support partitions first."""
+    act0 = np.clip(x, 0.0, 1.0)
+    mixes = np.stack([act0, 1.0 - act0], axis=-1).reshape(x.shape[:-1] + (x.shape[-1] // n_games, n_games, 2))
+    return mixes[..., :n0, :, :], mixes[..., n0:, :, :]
+
+
+def _assemble(batch: list[_Support], solved: _Solved) -> list[SolveResult]:
+    """Each support's result from its solved pairs: the profiles that verify,
+    deduplicated, and the one-parameter families.
+
+    The pairs of the supports of one shape (games, support sizes) are
+    assembled together, with one best-reply check per distinct support
+    and prior, and then dealt out to their supports in order.
+    """
+    results = [SolveResult() for _ in batch]
+    shapes: dict[tuple, list[int]] = {}
+    for i, sup in enumerate(batch):
+        shapes.setdefault((sup.env.n_games,) + tuple(len(lam.support) for lam in sup.lams), []).append(i)
+    for (n_games, n0, n1), members in shapes.items():
+        rows = np.concatenate([np.arange(solved.starts[i], solved.starts[i + 1]) for i in members])
+        owner = np.repeat(members, np.diff(solved.starts)[members])
+        keep = solved.ok[0, rows] & solved.ok[1, rows]
+        rows, owner = rows[keep], owner[keep]
+        widths = (n0 * n_games, n1 * n_games)
+        x = np.concatenate([solved.x[p, rows, : widths[p]] for p in (0, 1)], axis=1)
+        feasible, n_free = solved.feasible[:, rows], solved.n_free[:, rows]
+        split = partial(_split_plays, n0, n_games)
+
+        found = np.flatnonzero(feasible[0] & feasible[1])
+        plays = split(x[found])
+        verified = np.zeros(len(found), dtype=bool)
+        checks: dict[tuple, list[int]] = {}
+        for i in members:
+            checks.setdefault((batch[i].lams, batch[i].env.prior.tobytes()), []).append(i)
+        for ids in checks.values():
+            at = np.flatnonzero(np.isin(owner[found], ids))
+            if not len(at):
+                continue
+            env = batch[ids[0]].env
+            envs = env if all(batch[i].env is env for i in ids) else [batch[i].env for i in owner[found[at]]]
+            verified[at] = dist_abee_verify_batch(envs, batch[ids[0]].lams, (plays[0][at], plays[1][at]))[0]
+        keys = np.round(x[found] / DEDUP_TOL).astype(np.int64)
+        seen, kept = set(), []
+        for j in np.flatnonzero(verified).tolist():
+            key = (owner[found[j]], keys[j].tobytes())
+            if key not in seen:
+                seen.add(key)
+                kept.append(j)
+        kept_plays = (plays[0][kept], plays[1][kept])
+        for k, j in enumerate(kept):
+            sup = batch[owner[found[j]]]
+            supports = (sup.lams[0].support, sup.lams[1].support)
+            results[owner[found[j]]].profiles.append(unstack_plays(supports, (kept_plays[0][k], kept_plays[1][k])))
+
+        # one free unknown in all, and the rigid side feasible: a one-parameter
+        # family x + t * direction, cut to [0, 1] in every variable it moves
+        line = (n_free[0] + n_free[1] == 1) & np.where(n_free[0] == 1, feasible[1], feasible[0])
+        base = x[line]
+        direction = np.concatenate([solved.direction[p, rows[line], : widths[p]] for p in (0, 1)], axis=1)
+        moves = np.abs(direction) > 1e-14
+        step = np.where(moves, direction, 1.0)
+        b0, b1 = (0.0 - base) / step, (1.0 - base) / step
+        t_lo = np.where(moves, np.where(b1 < b0, b1, b0), -np.inf).max(axis=1, initial=-np.inf)
+        t_hi = np.where(moves, np.where(b1 > b0, b1, b0), np.inf).min(axis=1, initial=np.inf)
+        for k in np.flatnonzero(t_lo < t_hi - 1e-12):
+            sup = batch[owner[line][k]]
+            results[owner[line][k]].continua.append(Continuum(
+                base[k], direction[k], float(t_lo[k]), float(t_hi[k]), (sup.lams[0].support, sup.lams[1].support), split
+            ))
+    return results
 
 
 def _solved(run: list[_Support]) -> Iterator[SolveResult]:
-    """The results of a run's supports, in order, from one `_solve_run`."""
-    for sup, sols in zip(run, _solve_run(run)):
-        yield _assemble(sup, sols)
+    """The results of a run's supports, in order.  The maps and range tests
+    of each map width are built in one pass (`_map_group`); the kept pairs
+    are then solved, one elimination per width (`_solve_batch`), and
+    assembled, one pass per support shape (`_assemble`), in batches of the
+    next supports whose pairs reach `_PAIR_CHUNK`."""
+    widths: dict[int, list[tuple[int, int]]] = {}
+    for i, sup in enumerate(run):
+        for p in (0, 1):
+            widths.setdefault(sup.sides[p].width, []).append((i, p))
+    groups = [_map_group(run, members) for members in widths.values()]
+    pairs = _kept_pairs(run, groups)
+    first, n_pairs = 0, 0
+    for end, (own, _) in enumerate(pairs, 1):
+        n_pairs += len(own)
+        if n_pairs >= _PAIR_CHUNK or end == len(run):
+            yield from _assemble(run[first:end], _solve_batch(run, groups, pairs, range(first, end)))
+            first, n_pairs = end, 0
 
 
 # ---------------------------------------------------------------------------
@@ -712,33 +891,33 @@ def dist_abee_solve_many(
     families.
 
     Each item carries its own environment, so one stream may mix them.
-    Binary-action items go through exact support enumeration: a support's
-    regime pairs are kept until its run is solved, a run being the next
-    consecutive supports whose pairs reach `_PAIR_CHUNK`, or `_RUN_SUPPORTS`
-    of them when each keeps few pairs, and the pairs of a run are solved
-    together (`_solve_run`), with the same result for each support as
-    alone.  Other shapes, and binary supports over `config.max_regimes`,
-    use the damped iteration (each step moves halfway to the best replies,
-    until no strategy moves by 1e-9) in their place in the stream, which
-    may miss equilibria and is reported as not `exact`.  Every returned
-    profile verifies.  Families whose moving side cannot meet an opponent
-    interval inside the box are not returned.
+    Binary-action items go through exact support enumeration, in runs of
+    the next `_RUN_SUPPORTS` items: their regimes, maps and range tests are
+    built together, and their kept pairs are solved and assembled together
+    in batches of the next supports whose pairs reach `_PAIR_CHUNK`
+    (`_solved`), with the same result for each support as alone.  Other
+    shapes, and binary supports over `config.max_regimes`, use the damped
+    iteration (each step moves halfway to the best replies, until no
+    strategy moves by 1e-9) in their place in the stream, which may miss
+    equilibria and is reported as not `exact`.  Every returned profile
+    verifies.  Families whose moving side cannot meet an opponent interval
+    inside the box are not returned.
     """
     config = config or SolveConfig()
-    run, n_pairs = [], 0
-    for env, lams in items:
-        binary = env.n_actions(0) == 2 and env.n_actions(1) == 2
-        sides = (_side_regimes_cached(env, lams, 0), _side_regimes_cached(env, lams, 1)) if binary else None
-        enumerated = binary and len(sides[0].lo) * len(sides[1].lo) <= config.max_regimes
-        if enumerated:
-            run.append(_regime_pairs(env, lams, sides))
-            n_pairs += len(run[-1].pairs[0][0])
-        if not enumerated or n_pairs >= _PAIR_CHUNK or len(run) >= _RUN_SUPPORTS:
+    items = iter(items)
+    while chunk := list(itertools.islice(items, _RUN_SUPPORTS)):
+        binary = [env.n_actions(0) == 2 and env.n_actions(1) == 2 for env, _ in chunk]
+        sides = iter(_regimes_of([item for item, b in zip(chunk, binary) if b]))
+        run = []
+        for (env, lams), is_binary in zip(chunk, binary):
+            regimes = next(sides) if is_binary else None
+            if is_binary and len(regimes[0].choice) * len(regimes[1].choice) <= config.max_regimes:
+                run.append(_Support(env, lams, regimes))
+                continue
             yield from _solved(run)
-            run, n_pairs = [], 0
-        if not enumerated:
-            yield SolveResult(profiles=_damped_iteration(env, lams, config), exhausted=binary, exact=False)
-    yield from _solved(run)
+            run = []
+            yield SolveResult(profiles=_damped_iteration(env, lams, config), exhausted=is_binary, exact=False)
+        yield from _solved(run)
 
 
 def dist_abee_solve_detailed(

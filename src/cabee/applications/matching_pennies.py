@@ -19,7 +19,6 @@ from ..abee import (
     StrategyProfile,
     degenerate_pair,
     dist_abee_solve_many,
-    dist_abee_verify_batch,
     stack_plays,
 )
 from ..clustering import L2, Divergence
@@ -153,14 +152,14 @@ def two_class_refutation(specs: Sequence[MatchingPenniesSpec], d: Divergence = L
     under the divergence d, for each stake triple of specs.
 
     All (triple, partition) supports, each row partition against the finest
-    column partition, are solved in one `dist_abee_solve_many` stream.  The
-    best replies of each support's profiles are checked in one
-    `dist_abee_verify_batch` call, and the clustering of every triple's
-    profiles in one `unclustered` call per partition and mode: the triples'
-    environments share their prior.  Each verdict is `cabee_verify(...).ok`
-    of its profile and mode.  Returns, per triple, a dict keyed by
-    partition: the solver output, its match with the analytic structure,
-    and the clustered-equilibrium verdicts per mode (local and global).
+    column partition, are solved in one `dist_abee_solve_many` stream, whose
+    profiles all pass the best-reply check, and the clustering of every
+    triple's profiles is checked in one `unclustered` call per partition and
+    mode: the triples' environments share their prior.  Each verdict is
+    `cabee_verify(...).ok` of its profile and mode.  Returns, per triple, a
+    dict keyed by partition: the solver output, its match with the analytic
+    structure, and the clustered-equilibrium verdicts per mode (local and
+    global).
     """
     envs = [build_matching_pennies(spec) for spec in specs]
     finest = Partition.finest(3)
@@ -168,7 +167,7 @@ def two_class_refutation(specs: Sequence[MatchingPenniesSpec], d: Divergence = L
     pairs = {part: degenerate_pair(part, finest) for part in parts}
     solves = dist_abee_solve_many((env, pairs[part]) for env in envs for part in parts)
     reports = []
-    rows = {part: [] for part in parts}  # (env, plays, best replies hold, verdicts) per profile
+    rows = {part: [] for part in parts}  # (env, plays, verdicts) per profile
     for spec, env in zip(specs, envs):
         report = {}
         for part, res in zip(parts, solves):
@@ -183,17 +182,14 @@ def two_class_refutation(specs: Sequence[MatchingPenniesSpec], d: Divergence = L
                 "analytic_gap": min(matches) if matches else None,
                 "verdicts": verdicts,
             }
-            if res.profiles:
-                stacked = [stack_plays(prof, pairs[part]) for prof in res.profiles]
-                held = dist_abee_verify_batch(env, pairs[part], tuple(np.stack(p) for p in zip(*stacked)))[0]
-                rows[part] += [(env, plays, ok, verdicts) for plays, ok in zip(stacked, held)]
+            rows[part] += [(env, stack_plays(prof, pairs[part]), verdicts) for prof in res.profiles]
         reports.append(report)
     for part, checks in rows.items():
         if not checks:
             continue
-        row_envs, row_plays, held, outs = zip(*checks)
+        row_envs, row_plays, outs = zip(*checks)
         plays = tuple(np.stack(p) for p in zip(*row_plays))
         for mode in (LOCAL, GLOBAL):
-            for out, ok, fails in zip(outs, held, unclustered(row_envs, pairs[part], plays, mode, d, (2, 3))):
-                out[mode].append(bool(ok) and not fails)
+            for out, fails in zip(outs, unclustered(row_envs, pairs[part], plays, mode, d, (2, 3))):
+                out[mode].append(not fails)
     return reports

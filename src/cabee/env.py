@@ -91,6 +91,17 @@ class GameEnvironment:
         return self.payoffs[player][:, :, game]
 
 
+def common_prior(envs) -> np.ndarray:
+    """The prior of one environment, or the one prior of a sequence of
+    environments; ValueError when their priors differ."""
+    if isinstance(envs, GameEnvironment):
+        return envs.prior
+    priors = [env.prior for env in envs]
+    if any(not np.array_equal(p, priors[0]) for p in priors[1:]):
+        raise ValueError("the rows' environments have different priors")
+    return priors[0]
+
+
 def validate_environment(env: GameEnvironment) -> list[str]:
     """One entry per violated invariant; empty list iff well formed."""
     violations: list[str] = []

@@ -51,7 +51,7 @@ from .clustering import (
     partition_dispersions,
     subset_table,
 )
-from .env import SOLVER_TOL, GameEnvironment
+from .env import SOLVER_TOL, GameEnvironment, common_prior
 from .partitions import Partition, assignment_rows, class_masks, partition_list
 
 LOCAL = "local"
@@ -100,7 +100,7 @@ def unclustered(envs, lams, plays, mode: str, d: Divergence, capacities) -> list
     environments, which may differ: the check reads only the prior, so
     environments whose priors differ raise ValueError.
     """
-    prior = _common_prior(envs)
+    prior = common_prior(envs)
     failures: list[list] = [[] for _ in plays[0]]
     for player in (0, 1):
         data = mixture(lams[1 - player].weights, plays[1 - player].swapaxes(0, 1))
@@ -115,16 +115,6 @@ def unclustered(envs, lams, plays, mode: str, d: Divergence, capacities) -> list
                     if witness is not None:
                         fails.append((player, part, f"game {witness[0]} is closer to class {witness[1]}"))
     return failures
-
-
-def _common_prior(envs) -> np.ndarray:
-    """The prior of one environment, or the one prior of a sequence of them."""
-    if isinstance(envs, GameEnvironment):
-        return envs.prior
-    priors = [env.prior for env in envs]
-    if any(not np.array_equal(p, priors[0]) for p in priors[1:]):
-        raise ValueError("the rows' environments have different priors")
-    return priors[0]
 
 
 def clustered_partition_set(

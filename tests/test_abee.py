@@ -13,14 +13,11 @@ from cabee.abee import (
     SolveConfig,
     SolveResult,
     StrategyProfile,
-    _assemble,
-    _class_positions,
     _damped_iteration,
-    _regime_pairs,
-    _side_regimes_cached,
-    _solve_run,
+    _regimes_of,
+    _side_regimes,
     _sum_left,
-    _threshold_info,
+    _thresholds,
     abee_solve,
     aggregate,
     best_replies,
@@ -38,6 +35,11 @@ from cabee.clustering import class_prototypes
 from cabee.env import SOLVER_TOL, make_environment, nash_solve_2x2, pure_payoffs_against
 from cabee.partitions import Partition
 from conftest import abee_verify, analogy_best_response, class_of, dominant_env, matching_pennies_env
+
+
+def _side_regimes_cached(env, lams, player):
+    """One player's regimes of one (environment, support) item."""
+    return _regimes_of([(env, lams)])[0][player]
 
 
 def pure(*rows):
@@ -488,6 +490,47 @@ def test_batched_verify_matches_per_profile_reference(rng):
     assert shapes >= {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
+def test_verify_batch_takes_one_environment_per_row():
+    """Profiles of three stake triples on one support, interleaved and some
+    perturbed so that they fail, checked in one call with one environment
+    per row: each row gets the ok, worst gain and witness of one call per
+    environment.  Environments whose priors differ are refused, as
+    `equilibrium.unclustered` refuses them."""
+    from cabee.applications.matching_pennies import (
+        MatchingPenniesSpec,
+        build_matching_pennies,
+        two_class_row_partitions,
+    )
+
+    rng = np.random.default_rng(25)
+    envs = [build_matching_pennies(MatchingPenniesSpec(*stakes))
+            for stakes in ((0.5, 1.0, 1.5), (0.2, 0.4, 1.8), (0.3, 1.1, 1.2))]
+    lams = degenerate_pair(two_class_row_partitions()[1], Partition.finest(3))
+    row_envs, rows = [], []
+    for env in envs:
+        for profile in dist_abee_solve_detailed(env, lams).profiles:
+            for flip in (None, 0, 1, 2):
+                plays = tuple(p.copy() for p in stack_plays(profile, lams))
+                if flip is not None:  # the other pure action, or the swapped mix, in one game
+                    plays[flip % 2][0, flip] = plays[flip % 2][0, flip, ::-1]
+                row_envs.append(env)
+                rows.append(plays)
+    order = rng.permutation(len(rows))
+    row_envs = [row_envs[i] for i in order]
+    plays = tuple(np.stack([rows[i][p] for i in order]) for p in (0, 1))
+    ok, worst, witnesses = dist_abee_verify_batch(row_envs, lams, plays)
+    assert ok.any() and not ok.all()
+    for env in envs:
+        at = [i for i, e in enumerate(row_envs) if e is env]
+        ref_ok, ref_worst, ref_witnesses = dist_abee_verify_batch(env, lams, tuple(p[at] for p in plays))
+        assert ok[at].tolist() == ref_ok.tolist()
+        assert worst[at].tobytes() == ref_worst.tobytes()
+        assert [witnesses[i] for i in at] == ref_witnesses
+    skewed = make_environment([0.5, 0.25, 0.25], envs[0].payoffs[0], envs[0].payoffs[1])
+    with pytest.raises(ValueError, match="different priors"):
+        dist_abee_verify_batch([skewed] + row_envs[1:], lams, plays)
+
+
 # ---------------------------------------------------------------------------
 # support enumeration against the per-pair scalar reference
 # ---------------------------------------------------------------------------
@@ -532,6 +575,71 @@ def _loop_gauss_solve(rows, rhs, n_vars):
     return x, (free_cols, [a[i] for i in range(len(piv_cols))], piv_cols), True
 
 
+def _threshold_info(env, player, game):
+    """Indifference threshold of a binary-action game in the opponent's
+    action-0 probability q, one game at a time: the scalar reference of
+    `abee._thresholds`.
+
+    Returns (kind, t, action_above, action_below):
+      kind 'threshold' with t in [0,1]; 'constant' with the strict action in
+      t; or 'free' when the player is indifferent at every q.
+    """
+    u = env.payoff_slice(player, game)
+    g = u[0, 1] - u[1, 1]
+    h = (u[0, 0] - u[1, 0]) - g
+    if abs(h) < 1e-14:
+        if abs(g) < 1e-14:
+            return ("free", None, None, None)
+        return ("constant", 0 if g > 0 else 1, None, None)
+    t = -g / h
+    if t < -1e-12 or t > 1 + 1e-12:
+        mid = 0.5
+        return ("constant", 0 if g + h * mid > 0 else 1, None, None)
+    # action optimal above/below the threshold
+    above = 0 if h > 0 else 1
+    return ("threshold", min(max(t, 0.0), 1.0), above, 1 - above)
+
+
+def _class_positions(env, player, cls):
+    """Candidate placements of one class expectation, one class at a time:
+    the scalar reference of the positions `abee._side_regimes` builds.
+
+    Each position fixes, per game of the class, either a strict action or
+    "indifferent", together with the constraint on the class expectation q:
+    an equality (pin at a threshold) or an interval.
+    """
+    infos = {g: _threshold_info(env, player, g) for g in cls}
+    free_games = [g for g in cls if infos[g][0] == "free"]
+    consts = {g: infos[g][1] for g in cls if infos[g][0] == "constant"}
+    thr_games = [(g, infos[g]) for g in cls if infos[g][0] == "threshold"]
+    ts = sorted({round(info[1], 14) for _, info in thr_games})
+    positions = []
+
+    def actions_at(q, pin=None):
+        acts = dict(consts)
+        indiff = list(free_games)
+        for g, (_, t, above, below) in thr_games:
+            if pin is not None and abs(t - pin) <= 1e-12:
+                indiff.append(g)
+            elif q > t:
+                acts[g] = above
+            else:
+                acts[g] = below
+        return acts, indiff
+
+    edges = [0.0] + ts + [1.0]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - lo < 1e-12:
+            continue
+        mid = (lo + hi) / 2
+        acts, indiff = actions_at(mid)
+        positions.append(("interval", lo, hi, acts, indiff))
+    for t in ts:
+        acts, indiff = actions_at(t, pin=t)
+        positions.append(("pin", t, t, acts, indiff))
+    return positions
+
+
 def _loop_side_combos(env, lams, player):
     slots = []
     for pi, part in enumerate(lams[player].support):
@@ -551,6 +659,36 @@ def _loop_side_combos(env, lams, player):
         combos.append((fixed, tuple(sorted(unknowns)), tuple(pins), tuple(intervals)))
     return combos
 
+
+def _scalar_side_regimes(env, support, player):
+    """One player's regime tables built class by class from
+    `_class_positions`: (fixed, unknown, pinned, lo, hi, slot_classes) as
+    `abee._Regimes` holds them."""
+    n_games = env.n_games
+    n_vars = len(support) * n_games
+    slot_classes, tables = [], []
+    for pi, part in enumerate(support):
+        for cls in part.classes:
+            positions = _class_positions(env, player, cls)
+            fixed = np.zeros((len(positions), n_vars))
+            unknown = np.zeros((len(positions), n_vars), dtype=bool)
+            for k, (_, _, _, acts, indiff) in enumerate(positions):
+                for g, act in acts.items():
+                    fixed[k, pi * n_games + g] = 1.0 if act == 0 else 0.0
+                unknown[k, [pi * n_games + g for g in indiff]] = True
+            bounds = np.array([(kind == "pin", lo, hi) for kind, lo, hi, _, _ in positions])
+            slot_classes.append(cls)
+            tables.append((fixed, unknown, bounds))
+    choice = np.indices([len(t[0]) for t in tables]).reshape(len(tables), -1)
+    bounds = np.stack([t[2][c] for t, c in zip(tables, choice)], axis=1)
+    return (
+        sum(t[0][c] for t, c in zip(tables, choice)),
+        np.logical_or.reduce([t[1][c] for t, c in zip(tables, choice)]),
+        bounds[..., 0] > 0,
+        bounds[..., 1],
+        bounds[..., 2],
+        tuple(slot_classes),
+    )
 
 def _loop_solve_block(env, lams, block_player, fixed, unknowns, pins, intervals, prune=True):
     prior = env.prior
@@ -764,6 +902,58 @@ def test_support_enumeration_matches_scalar_reference(rng):
     assert shapes >= {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
+def _threshold_game(t):
+    """A 2x2 payoff slice with its threshold at t up to rounding: action 0
+    pays (1, 0), action 1 pays (0, s) with s = t / (1 - t), so q = s / (1 + s)."""
+    return [[1.0, 0.0], [0.0, t / (1 - t)]]
+
+
+def test_regime_tables_match_the_scalar_builder():
+    """`_side_regimes` builds every class's positions from the players'
+    threshold arrays, for many (thresholds, support) items in one pass, and
+    each item's tables are the scalar builder's byte for byte: on random
+    environments with free and constant games and thresholds at exactly 0
+    and 1 (both 0.0 and -0.0 occur), and on some where two thresholds of one
+    class lie within 1e-14 of each other, which rounding to 14 digits
+    merges.  Built alone, an item gets the same tables."""
+    from cabee.partitions import partition_list
+
+    rng = np.random.default_rng(25)
+    kinds, merged, cases = set(), 0, []
+    for case in range(160):
+        n_games = int(rng.integers(1, 5))
+        payoffs = [_game_kinds(rng, n_games), _game_kinds(rng, n_games)]
+        if case % 4 == 0 and n_games >= 2:
+            t = round(float(rng.uniform(0.1, 0.9)), 8)
+            payoffs[0][:, :, 0] = _threshold_game(t)
+            payoffs[0][:, :, 1] = _threshold_game(t + 3e-15)
+        env = make_environment(rng.dirichlet(np.ones(n_games)), *payoffs)
+        parts = list(partition_list(n_games, n_games))
+        for player in (0, 1):
+            infos = [_threshold_info(env, player, g) for g in range(n_games)]
+            kinds |= {info[:2] for info in infos}
+            pair = [info[1] for info in infos[:2] if info[0] == "threshold"]
+            merged += len(pair) == 2 and pair[0] != pair[1] and round(pair[0], 14) == round(pair[1], 14)
+            for lam in (_random_support(rng, parts) if n_games > 1 else PartitionDistribution.degenerate(parts[0]),
+                        PartitionDistribution.degenerate(Partition.coarsest(n_games))):
+                cases.append((env, player, lam.support))
+    built = _side_regimes([(_thresholds(env, player), support) for env, player, support in cases])
+    for k, ((env, player, support), got) in enumerate(zip(cases, built)):
+        ref = _scalar_side_regimes(env, support, player)
+        for field, want in zip(("fixed", "unknown", "pinned", "lo", "hi"), ref):
+            assert getattr(got, field).tobytes() == want.tobytes(), (k, field)
+        assert got.slot_classes == ref[5]
+        assert got.width == got.unknown.sum(axis=1).max()
+        if k % 10 == 0:
+            (alone,) = _side_regimes([(_thresholds(env, player), support)])
+            assert alone.fixed.tobytes() == got.fixed.tobytes() and alone.unknown.tobytes() == got.unknown.tobytes()
+            assert np.array_equal(alone.choice, got.choice)
+    assert {k[0] for k in kinds} == {"free", "constant", "threshold"}
+    assert {("threshold", 0.0), ("threshold", 1.0)} <= kinds
+    assert any(kind == "threshold" and str(t) == "-0.0" for kind, t in kinds)
+    assert merged
+
+
 def test_support_enumeration_matches_reference_on_matching_pennies():
     env = matching_pennies_env(0.5, 1.0, 1.5)
     an_a = Partition.from_classes(3, [(0,), (1, 2)])
@@ -949,20 +1139,25 @@ def test_support_result_does_not_depend_on_run_mates_of_other_environments(monke
     assert sum(len(ref.profiles) for ref in refs) and sum(len(ref.continua) for ref in refs)
 
 
-def test_a_support_that_keeps_no_pairs_leaves_its_run_mates_alone(mp_env):
+def test_a_support_that_keeps_no_pairs_leaves_its_run_mates_alone(monkeypatch, mp_env):
     """No support of a binary game keeps zero regime pairs: an ABEE exists,
     and its pair passes the range test.  So one support's pairs are emptied
     inside a run: its result is empty, and the others are their own solves."""
     stream = _search_supports((2, 3))[18:21]
-    run = [_regime_pairs(mp_env, lams, (_side_regimes_cached(mp_env, lams, 0), _side_regimes_cached(mp_env, lams, 1)))
-           for lams in stream]
-    run[1] = run[1]._replace(pairs=tuple((own[:0], opp[:0]) for own, opp in run[1].pairs))
-    got = [_assemble(sup, sols) for sup, sols in zip(run, _solve_run(run))]
+    refs = [dist_abee_solve_detailed(mp_env, lams) for lams in stream]
+    kept_pairs = abee._kept_pairs
+
+    def emptied(run, groups):
+        pairs = kept_pairs(run, groups)
+        pairs[1] = tuple(regimes[:0] for regimes in pairs[1])
+        return pairs
+
+    monkeypatch.setattr(abee, "_kept_pairs", emptied)
+    got = list(dist_abee_solve_many([(mp_env, lams) for lams in stream]))
     assert not got[1].profiles and not got[1].continua
     for i in (0, 2):
-        ref = dist_abee_solve_detailed(mp_env, stream[i])
-        assert ref.profiles or ref.continua
-        _assert_same_result(got[i], ref)
+        assert refs[i].profiles or refs[i].continua
+        _assert_same_result(got[i], refs[i])
 
 
 def test_support_enumeration_matches_reference_on_four_games():

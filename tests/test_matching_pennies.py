@@ -190,6 +190,32 @@ def test_refutation_sweep_memory_is_bounded_by_its_runs(monkeypatch):
     assert peak() > bound
 
 
+def test_refutation_sweep_checks_and_maps_per_run_not_per_support(monkeypatch):
+    """The bundled sweep's 252 supports are solved in runs of
+    `_RUN_SUPPORTS`: each run builds its affine maps once per map width
+    (`_map_group`) and checks best replies once per distinct support (3 row
+    partitions), so both counts are bounded by a small constant per run, not
+    by the supports."""
+    specs = _bundled_sweep()
+    calls = {"verify": 0, "maps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(abee, "dist_abee_verify_batch", counted("verify", abee.dist_abee_verify_batch))
+    monkeypatch.setattr(abee, "_map_group", counted("maps", abee._map_group))
+    reports = two_class_refutation(specs)
+    assert sum(rep["n_equilibria"] for report in reports for rep in report.values()) == 252
+    runs = -(-252 // abee._RUN_SUPPORTS)
+    assert runs == 8
+    assert 0 < calls["verify"] <= 3 * runs
+    assert 0 < calls["maps"] <= 2 * runs
+
+
 def test_construction_rejects_out_of_scope_spec():
     # squeezing the stakes together keeps the construction valid; the
     # guard only fires for out-of-range mixtures, so exercise it directly
