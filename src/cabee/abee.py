@@ -25,6 +25,10 @@ shape (`_assemble`).  Each support's result is the same as its solve alone
 (`dist_abee_solve_detailed`).  A damped best-reply iteration with
 multi-start is the fallback for larger action sets.
 
+A result (`SolveResult`) holds a support's solutions as arrays in the
+solver's variables, with one map to stacked strategies; a `StrategyProfile`
+is built only at the edges (`abee_solve`, candidates, learning, the CLI).
+
 Verification takes a batch of profiles, each player's strategies stacked as
 one (B, n_support, n_games, n_actions) array: `dist_abee_verify_batch`
 checks them all at once, and `dist_abee_verify` is its one-profile case.
@@ -33,7 +37,7 @@ checks them all at once, and `dist_abee_verify` is its one-profile case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -211,31 +215,20 @@ class SolveConfig:
 
 
 @dataclass
-class Continuum:
-    """A one-parameter family of solutions of one indifference system.
+class SolveResult:
+    """The solutions of one support in the solver's variables.
 
-    x(t) = base + t * direction over t in [t_lo, t_hi].  `plays` maps points
-    (..., V) to each player's (..., n_support, n_games, n_actions)
-    strategies in the order of `supports`; build(t) assembles the strategy
-    profile (not yet verified).  The continua of one solve share `supports`
-    and `plays`.
+    `profiles` (N, V) are the points that verify; `continua` (F, 2, V) are
+    the base and direction of each one-parameter family x(t) = base + t *
+    direction, over t in its `spans` (F, 2) row [t_lo, t_hi], not yet
+    verified; `plays` maps points (..., V) to each player's (..., n_support,
+    n_games, n_actions) strategies in support order.
     """
 
-    base: np.ndarray
-    direction: np.ndarray
-    t_lo: float
-    t_hi: float
-    supports: tuple[tuple[Partition, ...], tuple[Partition, ...]]
+    profiles: np.ndarray
+    continua: np.ndarray
+    spans: np.ndarray
     plays: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-    def build(self, t: float) -> StrategyProfile:
-        return unstack_plays(self.supports, self.plays(self.base + t * self.direction))
-
-
-@dataclass
-class SolveResult:
-    profiles: list[StrategyProfile] = field(default_factory=list)
-    continua: list[Continuum] = field(default_factory=list)
     exhausted: bool = False  # True when the regime budget cut the enumeration
     exact: bool = True  # False when the damped iteration, a heuristic, found the profiles
 
@@ -411,14 +404,18 @@ def _side_regimes(items: list[tuple[_Thresholds, tuple[Partition, ...]]]) -> lis
 _REGIME_CACHE: dict[tuple, object] = {}
 
 
-def _memo(key: tuple, build: Callable):
-    """`_REGIME_CACHE[key]`, built on a miss; the cache is emptied once it
-    holds more than 4096 entries."""
-    if key not in _REGIME_CACHE:
-        if len(_REGIME_CACHE) > 4096:
+def _memo(wanted: dict, build: Callable[[list], list]) -> dict:
+    """The `_REGIME_CACHE` entry of each key of `wanted`, the missing ones
+    built by one call of `build` on their values; the cache is emptied
+    first when they would take it past 4096 entries."""
+    found = {key: _REGIME_CACHE[key] for key in wanted if key in _REGIME_CACHE}
+    missing = [key for key in wanted if key not in found]
+    if missing:
+        if len(_REGIME_CACHE) + len(missing) > 4096:
             _REGIME_CACHE.clear()
-        _REGIME_CACHE[key] = build()
-    return _REGIME_CACHE[key]
+        for key, value in zip(missing, build([wanted[key] for key in missing])):
+            found[key] = _REGIME_CACHE[key] = value
+    return found
 
 
 def _regimes_of(items) -> list[tuple[_Regimes, _Regimes]]:
@@ -427,20 +424,12 @@ def _regimes_of(items) -> list[tuple[_Regimes, _Regimes]]:
     A player's regimes depend on its thresholds and support alone and are
     memoized on them, and the thresholds per environment and player; the
     missing regimes are built in one pass (`_side_regimes`)."""
-    wanted = []
-    for env, lams in items:
-        for player in (0, 1):
-            th = _memo((env.fingerprint(), player), lambda: _thresholds(env, player))
-            wanted.append(((th.key, lams[player].support), th))
-    found = {key: _REGIME_CACHE.get(key) for key, _ in wanted}
-    missing = {key: (th, key[1]) for key, th in wanted if found[key] is None}
-    if missing:
-        if len(_REGIME_CACHE) + len(missing) > 4096:
-            _REGIME_CACHE.clear()
-        for key, regimes in zip(missing, _side_regimes(list(missing.values()))):
-            found[key] = _REGIME_CACHE[key] = regimes
-    sides = [found[key] for key, _ in wanted]
-    return list(zip(sides[::2], sides[1::2]))
+    sides = [((env.fingerprint(), p), env, lams[p].support) for env, lams in items for p in (0, 1)]
+    ths = _memo({key: (env, key[1]) for key, env, _ in sides}, lambda args: [_thresholds(*a) for a in args])
+    keys = [(ths[key].key, support) for key, _, support in sides]
+    regimes = _memo({k: (ths[key], k[1]) for k, (key, _, _) in zip(keys, sides)}, _side_regimes)
+    found = [regimes[k] for k in keys]
+    return list(zip(found[::2], found[1::2]))
 
 
 def _sum_left(terms: np.ndarray) -> np.ndarray:
@@ -452,14 +441,14 @@ def _sum_left(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _coefficients(prior: np.ndarray, weights: tuple[float, ...], slot_classes) -> tuple[np.ndarray, np.ndarray]:
-    """Per opponent slot, the coefficient of each own variable in its class
-    expectation, with a dummy last column of 0, and the variables of its
-    terms in (game, support partition) order, padded with the dummy.  They
-    depend on the prior, the own weights and the opponent's classes alone,
-    and are memoized on them."""
+def _coefficients(sides: list[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per (prior, own weights, opponent slot classes) side: per opponent
+    slot, the coefficient of each own variable in its class expectation,
+    with a dummy last column of 0, and the variables of its terms in (game,
+    support partition) order, padded with the dummy.  They depend on the
+    side alone and are memoized on it."""
 
-    def build():
+    def build(prior, weights, slot_classes):
         n_games = len(prior)
         n_vars = n_games * len(weights)
         coef = np.zeros((len(slot_classes), n_vars + 1))
@@ -473,7 +462,9 @@ def _coefficients(prior: np.ndarray, weights: tuple[float, ...], slot_classes) -
                     coef[s, pi * n_games + g] = prior[g] * w / pcls
         return coef, order
 
-    return _memo(("coefficients", prior.tobytes(), weights, slot_classes), build)
+    keys = [("coefficients", prior.tobytes(), weights, slot_classes) for prior, weights, slot_classes in sides]
+    found = _memo(dict(zip(keys, sides)), lambda missing: [build(*side) for side in missing])
+    return [found[key] for key in keys]
 
 
 class _MapGroup(NamedTuple):
@@ -522,11 +513,11 @@ def _map_group(run: list[_Support], members: list[tuple[int, int]]) -> _MapGroup
     positions = [np.zeros((len(members), n_slots, n_positions), dtype=bool),
                  np.full((len(members), n_slots, n_positions), -np.inf),
                  np.full((len(members), n_slots, n_positions), np.inf)]
-    for m, ((i, p), o, q) in enumerate(zip(members, own, opp)):
+    coefs = _coefficients([(run[i].env.prior, run[i].lams[p].weights, q.slot_classes) for (i, p), q in zip(members, opp)])
+    for m, (o, q, (c, terms)) in enumerate(zip(own, opp, coefs)):
         rows, n_own, n_opp = slice(starts[m], starts[m + 1]), o.fixed.shape[1], len(q.slot_classes)
         fixed[rows, :n_own] = o.fixed
         unknown[rows, :n_own] = o.unknown
-        c, terms = _coefficients(run[i].env.prior, run[i].lams[p].weights, q.slot_classes)
         coef[m, :n_opp, :n_own] = c[:, :n_own]
         order[m, :n_opp, :n_own] = terms  # the dummy n_own is a zero column here
         for table, part in zip(positions, q.positions):
@@ -745,14 +736,14 @@ def _split_plays(n0: int, n_games: int, x: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _assemble(batch: list[_Support], solved: _Solved) -> list[SolveResult]:
-    """Each support's result from its solved pairs: the profiles that verify,
+    """Each support's result from its solved pairs: the points that verify,
     deduplicated, and the one-parameter families.
 
     The pairs of the supports of one shape (games, support sizes) are
     assembled together, with one best-reply check per distinct support
-    and prior, and then dealt out to their supports in order.
+    and prior, and then sliced by support.
     """
-    results = [SolveResult() for _ in batch]
+    results: list = [None] * len(batch)
     shapes: dict[tuple, list[int]] = {}
     for i, sup in enumerate(batch):
         shapes.setdefault((sup.env.n_games,) + tuple(len(lam.support) for lam in sup.lams), []).append(i)
@@ -786,11 +777,8 @@ def _assemble(batch: list[_Support], solved: _Solved) -> list[SolveResult]:
             if key not in seen:
                 seen.add(key)
                 kept.append(j)
-        kept_plays = (plays[0][kept], plays[1][kept])
-        for k, j in enumerate(kept):
-            sup = batch[owner[found[j]]]
-            supports = (sup.lams[0].support, sup.lams[1].support)
-            results[owner[found[j]]].profiles.append(unstack_plays(supports, (kept_plays[0][k], kept_plays[1][k])))
+        kept = found[kept]
+        profiles = x[kept]
 
         # one free unknown in all, and the rigid side feasible: a one-parameter
         # family x + t * direction, cut to [0, 1] in every variable it moves
@@ -802,11 +790,14 @@ def _assemble(batch: list[_Support], solved: _Solved) -> list[SolveResult]:
         b0, b1 = (0.0 - base) / step, (1.0 - base) / step
         t_lo = np.where(moves, np.where(b1 < b0, b1, b0), -np.inf).max(axis=1, initial=-np.inf)
         t_hi = np.where(moves, np.where(b1 > b0, b1, b0), np.inf).min(axis=1, initial=np.inf)
-        for k in np.flatnonzero(t_lo < t_hi - 1e-12):
-            sup = batch[owner[line][k]]
-            results[owner[line][k]].continua.append(Continuum(
-                base[k], direction[k], float(t_lo[k]), float(t_hi[k]), (sup.lams[0].support, sup.lams[1].support), split
-            ))
+        fam = np.flatnonzero(t_lo < t_hi - 1e-12)
+        continua = np.stack([base[fam], direction[fam]], axis=1)
+        spans = np.stack([t_lo[fam], t_hi[fam]], axis=1)
+        # owners ascend, so each support's rows are one slice
+        at_p, at_f = (np.searchsorted(o, np.arange(len(batch) + 1)) for o in (owner[kept], owner[line][fam]))
+        for i in members:
+            p, f = slice(at_p[i], at_p[i + 1]), slice(at_f[i], at_f[i + 1])
+            results[i] = SolveResult(profiles[p], continua[f], spans[f], split)
     return results
 
 
@@ -835,51 +826,52 @@ def _solved(run: list[_Support]) -> Iterator[SolveResult]:
 # ---------------------------------------------------------------------------
 
 
+def _reshaped(shapes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points (..., V), each player's strategies flattened in turn, as its
+    (..., n_support, n_games, n_actions) strategies of `shapes`."""
+    n0 = int(np.prod(shapes[0]))
+    return x[..., :n0].reshape(x.shape[:-1] + shapes[0]), x[..., n0:].reshape(x.shape[:-1] + shapes[1])
+
+
 def _damped_iteration(
     env: GameEnvironment,
     lams: tuple[PartitionDistribution, PartitionDistribution],
     config: SolveConfig,
-) -> list[StrategyProfile]:
+    exhausted: bool = False,
+) -> SolveResult:
+    """Each start moves halfway to the best replies until no strategy moves
+    by 1e-9; the end points that verify, deduplicated, are the profiles."""
     rng = np.random.default_rng(config.seed)
-    found: list[StrategyProfile] = []
-    keys = set()
+    shapes = tuple((len(lams[p].support), env.n_games, env.n_actions(p)) for p in (0, 1))
+    found, keys = [], set()
     for start in range(config.n_starts):
-        plays: tuple[dict, dict] = ({}, {})
-        for player in (0, 1):
-            n_act = env.n_actions(player)
-            for part in lams[player].support:
-                if start == 0:
-                    strat = np.full((env.n_games, n_act), 1.0 / n_act)
-                else:
-                    strat = rng.dirichlet(np.ones(n_act), size=env.n_games)
-                plays[player][part] = strat
-        profile = StrategyProfile(plays=plays)
+        plays = [
+            np.full(shape, 1.0 / shape[2]) if start == 0
+            else np.stack([rng.dirichlet(np.ones(shape[2]), size=env.n_games) for _ in range(shape[0])])
+            for shape in shapes
+        ]
         for _ in range(config.max_iterations):
-            aggs = aggregate(profile, lams)
-            new_plays: tuple[dict, dict] = ({}, {})
+            aggs = [mixture(lams[p].weights, plays[p]) for p in (0, 1)]
             delta = 0.0
             for player in (0, 1):
-                opp = aggs[1 - player]
-                for part in lams[player].support:
-                    beta = class_prototypes(opp, part, env.prior)
+                new = []
+                for pi, part in enumerate(lams[player].support):
+                    beta = class_prototypes(aggs[1 - player], part, env.prior)
                     pays = expected_payoffs(env, player, beta[list(part.assignment())])
-                    old = profile.plays[player][part]
-                    new = 0.5 * old + 0.5 * best_replies(pays, 1e-12)
-                    delta = max(delta, float(np.abs(new - old).max()))
-                    new_plays[player][part] = new
-            profile = StrategyProfile(plays=new_plays)
+                    new.append(0.5 * plays[player][pi] + 0.5 * best_replies(pays, 1e-12))
+                    delta = max(delta, float(np.abs(new[-1] - plays[player][pi]).max()))
+                plays[player] = np.stack(new)
             if delta < 1e-9:
                 break
-        okv, _, _ = dist_abee_verify(env, lams, profile)
-        if okv:
-            flat = np.concatenate(
-                [profile.plays[p][part].ravel() for p in (0, 1) for part in lams[p].support]
-            )
-            key = tuple(np.round(flat / DEDUP_TOL).astype(np.int64))
+        if dist_abee_verify_batch(env, lams, (plays[0][None], plays[1][None]))[0][0]:
+            flat = np.concatenate([plays[0].ravel(), plays[1].ravel()])
+            key = np.round(flat / DEDUP_TOL).astype(np.int64).tobytes()
             if key not in keys:
                 keys.add(key)
-                found.append(profile)
-    return found
+                found.append(flat)
+    n_vars = sum(int(np.prod(shape)) for shape in shapes)
+    return SolveResult(np.reshape(found, (-1, n_vars)), np.zeros((0, 2, n_vars)), np.zeros((0, 2)),
+                       partial(_reshaped, shapes), exhausted, exact=False)
 
 
 def dist_abee_solve_many(
@@ -887,8 +879,10 @@ def dist_abee_solve_many(
     config: SolveConfig | None = None,
 ) -> Iterator[SolveResult]:
     """Distributional equilibrium search of each (environment, support)
-    item, lazily, one `SolveResult` per item in order; keeps one-parameter
-    families.
+    item, lazily, one `SolveResult` per item in order: the verified
+    profiles as points (N, V) in the solver's variables, the one-parameter
+    families as base and direction (F, 2, V) with their spans (F, 2), and
+    the map from points to each player's stacked strategies.
 
     Each item carries its own environment, so one stream may mix them.
     Binary-action items go through exact support enumeration, in runs of
@@ -916,7 +910,7 @@ def dist_abee_solve_many(
                 continue
             yield from _solved(run)
             run = []
-            yield SolveResult(profiles=_damped_iteration(env, lams, config), exhausted=is_binary, exact=False)
+            yield _damped_iteration(env, lams, config, exhausted=is_binary)
         yield from _solved(run)
 
 
@@ -935,4 +929,6 @@ def abee_solve(
     config: SolveConfig | None = None,
 ) -> list[StrategyProfile]:
     """Equilibria for one fixed analogy partition per player."""
-    return dist_abee_solve_detailed(env, degenerate_pair(*partitions), config).profiles
+    lams = degenerate_pair(*partitions)
+    res = dist_abee_solve_detailed(env, lams, config)
+    return [unstack_plays((lams[0].support, lams[1].support), row) for row in zip(*res.plays(res.profiles))]

@@ -19,7 +19,6 @@ from ..abee import (
     StrategyProfile,
     degenerate_pair,
     dist_abee_solve_many,
-    stack_plays,
 )
 from ..clustering import L2, Divergence
 from ..env import GameEnvironment, make_environment
@@ -153,13 +152,13 @@ def two_class_refutation(specs: Sequence[MatchingPenniesSpec], d: Divergence = L
 
     All (triple, partition) supports, each row partition against the finest
     column partition, are solved in one `dist_abee_solve_many` stream, whose
-    profiles all pass the best-reply check, and the clustering of every
-    triple's profiles is checked in one `unclustered` call per partition and
-    mode: the triples' environments share their prior.  Each verdict is
-    `cabee_verify(...).ok` of its profile and mode.  Returns, per triple, a
-    dict keyed by partition: the solver output, its match with the analytic
-    structure, and the clustered-equilibrium verdicts per mode (local and
-    global).
+    profiles all pass the best-reply check; the stream is closed before the
+    clustering of every triple's profiles is checked in one `unclustered`
+    call per partition and mode: the triples' environments share their
+    prior.  Each verdict is `cabee_verify(...).ok` of its profile and mode.
+    Returns, per triple, a dict keyed by partition: the solver output, its
+    match with the analytic structure, and the clustered-equilibrium
+    verdicts per mode (local and global).
     """
     envs = [build_matching_pennies(spec) for spec in specs]
     finest = Partition.finest(3)
@@ -171,19 +170,19 @@ def two_class_refutation(specs: Sequence[MatchingPenniesSpec], d: Divergence = L
     for spec, env in zip(specs, envs):
         report = {}
         for part, res in zip(parts, solves):
-            row_ref, col_ref = analytic_two_class_abee(spec, part)
-            matches = [
-                float(max(np.abs(prof.single(0)[:, 0] - row_ref).max(), np.abs(prof.single(1)[:, 0] - col_ref).max()))
-                for prof in res.profiles
-            ]
+            plays = res.plays(res.profiles)
+            # each profile's largest gap to the analytic action-0 masses
+            gaps = np.abs(np.concatenate([plays[0][:, 0, :, 0], plays[1][:, 0, :, 0]], axis=1)
+                          - np.concatenate(analytic_two_class_abee(spec, part))).max(axis=1)
             verdicts = {LOCAL: [], GLOBAL: []}
             report[part] = {
                 "n_equilibria": len(res.profiles),
-                "analytic_gap": min(matches) if matches else None,
+                "analytic_gap": float(gaps.min()) if len(gaps) else None,
                 "verdicts": verdicts,
             }
-            rows[part] += [(env, stack_plays(prof, pairs[part]), verdicts) for prof in res.profiles]
+            rows[part] += [(env, (p0, p1), verdicts) for p0, p1 in zip(*plays)]
         reports.append(report)
+    solves.close()  # frees the last run's maps before the clustering checks
     for part, checks in rows.items():
         if not checks:
             continue

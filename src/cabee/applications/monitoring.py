@@ -16,7 +16,7 @@ from math import sqrt
 
 import numpy as np
 
-from ..abee import Continuum, PartitionDistribution, unstack_plays
+from ..abee import PartitionDistribution, SolveResult, unstack_plays
 from ..clustering import (
     KULLBACK_LEIBLER,
     L2,
@@ -145,11 +145,11 @@ def _mixed_plays(zetas) -> tuple[np.ndarray, np.ndarray]:
     return np.tile(employer, zetas.shape + (1, 1, 1)), worker.reshape(zetas.shape + (1, 3, 2))
 
 
-def _zeta_family(lams) -> Continuum:
+def _zeta_family() -> SolveResult:
     """The mixed candidate along type c's shirking probability, the
-    family's one variable, over [0, 1]."""
-    supports = (lams[0].support, lams[1].support)
-    return Continuum(np.zeros(1), np.ones(1), 0.0, 1.0, supports, lambda x: _mixed_plays(x[..., 0]))
+    variable of the one family of a result with no profile, over [0, 1]."""
+    return SolveResult(np.zeros((0, 1)), np.array([[[0.0], [1.0]]]), np.array([[0.0, 1.0]]),
+                       lambda x: _mixed_plays(x[..., 0]))
 
 
 def _candidate_at(spec: MonitoringSpec, zeta: float, mode: str, d: Divergence):
@@ -193,7 +193,7 @@ def solve_monitoring_cdabee(spec: MonitoringSpec, mode: str, d: Divergence = L2)
     if abs(spec.nu_star - 0.5) < 1e-12:
         raise HypothesesUnmet("local interval reporting needs nu_star != 1/2")
     env, lams = build_monitoring(spec), _mixed_lams(spec)
-    found = _refine_continua(env, lams, [_zeta_family(lams)], LOCAL, d, (2, 3))
+    found = _refine_continua(env, lams, _zeta_family(), LOCAL, d, (2, 3))
     if not found:
         return MonitoringSolution([], note="no sustainable shirking probability found")
     zetas = [float(cand.profile.plays[1][lams[1].support[0]][GAME_C, E0]) for cand in found]

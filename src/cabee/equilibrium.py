@@ -9,12 +9,14 @@ one-candidate case).  The search walks degenerate supports first, then
 two-partition supports for one player with the mixture weight on a simplex
 grid, in one loop body: each support's solve is pulled from one lazy
 stream per layer (`dist_abee_solve_many`, cut at the solves left), and its
-profiles and the points of its one-parameter solution families are
-admitted by one batched clustering check.  Family points are the isolated
-roots of the global dispersion-tie condition for a mixing support, and the
-family's ends where the tie holds; every other family (any support, either
-mode) is cut at the roots of the margins of the check, and yields the cuts
-and the points between them, found for all families of one solve together.
+profiles and the points of its one-parameter solution families, read as
+stacked strategies off the result's arrays, are admitted by one batched
+clustering check; a candidate's `StrategyProfile` is built only once it is
+admitted.  Family points are the isolated roots of the global
+dispersion-tie condition for a mixing support, and the family's ends where
+the tie holds; every other family (any support, either mode) is cut at the
+roots of the margins of the check, and yields the cuts and the points
+between them, found for all families of one solve together.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abee import (
-    Continuum,
     PartitionDistribution,
     SolveConfig,
+    SolveResult,
     StrategyProfile,
     aggregate,
     best_replies,
@@ -403,9 +405,10 @@ def _check_margins(env: GameEnvironment, lams, plays, mode: str, d: Divergence, 
     return np.concatenate(cols, axis=1)
 
 
-def _cover(env: GameEnvironment, lams, continua: list[Continuum], mode: str, d: Divergence, capacities):
-    """(N, V) points of the one-parameter solution families of one solve,
-    in family order, each family inset by FAMILY_INSET at both ends.
+def _cover(env: GameEnvironment, lams, res: SolveResult, mode: str, d: Divergence, capacities):
+    """(N, V) points of the one-parameter solution families of one solve
+    (`res.continua` over `res.spans`), in family order, each family inset by
+    FAMILY_INSET at both ends.
 
     In global mode with a two-partition support, a family whose
     dispersion-tie residual has isolated roots yields them, and each end
@@ -421,12 +424,10 @@ def _cover(env: GameEnvironment, lams, continua: list[Continuum], mode: str, d: 
     minimizer, so in global mode its families yield nothing.  Points
     repeated across families are dropped.
     """
-    split = continua[0].plays
     mix_player = next((pl for pl in (0, 1) if len(lams[pl].support) == 2), None)
-    lo = np.array([c.t_lo for c in continua]) + FAMILY_INSET
-    hi = np.array([c.t_hi for c in continua]) - FAMILY_INSET
-    base = np.stack([c.base for c in continua])
-    direction = np.stack([c.direction for c in continua])
+    lo = res.spans[:, 0] + FAMILY_INSET
+    hi = res.spans[:, 1] - FAMILY_INSET
+    base, direction = res.continua[:, 0], res.continua[:, 1]
     live = np.flatnonzero(hi > lo)
     if not len(live) or mode == GLOBAL and any(
         p.n_classes > cap for lam, cap in zip(lams, capacities) for p in lam.support
@@ -438,12 +439,12 @@ def _cover(env: GameEnvironment, lams, continua: list[Continuum], mode: str, d: 
     def margins(fam, t):
         """`_check_margins` of families `fam` at t, (..., m)."""
         fam, t = np.broadcast_arrays(fam, t)
-        at = split(base[fam.ravel()] + t.ravel()[:, None] * direction[fam.ravel()])
+        at = res.plays(base[fam.ravel()] + t.ravel()[:, None] * direction[fam.ravel()])
         return _check_margins(env, lams, at, mode, d, capacities).reshape(t.shape + (-1,))
 
     def residual(fam, t):
         """Tie residual of families `fam` at t, from the non-mixing player's data."""
-        plays = split(base[fam] + t[..., None] * direction[fam])[1 - mix_player]
+        plays = res.plays(base[fam] + t[..., None] * direction[fam])[1 - mix_player]
         data = mixture(lams[1 - mix_player].weights, np.moveaxis(plays, -3, 0))
         part_a, part_b = lams[mix_player].support
         return dispersion(data, part_a, env.prior, d) - dispersion(data, part_b, env.prior, d)
@@ -497,18 +498,14 @@ def _cover(env: GameEnvironment, lams, continua: list[Continuum], mode: str, d: 
     return x[np.sort(first)]
 
 
-def _refine_continua(env: GameEnvironment, lams, continua, mode: str, d: Divergence, capacities, profiles=()):
-    """Candidates of one solve, in order: its `profiles` (whose best replies
+def _refine_continua(env: GameEnvironment, lams, res: SolveResult, mode: str, d: Divergence, capacities):
+    """Candidates of one solve, in order: its profiles (whose best replies
     hold), then the points of its families' `_cover` whose best replies
     hold, all through one clustering check (`_admitted`)."""
-    rows = [stack_plays(profile, lams) for profile in profiles]
-    plays = [
-        np.reshape([r[pl] for r in rows], (-1, len(lams[pl].support), env.n_games, env.n_actions(pl)))
-        for pl in (0, 1)
-    ]
-    points = _cover(env, lams, continua, mode, d, capacities) if continua else ()
+    plays = res.plays(res.profiles)
+    points = _cover(env, lams, res, mode, d, capacities) if len(res.continua) else ()
     if len(points):
-        at = continua[0].plays(points)
+        at = res.plays(points)
         held = dist_abee_verify_batch(env, lams, at)[0]
         plays = [np.concatenate([p, q[held]]) for p, q in zip(plays, at)]
     return _admitted(env, lams, plays, mode, d, capacities)
@@ -598,7 +595,7 @@ def cd_abee_search(
             if name == "degenerate" and d.kind == KULLBACK_LEIBLER:
                 result.sampled_pure_families += len(res.continua)
             # solved profiles pass dist_abee_verify already; only clustering is left
-            for cand in _refine_continua(env, lams, res.continua, mode, d, capacities, res.profiles):
+            for cand in _refine_continua(env, lams, res, mode, d, capacities):
                 key = _candidate_key(cand)
                 if key not in seen:
                     seen.add(key)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cabee.abee import StrategyProfile, aggregate, degenerate_pair, dist_abee_verify
+from cabee.abee import StrategyProfile, aggregate, degenerate_pair, dist_abee_verify, unstack_plays
 from cabee.clustering import _projected, _prototype_divergences
 from cabee.env import SOLVER_TOL, make_environment, pure_payoffs_against
 from cabee.equilibrium import _reply_mask, clustered_partition_set, infer_capacities
@@ -54,6 +54,13 @@ def abee_verify(env, partitions, profile, tol=SOLVER_TOL):
     """Equilibrium check of one fixed partition per player: `dist_abee_verify`
     on degenerate distributions, as (ok, worst gain, witness)."""
     return dist_abee_verify(env, degenerate_pair(*partitions), profile, tol=tol)
+
+
+def solved_profile(res, lams, k, t=None) -> StrategyProfile:
+    """The `StrategyProfile` of a `SolveResult`'s profile row k, or, given
+    t, of its family k at t."""
+    x = res.profiles[k] if t is None else res.continua[k, 0] + t * res.continua[k, 1]
+    return unstack_plays((lams[0].support, lams[1].support), res.plays(x))
 
 
 @dataclass

@@ -8,7 +8,6 @@ import pytest
 from cabee.abee import (
     DEDUP_TOL,
     EQ_TOL,
-    Continuum,
     PartitionDistribution,
     SolveConfig,
     SolveResult,
@@ -27,14 +26,13 @@ from cabee.abee import (
     dist_abee_verify,
     dist_abee_verify_batch,
     expected_payoffs,
-    stack_plays,
     unstack_plays,
 )
 from cabee import abee
 from cabee.clustering import class_prototypes
 from cabee.env import SOLVER_TOL, make_environment, nash_solve_2x2, pure_payoffs_against
 from cabee.partitions import Partition
-from conftest import abee_verify, analogy_best_response, class_of, dominant_env, matching_pennies_env
+from conftest import abee_verify, analogy_best_response, class_of, dominant_env, matching_pennies_env, solved_profile
 
 
 def _side_regimes_cached(env, lams, player):
@@ -320,10 +318,10 @@ def test_row_mixes_in_at_most_one_bundled_game(rng):
 def test_dist_degenerate_coincides_with_fixed_partition(mp_env, finest3):
     part = Partition.from_classes(3, [(0, 1), (2,)])
     lams = degenerate_pair(part, finest3)
-    got = dist_abee_solve_detailed(mp_env, lams).profiles
+    res = dist_abee_solve_detailed(mp_env, lams)
     ref = abee_solve(mp_env, (part, finest3))
-    assert len(got) == len(ref) == 1
-    np.testing.assert_allclose(got[0].single(1), ref[0].single(1), atol=1e-12)
+    assert len(res.profiles) == len(ref) == 1
+    np.testing.assert_allclose(solved_profile(res, lams, 0).single(1), ref[0].single(1), atol=1e-12)
 
 
 def test_degenerate_payoffs_yield_a_verified_profile(finest3):
@@ -353,7 +351,8 @@ def test_enumeration_contains_iteration_fixed_points(rng, finest3):
         # convergent starts settle long before this cap; divergent ones spin
         cfg = SolveConfig(seed=3, n_starts=6, max_iterations=2000)
         iterated = _damped_iteration(env, lams, cfg)
-        for prof in iterated:
+        for n in range(len(iterated.profiles)):
+            prof = solved_profile(iterated, lams, n)
             checked += 1
             flat = np.concatenate([prof.plays[p][lams[p].support[0]].ravel() for p in (0, 1)])
             assert any(
@@ -455,8 +454,9 @@ def _verify_batch_case(rng, case):
             batch = np.repeat(batch[:, :, :1], n_games, axis=2)
         plays.append(batch)
     if n_act == 2:
-        solved = [stack_plays(prof, lams) for prof in dist_abee_solve_detailed(env, lams).profiles]
-        plays = [np.concatenate([plays[pl]] + [sp[pl][None] for sp in solved]) for pl in (0, 1)]
+        res = dist_abee_solve_detailed(env, lams)
+        solved = res.plays(res.profiles)
+        plays = [np.concatenate([plays[pl], solved[pl]]) for pl in (0, 1)]
     return env, lams, (plays[0], plays[1])
 
 
@@ -508,9 +508,10 @@ def test_verify_batch_takes_one_environment_per_row():
     lams = degenerate_pair(two_class_row_partitions()[1], Partition.finest(3))
     row_envs, rows = [], []
     for env in envs:
-        for profile in dist_abee_solve_detailed(env, lams).profiles:
+        res = dist_abee_solve_detailed(env, lams)
+        for x in res.profiles:
             for flip in (None, 0, 1, 2):
-                plays = tuple(p.copy() for p in stack_plays(profile, lams))
+                plays = tuple(p.copy() for p in res.plays(x))
                 if flip is not None:  # the other pure action, or the swapped mix, in one game
                     plays[flip % 2][0, flip] = plays[flip % 2][0, flip, ::-1]
                 row_envs.append(env)
@@ -752,11 +753,10 @@ def _loop_solve_block(env, lams, block_player, fixed, unknowns, pins, intervals,
 
 def _loop_support_enumeration(env, lams, config, prune=True):
     n_games = env.n_games
-    result = SolveResult()
+    profiles, continua, spans = [], [], []  # stacked into a SolveResult at the end
     combos = (_loop_side_combos(env, lams, 0), _loop_side_combos(env, lams, 1))
     if len(combos[0]) * len(combos[1]) > config.max_regimes:
-        result.exhausted = True
-        return result
+        return SolveResult(np.zeros((0, 0)), np.zeros((0, 2, 0)), np.zeros((0, 2)), None, exhausted=True)
     variables, var_index = [], {}
     for player in (0, 1):
         for pi, part in enumerate(lams[player].support):
@@ -801,7 +801,7 @@ def _loop_support_enumeration(env, lams, config, prune=True):
                     key = tuple(np.round(x / DEDUP_TOL).astype(np.int64))
                     if key not in seen:
                         seen.add(key)
-                        result.profiles.append(profile)
+                        profiles.append(x.copy())
             if sol0["n_free"] + sol1["n_free"] == 1:
                 player, combo, sol = (0, c0, sol0) if sol0["n_free"] == 1 else (1, c1, sol1)
                 other = sol1 if player == 0 else sol0
@@ -817,12 +817,10 @@ def _loop_support_enumeration(env, lams, config, prune=True):
                     t_lo = max(t_lo, min(b0, b1))
                     t_hi = min(t_hi, max(b0, b1))
                 if t_lo < t_hi - 1e-12:
-                    result.continua.append(
-                        Continuum(
-                            x.copy(), direction, float(t_lo), float(t_hi), supports, build_plays
-                        )
-                    )
-    return result
+                    continua.append((x.copy(), direction))
+                    spans.append((float(t_lo), float(t_hi)))
+    return SolveResult(np.reshape(profiles, (-1, n_vars)), np.reshape(continua, (-1, 2, n_vars)),
+                       np.reshape(spans, (-1, 2)), build_plays)
 
 
 def _game_kinds(rng, n_games):
@@ -855,27 +853,29 @@ def _random_support(rng, parts):
     return PartitionDistribution((parts[i], parts[j]), (w, 1 - w))
 
 
+def _assert_same_plays(got, ref, x):
+    """Both results' strategies at the point x, bit for bit."""
+    for a, b in zip(got.plays(x), ref.plays(x)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _assert_same_profiles(got, ref):
     assert got.exhausted == ref.exhausted
     assert len(got.profiles) == len(ref.profiles)
-    for a, b in zip(got.profiles, ref.profiles):
-        for player in (0, 1):
-            assert list(a.plays[player]) == list(b.plays[player])
-            for part in b.plays[player]:
-                assert a.plays[player][part].tobytes() == b.plays[player][part].tobytes()
+    assert got.profiles.tobytes() == ref.profiles.tobytes()
+    for x in ref.profiles:
+        _assert_same_plays(got, ref, x)
 
 
 def _assert_same_enumeration(got, ref):
+    """Profiles, families and spans bit for bit, and the strategies of
+    each profile and of each family at one point."""
     _assert_same_profiles(got, ref)
     assert len(got.continua) == len(ref.continua)
-    for a, b in zip(got.continua, ref.continua):
-        assert a.base.tobytes() == b.base.tobytes()
-        assert a.direction.tobytes() == b.direction.tobytes()
-        assert (a.t_lo, a.t_hi) == (b.t_lo, b.t_hi)
-        t = float(np.clip(0.5, a.t_lo, a.t_hi))
-        for player in (0, 1):
-            for part, strat in b.build(t).plays[player].items():
-                assert a.build(t).plays[player][part].tobytes() == strat.tobytes()
+    assert got.continua.tobytes() == ref.continua.tobytes()
+    assert got.spans.tobytes() == ref.spans.tobytes()
+    for (base, direction), (t_lo, t_hi) in zip(ref.continua, ref.spans.tolist()):
+        _assert_same_plays(got, ref, base + float(np.clip(0.5, t_lo, t_hi)) * direction)
 
 
 def test_support_enumeration_matches_scalar_reference(rng):
@@ -972,22 +972,23 @@ def test_support_enumeration_matches_reference_on_matching_pennies():
             # w = 0.25 has one family only without the range test, and
             # none of its points verifies
             pruned_away = w == 0.25 and lams[0] is row_mix
-            assert bool(got.continua) != pruned_away
+            assert bool(len(got.continua)) != pruned_away
             if pruned_away:
-                (family,) = _loop_support_enumeration(env, lams, config, prune=False).continua
-                assert not _verified_points(env, lams, family)
+                unpruned = _loop_support_enumeration(env, lams, config, prune=False)
+                assert len(unpruned.continua) == 1
+                assert not _verified_points(env, lams, unpruned, 0)
             _assert_same_enumeration(got, _loop_support_enumeration(env, lams, config))
 
 
-def _verified_points(env, lams, family):
-    """The points of a 201-point sweep of [t_lo, t_hi] that verify; `build`
-    clips the strategies into [0, 1] as the search does."""
-    ts = np.linspace(family.t_lo, family.t_hi, 201)
-    return [t for t in ts if dist_abee_verify(env, lams, family.build(t))[0]]
+def _verified_points(env, lams, res, k):
+    """The points of a 201-point sweep of family k's [t_lo, t_hi] that
+    verify; `plays` clips the strategies into [0, 1] as the search does."""
+    ts = np.linspace(*res.spans[k].tolist(), 201)
+    return [t for t in ts if dist_abee_verify(env, lams, solved_profile(res, lams, k, t))[0]]
 
 
-def _family_key(family):
-    return family.base.tobytes(), family.direction.tobytes(), family.t_lo, family.t_hi
+def _family_key(res, k):
+    return res.continua[k, 0].tobytes(), res.continua[k, 1].tobytes(), *res.spans[k].tolist()
 
 
 def test_range_test_drops_no_family_that_verifies(rng):
@@ -1021,15 +1022,15 @@ def test_range_test_drops_no_family_that_verifies(rng):
         got = dist_abee_solve_detailed(env, lams, config)
         ref = _loop_support_enumeration(env, lams, config, prune=False)
         _assert_same_profiles(got, ref)
-        kept = {_family_key(family) for family in got.continua}
-        assert kept <= {_family_key(family) for family in ref.continua}
-        for family in ref.continua:
-            if _family_key(family) not in kept:
+        kept = {_family_key(got, k) for k in range(len(got.continua))}
+        assert kept <= {_family_key(ref, k) for k in range(len(ref.continua))}
+        for k in range(len(ref.continua)):
+            if _family_key(ref, k) not in kept:
                 dropped += 1
-                assert not _verified_points(env, lams, family), case
+                assert not _verified_points(env, lams, ref, k), case
         if case == 0:
-            (clipped,) = [family for family in got.continua if family.base[4] == 2.0]
-            assert _verified_points(env, lams, clipped)
+            (clipped,) = [k for k, (base, _) in enumerate(got.continua) if base[4] == 2.0]
+            assert _verified_points(env, lams, got, clipped)
     assert dropped
 
 
@@ -1044,8 +1045,8 @@ def test_support_enumeration_regime_budget(mp_env):
         got = dist_abee_solve_detailed(mp_env, lams, config)
         assert got.exhausted == (budget < regimes)
         if got.exhausted:  # the damped iteration takes the enumeration's place
-            assert not got.exact and not got.continua
-            _assert_same_profiles(got, SolveResult(_damped_iteration(mp_env, lams, config), exhausted=True))
+            assert not got.exact and not len(got.continua)
+            _assert_same_profiles(got, _damped_iteration(mp_env, lams, config, exhausted=True))
         else:
             _assert_same_enumeration(got, _loop_support_enumeration(mp_env, lams, config))
 
@@ -1069,14 +1070,12 @@ def _search_supports(capacities):
 def _assert_same_result(got, ref):
     assert (got.exhausted, got.exact) == (ref.exhausted, ref.exact)
     assert len(got.profiles) == len(ref.profiles)
-    for a, b in zip(got.profiles, ref.profiles):
-        for player in (0, 1):
-            assert list(a.plays[player]) == list(b.plays[player])
-            assert all(np.array_equal(a.plays[player][part], b.plays[player][part]) for part in b.plays[player])
+    assert got.profiles.tobytes() == ref.profiles.tobytes()
+    _assert_same_plays(got, ref, ref.profiles)
     assert len(got.continua) == len(ref.continua)
-    for a, b in zip(got.continua, ref.continua):
-        assert np.array_equal(a.base, b.base) and np.array_equal(a.direction, b.direction)
-        assert (a.t_lo, a.t_hi) == (b.t_lo, b.t_hi)
+    assert got.continua.tobytes() == ref.continua.tobytes()
+    assert got.spans.tobytes() == ref.spans.tobytes()
+    _assert_same_plays(got, ref, ref.continua[:, 0] + ref.spans.mean(axis=1, keepdims=True) * ref.continua[:, 1])
 
 
 def _assert_stream_is_its_solves(monkeypatch, items, config):
@@ -1154,9 +1153,9 @@ def test_a_support_that_keeps_no_pairs_leaves_its_run_mates_alone(monkeypatch, m
 
     monkeypatch.setattr(abee, "_kept_pairs", emptied)
     got = list(dist_abee_solve_many([(mp_env, lams) for lams in stream]))
-    assert not got[1].profiles and not got[1].continua
+    assert not len(got[1].profiles) and not len(got[1].continua)
     for i in (0, 2):
-        assert refs[i].profiles or refs[i].continua
+        assert len(refs[i].profiles) or len(refs[i].continua)
         _assert_same_result(got[i], refs[i])
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -8,7 +9,6 @@ import pytest
 from cabee import equilibrium
 from cabee import clustering
 from cabee.abee import (
-    Continuum,
     PartitionDistribution,
     SolveConfig,
     StrategyProfile,
@@ -54,7 +54,7 @@ from cabee.applications.monitoring import (
     bundling_partitions,
     solve_monitoring_cdabee,
 )
-from conftest import dominant_env, grand_map
+from conftest import dominant_env, grand_map, solved_profile
 
 
 def test_single_game_trivially_clustered():
@@ -325,7 +325,7 @@ def _reference_search(env, capacities, mode, d, config):
             completed &= res.exact
             if name == "degenerate" and d.kind == clustering.KULLBACK_LEIBLER:
                 result.sampled_pure_families += len(res.continua)
-            for cand in _refine_continua(env, lams, res.continua, mode, d, capacities, res.profiles):
+            for cand in _refine_continua(env, lams, res, mode, d, capacities):
                 if _candidate_key(cand) not in seen:
                     seen.add(_candidate_key(cand))
                     result.candidates.append(cand)
@@ -496,11 +496,12 @@ def _loop_bracket_roots(f, lo, hi, samples=17, iters=80):
     return roots
 
 
-def _loop_refine_continuum(env, lams, cont, mode, d, capacities, local_samples, seen):
-    """The per-family refinement before the margin cover: the roots of the
-    global tie residual (`_loop_quadratic_roots`, or bracketing under KL),
-    else a sweep of `local_samples` points; `seen` is shared by the
-    families of one solve."""
+def _loop_refine_continuum(env, lams, res, k, mode, d, capacities, local_samples, seen):
+    """The per-family refinement of family k of `res` before the margin
+    cover: the roots of the global tie residual (`_loop_quadratic_roots`,
+    or bracketing under KL), else a sweep of `local_samples` points; `seen`
+    is shared by the families of one solve."""
+    (base, direction), (t_lo, t_hi) = res.continua[k], res.spans[k].tolist()
     mix_player = None
     for player in (0, 1):
         if len(lams[player].support) == 2:
@@ -508,23 +509,23 @@ def _loop_refine_continuum(env, lams, cont, mode, d, capacities, local_samples, 
     out = []
 
     def make_candidate(t):
-        x = cont.base + t * cont.direction
+        x = base + t * direction
         point_key = tuple(np.round(x / CANDIDATE_DEDUP_TOL).astype(np.int64))
         if point_key in seen:
             return None
         seen.add(point_key)
-        cand = EquilibriumCandidate(lams, cont.build(t), mode, d)
+        cand = EquilibriumCandidate(lams, solved_profile(res, lams, k, t), mode, d)
         return cand if cd_abee_verify(env, cand, capacities).ok else None
 
-    lo = cont.t_lo + 1e-12
-    hi = cont.t_hi - 1e-12
+    lo = t_lo + 1e-12
+    hi = t_hi - 1e-12
     if hi <= lo:
         return out
     if mode == GLOBAL and mix_player is not None:
         part_a, part_b = lams[mix_player].support
 
         def residual(t):
-            data = aggregate(cont.build(t), lams)[1 - mix_player]
+            data = aggregate(solved_profile(res, lams, k, t), lams)[1 - mix_player]
             return dispersion(data, part_a, env.prior, d) - dispersion(data, part_b, env.prior, d)
 
         if d.kind == "kullback-leibler":
@@ -544,10 +545,16 @@ def _loop_refine_continuum(env, lams, cont, mode, d, capacities, local_samples, 
     return out
 
 
-def _family_ts(fam, lams, cands):
-    """t of each candidate on family `fam`, located by least squares on its
-    stacked plays, or None where the candidate is off the family."""
-    ends = fam.plays(fam.base + np.array([fam.t_lo, fam.t_hi])[:, None] * fam.direction)
+def _families(res, index=slice(None)):
+    """The result that holds the families `index` of `res` and no profile."""
+    return dataclasses.replace(res, profiles=res.profiles[:0], continua=res.continua[index], spans=res.spans[index])
+
+
+def _family_ts(res, fam, lams, cands):
+    """t of each candidate on family `fam` of `res`, located by least squares
+    on its stacked plays, or None where the candidate is off the family."""
+    (base, direction), (t_lo, t_hi) = res.continua[fam], res.spans[fam].tolist()
+    ends = res.plays(base + np.array([t_lo, t_hi])[:, None] * direction)
     start, stop = (np.concatenate([ends[0][k].ravel(), ends[1][k].ravel()]) for k in (0, 1))
     span = stop - start
     out = []
@@ -555,11 +562,11 @@ def _family_ts(fam, lams, cands):
         x = np.concatenate([p.ravel() for p in stack_plays(cand.profile, lams)])
         s = float((x - start) @ span / (span @ span))
         on = np.abs(start + s * span - x).max() <= 1e-9
-        out.append(fam.t_lo + s * (fam.t_hi - fam.t_lo) if on else None)
+        out.append(t_lo + s * (t_hi - t_lo) if on else None)
     return out
 
 
-def _assert_cover_meets_reference_stretches(env, lams, continua, mode, d, got):
+def _assert_cover_meets_reference_stretches(env, lams, res, mode, d, got):
     """Every cover point verifies, and every point the sweep reference
     admits lies on a clustered stretch of its family (found by a sweep of
     401 points, widened by one step) that holds an admitted cover point of
@@ -567,34 +574,36 @@ def _assert_cover_meets_reference_stretches(env, lams, continua, mode, d, got):
     for cand in got:
         assert cd_abee_verify(env, cand, (2, 3)).ok
     seen: set = set()
-    for fam in continua:
-        ref = _loop_refine_continuum(env, lams, fam, mode, d, (2, 3), 9, seen)
+    for k, (base, direction) in enumerate(res.continua):
+        ref = _loop_refine_continuum(env, lams, res, k, mode, d, (2, 3), 9, seen)
         if not ref:
             continue
-        ts = np.linspace(fam.t_lo + 1e-12, fam.t_hi - 1e-12, 401)
-        swept = cd_abee_verify_batch(env, lams, fam.plays(fam.base + ts[:, None] * fam.direction), mode, d, (2, 3))
+        t_lo, t_hi = res.spans[k].tolist()
+        ts = np.linspace(t_lo + 1e-12, t_hi - 1e-12, 401)
+        swept = cd_abee_verify_batch(env, lams, res.plays(base + ts[:, None] * direction), mode, d, (2, 3))
         failing = np.flatnonzero([not rep.ok for rep in swept])
-        covered = [t for t in _family_ts(fam, lams, got) if t is not None]
-        for t in _family_ts(fam, lams, ref):
+        covered = [t for t in _family_ts(res, k, lams, got) if t is not None]
+        for t in _family_ts(res, k, lams, ref):
             i = np.searchsorted(ts, t)
             below, above = failing[failing < i], failing[failing >= i]
             a, b = ts[below[-1] if len(below) else 0], ts[above[0] if len(above) else -1]
             assert any(a <= u <= b for u in covered), (t, a, b, covered)
 
 
-def _assert_refinement_matches_reference(env, lams, continua, mode, d):
-    """The refinement equals the per-family reference bit for bit; in local
-    L2, where the reference only sweeps 9 points per family, the cover
-    meets each of its stretches instead."""
-    got = _refine_continua(env, lams, continua, mode, d, (2, 3))
+def _assert_refinement_matches_reference(env, lams, res, mode, d):
+    """The refinement of the families of `res` (a result with no profile)
+    equals the per-family reference bit for bit; in local L2, where the
+    reference only sweeps 9 points per family, the cover meets each of its
+    stretches instead."""
+    got = _refine_continua(env, lams, res, mode, d, (2, 3))
     if (mode, d) == (LOCAL, L2):
-        _assert_cover_meets_reference_stretches(env, lams, continua, mode, d, got)
+        _assert_cover_meets_reference_stretches(env, lams, res, mode, d, got)
         return len(got)
     seen: set = set()
     ref = [
         cand
-        for cont in continua
-        for cand in _loop_refine_continuum(env, lams, cont, mode, d, (2, 3), 9, seen)
+        for k in range(len(res.continua))
+        for cand in _loop_refine_continuum(env, lams, res, k, mode, d, (2, 3), 9, seen)
     ]
     assert len(got) == len(ref)
     for a, b in zip(got, ref):
@@ -628,17 +637,18 @@ def test_refine_continua_matches_per_family_reference():
     )
     found = 0
     for env, lams in solves:
-        continua = dist_abee_solve_detailed(env, lams).continua
-        assert continua
+        res = dist_abee_solve_detailed(env, lams)
+        assert len(res.continua)
         for mode, d in REFINE_SETTINGS:
             # the per-family KL reference is slow: the last 135 of the 315
             # matching-pennies families hold all four of its candidates
-            families = continua[-135:] if d == KL else continua
+            families = _families(res, slice(-135, None) if d == KL else slice(None))
             found += _assert_refinement_matches_reference(env, lams, families, mode, d)
     assert found
     # the monitoring families twice over: the points of the copy are all seen
-    once = _assert_refinement_matches_reference(env, lams, continua, GLOBAL, L2)
-    assert once and _assert_refinement_matches_reference(env, lams, continua * 2, GLOBAL, L2) == once
+    once = _assert_refinement_matches_reference(env, lams, _families(res), GLOBAL, L2)
+    twice = _families(res, np.tile(np.arange(len(res.continua)), 2))
+    assert once and _assert_refinement_matches_reference(env, lams, twice, GLOBAL, L2) == once
 
 
 def test_refine_continua_tied_family_and_empty_inset():
@@ -646,26 +656,27 @@ def test_refine_continua_tied_family_and_empty_inset():
     covered by its margins; one shorter than its two 1e-12 insets gives
     nothing."""
     env, lams = _mp_row_mixing()
-    continua = dist_abee_solve_detailed(env, lams).continua
-    cont = continua[0]
+    res = dist_abee_solve_detailed(env, lams)
     # the column's data (variables 6..8) fixed at (1/2, 1/2) in every game
-    base, direction = cont.base.copy(), np.zeros_like(cont.direction)
+    base, direction = res.continua[0, 0].copy(), np.zeros_like(res.continua[0, 1])
     base[6:] = 0.5
     direction[0] = 1.0
-    tied = Continuum(base, direction, 0.0, 0.5, cont.supports, cont.plays)
-    thin = Continuum(
-        cont.base, cont.direction, cont.t_lo, cont.t_lo + 1.5e-12, cont.supports, cont.plays
-    )
+    tied = dataclasses.replace(_families(res, [0]), continua=np.array([[base, direction]]), spans=np.array([[0.0, 0.5]]))
+    t_lo = float(res.spans[0, 0])
+    thin = dataclasses.replace(_families(res, [0]), spans=np.array([[t_lo, t_lo + 1.5e-12]]))
     part_a, part_b = lams[0].support
 
     def residual(t):
-        data = aggregate(tied.build(t), lams)[1]
+        data = aggregate(solved_profile(tied, lams, 0, t), lams)[1]
         return dispersion(data, part_a, env.prior, L2) - dispersion(data, part_b, env.prior, L2)
 
     assert _roots_of(residual, 1e-12, 0.5 - 1e-12) is None
-    assert _refine_continua(env, lams, [thin], GLOBAL, L2, (2, 3)) == []
+    assert _refine_continua(env, lams, thin, GLOBAL, L2, (2, 3)) == []
+    every = [tied, thin, _families(res, slice(None, None, 30))]
+    mixed = dataclasses.replace(tied, continua=np.concatenate([r.continua for r in every]),
+                                spans=np.concatenate([r.spans for r in every]))
     for mode, d in REFINE_SETTINGS:
-        _assert_refinement_matches_reference(env, lams, [tied, thin] + continua[::30], mode, d)
+        _assert_refinement_matches_reference(env, lams, mixed, mode, d)
 
 
 def test_bracket_roots_match_per_function_reference():
@@ -803,8 +814,9 @@ def _random_batch(rng, env, lams, n_random):
     """Solved profiles and family points of the supports (which mostly pass
     the best-reply check), then random plays with pure rows (zero entries)."""
     res = dist_abee_solve_detailed(env, lams)
-    solved = [stack_plays(p, lams) for p in res.profiles]
-    solved += [stack_plays(c.build(t), lams) for c in res.continua[:6] for t in (c.t_lo, c.t_hi)]
+    solved = [res.plays(x) for x in res.profiles]
+    solved += [res.plays(base + t * direction)
+               for (base, direction), span in zip(res.continua[:6], res.spans[:6].tolist()) for t in span]
     plays = []
     for pl in (0, 1):
         shape = (n_random, len(lams[pl].support), env.n_games)
@@ -933,8 +945,9 @@ def test_layer_one_local_matching_pennies_families():
     for an0 in parts[0]:
         for an1 in parts[1]:
             lams = degenerate_pair(an0, an1)
-            for prof in dist_abee_solve_detailed(env, lams).profiles:
-                cand = EquilibriumCandidate(lams, prof, LOCAL, L2)
+            res = dist_abee_solve_detailed(env, lams)
+            for n in range(len(res.profiles)):
+                cand = EquilibriumCandidate(lams, solved_profile(res, lams, n), LOCAL, L2)
                 if cd_abee_verify(env, cand, (2, 3)).ok:
                     from_profiles.add(_candidate_key(cand))
     assert len(from_profiles) == 8
@@ -972,6 +985,48 @@ def test_search_clusters_each_solve_in_at_most_four_kernel_calls(monkeypatch):
     assert calls["kernel"] <= 4 * calls["solve"]
 
 
+def test_solved_play_stays_stacked_until_admitted(monkeypatch):
+    """Solved play stays in the solver's stacked arrays from the stream to
+    the clustering check: the matching-pennies search (global L2,
+    capacities (2, 3), weight step 1/2) and the bundled refutation sweep
+    stack no `StrategyProfile` (`stack_plays`), and the search builds one
+    (`unstack_plays`) per candidate that `_admitted` returns, both counted
+    in every module that binds them."""
+    import sys
+
+    from cabee import abee
+    from cabee.applications.matching_pennies import two_class_refutation
+    from cabee.cli import _stake_triples, bundled_scenarios
+
+    calls = {"stack_plays": 0, "unstack_plays": 0, "admitted": 0}
+    for name in ("stack_plays", "unstack_plays"):
+        original = getattr(abee, name)
+
+        def wrapper(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("cabee") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    admitted = equilibrium._admitted
+
+    def counted_admitted(*args):
+        found = admitted(*args)
+        calls["admitted"] += len(found)
+        return found
+
+    monkeypatch.setattr(equilibrium, "_admitted", counted_admitted)
+    env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    result = cd_abee_search(env, (2, 3), GLOBAL, L2, SearchConfig(lambda_step=0.5))
+    assert all(rep.completed for rep in result.layers) and result.candidates
+    assert calls["stack_plays"] == 0
+    assert calls["unstack_plays"] == calls["admitted"] >= len(result.candidates)
+    reports = two_class_refutation(_stake_triples(bundled_scenarios()["prop1_refutation"]["params"]["sweep_step"], None))
+    assert sum(rep["n_equilibria"] for report in reports for rep in report.values()) == 252
+    assert calls["stack_plays"] == 0
+
+
 def test_layer_one_covers_a_clustered_point_between_family_samples():
     """Two games, global L2: the column player's one-class support is a
     dispersion minimizer only where the row plays alike in both games, a
@@ -980,12 +1035,15 @@ def test_layer_one_covers_a_clustered_point_between_family_samples():
     j = [[[1, 1], [-1, -1]], [[-1, 0], [1, 1]]]
     env = make_environment((0.437, 0.563), i, j)
     lams = degenerate_pair(Partition.finest(2), Partition.coarsest(2))
-    family = [c for c in dist_abee_solve_detailed(env, lams).continua if c.t_lo > -0.5]
+    res = dist_abee_solve_detailed(env, lams)
+    family = np.flatnonzero(res.spans[:, 0] > -0.5)
     assert len(family) == 1
-    lo, hi = family[0].t_lo + 1e-12, family[0].t_hi - 1e-12
+    t_lo, t_hi = res.spans[family[0]].tolist()
+    lo, hi = t_lo + 1e-12, t_hi - 1e-12
     for t in np.linspace(lo, hi, 9):
-        assert not cd_abee_verify(env, EquilibriumCandidate(lams, family[0].build(t), GLOBAL, L2), (2, 2))
-    found = _refine_continua(env, lams, family, GLOBAL, L2, (2, 2))
+        cand = EquilibriumCandidate(lams, solved_profile(res, lams, family[0], t), GLOBAL, L2)
+        assert not cd_abee_verify(env, cand, (2, 2))
+    found = _refine_continua(env, lams, _families(res, family), GLOBAL, L2, (2, 2))
     assert len(found) == 1
     row = found[0].aggregates()[0][:, 0]
     assert row == pytest.approx([2 / 3, 2 / 3], abs=1e-9)
@@ -1005,15 +1063,18 @@ def test_layer_one_cover_bounds_the_best_reply_stretch_of_a_family():
     j = [[[0, 1], [-1, 1]], [[-1, 1], [0, 1]]]
     env = make_environment((0.434, 0.566), i, j)
     lams = degenerate_pair(Partition.coarsest(2), Partition.coarsest(2))
+    res = dist_abee_solve_detailed(env, lams)
     (family,) = [
-        c
-        for c in dist_abee_solve_detailed(env, lams).continua
-        if np.array_equal(c.base, [1, 0, 0, 0.5]) and np.array_equal(c.direction, [0, 0, 0, 1])
+        k
+        for k, (base, direction) in enumerate(res.continua)
+        if np.array_equal(base, [1, 0, 0, 0.5]) and np.array_equal(direction, [0, 0, 0, 1])
     ]
-    lo, hi = family.t_lo + 1e-12, family.t_hi - 1e-12
+    t_lo, t_hi = res.spans[family].tolist()
+    lo, hi = t_lo + 1e-12, t_hi - 1e-12
     for t in (lo, (lo + hi) / 2, hi):
-        assert not cd_abee_verify(env, EquilibriumCandidate(lams, family.build(t), GLOBAL, L2), (1, 1))
-    found = _refine_continua(env, lams, [family], GLOBAL, L2, (1, 1))
+        cand = EquilibriumCandidate(lams, solved_profile(res, lams, family, t), GLOBAL, L2)
+        assert not cd_abee_verify(env, cand, (1, 1))
+    found = _refine_continua(env, lams, _families(res, [family]), GLOBAL, L2, (1, 1))
     assert len(found) == 3
     for cand in found:
         assert cd_abee_verify(env, cand, (1, 1)).ok
@@ -1050,19 +1111,21 @@ def test_degenerate_family_cover_meets_every_clustered_stretch(rng):
         d = (L2, mean_divergence([1.0, 0.0]))[trial // 2 % 2]
         for an0, an1 in itertools.product(partition_list(n, caps[0]), partition_list(n, caps[1])):
             lams = degenerate_pair(an0, an1)
-            for fam in dist_abee_solve_detailed(env, lams).continua:
-                ts = np.linspace(fam.t_lo + 1e-12, fam.t_hi - 1e-12, 401)
+            res = dist_abee_solve_detailed(env, lams)
+            for fam, (base, direction) in enumerate(res.continua):
+                t_lo, t_hi = res.spans[fam].tolist()
+                ts = np.linspace(t_lo + 1e-12, t_hi - 1e-12, 401)
                 if ts[-1] <= ts[0]:
                     continue
-                plays = fam.plays(fam.base + ts[:, None] * fam.direction)
+                plays = res.plays(base + ts[:, None] * direction)
                 swept = cd_abee_verify_batch(env, lams, plays, mode, d, caps)
                 ok = np.array([rep.ok for rep in swept] + [False])
                 # the cover's points, located on the family by least squares
-                at_ends = fam.plays(fam.base + ts[[0, -1], None] * fam.direction)
+                at_ends = res.plays(base + ts[[0, -1], None] * direction)
                 ends = [np.concatenate([at_ends[0][k].ravel(), at_ends[1][k].ravel()]) for k in (0, 1)]
                 span = ends[1] - ends[0]
                 found = []
-                for cand in _refine_continua(env, lams, [fam], mode, d, caps):
+                for cand in _refine_continua(env, lams, _families(res, [fam]), mode, d, caps):
                     x = np.concatenate([p.ravel() for p in stack_plays(cand.profile, lams)])
                     found.append(ts[0] + float((x - ends[0]) @ span / (span @ span)) * (ts[-1] - ts[0]))
                 step = ts[1] - ts[0]
@@ -1101,16 +1164,18 @@ def test_two_partition_family_cover_meets_every_clustered_stretch(rng):
             pair, other = branches[k]
             mixed = PartitionDistribution(pair, (0.4, 0.6))
             lams = (mixed, PartitionDistribution.degenerate(other))[:: 1 - 2 * mix_player]
-            for fam in dist_abee_solve_detailed(env, lams).continua:
-                ts = np.linspace(fam.t_lo + 1e-12, fam.t_hi - 1e-12, 401)
+            res = dist_abee_solve_detailed(env, lams)
+            for fam, (base, direction) in enumerate(res.continua):
+                t_lo, t_hi = res.spans[fam].tolist()
+                ts = np.linspace(t_lo + 1e-12, t_hi - 1e-12, 401)
                 if ts[-1] <= ts[0]:
                     continue
-                swept = cd_abee_verify_batch(env, lams, fam.plays(fam.base + ts[:, None] * fam.direction), mode, d, caps)
+                swept = cd_abee_verify_batch(env, lams, res.plays(base + ts[:, None] * direction), mode, d, caps)
                 ok = np.array([rep.ok for rep in swept] + [False])
-                cover = _refine_continua(env, lams, [fam], mode, d, caps)
+                cover = _refine_continua(env, lams, _families(res, [fam]), mode, d, caps)
                 for cand in cover:
                     assert cd_abee_verify(env, cand, caps).ok
-                found = _family_ts(fam, lams, cover)
+                found = _family_ts(res, fam, lams, cover)
                 step = ts[1] - ts[0]
                 for i in np.flatnonzero(ok & ~np.concatenate([[False], ok[:-1]])):
                     j = i + np.argmin(ok[i:])
@@ -1128,10 +1193,11 @@ def test_tie_isolated_family_yields_its_inset_end_on_the_tie():
     env = make_environment([0.39, 0.61], row, [[[0, 0], [1, 1]], [[1, -1], [0, -1]]])
     coarse, fine = Partition.coarsest(2), Partition.finest(2)
     lams = (PartitionDistribution.degenerate(coarse), PartitionDistribution((coarse, fine), (0.4, 0.6)))
-    (family,) = dist_abee_solve_detailed(env, lams).continua
-    (found,) = _refine_continua(env, lams, [family], GLOBAL, mean_divergence([1.0, 0.0]), (1, 2))
+    res = dist_abee_solve_detailed(env, lams)
+    assert len(res.continua) == 1
+    (found,) = _refine_continua(env, lams, _families(res), GLOBAL, mean_divergence([1.0, 0.0]), (1, 2))
     assert cd_abee_verify(env, found, (1, 2)).ok
-    inset_end = family.build(family.t_lo + FAMILY_INSET).single(0)
+    inset_end = solved_profile(res, lams, 0, float(res.spans[0, 0]) + FAMILY_INSET).single(0)
     np.testing.assert_array_equal(found.profile.single(0), inset_end)
 
 
@@ -1143,7 +1209,7 @@ def test_refinement_admits_both_ends_of_the_monitoring_interval(nu_star):
     interval, which no grid of samples need hold."""
     env = build_monitoring(MonitoringSpec(0.4, 0.4, 0.2, nu_star, 0.3))
     lams = (PartitionDistribution(bundling_partitions(), (0.3, 0.7)), PartitionDistribution.degenerate(Partition.finest(3)))
-    found = _refine_continua(env, lams, dist_abee_solve_detailed(env, lams).continua, LOCAL, L2, (2, 3))
+    found = _refine_continua(env, lams, _families(dist_abee_solve_detailed(env, lams)), LOCAL, L2, (2, 3))
     zetas = [cand.profile.plays[1][Partition.finest(3)][2, 0] for cand in found]
     for end in (0.4, 0.6):
         assert min(abs(z - end) for z in zetas) <= 1e-9, (end, zetas)
@@ -1161,18 +1227,19 @@ def test_support_partition_over_capacity_yields_no_candidate(d):
     env, mp_lams = _mp_row_mixing()
     fin = Partition.finest(3)
     lams = (PartitionDistribution.degenerate(fin), PartitionDistribution((mp_lams[0].support[0], fin), (0.25, 0.75)))
-    continua = dist_abee_solve_detailed(env, lams).continua
+    res = dist_abee_solve_detailed(env, lams)
 
     def tied(fam):
         def residual(t):
-            data = aggregate(fam.build(t), lams)[0]
+            data = aggregate(solved_profile(res, lams, fam, t), lams)[0]
             return dispersion(data, lams[1].support[0], env.prior, L2) - dispersion(data, fin, env.prior, L2)
 
-        lo, hi = fam.t_lo + 1e-12, fam.t_hi - 1e-12
+        t_lo, t_hi = res.spans[fam].tolist()
+        lo, hi = t_lo + 1e-12, t_hi - 1e-12
         return hi > lo and _loop_quadratic_roots((residual(lo), residual((lo + hi) / 2), residual(hi)), lo, hi) is None
 
-    assert any(tied(fam) for fam in continua)
-    assert _refine_continua(env, lams, continua, GLOBAL, d, (2, 3)) == []
+    assert any(tied(fam) for fam in range(len(res.continua)))
+    assert _refine_continua(env, lams, _families(res), GLOBAL, d, (2, 3)) == []
 
 
 @pytest.mark.parametrize("mode", [GLOBAL, LOCAL])

@@ -19,7 +19,7 @@ from cabee.applications.monitoring import (
     nu_star_sweep,
     solve_monitoring_cdabee,
 )
-from conftest import analogy_best_response
+from conftest import analogy_best_response, solved_profile
 
 SPEC = MonitoringSpec(0.4, 0.4, 0.2, 0.5, 0.3)
 
@@ -263,11 +263,11 @@ def test_dist_solver_reproduces_equilibrium_at_the_mixture():
         PartitionDistribution.degenerate(Partition.finest(3)),
     )
     res = dist_abee_solve_detailed(env, lams)
-    assert res.profiles or res.continua
+    assert len(res.profiles) or len(res.continua)
     found = False
-    for cont in res.continua:
-        for t in np.linspace(cont.t_lo, cont.t_hi, 41):
-            prof = cont.build(float(t))
+    for k, (t_lo, t_hi) in enumerate(res.spans.tolist()):
+        for t in np.linspace(t_lo, t_hi, 41):
+            prof = solved_profile(res, lams, k, float(t))
             emp_ac = prof.plays[0][an_ac]
             emp_bc = prof.plays[0][an_bc]
             worker = prof.plays[1][Partition.finest(3)]
