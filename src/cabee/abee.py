@@ -18,10 +18,10 @@ mix environments, in runs of `_RUN_SUPPORTS` consecutive items, and each
 stage works on a whole run: the regime tables of the supports not yet
 memoized are built in one pass from each player's threshold arrays
 (`_side_regimes`), the affine maps and range tests in one pass per map
-width (`_map_group`), the eliminations in one pass per map width and batch
-of supports holding about `_PAIR_CHUNK` pairs (`_solve_batch`), and the
-assembly, best-reply check included, in one pass per batch and support
-shape (`_assemble`).  Each support's result is the same as its solve alone
+width (`_map_group`), the eliminations in one pass per map width
+(`_solve_batch`, in chunks of `_PAIR_CHUNK` pairs), and the assembly,
+best-reply check included, in one pass per support shape (`_assemble`).
+Each support's result is the same as its solve alone
 (`dist_abee_solve_detailed`).  A damped best-reply iteration with
 multi-start is the fallback for larger action sets.
 
@@ -291,23 +291,6 @@ class _Regimes:
     slot_classes: tuple[tuple[int, ...], ...]
     width: int  # the most unknowns of a regime
 
-    def _at_choice(self, table: np.ndarray) -> np.ndarray:
-        return table[np.arange(len(self.slot_classes)), self.choice]
-
-    @property
-    def pinned(self) -> np.ndarray:
-        """(R, S) bool: the class expectation sits at a threshold."""
-        return self._at_choice(self.positions[0])
-
-    @property
-    def lo(self) -> np.ndarray:
-        """(R, S) bounds on the class expectation, lo == hi at a pin."""
-        return self._at_choice(self.positions[1])
-
-    @property
-    def hi(self) -> np.ndarray:
-        return self._at_choice(self.positions[2])
-
 
 def _side_regimes(items: list[tuple[_Thresholds, tuple[Partition, ...]]]) -> list[_Regimes]:
     """Every regime of one player for each (thresholds, support) item, the
@@ -477,7 +460,9 @@ class _MapGroup(NamedTuple):
     expectations, the variable of each unknown column in variable order
     (-1, a dummy last variable, for padding) and whether the column is one
     of the regime's unknowns; per own regime, opponent slot and position of
-    that slot, whether the checks on the maps alone rule the position out."""
+    that slot, whether the checks on the maps alone rule the position out;
+    per member, opponent slot and position, its (pinned, lo, hi), a padded
+    slot unpinned on (-inf, inf) at every position."""
 
     members: list[tuple[int, int]]
     starts: np.ndarray
@@ -487,6 +472,7 @@ class _MapGroup(NamedTuple):
     columns: np.ndarray  # (R, width)
     valid: np.ndarray  # (R, width) bool
     drops: np.ndarray  # (R, S, P) bool
+    positions: tuple[np.ndarray, np.ndarray, np.ndarray]  # (M, S, P) each
 
 
 def _map_group(run: list[_Support], members: list[tuple[int, int]]) -> _MapGroup:
@@ -510,9 +496,9 @@ def _map_group(run: list[_Support], members: list[tuple[int, int]]) -> _MapGroup
     unknown = np.zeros((starts[-1], n_vars), dtype=bool)
     coef = np.zeros((len(members), n_slots, n_vars + 1))
     order = np.full((len(members), n_slots, n_vars), n_vars)
-    positions = [np.zeros((len(members), n_slots, n_positions), dtype=bool),
+    positions = (np.zeros((len(members), n_slots, n_positions), dtype=bool),
                  np.full((len(members), n_slots, n_positions), -np.inf),
-                 np.full((len(members), n_slots, n_positions), np.inf)]
+                 np.full((len(members), n_slots, n_positions), np.inf))
     coefs = _coefficients([(run[i].env.prior, run[i].lams[p].weights, q.slot_classes) for (i, p), q in zip(members, opp)])
     for m, (o, q, (c, terms)) in enumerate(zip(own, opp, coefs)):
         rows, n_own, n_opp = slice(starts[m], starts[m + 1]), o.fixed.shape[1], len(q.slot_classes)
@@ -543,7 +529,7 @@ def _map_group(run: list[_Support], members: list[tuple[int, int]]) -> _MapGroup
             pins, lo, hi = (table[member, s, k] for table in positions)
             bad_pin = pins & unmoved & (np.abs(b[:, s] - lo) > 1e-9)
             drops[:, s, k] = bad_pin | (~pins & ((q_hi < lo - slack) | (q_lo > hi + slack)))
-    return _MapGroup(members, starts, fixed, a, b, columns, valid, drops)
+    return _MapGroup(members, starts, fixed, a, b, columns, valid, drops, positions)
 
 
 def _eliminate(aug: np.ndarray, n_cols: int) -> np.ndarray:
@@ -579,7 +565,7 @@ def _eliminate(aug: np.ndarray, n_cols: int) -> np.ndarray:
     return pivot_row
 
 
-_PAIR_CHUNK = 512  # regime pairs solved per elimination, and per batch of supports
+_PAIR_CHUNK = 512  # regime pairs solved per elimination, which bounds its temporaries
 _RUN_SUPPORTS = 32  # items per run
 
 
@@ -677,7 +663,7 @@ def _kept_pairs(run: list[_Support], groups: list[_MapGroup]) -> list[tuple[np.n
 
 
 class _Solved(NamedTuple):
-    """Both sides of the kept pairs of a batch of supports, side first, the
+    """Both sides of the kept pairs of a run's supports, side first, the
     pairs of its support i at starts[i]:starts[i + 1]: what `_solve_pairs`
     gives, with x and direction placed into the side's variables (padded to
     the most of the run)."""
@@ -690,35 +676,30 @@ class _Solved(NamedTuple):
     direction: np.ndarray
 
 
-def _solve_batch(run: list[_Support], groups: list[_MapGroup], pairs, batch: range) -> _Solved:
-    """`_solve_pairs` of both sides of every kept pair of the supports of a
-    batch, one call per map group: the group's maps, and the opponent
-    regimes one after another, their slots padded as unpinned on
-    (-inf, inf), which take no part in the elimination or the interval
-    checks, so each pair solves as it would alone."""
-    starts = np.cumsum([0] + [len(pairs[i][0]) for i in batch])
+def _solve_batch(run: list[_Support], groups: list[_MapGroup], pairs) -> _Solved:
+    """`_solve_pairs` of both sides of every kept pair of a run, one call per
+    map group: the group's maps, and the bounds of each member's opponent
+    regimes, one after another, gathered from the group's padded positions
+    at their choice.  Padded slots, unpinned on (-inf, inf), take no part
+    in the elimination or the interval checks, so each pair solves as it
+    would alone."""
+    starts = np.cumsum([0] + [len(own) for own, _ in pairs])
     ok = np.zeros((2, starts[-1]), dtype=bool)
     feasible = np.zeros_like(ok)
     n_free = np.zeros(ok.shape, dtype=np.intp)
     x = np.zeros(ok.shape + (max(g.fixed.shape[1] for g in groups) - 1,))
     direction = np.zeros_like(x)
     for g in groups:
-        members = [(m, i, p) for m, (i, p) in enumerate(g.members) if i in batch]
-        if not members:
-            continue
-        opps = [run[i].sides[1 - p] for _, i, p in members]
-        opp_at = np.cumsum([0] + [len(o.choice) for o in opps])
         n_slots = g.b.shape[1]
-        bounds = [np.zeros((opp_at[-1], n_slots), dtype=bool),
-                  np.full((opp_at[-1], n_slots), -np.inf),
-                  np.full((opp_at[-1], n_slots), np.inf)]
-        for o, start, end in zip(opps, opp_at, opp_at[1:]):
-            for table, part in zip(bounds, (o.pinned, o.lo, o.hi)):
-                table[start:end, : part.shape[1]] = part
-        own = np.concatenate([pairs[i][p] + g.starts[m] for m, i, p in members])
-        opp = np.concatenate([pairs[i][1 - p] + at for (_, i, p), at in zip(members, opp_at)])
-        side = np.concatenate([np.full(len(pairs[i][p]), p) for _, i, p in members])
-        dest = np.concatenate([np.arange(starts[i - batch.start], starts[i - batch.start + 1]) for _, i, _ in members])
+        choices = [run[i].sides[1 - p].choice for i, p in g.members]
+        opp_at = np.cumsum([0] + [len(c) for c in choices])
+        choice = np.concatenate([np.pad(c, ((0, 0), (0, n_slots - c.shape[1]))) for c in choices])
+        member = np.repeat(np.arange(len(choices)), np.diff(opp_at))[:, None]
+        bounds = [table[member, np.arange(n_slots), choice] for table in g.positions]
+        own = np.concatenate([pairs[i][p] + g.starts[m] for m, (i, p) in enumerate(g.members)])
+        opp = np.concatenate([pairs[i][1 - p] + at for (i, p), at in zip(g.members, opp_at)])
+        side = np.concatenate([np.full(len(pairs[i][p]), p) for i, p in g.members])
+        dest = np.concatenate([np.arange(starts[i], starts[i + 1]) for i, _ in g.members])
         solved = _solve_pairs((g.a, g.b, g.valid), bounds, own, opp)
         ok[side, dest], feasible[side, dest], n_free[side, dest] = solved[:3]
         n_vars = g.fixed.shape[1] - 1
@@ -735,7 +716,7 @@ def _split_plays(n0: int, n_games: int, x: np.ndarray) -> tuple[np.ndarray, np.n
     return mixes[..., :n0, :, :], mixes[..., n0:, :, :]
 
 
-def _assemble(batch: list[_Support], solved: _Solved) -> list[SolveResult]:
+def _assemble(run: list[_Support], solved: _Solved) -> list[SolveResult]:
     """Each support's result from its solved pairs: the points that verify,
     deduplicated, and the one-parameter families.
 
@@ -743,9 +724,9 @@ def _assemble(batch: list[_Support], solved: _Solved) -> list[SolveResult]:
     assembled together, with one best-reply check per distinct support
     and prior, and then sliced by support.
     """
-    results: list = [None] * len(batch)
+    results: list = [None] * len(run)
     shapes: dict[tuple, list[int]] = {}
-    for i, sup in enumerate(batch):
+    for i, sup in enumerate(run):
         shapes.setdefault((sup.env.n_games,) + tuple(len(lam.support) for lam in sup.lams), []).append(i)
     for (n_games, n0, n1), members in shapes.items():
         rows = np.concatenate([np.arange(solved.starts[i], solved.starts[i + 1]) for i in members])
@@ -762,14 +743,14 @@ def _assemble(batch: list[_Support], solved: _Solved) -> list[SolveResult]:
         verified = np.zeros(len(found), dtype=bool)
         checks: dict[tuple, list[int]] = {}
         for i in members:
-            checks.setdefault((batch[i].lams, batch[i].env.prior.tobytes()), []).append(i)
+            checks.setdefault((run[i].lams, run[i].env.prior.tobytes()), []).append(i)
         for ids in checks.values():
             at = np.flatnonzero(np.isin(owner[found], ids))
             if not len(at):
                 continue
-            env = batch[ids[0]].env
-            envs = env if all(batch[i].env is env for i in ids) else [batch[i].env for i in owner[found[at]]]
-            verified[at] = dist_abee_verify_batch(envs, batch[ids[0]].lams, (plays[0][at], plays[1][at]))[0]
+            env = run[ids[0]].env
+            envs = env if all(run[i].env is env for i in ids) else [run[i].env for i in owner[found[at]]]
+            verified[at] = dist_abee_verify_batch(envs, run[ids[0]].lams, (plays[0][at], plays[1][at]))[0]
         keys = np.round(x[found] / DEDUP_TOL).astype(np.int64)
         seen, kept = set(), []
         for j in np.flatnonzero(verified).tolist():
@@ -794,31 +775,27 @@ def _assemble(batch: list[_Support], solved: _Solved) -> list[SolveResult]:
         continua = np.stack([base[fam], direction[fam]], axis=1)
         spans = np.stack([t_lo[fam], t_hi[fam]], axis=1)
         # owners ascend, so each support's rows are one slice
-        at_p, at_f = (np.searchsorted(o, np.arange(len(batch) + 1)) for o in (owner[kept], owner[line][fam]))
+        at_p, at_f = (np.searchsorted(o, np.arange(len(run) + 1)) for o in (owner[kept], owner[line][fam]))
         for i in members:
             p, f = slice(at_p[i], at_p[i + 1]), slice(at_f[i], at_f[i + 1])
             results[i] = SolveResult(profiles[p], continua[f], spans[f], split)
     return results
 
 
-def _solved(run: list[_Support]) -> Iterator[SolveResult]:
+def _solved(run: list[_Support]) -> list[SolveResult]:
     """The results of a run's supports, in order.  The maps and range tests
-    of each map width are built in one pass (`_map_group`); the kept pairs
-    are then solved, one elimination per width (`_solve_batch`), and
-    assembled, one pass per support shape (`_assemble`), in batches of the
-    next supports whose pairs reach `_PAIR_CHUNK`."""
+    of each map width are built in one pass (`_map_group`); the run's kept
+    pairs are then solved, one elimination per width (`_solve_batch`), and
+    assembled, one pass per support shape (`_assemble`)."""
+    if not run:
+        return []
     widths: dict[int, list[tuple[int, int]]] = {}
     for i, sup in enumerate(run):
         for p in (0, 1):
             widths.setdefault(sup.sides[p].width, []).append((i, p))
     groups = [_map_group(run, members) for members in widths.values()]
     pairs = _kept_pairs(run, groups)
-    first, n_pairs = 0, 0
-    for end, (own, _) in enumerate(pairs, 1):
-        n_pairs += len(own)
-        if n_pairs >= _PAIR_CHUNK or end == len(run):
-            yield from _assemble(run[first:end], _solve_batch(run, groups, pairs, range(first, end)))
-            first, n_pairs = end, 0
+    return _assemble(run, _solve_batch(run, groups, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +865,6 @@ def dist_abee_solve_many(
     Binary-action items go through exact support enumeration, in runs of
     the next `_RUN_SUPPORTS` items: their regimes, maps and range tests are
     built together, and their kept pairs are solved and assembled together
-    in batches of the next supports whose pairs reach `_PAIR_CHUNK`
     (`_solved`), with the same result for each support as alone.  Other
     shapes, and binary supports over `config.max_regimes`, use the damped
     iteration (each step moves halfway to the best replies, until no

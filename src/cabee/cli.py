@@ -405,16 +405,18 @@ def _stake_triples(step: float, max_evaluations: int | None) -> list[matching_pe
     """Every stake triple on the grid step, 2*step, ... below 2; raises
     ScenarioError unless the grid holds one, or when its solves (one per
     two-class row partition of each triple) exceed `max_evaluations`, by
-    default the search's."""
-    vals = [round(step * k, 10) for k in range(1, int(2 / step) + 1) if step * k < 2]
-    if len(vals) < 3:
+    default the search's.  Both checks count the grid before building it."""
+    n_vals = int(2 / step)
+    n_vals -= step * n_vals >= 2
+    if n_vals < 3:
         raise ScenarioError(f"params.sweep_step: {step!r} leaves no stake triple 0 < a < b < c < 2 on its grid")
     budget = SearchConfig().max_evaluations if max_evaluations is None else max_evaluations
-    n_triples = math.comb(len(vals), 3)
+    n_triples = math.comb(n_vals, 3)
     solves = len(matching_pennies.two_class_row_partitions()) * n_triples
     if solves > budget:
         raise ScenarioError(f"params.sweep_step: {step!r} asks for {solves} solves ({n_triples} stake triples),"
                             f" over max_evaluations = {budget}")
+    vals = [round(step * k, 10) for k in range(1, n_vals + 1)]
     return [matching_pennies.MatchingPenniesSpec(*abc) for abc in combinations(vals, 3)]
 
 

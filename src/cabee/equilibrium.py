@@ -545,9 +545,12 @@ def cd_abee_search(
     admitted by one clustering check.  The two layers share
     `config.max_evaluations` solves, layer 1 first, and a layer's stream is
     cut at the solves left; a layer that runs out, or reaches
-    `config.max_candidates` (checked before each result is pulled; the
-    rest of its run is dropped unused), stops with `completed=False`, so
-    work and output do not depend on the speed of the machine.  A layer
+    `config.max_candidates` (checked before each result is pulled), stops
+    with `completed=False`, so work and output do not depend on the speed
+    of the machine.  A stream solves a whole run of supports at once, so a
+    layer stopped by `max_candidates` can leave the rest of its run solved
+    and unused, with `evaluations` unchanged: in local matching pennies,
+    layer 2 solves its first run for the 1 solve it uses.  A layer
     with a solve that was not exact (`SolveResult.exact`) also reports
     `completed=False`, since it may have missed equilibria.  All returned candidates verify; an empty
     result means "not found within its evaluation budget", never

@@ -940,8 +940,9 @@ def test_regime_tables_match_the_scalar_builder():
     built = _side_regimes([(_thresholds(env, player), support) for env, player, support in cases])
     for k, ((env, player, support), got) in enumerate(zip(cases, built)):
         ref = _scalar_side_regimes(env, support, player)
-        for field, want in zip(("fixed", "unknown", "pinned", "lo", "hi"), ref):
-            assert getattr(got, field).tobytes() == want.tobytes(), (k, field)
+        at_choice = [table[np.arange(len(got.slot_classes)), got.choice] for table in got.positions]
+        for field, have, want in zip(("fixed", "unknown", "pinned", "lo", "hi"), [got.fixed, got.unknown] + at_choice, ref):
+            assert have.tobytes() == want.tobytes(), (k, field)
         assert got.slot_classes == ref[5]
         assert got.width == got.unknown.sum(axis=1).max()
         if k % 10 == 0:
@@ -1080,9 +1081,9 @@ def _assert_same_result(got, ref):
 
 def _assert_stream_is_its_solves(monkeypatch, items, config):
     """Each (environment, support) item of a `dist_abee_solve_many` stream
-    gets its one-item solve, bit for bit, in runs of a few supports
-    (`_PAIR_CHUNK` 8, or `_RUN_SUPPORTS` 1) or of the whole stream (both
-    1 << 20)."""
+    gets its one-item solve, bit for bit, in runs of one support
+    (`_RUN_SUPPORTS` 1) or of the whole stream (1 << 20), with eliminations
+    cut into chunks of 8 pairs (`_PAIR_CHUNK` 8) or not cut (1 << 20)."""
     refs = [dist_abee_solve_detailed(env, lams, config) for env, lams in items]
     for chunk, cap in itertools.product((8, 1 << 20), (1, 1 << 20)):
         monkeypatch.setattr(abee, "_PAIR_CHUNK", chunk)
@@ -1103,7 +1104,7 @@ def test_support_result_does_not_depend_on_its_run_mates(monkeypatch, capacities
         env = make_environment(np.full(3, 1 / 3), rng.integers(-2, 3, size=(2, 2, 3)),
                                rng.integers(-2, 3, size=(2, 2, 3)))
         stream = _search_supports(capacities)
-        regimes = [len(_side_regimes_cached(env, lams, 0).lo) * len(_side_regimes_cached(env, lams, 1).lo)
+        regimes = [len(_side_regimes_cached(env, lams, 0).choice) * len(_side_regimes_cached(env, lams, 1).choice)
                    for lams in stream]
         stream.insert(len(stream) // 2, stream.pop(int(np.argmax(regimes))))
         config = SolveConfig(max_regimes=max(regimes) - 1, n_starts=2, max_iterations=50)

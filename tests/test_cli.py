@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -239,6 +240,21 @@ def test_refutation_sweep_bounded_by_max_evaluations():
     doc = dict(doc, params=dict(doc["params"], sweep_step=0.2), max_evaluations=251)
     with pytest.raises(ScenarioError, match="asks for 252 solves"):
         validate_scenario(doc)
+
+
+def test_refutation_sweep_refused_before_its_grid_is_built():
+    """A step too fine for the budget is refused from a count of its grid,
+    so validation does not grow with the grid it refuses."""
+    doc = json.loads(json.dumps(bundled_scenarios()["prop1_refutation"]))
+    doc["params"]["sweep_step"] = 1e-6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match=r"^params\.sweep_step: 1e-06 asks for 3999988000010999997 solves"):
+            validate_scenario(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("divergence", ["l2", "kl", "mean"])

@@ -985,6 +985,34 @@ def test_search_clusters_each_solve_in_at_most_four_kernel_calls(monkeypatch):
     assert calls["kernel"] <= 4 * calls["solve"]
 
 
+def test_search_solves_and_assembles_once_per_run(monkeypatch):
+    """Each run of a layer's stream, the next `_RUN_SUPPORTS` supports, is
+    solved by one `_solve_batch` call and assembled by one `_assemble`
+    call, however many regime pairs it keeps (4 runs over the 20 + 70
+    supports here)."""
+    from cabee import abee
+
+    calls = {"_solve_batch": 0, "_assemble": 0}
+
+    def counted(name):
+        fn = getattr(abee, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(abee, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    result = cd_abee_search(env, (2, 3), GLOBAL, L2, SearchConfig(lambda_step=0.5))
+    assert [rep.evaluations for rep in result.layers] == [20, 70]
+    assert all(rep.completed for rep in result.layers)
+    runs = sum(-(-rep.evaluations // abee._RUN_SUPPORTS) for rep in result.layers)
+    assert calls == {"_solve_batch": runs, "_assemble": runs}
+
+
 def test_solved_play_stays_stacked_until_admitted(monkeypatch):
     """Solved play stays in the solver's stacked arrays from the stream to
     the clustering check: the matching-pennies search (global L2,
