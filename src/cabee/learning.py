@@ -7,16 +7,19 @@ into at most K categories, and best-respond to their class prototypes
 prototypes, best-respond to them, then re-sort the games around the
 inherited prototypes and pass the result on.
 
-Model 1 holds one role's draws game- and action-major, (n_games,
-n_actions, N) memory viewed as (N, n_games, n_actions), so that its
-reductions run over N-long vectors.  It clusters all subjects' draws with
-one `clustering.subset_table`, or in its Lloyd variant by rounds that map
-each subject's partition to a partition, with prototypes gathered from the
-subset sums of its draws.  It takes their prototypes as one
-gather from the same subset sums (only under the mean divergence, whose
-table and Lloyd rounds hold projected sums, are the raw draws' sums added
-up apart), picks their best replies with `numeric.first_best`, and counts
-their actions with one `np.bincount`; nothing of one role's subjects
+Model 1 draws one role's measurement noise (and its Lloyd variant's seed
+keys) for all N subjects at once, and runs the rest on blocks of
+`_SUBJECT_BLOCK` subjects, sized to a core's cache.  It holds a block's
+draws game- and action-major, (n_games, n_actions, B) memory viewed as (B,
+n_games, n_actions), so that its reductions run over B-long vectors.  It
+clusters the block's draws with one `clustering.subset_table`, or in its
+Lloyd variant by rounds that map each subject's partition to a partition,
+with prototypes gathered from the subset sums of its draws.  It takes
+their prototypes as one gather from the same subset sums (only under the
+mean divergence, whose table and Lloyd rounds hold projected sums, are the
+raw draws' sums added up apart), draws their payoff noise, picks their
+best replies with `numeric.first_best`, and adds their actions' counts to
+the role's tally with one `np.bincount`; nothing of one role's subjects
 outlives its step.  Model 2 re-sorts a dynasty's games with one
 `_prototype_divergences` call.
 
@@ -60,6 +63,7 @@ from .partitions import Partition, assignment_rows, class_masks, label_array, pa
 STATE_TOL = 1e-9
 CLUSTERINGS = ("global", "lloyd")  # model 1's exhaustive clustering, and its Lloyd variant
 TIE_BREAKS = ("uniform", "incumbent")
+_SUBJECT_BLOCK = 5000  # subjects per block of model 1's step, from a scan of block sizes (BENCH_28.json)
 
 
 @dataclass(frozen=True)
@@ -197,14 +201,15 @@ def _exact_model1_step(
 
 
 def _lloyd_choices(
-    s: np.ndarray, prior: np.ndarray, k: int, d: Divergence, rng: np.random.Generator, rounds: int = 25
+    s: np.ndarray, prior: np.ndarray, k: int, d: Divergence, keys: np.ndarray, rounds: int = 25
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each subject's Lloyd partition, as a row of `label_array`, with the
     subset sums S (2^n_games, n_actions, N) and masses W of all subjects'
     raw draws.
 
     A subject's run is seeded at a random ordered k-subset of its data
-    points, and sends each game to its nearest seed point.  Every later
+    points, the games of its k smallest `keys` (N, n_games) in increasing
+    order, and sends each game to its nearest seed point.  Every later
     round maps a partition to a partition: the prototypes of a subject's
     current row are its class means S[m]/W[m], m the row's `class_masks`
     (the class mean is the prototype under every divergence here), which
@@ -221,11 +226,9 @@ def _lloyd_choices(
     """
     x, kind = _projected(s, d)
     xt = x.transpose(1, 2, 0)  # (n_games, dim, N), game-major as model 1 holds its draws
-    order = rng.random(s.shape[:2]).argsort(axis=1)[:, : min(k, s.shape[1])]
+    order = keys.argsort(axis=1)[:, : min(k, s.shape[1])]
     seeds = np.take_along_axis(xt, order.T[:, None, :], axis=0)  # the seed points, (k, dim, N)
-    # one expression, so that no (N, n_games, k) temporary of the seed round outlives it
     choice = assignment_rows(first_best(_prototype_divergences(x, seeds.transpose(2, 0, 1), kind), np.minimum), k)
-    del order, seeds
     sums, mass = _subset_sums(s.transpose(1, 2, 0), prior)
     x_sums = _subset_sums(xt, prior)[0] if d.kind == SQUARED_MEAN_DIFFERENCE else sums
     n, dim = x.shape[0], x.shape[2]
@@ -293,27 +296,37 @@ def _subject_tallies(
     """One role's noisy subjects: each clusters its draw of the opponents'
     aggregate `data` into at most k classes and best-responds to its class
     prototypes.  Returns the subjects per (row of `label_array`, game, own
-    action), exact counts; the draws, sums and payoffs are freed on return,
-    so none of them outlives the role's step."""
+    action), exact counts.
+
+    The measurement noise, and the Lloyd variant's seed keys, are drawn for
+    all subjects at once; the rest runs on blocks of `_SUBJECT_BLOCK`
+    subjects, each drawing its payoff noise in turn (the role's last draw,
+    so the stream is that of one draw for all); the draws, sums and payoffs
+    of a block are dropped as the next block's replace them, so the working
+    set is a block's, not the role's."""
     eps = perturbation.epsilon
     eta = perturbation.draw_measurement(rng, (n_subjects,) + data.shape)
-    # (data + eps*eta)/(1 + eps), held game- and action-major, so the
-    # reductions below run over N-long vectors
-    s = np.multiply(eps, eta, out=np.empty(data.shape + (n_subjects,)).transpose(2, 0, 1))
-    s += data
-    s /= 1.0 + eps
-    if clustering == "lloyd":
-        choice, sums, mass = _lloyd_choices(s, env.prior, k, d, rng)
-    else:
-        choice, sums, mass = _exhaustive_choices(s, env.prior, k, d)
-    # subjects' prototypes per game: class means of their own draw under
-    # their chosen partition
-    utils = expected_payoffs(env, player, _class_means(sums, mass, choice, k))
-    utils += eps * perturbation.draw_payoff(rng, utils.shape)
-    n_games, n_act = utils.shape[1:]
-    cells = (choice[:, None] * n_games + np.arange(n_games)) * n_act + first_best(utils, np.maximum)
-    size = len(label_array(n_games, k)) * n_games * n_act
-    return np.bincount(cells.ravel(), minlength=size).reshape(-1, n_games, n_act)
+    keys = rng.random(eta.shape[:2]) if clustering == "lloyd" else None
+    n_games, n_act = data.shape[0], env.n_actions(player)
+    tally = np.zeros(len(label_array(n_games, k)) * n_games * n_act, dtype=np.intp)
+    for lo in range(0, n_subjects, _SUBJECT_BLOCK):
+        block = eta[lo : lo + _SUBJECT_BLOCK]
+        # (data + eps*eta)/(1 + eps), held game- and action-major, so the
+        # reductions below run over block-long vectors
+        s = np.multiply(eps, block, out=np.empty(data.shape + (len(block),)).transpose(2, 0, 1))
+        s += data
+        s /= 1.0 + eps
+        if keys is None:
+            choice, sums, mass = _exhaustive_choices(s, env.prior, k, d)
+        else:
+            choice, sums, mass = _lloyd_choices(s, env.prior, k, d, keys[lo : lo + _SUBJECT_BLOCK])
+        # subjects' prototypes per game: class means of their own draw under
+        # their chosen partition
+        utils = expected_payoffs(env, player, _class_means(sums, mass, choice, k))
+        utils += eps * perturbation.draw_payoff(rng, utils.shape)
+        cells = (choice[:, None] * n_games + np.arange(n_games)) * n_act + first_best(utils, np.maximum)
+        tally += np.bincount(cells.ravel(), minlength=tally.size)
+    return tally.reshape(-1, n_games, n_act)
 
 
 def model1_step(

@@ -103,10 +103,12 @@ def grand_map(env, candidate, capacities=None) -> GrandMapImage:
 
 def lloyd_assignments(s, prior, k, d, rng, rounds=25):
     """Lloyd runs over labels, one per subject, seeded at a random ordered
-    k-subset of the subject's data points (the same random stream as model
-    1's Lloyd variant): games go to the nearest prototype (the first on
-    ties), prototypes to their class's prior-weighted mean of the (projected)
-    data, and a class that empties is at infinite distance from then on.
+    k-subset of the subject's data points: the games of its k smallest keys
+    of `rng.random((N, n_games))`, the keys model 1's Lloyd variant draws
+    and `learning._lloyd_choices` takes.  Games go to the nearest prototype
+    (the first on ties), prototypes to their class's prior-weighted mean of
+    the (projected) data, and a class that empties is at infinite distance
+    from then on.
     Per-subject game assignments (N, n_games) after `rounds` assignments.
     The reference of `learning._lloyd_choices`."""
     x, kind = _projected(s, d)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -346,7 +347,8 @@ def test_lloyd_choices_match_the_label_reference(rng):
                     for rounds in (1, 2, 25):
                         assign = lloyd_assignments(s, prior, k, d, np.random.default_rng(seed), rounds)
                         want = sorted_assignment_rows(assign, k)
-                        rows[rounds], sums, mass = _lloyd_choices(s, prior, k, d, np.random.default_rng(seed), rounds)
+                        keys = np.random.default_rng(seed).random(s.shape[:2])
+                        rows[rounds], sums, mass = _lloyd_choices(s, prior, k, d, keys, rounds)
                         np.testing.assert_array_equal(rows[rounds], want)
                         want_sums, want_mass = _subset_sums(s.transpose(1, 2, 0), prior)
                         assert np.array_equal(sums, want_sums) and np.array_equal(mass, want_mass)
@@ -357,8 +359,9 @@ def test_lloyd_choices_match_the_label_reference(rng):
 def test_lloyd_step_runs_no_label_lloyd_or_class_sums(mp_setup, monkeypatch):
     """No label Lloyd iteration (`_lloyd`) or per-row class-sum kernel
     (`_class_sums`) exists in `clustering` or `learning`; under L2 and KL
-    model1_step's Lloyd variant runs the subset-sum recurrence once per role,
-    and the mean divergence adds one of the projected draws."""
+    model1_step's Lloyd variant runs the subset-sum recurrence once per role
+    and block (200 subjects are one block), and the mean divergence adds one
+    of the projected draws."""
     env, cand = mp_setup
     state = state_from_candidate(env, cand)
     calls = []
@@ -379,7 +382,8 @@ def test_lloyd_step_runs_no_label_lloyd_or_class_sums(mp_setup, monkeypatch):
 def test_exhaustive_player_step_runs_the_subset_sums_once(mp_setup, monkeypatch):
     """Under L2 and KL an exhaustive player-step gathers its prototypes from
     the scoring table's own subset sums, so the recurrence runs once per
-    role; the mean divergence, whose table holds projected sums, adds one."""
+    role and block (50 subjects are one block); the mean divergence, whose
+    table holds projected sums, adds one."""
     env, cand = mp_setup
     state = state_from_candidate(env, cand)
     calls = []
@@ -394,6 +398,68 @@ def test_exhaustive_player_step_runs_the_subset_sums_once(mp_setup, monkeypatch)
         calls.clear()
         model1_step(env, state, (2, 3), d, PerturbationSpec(0.05, 3), n_subjects=50)
         assert len(calls) == 2 * per_role, (d.kind, calls)
+
+
+@pytest.mark.parametrize("clustering", ["global", "lloyd"])
+def test_model1_step_is_the_same_in_blocks_of_subjects(mp_setup, monkeypatch, clustering):
+    """A role's subjects run in blocks of `_SUBJECT_BLOCK`: with blocks of 7
+    and 64 of 300 subjects (neither divides 300) model1_step's aggregates,
+    shares and plays equal those of one block bit for bit, under L2, KL and
+    the mean divergence, and the subset-sum recurrence runs once per role
+    and block (twice under the mean divergence)."""
+    env, cand = mp_setup
+    state = state_from_candidate(env, cand)
+    n = 300
+    calls = []
+
+    def counted(x, prior):
+        calls.append(x.shape)
+        return _subset_sums(x, prior)
+
+    monkeypatch.setattr(clustering_module, "_subset_sums", counted)
+    monkeypatch.setattr(learning_module, "_subset_sums", counted)
+    for d, per_role in ((L2, 1), (KL, 1), (mean_divergence([0.0, 1.0]), 2)):
+        steps = {}
+        for block in (n, 7, 64):
+            monkeypatch.setattr(learning_module, "_SUBJECT_BLOCK", block)
+            calls.clear()
+            steps[block] = model1_step(
+                env, state, (2, 3), d, PerturbationSpec(0.3, 3), n_subjects=n, clustering=clustering
+            )
+            assert len(calls) == 2 * per_role * math.ceil(n / block), (d.kind, block)
+        want = steps[n]
+        assert max(len(want.lam_weights(player)) for player in (0, 1)) > 1  # blocks share partitions
+        for block in (7, 64):
+            got = steps[block]
+            for player in (0, 1):
+                assert np.array_equal(got.aggregates[player], want.aggregates[player])
+                assert got.lam_weights(player) == want.lam_weights(player)
+                plays, want_plays = got.profile.plays[player], want.profile.plays[player]
+                assert list(plays) == list(want_plays)
+                assert all(np.array_equal(plays[p], want_plays[p]) for p in want_plays)
+
+
+@pytest.mark.parametrize("clustering", ["global", "lloyd"])
+def test_model1_step_memory_is_bounded_by_one_block(mp_setup, monkeypatch, clustering):
+    """Only the draws of a role's subjects are held for all of them; its
+    sums, choices and payoffs are held for one block at a time, so at
+    100,000 subjects a matching-pennies step peaks under a third of its
+    peak as one block."""
+    env, cand = mp_setup
+    state = state_from_candidate(env, cand)
+    n = 100_000
+
+    def peak():
+        tracemalloc.start()
+        try:
+            model1_step(env, state, (2, 3), L2, PerturbationSpec(0.05, 3), n_subjects=n, clustering=clustering)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocked = peak()
+    monkeypatch.setattr(learning_module, "_SUBJECT_BLOCK", n)
+    assert blocked < peak() / 3
 
 
 def test_measurement_draws_equal_numpy_normalization():
@@ -486,7 +552,7 @@ def test_lloyd_keeps_a_point_on_its_own_prototype_with_a_zero_coordinate():
     prior = np.full(4, 0.25)
     assert np.random.default_rng(0).random((1, 4)).argsort(axis=1)[0, :2].tolist() == [3, 2]
     assign = lloyd_assignments(s, prior, 2, KL, np.random.default_rng(0))
-    choice, _, _ = _lloyd_choices(s, prior, 2, KL, np.random.default_rng(0))
+    choice, _, _ = _lloyd_choices(s, prior, 2, KL, np.random.default_rng(0).random(s.shape[:2]))
     rep = kmeans_lloyd(s[0], prior, 2, KL, s[0, [3, 2]])
     assert rep.partition == Partition.from_classes(4, [(0, 1, 3), (2,)])
     assert Partition.from_assignment(assign[0]) == rep.partition
