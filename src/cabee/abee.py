@@ -4,7 +4,8 @@ Consistency ties a player's per-class expectation to the prior-weighted
 aggregate of the opponent's play: it is the class mean of that aggregate,
 the clustering prototype, and comes from the one class-mean kernel
 `clustering.class_prototypes`.  Best responses treat the class expectation
-as the opponent's strategy in every game of the class.  The solver for
+as the opponent's strategy in every game of the class, and `class_payoffs`
+is the one kernel of the payoffs they compare.  The solver for
 binary-action games enumerates regimes: per analogy class, where the class
 expectation sits relative to the games' indifference thresholds ("pinned at
 a threshold" or "strictly between two").  A player's regime fixes which of
@@ -22,8 +23,8 @@ width (`_map_group`), the eliminations in one pass per map width
 (`_solve_batch`, in chunks of `_PAIR_CHUNK` pairs), and the assembly,
 best-reply check included, in one pass per support shape (`_assemble`).
 Each support's result is the same as its solve alone
-(`dist_abee_solve_detailed`).  A damped best-reply iteration with
-multi-start is the fallback for larger action sets.
+(`dist_abee_solve_detailed`).  A damped best-reply iteration, all of its
+starts in one batch, is the fallback for larger action sets.
 
 A result (`SolveResult`) holds a support's solutions as arrays in the
 solver's variables, with one map to stacked strategies; a `StrategyProfile`
@@ -45,6 +46,7 @@ import numpy as np
 
 from .clustering import class_prototypes
 from .env import GameEnvironment, SOLVER_TOL, common_prior
+from .numeric import first_rows
 from .partitions import Partition
 
 EQ_TOL = 1e-10  # residual tolerance for the indifference systems
@@ -141,6 +143,16 @@ def expected_payoffs(env: GameEnvironment, player: int, expectations: np.ndarray
     return np.einsum("abg,...gb->...ga", env.payoffs[player], expectations)
 
 
+def class_payoffs(payoffs: np.ndarray, data: np.ndarray, part: Partition, prior: np.ndarray) -> np.ndarray:
+    """Payoff of each own pure action in each game, (..., n_games, n_actions),
+    against the class means of `part` on the opponent's aggregate play
+    (..., n_games, n_opponent_actions): the best-reply kernel of every
+    support partition.  `payoffs` is the player's (n_actions,
+    n_opponent_actions, n_games) tensor, or one such tensor per data set."""
+    beta = class_prototypes(data, part, prior)
+    return np.einsum("...abg,...gb->...ga", payoffs, beta[..., list(part.assignment()), :])
+
+
 def best_replies(pays: np.ndarray, tol: float, incumbent: np.ndarray | None = None) -> np.ndarray:
     """Per game, the uniform mix over the actions within `tol` of the best; a
     game keeps its `incumbent` row if that row puts at most `tol` off them."""
@@ -176,8 +188,7 @@ def dist_abee_verify_batch(
     for player in (0, 1):
         payoffs = envs.payoffs[player] if isinstance(envs, GameEnvironment) else np.stack([e.payoffs[player] for e in envs])
         for pi, part in enumerate(lams[player].support):
-            beta = class_prototypes(aggs[1 - player], part, prior)
-            pays = np.einsum("...abg,...gb->...ga", payoffs, beta[..., list(part.assignment()), :])
+            pays = class_payoffs(payoffs, aggs[1 - player], part, prior)
             order = list(itertools.chain.from_iterable(part.classes))
             gains = pays.max(axis=-1) - (plays[player][:, pi] * pays).sum(axis=-1)
             blocks.append(gains[:, order])
@@ -751,14 +762,8 @@ def _assemble(run: list[_Support], solved: _Solved) -> list[SolveResult]:
             env = run[ids[0]].env
             envs = env if all(run[i].env is env for i in ids) else [run[i].env for i in owner[found[at]]]
             verified[at] = dist_abee_verify_batch(envs, run[ids[0]].lams, (plays[0][at], plays[1][at]))[0]
-        keys = np.round(x[found] / DEDUP_TOL).astype(np.int64)
-        seen, kept = set(), []
-        for j in np.flatnonzero(verified).tolist():
-            key = (owner[found[j]], keys[j].tobytes())
-            if key not in seen:
-                seen.add(key)
-                kept.append(j)
-        kept = found[kept]
+        kept = found[verified]
+        kept = kept[first_rows(np.column_stack([owner[kept], np.round(x[kept] / DEDUP_TOL).astype(np.int64)]))]
         profiles = x[kept]
 
         # one free unknown in all, and the rigid side feasible: a one-parameter
@@ -817,38 +822,35 @@ def _damped_iteration(
     exhausted: bool = False,
 ) -> SolveResult:
     """Each start moves halfway to the best replies until no strategy moves
-    by 1e-9; the end points that verify, deduplicated, are the profiles."""
+    by 1e-9; the end points that verify, deduplicated, are the profiles.
+    Start 0 is uniform play and the others Dirichlet draws.  The starts
+    iterate as one stack, each frozen after the step in which it settles."""
     rng = np.random.default_rng(config.seed)
     shapes = tuple((len(lams[p].support), env.n_games, env.n_actions(p)) for p in (0, 1))
-    found, keys = [], set()
+    plays = [np.empty((config.n_starts,) + shape) for shape in shapes]
     for start in range(config.n_starts):
-        plays = [
-            np.full(shape, 1.0 / shape[2]) if start == 0
-            else np.stack([rng.dirichlet(np.ones(shape[2]), size=env.n_games) for _ in range(shape[0])])
-            for shape in shapes
-        ]
-        for _ in range(config.max_iterations):
-            aggs = [mixture(lams[p].weights, plays[p]) for p in (0, 1)]
-            delta = 0.0
-            for player in (0, 1):
-                new = []
-                for pi, part in enumerate(lams[player].support):
-                    beta = class_prototypes(aggs[1 - player], part, env.prior)
-                    pays = expected_payoffs(env, player, beta[list(part.assignment())])
-                    new.append(0.5 * plays[player][pi] + 0.5 * best_replies(pays, 1e-12))
-                    delta = max(delta, float(np.abs(new[-1] - plays[player][pi]).max()))
-                plays[player] = np.stack(new)
-            if delta < 1e-9:
-                break
-        if dist_abee_verify_batch(env, lams, (plays[0][None], plays[1][None]))[0][0]:
-            flat = np.concatenate([plays[0].ravel(), plays[1].ravel()])
-            key = np.round(flat / DEDUP_TOL).astype(np.int64).tobytes()
-            if key not in keys:
-                keys.add(key)
-                found.append(flat)
-    n_vars = sum(int(np.prod(shape)) for shape in shapes)
-    return SolveResult(np.reshape(found, (-1, n_vars)), np.zeros((0, 2, n_vars)), np.zeros((0, 2)),
-                       partial(_reshaped, shapes), exhausted, exact=False)
+        for play, shape in zip(plays, shapes):
+            play[start] = 1.0 / shape[2] if start == 0 else rng.dirichlet(np.ones(shape[2]), size=shape[:2])
+    moving = np.ones(config.n_starts, dtype=bool)
+    for _ in range(config.max_iterations):
+        live = np.flatnonzero(moving)
+        if not len(live):
+            break
+        now = [play[live] for play in plays]
+        aggs = [mixture(lams[p].weights, now[p].swapaxes(0, 1)) for p in (0, 1)]
+        delta = np.zeros(len(live))
+        for player in (0, 1):
+            pays = np.stack([class_payoffs(env.payoffs[player], aggs[1 - player], part, env.prior)
+                             for part in lams[player].support], axis=1)
+            new = 0.5 * now[player] + 0.5 * best_replies(pays, 1e-12)
+            delta = np.maximum(delta, np.abs(new - now[player]).max(axis=(1, 2, 3)))
+            plays[player][live] = new
+        moving[live] = delta >= 1e-9
+    flat = np.concatenate([play.reshape(config.n_starts, np.prod(shape)) for play, shape in zip(plays, shapes)], axis=1)
+    flat = flat[dist_abee_verify_batch(env, lams, plays)[0]]
+    found = flat[first_rows(np.round(flat / DEDUP_TOL).astype(np.int64))]
+    return SolveResult(found, np.zeros((0, 2, flat.shape[1])), np.zeros((0, 2)), partial(_reshaped, shapes),
+                       exhausted, exact=False)
 
 
 def dist_abee_solve_many(

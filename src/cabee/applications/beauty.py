@@ -22,7 +22,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from ..clustering import L2, class_prototypes, local_margins, member_means, partition_dispersions, subset_table
+from ..clustering import L2, TIE_TOL, class_prototypes, local_margins, member_means, partition_dispersions, subset_table
 from ..env import GameEnvironment, make_environment
 from ..partitions import Partition, class_masks
 
@@ -257,9 +257,7 @@ def best_contiguous_dispersion(values: np.ndarray, weights: np.ndarray, n_classe
     return float(_best_path(_segment_costs(values, weights, _mass_table(weights)), n_classes))
 
 
-def self_consistent_contiguous(
-    spec: BeautyContestSpec, n_classes: int, tie_tol: float = 1e-10
-) -> list[Partition]:
+def self_consistent_contiguous(spec: BeautyContestSpec, n_classes: int) -> list[Partition]:
     """Interval partitions that are dispersion-minimizing for the data they
     themselves induce through the equilibrium map.
 
@@ -277,7 +275,7 @@ def self_consistent_contiguous(
         own = np.zeros(len(edges))
         for k in range(n_classes):
             own = own + cost[rows, edges[:, k], edges[:, k + 1]]
-        winners = edges[own <= _best_path(cost, n_classes) + tie_tol]
+        winners = edges[own <= _best_path(cost, n_classes) + TIE_TOL]
         out.extend(_interval_partition(spec.n, row) for row in winners)
     return out
 
@@ -291,7 +289,7 @@ def equal_split_partition(n: int, n_classes: int) -> Partition:
     )
 
 
-def contiguity_is_sufficient(spec: BeautyContestSpec, n_classes: int, tie_tol: float = 1e-10) -> bool:
+def contiguity_is_sufficient(spec: BeautyContestSpec, n_classes: int) -> bool:
     """Brute-force check (small grids) that no non-contiguous partition
     beats the best contiguous one on the induced data of any contiguous
     candidate."""
@@ -300,4 +298,4 @@ def contiguity_is_sufficient(spec: BeautyContestSpec, n_classes: int, tie_tol: f
     actions = np.concatenate([_interval_actions(spec, e, means) for e in _edge_blocks(spec.n, n_classes)])
     best_contig = _best_path(_segment_costs(actions, w, _mass_table(w)), n_classes)
     disp = partition_dispersions(subset_table(actions[:, :, None], w, L2), class_masks(spec.n, n_classes))
-    return bool((disp.min(axis=0) >= best_contig - tie_tol).all())
+    return bool((disp.min(axis=0) >= best_contig - TIE_TOL).all())

@@ -119,13 +119,6 @@ def linear_abee(spec: LinearFamilySpec, endpoints: Sequence[float]) -> list[Clas
     return lines
 
 
-def abee_action(spec: LinearFamilySpec, lines: list[ClassLine], mu: float) -> float:
-    for line in lines:
-        if mu <= line.hi or line is lines[-1]:
-            return spec.A + mu * line.slope
-    raise ValueError(mu)
-
-
 @dataclass
 class LocalCheckResult:
     ok: bool

@@ -33,6 +33,7 @@ from .abee import (
     StrategyProfile,
     aggregate,
     best_replies,
+    class_payoffs,
     degenerate_pair,
     dist_abee_solve_many,
     dist_abee_verify_batch,
@@ -54,6 +55,7 @@ from .clustering import (
     subset_table,
 )
 from .env import SOLVER_TOL, GameEnvironment, common_prior
+from .numeric import first_rows
 from .partitions import Partition, assignment_rows, class_masks, partition_list
 
 LOCAL = "local"
@@ -194,14 +196,6 @@ def cabee_verify(
 # ---------------------------------------------------------------------------
 
 
-def _reply_mask(env: GameEnvironment, player: int, part: Partition, opponent_aggregate) -> np.ndarray:
-    """(n_games, n_actions) mask of the best replies to the consistent
-    expectations of one support partition."""
-    beta = class_prototypes(opponent_aggregate, part, env.prior)
-    pays = expected_payoffs(env, player, beta[list(part.assignment())])
-    return best_replies(pays, SOLVER_TOL) > 0
-
-
 def grand_map_contains(
     env: GameEnvironment,
     candidate: EquilibriumCandidate,
@@ -228,7 +222,8 @@ def grand_map_contains(
             if part.key() not in admissible:
                 return False
             strat = candidate.profile.plays[player][part]
-            if (strat[~_reply_mask(env, player, part, aggs[1 - player])] > 1e-9).any():
+            replies = best_replies(class_payoffs(env.payoffs[player], aggs[1 - player], part, env.prior), SOLVER_TOL)
+            if (strat[replies == 0] > 1e-9).any():
                 return False
     return True
 
@@ -272,22 +267,6 @@ class SearchResult:
             if rep.name == "degenerate":
                 return rep.completed and rep.found == 0 and not self.sampled_pure_families
         return False
-
-
-def _candidate_key(candidate: EquilibriumCandidate):
-    parts = []
-    for player in (0, 1):
-        lam = candidate.lams[player]
-        entries = sorted(
-            (part.key(), round(w / CANDIDATE_DEDUP_TOL))
-            for part, w in zip(lam.partitions, lam.weights)
-        )
-        strat_bits = tuple(
-            (part.key(), tuple(np.round(candidate.profile.plays[player][part].ravel() / CANDIDATE_DEDUP_TOL).astype(np.int64)))
-            for part, _ in sorted(zip(lam.partitions, lam.weights), key=lambda pw: pw[0].key())
-        )
-        parts.append((tuple(entries), strat_bits))
-    return tuple(parts)
 
 
 def _lambda_grid(step: float) -> list[float]:
@@ -494,8 +473,7 @@ def _cover(env: GameEnvironment, lams, res: SolveResult, mode: str, d: Divergenc
         points += [(c, min(max(t, lo[c]), hi[c])) for t in roots.get(c, ())]
     fam = np.array([c for c, _ in points], dtype=np.int64)
     x = base[fam] + np.array([t for _, t in points])[:, None] * direction[fam]
-    _, first = np.unique(np.round(x / CANDIDATE_DEDUP_TOL).astype(np.int64), axis=0, return_index=True)
-    return x[np.sort(first)]
+    return x[first_rows(np.round(x / CANDIDATE_DEDUP_TOL).astype(np.int64))]
 
 
 def _refine_continua(env: GameEnvironment, lams, res: SolveResult, mode: str, d: Divergence, capacities):
@@ -514,15 +492,16 @@ def _refine_continua(env: GameEnvironment, lams, res: SolveResult, mode: str, d:
 def _admitted(env: GameEnvironment, lams, plays, mode: str, d: Divergence, capacities) -> list:
     """The candidates among stacked plays (as for `cd_abee_verify_batch`)
     whose best replies are known to hold that pass the clustering check, in
-    batch order."""
+    batch order, keeping the first of those whose plays agree to
+    CANDIDATE_DEDUP_TOL."""
     if not len(plays[0]):
         return []
+    kept = [b for b, fails in enumerate(unclustered(env, lams, plays, mode, d, capacities)) if not fails]
+    if len(kept) > 1:
+        flat = np.concatenate([play[kept].reshape(len(kept), -1) for play in plays], axis=1)
+        kept = np.array(kept)[first_rows(np.round(flat / CANDIDATE_DEDUP_TOL).astype(np.int64))]
     supports = (lams[0].support, lams[1].support)
-    return [
-        EquilibriumCandidate(lams, unstack_plays(supports, (plays[0][b], plays[1][b])), mode, d)
-        for b, fails in enumerate(unclustered(env, lams, plays, mode, d, capacities))
-        if not fails
-    ]
+    return [EquilibriumCandidate(lams, unstack_plays(supports, (plays[0][b], plays[1][b])), mode, d) for b in kept]
 
 
 def cd_abee_search(
@@ -542,7 +521,9 @@ def cd_abee_search(
     the mixture weight on a grid and its families covered by `_cover`.
     Both layers run one loop body: each support's solve is pulled from
     the layer's stream of solves, and its profiles and family points are
-    admitted by one clustering check.  The two layers share
+    admitted by one clustering check, which drops the solve's repeated
+    candidates; no two solves share a support and weights, so no candidate
+    set is kept across the search.  The two layers share
     `config.max_evaluations` solves, layer 1 first, and a layer's stream is
     cut at the solves left; a layer that runs out, or reaches
     `config.max_candidates` (checked before each result is pulled), stops
@@ -560,7 +541,6 @@ def cd_abee_search(
     """
     config = config or SearchConfig()
     result = SearchResult()
-    seen: set = set()
     parts = tuple(partition_list(env.n_games, capacities[pl]) for pl in (0, 1))
     # layer 2 branches: the degenerate side ordered finest-first, since a
     # fully expressive opponent is the common case in the applications
@@ -598,12 +578,9 @@ def cd_abee_search(
             if name == "degenerate" and d.kind == KULLBACK_LEIBLER:
                 result.sampled_pure_families += len(res.continua)
             # solved profiles pass dist_abee_verify already; only clustering is left
-            for cand in _refine_continua(env, lams, res, mode, d, capacities):
-                key = _candidate_key(cand)
-                if key not in seen:
-                    seen.add(key)
-                    result.candidates.append(cand)
-                    found += 1
+            cands = _refine_continua(env, lams, res, mode, d, capacities)
+            result.candidates += cands
+            found += len(cands)
         else:
             completed &= next(supports, None) is None  # a support past the budget is left
         budget -= evaluations

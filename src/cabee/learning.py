@@ -42,6 +42,7 @@ from .abee import (
     StrategyProfile,
     aggregate,
     best_replies,
+    class_payoffs,
     expected_payoffs,
 )
 from .clustering import (
@@ -184,8 +185,7 @@ def _exact_model1_step(
             w = 1.0 / len(winners)
             new_lam = PartitionDistribution(tuple(winners), (w,) * len(winners))
         for part in new_lam.support:
-            beta = class_prototypes(data, part, env.prior)
-            pays = expected_payoffs(env, player, beta[list(part.assignment())])
+            pays = class_payoffs(env.payoffs[player], data, part, env.prior)
             incumbent = state.profile.plays[player].get(part) if tie_break == "incumbent" else None
             new_plays[player][part] = best_replies(pays, STATE_TOL, incumbent)
         new_lams.append(new_lam)

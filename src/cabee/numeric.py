@@ -1,5 +1,5 @@
-"""Small numeric utilities: adaptive quadrature, bisection, and the first
-best index along a short axis."""
+"""Small numeric utilities: adaptive quadrature, bisection, the first best
+index along a short axis, and the first of each set of equal rows."""
 
 from __future__ import annotations
 
@@ -24,6 +24,12 @@ def first_best(x: np.ndarray, keep) -> np.ndarray:
         np.maximum(index, (new != best) * j, out=index)
         best = new
     return index
+
+
+def first_rows(keys: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first of each set of equal rows of integer
+    keys (n, m): the rows that a deduplication in row order keeps."""
+    return np.sort(np.unique(keys, axis=0, return_index=True)[1])
 
 
 def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int = 60) -> float:

@@ -5,10 +5,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cabee.abee import StrategyProfile, aggregate, degenerate_pair, dist_abee_verify, unstack_plays
+from cabee.abee import (
+    StrategyProfile,
+    aggregate,
+    best_replies,
+    class_payoffs,
+    degenerate_pair,
+    dist_abee_verify,
+    unstack_plays,
+)
 from cabee.clustering import _projected, _prototype_divergences
 from cabee.env import SOLVER_TOL, make_environment, pure_payoffs_against
-from cabee.equilibrium import _reply_mask, clustered_partition_set, infer_capacities
+from cabee.equilibrium import clustered_partition_set, infer_capacities
 from cabee.numeric import first_best
 from cabee.partitions import Partition, label_array
 
@@ -86,7 +94,7 @@ def grand_map(env, candidate, capacities=None) -> GrandMapImage:
     layout = []
     for player in (0, 1):
         for part in lams[player].support:
-            replies = _reply_mask(env, player, part, aggs[1 - player])
+            replies = best_replies(class_payoffs(env.payoffs[player], aggs[1 - player], part, env.prior), SOLVER_TOL) > 0
             for g in itertools.chain.from_iterable(part.classes):
                 choice_sets.append(tuple(int(a) for a in np.flatnonzero(replies[g])))
                 layout.append((player, part, g))

@@ -14,6 +14,7 @@ from cabee.abee import (
     StrategyProfile,
     _damped_iteration,
     _regimes_of,
+    _reshaped,
     _side_regimes,
     _sum_left,
     _thresholds,
@@ -26,6 +27,7 @@ from cabee.abee import (
     dist_abee_verify,
     dist_abee_verify_batch,
     expected_payoffs,
+    mixture,
     unstack_plays,
 )
 from cabee import abee
@@ -1050,6 +1052,86 @@ def test_support_enumeration_regime_budget(mp_env):
             _assert_same_profiles(got, _damped_iteration(mp_env, lams, config, exhausted=True))
         else:
             _assert_same_enumeration(got, _loop_support_enumeration(mp_env, lams, config))
+
+
+def _loop_damped_iteration(env, lams, config, exhausted=False):
+    """The damped iteration one start at a time, each player's support
+    partitions in turn; also returns whether each start settled within
+    `config.max_iterations`."""
+    rng = np.random.default_rng(config.seed)
+    shapes = tuple((len(lams[p].support), env.n_games, env.n_actions(p)) for p in (0, 1))
+    found, keys, settled = [], set(), []
+    for start in range(config.n_starts):
+        plays = [
+            np.full(shape, 1.0 / shape[2]) if start == 0
+            else np.stack([rng.dirichlet(np.ones(shape[2]), size=env.n_games) for _ in range(shape[0])])
+            for shape in shapes
+        ]
+        settled.append(False)
+        for _ in range(config.max_iterations):
+            aggs = [mixture(lams[p].weights, plays[p]) for p in (0, 1)]
+            delta = 0.0
+            for player in (0, 1):
+                new = []
+                for pi, part in enumerate(lams[player].support):
+                    beta = class_prototypes(aggs[1 - player], part, env.prior)
+                    pays = expected_payoffs(env, player, beta[list(part.assignment())])
+                    new.append(0.5 * plays[player][pi] + 0.5 * best_replies(pays, 1e-12))
+                    delta = max(delta, float(np.abs(new[-1] - plays[player][pi]).max()))
+                plays[player] = np.stack(new)
+            if delta < 1e-9:
+                settled[-1] = True
+                break
+        if dist_abee_verify_batch(env, lams, (plays[0][None], plays[1][None]))[0][0]:
+            flat = np.concatenate([plays[0].ravel(), plays[1].ravel()])
+            key = np.round(flat / DEDUP_TOL).astype(np.int64).tobytes()
+            if key not in keys:
+                keys.add(key)
+                found.append(flat)
+    n_vars = sum(int(np.prod(shape)) for shape in shapes)
+    result = SolveResult(np.reshape(found, (-1, n_vars)), np.zeros((0, 2, n_vars)), np.zeros((0, 2)),
+                         functools.partial(_reshaped, shapes), exhausted, exact=False)
+    return result, settled
+
+
+def test_damped_iteration_matches_the_per_start_loop():
+    """All starts iterated as one stack give the per-start loop's profiles
+    bit for bit: 2 and 3 actions, one- and two-partition supports, 0, 1 and
+    6 starts, and iteration caps at which some starts settle while others
+    are cut off."""
+    rng = np.random.default_rng(29)
+    coarse, fin = Partition.coarsest(3), Partition.finest(3)
+    mixing = PartitionDistribution((coarse, Partition.from_classes(3, [(0, 1), (2,)])), (0.3, 0.7))
+    cut_mid_run = found = 0
+    for case in range(12):
+        n_act = (2, 3)[case % 2]
+        env = make_environment([0.2, 0.3, 0.5], rng.normal(size=(n_act, n_act, 3)), rng.normal(size=(n_act, n_act, 3)))
+        lams = degenerate_pair(coarse, fin) if case % 3 == 0 else (mixing, PartitionDistribution.degenerate(fin))
+        for n_starts, max_iterations in ((0, 40), (1, 40), (6, 40), (6, 300)):
+            config = SolveConfig(seed=case, n_starts=n_starts, max_iterations=max_iterations)
+            ref, settled = _loop_damped_iteration(env, lams, config)
+            got = _damped_iteration(env, lams, config)
+            assert got.profiles.shape == ref.profiles.shape
+            assert got.profiles.tobytes() == ref.profiles.tobytes(), (case, n_starts, max_iterations)
+            assert not got.exact and not len(got.continua)
+            cut_mid_run += any(settled) and not all(settled)
+            found += len(ref.profiles)
+    assert cut_mid_run and found
+
+
+def test_damped_iteration_verifies_its_end_points_in_one_batch(monkeypatch):
+    env = make_environment([0.2, 0.3, 0.5], np.arange(27.0).reshape(3, 3, 3) % 4, np.arange(27.0).reshape(3, 3, 3) % 5)
+    lams = degenerate_pair(Partition.coarsest(3), Partition.finest(3))
+    calls = []
+    verify = abee.dist_abee_verify_batch
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2][0]))
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(abee, "dist_abee_verify_batch", counted)
+    _damped_iteration(env, lams, SolveConfig(n_starts=6, max_iterations=50))
+    assert calls == [6]
 
 
 def _search_supports(capacities):

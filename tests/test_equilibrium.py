@@ -31,7 +31,6 @@ from cabee.equilibrium import (
     EquilibriumCandidate,
     SearchConfig,
     _bracket_roots,
-    _candidate_key,
     _quadratic_roots,
     _refine_continua,
     cabee_verify,
@@ -55,6 +54,22 @@ from cabee.applications.monitoring import (
     solve_monitoring_cdabee,
 )
 from conftest import dominant_env, grand_map, solved_profile
+
+
+def _candidate_key(candidate: EquilibriumCandidate):
+    parts = []
+    for player in (0, 1):
+        lam = candidate.lams[player]
+        entries = sorted(
+            (part.key(), round(w / CANDIDATE_DEDUP_TOL))
+            for part, w in zip(lam.partitions, lam.weights)
+        )
+        strat_bits = tuple(
+            (part.key(), tuple(np.round(candidate.profile.plays[player][part].ravel() / CANDIDATE_DEDUP_TOL).astype(np.int64)))
+            for part, _ in sorted(zip(lam.partitions, lam.weights), key=lambda pw: pw[0].key())
+        )
+        parts.append((tuple(entries), strat_bits))
+    return tuple(parts)
 
 
 def test_single_game_trivially_clustered():
@@ -358,6 +373,26 @@ def test_search_stops_where_one_support_solves_stop(mode, d, max_evaluations, pa
     assert [_candidate_key(c) for c in got.candidates] == [_candidate_key(c) for c in ref.candidates]
     assert got.sampled_pure_families == ref.sampled_pure_families
     assert (got.sampled_pure_families > 0) == (d is KL)
+
+
+@pytest.mark.parametrize("mode", [GLOBAL, LOCAL])
+@pytest.mark.parametrize("d", [L2, KL], ids=["l2", "kl"])
+def test_no_two_candidates_of_a_search_share_a_key(mode, d):
+    """Each solve of a search has its own supports and weights, and drops
+    its own repeated candidates, so no two candidates of one search agree
+    to CANDIDATE_DEDUP_TOL: no candidate set across the search is needed."""
+    rng = np.random.default_rng(2901)
+    envs = [build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))] + [
+        make_environment(rng.dirichlet(np.ones(3) * 5), rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 2, 3)))
+        for _ in range(3)
+    ]
+    found = 0
+    for env in envs:
+        config = SearchConfig(lambda_step=0.5, max_evaluations=60, max_candidates=200)
+        keys = [_candidate_key(c) for c in cd_abee_search(env, (2, 3), mode, d, config).candidates]
+        assert len(set(keys)) == len(keys)
+        found += len(keys)
+    assert found
 
 
 def _roots_of(f, lo, hi):
