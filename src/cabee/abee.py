@@ -16,8 +16,8 @@ in batched Gauss-Jordan eliminations; it keeps every profile that verifies
 and every one-parameter solution family.  Supports are solved as a stream
 (`dist_abee_solve_many`) of (environment, support) items, so one stream may
 mix environments, in runs of `_RUN_SUPPORTS` consecutive items, and each
-stage works on a whole run: the regime tables of the supports not yet
-memoized are built in one pass from each player's threshold arrays
+stage works on a whole run: the regime tables of the run's distinct sides
+are built in one pass from each player's threshold arrays
 (`_side_regimes`), the affine maps and range tests in one pass per map
 width (`_map_group`), the eliminations in one pass per map width
 (`_solve_batch`, in chunks of `_PAIR_CHUNK` pairs), and the assembly,
@@ -260,7 +260,6 @@ class _Thresholds(NamedTuple):
     above: np.ndarray
     below: np.ndarray
     free: np.ndarray
-    key: bytes  # the four fields' bytes
 
 
 def _thresholds(env: GameEnvironment, player: int) -> _Thresholds:
@@ -280,8 +279,7 @@ def _thresholds(env: GameEnvironment, player: int) -> _Thresholds:
     above = np.where(strict, act, np.where(h > 0, 0, 1))
     t = np.where(0.0 > t, 0.0, t)  # max(t, 0.0) and then min(t, 1.0), signed zeros kept
     t = np.where(1.0 < t, 1.0, t)
-    fields = (np.where(strict, np.inf, t), above, np.where(strict, act, 1 - above), flat & (np.abs(g) < 1e-14))
-    return _Thresholds(*fields, b"".join(f.tobytes() for f in fields))
+    return _Thresholds(np.where(strict, np.inf, t), above, np.where(strict, act, 1 - above), flat & (np.abs(g) < 1e-14))
 
 
 @dataclass(frozen=True)
@@ -395,35 +393,18 @@ def _side_regimes(items: list[tuple[_Thresholds, tuple[Partition, ...]]]) -> lis
     return out
 
 
-_REGIME_CACHE: dict[tuple, object] = {}
-
-
-def _memo(wanted: dict, build: Callable[[list], list]) -> dict:
-    """The `_REGIME_CACHE` entry of each key of `wanted`, the missing ones
-    built by one call of `build` on their values; the cache is emptied
-    first when they would take it past 4096 entries."""
-    found = {key: _REGIME_CACHE[key] for key in wanted if key in _REGIME_CACHE}
-    missing = [key for key in wanted if key not in found]
-    if missing:
-        if len(_REGIME_CACHE) + len(missing) > 4096:
-            _REGIME_CACHE.clear()
-        for key, value in zip(missing, build([wanted[key] for key in missing])):
-            found[key] = _REGIME_CACHE[key] = value
-    return found
-
-
-def _regimes_of(items) -> list[tuple[_Regimes, _Regimes]]:
-    """Both players' regimes of each binary (environment, support) item.
-
-    A player's regimes depend on its thresholds and support alone and are
-    memoized on them, and the thresholds per environment and player; the
-    missing regimes are built in one pass (`_side_regimes`)."""
-    sides = [((env.fingerprint(), p), env, lams[p].support) for env, lams in items for p in (0, 1)]
-    ths = _memo({key: (env, key[1]) for key, env, _ in sides}, lambda args: [_thresholds(*a) for a in args])
-    keys = [(ths[key].key, support) for key, _, support in sides]
-    regimes = _memo({k: (ths[key], k[1]) for k, (key, _, _) in zip(keys, sides)}, _side_regimes)
-    found = [regimes[k] for k in keys]
-    return list(zip(found[::2], found[1::2]))
+def _regimes_of(items) -> list[tuple[_Regimes, _Regimes] | None]:
+    """Both players' regimes of each (environment, support) item, None where
+    a player has other than two actions.  Each distinct (environment,
+    player, support) side is built once, all in one pass (`_side_regimes`),
+    on thresholds computed once per environment; the items are held
+    meanwhile, so no two of their environments share an id."""
+    envs = {id(env): env for env, _ in items if env.n_actions(0) == env.n_actions(1) == 2}
+    ths = {key: (_thresholds(env, 0), _thresholds(env, 1)) for key, env in envs.items()}
+    pairs = [tuple((id(env), p, lams[p].support) for p in (0, 1)) if id(env) in envs else None for env, lams in items]
+    distinct = list(dict.fromkeys(side for pair in pairs if pair for side in pair))
+    built = dict(zip(distinct, _side_regimes([(ths[e][p], support) for e, p, support in distinct]) if distinct else []))
+    return [pair and (built[pair[0]], built[pair[1]]) for pair in pairs]
 
 
 def _sum_left(terms: np.ndarray) -> np.ndarray:
@@ -435,45 +416,19 @@ def _sum_left(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _coefficients(sides: list[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per (prior, own weights, opponent slot classes) side: per opponent
-    slot, the coefficient of each own variable in its class expectation,
-    with a dummy last column of 0, and the variables of its terms in (game,
-    support partition) order, padded with the dummy.  They depend on the
-    side alone and are memoized on it."""
-
-    def build(prior, weights, slot_classes):
-        n_games = len(prior)
-        n_vars = n_games * len(weights)
-        coef = np.zeros((len(slot_classes), n_vars + 1))
-        order = np.full((len(slot_classes), n_vars), n_vars)
-        for s, cls in enumerate(slot_classes):
-            pcls = sum(prior[g] for g in cls)
-            terms = [pi * n_games + g for g in cls for pi in range(len(weights))]
-            order[s, : len(terms)] = terms
-            for g in cls:
-                for pi, w in enumerate(weights):
-                    coef[s, pi * n_games + g] = prior[g] * w / pcls
-        return coef, order
-
-    keys = [("coefficients", prior.tobytes(), weights, slot_classes) for prior, weights, slot_classes in sides]
-    found = _memo(dict(zip(keys, sides)), lambda missing: [build(*side) for side in missing])
-    return [found[key] for key in keys]
-
-
 class _MapGroup(NamedTuple):
     """The sides (support, player) of a run of one map width, the most
     unknowns of one of their regimes.  Each side's own regimes are stacked
     one after another from `starts`, their variables padded to the most of
-    any member, and its opponent's slots are padded likewise, with zero map
-    rows that take no part in any test or equation.  Per own regime: the
-    affine map q = a @ x_u + b from its unknowns to the opponent's class
-    expectations, the variable of each unknown column in variable order
-    (-1, a dummy last variable, for padding) and whether the column is one
-    of the regime's unknowns; per own regime, opponent slot and position of
-    that slot, whether the checks on the maps alone rule the position out;
-    per member, opponent slot and position, its (pinned, lo, hi), a padded
-    slot unpinned on (-inf, inf) at every position."""
+    any member and then a dummy one, and its opponent's slots are padded
+    likewise, with zero map rows that take no part in any test or equation.
+    Per own regime: the affine map q = a @ x_u + b from its unknowns to the
+    opponent's class expectations, the variable of each unknown column in
+    variable order (-1, the dummy, for padding) and whether the column is
+    one of the regime's unknowns; per own regime, opponent slot and position
+    of that slot, whether the checks on the maps alone rule the position
+    out; per member, opponent slot and position, its (pinned, lo, hi), a
+    padded slot unpinned on (-inf, inf) at every position."""
 
     members: list[tuple[int, int]]
     starts: np.ndarray
@@ -489,12 +444,16 @@ class _MapGroup(NamedTuple):
 def _map_group(run: list[_Support], members: list[tuple[int, int]]) -> _MapGroup:
     """The maps and range test of the sides of one width, all in one pass.
 
-    b adds the strict variables' terms from the left, in (game, support
-    partition) order.  An opponent position is ruled out for a regime's slot
-    when it pins the class at other than b while no unknown moves it, or
-    when it is an interval that q's range over the box x_u in [0, 1]^width
-    misses beyond the solve's tolerances.  Pins get no range test: plays
-    clip unknowns into the box, and a clipped point may verify.
+    Each member writes its coefficient rows into the group's: at opponent
+    slot s, prior[g] * w / (the prior of s's class) for the variable of each
+    game g of the class and support partition of weight w.  b adds the
+    strict variables' terms from the left, in (game, support partition)
+    order, padded with the group's dummy variable.  An opponent position is
+    ruled out for a regime's slot when it pins the class at other than b
+    while no unknown moves it, or when it is an interval that q's range over
+    the box x_u in [0, 1]^width misses beyond the solve's tolerances.  Pins
+    get no range test: plays clip unknowns into the box, and a clipped point
+    may verify.
     """
     own = [run[i].sides[p] for i, p in members]
     opp = [run[i].sides[1 - p] for i, p in members]
@@ -510,15 +469,18 @@ def _map_group(run: list[_Support], members: list[tuple[int, int]]) -> _MapGroup
     positions = (np.zeros((len(members), n_slots, n_positions), dtype=bool),
                  np.full((len(members), n_slots, n_positions), -np.inf),
                  np.full((len(members), n_slots, n_positions), np.inf))
-    coefs = _coefficients([(run[i].env.prior, run[i].lams[p].weights, q.slot_classes) for (i, p), q in zip(members, opp)])
-    for m, (o, q, (c, terms)) in enumerate(zip(own, opp, coefs)):
-        rows, n_own, n_opp = slice(starts[m], starts[m + 1]), o.fixed.shape[1], len(q.slot_classes)
+    for m, ((i, p), o, q) in enumerate(zip(members, own, opp)):
+        rows, n_own = slice(starts[m], starts[m + 1]), o.fixed.shape[1]
         fixed[rows, :n_own] = o.fixed
         unknown[rows, :n_own] = o.unknown
-        coef[m, :n_opp, :n_own] = c[:, :n_own]
-        order[m, :n_opp, :n_own] = terms  # the dummy n_own is a zero column here
+        prior, weights = run[i].env.prior.tolist(), run[i].lams[p].weights
+        for s, cls in enumerate(q.slot_classes):
+            pcls = sum(prior[g] for g in cls)
+            terms = [pi * len(prior) + g for g in cls for pi in range(len(weights))]
+            order[m, s, : len(terms)] = terms
+            coef[m, s, terms] = [prior[g] * w / pcls for g in cls for w in weights]
         for table, part in zip(positions, q.positions):
-            table[m, :n_opp, : part.shape[1]] = part
+            table[m, : len(q.slot_classes), : part.shape[1]] = part
     member = np.repeat(np.arange(len(members)), counts)
     rows = np.arange(len(member))
     terms = np.take_along_axis(coef, order, axis=2)
@@ -878,17 +840,14 @@ def dist_abee_solve_many(
     config = config or SolveConfig()
     items = iter(items)
     while chunk := list(itertools.islice(items, _RUN_SUPPORTS)):
-        binary = [env.n_actions(0) == 2 and env.n_actions(1) == 2 for env, _ in chunk]
-        sides = iter(_regimes_of([item for item, b in zip(chunk, binary) if b]))
         run = []
-        for (env, lams), is_binary in zip(chunk, binary):
-            regimes = next(sides) if is_binary else None
-            if is_binary and len(regimes[0].choice) * len(regimes[1].choice) <= config.max_regimes:
+        for (env, lams), regimes in zip(chunk, _regimes_of(chunk)):
+            if regimes and len(regimes[0].choice) * len(regimes[1].choice) <= config.max_regimes:
                 run.append(_Support(env, lams, regimes))
                 continue
             yield from _solved(run)
             run = []
-            yield _damped_iteration(env, lams, config, exhausted=is_binary)
+            yield _damped_iteration(env, lams, config, exhausted=regimes is not None)
         yield from _solved(run)
 
 

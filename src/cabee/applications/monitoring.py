@@ -18,7 +18,6 @@ import numpy as np
 
 from ..abee import PartitionDistribution, SolveResult, unstack_plays
 from ..clustering import (
-    KULLBACK_LEIBLER,
     L2,
     SQUARED_EUCLIDEAN,
     SQUARED_MEAN_DIFFERENCE,

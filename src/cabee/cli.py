@@ -791,7 +791,8 @@ def run_scenario(doc: dict, out_dir: Path) -> tuple[dict, bool]:
 
 def verify_result(path) -> tuple[bool, list[str]]:
     """Re-run the equilibrium checks on every candidate stored in a result;
-    raises ScenarioError when its scenario does not validate."""
+    a candidate that cannot be read fails.  Raises ScenarioError when its
+    scenario does not validate."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("library_version") != __version__:
@@ -809,7 +810,12 @@ def verify_result(path) -> tuple[bool, list[str]]:
         return True, ["kind carries no finite environment; nothing to re-verify"]
     ok = True
     for i, cj in enumerate(cands_json):
-        cand = _candidate_from_json(run.env.n_games, cj)
+        try:
+            cand = _candidate_from_json(run.env.n_games, cj)
+        except (ValueError, TypeError) as exc:
+            ok = False
+            notes.append(f"candidate {i}: unreadable ({exc})")
+            continue
         rep = cd_abee_verify(run.env, cand, run.capacities)
         if not rep.ok:
             ok = False

@@ -71,16 +71,6 @@ class GameEnvironment:
     def n_games(self) -> int:
         return int(self.prior.shape[0]) if self.prior.ndim == 1 else 0
 
-    def fingerprint(self) -> bytes:
-        """Stable byte key of the numeric content, for solver caches."""
-        cached = getattr(self, "_fingerprint", None)
-        if cached is None:
-            cached = b"".join(
-                (self.prior.tobytes(), self.payoffs[0].tobytes(), self.payoffs[1].tobytes())
-            )
-            object.__setattr__(self, "_fingerprint", cached)
-        return cached
-
     def n_actions(self, player: int) -> int:
         return int(self.payoffs[player].shape[0])
 

@@ -37,7 +37,7 @@ from cabee.partitions import Partition
 from conftest import abee_verify, analogy_best_response, class_of, dominant_env, matching_pennies_env, solved_profile
 
 
-def _side_regimes_cached(env, lams, player):
+def _item_regimes(env, lams, player):
     """One player's regimes of one (environment, support) item."""
     return _regimes_of([(env, lams)])[0][player]
 
@@ -1134,6 +1134,33 @@ def test_damped_iteration_verifies_its_end_points_in_one_batch(monkeypatch):
     assert calls == [6]
 
 
+def test_each_stream_builds_its_distinct_sides_once(monkeypatch):
+    """The solver keeps no regimes between streams: the 20 layer-1 supports
+    of matching pennies at capacities (2, 3), streamed twice, make one
+    `_side_regimes` pass each time, over the 9 distinct (environment,
+    player, support) sides, 4 row and 5 column."""
+    from cabee.partitions import partition_list
+
+    env = matching_pennies_env()
+    parts = tuple(partition_list(3, cap) for cap in (2, 3))
+    supports = [degenerate_pair(p0, p1) for p0, p1 in itertools.product(*parts)]
+    passes = []
+    build = abee._side_regimes
+
+    def counted(items):
+        passes.append([(th.t.tobytes(), support) for th, support in items])
+        return build(items)
+
+    monkeypatch.setattr(abee, "_side_regimes", counted)
+    for _ in range(2):
+        assert len(list(dist_abee_solve_many((env, lams) for lams in supports))) == 20
+    ts = [_thresholds(env, player).t.tobytes() for player in (0, 1)]
+    sides = {(ts[player], (part,)) for player in (0, 1) for part in parts[player]}
+    assert [len(parts[0]), len(parts[1])] == [4, 5]
+    assert [len(items) for items in passes] == [9, 9]
+    assert all(set(items) == sides for items in passes)
+
+
 def _search_supports(capacities):
     """Every layer-1 and layer-2 support of a 3-game search at weight 1/2:
     the degenerate pairs, then each pair of one player's partitions against
@@ -1186,7 +1213,7 @@ def test_support_result_does_not_depend_on_its_run_mates(monkeypatch, capacities
         env = make_environment(np.full(3, 1 / 3), rng.integers(-2, 3, size=(2, 2, 3)),
                                rng.integers(-2, 3, size=(2, 2, 3)))
         stream = _search_supports(capacities)
-        regimes = [len(_side_regimes_cached(env, lams, 0).choice) * len(_side_regimes_cached(env, lams, 1).choice)
+        regimes = [len(_item_regimes(env, lams, 0).choice) * len(_item_regimes(env, lams, 1).choice)
                    for lams in stream]
         stream.insert(len(stream) // 2, stream.pop(int(np.argmax(regimes))))
         config = SolveConfig(max_regimes=max(regimes) - 1, n_starts=2, max_iterations=50)

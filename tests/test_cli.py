@@ -65,6 +65,33 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert "FAILS" in out
 
 
+def _weights_off_one(cand):
+    cand["lams"][0][0]["weight"] = 0.5
+
+
+def _game_in_two_classes(cand):
+    cand["lams"][0][0]["partition"] = [[0, 2], [1, 2]]
+
+
+def _ragged_play(cand):
+    cand["strategies"][1][0]["play"][2] = [0.9]
+
+
+@pytest.mark.parametrize("corrupt", [_weights_off_one, _game_in_two_classes, _ragged_play])
+def test_verify_fails_an_unreadable_candidate(tmp_path, capsys, corrupt):
+    """A stored candidate that cannot be read back fails verification with
+    exit code 2 and a note naming it, not a traceback."""
+    assert run_cli("run", "--scenario", "prop5_monitoring", "--out", str(tmp_path)) == EXIT_OK
+    path = tmp_path / "prop5_monitoring.result.json"
+    doc = json.loads(path.read_text())
+    corrupt(doc["results"]["candidates"][0])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(path)) == EXIT_VALIDATION
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("candidate 0: unreadable (") and out[-1] == "verification: FAILED"
+
+
 def test_verification_is_seed_free(tmp_path):
     run_cli("run", "--scenario", "prop5_monitoring", "--seed", "999", "--out", str(tmp_path))
     assert run_cli("verify", str(tmp_path / "prop5_monitoring.result.json")) == EXIT_OK

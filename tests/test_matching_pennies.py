@@ -171,13 +171,11 @@ def test_clustering_failures_refuse_environments_with_different_priors():
 def test_refutation_sweep_memory_is_bounded_by_its_runs(monkeypatch):
     """The sweep's 252 supports are solved in runs of at most
     `_RUN_SUPPORTS`, so it never holds the regime tables of the whole
-    sweep at once; the bound is one the uncapped stream exceeds.  The
-    regime cache starts empty, as in a fresh run."""
+    sweep at once; the bound is one the uncapped stream exceeds."""
     specs = _bundled_sweep()
     bound = 2.5 * 2**20
 
     def peak():
-        monkeypatch.setattr(abee, "_REGIME_CACHE", {})
         tracemalloc.start()
         try:
             two_class_refutation(specs)
