@@ -3,9 +3,12 @@
 Consistency ties a player's per-class expectation to the prior-weighted
 aggregate of the opponent's play: it is the class mean of that aggregate,
 the clustering prototype, and comes from the one class-mean kernel
-`clustering.class_prototypes`.  Best responses treat the class expectation
-as the opponent's strategy in every game of the class, and `class_payoffs`
-is the one kernel of the payoffs they compare.  The solver for
+`clustering.class_prototypes` (`clustering.row_prototypes` for a batch
+whose rows have different supports, with the same means bit for bit).
+Best responses treat the class expectation as the opponent's strategy in
+every game of the class, and `class_payoffs` is the one kernel of the
+payoffs they compare, which verification applies to each row's own class
+means.  The solver for
 binary-action games enumerates regimes: per analogy class, where the class
 expectation sits relative to the games' indifference thresholds ("pinned at
 a threshold" or "strictly between two").  A player's regime fixes which of
@@ -14,13 +17,14 @@ opponent's class expectations.  The opponent's pins and intervals are then
 checked against these maps as arrays, and the regime pairs left are solved
 in batched Gauss-Jordan eliminations; it keeps every profile that verifies
 and every one-parameter solution family.  Supports are solved as a stream
-(`dist_abee_solve_many`) of (environment, support) items, so one stream may
-mix environments, in runs of `_RUN_SUPPORTS` consecutive items, and each
-stage works on a whole run: the regime tables of the run's distinct sides
-are built in one pass from each player's threshold arrays
-(`_side_regimes`), the affine maps and range tests in one pass per map
-width (`_map_group`), the eliminations in one pass per map width
-(`_solve_batch`, in chunks of `_PAIR_CHUNK` pairs), and the assembly,
+(`dist_abee_solve_runs`, which yields each run's results together, and
+`dist_abee_solve_many`, one result at a time) of (environment, support)
+items, so one stream may mix environments, in runs of `_RUN_SUPPORTS`
+consecutive items, and each stage works on a whole run: the regime tables
+of the run's distinct sides are built in one pass from each player's
+threshold arrays (`_side_regimes`), the affine maps and range tests in one
+pass per map width (`_map_group`), the eliminations in one pass per map
+width (`_solve_batch`, in chunks of `_PAIR_CHUNK` pairs), and the assembly,
 best-reply check included, in one pass per support shape (`_assemble`).
 Each support's result is the same as its solve alone
 (`dist_abee_solve_detailed`).  A damped best-reply iteration, all of its
@@ -32,7 +36,9 @@ is built only at the edges (`abee_solve`, candidates, learning, the CLI).
 
 Verification takes a batch of profiles, each player's strategies stacked as
 one (B, n_support, n_games, n_actions) array: `dist_abee_verify_batch`
-checks them all at once, and `dist_abee_verify` is its one-profile case.
+checks them all at once, each under its own support when the rows'
+supports differ (`RowSupports`), and `dist_abee_verify` is its one-profile
+case.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .clustering import class_prototypes
+from .clustering import class_prototypes, row_prototypes
 from .env import GameEnvironment, SOLVER_TOL, common_prior
 from .numeric import first_rows
 from .partitions import Partition
@@ -164,42 +170,92 @@ def best_replies(pays: np.ndarray, tol: float, incumbent: np.ndarray | None = No
     return np.where(keep[..., None], incumbent, mix)
 
 
+class RowSupports(NamedTuple):
+    """The support of each row of a batch: support pairs of one shape (the
+    same support sizes per player), row b's being pairs[owner[b]]."""
+
+    pairs: list[tuple[PartitionDistribution, PartitionDistribution]]
+    owner: np.ndarray
+
+    @staticmethod
+    def of(lams, n_rows: int) -> "RowSupports":
+        """lams as row supports: as they are, or one pair for every row."""
+        return lams if isinstance(lams, RowSupports) else RowSupports([lams], np.zeros(n_rows, dtype=np.intp))
+
+    def weights(self, player: int):
+        """The mixture weights of each row, for `mixture`: (n_support, B, 1,
+        1), or the weights of every row when all rows have one support."""
+        if len(self.pairs) == 1:
+            return self.pairs[0][player].weights
+        return np.array([pair[player].weights for pair in self.pairs])[self.owner].T[..., None, None]
+
+    def labels(self, player: int, slot: int) -> np.ndarray:
+        """(B, n_games) class labels of each row's support partition `slot`."""
+        return np.array([pair[player].support[slot].assignment() for pair in self.pairs])[self.owner]
+
+    def list_indices(self, player: int, slot: int, max_classes: int) -> np.ndarray:
+        """(B,) index of each row's support partition `slot` in
+        `partition_list(n_games, max_classes)`, -1 where it has more classes."""
+        return np.array([pair[player].support[slot].list_index(max_classes) for pair in self.pairs])[self.owner]
+
+    def prototypes(self, data: np.ndarray, player: int, slot: int, prior) -> tuple[np.ndarray, np.ndarray]:
+        """The class means (B, K, dim) of each row's (n_games, dim) data under
+        its support partition `slot` of `player`, K the most classes of any
+        row's, and the rows' `labels`: `row_prototypes`, or, when every row
+        has one support, `class_prototypes` of its partition (the same means
+        bit for bit, at a lower fixed cost)."""
+        if len(self.pairs) == 1:
+            return class_prototypes(data, self.pairs[0][player].support[slot], prior), self.labels(player, slot)
+        labels = self.labels(player, slot)
+        return row_prototypes(data, labels, prior), labels
+
+    def take(self, rows) -> "RowSupports":
+        return RowSupports(self.pairs, self.owner[rows])
+
+
 def dist_abee_verify_batch(
     envs,
-    lams: tuple[PartitionDistribution, PartitionDistribution],
+    lams,
     plays: tuple[np.ndarray, np.ndarray],
     tol: float = SOLVER_TOL,
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Distributional equilibrium check of a batch of profiles.
 
     plays[i] holds player i's (B, n_support, n_games, n_actions) strategies
-    in support order.  envs is the environment of every profile, or a
-    sequence of the profiles' environments, which may differ in payoffs but
-    not in prior (ValueError otherwise).  Consistent expectations are
-    recomputed from the aggregates; per profile, the worst payoff gain any
-    player gets by deviating in any game under any support partition (0.0
-    when none is positive), and its witness (player, partition, game): the
-    first in player, support and class-major game order to attain it, or
-    None.  Returns (ok, worst, witnesses).
+    in support order.  lams is the support pair of every profile, or the
+    `RowSupports` of the profiles, which may differ.  envs is the
+    environment of every profile, or a sequence of the profiles'
+    environments, which may differ in payoffs but not in prior (ValueError
+    otherwise).  Consistent expectations are recomputed from the
+    aggregates, each profile under its own support partitions
+    (`row_prototypes`); per profile, the worst payoff gain any player gets
+    by deviating in any game under any support partition (0.0 when none is
+    positive), and its witness (player, partition, game): the first in
+    player, support and class-major game order to attain it, or None.
+    Returns (ok, worst, witnesses).
     """
     prior = common_prior(envs)
-    aggs = [mixture(lams[pl].weights, plays[pl].swapaxes(0, 1)) for pl in (0, 1)]
-    blocks, owners = [], []
+    rows = RowSupports.of(lams, len(plays[0]))
+    at = np.arange(len(plays[0]))[:, None]
+    aggs = [mixture(rows.weights(pl), plays[pl].swapaxes(0, 1)) for pl in (0, 1)]
+    blocks, slots = [], []
     for player in (0, 1):
         payoffs = envs.payoffs[player] if isinstance(envs, GameEnvironment) else np.stack([e.payoffs[player] for e in envs])
-        for pi, part in enumerate(lams[player].support):
-            pays = class_payoffs(payoffs, aggs[1 - player], part, prior)
-            order = list(itertools.chain.from_iterable(part.classes))
+        for pi in range(plays[player].shape[1]):
+            beta, labels = rows.prototypes(aggs[1 - player], player, pi, prior)
+            pays = np.einsum("...abg,...gb->...ga", payoffs, beta[at, labels])
+            order = np.argsort(labels, axis=1, kind="stable")  # class-major game order
             gains = pays.max(axis=-1) - (plays[player][:, pi] * pays).sum(axis=-1)
-            blocks.append(gains[:, order])
-            owners.append((player, part, order))
+            blocks.append(gains[at, order])
+            slots.append((player, pi, order))
     gains = np.concatenate(blocks, axis=1)  # n_games columns per (player, partition)
     best = gains.max(axis=1)
     worst = np.where(best > 0.0, best, 0.0)
-    witnesses = []
-    for i, b in zip(gains.argmax(axis=1).tolist(), best.tolist()):
-        player, part, order = owners[i // len(prior)]
-        witnesses.append((player, part, order[i % len(prior)]) if b > 0.0 else None)
+    witnesses: list = [None] * len(best)
+    for b in np.flatnonzero(best > 0.0).tolist():
+        i = int(gains[b].argmax())
+        player, pi, order = slots[i // len(prior)]
+        witnesses[b] = (player, rows.pairs[rows.owner[b]][player].support[pi], int(order[b, i % len(prior)]))
     return worst <= tol, worst, witnesses
 
 
@@ -694,8 +750,8 @@ def _assemble(run: list[_Support], solved: _Solved) -> list[SolveResult]:
     deduplicated, and the one-parameter families.
 
     The pairs of the supports of one shape (games, support sizes) are
-    assembled together, with one best-reply check per distinct support
-    and prior, and then sliced by support.
+    assembled together, with one best-reply check per prior, each profile
+    under its own support (`RowSupports`), and then sliced by support.
     """
     results: list = [None] * len(run)
     shapes: dict[tuple, list[int]] = {}
@@ -714,16 +770,17 @@ def _assemble(run: list[_Support], solved: _Solved) -> list[SolveResult]:
         found = np.flatnonzero(feasible[0] & feasible[1])
         plays = split(x[found])
         verified = np.zeros(len(found), dtype=bool)
-        checks: dict[tuple, list[int]] = {}
+        checks: dict[bytes, list[int]] = {}
         for i in members:
-            checks.setdefault((run[i].lams, run[i].env.prior.tobytes()), []).append(i)
+            checks.setdefault(run[i].env.prior.tobytes(), []).append(i)
         for ids in checks.values():
             at = np.flatnonzero(np.isin(owner[found], ids))
             if not len(at):
                 continue
             env = run[ids[0]].env
             envs = env if all(run[i].env is env for i in ids) else [run[i].env for i in owner[found[at]]]
-            verified[at] = dist_abee_verify_batch(envs, run[ids[0]].lams, (plays[0][at], plays[1][at]))[0]
+            supports = RowSupports([run[i].lams for i in members], np.searchsorted(members, owner[found[at]]))
+            verified[at] = dist_abee_verify_batch(envs, supports, (plays[0][at], plays[1][at]))[0]
         kept = found[verified]
         kept = kept[first_rows(np.column_stack([owner[kept], np.round(x[kept] / DEDUP_TOL).astype(np.int64)]))]
         profiles = x[kept]
@@ -750,12 +807,11 @@ def _assemble(run: list[_Support], solved: _Solved) -> list[SolveResult]:
 
 
 def _solved(run: list[_Support]) -> list[SolveResult]:
-    """The results of a run's supports, in order.  The maps and range tests
-    of each map width are built in one pass (`_map_group`); the run's kept
-    pairs are then solved, one elimination per width (`_solve_batch`), and
-    assembled, one pass per support shape (`_assemble`)."""
-    if not run:
-        return []
+    """The results of a nonempty run's supports, in order.  The maps and
+    range tests of each map width are built in one pass (`_map_group`); the
+    run's kept pairs are then solved, one elimination per width
+    (`_solve_batch`), and assembled, one pass per support shape
+    (`_assemble`)."""
     widths: dict[int, list[tuple[int, int]]] = {}
     for i, sup in enumerate(run):
         for p in (0, 1):
@@ -815,24 +871,26 @@ def _damped_iteration(
                        exhausted, exact=False)
 
 
-def dist_abee_solve_many(
+def dist_abee_solve_runs(
     items: Iterable[tuple[GameEnvironment, tuple[PartitionDistribution, PartitionDistribution]]],
     config: SolveConfig | None = None,
-) -> Iterator[SolveResult]:
+) -> Iterator[list[SolveResult]]:
     """Distributional equilibrium search of each (environment, support)
-    item, lazily, one `SolveResult` per item in order: the verified
-    profiles as points (N, V) in the solver's variables, the one-parameter
-    families as base and direction (F, 2, V) with their spans (F, 2), and
-    the map from points to each player's stacked strategies.
+    item, lazily, one list of `SolveResult`s per run of items solved
+    together, the runs in order: the verified profiles as points (N, V) in
+    the solver's variables, the one-parameter families as base and
+    direction (F, 2, V) with their spans (F, 2), and the map from points to
+    each player's stacked strategies.
 
     Each item carries its own environment, so one stream may mix them.
-    Binary-action items go through exact support enumeration, in runs of
-    the next `_RUN_SUPPORTS` items: their regimes, maps and range tests are
-    built together, and their kept pairs are solved and assembled together
-    (`_solved`), with the same result for each support as alone.  Other
-    shapes, and binary supports over `config.max_regimes`, use the damped
-    iteration (each step moves halfway to the best replies, until no
-    strategy moves by 1e-9) in their place in the stream, which may miss
+    Binary-action items go through exact support enumeration, in runs of at
+    most the next `_RUN_SUPPORTS` items: their regimes, maps and range tests
+    are built together, and their kept pairs are solved and assembled
+    together (`_solved`), with the same result for each support as alone.
+    Other shapes, and binary supports over `config.max_regimes`, use the
+    damped iteration (each step moves halfway to the best replies, until no
+    strategy moves by 1e-9) in their place in the stream, a run of one
+    that is computed only once the runs before it are taken; it may miss
     equilibria and is reported as not `exact`.  Every returned profile
     verifies.  Families whose moving side cannot meet an opponent interval
     inside the box are not returned.
@@ -845,10 +903,20 @@ def dist_abee_solve_many(
             if regimes and len(regimes[0].choice) * len(regimes[1].choice) <= config.max_regimes:
                 run.append(_Support(env, lams, regimes))
                 continue
-            yield from _solved(run)
+            if run:
+                yield _solved(run)
             run = []
-            yield _damped_iteration(env, lams, config, exhausted=regimes is not None)
-        yield from _solved(run)
+            yield [_damped_iteration(env, lams, config, exhausted=regimes is not None)]
+        if run:
+            yield _solved(run)
+
+
+def dist_abee_solve_many(
+    items: Iterable[tuple[GameEnvironment, tuple[PartitionDistribution, PartitionDistribution]]],
+    config: SolveConfig | None = None,
+) -> Iterator[SolveResult]:
+    """The results of `dist_abee_solve_runs`, one per item in order, as lazily."""
+    return itertools.chain.from_iterable(dist_abee_solve_runs(items, config))
 
 
 def dist_abee_solve_detailed(

@@ -9,6 +9,7 @@ bundlings tie, while the row population splits evenly between them.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +19,7 @@ from ..abee import (
     PartitionDistribution,
     StrategyProfile,
     degenerate_pair,
-    dist_abee_solve_many,
+    dist_abee_solve_runs,
 )
 from ..clustering import L2, Divergence
 from ..env import GameEnvironment, make_environment
@@ -151,7 +152,7 @@ def two_class_refutation(specs: Sequence[MatchingPenniesSpec], d: Divergence = L
     under the divergence d, for each stake triple of specs.
 
     All (triple, partition) supports, each row partition against the finest
-    column partition, are solved in one `dist_abee_solve_many` stream, whose
+    column partition, are solved in one `dist_abee_solve_runs` stream, whose
     profiles all pass the best-reply check; the stream is closed before the
     clustering of every triple's profiles is checked in one `unclustered`
     call per partition and mode: the triples' environments share their
@@ -164,7 +165,8 @@ def two_class_refutation(specs: Sequence[MatchingPenniesSpec], d: Divergence = L
     finest = Partition.finest(3)
     parts = two_class_row_partitions()
     pairs = {part: degenerate_pair(part, finest) for part in parts}
-    solves = dist_abee_solve_many((env, pairs[part]) for env in envs for part in parts)
+    runs = dist_abee_solve_runs((env, pairs[part]) for env in envs for part in parts)
+    solves = itertools.chain.from_iterable(runs)
     reports = []
     rows = {part: [] for part in parts}  # (env, plays, verdicts) per profile
     for spec, env in zip(specs, envs):
@@ -182,7 +184,7 @@ def two_class_refutation(specs: Sequence[MatchingPenniesSpec], d: Divergence = L
             }
             rows[part] += [(env, (p0, p1), verdicts) for p0, p1 in zip(*plays)]
         reports.append(report)
-    solves.close()  # frees the last run's maps before the clustering checks
+    runs.close()  # frees the last run's maps before the clustering checks
     for part, checks in rows.items():
         if not checks:
             continue

@@ -25,7 +25,7 @@ from ..clustering import (
     dispersion,
 )
 from ..env import GameEnvironment, make_environment
-from ..equilibrium import FAMILY_INSET, GLOBAL, LOCAL, EquilibriumCandidate, _refine_continua
+from ..equilibrium import FAMILY_INSET, GLOBAL, LOCAL, EquilibriumCandidate, _refine_run
 from ..equilibrium import cd_abee_verify, cd_abee_verify_batch
 from ..numeric import bisect_root
 from ..partitions import Partition
@@ -172,7 +172,7 @@ def solve_monitoring_cdabee(spec: MonitoringSpec, mode: str, d: Divergence = L2)
     Global mode returns the single candidate with the tie-making shirking
     probability (1/2 when the a and b types are equally likely).  Local
     mode reads the interval of sustainable shirking probabilities off the
-    cover of the zeta family (`equilibrium._refine_continua`): from its
+    cover of the zeta family (`equilibrium._refine_run`, a run of one): from its
     lowest to its highest admitted point, reaching 0 or 1 where the cover
     admits the family's inset end, with verified representatives at a
     quarter, a half and three quarters of it; preconditions for reporting
@@ -192,7 +192,7 @@ def solve_monitoring_cdabee(spec: MonitoringSpec, mode: str, d: Divergence = L2)
     if abs(spec.nu_star - 0.5) < 1e-12:
         raise HypothesesUnmet("local interval reporting needs nu_star != 1/2")
     env, lams = build_monitoring(spec), _mixed_lams(spec)
-    found = _refine_continua(env, lams, _zeta_family(), LOCAL, d, (2, 3))
+    (found,) = _refine_run(env, [lams], [_zeta_family()], LOCAL, d, (2, 3))
     if not found:
         return MonitoringSolution([], note="no sustainable shirking probability found")
     zetas = [float(cand.profile.plays[1][lams[1].support[0]][GAME_C, E0]) for cand in found]

@@ -42,7 +42,7 @@ from .clustering import (
     kmeans_lloyd,
     mean_divergence,
 )
-from .env import PROB_TOL, make_environment, validate_environment
+from .env import PROB_TOL, make_environment, validate_environment, validate_mixed
 from .equilibrium import (
     GLOBAL,
     LOCAL,
@@ -466,18 +466,26 @@ def _candidate_to_json(cand: EquilibriumCandidate):
     return doc
 
 
-def _candidate_from_json(n_games: int, doc: dict) -> EquilibriumCandidate:
+def _candidate_from_json(env, doc: dict) -> EquilibriumCandidate:
+    """The stored candidate of a result on its environment; ValueError when
+    a play is not one distribution over the player's actions per game."""
     lams = []
     plays: tuple[dict, dict] = ({}, {})
     for player in (0, 1):
         partitions, weights = [], []
         for entry in doc["lams"][player]:
-            partitions.append(_partition_from_json(n_games, entry["partition"]))
+            partitions.append(_partition_from_json(env.n_games, entry["partition"]))
             weights.append(float(entry["weight"]))
         lams.append(PartitionDistribution(tuple(partitions), tuple(weights)))
+        shape = (env.n_games, env.n_actions(player))
         for entry in doc["strategies"][player]:
-            part = _partition_from_json(n_games, entry["partition"])
-            plays[player][part] = np.asarray(entry["play"], dtype=float)
+            part = _partition_from_json(env.n_games, entry["partition"])
+            play = np.asarray(entry["play"], dtype=float)
+            if play.shape != shape:
+                raise ValueError(f"player {player}'s play on {part} has shape {play.shape}, not {shape}")
+            if not np.isfinite(play).all() or any(validate_mixed(row) for row in play):
+                raise ValueError(f"player {player}'s play on {part} has a row that is not a distribution")
+            plays[player][part] = play
     d = {d.kind: d for d in DIVERGENCES.values()}[doc["divergence"]]
     return EquilibriumCandidate(
         (lams[0], lams[1]), StrategyProfile(plays=plays), doc["mode"], d
@@ -811,7 +819,7 @@ def verify_result(path) -> tuple[bool, list[str]]:
     ok = True
     for i, cj in enumerate(cands_json):
         try:
-            cand = _candidate_from_json(run.env.n_games, cj)
+            cand = _candidate_from_json(run.env, cj)
         except (ValueError, TypeError) as exc:
             ok = False
             notes.append(f"candidate {i}: unreadable ({exc})")

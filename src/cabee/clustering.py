@@ -8,11 +8,16 @@ partitions with at most K classes.
 
 `divergence_eval` is the scalar definition.  `class_prototypes` is the one
 class-mean kernel for a fixed partition: the clustering prototypes, which
-are also ABEE's analogy-class expectations.  `local_margins` (each point's
-divergence to every prototype less that to its own) serves the local test
-`local_witnesses`, `dispersion`, the search's local margins and the
-beauty-contest check.  Both clustering tests take batches of data sets
-(`local_witnesses`, `global_cluster_batch`), and `is_locally_clustered`
+are also ABEE's analogy-class expectations; `row_prototypes` gives the same
+means, bit for bit, for a batch whose data sets each have their own
+partition (as class labels), as the search's rows of different supports
+do.  `local_margins` (each point's divergence to every prototype less that
+to its own) serves `dispersion` and the beauty-contest check, and
+`row_local_margins`, its form for per-row partitions, the local test
+`local_witnesses`, `row_dispersions` and the search's local margins.  Both
+clustering tests take batches of data sets (`local_witnesses`, of one
+partition or one per data set, and `global_cluster_batch`, over the
+minimizer table of `dispersion_minimizers`), and `is_locally_clustered`
 and `global_cluster` are their one-data-set case.  The batched kernels are
 `_prototype_divergences` (every point against every prototype) and
 `subset_table` with `partition_dispersions` (every enumerated partition,
@@ -120,6 +125,29 @@ def member_means(data: np.ndarray, prior: np.ndarray, members: np.ndarray) -> np
     return means[..., 0, :] / w.sum(axis=1)[:, None]
 
 
+def row_prototypes(data: np.ndarray, labels: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """`class_prototypes` of each data set of a (B, n_games, dim) batch under
+    its own partition, given as (B, n_games) canonical class labels
+    (`Partition.assignment`): (B, K, dim), K the most classes of any, 0
+    past a data set's class count.  The classes of one size, over all data
+    sets, share one stacked matmul whose products round as those of
+    `member_means` do, so each row equals `class_prototypes` bit for bit."""
+    data = np.asarray(data, dtype=float)
+    prior = np.asarray(prior, dtype=float)
+    labels = np.asarray(labels)
+    k = int(labels.max()) + 1 if labels.size else 1
+    sizes = (labels[:, :, None] == np.arange(k)).sum(axis=1)  # (B, K) class sizes
+    starts = np.cumsum(sizes, axis=1) - sizes
+    games = np.argsort(labels, axis=1, kind="stable")  # each row's games, class by class
+    out = np.zeros((len(labels), k, data.shape[-1]))
+    for size in (np.flatnonzero(np.bincount(sizes.ravel())[1:]) + 1).tolist():
+        rows, cls = np.nonzero(sizes == size)
+        members = games[rows[:, None], starts[rows, cls][:, None] + np.arange(size)]
+        w = prior[members]
+        out[rows, cls] = (w[:, None, :] @ data[rows[:, None], members])[:, 0, :] / w.sum(axis=1)[:, None]
+    return out
+
+
 def dispersion(data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence):
     """Prior-weighted within-class divergence to class prototypes.
 
@@ -193,24 +221,63 @@ def local_margins(
     return dist - own[..., None], own
 
 
+def row_local_margins(
+    data: np.ndarray, labels: np.ndarray, prior: np.ndarray, d: Divergence,
+    protos: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`local_margins` of each data set of a (B, n_games, dim) batch under its
+    own (B, n_games) class labels, as for `row_prototypes`: (B, n_games, K)
+    margins, 0 past a data set's class count, and (B, n_games) divergences
+    to the own prototype.  `protos` are the data's `row_prototypes`, when
+    the caller has them."""
+    labels = np.asarray(labels)
+    if protos is None:
+        protos = row_prototypes(data, labels, prior)
+    dist = _prototype_divergences(data, protos, d)
+    own = np.take_along_axis(dist, labels[..., None], axis=-1)[..., 0]
+    past = np.arange(dist.shape[-1]) > labels.max(axis=-1, initial=0)[:, None, None]
+    return np.where(past, 0.0, dist - own[..., None]), own
+
+
+def row_dispersions(data: np.ndarray, labels: np.ndarray, prior: np.ndarray, d: Divergence) -> np.ndarray:
+    """`dispersion` of each data set of a (B, n_games, dim) batch under its
+    own (B, n_games) class labels: its terms added class by class and game
+    by game, as `dispersion` adds them, so each row equals it bit for bit."""
+    labels = np.asarray(labels)
+    prior = np.asarray(prior, dtype=float)
+    _, own = row_local_margins(data, labels, prior, d)
+    rows = np.arange(len(own))
+    total = np.zeros(len(own))
+    for g in np.argsort(labels, axis=1, kind="stable").T:  # class-major game order
+        total = total + prior[g] * own[rows, g]
+    return total
+
+
 def local_witnesses(
-    data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence
+    data: np.ndarray, partition, prior: np.ndarray, d: Divergence, protos: np.ndarray | None = None
 ) -> list[tuple[int, int] | None]:
     """Weak nearest-own-prototype test of each data set of a (B, n_games, dim)
     batch: None where it holds, else a (game, better class) witness.
+    `partition` is the Partition of every data set, or (B, n_games) class
+    labels of each data set's own, as for `row_prototypes`; `protos` are
+    the data's class prototypes, when the caller has them.
 
     Equal distances do not fail the test; LOCAL_TOL only absorbs
     floating-point noise in the comparison.  The witness is the first
     failing game in class-major order, with the first class it prefers.
     """
-    better = local_margins(data, partition, prior, d)[0] < -LOCAL_TOL
+    data = np.asarray(data, dtype=float)
+    if isinstance(partition, Partition):
+        protos = class_prototypes(data, partition, prior) if protos is None else protos
+        partition = np.broadcast_to(partition.assignment(), data.shape[:2])
+    better = row_local_margins(data, partition, prior, d, protos)[0] < -LOCAL_TOL
     witnesses: list[tuple[int, int] | None] = [None] * len(better)
     if not better.any():
         return witnesses
-    order = [g for cls in partition.classes for g in cls]
-    failing = better[:, order].any(axis=2)
+    order = np.argsort(partition, axis=1, kind="stable")
+    failing = np.take_along_axis(better.any(axis=2), order, axis=1)
     for b in np.flatnonzero(failing.any(axis=1)).tolist():
-        g = order[int(failing[b].argmax())]
+        g = int(order[b, failing[b].argmax()])
         witnesses[b] = (g, int(better[b, g].argmax()))
     return witnesses
 
@@ -286,16 +353,29 @@ def partition_dispersions(table, masks: np.ndarray) -> np.ndarray:
     return point - class_term
 
 
+def dispersion_minimizers(
+    data: np.ndarray, prior: np.ndarray, max_classes: int, d: Divergence
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which partitions minimize the dispersion of each data set of a
+    (B, n_games, dim) batch: (B, P) whether partition p (row p of
+    `label_array`, with at most max_classes classes) attains the data set's
+    minimum within TIE_TOL, and the (B,) minima."""
+    n_games = np.asarray(data).shape[1]
+    disp = partition_dispersions(subset_table(data, prior, d), class_masks(n_games, max_classes))
+    best = np.maximum(disp.min(axis=0), 0.0)  # a dispersion is never negative; 0 may round below
+    return (disp <= best + TIE_TOL).T, best
+
+
 def global_cluster_batch(
     data: np.ndarray, prior: np.ndarray, max_classes: int, d: Divergence
 ) -> tuple[list[list[Partition]], np.ndarray]:
     """`global_cluster` of each data set of a (B, n_games, dim) batch: the
-    minimizer lists, and the (B,) minima."""
+    minimizer lists (`dispersion_minimizers`), and the (B,) minima."""
     n_games = np.asarray(data).shape[1]
-    disp = partition_dispersions(subset_table(data, prior, d), class_masks(n_games, max_classes))
-    best = np.maximum(disp.min(axis=0), 0.0)  # a dispersion is never negative; 0 may round below
-    held = (disp <= best + TIE_TOL).T
-    winners = [[_winner(n_games, max_classes, r) for r in np.flatnonzero(row).tolist()] for row in held]
+    held, best = dispersion_minimizers(data, prior, max_classes, d)
+    winners: list[list[Partition]] = [[] for _ in best]
+    for b, r in zip(*(index.tolist() for index in np.nonzero(held))):
+        winners[b].append(_winner(n_games, max_classes, r))
     return winners, best
 
 

@@ -5,18 +5,22 @@ strategy profile.  Verification checks the distributional equilibrium
 conditions and that every support partition is clustered (locally, or a
 dispersion minimizer) against the opponent's aggregate play, for a batch
 of profiles at once (`cd_abee_verify_batch`; `cd_abee_verify` is its
-one-candidate case).  The search walks degenerate supports first, then
-two-partition supports for one player with the mixture weight on a simplex
-grid, in one loop body: each support's solve is pulled from one lazy
-stream per layer (`dist_abee_solve_many`, cut at the solves left), and its
-profiles and the points of its one-parameter solution families, read as
-stacked strategies off the result's arrays, are admitted by one batched
-clustering check; a candidate's `StrategyProfile` is built only once it is
+one-candidate case); a batch may hold rows of different supports of one
+shape (`abee.RowSupports`), each checked against its own.  The search walks
+degenerate supports first, then two-partition supports for one player with
+the mixture weight on a simplex grid, in one loop body that consumes one
+support's result at a time.  The results come from one lazy stream per
+layer (`dist_abee_solve_runs`, cut at the solves left), a run of supports
+at a time, and each run is refined at once (`_refine_run`): the solves of
+one shape have their families covered together, the best replies of the
+cover points checked together, and all their profiles and points admitted
+by one batched clustering check, read as stacked strategies off the
+results' arrays; a candidate's `StrategyProfile` is built only once it is
 admitted.  Family points are the isolated roots of the global
 dispersion-tie condition for a mixing support, and the family's ends where
 the tie holds; every other family (any support, either mode) is cut at the
 roots of the margins of the check, and yields the cuts and the points
-between them, found for all families of one solve together.
+between them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .abee import (
+    _PAIR_CHUNK,
     PartitionDistribution,
+    RowSupports,
     SolveConfig,
     SolveResult,
     StrategyProfile,
@@ -35,7 +41,7 @@ from .abee import (
     best_replies,
     class_payoffs,
     degenerate_pair,
-    dist_abee_solve_many,
+    dist_abee_solve_runs,
     dist_abee_verify_batch,
     expected_payoffs,
     mixture,
@@ -46,17 +52,17 @@ from .clustering import (
     KULLBACK_LEIBLER,
     TIE_TOL,
     Divergence,
-    class_prototypes,
-    dispersion,
+    dispersion_minimizers,
     global_cluster_batch,
-    local_margins,
     local_witnesses,
     partition_dispersions,
+    row_dispersions,
+    row_local_margins,
     subset_table,
 )
 from .env import SOLVER_TOL, GameEnvironment, common_prior
 from .numeric import first_rows
-from .partitions import Partition, assignment_rows, class_masks, partition_list
+from .partitions import Partition, class_masks, partition_list
 
 LOCAL = "local"
 GLOBAL = "global"
@@ -96,28 +102,35 @@ def infer_capacities(lams) -> tuple[int, int]:
 def unclustered(envs, lams, plays, mode: str, d: Divergence, capacities) -> list[list]:
     """(player, partition, reason) for every support partition that is not
     clustered against the opponent aggregate, per row of stacked plays (as
-    for `cd_abee_verify_batch`), in player and support order.  Global mode
-    needs a dispersion minimizer among the partitions with at most the
-    player's capacity of classes, so a support partition with more fails.
+    for `cd_abee_verify_batch`), in player and support order.  lams is the
+    support pair of every row, or the `RowSupports` of the rows, each
+    checked against its own.  Global mode needs a dispersion minimizer
+    among the partitions with at most the player's capacity of classes, so
+    a support partition with more fails.
 
     envs is the environment of every row, or a sequence of the rows'
     environments, which may differ: the check reads only the prior, so
     environments whose priors differ raise ValueError.
     """
     prior = common_prior(envs)
+    rows = RowSupports.of(lams, len(plays[0]))
     failures: list[list] = [[] for _ in plays[0]]
     for player in (0, 1):
-        data = mixture(lams[1 - player].weights, plays[1 - player].swapaxes(0, 1))
-        support = lams[player].support
+        cap = capacities[player]
+        data = mixture(rows.weights(1 - player), plays[1 - player].swapaxes(0, 1))
         if mode == GLOBAL:
-            winners, _ = global_cluster_batch(data, prior, capacities[player], d)
-            for fails, won in zip(failures, winners):
-                fails += [(player, part, "not a dispersion minimizer") for part in support if part not in won]
-        else:
-            for part in support:
-                for fails, witness in zip(failures, local_witnesses(data, part, prior, d)):
-                    if witness is not None:
-                        fails.append((player, part, f"game {witness[0]} is closer to class {witness[1]}"))
+            held, _ = dispersion_minimizers(data, prior, cap, d)
+        for k in range(plays[player].shape[1]):
+            if mode == GLOBAL:
+                own = rows.list_indices(player, k, cap)  # -1 past the capacity, which never wins
+                won = (own >= 0) & held[np.arange(len(own)), own]
+                fails = [(b, "not a dispersion minimizer") for b in np.flatnonzero(~won).tolist()]
+            else:
+                protos, labels = rows.prototypes(data, player, k, prior)
+                witnesses = local_witnesses(data, labels, prior, d, protos)
+                fails = [(b, f"game {w[0]} is closer to class {w[1]}") for b, w in enumerate(witnesses) if w]
+            for b, reason in fails:
+                failures[b].append((player, rows.pairs[rows.owner[b]][player].support[k], reason))
     return failures
 
 
@@ -353,6 +366,35 @@ def _bracket_roots(f, lo: np.ndarray, hi: np.ndarray) -> list[list[float]]:
     return roots
 
 
+def _chunks(n: int, size: int = _PAIR_CHUNK) -> list[slice]:
+    """Slices of at most `size` rows that cover n rows: a pass over them one
+    at a time bounds its temporaries as the solver's passes are bounded."""
+    return [slice(start, start + size) for start in range(0, n, size)]
+
+
+def _distinct(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of values (N, m), grouped by ascending
+    owner, that no earlier row of the same owner matches to
+    CANDIDATE_DEDUP_TOL: one `first_rows` per run of whole owners that
+    reaches `_PAIR_CHUNK` rows, which bounds the temporaries of its keys."""
+    kept, start = [], 0
+    for end in np.append(np.flatnonzero(owner[1:] != owner[:-1]) + 1, len(owner)).tolist():
+        if end - start >= _PAIR_CHUNK or end == len(owner):
+            keys = np.empty((end - start, values.shape[1] + 1), dtype=np.int64)
+            keys[:, 0], keys[:, 1:] = owner[start:end], np.round(values[start:end] / CANDIDATE_DEDUP_TOL)
+            kept.append(start + first_rows(keys))
+            start = end
+    return np.concatenate(kept) if kept else np.zeros(0, dtype=np.intp)
+
+
+def _padded(lists) -> np.ndarray:
+    """Lists of floats as the rows of an array, NaN past each list's end."""
+    out = np.full((len(lists), max(map(len, lists), default=0)), np.nan)
+    for row, values in zip(out, lists):
+        row[: len(values)] = values
+    return out
+
+
 def _check_margins(env: GameEnvironment, lams, plays, mode: str, d: Divergence, capacities) -> np.ndarray:
     """(B, m) functions of each row of stacked plays whose signs decide its
     clustered-equilibrium check, for each player and each of its one or two
@@ -363,31 +405,40 @@ def _check_margins(env: GameEnvironment, lams, plays, mode: str, d: Divergence, 
     zero: the dispersion of every partition with at most the player's
     capacity of classes less the support partition's (global), or each
     game's divergence to every class prototype less that to its own class's
-    (local).  The aggregate is affine along a family, the mixture weights
-    being fixed, so the payoff differences are affine and, under the
-    squared divergences, the margins quadratic."""
+    (local, 0 past the partition's classes).  lams is the support pair of
+    every row, or the `RowSupports` of the rows, each of which reads its
+    own partitions' class means (`row_prototypes`, once per support
+    partition).  The aggregate is affine along a family, the mixture
+    weights being fixed, so the payoff differences are affine and, under
+    the squared divergences, the margins quadratic."""
+    rows = RowSupports.of(lams, len(plays[0]))
+    at = np.arange(len(plays[0]))
     cols = []
     for player in (0, 1):
-        data = mixture(lams[1 - player].weights, plays[1 - player].swapaxes(0, 1))
+        data = mixture(rows.weights(1 - player), plays[1 - player].swapaxes(0, 1))
         if mode == GLOBAL:
             masks = class_masks(env.n_games, capacities[player])
             disp = partition_dispersions(subset_table(data, env.prior, d), masks)
-        for part in lams[player].support:
-            beta = class_prototypes(data, part, env.prior)
-            pays = expected_payoffs(env, player, beta[:, list(part.assignment())])
+        for k in range(plays[player].shape[1]):
+            beta, labels = rows.prototypes(data, player, k, env.prior)
+            pays = expected_payoffs(env, player, beta[at[:, None], labels])
             cols.append((pays[..., :, None] - pays[..., None, :]).reshape(len(data), -1))
             if mode == GLOBAL:
                 # less the support partition's own row, so an equal row's margin is exactly 0
-                cols.append((disp - disp[assignment_rows([part.assignment()], capacities[player])]).T)
+                cols.append((disp - disp[rows.list_indices(player, k, capacities[player]), at]).T)
             else:
-                cols.append(local_margins(data, part, env.prior, d, beta)[0].reshape(len(data), -1))
+                # padded to the most classes of any support's, whichever rows are taken
+                local = row_local_margins(data, labels, env.prior, d, beta)[0]
+                most = max(pair[player].support[k].n_classes for pair in rows.pairs)
+                cols.append(np.pad(local, ((0, 0), (0, 0), (0, most - local.shape[2]))).reshape(len(data), -1))
     return np.concatenate(cols, axis=1)
 
 
-def _cover(env: GameEnvironment, lams, res: SolveResult, mode: str, d: Divergence, capacities):
-    """(N, V) points of the one-parameter solution families of one solve
-    (`res.continua` over `res.spans`), in family order, each family inset by
-    FAMILY_INSET at both ends.
+def _cover(env: GameEnvironment, supports: list, results: list[SolveResult], mode: str, d: Divergence, capacities):
+    """(N, V) points of the one-parameter solution families of solves of
+    one shape (each solve's `continua` over its `spans`, of the support of
+    the same index), and the (N,) solve of each, in solve and family order,
+    each family inset by FAMILY_INSET at both ends.
 
     In global mode with a two-partition support, a family whose
     dispersion-tie residual has isolated roots yields them, and each end
@@ -397,111 +448,155 @@ def _cover(env: GameEnvironment, lams, res: SolveResult, mode: str, d: Divergenc
     `_check_margins` and yields its ends, the cuts and the midpoint between
     each two neighbours, which meet every stretch where the check's verdict
     is constant.  The roots are fitted quadratics under the squared
-    divergences (one `_quadratic_roots` call for all ties, one for all
-    margins) and bracketed (`_bracket_roots`) under KL, where one grid cell
-    can hide two.  A support partition over capacity is never a dispersion
-    minimizer, so in global mode its families yield nothing.  Points
-    repeated across families are dropped.
+    divergences (one `_quadratic_roots` call for all ties, one for the
+    margins of each chunk of families whose samples fill at most
+    `_PAIR_CHUNK` rows) and bracketed (`_bracket_roots`) under KL, where one
+    grid cell can hide two.  Each family's residual and margins read its
+    own solve's support (`RowSupports`).  A support partition over capacity is
+    never a dispersion minimizer, so in global mode the families of its
+    solve yield nothing.  Points repeated across the families of one solve
+    are dropped.
     """
-    mix_player = next((pl for pl in (0, 1) if len(lams[pl].support) == 2), None)
-    lo = res.spans[:, 0] + FAMILY_INSET
-    hi = res.spans[:, 1] - FAMILY_INSET
-    base, direction = res.continua[:, 0], res.continua[:, 1]
-    live = np.flatnonzero(hi > lo)
-    if not len(live) or mode == GLOBAL and any(
-        p.n_classes > cap for lam, cap in zip(lams, capacities) for p in lam.support
-    ):
-        return base[:0]
+    owner = np.repeat(np.arange(len(results)), [len(res.continua) for res in results])
+    continua = np.concatenate([res.continua for res in results])
+    spans = np.concatenate([res.spans for res in results])
+    family_supports, plays = RowSupports(supports, owner), results[0].plays
+    mix_player = next((pl for pl in (0, 1) if len(supports[0][pl].support) == 2), None)
+    lo = spans[:, 0] + FAMILY_INSET
+    hi = spans[:, 1] - FAMILY_INSET
+    base, direction = continua[:, 0], continua[:, 1]
+    over = [mode == GLOBAL and any(p.n_classes > cap for lam, cap in zip(lams, capacities) for p in lam.support)
+            for lams in supports]
+    live = np.flatnonzero((hi > lo) & ~np.array(over)[owner])
     tie = mode == GLOBAL and mix_player is not None
     ts = np.stack([lo, (lo + hi) / 2, hi], axis=1)  # both ends and the middle
 
+    def at(fam, t):
+        """Stacked plays of families `fam` at t, flattened, and their supports."""
+        fam, t = (a.ravel() for a in np.broadcast_arrays(fam, t))
+        return plays(base[fam] + t[:, None] * direction[fam]), family_supports.take(fam)
+
     def margins(fam, t):
         """`_check_margins` of families `fam` at t, (..., m)."""
-        fam, t = np.broadcast_arrays(fam, t)
-        at = res.plays(base[fam.ravel()] + t.ravel()[:, None] * direction[fam.ravel()])
-        return _check_margins(env, lams, at, mode, d, capacities).reshape(t.shape + (-1,))
+        (play, on), shape = at(fam, t), np.broadcast_shapes(np.shape(fam), np.shape(t))
+        return _check_margins(env, on, play, mode, d, capacities).reshape(shape + (-1,))
 
     def residual(fam, t):
         """Tie residual of families `fam` at t, from the non-mixing player's data."""
-        plays = res.plays(base[fam] + t[..., None] * direction[fam])[1 - mix_player]
-        data = mixture(lams[1 - mix_player].weights, np.moveaxis(plays, -3, 0))
-        part_a, part_b = lams[mix_player].support
-        return dispersion(data, part_a, env.prior, d) - dispersion(data, part_b, env.prior, d)
+        (play, on), shape = at(fam, t), np.broadcast_shapes(np.shape(fam), np.shape(t))
+        data = mixture(on.weights(1 - mix_player), play[1 - mix_player].swapaxes(0, 1))
+        part_a, part_b = (row_dispersions(data, on.labels(mix_player, k), env.prior, d) for k in (0, 1))
+        return (part_a - part_b).reshape(shape)
 
-    roots: dict = {}  # family -> the points it yields
-    cover = live  # the families cut at their margins' roots
-    if tie and d.kind == KULLBACK_LEIBLER:
-        found = _bracket_roots(lambda c, t: residual(live[c], t), lo[live], hi[live])
-        at_ends = residual(live[:, None], ts[live][:, [0, 2]])
-        roots = dict(zip(live.tolist(), found))
-        cover = live[:0]
-    elif tie:
+    def cuts(part):
+        """The roots of the margins of the families `part` of the cover, NaN-padded rows."""
+        if d.kind == KULLBACK_LEIBLER:
+            m = margins(part[:1], lo[part[:1]]).shape[-1]
+
+            def margin(c, t):
+                """Margin c % m of family part[c // m] at t, each (family, t) evaluated once."""
+                fam, col = np.divmod(c, m)
+                fam, col, t = np.broadcast_arrays(fam, col, t)
+                key, inv = np.unique(np.stack([fam.ravel(), t.ravel()]), axis=1, return_inverse=True)
+                values = margins(part[key[0].astype(np.int64)], key[1])
+                return values[inv.ravel(), col.ravel()].reshape(t.shape)
+
+            found = _bracket_roots(margin, np.repeat(lo[part], m), np.repeat(hi[part], m))
+            return _padded(found).reshape(len(part), -1)
+        samples = margins(part[:, None], ts[part]).transpose(0, 2, 1)
+        return _quadratic_roots(samples, lo[part, None], hi[part, None])[0].reshape(len(part), -1)
+
+    # a tied family yields its end where the tie holds, its isolated roots in
+    # order, and its other end where the tie holds; the others are the cover
+    tied, tie_roots, cover, near = live[:0], np.zeros((0, 0)), live, np.zeros((0, 2), dtype=bool)
+    if tie and len(live) and d.kind == KULLBACK_LEIBLER:
+        tied, cover = live, live[:0]
+        tie_roots = _padded(_bracket_roots(lambda c, t: residual(live[c], t), lo[live], hi[live]))
+        near = abs(residual(live[:, None], ts[live][:, [0, 2]])) <= TIE_TOL
+    elif tie and len(live):
         samples = residual(live[:, None], ts[live])
         found, vanishing = _quadratic_roots(samples, lo[live], hi[live])
-        at_ends = samples[:, [0, 2]]
-        kept = ~vanishing  # below, t == t drops the NaN of a missing root
-        roots = {c: [t for t in r if t == t] for c, r in zip(live[kept].tolist(), found[kept].tolist())}
-        cover = live[vanishing]
-    if tie:
-        for c, (at_lo, at_hi) in zip(live.tolist(), (abs(at_ends) <= TIE_TOL).tolist()):
-            if c in roots:
-                roots[c] = [lo[c]] * at_lo + roots[c] + [hi[c]] * at_hi
-    cuts: list = []  # the roots of the margins of each family of the cover
-    if len(cover) and d.kind == KULLBACK_LEIBLER:
-        m = margins(cover[:1], lo[cover[:1]]).shape[-1]
-
-        def margin(c, t):
-            """Margin c % m of family cover[c // m] at t, each (family, t) evaluated once."""
-            fam, col = np.divmod(c, m)
-            fam, col, t = np.broadcast_arrays(fam, col, t)
-            key, inv = np.unique(np.stack([fam.ravel(), t.ravel()]), axis=1, return_inverse=True)
-            values = margins(cover[key[0].astype(np.int64)], key[1])
-            return values[inv.ravel(), col.ravel()].reshape(t.shape)
-
-        found = _bracket_roots(margin, np.repeat(lo[cover], m), np.repeat(hi[cover], m))
-        cuts = [sum(found[k * m : (k + 1) * m], []) for k in range(len(cover))]
-    elif len(cover):
-        samples = margins(cover[:, None], ts[cover]).transpose(0, 2, 1)
-        found, _ = _quadratic_roots(samples, lo[cover, None], hi[cover, None])
-        # a margin that vanishes identically cuts nowhere
-        cuts = [[t for t in r if t == t] for r in found.reshape(len(cover), -1).tolist()]
-    for c, found in zip(cover.tolist(), cuts):
-        ends = sorted({lo[c], hi[c], *found})
-        roots[c] = sorted(ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])])
-    points = []  # (family, t) in family order
-    for c in live.tolist():
-        points += [(c, min(max(t, lo[c]), hi[c])) for t in roots.get(c, ())]
-    fam = np.array([c for c, _ in points], dtype=np.int64)
-    x = base[fam] + np.array([t for _, t in points])[:, None] * direction[fam]
-    return x[first_rows(np.round(x / CANDIDATE_DEDUP_TOL).astype(np.int64))]
+        tied, tie_roots, cover = live[~vanishing], found[~vanishing], live[vanishing]
+        near = abs(samples[~vanishing][:, [0, 2]]) <= TIE_TOL
+    ties = np.column_stack([lo[tied], tie_roots, hi[tied]])
+    tie_fam, tie_rank = np.nonzero(np.column_stack([near[:, 0], tie_roots == tie_roots, near[:, 1]]))
+    fam, rank, t = [tied[tie_fam]], [tie_rank], [ties[tie_fam, tie_rank]]
+    # a family of the cover yields its ends and its distinct cuts, sorted, and
+    # the midpoint of each two neighbours; the families are cut in chunks
+    # whose three samples each take at most _PAIR_CHUNK rows of margins
+    for part in (cover[rows] for rows in _chunks(len(cover), _PAIR_CHUNK // 3)):
+        ends = np.sort(np.column_stack([lo[part], hi[part], cuts(part)]), axis=1)  # NaN (no root) last
+        new = ends == ends  # below, the first of equal values
+        new[:, 1:] &= ends[:, 1:] != ends[:, :-1]
+        row, col = np.nonzero(new)
+        ends, place = ends[row, col], 2 * (np.arange(len(row)) - np.searchsorted(row, row))
+        mid = np.flatnonzero(row[1:] == row[:-1])  # an end and the next of its family
+        fam += [part[row], part[row[mid]]]
+        rank += [place, place[mid] + 1]
+        t += [ends, (ends[mid] + ends[mid + 1]) / 2]
+    fam, rank, t = (np.concatenate(parts) for parts in (fam, rank, t))
+    order = np.lexsort((rank, fam))  # family order, each family's points in order
+    fam, t = fam[order], t[order]
+    x = direction[fam] * np.minimum(np.maximum(t, lo[fam]), hi[fam])[:, None]
+    x += base[fam]  # base + t * direction, one temporary fewer
+    kept = _distinct(owner[fam], x)
+    return x[kept], owner[fam][kept]
 
 
-def _refine_continua(env: GameEnvironment, lams, res: SolveResult, mode: str, d: Divergence, capacities):
-    """Candidates of one solve, in order: its profiles (whose best replies
-    hold), then the points of its families' `_cover` whose best replies
-    hold, all through one clustering check (`_admitted`)."""
-    plays = res.plays(res.profiles)
-    points = _cover(env, lams, res, mode, d, capacities) if len(res.continua) else ()
-    if len(points):
-        at = res.plays(points)
-        held = dist_abee_verify_batch(env, lams, at)[0]
-        plays = [np.concatenate([p, q[held]]) for p, q in zip(plays, at)]
-    return _admitted(env, lams, plays, mode, d, capacities)
+def _refine_run(env: GameEnvironment, supports: list, results: list[SolveResult], mode: str, d: Divergence,
+                capacities) -> list[list[EquilibriumCandidate]]:
+    """The candidates of each solve of a run, in run order: its profiles
+    (whose best replies hold), then the points of its families' cover whose
+    best replies hold, that pass the clustering check, keeping the first
+    of those whose plays agree to CANDIDATE_DEDUP_TOL.
+
+    The solves of one shape (support sizes per player, and variables) go
+    together, each row under its own solve's support (`RowSupports`): one
+    `_cover` of all their families, one best-reply check
+    (`dist_abee_verify_batch`) of its points and one clustering check
+    (`unclustered`) of all their profiles and points, each per
+    `_PAIR_CHUNK` rows, which bounds their temporaries, and one dedup.
+    """
+    found: list[list[EquilibriumCandidate]] = [[] for _ in results]
+    shapes: dict[tuple, list[int]] = {}
+    for i, (lams, res) in enumerate(zip(supports, results)):
+        shapes.setdefault((len(lams[0].support), len(lams[1].support), res.profiles.shape[1]), []).append(i)
+    for members in shapes.values():
+        pairs, solves = [supports[i] for i in members], [results[i] for i in members]
+        x = np.concatenate([res.profiles for res in solves])
+        owner = np.repeat(np.arange(len(solves)), [len(res.profiles) for res in solves])
+        if any(len(res.continua) for res in solves):
+            points, at = _cover(env, pairs, solves, mode, d, capacities)
+            held = np.zeros(len(points), dtype=bool)
+            for rows in _chunks(len(points)):
+                supports_at = RowSupports(pairs, at[rows])
+                held[rows] = dist_abee_verify_batch(env, supports_at, solves[0].plays(points[rows]))[0]
+            x, owner = np.concatenate([x, points[held]]), np.concatenate([owner, at[held]])
+        order = np.argsort(owner, kind="stable")  # each solve's profiles, then its points
+        x, owner = x[order], owner[order]
+        plays = solves[0].plays(x)
+        kept = []
+        for rows in _chunks(len(x)):
+            at_rows = (plays[0][rows], plays[1][rows])
+            fails = unclustered(env, RowSupports(pairs, owner[rows]), at_rows, mode, d, capacities)
+            kept += [rows.start + b for b, f in enumerate(fails) if not f]
+        kept = np.array(kept, dtype=np.intp)
+        if len(kept) > 1:
+            kept = kept[_distinct(owner[kept], np.concatenate([play[kept].reshape(len(kept), -1) for play in plays], 1))]
+        admitted = [play[kept] for play in plays]  # the candidates keep only their own rows alive
+        for o, play0, play1 in zip(owner[kept].tolist(), *admitted):
+            lams = pairs[o]
+            profile = unstack_plays((lams[0].support, lams[1].support), (play0, play1))
+            found[members[o]].append(EquilibriumCandidate(lams, profile, mode, d))
+    return found
 
 
-def _admitted(env: GameEnvironment, lams, plays, mode: str, d: Divergence, capacities) -> list:
-    """The candidates among stacked plays (as for `cd_abee_verify_batch`)
-    whose best replies are known to hold that pass the clustering check, in
-    batch order, keeping the first of those whose plays agree to
-    CANDIDATE_DEDUP_TOL."""
-    if not len(plays[0]):
-        return []
-    kept = [b for b, fails in enumerate(unclustered(env, lams, plays, mode, d, capacities)) if not fails]
-    if len(kept) > 1:
-        flat = np.concatenate([play[kept].reshape(len(kept), -1) for play in plays], axis=1)
-        kept = np.array(kept)[first_rows(np.round(flat / CANDIDATE_DEDUP_TOL).astype(np.int64))]
-    supports = (lams[0].support, lams[1].support)
-    return [EquilibriumCandidate(lams, unstack_plays(supports, (plays[0][b], plays[1][b])), mode, d) for b in kept]
+def _refined(env: GameEnvironment, supports, mode: str, d: Divergence, capacities, config: SolveConfig):
+    """(result, candidates) of each support, in order, lazily: solved
+    (`dist_abee_solve_runs`) and refined (`_refine_run`) a run at a time."""
+    supports, solving = itertools.tee(supports)
+    for run in dist_abee_solve_runs(((env, lams) for lams in solving), config):
+        yield from zip(run, _refine_run(env, list(itertools.islice(supports, len(run))), run, mode, d, capacities))
 
 
 def cd_abee_search(
@@ -519,25 +614,26 @@ def cd_abee_search(
     `sampled_pure_families`).  Layer 2 scans two-partition supports for one
     player at a time against every degenerate partition of the other, with
     the mixture weight on a grid and its families covered by `_cover`.
-    Both layers run one loop body: each support's solve is pulled from
-    the layer's stream of solves, and its profiles and family points are
-    admitted by one clustering check, which drops the solve's repeated
-    candidates; no two solves share a support and weights, so no candidate
-    set is kept across the search.  The two layers share
-    `config.max_evaluations` solves, layer 1 first, and a layer's stream is
-    cut at the solves left; a layer that runs out, or reaches
-    `config.max_candidates` (checked before each result is pulled), stops
-    with `completed=False`, so work and output do not depend on the speed
-    of the machine.  A stream solves a whole run of supports at once, so a
-    layer stopped by `max_candidates` can leave the rest of its run solved
-    and unused, with `evaluations` unchanged: in local matching pennies,
-    layer 2 solves its first run for the 1 solve it uses.  A layer
-    with a solve that was not exact (`SolveResult.exact`) also reports
-    `completed=False`, since it may have missed equilibria.  All returned candidates verify; an empty
-    result means "not found within its evaluation budget", never
-    nonexistence (except for the pure layer, which reports exhaustive
-    refutation when it completes empty having covered every family
-    exactly).
+    Both layers run one loop body over the layer's supports: each takes its
+    result and candidates from the layer's stream, which solves and refines
+    a whole run of supports at once (`_refined`: `dist_abee_solve_runs`,
+    then `_refine_run`), dropping each solve's repeated candidates; no two
+    solves share a support and weights, so no candidate set is kept across
+    the search.  The two layers share `config.max_evaluations` solves,
+    layer 1 first, and a layer's stream is cut at the solves left; a layer
+    that runs out, or reaches `config.max_candidates` (checked before each
+    result is taken), stops with `completed=False`, so work and output do
+    not depend on the speed of the machine.  A layer stopped by
+    `max_candidates` can leave the rest of its run solved and refined and
+    unused, with `evaluations` unchanged: in local matching pennies, layer 2
+    solves and refines its first run of 32 supports for the 1 solve it
+    uses.  A damped-iteration solve is a run of its own, computed only when
+    it is reached.  A layer with a solve that was not exact
+    (`SolveResult.exact`) also reports `completed=False`, since it may have
+    missed equilibria.  All returned candidates verify; an empty result
+    means "not found within its evaluation budget", never nonexistence
+    (except for the pure layer, which reports exhaustive refutation when it
+    completes empty having covered every family exactly).
     """
     config = config or SearchConfig()
     result = SearchResult()
@@ -567,18 +663,16 @@ def cd_abee_search(
         evaluations = found = 0
         completed = True
         todo, solving = itertools.tee(itertools.islice(supports, budget))
-        results = dist_abee_solve_many(((env, lams) for lams in solving), config.solve)
-        for lams in todo:
+        refined = _refined(env, solving, mode, d, capacities, config.solve)
+        for _ in todo:
             if len(result.candidates) >= config.max_candidates:
                 completed = False
                 break
-            res = next(results)
+            res, cands = next(refined)
             evaluations += 1
             completed &= res.exact  # a heuristic solve may have missed equilibria
             if name == "degenerate" and d.kind == KULLBACK_LEIBLER:
                 result.sampled_pure_families += len(res.continua)
-            # solved profiles pass dist_abee_verify already; only clustering is left
-            cands = _refine_continua(env, lams, res, mode, d, capacities)
             result.candidates += cands
             found += len(cands)
         else:

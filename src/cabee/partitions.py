@@ -97,6 +97,16 @@ class Partition:
             object.__setattr__(self, "_size_groups", groups)
         return self.__dict__["_size_groups"]
 
+    def list_index(self, max_classes: int) -> int:
+        """Index of the partition in `partition_list(n_games, max_classes)`
+        (its row of `label_array`), or -1 when it has more classes.
+        Memoized on the instance per max_classes, as `size_groups` is."""
+        memo = self.__dict__.setdefault("_list_index", {})
+        if max_classes not in memo:
+            fits = self.n_classes <= max_classes
+            memo[max_classes] = partition_list(self.n_games, max_classes).index(self) if fits else -1
+        return memo[max_classes]
+
     def key(self) -> tuple:
         return self.classes
 

@@ -534,6 +534,44 @@ def test_verify_batch_takes_one_environment_per_row():
         dist_abee_verify_batch([skewed] + row_envs[1:], lams, plays)
 
 
+def test_verify_batch_takes_one_support_per_row():
+    """Profiles and family points of six supports of one shape (the row
+    mixing two partitions with different weights against each column
+    partition), interleaved and some perturbed so that they fail, checked
+    in one call with one support per row (`RowSupports`): each row gets the
+    ok, worst gain and witness of one call per support."""
+    from cabee.partitions import partition_list
+
+    rng = np.random.default_rng(31)
+    env = matching_pennies_env(0.5, 1.0, 1.5)
+    rows2, fin = partition_list(3, 2), Partition.finest(3)
+    mixes = [PartitionDistribution((rows2[i], rows2[j]), (w, round(1 - w, 12)))
+             for i, j, w in ((1, 2, 0.5), (0, 3, 0.3), (1, 3, 0.7))]
+    pairs = [(mix, PartitionDistribution.degenerate(col)) for mix in mixes for col in (fin, Partition.coarsest(3))]
+    owner, rows = [], []
+    for k, lams in enumerate(pairs):
+        res = dist_abee_solve_detailed(env, lams)
+        points = list(res.profiles) + [base + t * step for (base, step), span in zip(res.continua[:4], res.spans[:4])
+                                       for t in span.tolist()]
+        for x in points:
+            plays = tuple(p.copy() for p in res.plays(x))
+            if rng.random() < 0.3:
+                plays[0][0, 0] = plays[0][0, 0, ::-1]
+            owner.append(k)
+            rows.append(plays)
+    order = rng.permutation(len(rows))
+    owner = np.array(owner)[order]
+    plays = tuple(np.stack([rows[i][p] for i in order]) for p in (0, 1))
+    ok, worst, witnesses = dist_abee_verify_batch(env, abee.RowSupports(pairs, owner), plays)
+    assert ok.any() and not ok.all() and len(set(owner.tolist())) == len(pairs)
+    for k, lams in enumerate(pairs):
+        at = np.flatnonzero(owner == k)
+        ref_ok, ref_worst, ref_witnesses = dist_abee_verify_batch(env, lams, tuple(p[at] for p in plays))
+        assert ok[at].tolist() == ref_ok.tolist()
+        assert worst[at].tobytes() == ref_worst.tobytes()
+        assert [witnesses[i] for i in at] == ref_witnesses
+
+
 # ---------------------------------------------------------------------------
 # support enumeration against the per-pair scalar reference
 # ---------------------------------------------------------------------------

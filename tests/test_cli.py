@@ -77,7 +77,23 @@ def _ragged_play(cand):
     cand["strategies"][1][0]["play"][2] = [0.9]
 
 
-@pytest.mark.parametrize("corrupt", [_weights_off_one, _game_in_two_classes, _ragged_play])
+def _two_rows_for_three_games(cand):
+    del cand["strategies"][1][0]["play"][2]
+
+
+def _three_actions_in_a_binary_game(cand):
+    cand["strategies"][1][0]["play"] = [[*row, 0.0] for row in cand["strategies"][1][0]["play"]]
+
+
+def _not_a_distribution(cand):
+    cand["strategies"][1][0]["play"][2] = [0.7, 0.7]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_weights_off_one, _game_in_two_classes, _ragged_play, _two_rows_for_three_games,
+     _three_actions_in_a_binary_game, _not_a_distribution],
+)
 def test_verify_fails_an_unreadable_candidate(tmp_path, capsys, corrupt):
     """A stored candidate that cannot be read back fails verification with
     exit code 2 and a note naming it, not a traceback."""
@@ -503,14 +519,14 @@ def test_flag_overrides_are_recorded_in_the_result(tmp_path):
 def test_candidate_json_round_trips_each_divergence(name):
     """A stored candidate comes back with the divergence of its scenario
     name, its distributions and its strategies unchanged."""
-    from cabee.applications.monitoring import MonitoringSpec, solve_monitoring_cdabee
+    from cabee.applications.monitoring import MonitoringSpec, build_monitoring, solve_monitoring_cdabee
     from cabee.cli import DIVERGENCES, _candidate_from_json, _candidate_to_json
     from cabee.equilibrium import GLOBAL
 
-    d = DIVERGENCES[name]
-    (cand,) = solve_monitoring_cdabee(MonitoringSpec(0.4, 0.4, 0.2, 0.5, 0.3), GLOBAL, d).candidates
+    d, spec = DIVERGENCES[name], MonitoringSpec(0.4, 0.4, 0.2, 0.5, 0.3)
+    (cand,) = solve_monitoring_cdabee(spec, GLOBAL, d).candidates
     doc = json.loads(json.dumps(_candidate_to_json(cand)))
-    back = _candidate_from_json(3, doc)
+    back = _candidate_from_json(build_monitoring(spec), doc)
     assert back.divergence == d and back.mode == GLOBAL and back.lams == cand.lams
     for player in (0, 1):
         for part in cand.lams[player].support:

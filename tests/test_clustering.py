@@ -12,12 +12,19 @@ from cabee.clustering import (
     _prototype_divergences,
     class_prototypes,
     dispersion,
+    dispersion_minimizers,
     divergence_eval,
     global_cluster,
+    global_cluster_batch,
     is_locally_clustered,
     kmeans_lloyd,
+    local_margins,
+    local_witnesses,
     mean_divergence,
     partition_dispersions,
+    row_dispersions,
+    row_local_margins,
+    row_prototypes,
     subset_table,
 )
 from cabee.partitions import Partition, class_masks, enumerate_partitions, partition_list
@@ -271,6 +278,53 @@ def test_dispersion_batch_equals_per_data_set_calls(rng):
         for idx in np.ndindex(*lead):
             alone = dispersion(data[idx], part, prior, d)
             assert got[idx] == alone == _loop_dispersion(data[idx], part, prior, d), (trial, idx)
+
+
+def test_row_kernels_equal_the_one_partition_kernels_row_by_row(rng):
+    """A batch whose data sets each have their own partition, given as class
+    labels, gets from `row_prototypes`, `row_local_margins`,
+    `row_dispersions` and `local_witnesses` what the one-partition kernels
+    give each data set alone, bit for bit (margins 0 past a data set's
+    class count), in any memory layout, for all three divergences."""
+    draws = (random_distributions, sparse_distributions, random_distributions)
+    for trial in range(60):
+        kind, n_act = trial % 3, 2 + trial // 3 % 3
+        n, rows = int(rng.integers(1, 7)), int(rng.integers(1, 40))
+        d = (L2, KL, mean_divergence(rng.normal(size=n_act)))[kind]
+        data = np.stack([draws[kind](rng, n, n_act) for _ in range(rows)])
+        if trial % 2:
+            data = np.ascontiguousarray(data.transpose(1, 0, 2)).transpose(1, 0, 2)  # game-major
+        prior = rng.dirichlet(np.ones(n))
+        parts = partition_list(n, n)
+        own = [parts[i] for i in rng.integers(len(parts), size=rows)]
+        labels = np.array([part.assignment() for part in own])
+        protos = row_prototypes(data, labels, prior)
+        margins, dist = row_local_margins(data, labels, prior, d)
+        disp = row_dispersions(data, labels, prior, d)
+        witnesses = local_witnesses(data, labels, prior, d)
+        assert protos.shape == margins.shape[:1] + (max(p.n_classes for p in own), n_act)
+        for b, part in enumerate(own):
+            k = part.n_classes
+            alone = data[b : b + 1]
+            assert protos[b, :k].tobytes() == class_prototypes(alone, part, prior)[0].tobytes()
+            assert not protos[b, k:].any() and not margins[b, :, k:].any()
+            ref, ref_own = local_margins(alone, part, prior, d)
+            assert margins[b, :, :k].tobytes() == ref[0].tobytes() and dist[b].tobytes() == ref_own[0].tobytes()
+            assert disp[b] == dispersion(data[b], part, prior, d)
+            assert witnesses[b] == local_witnesses(alone, part, prior, d)[0]
+
+
+def test_dispersion_minimizers_hold_the_minimizer_lists(rng):
+    """`global_cluster_batch`'s lists are the rows of `dispersion_minimizers`'
+    table, in partition order, with the same minima."""
+    for data, prior, d in random_cases(rng, 40):
+        batch = np.stack([data, data[::-1], np.full_like(data, 1 / data.shape[1])])
+        k = int(rng.integers(1, 5))
+        held, best = dispersion_minimizers(batch, prior, k, d)
+        winners, minima = global_cluster_batch(batch, prior, k, d)
+        parts = partition_list(len(data), k)
+        assert held.shape == (3, len(parts)) and minima.tobytes() == best.tobytes()
+        assert winners == [[parts[p] for p in np.flatnonzero(row)] for row in held]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from cabee.abee import (
     aggregate,
     degenerate_pair,
     dist_abee_solve_detailed,
-    dist_abee_solve_many,
+    dist_abee_solve_runs,
     dist_abee_verify,
     stack_plays,
     unstack_plays,
@@ -32,13 +32,14 @@ from cabee.equilibrium import (
     SearchConfig,
     _bracket_roots,
     _quadratic_roots,
-    _refine_continua,
+    _refine_run,
     cabee_verify,
     cd_abee_search,
     cd_abee_verify,
     cd_abee_verify_batch,
     clustered_partition_set,
     grand_map_contains,
+    unclustered,
 )
 from cabee.partitions import Partition, partition_list
 from cabee.applications.matching_pennies import (
@@ -54,6 +55,12 @@ from cabee.applications.monitoring import (
     solve_monitoring_cdabee,
 )
 from conftest import dominant_env, grand_map, solved_profile
+
+
+def _refine_one(env, lams, res, mode, d, capacities):
+    """The candidates of one solve: `_refine_run` of a run of one."""
+    (found,) = _refine_run(env, [lams], [res], mode, d, capacities)
+    return found
 
 
 def _candidate_key(candidate: EquilibriumCandidate):
@@ -340,7 +347,7 @@ def _reference_search(env, capacities, mode, d, config):
             completed &= res.exact
             if name == "degenerate" and d.kind == clustering.KULLBACK_LEIBLER:
                 result.sampled_pure_families += len(res.continua)
-            for cand in _refine_continua(env, lams, res, mode, d, capacities):
+            for cand in _refine_one(env, lams, res, mode, d, capacities):
                 if _candidate_key(cand) not in seen:
                     seen.add(_candidate_key(cand))
                     result.candidates.append(cand)
@@ -393,6 +400,40 @@ def test_no_two_candidates_of_a_search_share_a_key(mode, d):
         assert len(set(keys)) == len(keys)
         found += len(keys)
     assert found
+
+
+@pytest.mark.parametrize("mode, d", [(GLOBAL, L2), (LOCAL, L2), (GLOBAL, KL)], ids=["global-l2", "local-l2", "global-kl"])
+def test_search_result_does_not_depend_on_its_run_mates(monkeypatch, mode, d):
+    """The search refines each run of solves at once; each support's
+    candidates are the same, in the same order, as when every run holds one
+    support (`abee._RUN_SUPPORTS` = 1), and so are the layer reports and the
+    sampled families: on matching pennies, whose local search stops by
+    `max_candidates` in the middle of its first pair-layer run, and on two
+    random 3-game environments."""
+    from cabee import abee
+
+    rng = np.random.default_rng(3101)
+    envs = [build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))] + [
+        make_environment(rng.dirichlet(np.ones(3) * 3), rng.integers(-2, 3, (2, 2, 3)), rng.integers(-2, 3, (2, 2, 3)))
+        for _ in range(2)
+    ]
+    config, runs = SearchConfig(lambda_step=0.5), abee._RUN_SUPPORTS
+    assert runs > 1
+    for k, env in enumerate(envs):
+        monkeypatch.setattr(abee, "_RUN_SUPPORTS", runs)
+        together = cd_abee_search(env, (2, 3), mode, d, config)
+        monkeypatch.setattr(abee, "_RUN_SUPPORTS", 1)
+        alone = cd_abee_search(env, (2, 3), mode, d, config)
+        assert together.layers == alone.layers
+        assert together.sampled_pure_families == alone.sampled_pure_families
+        assert len(together.candidates) == len(alone.candidates)
+        for a, b in zip(together.candidates, alone.candidates):
+            assert (a.lams, a.mode, a.divergence) == (b.lams, b.mode, b.divergence)
+            for player in (0, 1):
+                for part in a.lams[player].support:
+                    assert np.array_equal(a.profile.plays[player][part], b.profile.plays[player][part])
+        if k == 0 and mode == LOCAL:
+            assert (together.layers[1].completed, together.layers[1].evaluations) == (False, 1)
 
 
 def _roots_of(f, lo, hi):
@@ -630,7 +671,7 @@ def _assert_refinement_matches_reference(env, lams, res, mode, d):
     equals the per-family reference bit for bit; in local L2, where the
     reference only sweeps 9 points per family, the cover meets each of its
     stretches instead."""
-    got = _refine_continua(env, lams, res, mode, d, (2, 3))
+    got = _refine_one(env, lams, res, mode, d, (2, 3))
     if (mode, d) == (LOCAL, L2):
         _assert_cover_meets_reference_stretches(env, lams, res, mode, d, got)
         return len(got)
@@ -706,7 +747,7 @@ def test_refine_continua_tied_family_and_empty_inset():
         return dispersion(data, part_a, env.prior, L2) - dispersion(data, part_b, env.prior, L2)
 
     assert _roots_of(residual, 1e-12, 0.5 - 1e-12) is None
-    assert _refine_continua(env, lams, thin, GLOBAL, L2, (2, 3)) == []
+    assert _refine_one(env, lams, thin, GLOBAL, L2, (2, 3)) == []
     every = [tied, thin, _families(res, slice(None, None, 30))]
     mixed = dataclasses.replace(tied, continua=np.concatenate([r.continua for r in every]),
                                 spans=np.concatenate([r.spans for r in every]))
@@ -740,19 +781,20 @@ def test_bracket_roots_match_per_function_reference():
 
 
 def _counted_solves(calls):
-    """`dist_abee_solve_many` counting each result it yields in calls["solve"]."""
+    """`dist_abee_solve_runs` counting each result it yields in calls["solve"]."""
 
-    def solves(items, config=None):
-        for res in dist_abee_solve_many(items, config):
-            calls["solve"] += 1
-            yield res
+    def runs(items, config=None):
+        for run in dist_abee_solve_runs(items, config):
+            calls["solve"] += len(run)
+            yield run
 
-    return solves
+    return runs
 
 
 def test_search_scores_each_solve_in_one_dispersion_batch(monkeypatch):
-    """The tie residuals of one solve take at most two `dispersion` calls
-    (one per support partition), however many families and points it has."""
+    """The tie residuals of one solve take at most two `row_dispersions`
+    calls (one per support partition), however many families and points it
+    has: the solves of one run and shape share them."""
     calls = {"dispersion": 0, "solve": 0}
 
     def counted(name, fn):
@@ -762,8 +804,8 @@ def test_search_scores_each_solve_in_one_dispersion_batch(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(equilibrium, "dispersion", counted("dispersion", dispersion))
-    monkeypatch.setattr(equilibrium, "dist_abee_solve_many", _counted_solves(calls))
+    monkeypatch.setattr(equilibrium, "row_dispersions", counted("dispersion", clustering.row_dispersions))
+    monkeypatch.setattr(equilibrium, "dist_abee_solve_runs", _counted_solves(calls))
     env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
     cfg = SearchConfig(lambda_step=0.5)
     result = cd_abee_search(env, (2, 3), GLOBAL, L2, cfg)
@@ -917,6 +959,41 @@ def test_cd_abee_verify_batch_matches_per_candidate_reference(rng, chunk):
     assert all(seen.values()), seen
 
 
+@pytest.mark.parametrize("mode", [GLOBAL, LOCAL])
+def test_unclustered_takes_one_support_per_row(rng, mode):
+    """Rows of several supports of one shape, with supports over capacity
+    and in either order, checked in one `unclustered` call with one support
+    per row (`RowSupports`): each row gets the failures of one call per
+    support, for all three divergences."""
+    from cabee.abee import RowSupports
+
+    verdicts = set()
+    for trial in range(12):
+        n = 2 + trial % 3
+        env = make_environment(rng.dirichlet(np.ones(n) * 3), rng.normal(size=(2, 2, n)), rng.normal(size=(2, 2, n)))
+        d = (L2, KL, mean_divergence([1.0, 0.0]))[trial % 3]
+        caps = (int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1)))
+        parts = partition_list(n, n)
+        pairs = []
+        while len(pairs) < 4:
+            i, j = rng.choice(len(parts), size=2, replace=False)
+            w = round(float(rng.uniform(0.1, 0.9)), 6)
+            pairs.append((PartitionDistribution((parts[i], parts[j]), (w, round(1 - w, 12))),
+                          PartitionDistribution.degenerate(parts[rng.integers(len(parts))])))
+        owner = rng.integers(len(pairs), size=40)
+        plays = []
+        for pl, size in ((0, 2), (1, 1)):
+            act0 = np.where(rng.random((40, size, n)) < 0.4, rng.integers(0, 2, (40, size, n)), rng.random((40, size, n)))
+            plays.append(np.stack([act0, 1.0 - act0], axis=-1))
+        got = unclustered(env, RowSupports(pairs, owner), tuple(plays), mode, d, caps)
+        for k, lams in enumerate(pairs):
+            at = np.flatnonzero(owner == k)
+            ref = unclustered(env, lams, tuple(p[at] for p in plays), mode, d, caps)
+            assert [got[b] for b in at] == ref
+        verdicts.update(bool(fails) for fails in got)
+    assert verdicts == {True, False}
+
+
 def test_clustered_partition_set_matches_reference(rng):
     for trial in range(30):
         n = 2 + trial % 4
@@ -999,7 +1076,8 @@ def test_search_clusters_each_solve_in_at_most_four_kernel_calls(monkeypatch):
     """The one clustering check of a solve (its profiles and family points
     together) builds a subset table (`subset_table`) per player, and the
     margins of the families that the cover cuts two more, at most four per
-    solve in all (276 over the 90 solves here)."""
+    solve in all; the solves of a run and shape share them (20 over the 90
+    solves here)."""
     calls = {"kernel": 0, "solve": 0}
 
     def counted(name, fn):
@@ -1012,7 +1090,7 @@ def test_search_clusters_each_solve_in_at_most_four_kernel_calls(monkeypatch):
     kernel = counted("kernel", clustering.subset_table)
     monkeypatch.setattr(clustering, "subset_table", kernel)
     monkeypatch.setattr(equilibrium, "subset_table", kernel)
-    monkeypatch.setattr(equilibrium, "dist_abee_solve_many", _counted_solves(calls))
+    monkeypatch.setattr(equilibrium, "dist_abee_solve_runs", _counted_solves(calls))
     env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
     result = cd_abee_search(env, (2, 3), GLOBAL, L2, SearchConfig(lambda_step=0.5))
     assert all(rep.completed for rep in result.layers) and result.candidates
@@ -1048,12 +1126,83 @@ def test_search_solves_and_assembles_once_per_run(monkeypatch):
     assert calls == {"_solve_batch": runs, "_assemble": runs}
 
 
+def test_search_covers_and_clusters_once_per_run_and_shape(monkeypatch):
+    """On the search of `test_search_solves_and_assembles_once_per_run`, the
+    work after the solve is batched by run and support shape, not by solve:
+    per (run, shape), two clustering kernels (`dispersion_minimizers`, under
+    `global_cluster_batch`, one per player), two `_quadratic_roots` calls
+    (the ties and the margins) and one best-reply check of cover points
+    (`dist_abee_verify_batch`), and one more of each kind for a pass over
+    `_PAIR_CHUNK` rows, which the passes are cut at (the cover points of
+    one (run, shape) here: 1,005).  At most 2 calls of each per (run,
+    shape), over the 90 solves in 4 runs and 5 (run, shape) groups."""
+    calls = {"solve": 0, "dispersion_minimizers": 0, "global_cluster_batch": 0, "_quadratic_roots": 0,
+             "dist_abee_verify_batch": 0}
+    groups = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("dispersion_minimizers", "global_cluster_batch", "_quadratic_roots", "dist_abee_verify_batch"):
+        counted(equilibrium, name)
+    refine_run = equilibrium._refine_run
+
+    def grouped(env, supports, *args):
+        groups.append({tuple(len(lam.support) for lam in lams) for lams in supports})
+        return refine_run(env, supports, *args)
+
+    monkeypatch.setattr(equilibrium, "_refine_run", grouped)
+    monkeypatch.setattr(equilibrium, "dist_abee_solve_runs", _counted_solves(calls))
+    env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    result = cd_abee_search(env, (2, 3), GLOBAL, L2, SearchConfig(lambda_step=0.5))
+    assert all(rep.completed for rep in result.layers) and result.candidates
+    assert calls.pop("solve") == 90 and len(groups) == 4
+    shapes = sum(map(len, groups))
+    assert shapes == 5
+    assert calls["dispersion_minimizers"] and calls["_quadratic_roots"] and calls["dist_abee_verify_batch"]
+    assert calls["dispersion_minimizers"] + calls["global_cluster_batch"] <= 2 * shapes
+    assert calls["_quadratic_roots"] <= 2 * shapes
+    assert calls["dist_abee_verify_batch"] <= 2 * shapes
+
+
+def test_search_stopped_mid_run_computes_no_damped_solve_past_the_stop(monkeypatch):
+    """Local matching pennies stops its pair layer by `max_candidates` after
+    1 solve of its first run.  With a regime budget that the layer's first
+    support meets and 12 of its other supports exceed (3 of them in that
+    run), those 12 are damped solves in a search that does not stop; the
+    stopped search computes none of them."""
+    from cabee import abee
+
+    calls = []
+    damped = abee._damped_iteration
+
+    def spy(env, lams, *args, **kwargs):
+        calls.append(lams)
+        return damped(env, lams, *args, **kwargs)
+
+    monkeypatch.setattr(abee, "_damped_iteration", spy)
+    env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
+    solve = SolveConfig(max_regimes=2835, n_starts=2, max_iterations=200)
+    stopped = cd_abee_search(env, (2, 3), LOCAL, L2, SearchConfig(lambda_step=0.5, solve=solve))
+    assert [(rep.completed, rep.evaluations) for rep in stopped.layers] == [(True, 20), (False, 1)]
+    assert calls == []
+    unstopped = SearchConfig(lambda_step=0.5, solve=solve, max_candidates=10**6)
+    assert cd_abee_search(env, (2, 3), LOCAL, L2, unstopped).layers[1].evaluations == 70
+    assert len(calls) == 12 and all(2 in (len(lams[0].support), len(lams[1].support)) for lams in calls)
+
+
 def test_solved_play_stays_stacked_until_admitted(monkeypatch):
     """Solved play stays in the solver's stacked arrays from the stream to
     the clustering check: the matching-pennies search (global L2,
     capacities (2, 3), weight step 1/2) and the bundled refutation sweep
     stack no `StrategyProfile` (`stack_plays`), and the search builds one
-    (`unstack_plays`) per candidate that `_admitted` returns, both counted
+    (`unstack_plays`) per candidate that `_refine_run` returns, both counted
     in every module that binds them."""
     import sys
 
@@ -1072,14 +1221,14 @@ def test_solved_play_stays_stacked_until_admitted(monkeypatch):
         for module in list(sys.modules.values()):
             if module.__name__.startswith("cabee") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    admitted = equilibrium._admitted
+    refine_run = equilibrium._refine_run
 
     def counted_admitted(*args):
-        found = admitted(*args)
-        calls["admitted"] += len(found)
+        found = refine_run(*args)
+        calls["admitted"] += sum(map(len, found))
         return found
 
-    monkeypatch.setattr(equilibrium, "_admitted", counted_admitted)
+    monkeypatch.setattr(equilibrium, "_refine_run", counted_admitted)
     env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
     result = cd_abee_search(env, (2, 3), GLOBAL, L2, SearchConfig(lambda_step=0.5))
     assert all(rep.completed for rep in result.layers) and result.candidates
@@ -1106,7 +1255,7 @@ def test_layer_one_covers_a_clustered_point_between_family_samples():
     for t in np.linspace(lo, hi, 9):
         cand = EquilibriumCandidate(lams, solved_profile(res, lams, family[0], t), GLOBAL, L2)
         assert not cd_abee_verify(env, cand, (2, 2))
-    found = _refine_continua(env, lams, _families(res, family), GLOBAL, L2, (2, 2))
+    found = _refine_one(env, lams, _families(res, family), GLOBAL, L2, (2, 2))
     assert len(found) == 1
     row = found[0].aggregates()[0][:, 0]
     assert row == pytest.approx([2 / 3, 2 / 3], abs=1e-9)
@@ -1137,7 +1286,7 @@ def test_layer_one_cover_bounds_the_best_reply_stretch_of_a_family():
     for t in (lo, (lo + hi) / 2, hi):
         cand = EquilibriumCandidate(lams, solved_profile(res, lams, family, t), GLOBAL, L2)
         assert not cd_abee_verify(env, cand, (1, 1))
-    found = _refine_continua(env, lams, _families(res, [family]), GLOBAL, L2, (1, 1))
+    found = _refine_one(env, lams, _families(res, [family]), GLOBAL, L2, (1, 1))
     assert len(found) == 3
     for cand in found:
         assert cd_abee_verify(env, cand, (1, 1)).ok
@@ -1188,7 +1337,7 @@ def test_degenerate_family_cover_meets_every_clustered_stretch(rng):
                 ends = [np.concatenate([at_ends[0][k].ravel(), at_ends[1][k].ravel()]) for k in (0, 1)]
                 span = ends[1] - ends[0]
                 found = []
-                for cand in _refine_continua(env, lams, _families(res, [fam]), mode, d, caps):
+                for cand in _refine_one(env, lams, _families(res, [fam]), mode, d, caps):
                     x = np.concatenate([p.ravel() for p in stack_plays(cand.profile, lams)])
                     found.append(ts[0] + float((x - ends[0]) @ span / (span @ span)) * (ts[-1] - ts[0]))
                 step = ts[1] - ts[0]
@@ -1235,7 +1384,7 @@ def test_two_partition_family_cover_meets_every_clustered_stretch(rng):
                     continue
                 swept = cd_abee_verify_batch(env, lams, res.plays(base + ts[:, None] * direction), mode, d, caps)
                 ok = np.array([rep.ok for rep in swept] + [False])
-                cover = _refine_continua(env, lams, _families(res, [fam]), mode, d, caps)
+                cover = _refine_one(env, lams, _families(res, [fam]), mode, d, caps)
                 for cand in cover:
                     assert cd_abee_verify(env, cand, caps).ok
                 found = _family_ts(res, fam, lams, cover)
@@ -1258,7 +1407,7 @@ def test_tie_isolated_family_yields_its_inset_end_on_the_tie():
     lams = (PartitionDistribution.degenerate(coarse), PartitionDistribution((coarse, fine), (0.4, 0.6)))
     res = dist_abee_solve_detailed(env, lams)
     assert len(res.continua) == 1
-    (found,) = _refine_continua(env, lams, _families(res), GLOBAL, mean_divergence([1.0, 0.0]), (1, 2))
+    (found,) = _refine_one(env, lams, _families(res), GLOBAL, mean_divergence([1.0, 0.0]), (1, 2))
     assert cd_abee_verify(env, found, (1, 2)).ok
     inset_end = solved_profile(res, lams, 0, float(res.spans[0, 0]) + FAMILY_INSET).single(0)
     np.testing.assert_array_equal(found.profile.single(0), inset_end)
@@ -1272,7 +1421,7 @@ def test_refinement_admits_both_ends_of_the_monitoring_interval(nu_star):
     interval, which no grid of samples need hold."""
     env = build_monitoring(MonitoringSpec(0.4, 0.4, 0.2, nu_star, 0.3))
     lams = (PartitionDistribution(bundling_partitions(), (0.3, 0.7)), PartitionDistribution.degenerate(Partition.finest(3)))
-    found = _refine_continua(env, lams, _families(dist_abee_solve_detailed(env, lams)), LOCAL, L2, (2, 3))
+    found = _refine_one(env, lams, _families(dist_abee_solve_detailed(env, lams)), LOCAL, L2, (2, 3))
     zetas = [cand.profile.plays[1][Partition.finest(3)][2, 0] for cand in found]
     for end in (0.4, 0.6):
         assert min(abs(z - end) for z in zetas) <= 1e-9, (end, zetas)
@@ -1302,7 +1451,7 @@ def test_support_partition_over_capacity_yields_no_candidate(d):
         return hi > lo and _loop_quadratic_roots((residual(lo), residual((lo + hi) / 2), residual(hi)), lo, hi) is None
 
     assert any(tied(fam) for fam in range(len(res.continua)))
-    assert _refine_continua(env, lams, _families(res), GLOBAL, d, (2, 3)) == []
+    assert _refine_one(env, lams, _families(res), GLOBAL, d, (2, 3)) == []
 
 
 @pytest.mark.parametrize("mode", [GLOBAL, LOCAL])
@@ -1310,6 +1459,7 @@ def test_check_margins_takes_each_support_partitions_class_means_once(monkeypatc
     """On the monitoring zeta family (three support partitions), the check's
     margins compute each support partition's class means once, in both
     modes: the local margins read the means that the payoff differences use."""
+    from cabee import abee
     from cabee.applications.monitoring import _mixed_lams, _mixed_plays
 
     real, calls = clustering.class_prototypes, []
@@ -1319,7 +1469,7 @@ def test_check_margins_takes_each_support_partitions_class_means_once(monkeypatc
         return real(*args)
 
     monkeypatch.setattr(clustering, "class_prototypes", counting)
-    monkeypatch.setattr(equilibrium, "class_prototypes", counting)
+    monkeypatch.setattr(abee, "class_prototypes", counting)
     spec = MonitoringSpec(0.4, 0.4, 0.2, 0.5, 0.3)
     lams = _mixed_lams(spec)
     plays = _mixed_plays([0.2, 0.5, 0.8])

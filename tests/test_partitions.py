@@ -146,8 +146,10 @@ def test_partition_list_is_a_view_of_label_array():
 def test_assignment_rows_match_per_subject_relabeling():
     """The vectorized lookup equals relabeling each row through Partition,
     for 1 to 8 games and 1 to n + 1 classes, labels anywhere in [0, K); and
-    the one-row call of `equilibrium._check_margins` on a partition's own
-    assignment gives the partition's index."""
+    the one-row call on a partition's own assignment gives the partition's
+    index, as `Partition.list_index` does, which `equilibrium._check_margins`
+    and `unclustered` read (-1 for a partition with more classes than the
+    list holds)."""
     rng = np.random.default_rng(11)
     for n in range(1, 9):
         for k in range(1, n + 2):
@@ -158,6 +160,9 @@ def test_assignment_rows_match_per_subject_relabeling():
             np.testing.assert_array_equal(assignment_rows(assign, k), old)
             for pi in rng.choice(len(parts), size=min(len(parts), 40), replace=False).tolist():
                 assert assignment_rows([parts[pi].assignment()], k).tolist() == [pi]
+                assert parts[pi].list_index(k) == Partition.from_assignment(parts[pi].assignment()).list_index(k) == pi
+            if k < n:
+                assert Partition.finest(n).list_index(k) == -1
 
 
 def test_partition_validation():
