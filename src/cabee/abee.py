@@ -4,31 +4,33 @@ Consistency ties a player's per-class expectation to the prior-weighted
 aggregate of the opponent's play: it is the class mean of that aggregate,
 the clustering prototype, and comes from the one class-mean kernel
 `clustering.class_prototypes` (`clustering.row_prototypes` for a batch
-whose rows have different supports, with the same means bit for bit).
-Best responses treat the class expectation as the opponent's strategy in
-every game of the class, and `class_payoffs` is the one kernel of the
-payoffs they compare, which verification applies to each row's own class
-means.  The solver for
-binary-action games enumerates regimes: per analogy class, where the class
-expectation sits relative to the games' indifference thresholds ("pinned at
-a threshold" or "strictly between two").  A player's regime fixes which of
-its mixing weights are unknown, and so an affine map from them to the
-opponent's class expectations.  The opponent's pins and intervals are then
-checked against these maps as arrays, and the regime pairs left are solved
-in batched Gauss-Jordan eliminations; it keeps every profile that verifies
-and every one-parameter solution family.  Supports are solved as a stream
-(`dist_abee_solve_runs`, which yields each run's results together, and
-`dist_abee_solve_many`, one result at a time) of (environment, support)
-items, so one stream may mix environments, in runs of `_RUN_SUPPORTS`
-consecutive items, and each stage works on a whole run: the regime tables
-of the run's distinct sides are built in one pass from each player's
-threshold arrays (`_side_regimes`), the affine maps and range tests in one
-pass per map width (`_map_group`), the eliminations in one pass per map
-width (`_solve_batch`, in chunks of `_PAIR_CHUNK` pairs), and the assembly,
-best-reply check included, in one pass per support shape (`_assemble`).
-Each support's result is the same as its solve alone
-(`dist_abee_solve_detailed`).  A damped best-reply iteration, all of its
-starts in one batch, is the fallback for larger action sets.
+whose rows have different supports, with the same means bit for bit; a
+batch's rows read them through `clustering.labelled_prototypes`).  Best
+responses treat the class expectation as the opponent's strategy in every
+game of the class, and `class_payoffs` is the one kernel of the payoffs
+they compare, which verification applies to each row's own class means.
+The solver for binary-action games enumerates regimes: per analogy class,
+where the class expectation sits relative to the games' indifference
+thresholds ("pinned at a threshold" or "strictly between two").  A player's
+regime fixes which of its mixing weights are unknown, and so an affine map
+from them to the opponent's class expectations.  The opponent's pins and
+intervals are then checked against these maps as arrays, and the regime
+pairs left are solved in batched Gauss-Jordan eliminations; it keeps every
+profile that verifies and every one-parameter solution family.  Supports
+are solved as a stream (`dist_abee_solve_runs`, which yields each run's
+results together) of (environment, support) items, so one stream may mix
+environments, in runs of `_RUN_SUPPORTS` consecutive items, and each stage
+works on a whole run: the regime tables of the run's distinct sides are
+built in one pass from each player's threshold arrays (`_side_regimes`),
+the affine maps and range tests in one pass per map width (`_map_group`),
+the eliminations in one pass per map width (`_solve_batch`, in chunks of
+`_PAIR_CHUNK` pairs), and the assembly, best-reply check included, in one
+pass per support shape (`_assemble`).  Each support's result is the same as
+its solve alone (`dist_abee_solve_detailed`).  A damped best-reply
+iteration, all of its starts in one batch, is the fallback for larger
+action sets and for supports past `_MAX_REGIMES` regime pairs.  Solved
+profiles, here and in the search's candidates, are deduplicated to
+`DEDUP_TOL` by `_distinct`.
 
 A result (`SolveResult`) holds a support's solutions as arrays in the
 solver's variables, with one map to stacked strategies; a `StrategyProfile`
@@ -50,13 +52,17 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .clustering import class_prototypes, row_prototypes
+from .clustering import class_prototypes, labelled_prototypes
 from .env import GameEnvironment, SOLVER_TOL, common_prior
-from .numeric import first_rows
+from .numeric import first_rows, sum_left
 from .partitions import Partition
 
 EQ_TOL = 1e-10  # residual tolerance for the indifference systems
-DEDUP_TOL = 1e-7  # solved profiles this close in every coordinate are one
+DEDUP_TOL = 1e-7  # solved profiles (and candidates) this close in every coordinate are one
+_MAX_REGIMES = 500_000  # regime pairs of a binary support past which the damped iteration solves it
+_DAMPED_STARTS = 32  # starts of the damped iteration: uniform play, then Dirichlet draws
+_DAMPED_STEPS = 100_000  # damped steps at most
+_DAMPED_SEED = 0  # seed of the damped iteration's draws
 
 
 @dataclass(frozen=True)
@@ -201,13 +207,12 @@ class RowSupports(NamedTuple):
     def prototypes(self, data: np.ndarray, player: int, slot: int, prior) -> tuple[np.ndarray, np.ndarray]:
         """The class means (B, K, dim) of each row's (n_games, dim) data under
         its support partition `slot` of `player`, K the most classes of any
-        row's, and the rows' `labels`: `row_prototypes`, or, when every row
-        has one support, `class_prototypes` of its partition (the same means
-        bit for bit, at a lower fixed cost)."""
-        if len(self.pairs) == 1:
-            return class_prototypes(data, self.pairs[0][player].support[slot], prior), self.labels(player, slot)
-        labels = self.labels(player, slot)
-        return row_prototypes(data, labels, prior), labels
+        row's, and the rows' (B, n_games) class labels
+        (`clustering.labelled_prototypes`): of the one partition when every
+        row has one support, which costs less, else of each row's labels."""
+        one = len(self.pairs) == 1
+        partition = self.pairs[0][player].support[slot] if one else self.labels(player, slot)
+        return labelled_prototypes(data, partition, prior)
 
     def take(self, rows) -> "RowSupports":
         return RowSupports(self.pairs, self.owner[rows])
@@ -228,9 +233,9 @@ def dist_abee_verify_batch(
     environments, which may differ in payoffs but not in prior (ValueError
     otherwise).  Consistent expectations are recomputed from the
     aggregates, each profile under its own support partitions
-    (`row_prototypes`); per profile, the worst payoff gain any player gets
-    by deviating in any game under any support partition (0.0 when none is
-    positive), and its witness (player, partition, game): the first in
+    (`RowSupports.prototypes`); per profile, the worst payoff gain any
+    player gets by deviating in any game under any support partition (0.0
+    when none is positive), and its witness (player, partition, game): the first in
     player, support and class-major game order to attain it, or None.
     Returns (ok, worst, witnesses).
     """
@@ -271,14 +276,6 @@ def dist_abee_verify(
     plays = stack_plays(profile, lams)
     ok, worst, witnesses = dist_abee_verify_batch(env, lams, (plays[0][None], plays[1][None]), tol)
     return bool(ok[0]), float(worst[0]), witnesses[0]
-
-
-@dataclass
-class SolveConfig:
-    seed: int = 0
-    max_iterations: int = 100_000
-    n_starts: int = 32
-    max_regimes: int = 500_000
 
 
 @dataclass
@@ -463,15 +460,6 @@ def _regimes_of(items) -> list[tuple[_Regimes, _Regimes] | None]:
     return [pair and (built[pair[0]], built[pair[1]]) for pair in pairs]
 
 
-def _sum_left(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis from the left, starting at 0.0, which rounds as
-    a scalar accumulation loop does; `ndarray.sum` promises no order."""
-    total = np.zeros(terms.shape[:-1])
-    for j in range(terms.shape[-1]):
-        total = total + terms[..., j]
-    return total
-
-
 class _MapGroup(NamedTuple):
     """The sides (support, player) of a run of one map width, the most
     unknowns of one of their regimes.  Each side's own regimes are stacked
@@ -541,7 +529,7 @@ def _map_group(run: list[_Support], members: list[tuple[int, int]]) -> _MapGroup
     rows = np.arange(len(member))
     terms = np.take_along_axis(coef, order, axis=2)
     b = np.zeros((len(member), n_slots))
-    for t in range(n_vars):  # `_sum_left`, one term at a time
+    for t in range(n_vars):  # `sum_left`, one term at a time
         b = b + terms[member, :, t] * fixed[rows[:, None], order[member, :, t]]
     width = own[0].width
     columns = np.argsort(~unknown, axis=1, kind="stable")[:, :width]
@@ -598,6 +586,21 @@ _PAIR_CHUNK = 512  # regime pairs solved per elimination, which bounds its tempo
 _RUN_SUPPORTS = 32  # items per run
 
 
+def _distinct(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of values (N, m), grouped by ascending
+    owner, that no earlier row of the same owner matches to DEDUP_TOL: one
+    `first_rows` per run of whole owners that reaches `_PAIR_CHUNK` rows,
+    which bounds the temporaries of its keys."""
+    kept, start = [], 0
+    for end in np.append(np.flatnonzero(owner[1:] != owner[:-1]) + 1, len(owner)).tolist():
+        if end - start >= _PAIR_CHUNK or end == len(owner):
+            keys = np.empty((end - start, values.shape[1] + 1), dtype=np.int64)
+            keys[:, 0], keys[:, 1:] = owner[start:end], np.round(values[start:end] / DEDUP_TOL)
+            kept.append(start + first_rows(keys))
+            start = end
+    return np.concatenate(kept) if kept else np.zeros(0, dtype=np.intp)
+
+
 def _outside(q, pinned, lo, hi) -> np.ndarray:
     """Whether any unpinned class expectation leaves its interval."""
     return (~pinned & ((q < lo - 1e-9) | (q > hi + 1e-9))).any(axis=-1)
@@ -639,7 +642,7 @@ def _solve_pairs(maps, bounds, own_idx, opp_idx):
             is_pivot = (pivot_row[:, None, :] == np.arange(aug.shape[1])[:, None]).any(axis=2)
             free = ~pivoted & valid[own_idx[mix]]
             free_terms = np.where(free[:, None], aug[:, :, :width] * 0.5, 0.0)
-            back = aug[:, :, width] - _sum_left(free_terms)
+            back = aug[:, :, width] - sum_left(free_terms)
             fc = free.argmax(axis=1)
             line = np.where(pivoted, -aug[at, np.maximum(pivot_row, 0), fc[:, None]], 0.0)
             line[at[:, 0], fc] = 1.0
@@ -648,7 +651,7 @@ def _solve_pairs(maps, bounds, own_idx, opp_idx):
             n_free[mix] = free.sum(axis=1)
             x[mix] = np.where(pivoted, back[at, np.maximum(pivot_row, 0)], 0.5)
             direction[mix] = line
-        q = b_part + _sum_left(a_part * x[part, None, :])
+        q = b_part + sum_left(a_part * x[part, None, :])
         outside = _outside(q, pinned[k], lo[k], hi[k])
         inside = (((x[part] >= -1e-9) & (x[part] <= 1 + 1e-9)) | ~valid[own_idx[part]]).all(axis=1)
         ok[part] &= ~(outside & (n_free[part] == 0))
@@ -782,7 +785,7 @@ def _assemble(run: list[_Support], solved: _Solved) -> list[SolveResult]:
             supports = RowSupports([run[i].lams for i in members], np.searchsorted(members, owner[found[at]]))
             verified[at] = dist_abee_verify_batch(envs, supports, (plays[0][at], plays[1][at]))[0]
         kept = found[verified]
-        kept = kept[first_rows(np.column_stack([owner[kept], np.round(x[kept] / DEDUP_TOL).astype(np.int64)]))]
+        kept = kept[_distinct(owner[kept], x[kept])]
         profiles = x[kept]
 
         # one free unknown in all, and the rigid side feasible: a one-parameter
@@ -836,21 +839,21 @@ def _reshaped(shapes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _damped_iteration(
     env: GameEnvironment,
     lams: tuple[PartitionDistribution, PartitionDistribution],
-    config: SolveConfig,
     exhausted: bool = False,
 ) -> SolveResult:
-    """Each start moves halfway to the best replies until no strategy moves
-    by 1e-9; the end points that verify, deduplicated, are the profiles.
-    Start 0 is uniform play and the others Dirichlet draws.  The starts
-    iterate as one stack, each frozen after the step in which it settles."""
-    rng = np.random.default_rng(config.seed)
+    """Each of `_DAMPED_STARTS` starts moves halfway to the best replies until
+    no strategy moves by 1e-9, for at most `_DAMPED_STEPS` steps; the end
+    points that verify, deduplicated, are the profiles.  Start 0 is uniform
+    play and the others Dirichlet draws.  The starts iterate as one stack,
+    each frozen after the step in which it settles."""
+    rng = np.random.default_rng(_DAMPED_SEED)
     shapes = tuple((len(lams[p].support), env.n_games, env.n_actions(p)) for p in (0, 1))
-    plays = [np.empty((config.n_starts,) + shape) for shape in shapes]
-    for start in range(config.n_starts):
+    plays = [np.empty((_DAMPED_STARTS,) + shape) for shape in shapes]
+    for start in range(_DAMPED_STARTS):
         for play, shape in zip(plays, shapes):
             play[start] = 1.0 / shape[2] if start == 0 else rng.dirichlet(np.ones(shape[2]), size=shape[:2])
-    moving = np.ones(config.n_starts, dtype=bool)
-    for _ in range(config.max_iterations):
+    moving = np.ones(_DAMPED_STARTS, dtype=bool)
+    for _ in range(_DAMPED_STEPS):
         live = np.flatnonzero(moving)
         if not len(live):
             break
@@ -864,16 +867,15 @@ def _damped_iteration(
             delta = np.maximum(delta, np.abs(new - now[player]).max(axis=(1, 2, 3)))
             plays[player][live] = new
         moving[live] = delta >= 1e-9
-    flat = np.concatenate([play.reshape(config.n_starts, np.prod(shape)) for play, shape in zip(plays, shapes)], axis=1)
+    flat = np.concatenate([play.reshape(_DAMPED_STARTS, np.prod(shape)) for play, shape in zip(plays, shapes)], axis=1)
     flat = flat[dist_abee_verify_batch(env, lams, plays)[0]]
-    found = flat[first_rows(np.round(flat / DEDUP_TOL).astype(np.int64))]
+    found = flat[_distinct(np.zeros(len(flat), dtype=np.intp), flat)]
     return SolveResult(found, np.zeros((0, 2, flat.shape[1])), np.zeros((0, 2)), partial(_reshaped, shapes),
                        exhausted, exact=False)
 
 
 def dist_abee_solve_runs(
     items: Iterable[tuple[GameEnvironment, tuple[PartitionDistribution, PartitionDistribution]]],
-    config: SolveConfig | None = None,
 ) -> Iterator[list[SolveResult]]:
     """Distributional equilibrium search of each (environment, support)
     item, lazily, one list of `SolveResult`s per run of items solved
@@ -887,53 +889,38 @@ def dist_abee_solve_runs(
     most the next `_RUN_SUPPORTS` items: their regimes, maps and range tests
     are built together, and their kept pairs are solved and assembled
     together (`_solved`), with the same result for each support as alone.
-    Other shapes, and binary supports over `config.max_regimes`, use the
-    damped iteration (each step moves halfway to the best replies, until no
-    strategy moves by 1e-9) in their place in the stream, a run of one
+    Other shapes, and binary supports over `_MAX_REGIMES` regime pairs, use
+    the damped iteration (each step moves halfway to the best replies, until
+    no strategy moves by 1e-9) in their place in the stream, a run of one
     that is computed only once the runs before it are taken; it may miss
     equilibria and is reported as not `exact`.  Every returned profile
     verifies.  Families whose moving side cannot meet an opponent interval
     inside the box are not returned.
     """
-    config = config or SolveConfig()
     items = iter(items)
     while chunk := list(itertools.islice(items, _RUN_SUPPORTS)):
         run = []
         for (env, lams), regimes in zip(chunk, _regimes_of(chunk)):
-            if regimes and len(regimes[0].choice) * len(regimes[1].choice) <= config.max_regimes:
+            if regimes and len(regimes[0].choice) * len(regimes[1].choice) <= _MAX_REGIMES:
                 run.append(_Support(env, lams, regimes))
                 continue
             if run:
                 yield _solved(run)
             run = []
-            yield [_damped_iteration(env, lams, config, exhausted=regimes is not None)]
+            yield [_damped_iteration(env, lams, exhausted=regimes is not None)]
         if run:
             yield _solved(run)
 
 
-def dist_abee_solve_many(
-    items: Iterable[tuple[GameEnvironment, tuple[PartitionDistribution, PartitionDistribution]]],
-    config: SolveConfig | None = None,
-) -> Iterator[SolveResult]:
-    """The results of `dist_abee_solve_runs`, one per item in order, as lazily."""
-    return itertools.chain.from_iterable(dist_abee_solve_runs(items, config))
-
-
 def dist_abee_solve_detailed(
-    env: GameEnvironment,
-    lams: tuple[PartitionDistribution, PartitionDistribution],
-    config: SolveConfig | None = None,
+    env: GameEnvironment, lams: tuple[PartitionDistribution, PartitionDistribution]
 ) -> SolveResult:
-    """The one-item case of `dist_abee_solve_many`."""
-    return next(dist_abee_solve_many([(env, lams)], config))
+    """The one-item case of `dist_abee_solve_runs`."""
+    return next(dist_abee_solve_runs([(env, lams)]))[0]
 
 
-def abee_solve(
-    env: GameEnvironment,
-    partitions: tuple[Partition, Partition],
-    config: SolveConfig | None = None,
-) -> list[StrategyProfile]:
+def abee_solve(env: GameEnvironment, partitions: tuple[Partition, Partition]) -> list[StrategyProfile]:
     """Equilibria for one fixed analogy partition per player."""
     lams = degenerate_pair(*partitions)
-    res = dist_abee_solve_detailed(env, lams, config)
+    res = dist_abee_solve_detailed(env, lams)
     return [unstack_plays((lams[0].support, lams[1].support), row) for row in zip(*res.plays(res.profiles))]

@@ -6,15 +6,21 @@ point is weakly nearest to its own class prototype, and globally clustered
 when it minimizes the prior-weighted within-class dispersion over all
 partitions with at most K classes.
 
-`divergence_eval` is the scalar definition.  `class_prototypes` is the one
-class-mean kernel for a fixed partition: the clustering prototypes, which
-are also ABEE's analogy-class expectations; `row_prototypes` gives the same
+`divergence_eval` is the scalar definition.  `class_prototypes` is the
+class-mean kernel for one partition: the clustering prototypes, which are
+also ABEE's analogy-class expectations; `row_prototypes` gives the same
 means, bit for bit, for a batch whose data sets each have their own
 partition (as class labels), as the search's rows of different supports
-do.  `local_margins` (each point's divergence to every prototype less that
-to its own) serves `dispersion` and the beauty-contest check, and
-`row_local_margins`, its form for per-row partitions, the local test
-`local_witnesses`, `row_dispersions` and the search's local margins.  Both
+do.  The two stay apart because each is the faster one on its own inputs:
+`row_prototypes` costs 3 to 5 times as much per call on one partition, and
+one `class_prototypes` call per partition of a mixed batch made the
+`search` benchmark 5 to 9 % slower.  `labelled_prototypes` picks between
+them, and through it every other kernel takes a Partition or per-row
+labels alike: `local_margins` (each point's divergence to every prototype
+less that to its own) is the one margin kernel, which serves the local
+test `local_witnesses`, the search's local margins and the beauty-contest
+check, and `dispersion`, which adds its own-prototype terms in class-major
+order, the one dispersion kernel for a given partition.  Both
 clustering tests take batches of data sets (`local_witnesses`, of one
 partition or one per data set, and `global_cluster_batch`, over the
 minimizer table of `dispersion_minimizers`), and `is_locally_clustered`
@@ -38,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numeric import first_best
+from .numeric import first_best, sum_left
 from .partitions import Partition, class_masks, label_array
 
 TIE_TOL = 1e-10  # dispersion comparison tolerance for minimizer sets
@@ -148,21 +154,21 @@ def row_prototypes(data: np.ndarray, labels: np.ndarray, prior: np.ndarray) -> n
     return out
 
 
-def dispersion(data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence):
+def dispersion(data: np.ndarray, partition, prior: np.ndarray, d: Divergence):
     """Prior-weighted within-class divergence to class prototypes.
 
     data is one (n_games, dim) data set, which gives a float, or a
-    (..., n_games, dim) batch, which gives one value per data set.  Terms
-    are added class by class and game by game, each the game's
-    `divergence_eval` to its own prototype (from `local_margins`), so a
-    batch entry equals the call on its data set alone.
+    (..., n_games, dim) batch, which gives one value per data set;
+    `partition` is as for `labelled_prototypes`.  Terms are added class by
+    class and game by game, each the game's `divergence_eval` to its own
+    prototype (from `local_margins`), so a batch entry equals the call on
+    its data set alone.
     """
     prior = np.asarray(prior, dtype=float)
-    _, own = local_margins(data, partition, prior, d)
-    total = np.zeros(own.shape[:-1])
-    for cls in partition.classes:
-        for g in cls:
-            total = total + prior[g] * own[..., g]
+    protos, labels = labelled_prototypes(data, partition, prior)
+    _, own = local_margins(data, labels, prior, d, protos)
+    games = np.argsort(labels, axis=-1, kind="stable")  # class-major game order
+    total = sum_left(prior[games] * np.take_along_axis(own, games, axis=-1))
     return float(total) if total.ndim == 0 else total
 
 
@@ -205,52 +211,35 @@ def _prototype_divergences(data, protos, d: Divergence) -> np.ndarray:
     return np.where(((p > 0) & (q <= 0)).any(axis=-1), np.inf, dist) if kl else dist
 
 
+def labelled_prototypes(data: np.ndarray, partition, prior: np.ndarray, protos: np.ndarray | None = None):
+    """Class means (..., K, dim) and class labels (..., n_games) of
+    (..., n_games, dim) data under `partition`: a Partition, the same for
+    every data set, whose `class_prototypes` and broadcast `assignment`
+    they are, or (B, n_games) class labels of each data set's own, whose
+    `row_prototypes` they are.  `protos` are the means, when the caller has
+    them."""
+    data = np.asarray(data, dtype=float)
+    if isinstance(partition, Partition):
+        protos = class_prototypes(data, partition, prior) if protos is None else protos
+        return protos, np.broadcast_to(partition.assignment(), data.shape[:-1])
+    labels = np.asarray(partition)
+    return row_prototypes(data, labels, prior) if protos is None else protos, labels
+
+
 def local_margins(
-    data: np.ndarray, partition: Partition, prior: np.ndarray, d: Divergence,
-    protos: np.ndarray | None = None,
+    data: np.ndarray, partition, prior: np.ndarray, d: Divergence, protos: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Margins of the local-clustering test of (..., n_games, dim) data:
     each game's divergence to every class prototype less that to its own
-    class's, (..., n_games, n_classes), which is exactly 0 at the own
-    class; and the divergence to the own prototype, (..., n_games).
-    `protos` are the data's `class_prototypes`, when the caller has them."""
-    if protos is None:
-        protos = class_prototypes(data, partition, prior)
-    dist = _prototype_divergences(data, protos, d)
-    own = dist[..., np.arange(partition.n_games), list(partition.assignment())]
-    return dist - own[..., None], own
-
-
-def row_local_margins(
-    data: np.ndarray, labels: np.ndarray, prior: np.ndarray, d: Divergence,
-    protos: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`local_margins` of each data set of a (B, n_games, dim) batch under its
-    own (B, n_games) class labels, as for `row_prototypes`: (B, n_games, K)
-    margins, 0 past a data set's class count, and (B, n_games) divergences
-    to the own prototype.  `protos` are the data's `row_prototypes`, when
-    the caller has them."""
-    labels = np.asarray(labels)
-    if protos is None:
-        protos = row_prototypes(data, labels, prior)
+    class's, (..., n_games, K), which is exactly 0 at the own class and past
+    a data set's class count; and the divergence to the own prototype,
+    (..., n_games).  `partition` and `protos` are as for
+    `labelled_prototypes`."""
+    protos, labels = labelled_prototypes(data, partition, prior, protos)
     dist = _prototype_divergences(data, protos, d)
     own = np.take_along_axis(dist, labels[..., None], axis=-1)[..., 0]
-    past = np.arange(dist.shape[-1]) > labels.max(axis=-1, initial=0)[:, None, None]
+    past = np.arange(dist.shape[-1]) > labels.max(axis=-1, initial=0)[..., None, None]
     return np.where(past, 0.0, dist - own[..., None]), own
-
-
-def row_dispersions(data: np.ndarray, labels: np.ndarray, prior: np.ndarray, d: Divergence) -> np.ndarray:
-    """`dispersion` of each data set of a (B, n_games, dim) batch under its
-    own (B, n_games) class labels: its terms added class by class and game
-    by game, as `dispersion` adds them, so each row equals it bit for bit."""
-    labels = np.asarray(labels)
-    prior = np.asarray(prior, dtype=float)
-    _, own = row_local_margins(data, labels, prior, d)
-    rows = np.arange(len(own))
-    total = np.zeros(len(own))
-    for g in np.argsort(labels, axis=1, kind="stable").T:  # class-major game order
-        total = total + prior[g] * own[rows, g]
-    return total
 
 
 def local_witnesses(
@@ -258,23 +247,18 @@ def local_witnesses(
 ) -> list[tuple[int, int] | None]:
     """Weak nearest-own-prototype test of each data set of a (B, n_games, dim)
     batch: None where it holds, else a (game, better class) witness.
-    `partition` is the Partition of every data set, or (B, n_games) class
-    labels of each data set's own, as for `row_prototypes`; `protos` are
-    the data's class prototypes, when the caller has them.
+    `partition` and `protos` are as for `labelled_prototypes`.
 
     Equal distances do not fail the test; LOCAL_TOL only absorbs
     floating-point noise in the comparison.  The witness is the first
     failing game in class-major order, with the first class it prefers.
     """
-    data = np.asarray(data, dtype=float)
-    if isinstance(partition, Partition):
-        protos = class_prototypes(data, partition, prior) if protos is None else protos
-        partition = np.broadcast_to(partition.assignment(), data.shape[:2])
-    better = row_local_margins(data, partition, prior, d, protos)[0] < -LOCAL_TOL
+    protos, labels = labelled_prototypes(data, partition, prior, protos)
+    better = local_margins(data, labels, prior, d, protos)[0] < -LOCAL_TOL
     witnesses: list[tuple[int, int] | None] = [None] * len(better)
     if not better.any():
         return witnesses
-    order = np.argsort(partition, axis=1, kind="stable")
+    order = np.argsort(labels, axis=1, kind="stable")
     failing = np.take_along_axis(better.any(axis=2), order, axis=1)
     for b in np.flatnonzero(failing.any(axis=1)).tolist():
         g = int(order[b, failing[b].argmax()])

@@ -34,9 +34,9 @@ from .abee import (
     _PAIR_CHUNK,
     PartitionDistribution,
     RowSupports,
-    SolveConfig,
     SolveResult,
     StrategyProfile,
+    _distinct,
     aggregate,
     best_replies,
     class_payoffs,
@@ -52,21 +52,19 @@ from .clustering import (
     KULLBACK_LEIBLER,
     TIE_TOL,
     Divergence,
+    dispersion,
     dispersion_minimizers,
     global_cluster_batch,
+    local_margins,
     local_witnesses,
     partition_dispersions,
-    row_dispersions,
-    row_local_margins,
     subset_table,
 )
 from .env import SOLVER_TOL, GameEnvironment, common_prior
-from .numeric import first_rows
 from .partitions import Partition, class_masks, partition_list
 
 LOCAL = "local"
 GLOBAL = "global"
-CANDIDATE_DEDUP_TOL = 1e-7
 FAMILY_INSET = 1e-12  # a family is refined on [t_lo + FAMILY_INSET, t_hi - FAMILY_INSET]
 
 
@@ -251,7 +249,6 @@ class SearchConfig:
     lambda_step: float = 0.01
     # solves for the whole search: layer 1 spends first, layer 2 gets the rest
     max_evaluations: int = 10_000
-    solve: SolveConfig = field(default_factory=SolveConfig)
     max_candidates: int = 64
 
 
@@ -372,21 +369,6 @@ def _chunks(n: int, size: int = _PAIR_CHUNK) -> list[slice]:
     return [slice(start, start + size) for start in range(0, n, size)]
 
 
-def _distinct(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Ascending indices of the rows of values (N, m), grouped by ascending
-    owner, that no earlier row of the same owner matches to
-    CANDIDATE_DEDUP_TOL: one `first_rows` per run of whole owners that
-    reaches `_PAIR_CHUNK` rows, which bounds the temporaries of its keys."""
-    kept, start = [], 0
-    for end in np.append(np.flatnonzero(owner[1:] != owner[:-1]) + 1, len(owner)).tolist():
-        if end - start >= _PAIR_CHUNK or end == len(owner):
-            keys = np.empty((end - start, values.shape[1] + 1), dtype=np.int64)
-            keys[:, 0], keys[:, 1:] = owner[start:end], np.round(values[start:end] / CANDIDATE_DEDUP_TOL)
-            kept.append(start + first_rows(keys))
-            start = end
-    return np.concatenate(kept) if kept else np.zeros(0, dtype=np.intp)
-
-
 def _padded(lists) -> np.ndarray:
     """Lists of floats as the rows of an array, NaN past each list's end."""
     out = np.full((len(lists), max(map(len, lists), default=0)), np.nan)
@@ -407,7 +389,7 @@ def _check_margins(env: GameEnvironment, lams, plays, mode: str, d: Divergence, 
     game's divergence to every class prototype less that to its own class's
     (local, 0 past the partition's classes).  lams is the support pair of
     every row, or the `RowSupports` of the rows, each of which reads its
-    own partitions' class means (`row_prototypes`, once per support
+    own partitions' class means (`RowSupports.prototypes`, once per support
     partition).  The aggregate is affine along a family, the mixture
     weights being fixed, so the payoff differences are affine and, under
     the squared divergences, the margins quadratic."""
@@ -428,7 +410,7 @@ def _check_margins(env: GameEnvironment, lams, plays, mode: str, d: Divergence, 
                 cols.append((disp - disp[rows.list_indices(player, k, capacities[player]), at]).T)
             else:
                 # padded to the most classes of any support's, whichever rows are taken
-                local = row_local_margins(data, labels, env.prior, d, beta)[0]
+                local = local_margins(data, labels, env.prior, d, beta)[0]
                 most = max(pair[player].support[k].n_classes for pair in rows.pairs)
                 cols.append(np.pad(local, ((0, 0), (0, 0), (0, most - local.shape[2]))).reshape(len(data), -1))
     return np.concatenate(cols, axis=1)
@@ -485,7 +467,7 @@ def _cover(env: GameEnvironment, supports: list, results: list[SolveResult], mod
         """Tie residual of families `fam` at t, from the non-mixing player's data."""
         (play, on), shape = at(fam, t), np.broadcast_shapes(np.shape(fam), np.shape(t))
         data = mixture(on.weights(1 - mix_player), play[1 - mix_player].swapaxes(0, 1))
-        part_a, part_b = (row_dispersions(data, on.labels(mix_player, k), env.prior, d) for k in (0, 1))
+        part_a, part_b = (dispersion(data, on.labels(mix_player, k), env.prior, d) for k in (0, 1))
         return (part_a - part_b).reshape(shape)
 
     def cuts(part):
@@ -548,7 +530,7 @@ def _refine_run(env: GameEnvironment, supports: list, results: list[SolveResult]
     """The candidates of each solve of a run, in run order: its profiles
     (whose best replies hold), then the points of its families' cover whose
     best replies hold, that pass the clustering check, keeping the first
-    of those whose plays agree to CANDIDATE_DEDUP_TOL.
+    of those whose plays agree to DEDUP_TOL (`abee._distinct`).
 
     The solves of one shape (support sizes per player, and variables) go
     together, each row under its own solve's support (`RowSupports`): one
@@ -591,11 +573,11 @@ def _refine_run(env: GameEnvironment, supports: list, results: list[SolveResult]
     return found
 
 
-def _refined(env: GameEnvironment, supports, mode: str, d: Divergence, capacities, config: SolveConfig):
+def _refined(env: GameEnvironment, supports, mode: str, d: Divergence, capacities):
     """(result, candidates) of each support, in order, lazily: solved
     (`dist_abee_solve_runs`) and refined (`_refine_run`) a run at a time."""
     supports, solving = itertools.tee(supports)
-    for run in dist_abee_solve_runs(((env, lams) for lams in solving), config):
+    for run in dist_abee_solve_runs((env, lams) for lams in solving):
         yield from zip(run, _refine_run(env, list(itertools.islice(supports, len(run))), run, mode, d, capacities))
 
 
@@ -638,14 +620,9 @@ def cd_abee_search(
     config = config or SearchConfig()
     result = SearchResult()
     parts = tuple(partition_list(env.n_games, capacities[pl]) for pl in (0, 1))
-    # layer 2 branches: the degenerate side ordered finest-first, since a
-    # fully expressive opponent is the common case in the applications
-    branches = [
-        (mix_player, pair, other)
-        for mix_player in (0, 1)
-        for pair in itertools.combinations(parts[mix_player], 2)
-        for other in sorted(parts[1 - mix_player], key=lambda p: -p.n_classes)
-    ]
+    # the degenerate side of layer 2 ordered finest-first, since a fully
+    # expressive opponent is the common case in the applications
+    finest_first = tuple(sorted(parts[pl], key=lambda p: -p.n_classes) for pl in (0, 1))
 
     def mixed(w, mix_player, pair, other):
         lam_mix = PartitionDistribution(pair, (w, round(1 - w, 12)))
@@ -653,17 +630,20 @@ def cd_abee_search(
         return (lam_mix, lam_other) if mix_player == 0 else (lam_other, lam_mix)
 
     # layer 2 is weight-major with coarse grid multiples first, so every
-    # branch sees the high-prior weights before any branch sees fine ones
+    # branch (a pair of one player's partitions against one of the other's,
+    # built only when taken) sees the high-prior weights before any branch
+    # sees fine ones
     layers = (
         ("degenerate", (degenerate_pair(an0, an1) for an0, an1 in itertools.product(*parts))),
-        ("pair-support", (mixed(w, *b) for w in _lambda_grid(config.lambda_step) for b in branches)),
+        ("pair-support", (mixed(w, mix, pair, other) for w in _lambda_grid(config.lambda_step) for mix in (0, 1)
+                          for pair in itertools.combinations(parts[mix], 2) for other in finest_first[1 - mix])),
     )
     budget = config.max_evaluations
     for name, supports in layers:
         evaluations = found = 0
         completed = True
         todo, solving = itertools.tee(itertools.islice(supports, budget))
-        refined = _refined(env, solving, mode, d, capacities, config.solve)
+        refined = _refined(env, solving, mode, d, capacities)
         for _ in todo:
             if len(result.candidates) >= config.max_candidates:
                 completed = False

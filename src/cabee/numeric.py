@@ -1,5 +1,6 @@
 """Small numeric utilities: adaptive quadrature, bisection, the first best
-index along a short axis, and the first of each set of equal rows."""
+index along a short axis, a sum in order, and the first of each set of
+equal rows."""
 
 from __future__ import annotations
 
@@ -24,6 +25,15 @@ def first_best(x: np.ndarray, keep) -> np.ndarray:
         np.maximum(index, (new != best) * j, out=index)
         best = new
     return index
+
+
+def sum_left(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis from the left, starting at 0.0, which rounds as
+    a scalar accumulation loop does; `ndarray.sum` promises no order."""
+    total = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        total = total + terms[..., j]
+    return total
 
 
 def first_rows(keys: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from cabee import abee
 from cabee.abee import (
     StrategyProfile,
     aggregate,
@@ -21,6 +22,13 @@ from cabee.numeric import first_best
 from cabee.partitions import Partition, label_array
 
 MAX_VERTEX_PROFILES = 512  # grand_map lists at most this many, and reports truncation
+
+
+def patch_solver(monkeypatch, **values):
+    """Set `abee`'s solver constants for one test, each named without its
+    leading underscore, in lower case: max_regimes=1 sets `_MAX_REGIMES`."""
+    for name, value in values.items():
+        monkeypatch.setattr(abee, "_" + name.upper(), value)
 
 
 def matching_pennies_env(a=0.5, b=1.0, c=1.5):

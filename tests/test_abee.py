@@ -9,21 +9,19 @@ from cabee.abee import (
     DEDUP_TOL,
     EQ_TOL,
     PartitionDistribution,
-    SolveConfig,
     SolveResult,
     StrategyProfile,
     _damped_iteration,
     _regimes_of,
     _reshaped,
     _side_regimes,
-    _sum_left,
     _thresholds,
     abee_solve,
     aggregate,
     best_replies,
     degenerate_pair,
     dist_abee_solve_detailed,
-    dist_abee_solve_many,
+    dist_abee_solve_runs,
     dist_abee_verify,
     dist_abee_verify_batch,
     expected_payoffs,
@@ -33,8 +31,17 @@ from cabee.abee import (
 from cabee import abee
 from cabee.clustering import class_prototypes
 from cabee.env import SOLVER_TOL, make_environment, nash_solve_2x2, pure_payoffs_against
+from cabee.numeric import sum_left
 from cabee.partitions import Partition
-from conftest import abee_verify, analogy_best_response, class_of, dominant_env, matching_pennies_env, solved_profile
+from conftest import (
+    abee_verify,
+    analogy_best_response,
+    class_of,
+    dominant_env,
+    matching_pennies_env,
+    patch_solver,
+    solved_profile,
+)
 
 
 def _item_regimes(env, lams, player):
@@ -336,23 +343,21 @@ def test_degenerate_payoffs_yield_a_verified_profile(finest3):
     assert ok and gain == 0.0
 
 
-def test_enumeration_contains_iteration_fixed_points(rng, finest3):
+def test_enumeration_contains_iteration_fixed_points(monkeypatch, rng, finest3):
     """Dual route: every verified profile the damped best-reply iteration
     reaches on a random environment is also produced by the exact
     support-enumeration path (which is complete for binary actions)."""
-    from cabee.abee import SolveConfig, _damped_iteration
-
     coarse = Partition.coarsest(3)
     checked = 0
+    # convergent starts settle long before this cap; divergent ones spin
+    patch_solver(monkeypatch, damped_seed=3, damped_starts=6, damped_steps=2000)
     for _ in range(12):
         env = make_environment(
             [0.2, 0.3, 0.5], rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 2, 3))
         )
         lams = degenerate_pair(coarse, finest3)
         exact = abee_solve(env, (coarse, finest3))
-        # convergent starts settle long before this cap; divergent ones spin
-        cfg = SolveConfig(seed=3, n_starts=6, max_iterations=2000)
-        iterated = _damped_iteration(env, lams, cfg)
+        iterated = _damped_iteration(env, lams)
         for n in range(len(iterated.profiles)):
             prof = solved_profile(iterated, lams, n)
             checked += 1
@@ -791,11 +796,11 @@ def _loop_solve_block(env, lams, block_player, fixed, unknowns, pins, intervals,
     return {"x": x_u, "feasible": feasible, "n_free": len(free_cols), "directions": directions}
 
 
-def _loop_support_enumeration(env, lams, config, prune=True):
+def _loop_support_enumeration(env, lams, prune=True):
     n_games = env.n_games
     profiles, continua, spans = [], [], []  # stacked into a SolveResult at the end
     combos = (_loop_side_combos(env, lams, 0), _loop_side_combos(env, lams, 1))
-    if len(combos[0]) * len(combos[1]) > config.max_regimes:
+    if len(combos[0]) * len(combos[1]) > abee._MAX_REGIMES:
         return SolveResult(np.zeros((0, 0)), np.zeros((0, 2, 0)), np.zeros((0, 2)), None, exhausted=True)
     variables, var_index = [], {}
     for player in (0, 1):
@@ -934,9 +939,8 @@ def test_support_enumeration_matches_scalar_reference(rng):
             lams = (_random_support(rng, parts), _random_support(rng, parts))
         kinds |= {_threshold_info(env, p, g)[:2] for p in (0, 1) for g in range(n_games)}
         shapes.add(tuple(len(lam.support) for lam in lams))
-        config = SolveConfig()
-        got = dist_abee_solve_detailed(env, lams, config)
-        _assert_same_enumeration(got, _loop_support_enumeration(env, lams, config))
+        got = dist_abee_solve_detailed(env, lams)
+        _assert_same_enumeration(got, _loop_support_enumeration(env, lams))
     assert {k[0] for k in kinds} == {"free", "constant", "threshold"}
     assert {("threshold", 0.0), ("threshold", 1.0)} <= kinds
     assert shapes >= {(1, 1), (1, 2), (2, 1), (2, 2)}
@@ -1000,7 +1004,6 @@ def test_support_enumeration_matches_reference_on_matching_pennies():
     an_a = Partition.from_classes(3, [(0,), (1, 2)])
     an_c = Partition.from_classes(3, [(2,), (0, 1)])
     fin = Partition.finest(3)
-    config = SolveConfig()
     for w in (0.5, 0.25):
         row_mix = PartitionDistribution((an_a, an_c), (w, 1 - w))
         col_mix = PartitionDistribution((an_a, fin), (w, 1 - w))
@@ -1008,17 +1011,17 @@ def test_support_enumeration_matches_reference_on_matching_pennies():
             (row_mix, PartitionDistribution.degenerate(fin)),
             (PartitionDistribution.degenerate(fin), col_mix),
         ):
-            got = dist_abee_solve_detailed(env, lams, config)
+            got = dist_abee_solve_detailed(env, lams)
             # the mixture families the search refines; the row mix at
             # w = 0.25 has one family only without the range test, and
             # none of its points verifies
             pruned_away = w == 0.25 and lams[0] is row_mix
             assert bool(len(got.continua)) != pruned_away
             if pruned_away:
-                unpruned = _loop_support_enumeration(env, lams, config, prune=False)
+                unpruned = _loop_support_enumeration(env, lams, prune=False)
                 assert len(unpruned.continua) == 1
                 assert not _verified_points(env, lams, unpruned, 0)
-            _assert_same_enumeration(got, _loop_support_enumeration(env, lams, config))
+            _assert_same_enumeration(got, _loop_support_enumeration(env, lams))
 
 
 def _verified_points(env, lams, res, k):
@@ -1059,9 +1062,8 @@ def test_range_test_drops_no_family_that_verifies(rng):
             cases.append((env, (_random_support(rng, parts), _random_support(rng, parts))))
     dropped = 0
     for case, (env, lams) in enumerate(cases):
-        config = SolveConfig()
-        got = dist_abee_solve_detailed(env, lams, config)
-        ref = _loop_support_enumeration(env, lams, config, prune=False)
+        got = dist_abee_solve_detailed(env, lams)
+        ref = _loop_support_enumeration(env, lams, prune=False)
         _assert_same_profiles(got, ref)
         kept = {_family_key(got, k) for k in range(len(got.continua))}
         assert kept <= {_family_key(ref, k) for k in range(len(ref.continua))}
@@ -1075,38 +1077,38 @@ def test_range_test_drops_no_family_that_verifies(rng):
     assert dropped
 
 
-def test_support_enumeration_regime_budget(mp_env):
+def test_support_enumeration_regime_budget(monkeypatch, mp_env):
     fin = Partition.finest(3)
     mix = PartitionDistribution((Partition.coarsest(3), fin), (0.5, 0.5))
     lams = (mix, PartitionDistribution.degenerate(fin))
     regimes = len(_loop_side_combos(mp_env, lams, 0)) * len(_loop_side_combos(mp_env, lams, 1))
     for budget in (regimes - 1, regimes):
         # a short damped iteration: on this mixing support it never settles
-        config = SolveConfig(max_regimes=budget, n_starts=2, max_iterations=50)
-        got = dist_abee_solve_detailed(mp_env, lams, config)
+        patch_solver(monkeypatch, max_regimes=budget, damped_starts=2, damped_steps=50)
+        got = dist_abee_solve_detailed(mp_env, lams)
         assert got.exhausted == (budget < regimes)
         if got.exhausted:  # the damped iteration takes the enumeration's place
             assert not got.exact and not len(got.continua)
-            _assert_same_profiles(got, _damped_iteration(mp_env, lams, config, exhausted=True))
+            _assert_same_profiles(got, _damped_iteration(mp_env, lams, exhausted=True))
         else:
-            _assert_same_enumeration(got, _loop_support_enumeration(mp_env, lams, config))
+            _assert_same_enumeration(got, _loop_support_enumeration(mp_env, lams))
 
 
-def _loop_damped_iteration(env, lams, config, exhausted=False):
+def _loop_damped_iteration(env, lams, exhausted=False):
     """The damped iteration one start at a time, each player's support
     partitions in turn; also returns whether each start settled within
-    `config.max_iterations`."""
-    rng = np.random.default_rng(config.seed)
+    `abee._DAMPED_STEPS`."""
+    rng = np.random.default_rng(abee._DAMPED_SEED)
     shapes = tuple((len(lams[p].support), env.n_games, env.n_actions(p)) for p in (0, 1))
     found, keys, settled = [], set(), []
-    for start in range(config.n_starts):
+    for start in range(abee._DAMPED_STARTS):
         plays = [
             np.full(shape, 1.0 / shape[2]) if start == 0
             else np.stack([rng.dirichlet(np.ones(shape[2]), size=env.n_games) for _ in range(shape[0])])
             for shape in shapes
         ]
         settled.append(False)
-        for _ in range(config.max_iterations):
+        for _ in range(abee._DAMPED_STEPS):
             aggs = [mixture(lams[p].weights, plays[p]) for p in (0, 1)]
             delta = 0.0
             for player in (0, 1):
@@ -1132,7 +1134,7 @@ def _loop_damped_iteration(env, lams, config, exhausted=False):
     return result, settled
 
 
-def test_damped_iteration_matches_the_per_start_loop():
+def test_damped_iteration_matches_the_per_start_loop(monkeypatch):
     """All starts iterated as one stack give the per-start loop's profiles
     bit for bit: 2 and 3 actions, one- and two-partition supports, 0, 1 and
     6 starts, and iteration caps at which some starts settle while others
@@ -1146,9 +1148,9 @@ def test_damped_iteration_matches_the_per_start_loop():
         env = make_environment([0.2, 0.3, 0.5], rng.normal(size=(n_act, n_act, 3)), rng.normal(size=(n_act, n_act, 3)))
         lams = degenerate_pair(coarse, fin) if case % 3 == 0 else (mixing, PartitionDistribution.degenerate(fin))
         for n_starts, max_iterations in ((0, 40), (1, 40), (6, 40), (6, 300)):
-            config = SolveConfig(seed=case, n_starts=n_starts, max_iterations=max_iterations)
-            ref, settled = _loop_damped_iteration(env, lams, config)
-            got = _damped_iteration(env, lams, config)
+            patch_solver(monkeypatch, damped_seed=case, damped_starts=n_starts, damped_steps=max_iterations)
+            ref, settled = _loop_damped_iteration(env, lams)
+            got = _damped_iteration(env, lams)
             assert got.profiles.shape == ref.profiles.shape
             assert got.profiles.tobytes() == ref.profiles.tobytes(), (case, n_starts, max_iterations)
             assert not got.exact and not len(got.continua)
@@ -1168,7 +1170,8 @@ def test_damped_iteration_verifies_its_end_points_in_one_batch(monkeypatch):
         return verify(*args, **kwargs)
 
     monkeypatch.setattr(abee, "dist_abee_verify_batch", counted)
-    _damped_iteration(env, lams, SolveConfig(n_starts=6, max_iterations=50))
+    patch_solver(monkeypatch, damped_starts=6, damped_steps=50)
+    _damped_iteration(env, lams)
     assert calls == [6]
 
 
@@ -1191,7 +1194,7 @@ def test_each_stream_builds_its_distinct_sides_once(monkeypatch):
 
     monkeypatch.setattr(abee, "_side_regimes", counted)
     for _ in range(2):
-        assert len(list(dist_abee_solve_many((env, lams) for lams in supports))) == 20
+        assert len(list(itertools.chain.from_iterable(dist_abee_solve_runs((env, lams) for lams in supports)))) == 20
     ts = [_thresholds(env, player).t.tobytes() for player in (0, 1)]
     sides = {(ts[player], (part,)) for player in (0, 1) for part in parts[player]}
     assert [len(parts[0]), len(parts[1])] == [4, 5]
@@ -1226,16 +1229,16 @@ def _assert_same_result(got, ref):
     _assert_same_plays(got, ref, ref.continua[:, 0] + ref.spans.mean(axis=1, keepdims=True) * ref.continua[:, 1])
 
 
-def _assert_stream_is_its_solves(monkeypatch, items, config):
-    """Each (environment, support) item of a `dist_abee_solve_many` stream
+def _assert_stream_is_its_solves(monkeypatch, items):
+    """Each (environment, support) item of a `dist_abee_solve_runs` stream
     gets its one-item solve, bit for bit, in runs of one support
     (`_RUN_SUPPORTS` 1) or of the whole stream (1 << 20), with eliminations
     cut into chunks of 8 pairs (`_PAIR_CHUNK` 8) or not cut (1 << 20)."""
-    refs = [dist_abee_solve_detailed(env, lams, config) for env, lams in items]
+    refs = [dist_abee_solve_detailed(env, lams) for env, lams in items]
     for chunk, cap in itertools.product((8, 1 << 20), (1, 1 << 20)):
         monkeypatch.setattr(abee, "_PAIR_CHUNK", chunk)
         monkeypatch.setattr(abee, "_RUN_SUPPORTS", cap)
-        got = list(dist_abee_solve_many(iter(items), config))
+        got = list(itertools.chain.from_iterable(dist_abee_solve_runs(iter(items))))
         assert len(got) == len(refs)
         for a, b in zip(got, refs):
             _assert_same_result(a, b)
@@ -1254,8 +1257,8 @@ def test_support_result_does_not_depend_on_its_run_mates(monkeypatch, capacities
         regimes = [len(_item_regimes(env, lams, 0).choice) * len(_item_regimes(env, lams, 1).choice)
                    for lams in stream]
         stream.insert(len(stream) // 2, stream.pop(int(np.argmax(regimes))))
-        config = SolveConfig(max_regimes=max(regimes) - 1, n_starts=2, max_iterations=50)
-        refs = _assert_stream_is_its_solves(monkeypatch, [(env, lams) for lams in stream], config)
+        patch_solver(monkeypatch, max_regimes=max(regimes) - 1, damped_starts=2, damped_steps=50)
+        refs = _assert_stream_is_its_solves(monkeypatch, [(env, lams) for lams in stream])
         mid = len(stream) // 2
         assert refs[mid].exhausted and not refs[mid].exact
         assert any(ref.exact for ref in refs[:mid]) and any(ref.exact for ref in refs[mid + 1:])
@@ -1280,7 +1283,8 @@ def test_support_result_does_not_depend_on_run_mates_of_other_environments(monke
     items = [(envs[k % len(envs)], supports[(7 * k) % len(supports)]) for k in range(len(supports))]
     wide = make_environment(np.full(3, 1 / 3), rng.normal(size=(3, 2, 3)), rng.normal(size=(2, 3, 3)))
     items.insert(len(items) // 2, (wide, supports[0]))
-    refs = _assert_stream_is_its_solves(monkeypatch, items, SolveConfig(n_starts=2, max_iterations=50))
+    patch_solver(monkeypatch, damped_starts=2, damped_steps=50)
+    refs = _assert_stream_is_its_solves(monkeypatch, items)
     assert not refs[len(items) // 2].exact
     assert all(ref.exact for k, ref in enumerate(refs) if k != len(items) // 2)
     assert sum(len(ref.profiles) for ref in refs) and sum(len(ref.continua) for ref in refs)
@@ -1300,7 +1304,7 @@ def test_a_support_that_keeps_no_pairs_leaves_its_run_mates_alone(monkeypatch, m
         return pairs
 
     monkeypatch.setattr(abee, "_kept_pairs", emptied)
-    got = list(dist_abee_solve_many([(mp_env, lams) for lams in stream]))
+    got = list(itertools.chain.from_iterable(dist_abee_solve_runs([(mp_env, lams) for lams in stream])))
     assert not len(got[1].profiles) and not len(got[1].continua)
     for i in (0, 2):
         assert len(refs[i].profiles) or len(refs[i].continua)
@@ -1317,13 +1321,12 @@ def test_support_enumeration_matches_reference_on_four_games():
     pair = tuple(Partition.from_classes(4, c) for c in ([(0, 1), (2, 3)], [(0, 2), (1, 3)]))
     coarse = PartitionDistribution.degenerate(Partition.coarsest(4))
     lams = (PartitionDistribution(pair, (0.37, 0.63)), coarse)
-    config = SolveConfig()
-    got = dist_abee_solve_detailed(env, lams, config)
-    _assert_same_enumeration(got, _loop_support_enumeration(env, lams, config))
+    got = dist_abee_solve_detailed(env, lams)
+    _assert_same_enumeration(got, _loop_support_enumeration(env, lams))
 
 
 def test_sum_left_rounds_as_a_scalar_loop(rng):
     terms = rng.normal(size=(200, 12)) * 10.0 ** rng.integers(-8, 8, size=(200, 12))
     terms[:5, 0] = -0.0
     expect = [functools.reduce(operator.add, row.tolist(), 0) for row in terms]
-    assert _sum_left(terms).tobytes() == np.array(expect, dtype=float).tobytes()
+    assert sum_left(terms).tobytes() == np.array(expect, dtype=float).tobytes()

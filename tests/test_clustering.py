@@ -22,8 +22,6 @@ from cabee.clustering import (
     local_witnesses,
     mean_divergence,
     partition_dispersions,
-    row_dispersions,
-    row_local_margins,
     row_prototypes,
     subset_table,
 )
@@ -282,10 +280,11 @@ def test_dispersion_batch_equals_per_data_set_calls(rng):
 
 def test_row_kernels_equal_the_one_partition_kernels_row_by_row(rng):
     """A batch whose data sets each have their own partition, given as class
-    labels, gets from `row_prototypes`, `row_local_margins`,
-    `row_dispersions` and `local_witnesses` what the one-partition kernels
-    give each data set alone, bit for bit (margins 0 past a data set's
-    class count), in any memory layout, for all three divergences."""
+    labels, gets from `row_prototypes`, and from `local_margins`,
+    `dispersion` and `local_witnesses` given the labels, what the
+    one-partition calls give each data set alone, bit for bit (margins 0
+    past a data set's class count), in any memory layout, for all three
+    divergences."""
     draws = (random_distributions, sparse_distributions, random_distributions)
     for trial in range(60):
         kind, n_act = trial % 3, 2 + trial // 3 % 3
@@ -299,8 +298,8 @@ def test_row_kernels_equal_the_one_partition_kernels_row_by_row(rng):
         own = [parts[i] for i in rng.integers(len(parts), size=rows)]
         labels = np.array([part.assignment() for part in own])
         protos = row_prototypes(data, labels, prior)
-        margins, dist = row_local_margins(data, labels, prior, d)
-        disp = row_dispersions(data, labels, prior, d)
+        margins, dist = local_margins(data, labels, prior, d)
+        disp = dispersion(data, labels, prior, d)
         witnesses = local_witnesses(data, labels, prior, d)
         assert protos.shape == margins.shape[:1] + (max(p.n_classes for p in own), n_act)
         for b, part in enumerate(own):

@@ -9,8 +9,8 @@ import pytest
 from cabee import equilibrium
 from cabee import clustering
 from cabee.abee import (
+    DEDUP_TOL,
     PartitionDistribution,
-    SolveConfig,
     StrategyProfile,
     abee_solve,
     aggregate,
@@ -24,7 +24,6 @@ from cabee.abee import (
 from cabee.clustering import KL, L2, dispersion, global_cluster, is_locally_clustered, mean_divergence
 from cabee.env import make_environment, nash_solve_2x2
 from cabee.equilibrium import (
-    CANDIDATE_DEDUP_TOL,
     FAMILY_INSET,
     GLOBAL,
     LOCAL,
@@ -54,7 +53,7 @@ from cabee.applications.monitoring import (
     bundling_partitions,
     solve_monitoring_cdabee,
 )
-from conftest import dominant_env, grand_map, solved_profile
+from conftest import dominant_env, grand_map, patch_solver, solved_profile
 
 
 def _refine_one(env, lams, res, mode, d, capacities):
@@ -68,11 +67,11 @@ def _candidate_key(candidate: EquilibriumCandidate):
     for player in (0, 1):
         lam = candidate.lams[player]
         entries = sorted(
-            (part.key(), round(w / CANDIDATE_DEDUP_TOL))
+            (part.key(), round(w / DEDUP_TOL))
             for part, w in zip(lam.partitions, lam.weights)
         )
         strat_bits = tuple(
-            (part.key(), tuple(np.round(candidate.profile.plays[player][part].ravel() / CANDIDATE_DEDUP_TOL).astype(np.int64)))
+            (part.key(), tuple(np.round(candidate.profile.plays[player][part].ravel() / DEDUP_TOL).astype(np.int64)))
             for part, _ in sorted(zip(lam.partitions, lam.weights), key=lambda pw: pw[0].key())
         )
         parts.append((tuple(entries), strat_bits))
@@ -313,6 +312,29 @@ def test_search_evaluation_budget(mp_half_grid, budget, layers):
         ]
 
 
+def test_layer_two_branches_are_built_as_the_search_takes_them():
+    """A search of one solve builds none of layer 2's branches but the one
+    it looks past the budget: at 6 games, capacities (2, 3), there are
+    296,704 (every pair of one player's partitions against every partition
+    of the other), which as a list made a tracemalloc peak of about 21 MiB;
+    the search's peak stays under 4 MiB."""
+    import tracemalloc
+
+    rng = np.random.default_rng(6)
+    env = make_environment(np.full(6, 1 / 6), rng.integers(-2, 3, size=(2, 2, 6)),
+                           rng.integers(-2, 3, size=(2, 2, 6)))
+    config = SearchConfig(max_evaluations=1)
+    cd_abee_search(env, (2, 3), GLOBAL, L2, config)  # the partition and solver caches
+    tracemalloc.start()
+    try:
+        result = cd_abee_search(env, (2, 3), GLOBAL, L2, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(rep.completed, rep.evaluations) for rep in result.layers] == [(False, 1), (False, 0)]
+    assert peak < 4 * 2**20
+
+
 def _reference_search(env, capacities, mode, d, config):
     """`cd_abee_search` as a loop of one-support solves: each support is
     solved by `dist_abee_solve_detailed` right after the budget and
@@ -342,7 +364,7 @@ def _reference_search(env, capacities, mode, d, config):
             if evaluations >= budget or len(result.candidates) >= config.max_candidates:
                 completed = False
                 break
-            res = dist_abee_solve_detailed(env, lams, config.solve)
+            res = dist_abee_solve_detailed(env, lams)
             evaluations += 1
             completed &= res.exact
             if name == "degenerate" and d.kind == clustering.KULLBACK_LEIBLER:
@@ -387,7 +409,7 @@ def test_search_stops_where_one_support_solves_stop(mode, d, max_evaluations, pa
 def test_no_two_candidates_of_a_search_share_a_key(mode, d):
     """Each solve of a search has its own supports and weights, and drops
     its own repeated candidates, so no two candidates of one search agree
-    to CANDIDATE_DEDUP_TOL: no candidate set across the search is needed."""
+    to DEDUP_TOL: no candidate set across the search is needed."""
     rng = np.random.default_rng(2901)
     envs = [build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))] + [
         make_environment(rng.dirichlet(np.ones(3) * 5), rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 2, 3)))
@@ -586,7 +608,7 @@ def _loop_refine_continuum(env, lams, res, k, mode, d, capacities, local_samples
 
     def make_candidate(t):
         x = base + t * direction
-        point_key = tuple(np.round(x / CANDIDATE_DEDUP_TOL).astype(np.int64))
+        point_key = tuple(np.round(x / DEDUP_TOL).astype(np.int64))
         if point_key in seen:
             return None
         seen.add(point_key)
@@ -783,8 +805,8 @@ def test_bracket_roots_match_per_function_reference():
 def _counted_solves(calls):
     """`dist_abee_solve_runs` counting each result it yields in calls["solve"]."""
 
-    def runs(items, config=None):
-        for run in dist_abee_solve_runs(items, config):
+    def runs(items):
+        for run in dist_abee_solve_runs(items):
             calls["solve"] += len(run)
             yield run
 
@@ -792,7 +814,7 @@ def _counted_solves(calls):
 
 
 def test_search_scores_each_solve_in_one_dispersion_batch(monkeypatch):
-    """The tie residuals of one solve take at most two `row_dispersions`
+    """The tie residuals of one solve take at most two `dispersion`
     calls (one per support partition), however many families and points it
     has: the solves of one run and shape share them."""
     calls = {"dispersion": 0, "solve": 0}
@@ -804,7 +826,7 @@ def test_search_scores_each_solve_in_one_dispersion_batch(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(equilibrium, "row_dispersions", counted("dispersion", clustering.row_dispersions))
+    monkeypatch.setattr(equilibrium, "dispersion", counted("dispersion", clustering.dispersion))
     monkeypatch.setattr(equilibrium, "dist_abee_solve_runs", _counted_solves(calls))
     env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
     cfg = SearchConfig(lambda_step=0.5)
@@ -1008,26 +1030,26 @@ def test_clustered_partition_set_matches_reference(rng):
                 assert got == _loop_clustered_partition_set(env, data, capacity, mode, d)
 
 
-def test_search_over_regime_budget_reports_incomplete_layers():
+def test_search_over_regime_budget_reports_incomplete_layers(monkeypatch):
     """With a regime budget of 1 every solve falls back to the damped
     iteration, which may miss equilibria, so neither layer completes and
     nothing is refuted."""
     env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
-    solve = SolveConfig(max_regimes=1, n_starts=1, max_iterations=50)
-    result = cd_abee_search(env, (2, 3), GLOBAL, L2, SearchConfig(lambda_step=0.5, solve=solve))
+    patch_solver(monkeypatch, max_regimes=1, damped_starts=1, damped_steps=50)
+    result = cd_abee_search(env, (2, 3), GLOBAL, L2, SearchConfig(lambda_step=0.5))
     assert [(rep.completed, rep.evaluations) for rep in result.layers] == [(False, 20), (False, 70)]
     assert not result.pure_exhaustively_refuted
 
 
-def test_search_with_three_actions_reports_incomplete_layers():
+def test_search_with_three_actions_reports_incomplete_layers(monkeypatch):
     """Weighted rock-paper-scissors in two games has three actions, so every
     solve is the damped iteration: candidates may be found, but no layer
     completes."""
     rps = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
     pay = np.stack([rps, 2 * rps], axis=-1)
     env = make_environment((0.5, 0.5), pay, -pay)
-    solve = SolveConfig(n_starts=2, max_iterations=200)
-    result = cd_abee_search(env, (2, 2), GLOBAL, L2, SearchConfig(lambda_step=0.5, solve=solve))
+    patch_solver(monkeypatch, damped_starts=2, damped_steps=200)
+    result = cd_abee_search(env, (2, 2), GLOBAL, L2, SearchConfig(lambda_step=0.5))
     assert [(rep.completed, rep.evaluations) for rep in result.layers] == [(False, 4), (False, 4)]
     assert not result.pure_exhaustively_refuted
     for cand in result.candidates:
@@ -1188,11 +1210,11 @@ def test_search_stopped_mid_run_computes_no_damped_solve_past_the_stop(monkeypat
 
     monkeypatch.setattr(abee, "_damped_iteration", spy)
     env = build_matching_pennies(MatchingPenniesSpec(0.5, 1.0, 1.5))
-    solve = SolveConfig(max_regimes=2835, n_starts=2, max_iterations=200)
-    stopped = cd_abee_search(env, (2, 3), LOCAL, L2, SearchConfig(lambda_step=0.5, solve=solve))
+    patch_solver(monkeypatch, max_regimes=2835, damped_starts=2, damped_steps=200)
+    stopped = cd_abee_search(env, (2, 3), LOCAL, L2, SearchConfig(lambda_step=0.5))
     assert [(rep.completed, rep.evaluations) for rep in stopped.layers] == [(True, 20), (False, 1)]
     assert calls == []
-    unstopped = SearchConfig(lambda_step=0.5, solve=solve, max_candidates=10**6)
+    unstopped = SearchConfig(lambda_step=0.5, max_candidates=10**6)
     assert cd_abee_search(env, (2, 3), LOCAL, L2, unstopped).layers[1].evaluations == 70
     assert len(calls) == 12 and all(2 in (len(lams[0].support), len(lams[1].support)) for lams in calls)
 
