@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numeric import first_best, sum_left
-from .partitions import Partition, class_masks, label_array
+from .partitions import Partition, class_masks
 
 TIE_TOL = 1e-10  # dispersion comparison tolerance for minimizer sets
 LOCAL_TOL = 1e-12  # slack absorbed by the weak local-clustering inequality
@@ -275,15 +275,19 @@ def is_locally_clustered(
     return witness is None, witness
 
 
-# winners of global_cluster, keyed by (n_games, max_classes, label row)
+# winners of global_cluster, keyed by (n_games, max_classes, row)
 _WINNERS: dict[tuple[int, int, int], Partition] = {}
 
 
 def _winner(n_games: int, max_classes: int, row: int) -> Partition:
+    """Row `row` of `class_masks` as a Partition, cached: its nonzero masks,
+    in order, are already the canonical classes."""
     key = (n_games, max_classes, row)
     part = _WINNERS.get(key)
     if part is None:
-        part = _WINNERS[key] = Partition.from_assignment(label_array(n_games, max_classes)[row].tolist())
+        masks = class_masks(n_games, max_classes)[row].tolist()
+        classes = tuple(tuple(g for g in range(n_games) if m >> g & 1) for m in masks if m)
+        part = _WINNERS[key] = Partition(n_games, classes)
     return part
 
 
@@ -342,7 +346,7 @@ def dispersion_minimizers(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Which partitions minimize the dispersion of each data set of a
     (B, n_games, dim) batch: (B, P) whether partition p (row p of
-    `label_array`, with at most max_classes classes) attains the data set's
+    `class_masks`, with at most max_classes classes) attains the data set's
     minimum within TIE_TOL, and the (B,) minima."""
     n_games = np.asarray(data).shape[1]
     disp = partition_dispersions(subset_table(data, prior, d), class_masks(n_games, max_classes))

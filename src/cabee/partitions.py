@@ -1,11 +1,11 @@
 """Set partitions of game indices and their enumeration.
 
 Analogy partitions are partitions of the game set {0, ..., n-1} into at
-most K nonempty classes.  Enumeration builds all restricted-growth strings
-at once as an integer label array in lexicographic order, which gives a
-deterministic canonical ordering that the solvers and the search rely on
-for reproducibility.  `Partition` objects are built from its rows on demand,
-and `class_masks` holds the same partitions as class bitmasks.
+most K nonempty classes.  One restricted-growth recursion lists them in
+lexicographic order, a deterministic canonical ordering that the solvers
+and the search rely on for reproducibility, as two tables: the labels of
+`label_array`, whose rows give `Partition` objects on demand, and the class
+bitmasks of `class_masks`, grown directly rather than from the labels.
 """
 
 from __future__ import annotations
@@ -99,12 +99,13 @@ class Partition:
 
     def list_index(self, max_classes: int) -> int:
         """Index of the partition in `partition_list(n_games, max_classes)`
-        (its row of `label_array`), or -1 when it has more classes.
-        Memoized on the instance per max_classes, as `size_groups` is."""
+        (its row of `label_array`, ranked by `assignment_rows`), or -1 when
+        it has more classes.  Memoized on the instance per max_classes, as
+        `size_groups` is."""
         memo = self.__dict__.setdefault("_list_index", {})
         if max_classes not in memo:
             fits = self.n_classes <= max_classes
-            memo[max_classes] = partition_list(self.n_games, max_classes).index(self) if fits else -1
+            memo[max_classes] = int(assignment_rows([self.assignment()], max_classes)[0]) if fits else -1
         return memo[max_classes]
 
     def key(self) -> tuple:
@@ -112,6 +113,47 @@ class Partition:
 
     def __str__(self) -> str:
         return "{" + ", ".join("{" + ",".join(map(str, c)) + "}" for c in self.classes) + "}"
+
+
+def _table(cache: dict, n_games: int, max_classes: int, cap: int, masks: bool) -> np.ndarray:
+    """The recursion of both tables, cached per (n_games, K), K = min(max_classes,
+    n_games).  At game g every prefix row is repeated once per child, as a
+    prefix whose largest label is t extends by the labels 0..min(t + 1, K - 1)
+    in order (Knuth, TAOCP 4A, 7.2.1.5), and g is written into the children
+    as a label column, or with `masks` as bit g of the class it joins.
+    Refuses more than `cap` games before allocating anything."""
+    if n_games > cap:
+        raise PartitionSizeError(
+            f"{n_games} games exceeds the enumeration cap of {cap}; "
+            "use the iterative clustering path instead"
+        )
+    if n_games < 1:
+        raise ValueError("need at least one game")
+    if max_classes < 1:
+        raise ValueError("need at least one class")
+    k = min(max_classes, n_games)
+    if (n_games, k) not in cache:
+        dtype = np.min_scalar_type((1 << n_games) - 1) if masks else np.int8
+        rows = np.zeros((1, k if masks else n_games), dtype=dtype)
+        rows[0, 0] = masks  # game 0 in class 0: mask 1, or label 0
+        top = np.zeros(1, dtype=np.int8)  # largest label of each prefix
+        for g in range(1, n_games):
+            reps = np.minimum(top + 2, k)
+            ends = np.cumsum(reps, dtype=np.intp)  # one past each prefix's last child
+            label = np.ones(ends[-1], dtype=np.int8)  # each child's label less its elder sibling's,
+            label[0] = 0
+            label[ends[:-1]] = 1 - reps[:-1]  # back to 0 at each prefix's first child,
+            np.cumsum(label, out=label)  # summed
+            rows = np.repeat(rows, reps, axis=0)
+            if masks:  # a column at a time: one narrow temporary each
+                for c in range(k):
+                    rows[:, c] |= (label == c) * rows.dtype.type(1 << g)
+            else:
+                rows[:, g] = label
+            top = np.maximum(np.repeat(top, reps), label)
+        rows.setflags(write=False)
+        cache[n_games, k] = rows
+    return cache[n_games, k]
 
 
 _LABEL_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -123,31 +165,9 @@ def label_array(n_games: int, max_classes: int, cap: int = DEFAULT_ENUMERATION_C
     Row p holds the canonical class label of every game under partition p.
     Rows are in lexicographic order, so the first row is all zeros (the
     coarsest partition).  Cached; refuses instances with more than `cap`
-    games before allocating anything.
+    games before allocating anything (`_table`).
     """
-    if n_games > cap:
-        raise PartitionSizeError(
-            f"{n_games} games exceeds the enumeration cap of {cap}; "
-            "use the iterative clustering path instead"
-        )
-    if n_games < 1:
-        raise ValueError("need at least one game")
-    if max_classes < 1:
-        raise ValueError("need at least one class")
-    key = (n_games, min(max_classes, n_games))
-    if key not in _LABEL_CACHE:
-        labels = np.zeros((1, 1), dtype=np.int8)
-        top = np.zeros(1, dtype=np.int64)  # largest label of each prefix
-        for _ in range(1, n_games):
-            # each prefix extends by labels 0..min(top + 1, K - 1), in order
-            reps = np.minimum(top + 2, key[1])
-            parent = np.repeat(np.arange(len(labels)), reps)
-            nxt = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps)
-            labels = np.concatenate([labels[parent], nxt[:, None].astype(np.int8)], axis=1)
-            top = np.maximum(top[parent], nxt)
-        labels.setflags(write=False)
-        _LABEL_CACHE[key] = labels
-    return _LABEL_CACHE[key]
+    return _table(_LABEL_CACHE, n_games, max_classes, cap, masks=False)
 
 
 _MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -156,17 +176,9 @@ _MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
 def class_masks(n_games: int, max_classes: int) -> np.ndarray:
     """Cached read-only (P, K) class bitmasks of the rows of `label_array`,
     with K = min(max_classes, n_games): bit g of entry (p, c) is set when
-    game g is in class c of partition p, and classes past its count are 0."""
-    key = (n_games, min(max_classes, n_games))
-    if key not in _MASK_CACHE:
-        labels = label_array(n_games, max_classes)
-        flat = np.zeros(len(labels) * key[1], dtype=np.min_scalar_type((1 << n_games) - 1))
-        rows = np.arange(0, len(flat), key[1])  # the first entry of each row
-        for g in range(n_games):  # one class per (row, game), so += is exact
-            flat[rows + labels[:, g]] += 1 << g
-        flat.setflags(write=False)
-        _MASK_CACHE[key] = flat.reshape(-1, key[1])
-    return _MASK_CACHE[key]
+    game g is in class c of partition p, and classes past its count are 0.
+    Grown by `_table` as `label_array` is, without building it."""
+    return _table(_MASK_CACHE, n_games, max_classes, DEFAULT_ENUMERATION_CAP, masks=True)
 
 
 def assignment_rows(assign, max_classes: int) -> np.ndarray:

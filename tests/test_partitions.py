@@ -1,9 +1,10 @@
 import functools
-import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cabee import partitions
 from cabee.partitions import (
     Partition,
     PartitionSizeError,
@@ -42,13 +43,16 @@ def count_partitions(n: int, max_classes: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _all_partition_keys(n):
-    return frozenset(
-        Partition.from_assignment(labels).key() for labels in itertools.product(range(n), repeat=n)
-    )
+    """Every set partition of n games: each game in turn joins every class
+    of every partition of the games before it, or opens a class of its own."""
+    parts = [[]]
+    for g in range(n):
+        parts = [p[:i] + [p[i] + [g]] + p[i + 1 :] for p in parts for i in range(len(p))] + [p + [[g]] for p in parts]
+    return frozenset(Partition.from_classes(n, classes).key() for classes in parts)
 
 
 def brute_force_partitions(n, max_classes):
-    """Independent oracle: filter label assignments to canonical ones."""
+    """Independent oracle: the set partitions with at most max_classes classes."""
     return {key for key in _all_partition_keys(n) if len(key) <= max_classes}
 
 
@@ -117,7 +121,8 @@ def test_label_array_order_count_and_keys():
 
 def test_class_masks_round_trip_to_label_array():
     """Each row of `class_masks` holds the classes of the same row of
-    `label_array`, in class order, with 0 past its class count."""
+    `label_array`, in class order, with 0 past its class count.  Neither
+    table is derived from the other, so each checks the other's writes."""
     for n in range(1, 8):
         for k in range(1, n + 2):
             masks = class_masks(n, k)
@@ -134,6 +139,35 @@ def test_class_masks_round_trip_to_label_array():
 def test_label_array_size_cap():
     with pytest.raises(PartitionSizeError):
         label_array(15, 2)
+
+
+def test_class_masks_checks_its_arguments_without_label_array(monkeypatch):
+    """`class_masks` refuses what `label_array` refuses, with both caches
+    cold, and builds no label table of its own."""
+    monkeypatch.setattr(partitions, "_LABEL_CACHE", {})
+    monkeypatch.setattr(partitions, "_MASK_CACHE", {})
+    with pytest.raises(PartitionSizeError):
+        class_masks(15, 2)
+    for n, k in [(0, 2), (-1, 2), (3, 0), (3, -1)]:
+        with pytest.raises(ValueError):
+            class_masks(n, k)
+    class_masks(9, 4)
+    assert list(partitions._MASK_CACHE) == [(9, 4)] and partitions._LABEL_CACHE == {}
+
+
+def test_cold_class_masks_memory_is_bounded_by_the_masks(monkeypatch):
+    """A cold `class_masks(12, 4)` (700,075 rows of four uint16 masks, 5.3
+    MiB) peaks below 24 MiB under tracemalloc; built from the label table,
+    it peaked at 32.1 MiB."""
+    monkeypatch.setattr(partitions, "_LABEL_CACHE", {})
+    monkeypatch.setattr(partitions, "_MASK_CACHE", {})
+    tracemalloc.start()
+    try:
+        class_masks(12, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_partition_list_is_a_view_of_label_array():
@@ -163,6 +197,22 @@ def test_assignment_rows_match_per_subject_relabeling():
                 assert parts[pi].list_index(k) == Partition.from_assignment(parts[pi].assignment()).list_index(k) == pi
             if k < n:
                 assert Partition.finest(n).list_index(k) == -1
+
+
+def test_list_index_is_the_matching_row_of_label_array(monkeypatch):
+    """`Partition.list_index` at 11 games and 4 classes is the one row of
+    `label_array` equal to the partition's assignment, for sampled labelings
+    with 1 to 6 labels (-1 for those with more classes), and builds no
+    `partition_list`."""
+    monkeypatch.setattr(partitions, "_PARTITION_CACHE", {})
+    rng = np.random.default_rng(5)
+    labels = label_array(11, 4)
+    for n_labels in rng.integers(1, 7, size=60).tolist():
+        part = Partition.from_assignment(rng.integers(0, n_labels, size=11))
+        match = np.flatnonzero((labels == part.assignment()).all(axis=1)).tolist()
+        assert [part.list_index(4)] == (match if part.n_classes <= 4 else [-1])
+        assert part.list_index(4) is part.list_index(4)  # memoized
+    assert partitions._PARTITION_CACHE == {}
 
 
 def test_partition_validation():
