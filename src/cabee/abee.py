@@ -725,7 +725,10 @@ def _solve_batch(run: list[_Support], groups: list[_MapGroup], pairs) -> _Solved
         n_slots = g.b.shape[1]
         choices = [run[i].sides[1 - p].choice for i, p in g.members]
         opp_at = np.cumsum([0] + [len(c) for c in choices])
-        choice = np.concatenate([np.pad(c, ((0, 0), (0, n_slots - c.shape[1]))) for c in choices])
+        # each member's choices, zero-padded to the group's slots, one after another
+        choice = np.zeros((opp_at[-1], n_slots), dtype=np.result_type(*choices))
+        for c, at in zip(choices, opp_at):
+            choice[at : at + len(c), : c.shape[1]] = c
         member = np.repeat(np.arange(len(choices)), np.diff(opp_at))[:, None]
         bounds = [table[member, np.arange(n_slots), choice] for table in g.positions]
         own = np.concatenate([pairs[i][p] + g.starts[m] for m, (i, p) in enumerate(g.members)])

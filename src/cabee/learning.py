@@ -9,17 +9,22 @@ inherited prototypes and pass the result on.
 
 Model 1 draws one role's measurement noise (and its Lloyd variant's seed
 keys) for all N subjects at once, and runs the rest on blocks of
-`_SUBJECT_BLOCK` subjects, sized to a core's cache.  It holds a block's
-draws game- and action-major, (n_games, n_actions, B) memory viewed as (B,
-n_games, n_actions), so that its reductions run over B-long vectors.  It
-clusters the block's draws with one `clustering.subset_table`, or in its
-Lloyd variant by rounds that map each subject's partition to a partition,
-with prototypes gathered from the subset sums of its draws.  It takes
-their prototypes as one gather from the same subset sums (only under the
-mean divergence, whose table and Lloyd rounds hold projected sums, are the
-raw draws' sums added up apart), draws their payoff noise, picks their
-best replies with `numeric.first_best`, and adds their actions' counts to
-the role's tally with one `np.bincount`; nothing of one role's subjects
+`_SUBJECT_BLOCK` subjects, sized to a core's cache.  Every pass of a block
+runs in its own layout, subjects last, so that reductions run over B-long
+vectors; only the random draws stay subject-major, the stream's order,
+each copied once into that layout: the measurement noise as the block's
+draws are built, (n_games, n_actions, B) memory viewed as (B, n_games,
+n_actions), the payoff noise into the action- and game-major payoffs.
+Model 1 clusters the block's draws with one `clustering.subset_table`,
+each subject's choice a running best (`numeric.first_best`) down the rows
+of the (P, B) dispersion table, or in its Lloyd variant by rounds that map
+each subject's partition to a partition, with prototypes gathered from the
+subset sums of its draws.  It takes their prototypes as one gather from
+the same subset sums (only under the mean divergence, whose table and
+Lloyd rounds hold projected sums, are the raw draws' sums added up apart),
+picks their best replies with `numeric.first_best`, and adds their
+actions' counts, cells held (n_games, B) as the best replies are, to the
+role's tally with one `np.bincount`; nothing of one role's subjects
 outlives its step.  Model 2 re-sorts a dynasty's games with one
 `_prototype_divergences` call.
 
@@ -88,8 +93,11 @@ class PerturbationSpec:
 
     def draw_measurement(self, rng: np.random.Generator, shape) -> np.ndarray:
         draws = rng.standard_exponential(shape)
-        # summed one action at a time, which rounds as numpy's sum of a short axis
-        draws /= sum(draws[..., a] for a in range(shape[-1]))[..., None]
+        # summed and divided one action at a time: the sum rounds as numpy's
+        # sum of a short axis, and no pass broadcasts over the action axis
+        total = sum(draws[..., a] for a in range(shape[-1]))
+        for a in range(shape[-1]):
+            draws[..., a] /= total
         return draws
 
 
@@ -261,7 +269,7 @@ def _exhaustive_choices(
     scores the partitions, under the mean divergence, whose table holds
     projected sums, those of a second `_subset_sums`."""
     table = subset_table(s, prior, d)
-    choice = partition_dispersions(table, class_masks(s.shape[1], k)).argmin(axis=0)
+    choice = first_best(partition_dispersions(table, class_masks(s.shape[1], k)).T, np.minimum)
     if d.kind == SQUARED_MEAN_DIFFERENCE:
         return (choice, *_subset_sums(s.transpose(1, 2, 0), prior))
     return choice, table[1], table[2]
@@ -323,9 +331,14 @@ def _subject_tallies(
         # subjects' prototypes per game: class means of their own draw under
         # their chosen partition
         utils = expected_payoffs(env, player, _class_means(sums, mass, choice, k))
-        utils += eps * perturbation.draw_payoff(rng, utils.shape)
-        cells = (choice[:, None] * n_games + np.arange(n_games)) * n_act + first_best(utils, np.maximum)
-        tally += np.bincount(cells.ravel(), minlength=tally.size)
+        # drawn subject-major, the stream's order, and copied once into the layout of `utils`
+        noise = np.empty_like(utils)
+        noise[...] = perturbation.draw_payoff(rng, utils.shape)
+        noise *= eps
+        utils += noise
+        # each subject's cell per game, (n_games, B) as the best replies are held
+        cells = (choice * n_games + np.arange(n_games)[:, None]) * n_act + first_best(utils, np.maximum).T
+        tally += np.bincount(cells.ravel(order="K"), minlength=tally.size)
     return tally.reshape(-1, n_games, n_act)
 
 

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cabee.clustering as clustering_module
 import cabee.learning as learning_module
@@ -23,6 +25,7 @@ from cabee.clustering import (
 from cabee.env import make_environment
 from cabee.equilibrium import GLOBAL, LOCAL, EquilibriumCandidate
 from cabee.learning import (
+    CLUSTERINGS,
     DynastyRecord,
     PerturbationSpec,
     PopulationState,
@@ -271,6 +274,25 @@ def test_model1_choices_and_prototypes_match_per_partition_reference(rng):
                         assert np.array_equal(protos, _reference_prototypes(s, prior, parts, choice))
 
 
+def test_exhaustive_choices_take_the_first_minimal_row_on_exact_ties(rng):
+    """With repeated games (equal data points and prior weights) partitions
+    that differ only in which copy a class holds score exactly the same, and
+    for many subjects several rows tie at the minimum: each subject's choice
+    is the first minimal row of the dispersion table, as `argmin` takes it,
+    under L2, KL and the mean divergence."""
+    for n_games, copies, k in ((3, [0, 0, 0], 2), (4, [0, 0, 0, 1], 3), (5, [0, 0, 0, 1, 1], 3)):
+        prior = np.ones(n_games) / n_games
+        for d in (L2, KL, mean_divergence([0.0, 0.5, 1.0])):
+            points = rng.dirichlet(np.ones(3), (500, max(copies) + 1))
+            draws = np.ascontiguousarray(points[:, copies].transpose(1, 2, 0)).transpose(2, 0, 1)
+            disp = partition_dispersions(subset_table(draws, prior, d), class_masks(n_games, k))
+            minimal = disp == disp.min(axis=0)
+            assert (minimal.sum(axis=0) > 1).sum() > 100  # exact ties at the minimum are common
+            choice = _exhaustive_choices(draws, prior, k, d)[0]
+            np.testing.assert_array_equal(choice, disp.argmin(axis=0))
+            np.testing.assert_array_equal(choice, minimal.argmax(axis=0))
+
+
 def _reference_model1_step(env, state, capacities, d, pert, n, clustering):
     """The noisy model-1 step on the same random stream, with one-hot tallies,
     choices from the per-partition dispersions and prototypes class by class:
@@ -297,6 +319,19 @@ def _reference_model1_step(env, state, capacities, d, pert, n, clustering):
     return out
 
 
+def _random_start(rng, n_games, n0, n1, t):
+    """A random environment with n0 row and n1 column actions, and a state at
+    period t in which both roles play random aggregates under the finest
+    partition."""
+    env = make_environment(
+        rng.dirichlet(np.ones(n_games)), rng.random((n0, n1, n_games)), rng.random((n1, n0, n_games))
+    )
+    fin = Partition.finest(n_games)
+    lams = (PartitionDistribution.degenerate(fin), PartitionDistribution.degenerate(fin))
+    aggs = (rng.dirichlet(np.ones(n0), n_games), rng.dirichlet(np.ones(n1), n_games))
+    return env, PopulationState(lams, StrategyProfile(plays=({fin: aggs[0]}, {fin: aggs[1]})), aggs, t=t)
+
+
 @pytest.mark.parametrize("clustering", ["global", "lloyd"])
 def test_model1_step_matches_one_hot_reference(rng, clustering):
     """model1_step's aggregates, shares and per-partition plays, and its
@@ -306,14 +341,8 @@ def test_model1_step_matches_one_hot_reference(rng, clustering):
     cases = [((2, 2), L2), ((2, 3), L2), ((2, 3), KL), ((3, 3), mean_divergence([0.0, 0.5, 1.0]))]
     for (n0, n1), d in cases:
         for caps in ((1, 2), (2, 3), (3, 3)):
-            n_games, n = 4, 300
-            env = make_environment(
-                rng.dirichlet(np.ones(n_games)), rng.random((n0, n1, n_games)), rng.random((n1, n0, n_games))
-            )
-            fin = Partition.finest(n_games)
-            lams = (PartitionDistribution.degenerate(fin), PartitionDistribution.degenerate(fin))
-            aggs = (rng.dirichlet(np.ones(n0), n_games), rng.dirichlet(np.ones(n1), n_games))
-            state = PopulationState(lams, StrategyProfile(plays=({fin: aggs[0]}, {fin: aggs[1]})), aggs, t=3)
+            n = 300
+            env, state = _random_start(rng, 4, n0, n1, t=3)
             pert = PerturbationSpec(0.2, seed=5)
             nxt = model1_step(env, state, caps, d, pert, n_subjects=n, clustering=clustering)
             for player, (agg, shares, plays, s, choice, protos) in enumerate(
@@ -325,6 +354,42 @@ def test_model1_step_matches_one_hot_reference(rng, clustering):
                 assert all(np.array_equal(nxt.profile.plays[player][p], plays[p]) for p in plays)
                 sums, mass = _subset_sums(s.transpose(1, 2, 0), env.prior)
                 assert np.array_equal(_class_means(sums, mass, choice, caps[player]), protos)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    n_games=st.integers(1, 5),
+    n_actions=st.tuples(st.integers(2, 3), st.integers(2, 3)),
+    caps=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    n=st.integers(1, 60),
+    block=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_games=5, n_actions=(3, 2), caps=(3, 2), n=60, block=7, seed=1)
+def test_model1_step_matches_the_reference_on_drawn_games(n_games, n_actions, caps, n, block, seed):
+    """On drawn environments (1 to 5 games, 2 or 3 actions per side,
+    capacities 1 to 3) and blocks of 1 to n of n subjects, both variants of
+    model1_step equal the one-hot and per-partition reference bit for bit
+    under L2, KL and the mean divergence (whose sides have equal action
+    counts, as it weighs one set of action values)."""
+    block = min(block, n)
+    rng = np.random.default_rng(seed)
+    for name, d in (("l2", L2), ("kl", KL), ("mean", None)):
+        n0, n1 = (n_actions[0],) * 2 if name == "mean" else n_actions
+        d = d or mean_divergence(np.sort(rng.random(n0)))
+        env, state = _random_start(rng, n_games, n0, n1, t=2)
+        pert = PerturbationSpec(0.3, seed=seed)
+        for clustering in CLUSTERINGS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(learning_module, "_SUBJECT_BLOCK", block)
+                nxt = model1_step(env, state, caps, d, pert, n_subjects=n, clustering=clustering)
+            for player, (agg, shares, plays, *_) in enumerate(
+                _reference_model1_step(env, state, caps, d, pert, n, clustering)
+            ):
+                assert np.array_equal(nxt.aggregates[player], agg), (name, clustering, player)
+                assert nxt.lam_weights(player) == shares, (name, clustering, player)
+                assert list(nxt.profile.plays[player]) == list(plays)
+                assert all(np.array_equal(nxt.profile.plays[player][p], plays[p]) for p in plays)
 
 
 def test_lloyd_choices_match_the_label_reference(rng):
