@@ -55,7 +55,7 @@ import numpy as np
 from .clustering import class_prototypes, labelled_prototypes
 from .env import GameEnvironment, SOLVER_TOL, common_prior
 from .numeric import first_rows, sum_left
-from .partitions import Partition
+from .partitions import Partition, assignment_rows
 
 EQ_TOL = 1e-10  # residual tolerance for the indifference systems
 DEDUP_TOL = 1e-7  # solved profiles (and candidates) this close in every coordinate are one
@@ -202,7 +202,10 @@ class RowSupports(NamedTuple):
     def list_indices(self, player: int, slot: int, max_classes: int) -> np.ndarray:
         """(B,) index of each row's support partition `slot` in
         `partition_list(n_games, max_classes)`, -1 where it has more classes."""
-        return np.array([pair[player].support[slot].list_index(max_classes) for pair in self.pairs])[self.owner]
+        labels = np.array([pair[player].support[slot].assignment() for pair in self.pairs])
+        # labels past the capacity are clipped into range; their rank is dropped
+        rank = assignment_rows(np.minimum(labels, max_classes - 1), max_classes)
+        return np.where(labels.max(axis=1) < max_classes, rank, -1)[self.owner]
 
     def prototypes(self, data: np.ndarray, player: int, slot: int, prior) -> tuple[np.ndarray, np.ndarray]:
         """The class means (B, K, dim) of each row's (n_games, dim) data under

@@ -252,11 +252,6 @@ def _best_path(cost: np.ndarray, n_classes: int) -> np.ndarray:
     return dp[..., -1] if n_classes == 1 else (dp + cost[..., :, -1]).min(axis=-1)
 
 
-def best_contiguous_dispersion(values: np.ndarray, weights: np.ndarray, n_classes: int) -> float:
-    """Minimal squared-dispersion over interval partitions."""
-    return float(_best_path(_segment_costs(values, weights, _mass_table(weights)), n_classes))
-
-
 def self_consistent_contiguous(spec: BeautyContestSpec, n_classes: int) -> list[Partition]:
     """Interval partitions that are dispersion-minimizing for the data they
     themselves induce through the equilibrium map.

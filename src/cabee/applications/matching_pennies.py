@@ -30,7 +30,7 @@ from ..equilibrium import (
     cd_abee_verify,
     unclustered,
 )
-from ..partitions import Partition
+from ..partitions import Partition, partition_list
 from . import HypothesesUnmet
 
 
@@ -72,8 +72,6 @@ def row_indifference_point(x: float) -> float:
 
 
 def two_class_row_partitions() -> list[Partition]:
-    from ..partitions import partition_list
-
     return [p for p in partition_list(3, 2) if p.n_classes == 2]
 
 

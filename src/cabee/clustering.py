@@ -275,22 +275,6 @@ def is_locally_clustered(
     return witness is None, witness
 
 
-# winners of global_cluster, keyed by (n_games, max_classes, row)
-_WINNERS: dict[tuple[int, int, int], Partition] = {}
-
-
-def _winner(n_games: int, max_classes: int, row: int) -> Partition:
-    """Row `row` of `class_masks` as a Partition, cached: its nonzero masks,
-    in order, are already the canonical classes."""
-    key = (n_games, max_classes, row)
-    part = _WINNERS.get(key)
-    if part is None:
-        masks = class_masks(n_games, max_classes)[row].tolist()
-        classes = tuple(tuple(g for g in range(n_games) if m >> g & 1) for m in masks if m)
-        part = _WINNERS[key] = Partition(n_games, classes)
-    return part
-
-
 def _subset_sums(x: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class sums S (2^n, ...) and masses W (2^n,) of every subset m of the
     games (bit g set when it holds game g), from points x (n_games, ...):
@@ -361,9 +345,10 @@ def global_cluster_batch(
     minimizer lists (`dispersion_minimizers`), and the (B,) minima."""
     n_games = np.asarray(data).shape[1]
     held, best = dispersion_minimizers(data, prior, max_classes, d)
+    masks = class_masks(n_games, max_classes)
     winners: list[list[Partition]] = [[] for _ in best]
     for b, r in zip(*(index.tolist() for index in np.nonzero(held))):
-        winners[b].append(_winner(n_games, max_classes, r))
+        winners[b].append(Partition.from_masks(n_games, masks[r].tolist()))
     return winners, best
 
 

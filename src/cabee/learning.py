@@ -64,7 +64,7 @@ from .clustering import (
 from .env import GameEnvironment
 from .equilibrium import GLOBAL, LOCAL, EquilibriumCandidate, cd_abee_verify
 from .numeric import first_best
-from .partitions import Partition, assignment_rows, class_masks, label_array, partition_list
+from .partitions import Partition, assignment_rows, class_masks
 
 STATE_TOL = 1e-9
 CLUSTERINGS = ("global", "lloyd")  # model 1's exhaustive clustering, and its Lloyd variant
@@ -211,7 +211,7 @@ def _exact_model1_step(
 def _lloyd_choices(
     s: np.ndarray, prior: np.ndarray, k: int, d: Divergence, keys: np.ndarray, rounds: int = 25
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each subject's Lloyd partition, as a row of `label_array`, with the
+    """Each subject's Lloyd partition, as a row of `class_masks`, with the
     subset sums S (2^n_games, n_actions, N) and masses W of all subjects'
     raw draws.
 
@@ -263,7 +263,7 @@ def _lloyd_choices(
 def _exhaustive_choices(
     s: np.ndarray, prior: np.ndarray, k: int, d: Divergence
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each subject's first dispersion minimizer, as a row of `label_array`,
+    """Each subject's first dispersion minimizer, as a row of `class_masks`,
     with the subset sums S (2^n_games, n_actions, N) and masses W of all
     subjects' raw draws: under L2 and KL those of the one subset table that
     scores the partitions, under the mean divergence, whose table holds
@@ -277,12 +277,13 @@ def _exhaustive_choices(
 
 def _class_means(sums: np.ndarray, mass: np.ndarray, choice: np.ndarray, k: int) -> np.ndarray:
     """Class means of each subject's draw under its chosen row of
-    `label_array`, per game: S[m]/W[m] of the subset sums S (2^n_games, dim,
+    `class_masks`, per game: S[m]/W[m] of the subset sums S (2^n_games, dim,
     N) and masses W of all draws, m the bitmask of the game's class, as an
     (N, n_games, dim) view of (n_games, dim, N) memory."""
     n_sets, dim, n = sums.shape
     n_games = n_sets.bit_length() - 1
-    game_masks = np.take_along_axis(class_masks(n_games, k), label_array(n_games, k), axis=1)
+    masks = class_masks(n_games, k)[:, :, None]
+    game_masks = (masks * (masks >> np.arange(n_games) & 1)).sum(axis=1)  # the one class holding each game
     m = game_masks.T.astype(np.intp).take(choice, axis=1)  # (n_games, N)
     # one flat gather in (game, action, subject) order: a fancy index is slower
     protos = sums.take((m[:, None, :] * dim + np.arange(dim)[:, None]) * n + np.arange(n))
@@ -303,7 +304,7 @@ def _subject_tallies(
 ) -> np.ndarray:
     """One role's noisy subjects: each clusters its draw of the opponents'
     aggregate `data` into at most k classes and best-responds to its class
-    prototypes.  Returns the subjects per (row of `label_array`, game, own
+    prototypes.  Returns the subjects per (row of `class_masks`, game, own
     action), exact counts.
 
     The measurement noise, and the Lloyd variant's seed keys, are drawn for
@@ -316,7 +317,7 @@ def _subject_tallies(
     eta = perturbation.draw_measurement(rng, (n_subjects,) + data.shape)
     keys = rng.random(eta.shape[:2]) if clustering == "lloyd" else None
     n_games, n_act = data.shape[0], env.n_actions(player)
-    tally = np.zeros(len(label_array(n_games, k)) * n_games * n_act, dtype=np.intp)
+    tally = np.zeros(len(class_masks(n_games, k)) * n_games * n_act, dtype=np.intp)
     for lo in range(0, n_subjects, _SUBJECT_BLOCK):
         block = eta[lo : lo + _SUBJECT_BLOCK]
         # (data + eps*eta)/(1 + eps), held game- and action-major, so the
@@ -374,7 +375,7 @@ def model1_step(
     new_plays: tuple[dict, dict] = ({}, {})
     new_aggs = []
     for player in (0, 1):
-        parts = partition_list(env.n_games, capacities[player])
+        masks = class_masks(env.n_games, capacities[player])
         # exact counts, so each frequency rounds once
         tally = _subject_tallies(
             env, player, state.aggregates[1 - player], capacities[player], d, perturbation,
@@ -384,9 +385,10 @@ def model1_step(
         new_aggs.append(tally.sum(axis=0) / n_subjects)
         support, weights = [], []
         for pi in np.flatnonzero(counts):
-            support.append(parts[pi])
+            part = Partition.from_masks(env.n_games, masks[pi].tolist())
+            support.append(part)
             weights.append(counts[pi] / n_subjects)
-            new_plays[player][parts[pi]] = tally[pi] / counts[pi]
+            new_plays[player][part] = tally[pi] / counts[pi]
         new_lams.append(PartitionDistribution(tuple(support), tuple(weights)))
     lams = (new_lams[0], new_lams[1])
     return PopulationState(

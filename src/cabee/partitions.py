@@ -3,9 +3,9 @@
 Analogy partitions are partitions of the game set {0, ..., n-1} into at
 most K nonempty classes.  One restricted-growth recursion lists them in
 lexicographic order, a deterministic canonical ordering that the solvers
-and the search rely on for reproducibility, as two tables: the labels of
-`label_array`, whose rows give `Partition` objects on demand, and the class
-bitmasks of `class_masks`, grown directly rather than from the labels.
+and the search rely on for reproducibility, as one cached table of class
+bitmasks (`class_masks`).  `Partition.from_masks` decodes a row of it on
+demand, and `assignment_rows` ranks labelings against its rows.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ class Partition:
         for game, lab in enumerate(labels):
             groups.setdefault(int(lab), []).append(game)
         return Partition.from_classes(len(list(labels)), groups.values())
+
+    @staticmethod
+    def from_masks(n_games: int, masks) -> "Partition":
+        """Build from one row of `class_masks`: its nonzero masks, in order,
+        are already the canonical classes."""
+        return Partition(n_games, tuple(tuple(g for g in range(n_games) if m >> g & 1) for m in masks if m))
 
     @staticmethod
     def finest(n_games: int) -> "Partition":
@@ -97,17 +103,6 @@ class Partition:
             object.__setattr__(self, "_size_groups", groups)
         return self.__dict__["_size_groups"]
 
-    def list_index(self, max_classes: int) -> int:
-        """Index of the partition in `partition_list(n_games, max_classes)`
-        (its row of `label_array`, ranked by `assignment_rows`), or -1 when
-        it has more classes.  Memoized on the instance per max_classes, as
-        `size_groups` is."""
-        memo = self.__dict__.setdefault("_list_index", {})
-        if max_classes not in memo:
-            fits = self.n_classes <= max_classes
-            memo[max_classes] = int(assignment_rows([self.assignment()], max_classes)[0]) if fits else -1
-        return memo[max_classes]
-
     def key(self) -> tuple:
         return self.classes
 
@@ -115,16 +110,25 @@ class Partition:
         return "{" + ", ".join("{" + ",".join(map(str, c)) + "}" for c in self.classes) + "}"
 
 
-def _table(cache: dict, n_games: int, max_classes: int, cap: int, masks: bool) -> np.ndarray:
-    """The recursion of both tables, cached per (n_games, K), K = min(max_classes,
-    n_games).  At game g every prefix row is repeated once per child, as a
-    prefix whose largest label is t extends by the labels 0..min(t + 1, K - 1)
-    in order (Knuth, TAOCP 4A, 7.2.1.5), and g is written into the children
-    as a label column, or with `masks` as bit g of the class it joins.
-    Refuses more than `cap` games before allocating anything."""
-    if n_games > cap:
+_MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def class_masks(n_games: int, max_classes: int) -> np.ndarray:
+    """All partitions into at most max_classes classes, as a cached read-only
+    (P, K) array of class bitmasks, K = min(max_classes, n_games): bit g of
+    entry (p, c) is set when game g is in class c of partition p, and classes
+    past its count are 0.
+
+    Rows are in the lexicographic order of the partitions' restricted-growth
+    strings, so the first row is the coarsest partition.  At game g every
+    prefix row is repeated once per child, as a prefix whose largest label is
+    t extends by the labels 0..min(t + 1, K - 1) in order (Knuth, TAOCP 4A,
+    7.2.1.5), and g is written into the children as bit g of the class it
+    joins.  Refuses more than `DEFAULT_ENUMERATION_CAP` games before
+    allocating anything."""
+    if n_games > DEFAULT_ENUMERATION_CAP:
         raise PartitionSizeError(
-            f"{n_games} games exceeds the enumeration cap of {cap}; "
+            f"{n_games} games exceeds the enumeration cap of {DEFAULT_ENUMERATION_CAP}; "
             "use the iterative clustering path instead"
         )
     if n_games < 1:
@@ -132,10 +136,9 @@ def _table(cache: dict, n_games: int, max_classes: int, cap: int, masks: bool) -
     if max_classes < 1:
         raise ValueError("need at least one class")
     k = min(max_classes, n_games)
-    if (n_games, k) not in cache:
-        dtype = np.min_scalar_type((1 << n_games) - 1) if masks else np.int8
-        rows = np.zeros((1, k if masks else n_games), dtype=dtype)
-        rows[0, 0] = masks  # game 0 in class 0: mask 1, or label 0
+    if (n_games, k) not in _MASK_CACHE:
+        rows = np.zeros((1, k), dtype=np.min_scalar_type((1 << n_games) - 1))
+        rows[0, 0] = 1  # game 0 in class 0
         top = np.zeros(1, dtype=np.int8)  # largest label of each prefix
         for g in range(1, n_games):
             reps = np.minimum(top + 2, k)
@@ -145,49 +148,21 @@ def _table(cache: dict, n_games: int, max_classes: int, cap: int, masks: bool) -
             label[ends[:-1]] = 1 - reps[:-1]  # back to 0 at each prefix's first child,
             np.cumsum(label, out=label)  # summed
             rows = np.repeat(rows, reps, axis=0)
-            if masks:  # a column at a time: one narrow temporary each
-                for c in range(k):
-                    rows[:, c] |= (label == c) * rows.dtype.type(1 << g)
-            else:
-                rows[:, g] = label
+            for c in range(k):  # a column at a time: one narrow temporary each
+                rows[:, c] |= (label == c) * rows.dtype.type(1 << g)
             top = np.maximum(np.repeat(top, reps), label)
         rows.setflags(write=False)
-        cache[n_games, k] = rows
-    return cache[n_games, k]
-
-
-_LABEL_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def label_array(n_games: int, max_classes: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
-    """Restricted-growth strings of all partitions, one read-only int8 row each.
-
-    Row p holds the canonical class label of every game under partition p.
-    Rows are in lexicographic order, so the first row is all zeros (the
-    coarsest partition).  Cached; refuses instances with more than `cap`
-    games before allocating anything (`_table`).
-    """
-    return _table(_LABEL_CACHE, n_games, max_classes, cap, masks=False)
-
-
-_MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def class_masks(n_games: int, max_classes: int) -> np.ndarray:
-    """Cached read-only (P, K) class bitmasks of the rows of `label_array`,
-    with K = min(max_classes, n_games): bit g of entry (p, c) is set when
-    game g is in class c of partition p, and classes past its count are 0.
-    Grown by `_table` as `label_array` is, without building it."""
-    return _table(_MASK_CACHE, n_games, max_classes, DEFAULT_ENUMERATION_CAP, masks=True)
+        _MASK_CACHE[n_games, k] = rows
+    return _MASK_CACHE[n_games, k]
 
 
 def assignment_rows(assign, max_classes: int) -> np.ndarray:
-    """Row of `label_array` holding the partition of each assignment row.
+    """Row of `class_masks` holding the partition of each assignment row.
 
     `assign` is an (N, n_games) array of arbitrary labels in [0, max_classes).
     One pass over the games relabels each row by first occurrence and ranks
-    the restricted-growth string r it gives among the rows of `label_array`,
-    which are in lexicographic order: rank = sum_g r_g * C[n-1-g, c_g], with
+    the restricted-growth string r it gives among the rows of `class_masks`,
+    which are in its lexicographic order: rank = sum_g r_g * C[n-1-g, c_g], with
     c_g the classes of r_0..r_{g-1} and C[j, c] the count of restricted-growth
     completions of j more games after c classes (Knuth, TAOCP 4A, 7.2.1.5).
     """
@@ -213,26 +188,15 @@ def assignment_rows(assign, max_classes: int) -> np.ndarray:
     return rank
 
 
-def enumerate_partitions(
-    n_games: int, max_classes: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Partition]:
+def enumerate_partitions(n_games: int, max_classes: int) -> Iterator[Partition]:
     """All partitions of n_games games into at most max_classes classes.
 
     Deterministic canonical order (lexicographic restricted-growth strings).
-    Refuses instances with more than `cap` games.
+    Refuses instances with more than `DEFAULT_ENUMERATION_CAP` games.
     """
-    return iter(partition_list(n_games, max_classes, cap))
+    return iter(partition_list(n_games, max_classes))
 
 
-_PARTITION_CACHE: dict[tuple[int, int, int], tuple[Partition, ...]] = {}
-
-
-def partition_list(
-    n_games: int, max_classes: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[Partition, ...]:
-    """Cached tuple of the partitions of `label_array`, in its row order."""
-    key = (n_games, max_classes, cap)
-    if key not in _PARTITION_CACHE:
-        rows = label_array(n_games, max_classes, cap).tolist()
-        _PARTITION_CACHE[key] = tuple(Partition.from_assignment(r) for r in rows)
-    return _PARTITION_CACHE[key]
+def partition_list(n_games: int, max_classes: int) -> tuple[Partition, ...]:
+    """Every row of `class_masks`, decoded, in its row order."""
+    return tuple(Partition.from_masks(n_games, row) for row in class_masks(n_games, max_classes).tolist())

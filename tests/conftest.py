@@ -19,7 +19,7 @@ from cabee.clustering import _projected, _prototype_divergences
 from cabee.env import SOLVER_TOL, make_environment, pure_payoffs_against
 from cabee.equilibrium import clustered_partition_set, infer_capacities
 from cabee.numeric import first_best
-from cabee.partitions import Partition, label_array
+from cabee.partitions import Partition
 
 MAX_VERTEX_PROFILES = 512  # grand_map lists at most this many, and reports truncation
 
@@ -139,6 +139,19 @@ def lloyd_assignments(s, prior, k, d, rng, rounds=25):
             live[:, c] = mass > 0
             protos[:, c] = (w[:, :, None] * x).sum(axis=1) / np.where(live[:, c], mass, 1.0)[:, None]
     return assign
+
+
+def label_array(n_games, max_classes):
+    """Restricted-growth strings of all partitions of n_games games into at
+    most max_classes classes, one int8 row each, in lexicographic order, by
+    plain extension: each prefix whose largest label is t extends by the
+    labels 0..min(t + 1, K - 1).  Row p holds each game's class label under
+    row p of `partitions.class_masks`: the independent reference of the
+    enumeration, and of `partitions.assignment_rows`."""
+    rows = [(0,)]
+    for _ in range(1, n_games):
+        rows = [row + (label,) for row in rows for label in range(min(max(row) + 2, max_classes))]
+    return np.array(rows, dtype=np.int8)
 
 
 def sorted_assignment_rows(assign, max_classes):

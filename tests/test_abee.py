@@ -577,6 +577,36 @@ def test_verify_batch_takes_one_support_per_row():
         assert [witnesses[i] for i in at] == ref_witnesses
 
 
+def test_list_indices_are_positions_in_the_partition_list():
+    """`RowSupports.list_indices` gives each row's support partition `slot`
+    its position in `partition_list(n_games, cap)`, or -1 when it has more
+    than cap classes: 40 rows owned by 12 pairs at 5 games, the row player
+    mixing two partitions of 1 to 5 classes, at every capacity."""
+    from cabee.partitions import partition_list
+
+    rng = np.random.default_rng(17)
+    n = 5
+
+    def draw():
+        return Partition.from_assignment(rng.integers(0, rng.integers(1, n + 1), size=n))
+
+    pairs = []
+    while len(pairs) < 12:
+        a, b = draw(), draw()
+        if a != b:
+            pairs.append((PartitionDistribution((a, b), (0.5, 0.5)), PartitionDistribution.degenerate(draw())))
+    owner = rng.integers(0, len(pairs), size=40)
+    rows = abee.RowSupports(pairs, owner)
+    over = 0
+    for cap in range(1, n + 1):
+        position = {part: i for i, part in enumerate(partition_list(n, cap))}
+        for player, slot in ((0, 0), (0, 1), (1, 0)):
+            want = [position.get(pairs[o][player].support[slot], -1) for o in owner.tolist()]
+            assert rows.list_indices(player, slot, cap).tolist() == want
+            over += want.count(-1)
+    assert 0 < over < 3 * len(owner) * n
+
+
 # ---------------------------------------------------------------------------
 # support enumeration against the per-pair scalar reference
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from cabee.applications import beauty
 from cabee.applications.beauty import (
     BeautyContestSpec,
     abee_actions,
+    _best_path,
+    _mass_table,
+    _segment_costs,
     beauty_cabee_check,
-    best_contiguous_dispersion,
     best_reply,
     class_means,
     contiguity_is_sufficient,
@@ -379,7 +381,7 @@ def test_contiguous_dispersion_matches_loop_and_brute_force(rng):
         weights = rng.uniform(0.05, 1.0, size=n)
         weights /= weights.sum()
         for k in range(1, n + 2):
-            best = best_contiguous_dispersion(values, weights, k)
+            best = _best_path(_segment_costs(values, weights, _mass_table(weights)), k)
             assert best == _loop_contiguous_dispersion(values, weights, k)
             if k <= n:
                 masks = np.array([[sum(1 << g for g in c) for c in p.classes] for p in contiguous_partitions(n, k)])
@@ -393,9 +395,9 @@ def test_contiguous_dispersion_edge_cases(rng):
     weights = rng.uniform(0.05, 1.0, size=n)
     weights /= weights.sum()
     total = weights @ (values - weights @ values) ** 2
-    assert best_contiguous_dispersion(values, weights, 1) == pytest.approx(total, abs=1e-12)
-    assert best_contiguous_dispersion(values, weights, n) == pytest.approx(0.0, abs=1e-12)
-    assert best_contiguous_dispersion(values, weights, n + 1) == np.inf
+    assert _best_path(_segment_costs(values, weights, _mass_table(weights)), 1) == pytest.approx(total, abs=1e-12)
+    assert _best_path(_segment_costs(values, weights, _mass_table(weights)), n) == pytest.approx(0.0, abs=1e-12)
+    assert _best_path(_segment_costs(values, weights, _mass_table(weights)), n + 1) == np.inf
 
 
 def test_contiguous_partition_count():

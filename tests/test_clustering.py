@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from cabee import partitions
 from cabee.clustering import (
     KL,
     L2,
@@ -11,7 +10,6 @@ from cabee.clustering import (
     Divergence,
     ClusteringReport,
     _prototype_divergences,
-    _winner,
     class_prototypes,
     dispersion,
     dispersion_minimizers,
@@ -27,7 +25,7 @@ from cabee.clustering import (
     row_prototypes,
     subset_table,
 )
-from cabee.partitions import Partition, class_masks, enumerate_partitions, label_array, partition_list
+from cabee.partitions import Partition, class_masks, enumerate_partitions, partition_list
 from conftest import random_distributions
 
 MEAN1 = mean_divergence([1.0])  # scalar data carried as 1-vectors
@@ -405,22 +403,6 @@ def test_global_cluster_is_the_argmin_set_of_dispersion(rng):
         disp = np.array([dispersion(data, p, prior, d) for p in parts])
         assert best == pytest.approx(disp.min(), abs=1e-12)
         assert winners == [p for p, v in zip(parts, disp) if v <= disp.min() + TIE_TOL]
-
-
-def test_winner_of_each_mask_row_is_the_partition_of_its_label_row():
-    """`_winner` reads its partition off a row of `class_masks`; it is the
-    partition of the same row of `label_array`, with the same classes."""
-    for n, k in [(6, 3), (7, 7)]:
-        for r, labels in enumerate(label_array(n, k).tolist()):
-            assert _winner(n, k, r) == Partition.from_assignment(labels)
-
-
-def test_global_cluster_builds_no_label_array(rng, monkeypatch):
-    """Exhaustive clustering at 11 games and 4 classes scores the class
-    masks and names its winners from them, so it builds no label table."""
-    monkeypatch.setattr(partitions, "_LABEL_CACHE", {})
-    winners, _ = global_cluster(random_distributions(rng, 11, 3), rng.dirichlet(np.ones(11)), 4, L2)
-    assert winners and (11, 4) not in partitions._LABEL_CACHE
 
 
 def test_global_implies_local_randomized(rng):

@@ -324,7 +324,7 @@ def test_layer_two_branches_are_built_as_the_search_takes_them():
     env = make_environment(np.full(6, 1 / 6), rng.integers(-2, 3, size=(2, 2, 6)),
                            rng.integers(-2, 3, size=(2, 2, 6)))
     config = SearchConfig(max_evaluations=1)
-    cd_abee_search(env, (2, 3), GLOBAL, L2, config)  # the partition and solver caches
+    cd_abee_search(env, (2, 3), GLOBAL, L2, config)  # fills the partition table's cache
     tracemalloc.start()
     try:
         result = cd_abee_search(env, (2, 3), GLOBAL, L2, config)

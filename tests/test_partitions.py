@@ -11,10 +11,9 @@ from cabee.partitions import (
     assignment_rows,
     class_masks,
     enumerate_partitions,
-    label_array,
     partition_list,
 )
-from conftest import class_of
+from conftest import class_of, label_array
 
 
 def bell_number(n: int) -> int:
@@ -103,12 +102,10 @@ def test_canonical_no_duplicates():
 def test_size_cap():
     with pytest.raises(PartitionSizeError):
         list(enumerate_partitions(15, 2))
-    # configurable
-    with pytest.raises(PartitionSizeError):
-        list(enumerate_partitions(5, 2, cap=4))
 
 
 def test_label_array_order_count_and_keys():
+    """The reference enumeration of `conftest` against the brute-force oracle."""
     for n in range(1, 8):
         for k in range(1, n + 2):
             labels = label_array(n, k)
@@ -120,9 +117,9 @@ def test_label_array_order_count_and_keys():
 
 
 def test_class_masks_round_trip_to_label_array():
-    """Each row of `class_masks` holds the classes of the same row of
-    `label_array`, in class order, with 0 past its class count.  Neither
-    table is derived from the other, so each checks the other's writes."""
+    """Each row of `class_masks` holds the classes of the same row of the
+    reference `label_array`, in class order, with 0 past its class count,
+    and `Partition.from_masks` decodes it to that row's partition."""
     for n in range(1, 8):
         for k in range(1, n + 2):
             masks = class_masks(n, k)
@@ -132,19 +129,12 @@ def test_class_masks_round_trip_to_label_array():
                 part = Partition.from_assignment(labels)
                 masks_of_classes = [sum(1 << g for g in cls) for cls in part.classes]
                 assert row == masks_of_classes + [0] * (len(row) - part.n_classes)
-                classes = [[g for g in range(n) if m >> g & 1] for m in row if m]
-                assert Partition.from_classes(n, classes) == part
-
-
-def test_label_array_size_cap():
-    with pytest.raises(PartitionSizeError):
-        label_array(15, 2)
+                assert Partition.from_masks(n, row) == part
 
 
 def test_class_masks_checks_its_arguments_without_label_array(monkeypatch):
-    """`class_masks` refuses what `label_array` refuses, with both caches
-    cold, and builds no label table of its own."""
-    monkeypatch.setattr(partitions, "_LABEL_CACHE", {})
+    """`class_masks` refuses too many games, no games and no classes, with
+    its cache cold, and caches only the table it was asked for."""
     monkeypatch.setattr(partitions, "_MASK_CACHE", {})
     with pytest.raises(PartitionSizeError):
         class_masks(15, 2)
@@ -152,14 +142,13 @@ def test_class_masks_checks_its_arguments_without_label_array(monkeypatch):
         with pytest.raises(ValueError):
             class_masks(n, k)
     class_masks(9, 4)
-    assert list(partitions._MASK_CACHE) == [(9, 4)] and partitions._LABEL_CACHE == {}
+    assert list(partitions._MASK_CACHE) == [(9, 4)]
 
 
 def test_cold_class_masks_memory_is_bounded_by_the_masks(monkeypatch):
     """A cold `class_masks(12, 4)` (700,075 rows of four uint16 masks, 5.3
     MiB) peaks below 24 MiB under tracemalloc; built from the label table,
     it peaked at 32.1 MiB."""
-    monkeypatch.setattr(partitions, "_LABEL_CACHE", {})
     monkeypatch.setattr(partitions, "_MASK_CACHE", {})
     tracemalloc.start()
     try:
@@ -171,6 +160,8 @@ def test_cold_class_masks_memory_is_bounded_by_the_masks(monkeypatch):
 
 
 def test_partition_list_is_a_view_of_label_array():
+    """`partition_list` decodes the rows of the reference `label_array`, in
+    its order."""
     for n, k in [(6, 3), (7, 4), (5, 5), (1, 3), (4, 1)]:
         labels = label_array(n, k)
         assert [p.assignment() for p in partition_list(n, k)] == [tuple(r) for r in labels.tolist()]
@@ -179,11 +170,10 @@ def test_partition_list_is_a_view_of_label_array():
 
 def test_assignment_rows_match_per_subject_relabeling():
     """The vectorized lookup equals relabeling each row through Partition,
-    for 1 to 8 games and 1 to n + 1 classes, labels anywhere in [0, K); and
-    the one-row call on a partition's own assignment gives the partition's
-    index, as `Partition.list_index` does, which `equilibrium._check_margins`
-    and `unclustered` read (-1 for a partition with more classes than the
-    list holds)."""
+    for 1 to 8 games and 1 to n + 1 classes, labels anywhere in [0, K); the
+    one-row call on a partition's own assignment gives the partition's
+    index; and each row is that of the reference `label_array` equal to the
+    row's relabeling."""
     rng = np.random.default_rng(11)
     for n in range(1, 9):
         for k in range(1, n + 2):
@@ -192,27 +182,11 @@ def test_assignment_rows_match_per_subject_relabeling():
             canon = {p.assignment(): pi for pi, p in enumerate(parts)}
             old = np.array([canon[Partition.from_assignment(a).assignment()] for a in assign])
             np.testing.assert_array_equal(assignment_rows(assign, k), old)
+            labels = label_array(n, k)
+            for a, row in zip(assign[:20], assignment_rows(assign[:20], k).tolist()):
+                assert labels[row].tolist() == list(Partition.from_assignment(a).assignment())
             for pi in rng.choice(len(parts), size=min(len(parts), 40), replace=False).tolist():
                 assert assignment_rows([parts[pi].assignment()], k).tolist() == [pi]
-                assert parts[pi].list_index(k) == Partition.from_assignment(parts[pi].assignment()).list_index(k) == pi
-            if k < n:
-                assert Partition.finest(n).list_index(k) == -1
-
-
-def test_list_index_is_the_matching_row_of_label_array(monkeypatch):
-    """`Partition.list_index` at 11 games and 4 classes is the one row of
-    `label_array` equal to the partition's assignment, for sampled labelings
-    with 1 to 6 labels (-1 for those with more classes), and builds no
-    `partition_list`."""
-    monkeypatch.setattr(partitions, "_PARTITION_CACHE", {})
-    rng = np.random.default_rng(5)
-    labels = label_array(11, 4)
-    for n_labels in rng.integers(1, 7, size=60).tolist():
-        part = Partition.from_assignment(rng.integers(0, n_labels, size=11))
-        match = np.flatnonzero((labels == part.assignment()).all(axis=1)).tolist()
-        assert [part.list_index(4)] == (match if part.n_classes <= 4 else [-1])
-        assert part.list_index(4) is part.list_index(4)  # memoized
-    assert partitions._PARTITION_CACHE == {}
 
 
 def test_partition_validation():
@@ -223,7 +197,7 @@ def test_partition_validation():
 
 
 def test_partition_list_cached():
-    assert partition_list(4, 2) is partition_list(4, 2)
+    assert partition_list(4, 2) == partition_list(4, 2)
     assert [p.key() for p in partition_list(4, 2)] == [
         p.key() for p in enumerate_partitions(4, 2)
     ]
