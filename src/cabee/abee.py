@@ -225,7 +225,6 @@ def dist_abee_verify_batch(
     envs,
     lams,
     plays: tuple[np.ndarray, np.ndarray],
-    tol: float = SOLVER_TOL,
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Distributional equilibrium check of a batch of profiles.
 
@@ -240,7 +239,7 @@ def dist_abee_verify_batch(
     player gets by deviating in any game under any support partition (0.0
     when none is positive), and its witness (player, partition, game): the first in
     player, support and class-major game order to attain it, or None.
-    Returns (ok, worst, witnesses).
+    Returns (ok, worst, witnesses); ok is worst <= SOLVER_TOL.
     """
     prior = common_prior(envs)
     rows = RowSupports.of(lams, len(plays[0]))
@@ -264,20 +263,19 @@ def dist_abee_verify_batch(
         i = int(gains[b].argmax())
         player, pi, order = slots[i // len(prior)]
         witnesses[b] = (player, rows.pairs[rows.owner[b]][player].support[pi], int(order[b, i % len(prior)]))
-    return worst <= tol, worst, witnesses
+    return worst <= SOLVER_TOL, worst, witnesses
 
 
 def dist_abee_verify(
     env: GameEnvironment,
     lams: tuple[PartitionDistribution, PartitionDistribution],
     profile: StrategyProfile,
-    tol: float = SOLVER_TOL,
 ) -> tuple[bool, float, tuple | None]:
     """Check the distributional equilibrium conditions on a profile: the
     one-profile case of `dist_abee_verify_batch`, as (ok, worst gain,
     witness)."""
     plays = stack_plays(profile, lams)
-    ok, worst, witnesses = dist_abee_verify_batch(env, lams, (plays[0][None], plays[1][None]), tol)
+    ok, worst, witnesses = dist_abee_verify_batch(env, lams, (plays[0][None], plays[1][None]))
     return bool(ok[0]), float(worst[0]), witnesses[0]
 
 
@@ -289,15 +287,16 @@ class SolveResult:
     the base and direction of each one-parameter family x(t) = base + t *
     direction, over t in its `spans` (F, 2) row [t_lo, t_hi], not yet
     verified; `plays` maps points (..., V) to each player's (..., n_support,
-    n_games, n_actions) strategies in support order.
+    n_games, n_actions) strategies in support order.  `exact` is False when
+    the damped iteration, a heuristic, found the profiles: for a binary
+    support, exactly when its regime pairs exceed `_MAX_REGIMES`.
     """
 
     profiles: np.ndarray
     continua: np.ndarray
     spans: np.ndarray
     plays: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    exhausted: bool = False  # True when the regime budget cut the enumeration
-    exact: bool = True  # False when the damped iteration, a heuristic, found the profiles
+    exact: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +844,6 @@ def _reshaped(shapes, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _damped_iteration(
     env: GameEnvironment,
     lams: tuple[PartitionDistribution, PartitionDistribution],
-    exhausted: bool = False,
 ) -> SolveResult:
     """Each of `_DAMPED_STARTS` starts moves halfway to the best replies until
     no strategy moves by 1e-9, for at most `_DAMPED_STEPS` steps; the end
@@ -877,7 +875,7 @@ def _damped_iteration(
     flat = flat[dist_abee_verify_batch(env, lams, plays)[0]]
     found = flat[_distinct(np.zeros(len(flat), dtype=np.intp), flat)]
     return SolveResult(found, np.zeros((0, 2, flat.shape[1])), np.zeros((0, 2)), partial(_reshaped, shapes),
-                       exhausted, exact=False)
+                       exact=False)
 
 
 def dist_abee_solve_runs(
@@ -913,7 +911,7 @@ def dist_abee_solve_runs(
             if run:
                 yield _solved(run)
             run = []
-            yield [_damped_iteration(env, lams, exhausted=regimes is not None)]
+            yield [_damped_iteration(env, lams)]
         if run:
             yield _solved(run)
 

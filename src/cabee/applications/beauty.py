@@ -113,7 +113,7 @@ def discretize_beauty(spec: BeautyContestSpec, n_actions: int | None = None) -> 
     a_j = acts[None, :, None]
     theta = th[None, None, :]
     pay = -(1.0 - spec.r) * (a_i - theta) ** 2 - spec.r * (a_i - a_j) ** 2
-    return make_environment(spec.weights, pay, pay.copy(), game_labels=[f"{t:.4g}" for t in th])
+    return make_environment(spec.weights, pay, pay.copy())
 
 
 def discrete_abee(

@@ -187,17 +187,17 @@ def _invert_conditional_mean(spec, lo: float, target: float, hi_dom: float) -> f
     return bisect_root(f, lo + eps, hi_dom, tol=1e-13)
 
 
-def equidistant_partition(spec: LinearFamilySpec, n_classes: int | None = None, tol: float = 1e-10):
-    """Endpoint sequence whose interior points are equidistant from the
-    conditional means of their adjacent classes.
+def equidistant_partition(spec: LinearFamilySpec):
+    """Endpoint sequence of spec.K classes whose interior points are
+    equidistant from the conditional means of their adjacent classes.
 
     Shooting on the first interior endpoint: successive endpoints come from
     inverting the conditional-mean map (strictly increasing in the right
-    endpoint), and the first endpoint is bisected until the last endpoint
-    lands on the domain's upper edge.  A required endpoint beyond the edge
-    means the shot was too high.
+    endpoint), and the first endpoint is bisected to 1e-12 until the last
+    endpoint lands within 1e-9 of the domain's upper edge.  A required
+    endpoint beyond the edge means the shot was too high.
     """
-    K = n_classes if n_classes is not None else spec.K
+    K = spec.K
     lo_dom, hi_dom = spec.domain
     for probe in np.linspace(lo_dom + 1e-6, hi_dom - 1e-6, 7):
         if spec.pdf(float(probe)) <= 0:
@@ -227,9 +227,9 @@ def equidistant_partition(spec: LinearFamilySpec, n_classes: int | None = None, 
         return pts[-1] - hi_dom
 
     lo_b, hi_b = lo_dom + 1e-9 * (hi_dom - lo_dom), hi_dom - 1e-9 * (hi_dom - lo_dom)
-    mu1 = bisect_root(gap, lo_b, hi_b, tol=tol * 1e-2)
+    mu1 = bisect_root(gap, lo_b, hi_b, tol=1e-12)
     pts = shoot(mu1)
-    if pts is None or abs(pts[-1] - hi_dom) > max(tol, 1e-9):
+    if pts is None or abs(pts[-1] - hi_dom) > 1e-9:
         raise HypothesesUnmet("shooting failed to land on the domain edge")
     pts[-1] = hi_dom
     return pts
@@ -246,10 +246,11 @@ def equidistant_residuals(spec: LinearFamilySpec, endpoints: Sequence[float]) ->
 
 
 def linear_cabee_window(
-    spec: LinearFamilySpec, endpoints: Sequence[float] | None = None, tol: float = 1e-9
+    spec: LinearFamilySpec, endpoints: Sequence[float] | None = None
 ) -> list[tuple[float, float]]:
     """Open interval around each interior equidistant endpoint over which
-    the nearest-expectation conditions keep holding, other endpoints fixed.
+    the nearest-expectation conditions keep holding, other endpoints fixed;
+    each edge is bisected to 1e-9.
 
     Complements regime only: substitutes admit no passing interval
     partition at all.
@@ -275,7 +276,7 @@ def linear_cabee_window(
                 return limit
             f = lambda v: 1.0 if passes(v) else -1.0
             a, b = sorted((pts[k], limit))
-            return bisect_root(f, a, b, tol=tol)
+            return bisect_root(f, a, b, tol=1e-9)
 
         windows.append((edge(-1), edge(+1)))
     return windows
@@ -295,14 +296,13 @@ FIGURE_PARAMS = {
 }
 
 
-def figure_spec(name: str, K: int = 4) -> LinearFamilySpec:
-    return LinearFamilySpec(K=K, **FIGURE_PARAMS[name])
+def figure_spec(name: str) -> LinearFamilySpec:
+    return LinearFamilySpec(**FIGURE_PARAMS[name])
 
 
-def equal_split_endpoints(spec: LinearFamilySpec, n_classes: int | None = None) -> list[float]:
-    K = n_classes if n_classes is not None else spec.K
+def equal_split_endpoints(spec: LinearFamilySpec) -> list[float]:
     lo, hi = spec.domain
-    return [lo + (hi - lo) * k / K for k in range(K + 1)]
+    return [lo + (hi - lo) * k / spec.K for k in range(spec.K + 1)]
 
 
 def figure_curves(

@@ -57,13 +57,7 @@ def build_matching_pennies(spec: MatchingPenniesSpec) -> GameEnvironment:
     for g, x in enumerate(spec.stakes):
         pr[:, :, g] = [[1 + x, 0], [0, 1]]
         pc[:, :, g] = [[0, 1], [1, 0]]
-    return make_environment(
-        [1 / 3] * 3,
-        pr,
-        pc,
-        game_labels=("a", "b", "c"),
-        action_labels=(("U", "D"), ("L", "R")),
-    )
+    return make_environment([1 / 3] * 3, pr, pc)
 
 
 def row_indifference_point(x: float) -> float:

@@ -80,13 +80,7 @@ def build_monitoring(spec: MonitoringSpec) -> GameEnvironment:
     worker[E1, :, GAME_B] = 1.0
     worker[E0, CONTROL, GAME_C] = spec.mu_star - 1.0
     worker[E0, TRUST, GAME_C] = spec.mu_star
-    return make_environment(
-        spec.prior,
-        emp,
-        worker,
-        game_labels=("a", "b", "c"),
-        action_labels=(("C", "D"), ("e0", "e1")),
-    )
+    return make_environment(spec.prior, emp, worker)
 
 
 def bundling_partitions() -> tuple[Partition, Partition]:
@@ -163,7 +157,6 @@ class MonitoringSolution:
     candidates: list[EquilibriumCandidate]
     zeta_star: float | None = None  # global mode: the tie point
     zeta_range: tuple[float, float] | None = None  # local mode: detected interval
-    note: str = ""
 
 
 def solve_monitoring_cdabee(spec: MonitoringSpec, mode: str, d: Divergence = L2) -> MonitoringSolution:
@@ -194,7 +187,7 @@ def solve_monitoring_cdabee(spec: MonitoringSpec, mode: str, d: Divergence = L2)
     env, lams = build_monitoring(spec), _mixed_lams(spec)
     (found,) = _refine_run(env, [lams], [_zeta_family()], LOCAL, d, (2, 3))
     if not found:
-        return MonitoringSolution([], note="no sustainable shirking probability found")
+        return MonitoringSolution([])
     zetas = [float(cand.profile.plays[1][lams[1].support[0]][GAME_C, E0]) for cand in found]
     lo = min(zetas) if min(zetas) > FAMILY_INSET else 0.0
     hi = max(zetas) if max(zetas) < 1.0 - FAMILY_INSET else 1.0

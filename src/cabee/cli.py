@@ -267,24 +267,26 @@ def _unread(run, names, flag: str) -> None:
 
 
 def _read_custom_env(run) -> None:
-    """A custom game and, for cdabee, its class capacities (default: one
-    class per game), or a `cluster` run's data and prior."""
+    """A custom game (one name per game and per action of each player) and,
+    for cdabee, its class capacities (default: one class per game), or a
+    `cluster` run's data and prior."""
     if run.solver == "cluster":
         run.data, run.prior = _cluster_inputs(run)
         return
     try:
-        env = make_environment(
-            run.prior,
-            np.asarray(run.payoffs["i"], dtype=float),
-            np.asarray(run.payoffs["j"], dtype=float),
-            game_labels=[str(g) for g in run.games],
-            action_labels=(run.actions["i"], run.actions["j"]),
-        )
+        env = make_environment(run.prior, run.payoffs["i"], run.payoffs["j"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"params.payoffs: malformed ({exc})") from exc
     violations = validate_environment(env)
     if violations:
         raise ScenarioError("params: " + "; ".join(violations))
+    if len(run.games) != env.n_games:
+        raise ScenarioError(f"params.games: expected {env.n_games} names, one per prior entry, got {run.games!r}")
+    for player, side in enumerate("ij"):
+        names = run.actions.get(side) if isinstance(run.actions, dict) else None
+        n = env.n_actions(player)
+        if not isinstance(names, list) or len(names) != n:
+            raise ScenarioError(f"params.actions.{side}: expected a list of {n} names, one per action, got {names!r}")
     run.env = env
     if run.solver == "cdabee":
         caps = run.capacities or [env.n_games, env.n_games]
@@ -516,8 +518,9 @@ def write_csv(path: Path, header, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_polyline_svg(path: Path, series, width=640, height=420, margin=40) -> None:
+def write_polyline_svg(path: Path, series) -> None:
     """Static SVG with one polyline per series: [(label, [(x, y), ...])]."""
+    width, height, margin = 640, 420, 40
     xs = [x for _, pts in series for x, _ in pts]
     ys = [y for _, pts in series for _, y in pts]
     x0, x1 = min(xs), max(xs)
@@ -814,8 +817,8 @@ def verify_result(path) -> tuple[bool, list[str]]:
     cands_json = doc.get("results", {}).get("candidates")
     if not cands_json:
         return True, ["no stored candidates; nothing to re-verify"]
-    if run.env is None:
-        return True, ["kind carries no finite environment; nothing to re-verify"]
+    if run.capacities is None:
+        return True, ["kind carries no finite environment with class capacities; nothing to re-verify"]
     ok = True
     for i, cj in enumerate(cands_json):
         try:

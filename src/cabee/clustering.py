@@ -49,6 +49,7 @@ from .partitions import Partition, class_masks
 
 TIE_TOL = 1e-10  # dispersion comparison tolerance for minimizer sets
 LOCAL_TOL = 1e-12  # slack absorbed by the weak local-clustering inequality
+LLOYD_MAX_ITER = 1000  # assignments a Lloyd run makes at most
 
 SQUARED_EUCLIDEAN = "squared-euclidean"
 KULLBACK_LEIBLER = "kullback-leibler"
@@ -386,13 +387,12 @@ def kmeans_lloyd(
     max_classes: int,
     d: Divergence,
     init: np.ndarray,
-    max_iter: int = 1000,
 ) -> ClusteringReport:
     """Lloyd iteration from `init`, which must hold 1 to `max_classes` rows.
 
     Games go to the nearest prototype (the first on ties), prototypes to
     their class's prior-weighted mean.  Stops when assignments are stable, or
-    after `max_iter` assignments.  A class that empties is dropped (its slot
+    after `LLOYD_MAX_ITER` assignments.  A class that empties is dropped (its slot
     is at infinite distance from then on) and counted in the report.  The
     result always passes the local-clustering test and the dispersion
     history is nonincreasing.
@@ -400,12 +400,10 @@ def kmeans_lloyd(
     data, init = np.asarray(data, dtype=float), np.asarray(init, dtype=float)
     if not 1 <= len(init) <= max_classes:
         raise ValueError(f"need 1 to {max_classes} initial representatives, got {len(init)}")
-    if max_iter < 1:
-        raise ValueError(f"need at least one assignment, got max_iter={max_iter}")
     protos = init.copy()  # slot c holds the prototype of the games labelled c
     live = np.ones(len(init), dtype=bool)
     labels, history = None, []
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         new = first_best(np.where(live, _prototype_divergences(data, protos, d), np.inf), np.minimum)
         part = Partition.from_assignment(new)
         slots = new[[cls[0] for cls in part.classes]]

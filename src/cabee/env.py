@@ -1,8 +1,8 @@
 """Finite families of two-player normal-form games.
 
-A GameEnvironment bundles the game set, the prior over games, both action
-sets, and the two payoff tensors indexed (own action, other action, game).
-All values are immutable after construction and safe to share.
+A GameEnvironment is the prior over games and the two payoff tensors
+indexed (own action, other action, game); games and actions are their
+indices.  All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -49,23 +49,17 @@ class GameEnvironment:
 
     payoffs[i] has shape (|A_i|, |A_j|, n_games): own action first, other
     action second, game last.  Games, actions and classes are referenced by
-    integer index throughout; labels are display metadata only.
+    integer index throughout.
     """
 
     prior: np.ndarray
     payoffs: tuple[np.ndarray, np.ndarray]
-    game_labels: tuple[str, ...] = ()
-    action_labels: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
 
     def __post_init__(self):
         object.__setattr__(self, "prior", _freeze(self.prior))
         object.__setattr__(
             self, "payoffs", (_freeze(self.payoffs[0]), _freeze(self.payoffs[1]))
         )
-        if not self.game_labels:
-            object.__setattr__(
-                self, "game_labels", tuple(str(g) for g in range(self.n_games))
-            )
 
     @property
     def n_games(self) -> int:
@@ -174,17 +168,5 @@ def nash_solve_2x2(env: GameEnvironment, game: int) -> tuple[np.ndarray, np.ndar
     return own, other
 
 
-def make_environment(
-    prior,
-    payoff_i,
-    payoff_j,
-    game_labels=(),
-    action_labels=((), ()),
-) -> GameEnvironment:
-    env = GameEnvironment(
-        prior=np.asarray(prior, dtype=float),
-        payoffs=(np.asarray(payoff_i, dtype=float), np.asarray(payoff_j, dtype=float)),
-        game_labels=tuple(game_labels),
-        action_labels=(tuple(action_labels[0]), tuple(action_labels[1])),
-    )
-    return env
+def make_environment(prior, payoff_i, payoff_j) -> GameEnvironment:
+    return GameEnvironment(prior, (payoff_i, payoff_j))

@@ -66,6 +66,7 @@ from .partitions import Partition, class_masks, partition_list
 LOCAL = "local"
 GLOBAL = "global"
 FAMILY_INSET = 1e-12  # a family is refined on [t_lo + FAMILY_INSET, t_hi - FAMILY_INSET]
+MAX_CANDIDATES = 64  # a search layer stops once the search holds this many candidates
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,6 @@ class VerifyReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def infer_capacities(lams) -> tuple[int, int]:
-    """Class capacity per player, read off the support partitions."""
-    return tuple(max(p.n_classes for p in lams[pl].support) for pl in (0, 1))
 
 
 def unclustered(envs, lams, plays, mode: str, d: Divergence, capacities) -> list[list]:
@@ -157,7 +153,7 @@ def cd_abee_verify_batch(
     plays: tuple[np.ndarray, np.ndarray],
     mode: str,
     d: Divergence,
-    capacities: tuple[int, int] | None = None,
+    capacities: tuple[int, int],
 ) -> list[VerifyReport]:
     """Clustered-equilibrium check of a batch of profiles, one report each.
 
@@ -167,9 +163,8 @@ def cd_abee_verify_batch(
     all profiles at once.  Clustering failures are (player, partition,
     reason), in player and support order.
     """
-    caps = capacities or infer_capacities(lams)
     ok, worst, witnesses = dist_abee_verify_batch(env, lams, plays)
-    failures = unclustered(env, lams, plays, mode, d, caps)
+    failures = unclustered(env, lams, plays, mode, d, capacities)
     return [
         VerifyReport(bool(ok[b]) and not fails, float(worst[b]), witnesses[b], fails)
         for b, fails in enumerate(failures)
@@ -179,7 +174,7 @@ def cd_abee_verify_batch(
 def cd_abee_verify(
     env: GameEnvironment,
     candidate: EquilibriumCandidate,
-    capacities: tuple[int, int] | None = None,
+    capacities: tuple[int, int],
 ) -> VerifyReport:
     """Distributional equilibrium check plus the clustering check of every
     support partition against the opponent aggregate: the one-candidate
@@ -195,7 +190,7 @@ def cabee_verify(
     profile: StrategyProfile,
     mode: str,
     d: Divergence,
-    capacities: tuple[int, int] | None = None,
+    capacities: tuple[int, int],
 ) -> VerifyReport:
     """Pure (degenerate-distribution) clustered-equilibrium check."""
     candidate = EquilibriumCandidate(degenerate_pair(*partitions), profile, mode, d)
@@ -210,7 +205,7 @@ def cabee_verify(
 def grand_map_contains(
     env: GameEnvironment,
     candidate: EquilibriumCandidate,
-    capacities: tuple[int, int] | None = None,
+    capacities: tuple[int, int],
 ) -> bool:
     """Whether the state belongs to its own successor set.
 
@@ -220,13 +215,12 @@ def grand_map_contains(
     construction of the mapping.
     """
     lams = candidate.lams
-    caps = capacities or infer_capacities(lams)
     aggs = aggregate(candidate.profile, lams)
     for player in (0, 1):
         admissible = {
             p.key()
             for p in clustered_partition_set(
-                env, aggs[1 - player], caps[player], candidate.mode, candidate.divergence
+                env, aggs[1 - player], capacities[player], candidate.mode, candidate.divergence
             )
         }
         for part in lams[player].support:
@@ -249,7 +243,6 @@ class SearchConfig:
     lambda_step: float = 0.01
     # solves for the whole search: layer 1 spends first, layer 2 gets the rest
     max_evaluations: int = 10_000
-    max_candidates: int = 64
 
 
 @dataclass
@@ -603,10 +596,10 @@ def cd_abee_search(
     solves share a support and weights, so no candidate set is kept across
     the search.  The two layers share `config.max_evaluations` solves,
     layer 1 first, and a layer's stream is cut at the solves left; a layer
-    that runs out, or reaches `config.max_candidates` (checked before each
+    that runs out, or reaches `MAX_CANDIDATES` (checked before each
     result is taken), stops with `completed=False`, so work and output do
     not depend on the speed of the machine.  A layer stopped by
-    `max_candidates` can leave the rest of its run solved and refined and
+    `MAX_CANDIDATES` can leave the rest of its run solved and refined and
     unused, with `evaluations` unchanged: in local matching pennies, layer 2
     solves and refines its first run of 32 supports for the 1 solve it
     uses.  A damped-iteration solve is a run of its own, computed only when
@@ -645,7 +638,7 @@ def cd_abee_search(
         todo, solving = itertools.tee(itertools.islice(supports, budget))
         refined = _refined(env, solving, mode, d, capacities)
         for _ in todo:
-            if len(result.candidates) >= config.max_candidates:
+            if len(result.candidates) >= MAX_CANDIDATES:
                 completed = False
                 break
             res, cands = next(refined)

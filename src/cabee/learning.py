@@ -117,6 +117,7 @@ class PopulationState:
     profile: StrategyProfile
     aggregates: tuple[np.ndarray, np.ndarray]
     t: int = 0
+    # per-dynasty records for model 2; None after a model-1 step, which keeps none
     dynasties: tuple[list[DynastyRecord], list[DynastyRecord]] | None = None
     events: list[str] = field(default_factory=list)
 
@@ -204,7 +205,6 @@ def _exact_model1_step(
         profile=profile,
         aggregates=aggregate(profile, lams),
         t=state.t + 1,
-        dynasties=state.dynasties,
     )
 
 
@@ -396,7 +396,6 @@ def model1_step(
         profile=StrategyProfile(plays=new_plays),
         aggregates=(new_aggs[0], new_aggs[1]),
         t=state.t + 1,
-        dynasties=state.dynasties,
     )
 
 

@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
+SIMPSON_MAX_DEPTH = 60  # halvings of an interval in adaptive_simpson at most
+BISECT_MAX_ITER = 200  # halvings of the bracket in bisect_root at most
+
 
 def first_best(x: np.ndarray, keep) -> np.ndarray:
     """Index of the first best entry along the last axis of a NaN-free x:
@@ -42,7 +45,7 @@ def first_rows(keys: np.ndarray) -> np.ndarray:
     return np.sort(np.unique(keys, axis=0, return_index=True)[1])
 
 
-def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int = 60) -> float:
+def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Adaptive Simpson quadrature with interval-halving error control."""
     if hi <= lo:
         return 0.0
@@ -56,7 +59,7 @@ def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int
         flm, frm = f(lm), f(rm)
         left = simpson(a, m, fa, flm, fm)
         right = simpson(m, b, fm, frm, fb)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
+        if depth >= SIMPSON_MAX_DEPTH or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return recurse(a, m, fa, flm, fm, left, eps / 2.0, depth + 1) + recurse(
             m, b, fm, frm, fb, right, eps / 2.0, depth + 1
@@ -68,7 +71,7 @@ def adaptive_simpson(f, lo: float, hi: float, tol: float = 1e-10, max_depth: int
     return recurse(lo, hi, fa, fm, fb, whole, tol, 0)
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200) -> float:
+def bisect_root(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Root of f on [lo, hi]; requires a sign change between the endpoints."""
     fa, fb = f(lo), f(hi)
     if fa == 0.0:
@@ -77,7 +80,7 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200
         return hi
     if fa * fb > 0:
         raise ValueError(f"no sign change on [{lo}, {hi}] (f: {fa} .. {fb})")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0 or hi - lo < tol:

@@ -17,7 +17,7 @@ from cabee.abee import (
 )
 from cabee.clustering import _projected, _prototype_divergences
 from cabee.env import SOLVER_TOL, make_environment, pure_payoffs_against
-from cabee.equilibrium import clustered_partition_set, infer_capacities
+from cabee.equilibrium import clustered_partition_set
 from cabee.numeric import first_best
 from cabee.partitions import Partition
 
@@ -37,7 +37,7 @@ def matching_pennies_env(a=0.5, b=1.0, c=1.5):
     for g, x in enumerate((a, b, c)):
         pr[:, :, g] = [[1 + x, 0], [0, 1]]
         pc[:, :, g] = [[0, 1], [1, 0]]
-    return make_environment([1 / 3] * 3, pr, pc, game_labels=("a", "b", "c"))
+    return make_environment([1 / 3] * 3, pr, pc)
 
 
 def dominant_env(n_games=3):
@@ -66,10 +66,10 @@ def analogy_best_response(env, player, game, expectation, tol=SOLVER_TOL):
     return replies, len(replies) >= 2
 
 
-def abee_verify(env, partitions, profile, tol=SOLVER_TOL):
+def abee_verify(env, partitions, profile):
     """Equilibrium check of one fixed partition per player: `dist_abee_verify`
     on degenerate distributions, as (ok, worst gain, witness)."""
-    return dist_abee_verify(env, degenerate_pair(*partitions), profile, tol=tol)
+    return dist_abee_verify(env, degenerate_pair(*partitions), profile)
 
 
 def solved_profile(res, lams, k, t=None) -> StrategyProfile:
@@ -86,16 +86,15 @@ class GrandMapImage:
     truncated: bool = False
 
 
-def grand_map(env, candidate, capacities=None) -> GrandMapImage:
+def grand_map(env, candidate, capacities) -> GrandMapImage:
     """Successor set of a state: the vertex best-reply profiles on the
     current supports (the first MAX_VERTEX_PROFILES, with `truncated` set
     when there are more), and the clustering-admissible partitions per
     player."""
     lams = candidate.lams
-    caps = capacities or infer_capacities(lams)
     aggs = aggregate(candidate.profile, lams)
     admissible = tuple(
-        clustered_partition_set(env, aggs[1 - pl], caps[pl], candidate.mode, candidate.divergence)
+        clustered_partition_set(env, aggs[1 - pl], capacities[pl], candidate.mode, candidate.divergence)
         for pl in (0, 1)
     )
     choice_sets = []

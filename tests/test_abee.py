@@ -831,7 +831,7 @@ def _loop_support_enumeration(env, lams, prune=True):
     profiles, continua, spans = [], [], []  # stacked into a SolveResult at the end
     combos = (_loop_side_combos(env, lams, 0), _loop_side_combos(env, lams, 1))
     if len(combos[0]) * len(combos[1]) > abee._MAX_REGIMES:
-        return SolveResult(np.zeros((0, 0)), np.zeros((0, 2, 0)), np.zeros((0, 2)), None, exhausted=True)
+        return SolveResult(np.zeros((0, 0)), np.zeros((0, 2, 0)), np.zeros((0, 2)), None, exact=False)
     variables, var_index = [], {}
     for player in (0, 1):
         for pi, part in enumerate(lams[player].support):
@@ -935,7 +935,7 @@ def _assert_same_plays(got, ref, x):
 
 
 def _assert_same_profiles(got, ref):
-    assert got.exhausted == ref.exhausted
+    assert got.exact == ref.exact
     assert len(got.profiles) == len(ref.profiles)
     assert got.profiles.tobytes() == ref.profiles.tobytes()
     for x in ref.profiles:
@@ -1116,15 +1116,15 @@ def test_support_enumeration_regime_budget(monkeypatch, mp_env):
         # a short damped iteration: on this mixing support it never settles
         patch_solver(monkeypatch, max_regimes=budget, damped_starts=2, damped_steps=50)
         got = dist_abee_solve_detailed(mp_env, lams)
-        assert got.exhausted == (budget < regimes)
-        if got.exhausted:  # the damped iteration takes the enumeration's place
-            assert not got.exact and not len(got.continua)
-            _assert_same_profiles(got, _damped_iteration(mp_env, lams, exhausted=True))
+        assert got.exact == (budget >= regimes)
+        if not got.exact:  # the damped iteration takes the enumeration's place
+            assert not len(got.continua)
+            _assert_same_profiles(got, _damped_iteration(mp_env, lams))
         else:
             _assert_same_enumeration(got, _loop_support_enumeration(mp_env, lams))
 
 
-def _loop_damped_iteration(env, lams, exhausted=False):
+def _loop_damped_iteration(env, lams):
     """The damped iteration one start at a time, each player's support
     partitions in turn; also returns whether each start settled within
     `abee._DAMPED_STEPS`."""
@@ -1160,7 +1160,7 @@ def _loop_damped_iteration(env, lams, exhausted=False):
                 found.append(flat)
     n_vars = sum(int(np.prod(shape)) for shape in shapes)
     result = SolveResult(np.reshape(found, (-1, n_vars)), np.zeros((0, 2, n_vars)), np.zeros((0, 2)),
-                         functools.partial(_reshaped, shapes), exhausted, exact=False)
+                         functools.partial(_reshaped, shapes), exact=False)
     return result, settled
 
 
@@ -1249,7 +1249,7 @@ def _search_supports(capacities):
 
 
 def _assert_same_result(got, ref):
-    assert (got.exhausted, got.exact) == (ref.exhausted, ref.exact)
+    assert got.exact == ref.exact
     assert len(got.profiles) == len(ref.profiles)
     assert got.profiles.tobytes() == ref.profiles.tobytes()
     _assert_same_plays(got, ref, ref.profiles)
@@ -1290,7 +1290,7 @@ def test_support_result_does_not_depend_on_its_run_mates(monkeypatch, capacities
         patch_solver(monkeypatch, max_regimes=max(regimes) - 1, damped_starts=2, damped_steps=50)
         refs = _assert_stream_is_its_solves(monkeypatch, [(env, lams) for lams in stream])
         mid = len(stream) // 2
-        assert refs[mid].exhausted and not refs[mid].exact
+        assert not refs[mid].exact
         assert any(ref.exact for ref in refs[:mid]) and any(ref.exact for ref in refs[mid + 1:])
 
 

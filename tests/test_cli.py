@@ -425,6 +425,45 @@ def test_custom_env_capacities_validated(capacities):
         validate_scenario(_dominance_scenario(capacities))
 
 
+@pytest.mark.parametrize(
+    "field, names, named",
+    [
+        ("games", ["g0", "g1"], "params.games:"),
+        ("actions", {"i": ["U", "M", "D"], "j": ["L", "R"]}, "params.actions.i:"),
+        ("actions", {"j": ["L", "R"]}, "params.actions.i:"),
+        ("actions", {"i": ["U", "D"], "j": "LR"}, "params.actions.j:"),
+        ("actions", ["U", "D"], "params.actions.i:"),
+    ],
+)
+def test_custom_env_name_counts_checked(tmp_path, capsys, field, names, named):
+    """`games` names one game per prior entry, and `actions.i` and
+    `actions.j` one action per row of each player's payoffs."""
+    doc = _dominance_scenario([1, 1])
+    doc["params"][field] = names
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == EXIT_VALIDATION
+    assert named in capsys.readouterr().err
+
+
+def test_verify_of_a_custom_env_abee_result_with_candidates_has_nothing_to_check(tmp_path, capsys):
+    """A custom-env abee run declares no class capacities, so a candidate
+    copied into its result is not re-verified."""
+    path = tmp_path / "dominance.json"
+    path.write_text(json.dumps(_dominance_scenario([1, 1])))
+    assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path)) == EXIT_OK
+    result = tmp_path / "dominance.result.json"
+    doc = json.loads(result.read_text())
+    assert doc["results"]["candidates"]
+    doc["scenario"]["solver"] = "abee"
+    del doc["scenario"]["params"]["capacities"]
+    doc["scenario"]["params"]["partitions"] = [[[0, 1, 2]], [[0, 1, 2]]]
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(result)) == EXIT_OK
+    assert "nothing to re-verify" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("budget", [None, -1, 0, float("nan"), float("inf"), "10", True])
 def test_time_budget_validated(budget):
     """time_budget_s is not a scenario field: the search stops on

@@ -222,13 +222,14 @@ def test_search_candidates_all_verify(mp_search):
         assert grand_map_contains(env, cand, (2, 3))
 
 
-def test_search_candidates_consistent_across_characterizations(rng):
+def test_search_candidates_consistent_across_characterizations(monkeypatch, rng):
     """Three-way consistency on random environments: every candidate the
     search returns passes the payoff-gain verification, belongs to its own
     successor set, and is a rest point of the matching dynamics."""
     from cabee.clustering import KL
     from cabee.learning import state_from_candidate, steady_state_check
 
+    monkeypatch.setattr(equilibrium, "MAX_CANDIDATES", 10)
     found = 0
     for trial in range(6):
         n = int(rng.integers(2, 4))
@@ -237,7 +238,7 @@ def test_search_candidates_consistent_across_characterizations(rng):
         caps = (int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1)))
         mode = (GLOBAL, LOCAL)[trial % 2]
         d = (L2, KL)[trial % 2]
-        cfg = SearchConfig(lambda_step=0.1, max_candidates=10)
+        cfg = SearchConfig(lambda_step=0.1)
         for cand in cd_abee_search(env, caps, mode, d, cfg).candidates:
             found += 1
             assert cd_abee_verify(env, cand, caps).ok
@@ -361,7 +362,7 @@ def _reference_search(env, capacities, mode, d, config):
         evaluations = found = 0
         completed = True
         for lams in supports:
-            if evaluations >= budget or len(result.candidates) >= config.max_candidates:
+            if evaluations >= budget or len(result.candidates) >= equilibrium.MAX_CANDIDATES:
                 completed = False
                 break
             res = dist_abee_solve_detailed(env, lams)
@@ -382,7 +383,7 @@ def _reference_search(env, capacities, mode, d, config):
 @pytest.mark.parametrize(
     "mode, d, max_evaluations, pair_layer",
     [
-        (LOCAL, L2, 10_000, (False, 1)),  # max_candidates after 1 of 70 solves
+        (LOCAL, L2, 10_000, (False, 1)),  # MAX_CANDIDATES after 1 of 70 solves
         (GLOBAL, L2, 50, (False, 30)),  # max_evaluations in the middle of layer 2
         (GLOBAL, L2, 20, (False, 0)),
         (GLOBAL, KL, 35, (False, 15)),
@@ -406,7 +407,7 @@ def test_search_stops_where_one_support_solves_stop(mode, d, max_evaluations, pa
 
 @pytest.mark.parametrize("mode", [GLOBAL, LOCAL])
 @pytest.mark.parametrize("d", [L2, KL], ids=["l2", "kl"])
-def test_no_two_candidates_of_a_search_share_a_key(mode, d):
+def test_no_two_candidates_of_a_search_share_a_key(monkeypatch, mode, d):
     """Each solve of a search has its own supports and weights, and drops
     its own repeated candidates, so no two candidates of one search agree
     to DEDUP_TOL: no candidate set across the search is needed."""
@@ -415,9 +416,10 @@ def test_no_two_candidates_of_a_search_share_a_key(mode, d):
         make_environment(rng.dirichlet(np.ones(3) * 5), rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 2, 3)))
         for _ in range(3)
     ]
+    monkeypatch.setattr(equilibrium, "MAX_CANDIDATES", 200)
     found = 0
     for env in envs:
-        config = SearchConfig(lambda_step=0.5, max_evaluations=60, max_candidates=200)
+        config = SearchConfig(lambda_step=0.5, max_evaluations=60)
         keys = [_candidate_key(c) for c in cd_abee_search(env, (2, 3), mode, d, config).candidates]
         assert len(set(keys)) == len(keys)
         found += len(keys)
@@ -430,7 +432,7 @@ def test_search_result_does_not_depend_on_its_run_mates(monkeypatch, mode, d):
     candidates are the same, in the same order, as when every run holds one
     support (`abee._RUN_SUPPORTS` = 1), and so are the layer reports and the
     sampled families: on matching pennies, whose local search stops by
-    `max_candidates` in the middle of its first pair-layer run, and on two
+    `MAX_CANDIDATES` in the middle of its first pair-layer run, and on two
     random 3-game environments."""
     from cabee import abee
 
@@ -1194,7 +1196,7 @@ def test_search_covers_and_clusters_once_per_run_and_shape(monkeypatch):
 
 
 def test_search_stopped_mid_run_computes_no_damped_solve_past_the_stop(monkeypatch):
-    """Local matching pennies stops its pair layer by `max_candidates` after
+    """Local matching pennies stops its pair layer by `MAX_CANDIDATES` after
     1 solve of its first run.  With a regime budget that the layer's first
     support meets and 12 of its other supports exceed (3 of them in that
     run), those 12 are damped solves in a search that does not stop; the
@@ -1214,8 +1216,8 @@ def test_search_stopped_mid_run_computes_no_damped_solve_past_the_stop(monkeypat
     stopped = cd_abee_search(env, (2, 3), LOCAL, L2, SearchConfig(lambda_step=0.5))
     assert [(rep.completed, rep.evaluations) for rep in stopped.layers] == [(True, 20), (False, 1)]
     assert calls == []
-    unstopped = SearchConfig(lambda_step=0.5, max_candidates=10**6)
-    assert cd_abee_search(env, (2, 3), LOCAL, L2, unstopped).layers[1].evaluations == 70
+    monkeypatch.setattr(equilibrium, "MAX_CANDIDATES", 10**6)
+    assert cd_abee_search(env, (2, 3), LOCAL, L2, SearchConfig(lambda_step=0.5)).layers[1].evaluations == 70
     assert len(calls) == 12 and all(2 in (len(lams[0].support), len(lams[1].support)) for lams in calls)
 
 

@@ -215,6 +215,21 @@ def test_model2_requires_dynasties(mp_setup):
         model2_step(env, state, L2)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.2])
+def test_model1_step_keeps_no_dynasty_records(mp_setup, epsilon):
+    """A model-1 step, exact or noisy, returns no per-dynasty records: the
+    start's records would describe the start, not the state reached, so
+    model 2 and the local steady-state check refuse the state."""
+    env, cand = mp_setup
+    state = state_from_candidate(env, cand)
+    nxt = model1_step(env, state, (2, 3), L2, PerturbationSpec(epsilon, seed=3), n_subjects=200)
+    assert nxt.dynasties is None
+    with pytest.raises(ValueError, match="per-dynasty records"):
+        model2_step(env, nxt, L2)
+    with pytest.raises(ValueError, match="per-dynasty records"):
+        steady_state_check(env, nxt, LOCAL, L2, (2, 3))
+
+
 def _reference_dispersion_matrix(s, prior, parts, d):
     """Model 1's dispersion of every partition for every subject's draw,
     (N, len(parts)), partition by partition and class by class."""
