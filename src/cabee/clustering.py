@@ -202,14 +202,18 @@ def _prototype_divergences(data, protos, d: Divergence) -> np.ndarray:
     p, kind = _projected(data, d)
     q, _ = _projected(protos, d)
     p, q = p[..., :, None, :], q[..., None, :, :]
-    kl = kind.kind == KULLBACK_LEIBLER
     # summed one action at a time, in the order numpy sums a short axis (so each entry
     # equals divergence_eval's), and several times faster than reducing that axis
-    dist = sum(
-        p[..., a] * (_log(p[..., a]) - _log(q[..., a])) if kl else (p[..., a] - q[..., a]) ** 2
-        for a in range(p.shape[-1])
-    )
-    return np.where(((p > 0) & (q <= 0)).any(axis=-1), np.inf, dist) if kl else dist
+    if kind.kind == KULLBACK_LEIBLER:
+        dist = sum(p[..., a] * (_log(p[..., a]) - _log(q[..., a])) for a in range(p.shape[-1]))
+        return np.where(((p > 0) & (q <= 0)).any(axis=-1), np.inf, dist)
+    # squared differences in place, from the first action's up, with one temporary for the others
+    dist = np.subtract(p[..., 0], q[..., 0])
+    np.square(dist, out=dist)
+    term = np.empty_like(dist)
+    for a in range(1, p.shape[-1]):
+        dist += np.square(np.subtract(p[..., a], q[..., a], out=term), out=term)
+    return dist
 
 
 def labelled_prototypes(data: np.ndarray, partition, prior: np.ndarray, protos: np.ndarray | None = None):
@@ -279,12 +283,15 @@ def is_locally_clustered(
 def _subset_sums(x: np.ndarray, prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class sums S (2^n, ...) and masses W (2^n,) of every subset m of the
     games (bit g set when it holds game g), from points x (n_games, ...):
-    S[m + 2^g] = S[m] + p_g*x_g, so a class's members are added in game
-    order, and S/W is the class mean."""
-    sums = np.zeros((1 << len(x),) + x.shape[1:])
+    S[2^g] = p_g*x_g and S[m + 2^g] = S[m] + p_g*x_g for 0 < m < 2^g, each
+    written in place, so a class's members are added in game order, and S/W
+    is the class mean."""
+    sums = np.empty((1 << len(x),) + x.shape[1:])
+    sums[0] = 0.0
     mass = np.zeros(1 << len(x))
     for g, row in enumerate(x):
-        sums[1 << g : 2 << g] = sums[: 1 << g] + prior[g] * row
+        np.multiply(prior[g], row, out=sums[1 << g])
+        np.add(sums[1 : 1 << g], sums[1 << g], out=sums[(1 << g) + 1 : 2 << g])
         mass[1 << g : 2 << g] = mass[: 1 << g] + prior[g]
     return sums, mass
 
@@ -299,20 +306,39 @@ def subset_table(data: np.ndarray, prior: np.ndarray, d: Divergence):
     A partition's dispersion is the point term less its classes' terms: for
     squared Euclidean sum p*|x|^2 - sum_c |S_c|^2/W_c, for KL
     sum p*H(x) - sum_c W_c*H(S_c/W_c) with H(x) = sum x*ln(x).  T is
-    W*|S/W|^2, or W*H(S/W) under KL, and 0 for the empty set.  The per-game
-    point sums are made C-order before the product with the prior, so that
-    it rounds alike whatever the layout of the batch.
+    W*|S/W|^2, or W*H(S/W) under KL, and 0 for the empty set.  Both sums
+    over the actions are added in place one action at a time, from the
+    first action's term, as numpy sums a short axis, with one temporary
+    for the other actions' terms.  The per-game point sums are made C-order
+    before the product with the prior, so that it rounds alike whatever the
+    layout of the batch.
     """
     x, d = _projected(data, d)
     prior = np.asarray(prior, dtype=float)
     kl = d.kind == KULLBACK_LEIBLER
-    point = np.ascontiguousarray((_plogp(x) if kl else x**2).sum(axis=-1)) @ prior
+    point = _term(x[..., 0], kl, np.empty_like(x[..., 0]))  # in the layout of the batch
+    term = np.empty_like(point)
+    for a in range(1, x.shape[-1]):
+        point += _term(x[..., a], kl, term)
+    point = np.ascontiguousarray(point) @ prior
     sums, mass = _subset_sums(np.moveaxis(x, (-2, -1), (0, 1)), prior)  # x as (n_games, dim, ...)
     w = mass.reshape((-1,) + (1,) * (sums.ndim - 2))  # broadcasts over the batch axes
     safe = np.where(w > 0, w, 1.0)  # the empty set has zero sums
-    # summed one action at a time, which keeps one (2^n, ...) temporary per step
-    terms = w * sum(_plogp(s / safe) if kl else (s / safe) ** 2 for s in sums.swapaxes(0, 1))
+    terms = np.divide(sums[:, 0], safe)
+    _term(terms, kl, terms)
+    mean = np.empty_like(terms)
+    for a in range(1, sums.shape[1]):
+        terms += _term(np.divide(sums[:, a], safe, out=mean), kl, mean)
+    terms *= w
     return point, sums, mass, terms
+
+
+def _term(x: np.ndarray, kl: bool, out: np.ndarray) -> np.ndarray:
+    """x*ln(x) (`_plogp`) under KL, else x^2, written into `out`, which may be x."""
+    if kl:
+        out[...] = _plogp(x)
+        return out
+    return np.square(x, out=out)
 
 
 def partition_dispersions(table, masks: np.ndarray) -> np.ndarray:
@@ -323,7 +349,7 @@ def partition_dispersions(table, masks: np.ndarray) -> np.ndarray:
     class_term = terms[masks[:, 0]]
     for c in range(1, masks.shape[1]):
         class_term += terms[masks[:, c]]
-    return point - class_term
+    return np.subtract(point, class_term, out=class_term)
 
 
 def dispersion_minimizers(

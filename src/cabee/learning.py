@@ -7,25 +7,28 @@ into at most K categories, and best-respond to their class prototypes
 prototypes, best-respond to them, then re-sort the games around the
 inherited prototypes and pass the result on.
 
-Model 1 draws one role's measurement noise (and its Lloyd variant's seed
-keys) for all N subjects at once, and runs the rest on blocks of
-`_SUBJECT_BLOCK` subjects, sized to a core's cache.  Every pass of a block
-runs in its own layout, subjects last, so that reductions run over B-long
-vectors; only the random draws stay subject-major, the stream's order,
-each copied once into that layout: the measurement noise as the block's
-draws are built, (n_games, n_actions, B) memory viewed as (B, n_games,
-n_actions), the payoff noise into the action- and game-major payoffs.
-Model 1 clusters the block's draws with one `clustering.subset_table`,
-each subject's choice a running best (`numeric.first_best`) down the rows
-of the (P, B) dispersion table, or in its Lloyd variant by rounds that map
-each subject's partition to a partition, with prototypes gathered from the
+Model 1 draws two things for all N subjects of a role at once, as the
+stream orders them: the raw exponentials of its measurement noise and
+its Lloyd variant's seed keys.  It runs the rest on blocks of
+`_SUBJECT_BLOCK` subjects, sized to a core's cache, each drawing its
+payoff noise in turn.  Every pass of a block runs in its own layout,
+subjects last, so that reductions run over B-long vectors; only the
+random draws stay subject-major, the stream's order, each copied once
+into that layout: a block's exponentials are normalized
+(`PerturbationSpec.normalized`) as its draws are built, into (n_games,
+n_actions, B) memory viewed as (B, n_games, n_actions), and its payoff
+noise goes into the action- and game-major payoffs.  Model 1 clusters
+the block's draws with one `clustering.subset_table`, each subject's
+choice a running best (`numeric.first_best`) down the rows of the (P, B)
+dispersion table, or in its Lloyd variant by rounds that map each
+subject's partition to a partition, with prototypes gathered from the
 subset sums of its draws.  It takes their prototypes as one gather from
 the same subset sums (only under the mean divergence, whose table and
-Lloyd rounds hold projected sums, are the raw draws' sums added up apart),
-picks their best replies with `numeric.first_best`, and adds their
-actions' counts, cells held (n_games, B) as the best replies are, to the
-role's tally with one `np.bincount`; nothing of one role's subjects
-outlives its step.  Model 2 re-sorts a dynasty's games with one
+Lloyd rounds hold projected sums, are the raw draws' sums added up
+apart), picks their best replies with `numeric.first_best`, and adds
+their actions' counts, cells held (n_games, B) as the best replies are,
+to the role's tally with one `np.bincount`; nothing of one role's
+subjects outlives its step.  Model 2 re-sorts a dynasty's games with one
 `_prototype_divergences` call.
 
 At zero noise the steps are set-valued at ties; the "incumbent" tie-break
@@ -70,15 +73,18 @@ STATE_TOL = 1e-9
 CLUSTERINGS = ("global", "lloyd")  # model 1's exhaustive clustering, and its Lloyd variant
 TIE_BREAKS = ("uniform", "incumbent")
 _SUBJECT_BLOCK = 5000  # subjects per block of model 1's step, from a scan of block sizes (BENCH_28.json)
+_LLOYD_ROUNDS = 25  # assignments a subject's Lloyd run makes at most
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Noise scale and seed of the simulated dynamics.
 
-    Action-payoff perturbations are uniform on [0, 1]; measurement noise
+    Action-payoff perturbations are uniform on [0, 1); measurement noise
     draws interior points of the opponent simplex (normalized exponential
-    draws) mixed into each observation.
+    draws) mixed into each observation.  `normalized` is the one definition
+    of that normalization: `draw_measurement` applies it to a whole draw,
+    model 1 to each block of a role's raw draws.
     """
 
     epsilon: float = 0.0
@@ -89,16 +95,30 @@ class PerturbationSpec:
             raise ValueError(f"noise scale must be finite and nonnegative, got epsilon={self.epsilon!r}")
 
     def draw_payoff(self, rng: np.random.Generator, shape) -> np.ndarray:
-        return rng.uniform(0.0, 1.0, size=shape)
+        # rng.uniform(0.0, 1.0, shape) draw for draw, leaving the generator in the same state
+        return rng.random(shape)
 
     def draw_measurement(self, rng: np.random.Generator, shape) -> np.ndarray:
         draws = rng.standard_exponential(shape)
-        # summed and divided one action at a time: the sum rounds as numpy's
-        # sum of a short axis, and no pass broadcasts over the action axis
-        total = sum(draws[..., a] for a in range(shape[-1]))
-        for a in range(shape[-1]):
-            draws[..., a] /= total
+        actions = np.moveaxis(draws, -1, 0)
+        self.normalized(actions, actions)
         return draws
+
+    @staticmethod
+    def normalized(draws: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Exponential draws (n_actions, ...), actions first, divided by
+        their sum over the actions, written into `out` (which may be
+        `draws`, or hold another layout): the sum adds one action at a time
+        from the left, as numpy sums a short axis, and each action is
+        divided by it.  Where the draws and `out` differ in layout, numpy
+        runs these passes fastest when `out`'s contiguous axis is the last
+        one given."""
+        total = draws[0].copy()
+        for a in range(1, len(draws)):
+            total += draws[a]
+        for a in range(len(draws)):
+            np.divide(draws[a], total, out=out[a])
+        return out
 
 
 @dataclass(frozen=True)
@@ -209,7 +229,7 @@ def _exact_model1_step(
 
 
 def _lloyd_choices(
-    s: np.ndarray, prior: np.ndarray, k: int, d: Divergence, keys: np.ndarray, rounds: int = 25
+    s: np.ndarray, prior: np.ndarray, k: int, d: Divergence, keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each subject's Lloyd partition, as a row of `class_masks`, with the
     subset sums S (2^n_games, n_actions, N) and masses W of all subjects'
@@ -224,7 +244,7 @@ def _lloyd_choices(
     the subjects still moving gather at once from the subset sums (under
     the mean divergence, from a second `_subset_sums`, of the projected
     draws); a class past the row's count is at infinite distance.  A
-    subject whose row repeats stops; every run stops after `rounds`
+    subject whose row repeats stops; every run stops after `_LLOYD_ROUNDS`
     assignments in all.
 
     On an exact distance tie a game goes to the class with the smallest
@@ -234,24 +254,34 @@ def _lloyd_choices(
     """
     x, kind = _projected(s, d)
     xt = x.transpose(1, 2, 0)  # (n_games, dim, N), game-major as model 1 holds its draws
-    order = keys.argsort(axis=1)[:, : min(k, s.shape[1])]
-    seeds = np.take_along_axis(xt, order.T[:, None, :], axis=0)  # the seed points, (k, dim, N)
+    n, n_games, dim = x.shape
+    # the games of each subject's k smallest keys, the first of equal keys
+    # first, as a row argsort orders them; each pass masks the key it took
+    keys = keys.T.copy()  # (n_games, N), so that each game's keys are contiguous
+    order = np.empty((min(k, n_games), n), dtype=np.intp)
+    for c in range(len(order)):
+        order[c] = first_best(keys.T, np.minimum)
+        keys.reshape(-1)[order[c] * n + np.arange(n)] = np.inf
+    # one flat gather in (seed, action, subject) order, as in `_class_means`
+    seeds = xt.take((order[:, None, :] * dim + np.arange(dim)[:, None]) * n + np.arange(n))
     choice = assignment_rows(first_best(_prototype_divergences(x, seeds.transpose(2, 0, 1), kind), np.minimum), k)
     sums, mass = _subset_sums(s.transpose(1, 2, 0), prior)
     x_sums = _subset_sums(xt, prior)[0] if d.kind == SQUARED_MEAN_DIFFERENCE else sums
-    n, dim = x.shape[0], x.shape[2]
-    masks = class_masks(s.shape[1], k).astype(np.intp)
-    safe = np.where(mass > 0, mass, 1.0)  # only the empty set has no mass
+    # per row of `class_masks`: each class's flat offsets into the sums, its mass, and whether it is empty
+    masks = class_masks(n_games, k).T.astype(np.intp)  # (K, P)
+    offsets = (masks[:, None, :] * dim + np.arange(dim)[:, None]) * n
+    safe = np.where(mass > 0, mass, 1.0).take(masks)  # only the empty set has no mass
+    empty = (masks == 0).T[:, None, :]
     moving = np.arange(n)
-    for _ in range(rounds - 1):
+    for _ in range(_LLOYD_ROUNDS - 1):
         rows = choice[moving]
-        m = masks[rows].T  # (K, moving)
-        # one flat gather in (class, action, subject) order, as in `_class_means`
-        protos = x_sums.take((m[:, None, :] * dim + np.arange(dim)[:, None]) * n + moving)
-        protos /= safe.take(m)[:, None, :]
+        index = offsets.take(rows, axis=2)
+        index += moving
+        protos = x_sums.take(index)  # (K, dim, moving)
+        protos /= safe.take(rows, axis=1)[:, None, :]
         xm = xt if len(moving) == n else xt.take(moving, axis=2)
         dist = _prototype_divergences(xm.transpose(2, 0, 1), protos.transpose(2, 0, 1), kind)
-        np.copyto(dist, np.inf, where=(m == 0).T[:, None, :])
+        np.copyto(dist, np.inf, where=empty.take(rows, axis=0))
         new = assignment_rows(first_best(dist, np.minimum), k)
         choice[moving] = new
         moving = moving[new != rows]
@@ -283,11 +313,15 @@ def _class_means(sums: np.ndarray, mass: np.ndarray, choice: np.ndarray, k: int)
     n_sets, dim, n = sums.shape
     n_games = n_sets.bit_length() - 1
     masks = class_masks(n_games, k)[:, :, None]
-    game_masks = (masks * (masks >> np.arange(n_games) & 1)).sum(axis=1)  # the one class holding each game
-    m = game_masks.T.astype(np.intp).take(choice, axis=1)  # (n_games, N)
+    # per row of `class_masks` (tables of P columns): the bitmask of the class
+    # holding each game, and its flat offsets into the sums in (game, action) order
+    m = (masks * (masks >> np.arange(n_games) & 1)).sum(axis=1).T.astype(np.intp)
+    offsets = (m[:, None, :] * dim + np.arange(dim)[:, None]) * n
     # one flat gather in (game, action, subject) order: a fancy index is slower
-    protos = sums.take((m[:, None, :] * dim + np.arange(dim)[:, None]) * n + np.arange(n))
-    protos /= mass.take(m)[:, None, :]
+    index = offsets.take(choice, axis=2)
+    index += np.arange(n)
+    protos = sums.take(index)
+    protos /= mass.take(m).take(choice, axis=1)[:, None, :]
     return protos.transpose(2, 0, 1)
 
 
@@ -307,22 +341,29 @@ def _subject_tallies(
     prototypes.  Returns the subjects per (row of `class_masks`, game, own
     action), exact counts.
 
-    The measurement noise, and the Lloyd variant's seed keys, are drawn for
-    all subjects at once; the rest runs on blocks of `_SUBJECT_BLOCK`
-    subjects, each drawing its payoff noise in turn (the role's last draw,
-    so the stream is that of one draw for all); the draws, sums and payoffs
-    of a block are dropped as the next block's replace them, so the working
-    set is a block's, not the role's."""
+    The raw exponentials of the measurement noise, and the Lloyd variant's
+    seed keys, are drawn for all subjects at once; the rest runs on blocks
+    of `_SUBJECT_BLOCK` subjects, each normalizing its slice of the
+    exponentials as its draws are built, and drawing its payoff noise in
+    turn (the role's last draw, so the stream is that of one draw for all);
+    the draws, sums and payoffs of a block are dropped as the next block's
+    replace them, so the working set is a block's, not the role's."""
     eps = perturbation.epsilon
-    eta = perturbation.draw_measurement(rng, (n_subjects,) + data.shape)
-    keys = rng.random(eta.shape[:2]) if clustering == "lloyd" else None
+    raw = rng.standard_exponential((n_subjects,) + data.shape)  # `draw_measurement`'s, not yet normalized
+    keys = rng.random(raw.shape[:2]) if clustering == "lloyd" else None
     n_games, n_act = data.shape[0], env.n_actions(player)
-    tally = np.zeros(len(class_masks(n_games, k)) * n_games * n_act, dtype=np.intp)
+    n_rows = len(class_masks(n_games, k))
+    # each (row of `class_masks`, game)'s first tally cell, (n_games, P)
+    first_cell = (np.arange(n_rows) * n_games + np.arange(n_games)[:, None]) * n_act
+    tally = np.zeros(n_rows * n_games * n_act, dtype=np.intp)
     for lo in range(0, n_subjects, _SUBJECT_BLOCK):
-        block = eta[lo : lo + _SUBJECT_BLOCK]
-        # (data + eps*eta)/(1 + eps), held game- and action-major, so the
-        # reductions below run over block-long vectors
-        s = np.multiply(eps, block, out=np.empty(data.shape + (len(block),)).transpose(2, 0, 1))
+        block = raw[lo : lo + _SUBJECT_BLOCK]
+        # (data + eps*eta)/(1 + eps), eta the block's normalized draws,
+        # held game- and action-major, so the reductions below run over
+        # block-long vectors
+        s = np.empty(data.shape + (len(block),)).transpose(2, 0, 1)
+        perturbation.normalized(block.T, s.T)  # actions first, subjects last
+        s *= eps
         s += data
         s /= 1.0 + eps
         if keys is None:
@@ -332,14 +373,17 @@ def _subject_tallies(
         # subjects' prototypes per game: class means of their own draw under
         # their chosen partition
         utils = expected_payoffs(env, player, _class_means(sums, mass, choice, k))
-        # drawn subject-major, the stream's order, and copied once into the layout of `utils`
+        # drawn subject-major, the stream's order, and copied once into the
+        # layout of `utils` before it is scaled: a product written across
+        # layouts runs several times slower than the copy
         noise = np.empty_like(utils)
         noise[...] = perturbation.draw_payoff(rng, utils.shape)
         noise *= eps
         utils += noise
         # each subject's cell per game, (n_games, B) as the best replies are held
-        cells = (choice * n_games + np.arange(n_games)[:, None]) * n_act + first_best(utils, np.maximum).T
-        tally += np.bincount(cells.ravel(order="K"), minlength=tally.size)
+        cells = first_cell.take(choice, axis=1)
+        cells += first_best(utils, np.maximum).T
+        tally += np.bincount(cells.ravel(), minlength=tally.size)
     return tally.reshape(-1, n_games, n_act)
 
 

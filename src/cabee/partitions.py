@@ -5,7 +5,8 @@ most K nonempty classes.  One restricted-growth recursion lists them in
 lexicographic order, a deterministic canonical ordering that the solvers
 and the search rely on for reproducibility, as one cached table of class
 bitmasks (`class_masks`).  `Partition.from_masks` decodes a row of it on
-demand, and `assignment_rows` ranks labelings against its rows.
+demand, and `assignment_rows` ranks labelings against its rows with the
+table of restricted-growth completions cached beside it.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class Partition:
         return "{" + ", ".join("{" + ",".join(map(str, c)) + "}" for c in self.classes) + "}"
 
 
-_MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_MASK_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def class_masks(n_games: int, max_classes: int) -> np.ndarray:
@@ -126,6 +127,13 @@ def class_masks(n_games: int, max_classes: int) -> np.ndarray:
     7.2.1.5), and g is written into the children as bit g of the class it
     joins.  Refuses more than `DEFAULT_ENUMERATION_CAP` games before
     allocating anything."""
+    return _mask_entry(n_games, max_classes)[0]
+
+
+def _mask_entry(n_games: int, max_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cached `class_masks` table of (n_games, K) and, for
+    `assignment_rows`, its (n_games + 1, K + 1) table C of restricted-growth
+    completions: C[j, c] strings of j more games after c classes."""
     if n_games > DEFAULT_ENUMERATION_CAP:
         raise PartitionSizeError(
             f"{n_games} games exceeds the enumeration cap of {DEFAULT_ENUMERATION_CAP}; "
@@ -151,8 +159,13 @@ def class_masks(n_games: int, max_classes: int) -> np.ndarray:
             for c in range(k):  # a column at a time: one narrow temporary each
                 rows[:, c] |= (label == c) * rows.dtype.type(1 << g)
             top = np.maximum(np.repeat(top, reps), label)
+        completions = np.ones((n_games + 1, k + 1), dtype=np.int64)
+        for j in range(1, n_games + 1):  # a next game joins one of c classes, or opens class c < k
+            completions[j, :k] = np.arange(k) * completions[j - 1, :k] + completions[j - 1, 1:]
+            completions[j, k] = k * completions[j - 1, k]
         rows.setflags(write=False)
-        _MASK_CACHE[n_games, k] = rows
+        completions.setflags(write=False)
+        _MASK_CACHE[n_games, k] = rows, completions
     return _MASK_CACHE[n_games, k]
 
 
@@ -164,25 +177,23 @@ def assignment_rows(assign, max_classes: int) -> np.ndarray:
     the restricted-growth string r it gives among the rows of `class_masks`,
     which are in its lexicographic order: rank = sum_g r_g * C[n-1-g, c_g], with
     c_g the classes of r_0..r_{g-1} and C[j, c] the count of restricted-growth
-    completions of j more games after c classes (Knuth, TAOCP 4A, 7.2.1.5).
+    completions of j more games after c classes (Knuth, TAOCP 4A, 7.2.1.5),
+    which is built once with the mask table.
     """
     assign = np.asarray(assign)
     n_rows, n_games = assign.shape
-    k = min(max_classes, n_games)
-    completions = np.ones((n_games + 1, k + 1), dtype=np.int64)
-    for j in range(1, n_games + 1):  # a next game joins one of c classes, or opens class c < k
-        completions[j, :k] = np.arange(k) * completions[j - 1, :k] + completions[j - 1, 1:]
-        completions[j, k] = k * completions[j - 1, k]
+    completions = _mask_entry(n_games, max_classes)[1]
     canon = np.full(n_rows * max_classes, -1, dtype=np.int64)  # each row's relabeling so far
     cells = np.arange(n_rows) * max_classes
-    used = np.zeros(n_rows, dtype=np.int64)  # classes met so far
+    canon[cells + assign[:, 0]] = 0  # game 0 opens class 0, of rank 0
+    used = np.ones(n_rows, dtype=np.int64)  # classes met so far
     rank = np.zeros(n_rows, dtype=np.int64)
-    for g in range(n_games):
+    for g in range(1, n_games):
         cell = cells + assign[:, g]
         label = canon.take(cell)
         opens = label < 0
         label = np.where(opens, used, label)
-        canon.put(cell, label)
+        canon[cell] = label  # a fancy store, several times faster than `put`
         rank += label * completions[n_games - 1 - g].take(used)
         used += opens
     return rank

@@ -9,6 +9,9 @@ from cabee.clustering import (
     TIE_TOL,
     Divergence,
     ClusteringReport,
+    KULLBACK_LEIBLER,
+    _plogp,
+    _projected,
     _prototype_divergences,
     class_prototypes,
     dispersion,
@@ -242,6 +245,45 @@ def test_batched_dispersion_matches_definition(rng):
         fast = partition_dispersions(subset_table(data, prior, d), class_masks(6, 3))
         slow = np.array([dispersion(data, p, prior, d) for p in parts])
         np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+def _reference_subset_table(data, prior, d):
+    """`subset_table` as a formula over whole arrays: the point term from
+    numpy's sum over the actions, class sums by S[m + 2^g] = S[m] + p_g*x_g
+    from a zero table, and class terms W * sum_a (S_a/W)^2 (or of x*ln(x))
+    from Python's `sum`."""
+    x, d = _projected(data, d)
+    kl = d.kind == KULLBACK_LEIBLER
+    point = np.ascontiguousarray((_plogp(x) if kl else x**2).sum(axis=-1)) @ prior
+    points = np.moveaxis(x, (-2, -1), (0, 1))
+    sums = np.zeros((1 << len(points),) + points.shape[1:])
+    mass = np.zeros(1 << len(points))
+    for g, row in enumerate(points):
+        sums[1 << g : 2 << g] = sums[: 1 << g] + prior[g] * row
+        mass[1 << g : 2 << g] = mass[: 1 << g] + prior[g]
+    w = mass.reshape((-1,) + (1,) * (sums.ndim - 2))
+    safe = np.where(w > 0, w, 1.0)
+    terms = w * sum(_plogp(s / safe) if kl else (s / safe) ** 2 for s in sums.swapaxes(0, 1))
+    return point, sums, mass, terms
+
+
+def test_subset_table_equals_the_whole_array_formula(rng):
+    """The in-place `subset_table` (its sums are `_subset_sums`') equals the
+    whole-array formula bit for bit, signs of zeros included, under L2, KL
+    on draws with zero entries and the mean divergence (action values of
+    both signs), for 1 to 5 games and 2 to 4 actions: on one data set, on a
+    row-major batch and on a game-major batch as model 1 holds its draws."""
+    for n_games in range(1, 6):
+        for dim in (2, 3, 4):
+            prior = rng.dirichlet(np.ones(n_games))
+            draws = rng.dirichlet(np.ones(dim), (200, n_games)) * (rng.random((200, n_games, dim)) > 0.2)
+            game_major = np.ascontiguousarray(draws.transpose(1, 2, 0)).transpose(2, 0, 1)
+            for d in (L2, KL, mean_divergence(np.linspace(-0.5, 1.0, dim))):
+                for data in (draws[0], draws, game_major):
+                    got, want = subset_table(data, prior, d), _reference_subset_table(data, prior, d)
+                    for name, a, b in zip(("point", "sums", "mass", "terms"), got, want):
+                        assert a.shape == b.shape, (name, d.kind, data.shape)
+                        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), (name, d.kind)
 
 
 def _loop_dispersion(data, partition, prior, d):

@@ -407,7 +407,7 @@ def test_model1_step_matches_the_reference_on_drawn_games(n_games, n_actions, ca
                 assert all(np.array_equal(nxt.profile.plays[player][p], plays[p]) for p in plays)
 
 
-def test_lloyd_choices_match_the_label_reference(rng):
+def test_lloyd_choices_match_the_label_reference(rng, monkeypatch):
     """Each subject's Lloyd partition equals the row of a Lloyd run over
     labels from the same seeds (`lloyd_assignments`, rows by sorting), and
     the sums are `_subset_sums` of the draws: L2, KL and the mean divergence,
@@ -428,7 +428,8 @@ def test_lloyd_choices_match_the_label_reference(rng):
                         assign = lloyd_assignments(s, prior, k, d, np.random.default_rng(seed), rounds)
                         want = sorted_assignment_rows(assign, k)
                         keys = np.random.default_rng(seed).random(s.shape[:2])
-                        rows[rounds], sums, mass = _lloyd_choices(s, prior, k, d, keys, rounds)
+                        monkeypatch.setattr(learning_module, "_LLOYD_ROUNDS", rounds)
+                        rows[rounds], sums, mass = _lloyd_choices(s, prior, k, d, keys)
                         np.testing.assert_array_equal(rows[rounds], want)
                         want_sums, want_mass = _subset_sums(s.transpose(1, 2, 0), prior)
                         assert np.array_equal(sums, want_sums) and np.array_equal(mass, want_mass)
@@ -548,6 +549,37 @@ def test_measurement_draws_equal_numpy_normalization():
         draws = np.random.default_rng(n_act).standard_exponential((2000, 4, n_act))
         got = PerturbationSpec(0.2).draw_measurement(np.random.default_rng(n_act), draws.shape)
         assert np.array_equal(got, draws / draws.sum(axis=-1, keepdims=True))
+
+
+def test_measurement_normalized_block_by_block_equals_the_whole_array():
+    """Model 1 normalizes its raw exponentials block by block, each block's
+    slice written into game- and action-major memory: every block equals
+    the whole-array `draws / draws.sum(-1)`, for 2, 3 and 5 actions and
+    blocks that do not divide the subjects."""
+    n = 1000
+    for n_act in (2, 3, 5):
+        draws = np.random.default_rng(n_act).standard_exponential((n, 4, n_act))
+        want, kept = draws / draws.sum(axis=-1, keepdims=True), draws.copy()
+        for block in (7, 64, 333):
+            for lo in range(0, n, block):
+                part = draws[lo : lo + block]
+                out = np.empty((4, n_act, len(part))).transpose(2, 0, 1)
+                PerturbationSpec.normalized(part.T, out.T)  # actions first, subjects last
+                assert np.array_equal(out, want[lo : lo + block]), (n_act, block, lo)
+        assert np.array_equal(draws, kept)  # written into `out` only
+
+
+def test_payoff_draw_is_the_uniform_draw():
+    """draw_payoff's `rng.random` gives `rng.uniform(0.0, 1.0)` draw for
+    draw and leaves the generator in the same state, so the stream after it
+    is unchanged."""
+    for seed, shape in ((0, (5000, 3, 2)), (1, (7, 4, 3)), (2, (1, 1, 2))):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = PerturbationSpec(0.1).draw_payoff(ours, shape)
+            assert np.array_equal(got, theirs.uniform(0.0, 1.0, size=shape))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+        assert np.array_equal(ours.standard_exponential(5), theirs.standard_exponential(5))
 
 
 def test_model1_rejects_bad_noise_and_subject_counts(mp_setup):
